@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate everything under fixtures/ from the programmatic builders.
 
-Every generated document is loaded back and cross-checked before it is
-written, so a fixture that disagrees with the library cannot land on
-disk.  Output is deterministic; rerunning the script is a no-op when
-nothing changed.
+The airframe builders live in ``tests/uav.py``.  Each ``gen_*`` returns
+the texts it produces as ``{path relative to fixtures/: text}``; only
+running this file as a script writes them.  Every generated document is
+loaded back and cross-checked first, so a fixture that disagrees with
+the library cannot land on disk.  Output is deterministic; rerunning the
+script is a no-op when nothing changed, and ``tests/test_fileformat.py``
+fails when the files on disk drift from what it generates.
 """
 
 from __future__ import annotations
@@ -14,25 +17,19 @@ import sys
 
 import yaml
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "src"))
+sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 
+import uav
 from wirebox import fincat as fc
-from wirebox import scenarios as sc
 from wirebox import fileformat as ff
 from wirebox.attacks import AttackScript, apply_script
 from wirebox.dot import architecture_dot, wiring_dot
 from wirebox.oracle import trace_equivalent
-from wirebox.wiring import Architecture
+from wirebox.wiring import Architecture, identity_wiring
 
-ROOT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-
-
-def _write(relpath: str, text: str):
-    path = os.path.join(ROOT, relpath)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-    print(f"wrote fixtures/{relpath}")
+ROOT = os.path.join(HERE, "..", "fixtures")
 
 
 def _dump(data: dict) -> str:
@@ -43,32 +40,32 @@ def _dump(data: dict) -> str:
 # the vehicle scenario
 # ---------------------------------------------------------------------------
 
-def gen_uav():
-    boxes = [sc.uav_box(), sc.sense_box(), sc.ctrl_box(), sc.dyn_box(),
-             sc.imu_box(), sc.gps_box(), sc.proc_box(), sc.proc3_box()]
+def gen_uav() -> dict[str, str]:
+    boxes = [uav.uav_box(), uav.sense_box(), uav.ctrl_box(), uav.dyn_box(),
+             uav.imu_box(), uav.gps_box(), uav.proc_box(), uav.proc3_box()]
     machines = [
-        ("imu-and", sc.imu_machine()),
-        ("gps-stock", sc.gps_machine()),
-        ("gps-hacked", sc.gps_hacked_machine()),
-        ("gps-history", sc.gps_history_machine()),
-        ("proc-xor", sc.proc_machine()),
-        ("proc3-fuse", sc.proc3_machine()),
-        ("ctrl-xor", sc.ctrl_machine()),
-        ("dyn-int", sc.dyn_machine()),
-        ("flatline", sc.flatline_machine()),
-        ("blinker", sc.blinker_machine()),
+        ("imu-and", uav.imu_machine()),
+        ("gps-stock", uav.gps_machine()),
+        ("gps-hacked", uav.gps_hacked_machine()),
+        ("gps-history", uav.gps_history_machine()),
+        ("proc-xor", uav.proc_machine()),
+        ("proc3-fuse", uav.proc3_machine()),
+        ("ctrl-xor", uav.ctrl_machine()),
+        ("dyn-int", uav.dyn_machine()),
+        ("flatline", uav.flatline_machine()),
+        ("blinker", uav.blinker_machine()),
     ]
     wirings = [
-        ff.wiring_data("frame", sc.frame_wiring()),
-        ff.wiring_data("sensor-view", sc.sensor_view_wiring()),
-        ff.wiring_data("sensor-real", sc.sensor_real_wiring()),
+        ff.wiring_data("frame", uav.frame_wiring()),
+        ff.wiring_data("sensor-view", uav.sensor_view_wiring()),
+        ff.wiring_data("sensor-real", uav.sensor_real_wiring()),
         {"name": "id-ctrl", "identity": "ctrl"},
         {"name": "id-dyn", "identity": "dyn"},
         {"name": "view-stack", "tensor": ["sensor-view", "id-ctrl", "id-dyn"]},
         {"name": "real-stack", "tensor": ["sensor-real", "id-ctrl", "id-dyn"]},
         {"name": "view-chain", "compose": ["frame", "view-stack"]},
         {"name": "real-chain", "compose": ["frame", "real-stack"]},
-        ff.wiring_data("gps-swap", sc.gps_swap_endo()),
+        ff.wiring_data("gps-swap", uav.gps_swap_endo()),
     ]
     view_comps = ["imu-and", "gps-stock", "proc-xor", "ctrl-xor", "dyn-int"]
     systems = [
@@ -84,7 +81,7 @@ def gen_uav():
          "components": ["imu-and", "gps-hacked", "proc-xor", "ctrl-xor",
                         "dyn-int"]},
     ]
-    battery = [ff.test_data(t) for t in sc.standard_battery()]
+    battery = [ff.test_data(t) for t in uav.standard_battery()]
     scenario = {
         "schema": "scenario.v1",
         "name": "uav-redundant-imu",
@@ -125,44 +122,42 @@ def gen_uav():
                                       "10": "0", "11": "1"}}]},
         ],
     }
-    text = _dump(scenario)
-    doc = ff.loads(text, "scenario.yaml")
-    built = sc.build_scenario()
-    for name in ("real", "attacker-view", "attacker-view-hist"):
-        loaded = doc.scenario.system(name)
-        ref = built.system(name)
-        assert loaded.wiring == ref.wiring, f"{name}: wiring drifted"
-        assert loaded.components == ref.components, f"{name}: machines drifted"
-    _write("uav/scenario.yaml", text)
+    out = {"uav/scenario.yaml": _dump(scenario)}
+    loaded = ff.loads(out["uav/scenario.yaml"], "scenario.yaml").scenario
+    view = uav.build_uav_attacker_view()
+    hacked = apply_script(view, AttackScript((uav.gps_firmware_rewrite(),)))
+    for name, ref in (("real", uav.build_uav_real()), ("attacker-view", view),
+                      ("view-hacked", hacked.system)):
+        assert loaded.system(name) == ref, f"{name} drifted"
+    assert loaded.battery == uav.standard_battery()
 
-    _write("uav/battery.yaml",
-           _dump({"schema": "battery.v1", "tests": battery}))
+    out["uav/battery.yaml"] = _dump({"schema": "battery.v1", "tests": battery})
 
-    for entry, m in sc.knowledge_base().entries:
+    for entry, m in loaded.kb.entries:
         text = ff.dump_machine(entry, m)
-        loaded = ff.loads(text, entry)
-        assert trace_equivalent(loaded.machine, m, 4), f"{entry} drifted"
-        _write(f"uav/kb/{entry}.yaml", text)
+        back = ff.loads(text, entry)
+        assert trace_equivalent(back.machine, m, 4), f"{entry} drifted"
+        out[f"uav/kb/{entry}.yaml"] = text
 
-    target = sc.relabel_machine(sc.build_uav_attacker_view().composite())
-    _write("uav/target.yaml", ff.dump_machine("target", target))
+    target = uav.relabel_machine(loaded.system("attacker-view").composite())
+    out["uav/target.yaml"] = ff.dump_machine("target", target)
 
     attack = {
         "schema": "attack.v1",
         "name": "combo",
         "system": "attacker-view",
-        "boxes": [ff.box_data(sc.gps_box())],
-        "machines": [ff.machine_data("gps-hacked", sc.gps_hacked_machine())],
-        "wirings": [ff.wiring_data("gps-swap", sc.gps_swap_endo())],
+        "boxes": [ff.box_data(uav.gps_box())],
+        "machines": [ff.machine_data("gps-hacked", uav.gps_hacked_machine())],
+        "wirings": [ff.wiring_data("gps-swap", uav.gps_swap_endo())],
         "steps": [{"rewrite": 1, "machine": "gps-hacked"},
                   {"rewire": 1, "wiring": "gps-swap"}],
     }
     text = _dump(attack)
     adoc = ff.loads(text, "combo-attack.yaml")
-    ref = apply_script(sc.build_uav_attacker_view(), sc.combo_script()).system
-    got = apply_script(sc.build_uav_attacker_view(), adoc.script).system
-    assert got.wiring == ref.wiring and got.components == ref.components
-    _write("uav/combo-attack.yaml", text)
+    ref = apply_script(view, uav.combo_script()).system
+    assert apply_script(view, adoc.script).system == ref
+    out["uav/combo-attack.yaml"] = text
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +267,8 @@ def category_data(cat: fc.FinCategory, functors) -> dict:
     }
 
 
-def gen_fincat():
+def gen_fincat() -> dict[str, str]:
+    out = {}
     entries = []
     for cat in (walking_iso(), arrow(), parallel_pair(), chain3(), cyc3()):
         functors = [fc.hom_functor(cat, a) for a in cat.objects]
@@ -292,31 +288,39 @@ def gen_fincat():
         text = _dump(category_data(cat, functors))
         doc = ff.loads(text, f"{cat.name}.yaml")
         assert set(doc.functors) == {F.name for F in functors}
-        _write(f"fincat/{cat.name}.yaml", text)
+        out[f"fincat/{cat.name}.yaml"] = text
+    return out
 
 
 # ---------------------------------------------------------------------------
 # golden renders
 # ---------------------------------------------------------------------------
 
-def gen_golden():
-    from wirebox.wiring import identity_wiring
-
-    _write("golden/identity.dot",
-           wiring_dot(identity_wiring(sc.gps_box()), "identity"))
-    _write("golden/sensor-view.dot",
-           wiring_dot(sc.sensor_view_wiring(), "sensor-view"))
+def gen_golden() -> dict[str, str]:
     arch = Architecture(
-        sc.uav_box(), sc.frame_wiring(),
-        (Architecture(sc.sense_box(), sc.sensor_view_wiring(),
-                      (Architecture(sc.imu_box()), Architecture(sc.gps_box()),
-                       Architecture(sc.proc_box()))),
-         Architecture(sc.ctrl_box()), Architecture(sc.dyn_box())))
-    _write("golden/architecture.dot", architecture_dot(arch, "airframe"))
+        uav.uav_box(), uav.frame_wiring(),
+        (Architecture(uav.sense_box(), uav.sensor_view_wiring(),
+                      (Architecture(uav.imu_box()), Architecture(uav.gps_box()),
+                       Architecture(uav.proc_box()))),
+         Architecture(uav.ctrl_box()), Architecture(uav.dyn_box())))
+    return {
+        "golden/identity.dot":
+            wiring_dot(identity_wiring(uav.gps_box()), "identity"),
+        "golden/sensor-view.dot":
+            wiring_dot(uav.sensor_view_wiring(), "sensor-view"),
+        "golden/architecture.dot": architecture_dot(arch, "airframe"),
+    }
+
+
+GENERATORS = (gen_uav, gen_fincat, gen_golden)
 
 
 if __name__ == "__main__":
-    gen_uav()
-    gen_fincat()
-    gen_golden()
+    for gen in GENERATORS:
+        for relpath, text in gen().items():
+            path = os.path.join(ROOT, relpath)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            print(f"wrote fixtures/{relpath}")
     print("fixtures regenerated")

@@ -6,10 +6,11 @@ with composition, tensoring, normalization, and the action of wirings
 on machine lists.  ``fincat`` and ``probes`` cover reasoning: finite
 categories with set-valued functors and naturality enumeration, and
 behavioral tests an attacker can run against an opaque system to
-filter a knowledge base.  ``attacks`` and ``scenarios`` apply both:
-scripted component rewrites and rewirings with provenance, transported
-between an attacker's view and the deployed system, plus a worked
-vehicle fixture.  ``fileformat``, ``dot``, and ``cli`` are the shell.
+filter a knowledge base.  ``attacks`` applies both: scripted component
+rewrites and rewirings with provenance, transported between an
+attacker's view and the deployed system, and scenarios that bundle the
+two with a knowledge base and named scripts.  ``fileformat``, ``dot``,
+and ``cli`` are the shell.
 """
 
 from .wiring import (Architecture, Box, CompositionError, Const, InnerOut,

@@ -13,14 +13,16 @@ inner slot.  Two attack moves exist:
 
 Scripts are ordered lists of steps, applied left to right with a
 provenance log of fingerprints, so an attacked artifact records how it
-was produced.
+was produced.  A Scenario bundles named systems with the correspondence
+between an attacker's view and the real system, a knowledge base, a test
+battery, and named scripts aimed at those systems.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import moore, oracle, probes, wiring as wi
 from .moore import MachineHom, MooreMachine, apply_algebra, hom_violations
@@ -307,3 +309,51 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
             t, probes.run_test(t, before), probes.run_test(t, after))
         results.append((t.name, agree))
     return DiffReport(word is None, word, depth, tuple(results))
+
+
+# ---------------------------------------------------------------------------
+# scenarios
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScenarioScript:
+    """A named attack script aimed at one of the scenario's systems."""
+
+    name: str
+    system: str
+    script: AttackScript
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """Systems, their correspondence, and the probing setup around them."""
+
+    name: str
+    systems: Mapping[str, CompositeSystem]
+    real: str
+    attacker_view: str
+    correspondence: Mapping[int, tuple[int, ...]]
+    kb: probes.KnowledgeBase
+    battery: tuple[probes.Test, ...]
+    scripts: tuple[ScenarioScript, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "systems", dict(self.systems))
+        object.__setattr__(
+            self, "correspondence",
+            {k: tuple(v) for k, v in dict(self.correspondence).items()})
+        for key in (self.real, self.attacker_view):
+            if key not in self.systems:
+                raise AttackError(f"scenario has no system {key!r}")
+
+    def system(self, name: str) -> CompositeSystem:
+        try:
+            return self.systems[name]
+        except KeyError:
+            raise AttackError(f"scenario has no system {name!r}") from None
+
+    def script(self, name: str) -> ScenarioScript:
+        for s in self.scripts:
+            if s.name == name:
+                return s
+        raise AttackError(f"scenario has no script {name!r}")

@@ -14,7 +14,9 @@ Subcommands::
 Exit codes: 0 success, 64 usage error, 65 malformed input or domain
 error.  ``learn`` exits 0 when exactly one candidate survives, 2 when
 several do, 3 when none do.  ``diff`` exits 0 when behavior is equal at
-the requested depth and 1 when it differs.
+the requested depth and 1 when it differs.  ``yoneda-check`` exits 1
+when a bijection fails.  ``--depth`` must be at least 1; a smaller
+value is a usage error.
 
 Input words are written ``"0|1,1|0"``: steps separated by commas, the
 symbols of one step separated by bars, in port order.
@@ -67,6 +69,14 @@ def parse_word(text: str) -> tuple[tuple[str, ...], ...]:
     return tuple(steps)
 
 
+def depth(text: str) -> int:
+    """The ``--depth`` argument type: an integer of at least 1."""
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def format_word(word: Sequence[Sequence[str]]) -> str:
     return ",".join("|".join(step) for step in word)
 
@@ -98,7 +108,7 @@ def _build_parser() -> _Parser:
     l.add_argument("--target", required=True, metavar="FILE",
                    help="machine.v1 the oracle answers for")
     l.add_argument("--battery", metavar="FILE", help="battery.v1 tests")
-    l.add_argument("--depth", type=int, default=6,
+    l.add_argument("--depth", type=depth, default=6,
                    help="trace depth when no battery is given (default 6)")
 
     a = sub.add_parser("attack", description="apply a script with provenance")
@@ -110,7 +120,7 @@ def _build_parser() -> _Parser:
                        description="attacked system versus its baseline")
     d.add_argument("--scenario", required=True, metavar="FILE")
     d.add_argument("--script", required=True, help="script name")
-    d.add_argument("--depth", type=int, default=6)
+    d.add_argument("--depth", type=depth, default=6)
 
     e = sub.add_parser("export-dot", description="render a wiring as DOT")
     e.add_argument("--file", required=True, metavar="FILE",

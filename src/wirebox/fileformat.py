@@ -26,15 +26,16 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import yaml
 
 from . import fincat as fc
-from .attacks import (AttackScript, CompositeSystem, RewireStep, RewriteStep)
+from .attacks import (AttackScript, CompositeSystem, RewireStep, RewriteStep,
+                      Scenario, ScenarioScript)
 from .moore import MachineHom, MooreMachine, hom_violations, render_state, validate_machine
 from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
-                     StateSet, Terminal, Test, TraceSet)
+                     StateSet, Terminal, Test, TraceSet, default_comparator)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
                      Wiring, WiringError, compose, identity_wiring, tensor)
 
@@ -91,6 +92,13 @@ def _no_extras(d: dict, allowed: Sequence[str], path: str):
         raise LoadError(path, f"unknown keys {extra}")
 
 
+def _resolve(table: Mapping, kind: str, name, path: str, note: str = ""):
+    """The ``kind`` entry called ``name``; LoadError at ``path`` if undefined."""
+    if name not in table:
+        raise LoadError(path, f"unknown {kind} {name!r}{note}")
+    return table[name]
+
+
 def _symbols(v, path: str) -> tuple[str, ...]:
     return tuple(_string(x, f"{path}[{i}]") for i, x in enumerate(_sequence(v, path)))
 
@@ -136,10 +144,8 @@ def _load_machine(d, boxes: Mapping[str, Box], path: str) -> tuple[str, MooreMac
     d = _mapping(d, path)
     _no_extras(d, ("name", "box", "states", "init", "update", "readout"), path)
     name = _string(_get(d, "name", path), f"{path}.name")
-    box_name = _string(_get(d, "box", path), f"{path}.box")
-    if box_name not in boxes:
-        raise LoadError(f"{path}.box", f"unknown box {box_name!r}")
-    box = boxes[box_name]
+    box = _resolve(boxes, "box", _string(_get(d, "box", path), f"{path}.box"),
+                   f"{path}.box")
     states = _symbols(_get(d, "states", path), f"{path}.states")
     init = _string(_get(d, "init", path), f"{path}.init")
     update = {}
@@ -203,53 +209,34 @@ def _load_wiring(d, boxes: Mapping[str, Box], earlier: Mapping[str, Wiring],
     name = _string(_get(d, "name", path), f"{path}.name")
     keys = set(d) - {"name"}
     if keys == {"identity"}:
-        bn = _string(d["identity"], f"{path}.identity")
-        if bn not in boxes:
-            raise LoadError(f"{path}.identity", f"unknown box {bn!r}")
-        return name, identity_wiring(boxes[bn])
-    if keys == {"compose"}:
-        parts = _sequence(d["compose"], f"{path}.compose")
-        if len(parts) < 2:
-            raise LoadError(f"{path}.compose", "needs at least two wirings")
-        ws = []
-        for i, wn in enumerate(parts):
-            wn = _string(wn, f"{path}.compose[{i}]")
-            if wn not in earlier:
-                raise LoadError(f"{path}.compose[{i}]",
-                                f"unknown wiring {wn!r} (forward references "
-                                f"are not allowed)")
-            ws.append(earlier[wn])
-        # listed outermost first: compose spots g before f
-        out = ws[-1]
-        for g in reversed(ws[:-1]):
-            try:
-                out = compose(g, out)
-            except WiringError as e:
-                raise LoadError(f"{path}.compose", str(e)) from None
-        return name, out
-    if keys == {"tensor"}:
-        parts = _sequence(d["tensor"], f"{path}.tensor")
-        ws = []
-        for i, wn in enumerate(parts):
-            wn = _string(wn, f"{path}.tensor[{i}]")
-            if wn not in earlier:
-                raise LoadError(f"{path}.tensor[{i}]",
-                                f"unknown wiring {wn!r} (forward references "
-                                f"are not allowed)")
-            ws.append(earlier[wn])
+        ip = f"{path}.identity"
+        return name, identity_wiring(
+            _resolve(boxes, "box", _string(d["identity"], ip), ip))
+    if keys in ({"compose"}, {"tensor"}):
+        (form,) = keys
+        fp = f"{path}.{form}"
+        parts = _sequence(d[form], fp)
+        if form == "compose" and len(parts) < 2:
+            raise LoadError(fp, "needs at least two wirings")
+        ws = [_resolve(earlier, "wiring", _string(wn, f"{fp}[{i}]"), f"{fp}[{i}]",
+                       " (forward references are not allowed)")
+              for i, wn in enumerate(parts)]
         try:
-            return name, tensor(ws)
+            if form == "tensor":
+                return name, tensor(ws)
+            # listed outermost first: compose spots g before f
+            out = ws[-1]
+            for g in reversed(ws[:-1]):
+                out = compose(g, out)
+            return name, out
         except WiringError as e:
-            raise LoadError(f"{path}.tensor", str(e)) from None
+            raise LoadError(fp, str(e)) from None
     if keys == {"inner", "outer", "inputs", "outputs"}:
         def box_list(key: str) -> tuple[Box, ...]:
-            out = []
-            for i, bn in enumerate(_sequence(d[key], f"{path}.{key}")):
-                bn = _string(bn, f"{path}.{key}[{i}]")
-                if bn not in boxes:
-                    raise LoadError(f"{path}.{key}[{i}]", f"unknown box {bn!r}")
-                out.append(boxes[bn])
-            return tuple(out)
+            return tuple(
+                _resolve(boxes, "box", _string(bn, f"{path}.{key}[{i}]"),
+                         f"{path}.{key}[{i}]")
+                for i, bn in enumerate(_sequence(d[key], f"{path}.{key}")))
 
         def port_map(key: str) -> dict:
             out = {}
@@ -302,17 +289,16 @@ def _load_systems(d: dict, machines, wirings, path: str) -> dict[str, CompositeS
         s = _mapping(s, sp)
         _no_extras(s, ("name", "wiring", "components"), sp)
         name = _string(_get(s, "name", sp), f"{sp}.name")
-        wn = _string(_get(s, "wiring", sp), f"{sp}.wiring")
-        if wn not in wirings:
-            raise LoadError(f"{sp}.wiring", f"unknown wiring {wn!r}")
-        comps = []
-        for j, mn in enumerate(_sequence(_get(s, "components", sp), f"{sp}.components")):
-            mn = _string(mn, f"{sp}.components[{j}]")
-            if mn not in machines:
-                raise LoadError(f"{sp}.components[{j}]", f"unknown machine {mn!r}")
-            comps.append(machines[mn])
+        wiring = _resolve(wirings, "wiring",
+                          _string(_get(s, "wiring", sp), f"{sp}.wiring"),
+                          f"{sp}.wiring")
+        comps = tuple(
+            _resolve(machines, "machine", _string(mn, f"{sp}.components[{j}]"),
+                     f"{sp}.components[{j}]")
+            for j, mn in enumerate(_sequence(_get(s, "components", sp),
+                                             f"{sp}.components")))
         try:
-            system = CompositeSystem(wirings[wn], tuple(comps))
+            system = CompositeSystem(wiring, comps)
         except Exception as e:
             raise LoadError(sp, str(e)) from None
         if name in systems:
@@ -353,18 +339,15 @@ def _load_steps(rows, machines, wirings, systems, system_name, path: str) -> Att
         if "rewrite" in row:
             _no_extras(row, ("rewrite", "machine", "state_map"), rp)
             idx = _integer(row["rewrite"], f"{rp}.rewrite")
-            mn = _string(_get(row, "machine", rp), f"{rp}.machine")
-            if mn not in machines:
-                raise LoadError(f"{rp}.machine", f"unknown machine {mn!r}")
-            target = machines[mn]
+            target = _resolve(machines, "machine",
+                              _string(_get(row, "machine", rp), f"{rp}.machine"),
+                              f"{rp}.machine")
             if "state_map" in row:
                 raw = _mapping(row["state_map"], f"{rp}.state_map")
                 state_map = {_string(k, f"{rp}.state_map"): _string(v, f"{rp}.state_map")
                              for k, v in raw.items()}
-                if system_name not in systems:
-                    raise LoadError(rp, f"unknown system {system_name!r} for "
-                                        f"a morphism rewrite")
-                comps = systems[system_name].components
+                comps = _resolve(systems, "system", system_name, rp,
+                                 " for a morphism rewrite").components
                 if not 0 <= idx < len(comps):
                     raise LoadError(f"{rp}.rewrite", f"no component {idx}")
                 hom = MachineHom(comps[idx], target, state_map)
@@ -377,11 +360,11 @@ def _load_steps(rows, machines, wirings, systems, system_name, path: str) -> Att
         elif "rewire" in row:
             _no_extras(row, ("rewire", "wiring"), rp)
             idx = _integer(row["rewire"], f"{rp}.rewire")
-            wn = _string(_get(row, "wiring", rp), f"{rp}.wiring")
-            if wn not in wirings:
-                raise LoadError(f"{rp}.wiring", f"unknown wiring {wn!r}")
+            endo = _resolve(wirings, "wiring",
+                            _string(_get(row, "wiring", rp), f"{rp}.wiring"),
+                            f"{rp}.wiring")
             try:
-                steps.append(RewireStep(idx, wirings[wn]))
+                steps.append(RewireStep(idx, endo))
             except Exception as e:
                 raise LoadError(rp, str(e)) from None
         else:
@@ -448,7 +431,7 @@ class ScenarioDoc:
     machines: Mapping[str, MooreMachine]
     wirings: Mapping[str, Wiring]
     systems: Mapping[str, CompositeSystem]
-    scenario: "Any"  # scenarios.Scenario; untyped to avoid a cycle
+    scenario: Scenario
 
 
 def loads(text: str, source: str = "<string>"):
@@ -539,8 +522,6 @@ def _doc_attack(d: dict, src: str) -> AttackDoc:
 
 
 def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
-    from .scenarios import Scenario, ScenarioScript
-
     _no_extras(d, ("schema", "name", "boxes", "machines", "wirings", "systems",
                    "real", "attacker_view", "correspondence", "kb", "battery",
                    "scripts"), src)
@@ -550,8 +531,7 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
     real = _string(_get(d, "real", src), f"{src}.real")
     view = _string(_get(d, "attacker_view", src), f"{src}.attacker_view")
     for key, kp in ((real, "real"), (view, "attacker_view")):
-        if key not in systems:
-            raise LoadError(f"{src}.{kp}", f"unknown system {key!r}")
+        _resolve(systems, "system", key, f"{src}.{kp}")
     corr: dict[int, tuple[int, ...]] = {}
     for i, row in enumerate(_sequence(_get(d, "correspondence", src),
                                       f"{src}.correspondence")):
@@ -579,15 +559,13 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
         row = _mapping(row, rp)
         ename = _string(_get(row, "name", rp), f"{rp}.name")
         if set(row) == {"name", "machine"}:
-            mn = _string(row["machine"], f"{rp}.machine")
-            if mn not in machines:
-                raise LoadError(f"{rp}.machine", f"unknown machine {mn!r}")
-            entries.append((ename, machines[mn]))
+            entries.append((ename, _resolve(
+                machines, "machine", _string(row["machine"], f"{rp}.machine"),
+                f"{rp}.machine")))
         elif set(row) == {"name", "system"}:
-            sn = _string(row["system"], f"{rp}.system")
-            if sn not in systems:
-                raise LoadError(f"{rp}.system", f"unknown system {sn!r}")
-            entries.append((ename, systems[sn].composite()))
+            entries.append((ename, _resolve(
+                systems, "system", _string(row["system"], f"{rp}.system"),
+                f"{rp}.system").composite()))
         else:
             raise LoadError(rp, "expected name plus machine or system")
     try:
@@ -604,8 +582,7 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
         _no_extras(row, ("name", "system", "steps"), rp)
         sname = _string(_get(row, "name", rp), f"{rp}.name")
         target = _string(row.get("system", view), f"{rp}.system")
-        if target not in systems:
-            raise LoadError(f"{rp}.system", f"unknown system {target!r}")
+        _resolve(systems, "system", target, f"{rp}.system")
         script = _load_steps(_get(row, "steps", rp), machines, wirings, systems,
                              target, f"{rp}.steps")
         scripts.append(ScenarioScript(sname, target, script))
@@ -769,7 +746,7 @@ def test_data(t: Test) -> dict:
         out["kind"] = "terminal"
     else:
         out.update(kind="output-image", step=kind.step)
-    if t.comparator != (CARDINALITY if isinstance(kind, StateSet) else EQUALITY):
+    if t.comparator != default_comparator(kind):
         out["compare"] = t.comparator
     return out
 
@@ -802,12 +779,12 @@ def dump_system(systems: Mapping[str, CompositeSystem]) -> str:
     Component machines are named slot by slot; structurally equal
     machines share one definition.
     """
-    boxes: dict[str, Box] = {}
+    boxes = collect_boxes(*(group for system in systems.values()
+                            for group in (system.wiring.inner, system.wiring.outer)))
     machines: list[tuple[str, MooreMachine]] = []
     wirings: list[tuple[str, Wiring]] = []
     out_systems = []
     for sys_name, system in systems.items():
-        boxes.update(collect_boxes(system.wiring.inner, system.wiring.outer))
         comp_names = []
         for m in system.components:
             found = next((n for n, other in machines if other == m), None)

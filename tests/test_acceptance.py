@@ -9,7 +9,11 @@ import pathlib
 import random
 import time
 
+import pytest
+
 from netgen import random_network, random_stack, random_word
+from uav import (frame_wiring, relabel_machine, sensor_real_wiring,
+                 sensor_view_wiring)
 from wirebox.attacks import apply_script, transport_script
 from wirebox.fileformat import load
 from wirebox.fincat import yoneda_check
@@ -18,14 +22,16 @@ from wirebox.oracle import (bisimilar, find_distinguishing_word,
                             stagewise_simulate, trace_equivalent)
 from wirebox.probes import AMBIGUOUS, EXACT, UNKNOWN, MachineOracle, Terminal, \
     Test, yoneda_filter
-from wirebox.scenarios import (build_scenario, combo_script, frame_wiring,
-                               relabel_machine, sensor_real_wiring,
-                               sensor_view_wiring)
 from wirebox.wiring import (compose, eval_equal, identity_of, identity_wiring,
                             normalize, tensor)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DEPTH = 6
+
+
+@pytest.fixture(scope="module")
+def sc():
+    return load(FIXTURES / "uav" / "scenario.yaml").scenario
 
 
 def report(num: int, label: str, ok: bool):
@@ -102,8 +108,7 @@ def test_criterion_3_yoneda_on_the_fixture_categories():
               f"{elapsed:.2f}s", ok)
 
 
-def test_criterion_4_learning_corner_cases():
-    sc = build_scenario()
+def test_criterion_4_learning_corner_cases(sc):
     target = relabel_machine(sc.system("attacker-view").composite())
     exact = yoneda_filter(sc.kb, sc.battery, MachineOracle(target))
     ok = exact.classification == EXACT and \
@@ -121,8 +126,7 @@ def test_criterion_4_learning_corner_cases():
     report(4, "learning: exact, unknown, ambiguous", ok)
 
 
-def test_criterion_5_redundant_unit_is_invisible():
-    sc = build_scenario()
+def test_criterion_5_redundant_unit_is_invisible(sc):
     view = sc.system("attacker-view")
     real = sc.system("real")
     ok = len(real.components) == 6 and len(view.components) == 5
@@ -131,17 +135,17 @@ def test_criterion_5_redundant_unit_is_invisible():
     report(5, "two units behave as one", ok)
 
 
-def test_criterion_6_combined_attack_and_its_cover():
-    sc = build_scenario()
+def test_criterion_6_combined_attack_and_its_cover(sc):
     view = sc.system("attacker-view")
     real = sc.system("real")
+    combo = sc.script("combo").script
 
-    attacked_view = apply_script(view, combo_script()).system
+    attacked_view = apply_script(view, combo).system
     word = find_distinguishing_word(view.composite(),
                                     attacked_view.composite(), DEPTH)
     ok = word is not None and len(word) <= DEPTH
 
-    moved = transport_script(combo_script(), sc.correspondence)
+    moved = transport_script(combo, sc.correspondence)
     attacked_real = apply_script(real, moved).system
     ok = ok and find_distinguishing_word(
         attacked_real.composite(), attacked_view.composite(), DEPTH) is None
@@ -154,8 +158,7 @@ def test_criterion_6_combined_attack_and_its_cover():
     report(6, "combined attack transports; double swap hides", ok)
 
 
-def test_criterion_7_morphism_rewrite_certifies_itself():
-    sc = build_scenario()
+def test_criterion_7_morphism_rewrite_certifies_itself(sc):
     entry = sc.script("gps-minimize")
     base = sc.system(entry.system)
     result = apply_script(base, entry.script)
@@ -168,8 +171,7 @@ def test_criterion_7_morphism_rewrite_certifies_itself():
     report(7, "lifted morphism certifies the rewrite", ok)
 
 
-def test_criterion_8_stagewise_agrees_with_the_algebra():
-    sc = build_scenario()
+def test_criterion_8_stagewise_agrees_with_the_algebra(sc):
     ok = True
     for system in (sc.system("attacker-view"), sc.system("real")):
         word = (("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")) + \

@@ -8,13 +8,17 @@ import pytest
 
 from wirebox.cli import (EX_DATAERR, EX_OK, EX_USAGE, dispatch, format_word,
                          parse_word)
-from wirebox.fileformat import dump_machine, loads
+from wirebox.fileformat import dump_machine, load, loads
 from wirebox.moore import run
 from wirebox.oracle import find_distinguishing_word
-from wirebox.scenarios import build_scenario
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 UAV = FIXTURES / "uav"
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return load(UAV / "scenario.yaml").scenario
 
 
 def cli(*argv):
@@ -79,13 +83,13 @@ def test_validate_reports_each_document_shape():
 # compose and simulate
 # ---------------------------------------------------------------------------
 
-def test_compose_emits_the_composite_machine():
+def test_compose_emits_the_composite_machine(scenario):
     code, out, _ = cli("compose", "--system", UAV / "scenario.yaml",
                        "--name", "attacker-view")
     assert code == EX_OK
     doc = loads(out, "composed.yaml")
     assert doc.name == "attacker-view"
-    view = build_scenario().system("attacker-view").composite()
+    view = scenario.system("attacker-view").composite()
     assert find_distinguishing_word(doc.machine, view, 5) is None
 
 
@@ -100,7 +104,6 @@ def test_simulate_prints_one_output_per_step():
     code, out, _ = cli("simulate", "--machine", UAV / "target.yaml",
                        "--input", "0|0,1|1,0|0")
     assert code == EX_OK
-    from wirebox.fileformat import load
     m = load(UAV / "target.yaml").machine
     expected = ["|".join(o) for o in run(m, parse_word("0|0,1|1,0|0"))]
     assert out.splitlines() == expected
@@ -160,6 +163,15 @@ def test_learn_with_traces_only_still_identifies():
     assert "classification: exact" in out
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_learn_depth_below_one_is_a_usage_error(depth):
+    code, out, err = cli("learn", "--kb", UAV / "kb",
+                         "--target", UAV / "target.yaml", "--depth", depth)
+    assert code == EX_USAGE
+    assert out == ""
+    assert "--depth: must be at least 1" in err
+
+
 def test_learn_reports_ambiguity_with_exit_2(tmp_path):
     weak = tmp_path / "weak.yaml"
     weak.write_text("schema: battery.v1\ntests:\n- {name: point, kind: terminal}\n")
@@ -169,8 +181,8 @@ def test_learn_reports_ambiguity_with_exit_2(tmp_path):
     assert "classification: ambiguous" in out
 
 
-def test_learn_reports_unknown_with_exit_3(tmp_path):
-    real = build_scenario().system("real").composite()
+def test_learn_reports_unknown_with_exit_3(tmp_path, scenario):
+    real = scenario.system("real").composite()
     target = tmp_path / "real.yaml"
     target.write_text(dump_machine("real", real))
     code, out, _ = cli("learn", "--kb", UAV / "kb", "--target", target,
@@ -237,6 +249,15 @@ def test_diff_respects_the_depth_flag():
                        "--script", "gps-firmware", "--depth", "3")
     assert code == EX_OK
     assert "equal to depth 3" in out
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_diff_depth_below_one_is_a_usage_error(depth):
+    code, out, err = cli("diff", "--scenario", UAV / "scenario.yaml",
+                         "--script", "gps-firmware", "--depth", depth)
+    assert code == EX_USAGE
+    assert out == ""
+    assert "--depth: must be at least 1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 import pathlib
 
+from uav import (ctrl_box, dyn_box, frame_wiring, gps_box, imu_box, proc_box,
+                 sense_box, sensor_feed_attack_wiring, sensor_real_wiring,
+                 sensor_view_wiring, uav_box)
 from wirebox.dot import architecture_dot, wiring_dot
-from wirebox.scenarios import (frame_wiring, gps_box, imu_box, proc_box,
-                               sense_box, sensor_feed_attack_wiring,
-                               sensor_view_wiring, uav_box)
 from wirebox.wiring import (Architecture, Box, InnerOut, OuterIn, Port, Table,
                             Wiring, identity_wiring)
 
@@ -13,8 +13,6 @@ GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 
 
 def airframe_arch() -> Architecture:
-    from wirebox.scenarios import ctrl_box, dyn_box
-
     return Architecture(
         uav_box(), frame_wiring(),
         (Architecture(sense_box(), sensor_view_wiring(),
@@ -52,8 +50,6 @@ def test_identity_renders_one_cluster():
 
 
 def test_repeated_boxes_get_distinct_slot_labels():
-    from wirebox.scenarios import sensor_real_wiring
-
     text = wiring_dot(sensor_real_wiring())
     assert 'label="imu[0]"' in text and 'label="imu[1]"' in text
 

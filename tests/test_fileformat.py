@@ -1,24 +1,23 @@
 """Loading, validating, and dumping the YAML document formats."""
 
+import importlib.util
 import pathlib
 import textwrap
 
 import pytest
 import yaml
 
-from wirebox.attacks import apply_script
-from wirebox.fileformat import (AttackDoc, BatteryDoc, LoadError, MachineDoc,
-                                ScenarioDoc, SystemDoc, WiringDoc,
+from wirebox.attacks import CompositeSystem, apply_script
+from wirebox.fileformat import (AttackDoc, LoadError, MachineDoc, SystemDoc,
                                 dump_machine, dump_system, load, load_kb_dir,
                                 loads)
 from wirebox.moore import MooreMachine
 from wirebox.oracle import find_distinguishing_word
-from wirebox.scenarios import (build_scenario, build_uav_real, combo_script,
-                               standard_battery)
 from wirebox.wiring import (Box, Port, compose, identity_wiring, tensor,
                             wiring_equal)
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 BIT = ("0", "1")
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
@@ -27,6 +26,11 @@ CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 def delay() -> MooreMachine:
     update = {(s, (a,)): a for s in BIT for a in BIT}
     return MooreMachine(CELL, BIT, "0", update, {s: (s,) for s in BIT})
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return load(FIXTURES / "uav" / "scenario.yaml").scenario
 
 
 def doc(text: str):
@@ -50,15 +54,15 @@ def test_machine_round_trip_is_exact():
     assert loaded.machine == delay()
 
 
-def test_dumping_renders_tuple_states():
-    composite = build_scenario().system("attacker-view").composite()
+def test_dumping_renders_tuple_states(scenario):
+    composite = scenario.system("attacker-view").composite()
     loaded = doc(dump_machine("view", composite)).machine
     assert loaded.init == "(0,0,0,0,0)"  # one coordinate per slot
     assert find_distinguishing_word(loaded, composite, 4) is None
 
 
-def test_system_round_trip_shares_equal_machines():
-    real = build_uav_real()
+def test_system_round_trip_shares_equal_machines(scenario):
+    real = scenario.system("real")
     loaded = doc(dump_system({"real": real}))
     assert isinstance(loaded, SystemDoc)
     # six components, five definitions: the duplicated unit is written once
@@ -68,42 +72,50 @@ def test_system_round_trip_shares_equal_machines():
     assert back.components == real.components
 
 
-def test_dump_system_covers_several_systems():
-    sc = build_scenario()
-    loaded = doc(dump_system({"view": sc.system("attacker-view"),
-                              "real": sc.system("real")}))
+def test_dump_system_covers_several_systems(scenario):
+    loaded = doc(dump_system({"view": scenario.system("attacker-view"),
+                              "real": scenario.system("real")}))
     assert set(loaded.systems) == {"view", "real"}
     assert set(loaded.wirings) == {"view-wiring", "real-wiring"}
 
 
-def test_scenario_fixture_matches_the_builders():
-    loaded = load(FIXTURES / "uav" / "scenario.yaml")
-    assert isinstance(loaded, ScenarioDoc)
-    built = build_scenario()
-    for name in built.systems:
-        assert loaded.scenario.system(name) == built.system(name)
-    # the file adds one kb source system on top of the built three
-    assert set(loaded.scenario.systems) - set(built.systems) == {"view-hacked"}
-    assert loaded.scenario.correspondence == built.correspondence
-    assert loaded.scenario.kb.names == built.kb.names
-    assert [s.name for s in loaded.scenario.scripts] == \
-        [s.name for s in built.scripts]
+def test_dump_system_rejects_one_box_name_with_two_definitions():
+    # each system alone is consistent; together they disagree on box cell
+    wide = Box("cell", (Port("a", ("0", "1", "2")),), (Port("q", BIT),))
+    update = {(s, (a,)): s for s in BIT for a in ("0", "1", "2")}
+    keep = MooreMachine(wide, BIT, "0", update, {s: (s,) for s in BIT})
+    systems = {
+        "narrow": CompositeSystem(identity_wiring(CELL), (delay(),)),
+        "wide": CompositeSystem(identity_wiring(wide), (keep,)),
+    }
+    with pytest.raises(LoadError, match="conflicting definitions") as exc:
+        dump_system(systems)
+    assert exc.value.path == "cell"
 
 
-def test_battery_fixture_matches_the_builder():
-    loaded = load(FIXTURES / "uav" / "battery.yaml")
-    assert isinstance(loaded, BatteryDoc)
-    assert loaded.tests == standard_battery()
-
-
-def test_attack_fixture_replays_the_combo():
+def test_attack_fixture_replays_the_combo(scenario):
     loaded = load(FIXTURES / "uav" / "combo-attack.yaml")
     assert isinstance(loaded, AttackDoc)
     assert loaded.system == "attacker-view"
-    view = build_scenario().system("attacker-view")
+    view = scenario.system("attacker-view")
     from_file = apply_script(view, loaded.script).system
-    built = apply_script(view, combo_script()).system
+    built = apply_script(view, scenario.script("combo").script).system
     assert from_file == built
+
+
+def test_fixtures_are_exactly_what_the_generator_writes():
+    spec = importlib.util.spec_from_file_location(
+        "gen_fixtures", ROOT / "scripts" / "gen_fixtures.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    texts = {}
+    for generate in gen.GENERATORS:
+        texts.update(generate())
+    on_disk = {p.relative_to(FIXTURES).as_posix()
+               for p in FIXTURES.rglob("*") if p.is_file()}
+    assert on_disk == set(texts)
+    for relpath, text in texts.items():
+        assert (FIXTURES / relpath).read_text(encoding="utf-8") == text, relpath
 
 
 def test_kb_directory_loads_in_filename_order():

@@ -1,29 +1,29 @@
 """The bundled airframe scenario: view vs real, attacks, and contexts."""
 
+import pathlib
+
 import pytest
 
+from uav import (combo_script, ctrl_machine, dyn_machine, env_spoof_machine,
+                 gcs_spoof_machine, gps_swap_rewiring, gps_symmetric_machine,
+                 imu_machine, proc_machine, relabel_machine, wrap_environment,
+                 wrap_gcs)
 from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
                              apply_script, attack_diff, transport_script)
+from wirebox.fileformat import load
 from wirebox.moore import hom_violations, run
 from wirebox.oracle import bisimilar, find_distinguishing_word
 from wirebox.probes import (AMBIGUOUS, EXACT, UNKNOWN, MachineOracle,
                             yoneda_filter)
-from wirebox.scenarios import (build_scenario, build_uav_attacker_view,
-                               build_uav_real, combo_script, ctrl_machine,
-                               dyn_machine, env_spoof_machine,
-                               gcs_spoof_machine, gps_firmware_rewrite,
-                               gps_swap_rewiring, gps_symmetric_machine,
-                               imu_machine, knowledge_base, proc_machine,
-                               relabel_machine, standard_battery,
-                               wrap_environment, wrap_gcs)
 from wirebox.wiring import normalize
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 ZZ = ("0", "0")
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return build_scenario()
+    return load(FIXTURES / "uav" / "scenario.yaml").scenario
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +235,3 @@ def test_learner_spots_the_hacked_profile(scenario):
     assert result.classification == EXACT
     assert result.candidates == ("profile-hacked",)
 
-
-def test_builders_are_self_consistent(scenario):
-    assert build_uav_attacker_view() == scenario.system("attacker-view")
-    assert build_uav_real() == scenario.system("real")
-    assert knowledge_base().names == scenario.kb.names
-    assert tuple(t.name for t in standard_battery()) == \
-        tuple(t.name for t in scenario.battery)
-    assert scenario.script("gps-firmware").script.steps[0].machine == \
-        gps_firmware_rewrite().machine

@@ -1,4 +1,4 @@
-"""The drone fixture family: boxes, machines, wirings, systems, attacks.
+"""Builders for the airframe fixture: boxes, machines, wirings, systems.
 
 One airframe, modeled twice.  The real build senses with two redundant
 inertial units plus a positioning receiver, merged by a three-input
@@ -17,20 +17,21 @@ package: a firmware rewrite that inverts the positioning receiver's
 readout, and a rewire that swaps the receiver's two input feeds.  Both
 are visible from the boundary within depth six; the swap applied twice
 undoes itself.
+
+``scripts/gen_fixtures.py`` writes ``fixtures/uav/`` from these builders;
+tests that want the whole scenario load ``fixtures/uav/scenario.yaml``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
-from .attacks import (AttackError, AttackScript, CompositeSystem, RewireStep,
-                      RewriteStep, apply_script)
-from .moore import MachineHom, MooreMachine
-from .probes import (KnowledgeBase, OutputImage, StateSet, Terminal, Test,
-                     TraceSet)
-from .wiring import (Box, Const, InnerOut, OuterIn, Port, Symbol, Wiring,
-                     compose, identity_wiring, tensor)
+from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
+                             RewireStep, RewriteStep)
+from wirebox.moore import MooreMachine
+from wirebox.probes import OutputImage, StateSet, Terminal, Test, TraceSet
+from wirebox.wiring import (Box, Const, InnerOut, OuterIn, Port, Symbol, Wiring,
+                            compose, identity_wiring, input_space, tensor)
 
 BIT = ("0", "1")
 
@@ -109,8 +110,6 @@ def _and(a: Symbol, b: Symbol) -> Symbol:
 
 def _delay(box: Box, fn: Callable[..., Symbol]) -> MooreMachine:
     """Two-state machine emitting last step's value of fn over the inputs."""
-    from .wiring import input_space
-
     update = {(s, x): fn(*x) for s in BIT for x in input_space([box])}
     return MooreMachine(box, BIT, "0", update, {s: (s,) for s in BIT})
 
@@ -147,12 +146,6 @@ def gps_history_machine() -> MooreMachine:
     update = {(s, (a, b)): s[1] + a for s in states for a in BIT for b in BIT}
     return MooreMachine(gps_box(), states, "00", update,
                         {s: (s[1],) for s in states})
-
-
-def gps_history_hom() -> MachineHom:
-    """The collapse morphism from the history receiver onto the plain one."""
-    src = gps_history_machine()
-    return MachineHom(src, gps_machine(), {s: s[1] for s in src.states})
 
 
 def proc_machine() -> MooreMachine:
@@ -206,8 +199,6 @@ def gcs_spoof_machine() -> MooreMachine:
 
 def flatline_machine() -> MooreMachine:
     """A one-state airframe profile that never moves."""
-    from .wiring import input_space
-
     box = uav_box()
     update = {("z", x): "z" for x in input_space([box])}
     return MooreMachine(box, ("z",), "z", update, {"z": ("0",)})
@@ -215,8 +206,6 @@ def flatline_machine() -> MooreMachine:
 
 def blinker_machine() -> MooreMachine:
     """An airframe profile that toggles position regardless of input."""
-    from .wiring import input_space
-
     box = uav_box()
     update = {(s, x): _xor(s, "1") for s in BIT for x in input_space([box])}
     return MooreMachine(box, BIT, "0", update, {s: (s,) for s in BIT})
@@ -303,15 +292,6 @@ def gps_swap_endo() -> Wiring:
         {(0, "val"): InnerOut(0, "val")})
 
 
-def gps_const_feed_endo() -> Wiring:
-    """Endomorphism pinning the receiver's second feed to zero."""
-    box = gps_box()
-    return Wiring(
-        (box,), (box,),
-        {(0, "a"): OuterIn(0, "a"), (0, "b"): Const("0")},
-        {(0, "val"): InnerOut(0, "val")})
-
-
 def view_chain_wiring() -> Wiring:
     """The adversary's full decomposition, flattened to airframe leaves."""
     padded = tensor([sensor_view_wiring(),
@@ -368,14 +348,6 @@ def build_uav_real() -> CompositeSystem:
          ctrl_machine(), dyn_machine()))
 
 
-def build_uav_view_hist() -> CompositeSystem:
-    """The view with the history-keeping receiver variant in slot 1."""
-    return CompositeSystem(
-        view_chain_wiring(),
-        (imu_machine(), gps_history_machine(), proc_machine(), ctrl_machine(),
-         dyn_machine()))
-
-
 def wrap_environment(sys: CompositeSystem,
                      env: Optional[MooreMachine] = None) -> CompositeSystem:
     """Close a system against an environment model.
@@ -404,7 +376,7 @@ def wrap_gcs(sys: CompositeSystem,
 
 
 # ---------------------------------------------------------------------------
-# attacks
+# attacks and the test battery
 # ---------------------------------------------------------------------------
 
 def gps_firmware_rewrite() -> RewriteStep:
@@ -417,67 +389,9 @@ def gps_swap_rewiring() -> RewireStep:
     return RewireStep(1, gps_swap_endo())
 
 
-def gps_minimize_rewrite() -> RewriteStep:
-    """Collapse the history receiver onto the plain one, with its morphism."""
-    return RewriteStep(1, hom=gps_history_hom())
-
-
 def combo_script() -> AttackScript:
     """Firmware rewrite followed by the input swap."""
     return AttackScript((gps_firmware_rewrite(), gps_swap_rewiring()))
-
-
-# ---------------------------------------------------------------------------
-# the bundled scenario
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScenarioScript:
-    """A named attack script aimed at one of the scenario's systems."""
-
-    name: str
-    system: str
-    script: AttackScript
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """Systems, their correspondence, and the probing setup around them."""
-
-    name: str
-    systems: Mapping[str, CompositeSystem]
-    real: str
-    attacker_view: str
-    correspondence: Mapping[int, tuple[int, ...]]
-    kb: KnowledgeBase
-    battery: tuple[Test, ...]
-    scripts: tuple[ScenarioScript, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "systems", dict(self.systems))
-        object.__setattr__(
-            self, "correspondence",
-            {k: tuple(v) for k, v in dict(self.correspondence).items()})
-        for key in (self.real, self.attacker_view):
-            if key not in self.systems:
-                raise AttackError(f"scenario has no system {key!r}")
-
-    def system(self, name: str) -> CompositeSystem:
-        try:
-            return self.systems[name]
-        except KeyError:
-            raise AttackError(f"scenario has no system {name!r}") from None
-
-    def script(self, name: str) -> ScenarioScript:
-        for s in self.scripts:
-            if s.name == name:
-                return s
-        raise AttackError(f"scenario has no script {name!r}")
-
-
-def correspondence() -> dict[int, tuple[int, ...]]:
-    """View slots to real slots: the inertial unit splits into two."""
-    return {0: (0, 1), 1: (2,), 2: (3,), 3: (4,), 4: (5,)}
 
 
 def standard_battery() -> tuple[Test, ...]:
@@ -485,44 +399,3 @@ def standard_battery() -> tuple[Test, ...]:
             Test("state-count", StateSet()),
             Test("point", Terminal()),
             Test("image-2", OutputImage(2)))
-
-
-def knowledge_base() -> KnowledgeBase:
-    """Airframe profiles the adversary already knows."""
-    stock = build_uav_attacker_view().composite()
-    hacked = apply_script(build_uav_attacker_view(),
-                          AttackScript((gps_firmware_rewrite(),))
-                          ).system.composite()
-    return KnowledgeBase(uav_box(), (
-        ("profile-stock", stock),
-        ("profile-hacked", hacked),
-        ("profile-flatline", flatline_machine()),
-        ("profile-blinker", blinker_machine())))
-
-
-def build_scenario() -> Scenario:
-    """The whole fixture: systems, correspondence, knowledge, attacks."""
-    return Scenario(
-        name="uav-redundant-imu",
-        systems={
-            "real": build_uav_real(),
-            "attacker-view": build_uav_attacker_view(),
-            "attacker-view-hist": build_uav_view_hist(),
-        },
-        real="real",
-        attacker_view="attacker-view",
-        correspondence=correspondence(),
-        kb=knowledge_base(),
-        battery=standard_battery(),
-        scripts=(
-            ScenarioScript("gps-firmware", "attacker-view",
-                           AttackScript((gps_firmware_rewrite(),))),
-            ScenarioScript("gps-swap", "attacker-view",
-                           AttackScript((gps_swap_rewiring(),))),
-            ScenarioScript("combo", "attacker-view", combo_script()),
-            ScenarioScript("double-swap", "attacker-view",
-                           AttackScript((gps_swap_rewiring(),
-                                         gps_swap_rewiring()))),
-            ScenarioScript("gps-minimize", "attacker-view-hist",
-                           AttackScript((gps_minimize_rewrite(),))),
-        ))
