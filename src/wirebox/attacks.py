@@ -37,7 +37,7 @@ class AttackError(Exception):
         self.log = log
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompositeSystem:
     """A wiring into a single box plus one machine per inner slot."""
 
@@ -57,11 +57,6 @@ class CompositeSystem:
                 raise AttackError(
                     f"component {i} inhabits box {m.box.name!r}, slot {i} "
                     f"is {b.name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, CompositeSystem):
-            return NotImplemented
-        return self.wiring == other.wiring and self.components == other.components
 
     @property
     def box(self):

@@ -29,13 +29,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import fileformat as ff
-from .attacks import (AttackError, CompositeSystem, apply_script, attack_diff)
+from .attacks import AttackError, apply_script, attack_diff
 from .dot import wiring_dot
 from .fincat import FinCatError, YonedaError, yoneda_check
-from .moore import MachineError, MooreMachine, render_state, run, validate_machine
-from .oracle import find_distinguishing_word
-from .probes import (AMBIGUOUS, EXACT, UNKNOWN, MachineOracle, OracleError,
-                     ProbeError, Test, TraceSet, yoneda_filter)
+from .moore import MachineError, run, validate_machine
+from .probes import (AMBIGUOUS, EXACT, MachineOracle, OracleError, ProbeError,
+                     Test, TraceSet, yoneda_filter)
 from .wiring import WiringError
 
 EX_OK = 0
@@ -139,6 +138,22 @@ def _build_parser() -> _Parser:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _load(path: str, *schemas: str):
+    """The document at ``path``, which must have one of the given schemas."""
+    doc = ff.load(path)
+    if doc.schema not in schemas:
+        raise ff.LoadError(path, f"expected a {' or '.join(schemas)}")
+    return doc
+
+
+def _composite(path: str, name: str):
+    """The composite machine of the system ``name`` in a system or scenario."""
+    doc = _load(path, "system.v1", "scenario.v1")
+    if name not in doc.systems:
+        raise ff.LoadError(path, f"no system named {name!r}")
+    return doc.systems[name].composite()
+
+
 def _cmd_validate(args, out) -> int:
     doc = ff.load(args.file)
     if isinstance(doc, ff.MachineDoc):
@@ -174,13 +189,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_compose(args, out) -> int:
-    doc = ff.load(args.system)
-    if not isinstance(doc, (ff.SystemDoc, ff.ScenarioDoc)):
-        raise ff.LoadError(args.system, "expected a system.v1 or scenario.v1")
-    if args.name not in doc.systems:
-        raise ff.LoadError(args.system, f"no system named {args.name!r}")
-    machine = doc.systems[args.name].composite()
-    out.write(ff.dump_machine(args.name, machine))
+    out.write(ff.dump_machine(args.name, _composite(args.system, args.name)))
     return EX_OK
 
 
@@ -188,20 +197,11 @@ def _cmd_simulate(args, out) -> int:
     if (args.machine is None) == (args.system is None):
         raise _UsageError("simulate: give exactly one of --machine/--system")
     if args.machine is not None:
-        doc = ff.load(args.machine)
-        if not isinstance(doc, ff.MachineDoc):
-            raise ff.LoadError(args.machine, "expected a machine.v1")
-        m = doc.machine
+        m = _load(args.machine, "machine.v1").machine
     else:
         if not args.name:
             raise _UsageError("simulate: --system needs --name")
-        doc = ff.load(args.system)
-        if not isinstance(doc, (ff.SystemDoc, ff.ScenarioDoc)):
-            raise ff.LoadError(args.system,
-                               "expected a system.v1 or scenario.v1")
-        if args.name not in doc.systems:
-            raise ff.LoadError(args.system, f"no system named {args.name!r}")
-        m = doc.systems[args.name].composite()
+        m = _composite(args.system, args.name)
     word = parse_word(args.input)
     for output in run(m, word):
         print("|".join(output), file=out)
@@ -210,17 +210,12 @@ def _cmd_simulate(args, out) -> int:
 
 def _cmd_learn(args, out) -> int:
     kb = ff.load_kb_dir(args.kb)
-    tdoc = ff.load(args.target)
-    if not isinstance(tdoc, ff.MachineDoc):
-        raise ff.LoadError(args.target, "expected a machine.v1")
+    target = _load(args.target, "machine.v1").machine
     if args.battery:
-        bdoc = ff.load(args.battery)
-        if not isinstance(bdoc, ff.BatteryDoc):
-            raise ff.LoadError(args.battery, "expected a battery.v1")
-        battery = bdoc.tests
+        battery = _load(args.battery, "battery.v1").tests
     else:
         battery = (Test("traces", TraceSet(args.depth)),)
-    oracle = MachineOracle(tdoc.machine)
+    oracle = MachineOracle(target)
     result = yoneda_filter(kb, battery, oracle)
     marks = {True: "y", False: "n", None: "?"}
     for test in battery:
@@ -238,15 +233,8 @@ def _cmd_learn(args, out) -> int:
     return 3
 
 
-def _load_scenario(path: str):
-    doc = ff.load(path)
-    if not isinstance(doc, ff.ScenarioDoc):
-        raise ff.LoadError(path, "expected a scenario.v1")
-    return doc.scenario
-
-
 def _cmd_attack(args, out) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = _load(args.scenario, "scenario.v1").scenario
     script = scenario.script(args.script)
     system = scenario.system(script.system)
     result = apply_script(system, script.script)
@@ -265,7 +253,7 @@ def _cmd_attack(args, out) -> int:
 
 
 def _cmd_diff(args, out) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = _load(args.scenario, "scenario.v1").scenario
     script = scenario.script(args.script)
     baseline = scenario.system(script.system)
     attacked = apply_script(baseline, script.script).system
@@ -304,9 +292,7 @@ def _cmd_export_dot(args, out) -> int:
 
 
 def _cmd_yoneda_check(args, out) -> int:
-    doc = ff.load(args.file)
-    if not isinstance(doc, ff.FincatDoc):
-        raise ff.LoadError(args.file, "expected a fincat.v1")
+    doc = _load(args.file, "fincat.v1")
     names = sorted(doc.functors)
     if args.functor is not None:
         if args.functor not in doc.functors:

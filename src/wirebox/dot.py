@@ -17,11 +17,10 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _expr_edges(expr: SourceExpr, dst: str, ns: str, lines: list[str],
-                consts: list[str]):
+def _expr_edges(expr: SourceExpr, dst: str, lines: list[str], consts: list[str]):
     # one edge per distinct reference, in canonical order
     if isinstance(expr, Const):
-        cid = f"{ns}const{len(consts)}"
+        cid = f"const{len(consts)}"
         consts.append(cid)
         lines.append(f"  {_quote(cid)} [label={_quote(expr.symbol)} "
                      f"shape=plaintext];")
@@ -31,52 +30,49 @@ def _expr_edges(expr: SourceExpr, dst: str, ns: str, lines: list[str],
     styled = " [style=dashed]" if isinstance(expr, Table) else ""
     for ref in refs:
         if isinstance(ref, OuterIn):
-            src = f"{ns}in:{ref.box}.{ref.port}"
+            src = f"in:{ref.box}.{ref.port}"
         else:
-            src = f"{ns}box{ref.box}:out.{ref.port}"
+            src = f"box{ref.box}:out.{ref.port}"
         lines.append(f"  {_quote(src)} -> {_quote(dst)}{styled};")
 
 
-def _box_cluster(box: Box, node_prefix: str, cluster_id: str, label: str,
-                 indent: str) -> list[str]:
-    lines = [f"{indent}subgraph cluster_{cluster_id} {{",
-             f"{indent}  label={_quote(label)};"]
+def _box_cluster(box: Box, i: int, cluster_ns: str, indent: str) -> list[str]:
+    lines = [f"{indent}subgraph cluster_{cluster_ns}b{i} {{",
+             f"{indent}  label={_quote(f'{box.name}[{i}]')};"]
     for p in box.in_ports:
-        lines.append(f"{indent}  {_quote(f'{node_prefix}:in.{p.name}')} "
+        lines.append(f"{indent}  {_quote(f'box{i}:in.{p.name}')} "
                      f"[label={_quote(p.name)} shape=box];")
     for p in box.out_ports:
-        lines.append(f"{indent}  {_quote(f'{node_prefix}:out.{p.name}')} "
+        lines.append(f"{indent}  {_quote(f'box{i}:out.{p.name}')} "
                      f"[label={_quote(p.name)} shape=ellipse];")
     lines.append(f"{indent}}}")
     return lines
 
 
-def _wiring_body(w: Wiring, ns: str, cluster_ns: str, lines: list[str]):
-    for i, box in enumerate(w.inner):
-        lines.extend(_box_cluster(box, f"{ns}box{i}", f"{cluster_ns}b{i}",
-                                  f"{box.name}[{i}]", "  "))
+def _ports_and_edges(w: Wiring, lines: list[str]):
+    # outer port nodes, then one edge per wire, after the inner clusters
     for j, box in enumerate(w.outer):
         for p in box.in_ports:
-            lines.append(f"  {_quote(f'{ns}in:{j}.{p.name}')} "
+            lines.append(f"  {_quote(f'in:{j}.{p.name}')} "
                          f"[label={_quote(f'{box.name}.{p.name}')} "
                          f"shape=invhouse];")
         for p in box.out_ports:
-            lines.append(f"  {_quote(f'{ns}out:{j}.{p.name}')} "
+            lines.append(f"  {_quote(f'out:{j}.{p.name}')} "
                          f"[label={_quote(f'{box.name}.{p.name}')} "
                          f"shape=house];")
     consts: list[str] = []
     for i, p in w.inner_input_ports():
-        _expr_edges(w.in_map[(i, p.name)], f"{ns}box{i}:in.{p.name}", ns,
-                    lines, consts)
+        _expr_edges(w.in_map[(i, p.name)], f"box{i}:in.{p.name}", lines, consts)
     for j, p in w.outer_output_ports():
-        _expr_edges(w.out_map[(j, p.name)], f"{ns}out:{j}.{p.name}", ns,
-                    lines, consts)
+        _expr_edges(w.out_map[(j, p.name)], f"out:{j}.{p.name}", lines, consts)
 
 
 def wiring_dot(w: Wiring, name: str = "wiring") -> str:
     """Render one wiring as a DOT digraph."""
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;"]
-    _wiring_body(w, "", "", lines)
+    for i, box in enumerate(w.inner):
+        lines.extend(_box_cluster(box, i, "", "  "))
+    _ports_and_edges(w, lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -89,21 +85,12 @@ def architecture_dot(arch: Architecture, name: str = "architecture") -> str:
     is drawn is exactly what executes.
     """
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  compound=true;"]
-    if arch.wiring is None:
-        lines.extend(_box_cluster(arch.root, "box0", "b0",
-                                  f"{arch.root.name}[0]", "  "))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    flat = flatten(arch)
     slot = [0]
 
     def emit(a: Architecture, cluster_ns: str, pos: int, indent: str):
         if a.wiring is None:
-            i = slot[0]
+            lines.extend(_box_cluster(a.root, slot[0], cluster_ns, indent))
             slot[0] += 1
-            lines.extend(_box_cluster(a.root, f"box{i}", f"{cluster_ns}b{i}",
-                                      f"{a.root.name}[{i}]", indent))
             return
         lines.append(f"{indent}subgraph cluster_{cluster_ns}g{pos} {{")
         lines.append(f"{indent}  label={_quote(f'{a.root.name}[{pos}]')};")
@@ -111,23 +98,10 @@ def architecture_dot(arch: Architecture, name: str = "architecture") -> str:
             emit(child, f"{cluster_ns}g{pos}", j, indent + "  ")
         lines.append(f"{indent}}}")
 
-    for j, child in enumerate(arch.children):
+    # an atomic architecture is one leaf cluster with no wires
+    for j, child in enumerate((arch,) if arch.wiring is None else arch.children):
         emit(child, "", j, "  ")
-    for j, box in enumerate(flat.outer):
-        for p in box.in_ports:
-            lines.append(f"  {_quote(f'in:{j}.{p.name}')} "
-                         f"[label={_quote(f'{box.name}.{p.name}')} "
-                         f"shape=invhouse];")
-        for p in box.out_ports:
-            lines.append(f"  {_quote(f'out:{j}.{p.name}')} "
-                         f"[label={_quote(f'{box.name}.{p.name}')} "
-                         f"shape=house];")
-    consts: list[str] = []
-    for i, p in flat.inner_input_ports():
-        _expr_edges(flat.in_map[(i, p.name)], f"box{i}:in.{p.name}", "",
-                    lines, consts)
-    for j, p in flat.outer_output_ports():
-        _expr_edges(flat.out_map[(j, p.name)], f"out:{j}.{p.name}", "",
-                    lines, consts)
+    if arch.wiring is not None:
+        _ports_and_edges(flatten(arch), lines)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import yaml
@@ -38,10 +38,6 @@ from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
                      StateSet, Terminal, Test, TraceSet, default_comparator)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
                      Wiring, WiringError, compose, identity_wiring, tensor)
-
-SCHEMAS = ("machine.v1", "wiring.v1", "system.v1", "battery.v1",
-           "attack.v1", "scenario.v1", "fincat.v1")
-
 
 class LoadError(Exception):
     """A document that cannot be loaded, with the field path at fault."""
@@ -99,6 +95,22 @@ def _resolve(table: Mapping, kind: str, name, path: str, note: str = ""):
     return table[name]
 
 
+def _named(rows, path: str, kind: str, load_item) -> dict:
+    """Named items as ``{name: item}``; a repeated name fails at its item.
+
+    ``load_item(row, item_path, earlier)`` gives (name, item); ``earlier``
+    holds the items before it.
+    """
+    out: dict = {}
+    for i, row in enumerate(_sequence(rows, path)):
+        ip = f"{path}[{i}]"
+        name, item = load_item(row, ip, out)
+        if name in out:
+            raise LoadError(ip, f"duplicate {kind} {name!r}")
+        out[name] = item
+    return out
+
+
 def _symbols(v, path: str) -> tuple[str, ...]:
     return tuple(_string(x, f"{path}[{i}]") for i, x in enumerate(_sequence(v, path)))
 
@@ -119,7 +131,7 @@ def _port_key(v, path: str) -> tuple[int, str]:
 # pieces
 # ---------------------------------------------------------------------------
 
-def _load_box(d, path: str) -> Box:
+def _load_box(d, path: str) -> tuple[str, Box]:
     d = _mapping(d, path)
     _no_extras(d, ("name", "inputs", "outputs"), path)
     name = _string(_get(d, "name", path), f"{path}.name")
@@ -135,7 +147,7 @@ def _load_box(d, path: str) -> Box:
         return tuple(out)
 
     try:
-        return Box(name, ports("inputs"), ports("outputs"))
+        return name, Box(name, ports("inputs"), ports("outputs"))
     except WiringError as e:
         raise LoadError(path, str(e)) from None
 
@@ -260,51 +272,40 @@ def _load_wiring(d, boxes: Mapping[str, Box], earlier: Mapping[str, Wiring],
               "or inner/outer/inputs/outputs")
 
 
+def _load_system(s, machines, wirings, sp: str) -> tuple[str, CompositeSystem]:
+    s = _mapping(s, sp)
+    _no_extras(s, ("name", "wiring", "components"), sp)
+    name = _string(_get(s, "name", sp), f"{sp}.name")
+    wiring = _resolve(wirings, "wiring",
+                      _string(_get(s, "wiring", sp), f"{sp}.wiring"),
+                      f"{sp}.wiring")
+    comps = tuple(
+        _resolve(machines, "machine", _string(mn, f"{sp}.components[{j}]"),
+                 f"{sp}.components[{j}]")
+        for j, mn in enumerate(_sequence(_get(s, "components", sp),
+                                         f"{sp}.components")))
+    try:
+        return name, CompositeSystem(wiring, comps)
+    except Exception as e:
+        raise LoadError(sp, str(e)) from None
+
+
 def _load_defs(d: dict, path: str):
-    boxes: dict[str, Box] = {}
-    for i, b in enumerate(_sequence(d.get("boxes", []), f"{path}.boxes")):
-        box = _load_box(b, f"{path}.boxes[{i}]")
-        if box.name in boxes:
-            raise LoadError(f"{path}.boxes[{i}]", f"duplicate box {box.name!r}")
-        boxes[box.name] = box
-    machines: dict[str, MooreMachine] = {}
-    for i, m in enumerate(_sequence(d.get("machines", []), f"{path}.machines")):
-        name, machine = _load_machine(m, boxes, f"{path}.machines[{i}]")
-        if name in machines:
-            raise LoadError(f"{path}.machines[{i}]", f"duplicate machine {name!r}")
-        machines[name] = machine
-    wirings: dict[str, Wiring] = {}
-    for i, w in enumerate(_sequence(d.get("wirings", []), f"{path}.wirings")):
-        name, wiring = _load_wiring(w, boxes, wirings, f"{path}.wirings[{i}]")
-        if name in wirings:
-            raise LoadError(f"{path}.wirings[{i}]", f"duplicate wiring {name!r}")
-        wirings[name] = wiring
-    return boxes, machines, wirings
+    """Boxes, machines, wirings and systems, each defined before its use."""
+    boxes = _named(d.get("boxes", []), f"{path}.boxes", "box",
+                   lambda b, p, _: _load_box(b, p))
+    machines = _named(d.get("machines", []), f"{path}.machines", "machine",
+                      lambda m, p, _: _load_machine(m, boxes, p))
+    wirings = _named(d.get("wirings", []), f"{path}.wirings", "wiring",
+                     lambda w, p, earlier: _load_wiring(w, boxes, earlier, p))
+    systems = _named(d.get("systems", []), f"{path}.systems", "system",
+                     lambda s, p, _: _load_system(s, machines, wirings, p))
+    return boxes, machines, wirings, systems
 
 
-def _load_systems(d: dict, machines, wirings, path: str) -> dict[str, CompositeSystem]:
-    systems: dict[str, CompositeSystem] = {}
-    for i, s in enumerate(_sequence(d.get("systems", []), f"{path}.systems")):
-        sp = f"{path}.systems[{i}]"
-        s = _mapping(s, sp)
-        _no_extras(s, ("name", "wiring", "components"), sp)
-        name = _string(_get(s, "name", sp), f"{sp}.name")
-        wiring = _resolve(wirings, "wiring",
-                          _string(_get(s, "wiring", sp), f"{sp}.wiring"),
-                          f"{sp}.wiring")
-        comps = tuple(
-            _resolve(machines, "machine", _string(mn, f"{sp}.components[{j}]"),
-                     f"{sp}.components[{j}]")
-            for j, mn in enumerate(_sequence(_get(s, "components", sp),
-                                             f"{sp}.components")))
-        try:
-            system = CompositeSystem(wiring, comps)
-        except Exception as e:
-            raise LoadError(sp, str(e)) from None
-        if name in systems:
-            raise LoadError(sp, f"duplicate system {name!r}")
-        systems[name] = system
-    return systems
+# kind names in documents; a kind's fields are its integer parameters
+_TEST_KINDS = {"traces": TraceSet, "states": StateSet, "terminal": Terminal,
+               "output-image": OutputImage}
 
 
 def _load_test(d, path: str) -> Test:
@@ -312,18 +313,13 @@ def _load_test(d, path: str) -> Test:
     _no_extras(d, ("name", "kind", "depth", "step", "compare"), path)
     name = _string(_get(d, "name", path), f"{path}.name")
     kind_name = _string(_get(d, "kind", path), f"{path}.kind")
-    if kind_name == "traces":
-        kind = TraceSet(_integer(_get(d, "depth", path), f"{path}.depth"))
-    elif kind_name == "states":
-        kind = StateSet()
-    elif kind_name == "terminal":
-        kind = Terminal()
-    elif kind_name == "output-image":
-        kind = OutputImage(_integer(_get(d, "step", path), f"{path}.step"))
-    else:
-        raise LoadError(f"{path}.kind",
-                        f"unknown kind {kind_name!r}; expected traces, states, "
-                        f"terminal, or output-image")
+    if kind_name not in _TEST_KINDS:
+        *first, last = _TEST_KINDS
+        raise LoadError(f"{path}.kind", f"unknown kind {kind_name!r}; expected "
+                                        f"{', '.join(first)}, or {last}")
+    cls = _TEST_KINDS[kind_name]
+    kind = cls(*(_integer(_get(d, f.name, path), f"{path}.{f.name}")
+                 for f in fields(cls)))
     compare = d.get("compare", "")
     if compare and compare not in (EQUALITY, CARDINALITY):
         raise LoadError(f"{path}.compare",
@@ -331,7 +327,17 @@ def _load_test(d, path: str) -> Test:
     return Test(name, kind, compare)
 
 
-def _load_steps(rows, machines, wirings, systems, system_name, path: str) -> AttackScript:
+def _load_battery(rows, path: str) -> tuple[Test, ...]:
+    tests = tuple(_load_test(t, f"{path}[{i}]")
+                  for i, t in enumerate(_sequence(rows, path)))
+    names = [t.name for t in tests]
+    if len(set(names)) != len(names):
+        raise LoadError(path, "test names repeat")
+    return tests
+
+
+def _load_steps(rows, machines, wirings, components, path: str) -> AttackScript:
+    """Steps aimed at a system of ``components``; None in attack.v1."""
     steps: list = []
     for i, row in enumerate(_sequence(rows, path)):
         rp = f"{path}[{i}]"
@@ -343,14 +349,16 @@ def _load_steps(rows, machines, wirings, systems, system_name, path: str) -> Att
                               _string(_get(row, "machine", rp), f"{rp}.machine"),
                               f"{rp}.machine")
             if "state_map" in row:
+                if components is None:
+                    raise LoadError(f"{rp}.state_map", "attack documents define no "
+                                    "systems, so a morphism rewrite cannot be checked "
+                                    "here; it belongs in a scenario.v1 script")
                 raw = _mapping(row["state_map"], f"{rp}.state_map")
                 state_map = {_string(k, f"{rp}.state_map"): _string(v, f"{rp}.state_map")
                              for k, v in raw.items()}
-                comps = _resolve(systems, "system", system_name, rp,
-                                 " for a morphism rewrite").components
-                if not 0 <= idx < len(comps):
+                if not 0 <= idx < len(components):
                     raise LoadError(f"{rp}.rewrite", f"no component {idx}")
-                hom = MachineHom(comps[idx], target, state_map)
+                hom = MachineHom(components[idx], target, state_map)
                 bad = hom_violations(hom)
                 if bad:
                     raise LoadError(f"{rp}.state_map", bad[0])
@@ -442,22 +450,10 @@ def loads(text: str, source: str = "<string>"):
         raise LoadError(source, f"not valid YAML: {e}") from None
     d = _mapping(data, source)
     schema = _string(_get(d, "schema", source), f"{source}.schema")
-    if schema == "machine.v1":
-        return _doc_machine(d, source)
-    if schema == "wiring.v1":
-        return _doc_wiring(d, source)
-    if schema == "system.v1":
-        return _doc_system(d, source)
-    if schema == "battery.v1":
-        return _doc_battery(d, source)
-    if schema == "attack.v1":
-        return _doc_attack(d, source)
-    if schema == "scenario.v1":
-        return _doc_scenario(d, source)
-    if schema == "fincat.v1":
-        return _doc_fincat(d, source)
-    raise LoadError(f"{source}.schema",
-                    f"unknown schema {schema!r}; expected one of {list(SCHEMAS)}")
+    if schema not in _LOADERS:
+        raise LoadError(f"{source}.schema",
+                        f"unknown schema {schema!r}; expected one of {list(SCHEMAS)}")
+    return _LOADERS[schema](d, source)
 
 
 def load(path: str):
@@ -476,7 +472,7 @@ def load(path: str):
 
 def _doc_machine(d: dict, src: str) -> MachineDoc:
     _no_extras(d, ("schema", "name", "box", "machine"), src)
-    box = _load_box(_get(d, "box", src), f"{src}.box")
+    _, box = _load_box(_get(d, "box", src), f"{src}.box")
     body = dict(_mapping(_get(d, "machine", src), f"{src}.machine"))
     body.setdefault("name", _string(_get(d, "name", src), f"{src}.name"))
     body["box"] = box.name
@@ -486,7 +482,7 @@ def _doc_machine(d: dict, src: str) -> MachineDoc:
 
 def _doc_wiring(d: dict, src: str) -> WiringDoc:
     _no_extras(d, ("schema", "name", "boxes", "wiring"), src)
-    boxes, _, _ = _load_defs({"boxes": d.get("boxes", [])}, src)
+    boxes, _, _, _ = _load_defs({"boxes": d.get("boxes", [])}, src)
     body = dict(_mapping(_get(d, "wiring", src), f"{src}.wiring"))
     body.setdefault("name", _string(_get(d, "name", src), f"{src}.name"))
     name, wiring = _load_wiring(body, boxes, {}, f"{src}.wiring")
@@ -495,19 +491,14 @@ def _doc_wiring(d: dict, src: str) -> WiringDoc:
 
 def _doc_system(d: dict, src: str) -> SystemDoc:
     _no_extras(d, ("schema", "boxes", "machines", "wirings", "systems"), src)
-    boxes, machines, wirings = _load_defs(d, src)
-    systems = _load_systems(d, machines, wirings, src)
+    boxes, machines, wirings, systems = _load_defs(d, src)
     return SystemDoc("system.v1", boxes, machines, wirings, systems)
 
 
 def _doc_battery(d: dict, src: str) -> BatteryDoc:
     _no_extras(d, ("schema", "tests"), src)
-    tests = tuple(_load_test(t, f"{src}.tests[{i}]")
-                  for i, t in enumerate(_sequence(_get(d, "tests", src), f"{src}.tests")))
-    names = [t.name for t in tests]
-    if len(set(names)) != len(names):
-        raise LoadError(f"{src}.tests", "test names repeat")
-    return BatteryDoc("battery.v1", tests)
+    return BatteryDoc("battery.v1",
+                      _load_battery(_get(d, "tests", src), f"{src}.tests"))
 
 
 def _doc_attack(d: dict, src: str) -> AttackDoc:
@@ -515,8 +506,8 @@ def _doc_attack(d: dict, src: str) -> AttackDoc:
                    "steps"), src)
     name = _string(_get(d, "name", src), f"{src}.name")
     system = _string(d["system"], f"{src}.system") if "system" in d else None
-    boxes, machines, wirings = _load_defs(d, src)
-    script = _load_steps(_get(d, "steps", src), machines, wirings, {}, None,
+    boxes, machines, wirings, _ = _load_defs(d, src)
+    script = _load_steps(_get(d, "steps", src), machines, wirings, None,
                          f"{src}.steps")
     return AttackDoc("attack.v1", name, system, script, boxes, machines, wirings)
 
@@ -526,8 +517,7 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
                    "real", "attacker_view", "correspondence", "kb", "battery",
                    "scripts"), src)
     name = _string(_get(d, "name", src), f"{src}.name")
-    boxes, machines, wirings = _load_defs(d, src)
-    systems = _load_systems(d, machines, wirings, src)
+    boxes, machines, wirings, systems = _load_defs(d, src)
     real = _string(_get(d, "real", src), f"{src}.real")
     view = _string(_get(d, "attacker_view", src), f"{src}.attacker_view")
     for key, kp in ((real, "real"), (view, "attacker_view")):
@@ -572,22 +562,21 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
         kb = KnowledgeBase(systems[view].box, tuple(entries))
     except Exception as e:
         raise LoadError(f"{src}.kb", str(e)) from None
-    tests = tuple(_load_test(t, f"{src}.battery[{i}]")
-                  for i, t in enumerate(_sequence(_get(d, "battery", src),
-                                                  f"{src}.battery")))
-    scripts = []
-    for i, row in enumerate(_sequence(_get(d, "scripts", src), f"{src}.scripts")):
-        rp = f"{src}.scripts[{i}]"
+    tests = _load_battery(_get(d, "battery", src), f"{src}.battery")
+
+    def script(row, rp: str, _) -> tuple[str, ScenarioScript]:
         row = _mapping(row, rp)
         _no_extras(row, ("name", "system", "steps"), rp)
         sname = _string(_get(row, "name", rp), f"{rp}.name")
         target = _string(row.get("system", view), f"{rp}.system")
-        _resolve(systems, "system", target, f"{rp}.system")
-        script = _load_steps(_get(row, "steps", rp), machines, wirings, systems,
-                             target, f"{rp}.steps")
-        scripts.append(ScenarioScript(sname, target, script))
+        comps = _resolve(systems, "system", target, f"{rp}.system").components
+        steps = _load_steps(_get(row, "steps", rp), machines, wirings, comps,
+                            f"{rp}.steps")
+        return sname, ScenarioScript(sname, target, steps)
+
+    scripts = _named(_get(d, "scripts", src), f"{src}.scripts", "script", script)
     scenario = Scenario(name, systems, real, view, corr, kb, tests,
-                        tuple(scripts))
+                        tuple(scripts.values()))
     return ScenarioDoc("scenario.v1", boxes, machines, wirings, systems, scenario)
 
 
@@ -625,9 +614,8 @@ def _doc_fincat(d: dict, src: str) -> FincatDoc:
     if not report.ok:
         first = (report.structural + report.violations)[0]
         raise LoadError(src, f"category {name!r}: {first}")
-    functors: dict[str, fc.SetFunctor] = {}
-    for i, row in enumerate(_sequence(d.get("functors", []), f"{src}.functors")):
-        rp = f"{src}.functors[{i}]"
+
+    def functor(row, rp: str, _) -> tuple[str, fc.SetFunctor]:
         row = _mapping(row, rp)
         _no_extras(row, ("name", "objects", "morphisms"), rp)
         fname = _string(_get(row, "name", rp), f"{rp}.name")
@@ -644,10 +632,17 @@ def _doc_fincat(d: dict, src: str) -> FincatDoc:
         bad = fc.validate_functor(F)
         if bad:
             raise LoadError(rp, f"functor {fname!r}: {bad[0]}")
-        if fname in functors:
-            raise LoadError(rp, f"duplicate functor {fname!r}")
-        functors[fname] = F
+        return fname, F
+
+    functors = _named(d.get("functors", []), f"{src}.functors", "functor", functor)
     return FincatDoc("fincat.v1", cat, functors)
+
+
+_LOADERS = {"machine.v1": _doc_machine, "wiring.v1": _doc_wiring,
+            "system.v1": _doc_system, "battery.v1": _doc_battery,
+            "attack.v1": _doc_attack, "scenario.v1": _doc_scenario,
+            "fincat.v1": _doc_fincat}
+SCHEMAS = tuple(_LOADERS)
 
 
 def load_kb_dir(path: str) -> KnowledgeBase:
@@ -737,15 +732,9 @@ def wiring_data(name: str, w: Wiring) -> dict:
 
 def test_data(t: Test) -> dict:
     kind = t.kind
-    out: dict = {"name": t.name}
-    if isinstance(kind, TraceSet):
-        out.update(kind="traces", depth=kind.depth)
-    elif isinstance(kind, StateSet):
-        out["kind"] = "states"
-    elif isinstance(kind, Terminal):
-        out["kind"] = "terminal"
-    else:
-        out.update(kind="output-image", step=kind.step)
+    out: dict = {"name": t.name,
+                 "kind": next(n for n, c in _TEST_KINDS.items() if type(kind) is c)}
+    out.update((f.name, getattr(kind, f.name)) for f in fields(kind))
     if t.comparator != default_comparator(kind):
         out["compare"] = t.comparator
     return out

@@ -256,7 +256,7 @@ def hom_functor(cat: FinCategory, a: Obj) -> SetFunctor:
 # natural transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NatTransformation:
     """A family of maps F(a) -> G(a), natural in a."""
 
@@ -265,11 +265,6 @@ class NatTransformation:
     def __post_init__(self):
         object.__setattr__(self, "components",
                            {a: dict(v) for a, v in self.components.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, NatTransformation):
-            return NotImplemented
-        return self.components == other.components
 
     def at(self, a: Obj) -> Mapping[Elem, Elem]:
         return self.components[a]

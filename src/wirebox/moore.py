@@ -20,8 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .wiring import (Box, InnerOut, OuterIn, Symbol, Wiring, WiringError,
-                     evaluate, input_space)
+from .wiring import Box, Symbol, Wiring, evaluate, input_space
 
 State = Union[str, tuple]
 
@@ -30,7 +29,7 @@ class MachineError(Exception):
     """Malformed machine, morphism, or step on undefined data."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MooreMachine:
     """A finite state machine with state-determined output.
 
@@ -50,13 +49,6 @@ class MooreMachine:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "update", dict(self.update))
         object.__setattr__(self, "readout", dict(self.readout))
-
-    def __eq__(self, other):
-        if not isinstance(other, MooreMachine):
-            return NotImplemented
-        return (self.box == other.box and self.states == other.states
-                and self.init == other.init and self.update == other.update
-                and self.readout == other.readout)
 
     def inputs(self) -> list[tuple[Symbol, ...]]:
         return input_space([self.box])
@@ -199,18 +191,30 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
     readout: dict[State, tuple[Symbol, ...]] = {}
     outer_inputs = input_space([outer])
-    for s in states:
-        inner_outs = tuple(v for m, si in zip(machines, s) for v in m.readout[si])
-        _, outer_out = evaluate(w, inner_outs, next(iter(outer_inputs)))
-        readout[s] = outer_out
-        for x in outer_inputs:
-            inner_ins, _ = evaluate(w, inner_outs, x)
-            nxt = []
-            pos = 0
-            for m, si, k in zip(machines, s, arities):
-                nxt.append(m.update[(si, inner_ins[pos:pos + k])])
-                pos += k
-            update[(s, x)] = tuple(nxt)
+    try:
+        for s in states:
+            inner_outs = tuple(v for m, si in zip(machines, s) for v in m.readout[si])
+            for x in outer_inputs:
+                inner_ins, outer_out = evaluate(w, inner_outs, x)
+                nxt = []
+                pos = 0
+                for m, si, k in zip(machines, s, arities):
+                    nxt.append(m.update[(si, inner_ins[pos:pos + k])])
+                    pos += k
+                update[(s, x)] = tuple(nxt)
+            # out_map reads only inner outputs (Wiring._check_expr enforces
+            # it), so every outer input gives state s the same readout
+            readout[s] = outer_out
+    except KeyError:
+        # an unvalidated component lacks a table row; the loop state says which
+        for i, (m, si) in enumerate(zip(machines, s)):
+            if si not in m.readout:
+                raise MachineError(
+                    f"component {i}: no readout for state {render_state(si)}") from None
+        i = len(nxt)
+        raise MachineError(
+            f"component {i}: no update for state {render_state(s[i])} on input "
+            f"{inner_ins[pos:pos + arities[i]]}") from None
     return MooreMachine(outer, tuple(states), init, update, readout)
 
 
@@ -218,7 +222,7 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
 # machine morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MachineHom:
     """A state map between machines on the same box.
 
@@ -232,12 +236,6 @@ class MachineHom:
 
     def __post_init__(self):
         object.__setattr__(self, "state_map", dict(self.state_map))
-
-    def __eq__(self, other):
-        if not isinstance(other, MachineHom):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.state_map == other.state_map)
 
 
 def hom_violations(h: MachineHom) -> list[str]:

@@ -14,7 +14,8 @@ state sets map along the state map, the one-point outcome is constant.
 ``yoneda_filter`` is the learner: it compares a black-box target against
 known machines, test by test, and keeps the candidates that agree
 everywhere.  Target data comes only through the oracle interface; the
-learner never touches a target machine directly.
+learner never touches a target machine directly.  ``architecture_probe``
+runs it over the composites of candidate decompositions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Union
 
-from .moore import MachineHom, MooreMachine, render_state, run
+from .moore import (MachineError, MachineHom, MooreMachine, apply_algebra,
+                    render_state, run)
 from .wiring import Box, Wiring, input_space
 
 
@@ -116,9 +118,19 @@ def run_test(test: Test, m: MooreMachine) -> Outcome:
     if isinstance(kind, OutputImage):
         inputs = input_space([m.box])
         layer = {m.init}
-        for _ in range(kind.step):
-            layer = {m.update[(s, x)] for s in layer for x in inputs}
-        return Outcome(test.name, tuple(sorted({m.readout[s] for s in layer})))
+        try:
+            for _ in range(kind.step):
+                layer = {m.update[(s, x)] for s in layer for x in inputs}
+        except KeyError as e:
+            s, x = e.args[0]
+            raise MachineError(
+                f"no update for state {render_state(s)} on input {x}") from None
+        try:
+            image = {m.readout[s] for s in layer}
+        except KeyError as e:
+            raise MachineError(
+                f"no readout for state {render_state(e.args[0])}") from None
+        return Outcome(test.name, tuple(sorted(image)))
     raise ProbeError(f"unknown test kind {kind!r}")
 
 
@@ -291,28 +303,17 @@ def architecture_probe(oracle: TargetOracle,
     """Which candidate decompositions are consistent with the target?
 
     Each hypothesis is a named wiring plus machines for its inner boxes;
-    its composite must inhabit the target's box.  A hypothesis survives
-    when its composite's bounded traces equal the target's, so internals
-    the traces cannot see (redundant components, equivalent machines)
-    stay indistinguishable.
+    its composite must inhabit the target's box.  ``yoneda_filter`` runs
+    the composites, as a knowledge base, against the target on bounded
+    traces of the given depth, so internals the traces cannot see
+    (redundant components, equivalent machines) stay indistinguishable.
+    Names must be distinct; an oracle that cannot answer leaves every
+    hypothesis a candidate.
     """
-    from .moore import apply_algebra
-
-    test = Test(f"traces-{depth}", TraceSet(depth))
-    try:
-        target = oracle.outcome(test)
-    except OracleError:
-        matrix = tuple((name, test.name, None) for name, _, _ in hypotheses)
-        return LearnResult((), UNKNOWN, matrix, (test.name,))
-    matrix = []
-    survivors = []
-    for name, wiring, machines in hypotheses:
+    for name, wiring, _ in hypotheses:
         if len(wiring.outer) != 1 or wiring.outer[0] != oracle.box:
             raise ProbeError(
                 f"hypothesis {name!r} does not compose to the target's box")
-        composite = apply_algebra(wiring, machines)
-        agree = compare_outcomes(test, run_test(test, composite), target)
-        matrix.append((name, test.name, agree))
-        if agree:
-            survivors.append(name)
-    return LearnResult(tuple(survivors), _classify(survivors), tuple(matrix))
+    kb = KnowledgeBase(oracle.box, tuple((name, apply_algebra(w, ms))
+                                         for name, w, ms in hypotheses))
+    return yoneda_filter(kb, (Test(f"traces-{depth}", TraceSet(depth)),), oracle)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 Symbol = str
 
@@ -203,7 +203,7 @@ def eval_expr(expr: SourceExpr, env: Mapping[Ref, Symbol]) -> Symbol:
 # wirings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Wiring:
     """A morphism from a tensor of inner boxes to a tensor of outer boxes.
 
@@ -212,7 +212,8 @@ class Wiring:
     inner outputs.  ``out_map`` has one entry per outer output port, keyed
     by (outer box index, port name); sources may reference inner outputs
     only.  Construction validates totality and alphabet compatibility, so
-    an invalid wiring is never observable.
+    an invalid wiring is never observable.  Equality compares the maps as
+    written; ``wiring_equal`` compares normal forms.
     """
 
     inner: tuple[Box, ...]
@@ -226,13 +227,6 @@ class Wiring:
         object.__setattr__(self, "in_map", dict(self.in_map))
         object.__setattr__(self, "out_map", dict(self.out_map))
         self._validate()
-
-    # Equality is structural on normalized expressions; see wiring_equal.
-    def __eq__(self, other):
-        if not isinstance(other, Wiring):
-            return NotImplemented
-        return (self.inner == other.inner and self.outer == other.outer
-                and self.in_map == other.in_map and self.out_map == other.out_map)
 
     def _validate(self):
         want_in = {(i, p.name) for i, b in enumerate(self.inner) for p in b.in_ports}
@@ -366,20 +360,23 @@ def tensor(wirings: Sequence[Wiring]) -> Wiring:
         di, do = len(inner), len(outer)
         inner.extend(w.inner)
         outer.extend(w.outer)
+
+        def shift(r: Ref) -> Ref:
+            return type(r)(r.box + (di if isinstance(r, InnerOut) else do), r.port)
+
         for (i, name), expr in w.in_map.items():
-            in_map[(i + di, name)] = _shift(expr, di, do)
+            in_map[(i + di, name)] = _substitute(expr, shift)
         for (j, name), expr in w.out_map.items():
-            out_map[(j + do, name)] = _shift(expr, di, do)
+            out_map[(j + do, name)] = _substitute(expr, shift)
     return Wiring(tuple(inner), tuple(outer), in_map, out_map)
 
 
-def _shift(expr: SourceExpr, di: int, do: int) -> SourceExpr:
-    if isinstance(expr, InnerOut):
-        return InnerOut(expr.box + di, expr.port)
-    if isinstance(expr, OuterIn):
-        return OuterIn(expr.box + do, expr.port)
+def _substitute(expr: SourceExpr, sub: Callable[[Ref], SourceExpr]) -> SourceExpr:
+    """``expr`` with every port reference replaced by ``sub`` of it."""
+    if isinstance(expr, (OuterIn, InnerOut)):
+        return sub(expr)
     if isinstance(expr, Table):
-        return Table(tuple(_shift(s, di, do) for s in expr.sources), expr.entries)
+        return Table(tuple(_substitute(s, sub) for s in expr.sources), expr.entries)
     return expr
 
 
@@ -400,24 +397,20 @@ def compose(g: Wiring, f: Wiring) -> Wiring:
             detail = _box_mismatch(a, b)
             raise CompositionError(f"boundary box {k}: {detail}")
 
-    def via_f(expr: SourceExpr) -> SourceExpr:
-        # g-side expression: inner outputs of g are outer outputs of f
-        if isinstance(expr, InnerOut):
-            return f.out_map[(expr.box, expr.port)]
-        if isinstance(expr, Table):
-            return Table(tuple(via_f(s) for s in expr.sources), expr.entries)
-        return expr
+    def via_f(ref: Ref) -> SourceExpr:
+        # g-side reference: inner outputs of g are outer outputs of f
+        if isinstance(ref, InnerOut):
+            return f.out_map[(ref.box, ref.port)]
+        return ref
 
-    def via_g(expr: SourceExpr) -> SourceExpr:
-        # f-side expression: outer inputs of f are inner inputs of g
-        if isinstance(expr, OuterIn):
-            return via_f(g.in_map[(expr.box, expr.port)])
-        if isinstance(expr, Table):
-            return Table(tuple(via_g(s) for s in expr.sources), expr.entries)
-        return expr
+    def via_g(ref: Ref) -> SourceExpr:
+        # f-side reference: outer inputs of f are inner inputs of g
+        if isinstance(ref, OuterIn):
+            return _substitute(g.in_map[(ref.box, ref.port)], via_f)
+        return ref
 
-    in_map = {key: via_g(expr) for key, expr in f.in_map.items()}
-    out_map = {key: via_f(expr) for key, expr in g.out_map.items()}
+    in_map = {key: _substitute(expr, via_g) for key, expr in f.in_map.items()}
+    out_map = {key: _substitute(expr, via_f) for key, expr in g.out_map.items()}
     return normalize(Wiring(f.inner, g.outer, in_map, out_map))
 
 

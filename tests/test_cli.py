@@ -5,6 +5,7 @@ import pathlib
 import re
 
 import pytest
+import yaml
 
 from wirebox.cli import (EX_DATAERR, EX_OK, EX_USAGE, dispatch, format_word,
                          parse_word)
@@ -77,6 +78,18 @@ def test_validate_reports_each_document_shape():
         assert code == EX_OK
         # warnings, if any, come first; the verdict is the last line
         assert out.splitlines()[-1].startswith(prefix), (path, out)
+
+
+@pytest.mark.parametrize("section", ["scripts", "battery"])
+def test_validate_rejects_a_scenario_that_repeats_a_name(tmp_path, section):
+    data = yaml.safe_load((UAV / "scenario.yaml").read_text())
+    data[section][1]["name"] = data[section][0]["name"]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    code, out, err = cli("validate", path)
+    assert code == EX_DATAERR
+    assert out == ""
+    assert err.startswith(f"error: scenario.yaml.{section}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ def test_rendering_is_deterministic():
     assert architecture_dot(a) == architecture_dot(a)
 
 
+def test_atomic_architecture_is_one_cluster_without_wires():
+    text = architecture_dot(Architecture(gps_box()))
+    assert text.count("subgraph cluster_b0 {") == 1
+    assert 'label="gps[0]"' in text
+    assert "->" not in text and "house" not in text
+
+
 def test_identity_renders_one_cluster():
     text = wiring_dot(identity_wiring(gps_box()))
     assert text.count("subgraph cluster_") == 1

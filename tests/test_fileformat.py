@@ -2,12 +2,17 @@
 
 import importlib.util
 import pathlib
+import random
 import textwrap
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wirebox.attacks import CompositeSystem, apply_script
+from netgen import random_network
+from wirebox.attacks import (CompositeSystem, apply_script,
+                             fingerprint_components, fingerprint_wiring)
 from wirebox.fileformat import (AttackDoc, LoadError, MachineDoc, SystemDoc,
                                 dump_machine, dump_system, load, load_kb_dir,
                                 loads)
@@ -101,6 +106,20 @@ def test_attack_fixture_replays_the_combo(scenario):
     from_file = apply_script(view, loaded.script).system
     built = apply_script(view, scenario.script("combo").script).system
     assert from_file == built
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_dump_load_dump_is_a_fixed_point(seed):
+    wiring, machines = random_network(random.Random(seed))
+    system = CompositeSystem(wiring, machines)
+    text = dump_system({"s": system})
+    reloaded = loads(text, "s.yaml").systems["s"]
+    assert dump_system({"s": reloaded}) == text
+    assert reloaded == system
+    assert fingerprint_wiring(reloaded.wiring) == fingerprint_wiring(wiring)
+    assert (fingerprint_components(reloaded.components)
+            == fingerprint_components(machines))
 
 
 def test_fixtures_are_exactly_what_the_generator_writes():
@@ -291,6 +310,16 @@ def test_attack_step_must_be_rewrite_or_rewire():
     assert e.path == "t.yaml.steps[0]"
 
 
+def test_attack_documents_carry_no_morphism_rewrites():
+    data = yaml.safe_load((FIXTURES / "uav" / "combo-attack.yaml").read_text())
+    data["steps"][0]["state_map"] = {"0": "0"}
+    with pytest.raises(LoadError) as exc:
+        loads(yaml.safe_dump(data, sort_keys=False), "attack.yaml")
+    assert exc.value.path == "attack.yaml.steps[0].state_map"
+    assert exc.value.message.startswith("attack documents define no systems")
+    assert exc.value.message.endswith("it belongs in a scenario.v1 script")
+
+
 def test_load_reports_unreadable_files():
     with pytest.raises(LoadError, match="cannot read"):
         load("/does/not/exist.yaml")
@@ -338,6 +367,25 @@ def test_state_map_must_be_a_machine_morphism():
     with pytest.raises(LoadError) as exc:
         reload(data)
     assert exc.value.path.endswith(".steps[0].state_map")
+
+
+def test_scenario_script_names_must_not_repeat():
+    data = scenario_data()
+    first = data["scripts"][0]["name"]
+    data["scripts"][1]["name"] = first
+    with pytest.raises(LoadError) as exc:
+        reload(data)
+    assert exc.value.path == "scenario.yaml.scripts[1]"
+    assert exc.value.message == f"duplicate script {first!r}"
+
+
+def test_scenario_battery_test_names_must_not_repeat():
+    data = scenario_data()
+    data["battery"][1]["name"] = data["battery"][0]["name"]
+    with pytest.raises(LoadError) as exc:
+        reload(data)
+    assert exc.value.path == "scenario.yaml.battery"
+    assert exc.value.message == "test names repeat"
 
 
 def test_scripts_may_only_target_known_systems():

@@ -137,6 +137,22 @@ def test_apply_algebra_checks_box_fit():
         apply_algebra(chain(), (delay(),))
 
 
+def test_apply_algebra_names_a_missing_update_row():
+    # an unvalidated component, as a library caller may pass one
+    d = delay()
+    update = {k: v for k, v in d.update.items() if k != ("1", ("0",))}
+    broken = MooreMachine(CELL, BIT, "0", update, d.readout)
+    with pytest.raises(MachineError,
+                       match=r"component 1: no update for state 1 on input \('0',\)"):
+        apply_algebra(chain(), (delay(), broken))
+
+
+def test_apply_algebra_names_a_missing_readout_row():
+    broken = MooreMachine(CELL, BIT, "0", delay().update, {"0": ("0",)})
+    with pytest.raises(MachineError, match="component 1: no readout for state 1"):
+        apply_algebra(chain(), (delay(), broken))
+
+
 def test_apply_algebra_requires_single_outer():
     from wirebox.wiring import tensor
     w = tensor((identity_wiring(CELL), identity_wiring(CELL)))

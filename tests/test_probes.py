@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgen import BIT, random_machine
-from wirebox.moore import MachineHom, MooreMachine
+from wirebox.moore import MachineError, MachineHom, MooreMachine, apply_algebra
 from wirebox.probes import (AMBIGUOUS, CARDINALITY, EQUALITY, EXACT, UNKNOWN,
                             KnowledgeBase, MachineOracle, OracleError, Outcome,
                             OutputImage, ProbeError, StateSet, Terminal, Test,
@@ -70,6 +70,18 @@ def test_output_image_walks_exact_depth():
     assert out.value == (("0",), ("1",))
     at_zero = run_test(Test("i", OutputImage(0)), history())
     assert at_zero.value == (("0",),)
+
+
+def test_output_image_names_a_missing_row():
+    # an unvalidated machine: the loader would have rejected both
+    d = delay()
+    update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
+    with pytest.raises(MachineError, match=r"no update for state 1 on input \('1',\)"):
+        run_test(Test("i", OutputImage(2)), MooreMachine(CELL, BIT, "0", update,
+                                                         d.readout))
+    with pytest.raises(MachineError, match="no readout for state 1"):
+        run_test(Test("i", OutputImage(1)), MooreMachine(CELL, BIT, "0", d.update,
+                                                         {"0": ("0",)}))
 
 
 def test_default_comparator_counts_states_only():
@@ -253,8 +265,6 @@ def chain() -> Wiring:
 
 
 def test_architecture_probe_identifies_decomposition():
-    from wirebox.moore import apply_algebra
-
     target = MachineOracle(apply_algebra(chain(), (delay(), delay())))
     outer = Box("two", CELL.in_ports, CELL.out_ports)
     flat = identity_wiring(outer)
@@ -275,3 +285,28 @@ def test_architecture_probe_rejects_wrong_boundary():
     target = MachineOracle(delay())
     with pytest.raises(ProbeError):
         architecture_probe(target, (("bad", chain(), (delay(), delay())),), 3)
+
+
+def test_architecture_probe_without_an_answer_keeps_every_hypothesis():
+    # as yoneda_filter does for any battery: no answer eliminates nobody
+    target = RefusingOracle(apply_algebra(chain(), (delay(), delay())))
+    result = architecture_probe(
+        target,
+        (("chained", chain(), (delay(), delay())),
+         ("inverted", chain(), (inverter(), delay()))),
+        depth=3)
+    assert result.candidates == ("chained", "inverted")
+    assert result.classification == AMBIGUOUS
+    assert result.matrix == (("chained", "traces-3", None),
+                             ("inverted", "traces-3", None))
+    assert result.incomplete == ("traces-3",)
+
+
+def test_architecture_probe_rejects_repeated_hypothesis_names():
+    target = MachineOracle(apply_algebra(chain(), (delay(), delay())))
+    with pytest.raises(ProbeError, match="repeats an entry name"):
+        architecture_probe(
+            target,
+            (("h", chain(), (delay(), delay())),
+             ("h", chain(), (inverter(), delay()))),
+            3)
