@@ -19,7 +19,8 @@ when a bijection fails.  ``--depth`` must be at least 1; a smaller
 value is a usage error.
 
 Input words are written ``"0|1,1|0"``: steps separated by commas, the
-symbols of one step separated by bars, in port order.
+symbols of one step separated by bars, in port order; a word that does
+not fit the box is a usage error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .fincat import FinCatError, YonedaError, yoneda_check
 from .moore import MachineError, run, validate_machine
 from .probes import (AMBIGUOUS, EXACT, MachineOracle, OracleError, ProbeError,
                      Test, TraceSet, yoneda_filter)
-from .wiring import WiringError
+from .wiring import Box, WiringError
 
 EX_OK = 0
 EX_USAGE = 64
@@ -66,6 +67,20 @@ def parse_word(text: str) -> tuple[tuple[str, ...], ...]:
             raise _UsageError(f"empty symbol in step {i}: {chunk!r}")
         steps.append(symbols)
     return tuple(steps)
+
+
+def _check_word(word: Sequence[Sequence[str]], box: Box) -> None:
+    """Raise a usage error unless each step fits the box's input ports."""
+    ports = box.in_ports
+    for i, step in enumerate(word):
+        if len(step) != len(ports):
+            raise _UsageError(
+                f"step {i} has {len(step)} symbols for {len(ports)} input ports")
+        for symbol, p in zip(step, ports):
+            if symbol not in p.alphabet:
+                raise _UsageError(
+                    f"step {i}: {symbol!r} is outside the alphabet "
+                    f"{{{', '.join(p.alphabet)}}} of port {p.name}")
 
 
 def depth(text: str) -> int:
@@ -203,6 +218,7 @@ def _cmd_simulate(args, out) -> int:
             raise _UsageError("simulate: --system needs --name")
         m = _composite(args.system, args.name)
     word = parse_word(args.input)
+    _check_word(word, m.box)
     for output in run(m, word):
         print("|".join(output), file=out)
     return EX_OK

@@ -17,7 +17,7 @@ import itertools
 from collections import deque
 from typing import Optional, Sequence
 
-from .moore import MachineError, MooreMachine, State
+from .moore import MachineError, MooreMachine, State, render_state
 from .wiring import Const, InnerOut, OuterIn, Symbol, Table, Wiring, WiringError
 
 Word = tuple[tuple[Symbol, ...], ...]
@@ -32,6 +32,23 @@ def _same_interface(a: MooreMachine, b: MooreMachine):
     if a.box != b.box:
         raise MachineError(
             f"machines inhabit different boxes: {a.box.name!r} vs {b.box.name!r}")
+
+
+def _missing_row(m: MooreMachine, s: State, inputs,
+                 where: str) -> Optional[MachineError]:
+    """The error naming the first row of state ``s`` the tables lack.
+
+    Readout first, then updates in the given input order; None when the
+    state has every row.  Lookups run unguarded and call this only after
+    a KeyError, so valid machines do no extra work.
+    """
+    if s not in m.readout:
+        return MachineError(f"{where}: no readout for state {render_state(s)}")
+    for x in inputs:
+        if (s, x) not in m.update:
+            return MachineError(
+                f"{where}: no update for state {render_state(s)} on input {x}")
+    return None
 
 
 def trace_equivalent(a: MooreMachine, b: MooreMachine, depth: int) -> bool:
@@ -60,20 +77,24 @@ def find_distinguishing_word(a: MooreMachine, b: MooreMachine,
     start = (a.init, b.init)
     frontier: deque[tuple[State, State]] = deque([start])
     prefix: dict[tuple[State, State], Word] = {start: ()}
-    for d in range(depth):
-        level = list(frontier)
-        frontier.clear()
-        for pair in level:
-            sa, sb = pair
-            if a.readout[sa] != b.readout[sb]:
-                return prefix[pair] + (least,)
-            if d == depth - 1:
-                continue
-            for x in inputs:
-                nxt = (a.update[(sa, x)], b.update[(sb, x)])
-                if nxt not in prefix:
-                    prefix[nxt] = prefix[pair] + (x,)
-                    frontier.append(nxt)
+    try:
+        for d in range(depth):
+            level = list(frontier)
+            frontier.clear()
+            for pair in level:
+                sa, sb = pair
+                if a.readout[sa] != b.readout[sb]:
+                    return prefix[pair] + (least,)
+                if d == depth - 1:
+                    continue
+                for x in inputs:
+                    nxt = (a.update[(sa, x)], b.update[(sb, x)])
+                    if nxt not in prefix:
+                        prefix[nxt] = prefix[pair] + (x,)
+                        frontier.append(nxt)
+    except KeyError:
+        raise (_missing_row(a, sa, inputs, "first machine")
+               or _missing_row(b, sb, inputs, "second machine")) from None
     return None
 
 
@@ -86,28 +107,27 @@ def bisimilar(a: MooreMachine, b: MooreMachine) -> bool:
     """
     _same_interface(a, b)
     inputs = _inputs(a)
-    pool = [(0, s) for s in a.states] + [(1, s) for s in b.states]
-
-    def readout(tag_s):
-        tag, s = tag_s
-        return (a if tag == 0 else b).readout[s]
-
-    def successor(tag_s, x):
-        tag, s = tag_s
-        return (tag, (a if tag == 0 else b).update[(s, x)])
+    # pooled state (tag, s) -> (readout, pooled successors in input order)
+    rows: dict[tuple[int, State], tuple] = {}
+    try:
+        for tag, (m, who) in enumerate(((a, "first machine"),
+                                        (b, "second machine"))):
+            for s in m.states:
+                rows[(tag, s)] = (m.readout[s],) + tuple(
+                    (tag, m.update[(s, x)]) for x in inputs)
+    except KeyError:
+        raise _missing_row(m, s, inputs, who) from None
 
     block: dict[tuple[int, State], int] = {}
     sig0 = {}
-    for q in pool:
-        sig0.setdefault(readout(q), len(sig0))
-        block[q] = sig0[readout(q)]
+    for q, row in rows.items():
+        block[q] = sig0.setdefault(row[0], len(sig0))
     while True:
         sigs: dict[tuple, int] = {}
         nxt: dict[tuple[int, State], int] = {}
-        for q in pool:
-            sig = (block[q],) + tuple(block[successor(q, x)] for x in inputs)
-            sigs.setdefault(sig, len(sigs))
-            nxt[q] = sigs[sig]
+        for q, row in rows.items():
+            sig = (block[q],) + tuple(block[t] for t in row[1:])
+            nxt[q] = sigs.setdefault(sig, len(sigs))
         if nxt == block:
             break
         block = nxt
@@ -154,24 +174,31 @@ def stagewise_simulate(w: Wiring, machines: Sequence[MooreMachine],
     outer = w.outer[0]
     states = [m.init for m in machines]
     outs: list[tuple[Symbol, ...]] = []
-    for x in word:
-        x = tuple(x)
-        if len(x) != len(outer.in_ports):
-            raise MachineError(
-                f"input {x} has {len(x)} symbols for {len(outer.in_ports)} ports")
-        inner_vals = {}
-        for i, (m, s) in enumerate(zip(machines, states)):
-            r = m.readout[s]
-            for p, v in zip(m.box.out_ports, r):
-                inner_vals[(i, p.name)] = v
-        outer_vals = {(0, p.name): v for p, v in zip(outer.in_ports, x)}
-        out = tuple(_eval(w.out_map[(0, p.name)], inner_vals, {})
-                    for p in outer.out_ports)
-        outs.append(out)
-        new_states = []
-        for i, m in enumerate(machines):
-            fed = tuple(_eval(w.in_map[(i, p.name)], inner_vals, outer_vals)
-                        for p in m.box.in_ports)
-            new_states.append(m.update[(states[i], fed)])
-        states = new_states
+    try:
+        for x in word:
+            x = tuple(x)
+            if len(x) != len(outer.in_ports):
+                raise MachineError(
+                    f"input {x} has {len(x)} symbols for {len(outer.in_ports)} ports")
+            inner_vals = {}
+            for i, (m, s) in enumerate(zip(machines, states)):
+                r = m.readout[s]
+                for p, v in zip(m.box.out_ports, r):
+                    inner_vals[(i, p.name)] = v
+            outer_vals = {(0, p.name): v for p, v in zip(outer.in_ports, x)}
+            out = tuple(_eval(w.out_map[(0, p.name)], inner_vals, {})
+                        for p in outer.out_ports)
+            outs.append(out)
+            new_states = []
+            for i, m in enumerate(machines):
+                fed = tuple(_eval(w.in_map[(i, p.name)], inner_vals, outer_vals)
+                            for p in m.box.in_ports)
+                new_states.append(m.update[(states[i], fed)])
+            states = new_states
+    except KeyError:
+        # a step reads every readout before any update
+        for k, (mk, sk) in enumerate(zip(machines, states)):
+            if sk not in mk.readout:
+                raise _missing_row(mk, sk, (), f"component {k}") from None
+        raise _missing_row(m, states[i], (fed,), f"component {i}") from None
     return outs

@@ -2,10 +2,12 @@
 
 A Test assigns every machine on a fixed box an outcome: its set of
 bounded traces, its state set, a one-point set, or the outputs reachable
-at an exact step.  Outcomes are canonical (sorted tuples) so equal
-behavior gives equal values, and each test carries a comparator saying
-what counts as agreement: literal equality, or bare cardinality for state
-sets, whose labels mean nothing.
+at an exact step.  Outcomes are canonical, so equal behavior gives equal
+values: state sets and output images are sorted tuples, and a trace set
+is its layered quotient (see ``TraceSet``), which costs O(d·|S|·|I|) to
+build instead of running all |I|^d words.  Each test carries a
+comparator saying what counts as agreement: literal equality, or bare
+cardinality for state sets, whose labels mean nothing.
 
 Machine morphisms act on outcomes too: traces are preserved as they are,
 state sets map along the state map, the one-point outcome is constant.
@@ -20,12 +22,11 @@ runs it over the composites of candidate decompositions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Union
 
-from .moore import (MachineError, MachineHom, MooreMachine, apply_algebra,
-                    render_state, run)
+from .moore import (MachineError, MachineHom, MooreMachine, State,
+                    apply_algebra, render_state)
 from .wiring import Box, Wiring, input_space
 
 
@@ -43,7 +44,19 @@ class OracleError(Exception):
 
 @dataclass(frozen=True)
 class TraceSet:
-    """All (word, outputs) pairs for words of exactly the given length."""
+    """All (word, outputs) pairs for words of exactly the given length.
+
+    The outcome is the set's layered quotient, the minimal acyclic
+    automaton of the pairs.  Layer k holds the classes of the states
+    reachable in exactly k steps under (depth-k)-step trace equivalence,
+    numbered in order of first reach from ``init`` (classes in order,
+    inputs in ``input_space`` order).  The value has one entry per layer,
+    a tuple of ``(readout, successor class ids...)`` rows, successors in
+    input order; rows of the last layer hold the readout alone.  Two
+    machines on one box have equal values exactly when every word of the
+    given length gives them equal outputs, whatever their states are
+    called.
+    """
     depth: int
 
 
@@ -96,21 +109,24 @@ class Test:
 
 @dataclass(frozen=True)
 class Outcome:
-    """The value a test takes on a machine; values are canonical tuples."""
+    """The value a test takes on a machine; values are canonical tuples.
+
+    A trace outcome also records the box's input tuples, in the order its
+    successor columns follow, so a witness can name a word; other
+    outcomes leave ``inputs`` empty.
+    """
 
     test: str
     value: tuple
+    inputs: tuple = ()
 
 
 def run_test(test: Test, m: MooreMachine) -> Outcome:
     """Evaluate a test on a machine."""
     kind = test.kind
     if isinstance(kind, TraceSet):
-        inputs = input_space([m.box])
-        pairs = []
-        for word in itertools.product(inputs, repeat=kind.depth):
-            pairs.append((word, tuple(run(m, word))))
-        return Outcome(test.name, tuple(sorted(pairs)))
+        inputs = tuple(input_space([m.box]))
+        return Outcome(test.name, _trace_quotient(m, inputs, kind.depth), inputs)
     if isinstance(kind, StateSet):
         return Outcome(test.name, tuple(sorted(render_state(s) for s in m.states)))
     if isinstance(kind, Terminal):
@@ -134,6 +150,56 @@ def run_test(test: Test, m: MooreMachine) -> Outcome:
     raise ProbeError(f"unknown test kind {kind!r}")
 
 
+def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
+    """The layered quotient of the machine's traces of length ``depth``.
+
+    A forward pass collects each layer's states with their readout and
+    successors; a backward pass classes every layer by signature
+    (readout, then the successors' classes in the next layer); a second
+    forward pass renumbers the classes in order of first reach.
+    """
+    update, readout = m.update, m.readout
+    rows: dict[State, tuple] = {}  # state -> (readout, successors...)
+    layers = []
+    layer = {m.init}
+    try:
+        for _ in range(depth):
+            layers.append(layer)
+            for s in layer:
+                if s not in rows:
+                    rows[s] = (readout[s],) + tuple(update[(s, x)] for x in inputs)
+            layer = {t for s in layer for t in rows[s][1:]}
+    except KeyError:
+        # an unvalidated machine lacks a table row; the loop state says which
+        if s not in readout:
+            raise MachineError(f"no readout for state {render_state(s)}") from None
+        x = next(x for x in inputs if (s, x) not in update)
+        raise MachineError(
+            f"no update for state {render_state(s)} on input {x}") from None
+    signatures: list[list[tuple]] = []  # per layer, in provisional id order
+    below: dict[State, int] = {}
+    for k in reversed(range(depth)):
+        classes: dict[tuple, int] = {}
+        ids = {}
+        last = k == depth - 1
+        for s in layers[k]:
+            row = rows[s]
+            sig = row[:1] if last else row[:1] + tuple(below[t] for t in row[1:])
+            ids[s] = classes.setdefault(sig, len(classes))
+        signatures.append(list(classes))
+        below = ids
+    signatures.reverse()
+    value = []
+    reached = {0: 0}  # provisional id -> canonical id, in canonical order
+    for sigs in signatures:
+        nxt: dict[int, int] = {}
+        value.append(tuple(
+            (sigs[p][0],) + tuple(nxt.setdefault(q, len(nxt)) for q in sigs[p][1:])
+            for p in reached))
+        reached = nxt
+    return tuple(value)
+
+
 def compare_outcomes(test: Test, a: Outcome, b: Outcome) -> bool:
     """Agreement under the test's comparator."""
     if a.test != test.name or b.test != test.name:
@@ -141,18 +207,63 @@ def compare_outcomes(test: Test, a: Outcome, b: Outcome) -> bool:
             f"outcomes {a.test!r}/{b.test!r} do not belong to test {test.name!r}")
     if test.comparator == CARDINALITY:
         return len(a.value) == len(b.value)
-    return a.value == b.value
+    return a.value == b.value and a.inputs == b.inputs
 
 
 def outcome_witness(test: Test, a: Outcome, b: Outcome):
-    """First element where two disagreeing outcomes differ, for reports."""
+    """First element where two disagreeing outcomes differ, for reports.
+
+    For trace outcomes that is the least (word, outputs) pair in the
+    symmetric difference of the two trace sets.
+    """
     if compare_outcomes(test, a, b):
         return None
     if test.comparator == CARDINALITY:
         return (len(a.value), len(b.value))
+    if isinstance(test.kind, TraceSet):
+        return _trace_witness(a, b)
     sa, sb = set(a.value), set(b.value)
     only = sorted(sa.symmetric_difference(sb))
     return only[0] if only else (a.value, b.value)
+
+
+def _trace_witness(a: Outcome, b: Outcome):
+    """The least (word, outputs) pair on which two trace quotients differ.
+
+    Words are searched depth first with inputs in sorted order, so the
+    first difference found lies on the least word; a pair of classes
+    whose subtree agrees is not searched twice.  Once readouts differ,
+    every extension differs, and the least one repeats the least input.
+    """
+    if a.inputs != b.inputs:
+        raise ProbeError("trace outcomes over different inputs have no witness")
+    inputs, qa, qb = a.inputs, a.value, b.value
+    order = sorted(range(len(inputs)), key=inputs.__getitem__)
+
+    def outputs(q, word):
+        outs, i = [], 0
+        for k, c in enumerate(word):
+            outs.append(q[k][i][0])
+            if k + 1 < len(q):
+                i = q[k][i][1 + c]
+        return tuple(outs)
+
+    agreed = set()
+    stack = [(0, 0, 0, ())]  # layer, class in a, class in b, input columns
+    while stack:
+        k, i, j, word = stack.pop()
+        if (k, i, j) in agreed:
+            continue
+        agreed.add((k, i, j))
+        ra, rb = qa[k][i], qb[k][j]
+        if ra[0] != rb[0]:
+            word += (order[0],) * (len(qa) - k)
+            return (tuple(inputs[c] for c in word),
+                    min(outputs(qa, word), outputs(qb, word)))
+        if k + 1 < len(qa):
+            stack.extend((k + 1, ra[1 + c], rb[1 + c], word + (c,))
+                         for c in reversed(order))
+    return None
 
 
 def transport_outcome(test: Test, hom: MachineHom, outcome: Outcome) -> Outcome:

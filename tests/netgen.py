@@ -86,3 +86,14 @@ def random_stack(rng: random.Random, tag: str = "m"):
 def random_word(rng: random.Random, box: Box, length: int):
     return tuple(tuple(rng.choice(p.alphabet) for p in box.in_ports)
                  for _ in range(length))
+
+
+def relabel(rng: random.Random, m: MooreMachine) -> MooreMachine:
+    """An isomorphic copy with fresh state names in shuffled order."""
+    order = list(m.states)
+    rng.shuffle(order)
+    name = {s: f"r{k}" for k, s in enumerate(order)}
+    return MooreMachine(
+        m.box, tuple(name[s] for s in order), name[m.init],
+        {(name[s], x): name[t] for (s, x), t in m.update.items()},
+        {name[s]: r for s, r in m.readout.items()})

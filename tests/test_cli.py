@@ -149,9 +149,31 @@ def test_simulate_rejects_malformed_words():
 
 
 def test_simulate_rejects_symbols_off_the_alphabet():
-    code, _, err = cli("simulate", "--machine", UAV / "target.yaml",
-                       "--input", "2|0")
-    assert code == EX_DATAERR
+    code, out, err = cli("simulate", "--machine", UAV / "target.yaml",
+                         "--input", "2|0")
+    assert code == EX_USAGE
+    assert out == ""
+    assert err == "step 0: '2' is outside the alphabet {0, 1} of port cmd\n"
+
+
+def test_simulate_checks_the_port_count_of_each_step():
+    code, out, err = cli("simulate", "--system", UAV / "scenario.yaml",
+                         "--name", "real", "--input", "0|1|0")
+    assert code == EX_USAGE
+    assert out == ""
+    assert err == "step 0 has 3 symbols for 2 input ports\n"
+    code, _, err = cli("simulate", "--system", UAV / "scenario.yaml",
+                       "--name", "real", "--input", "0|0,1")
+    assert code == EX_USAGE
+    assert err == "step 1 has 1 symbols for 2 input ports\n"
+
+
+def test_simulate_names_the_port_of_an_off_alphabet_symbol():
+    code, out, err = cli("simulate", "--system", UAV / "scenario.yaml",
+                         "--name", "real", "--input", "0|z")
+    assert code == EX_USAGE
+    assert out == ""
+    assert err == "step 0: 'z' is outside the alphabet {0, 1} of port obs\n"
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +195,15 @@ def test_learn_with_traces_only_still_identifies():
     code, out, _ = cli("learn", "--kb", UAV / "kb",
                        "--target", UAV / "target.yaml", "--depth", "6")
     assert code == EX_OK
+    assert "classification: exact" in out
+
+
+def test_learn_reaches_depth_12():
+    # 4^12 words per entry if every word were run; the quotient is linear in d
+    code, out, _ = cli("learn", "--kb", UAV / "kb",
+                       "--target", UAV / "target.yaml", "--depth", "12")
+    assert code == EX_OK
+    assert "candidates: profile-stock" in out
     assert "classification: exact" in out
 
 

@@ -11,7 +11,7 @@ from netgen import BIT, random_machine, random_network, random_word
 from wirebox.moore import MachineError, MooreMachine, apply_algebra, run
 from wirebox.oracle import (bisimilar, find_distinguishing_word,
                             stagewise_simulate, trace_equivalent)
-from wirebox.wiring import Box, Port, input_space
+from wirebox.wiring import Box, Port, identity_wiring, input_space
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -140,3 +140,32 @@ def test_stagewise_checks_slot_boxes():
     w, machines = random_network(rng)
     with pytest.raises(MachineError):
         stagewise_simulate(w, machines[:-1] + (delay(),), ())
+
+
+# ---------------------------------------------------------------------------
+# missing table rows: an unvalidated machine the loader would have rejected
+# ---------------------------------------------------------------------------
+
+def without_update_row() -> MooreMachine:
+    d = delay()
+    update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
+    return MooreMachine(CELL, BIT, "0", update, d.readout)
+
+
+def test_distinguishing_word_names_a_missing_update_row():
+    with pytest.raises(MachineError,
+                       match=r"second machine: no update for state 1 on input \('1',\)"):
+        find_distinguishing_word(delay(), without_update_row(), 4)
+
+
+def test_bisimilar_names_a_missing_update_row():
+    with pytest.raises(MachineError,
+                       match=r"first machine: no update for state 1 on input \('1',\)"):
+        bisimilar(without_update_row(), delay())
+
+
+def test_stagewise_names_a_missing_update_row():
+    wiring = identity_wiring(CELL)
+    with pytest.raises(MachineError,
+                       match=r"component 0: no update for state 1 on input \('1',\)"):
+        stagewise_simulate(wiring, (without_update_row(),), (("1",), ("1",)))

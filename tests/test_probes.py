@@ -1,21 +1,30 @@
 """Behavioral tests, outcomes, knowledge bases, and the learner."""
 
+import itertools
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import BIT, random_machine
-from wirebox.moore import MachineError, MachineHom, MooreMachine, apply_algebra
+from netgen import (BIT, random_machine, random_network, random_wiring,
+                    relabel)
+from wirebox.attacks import apply_script
+from wirebox.fileformat import load, load_kb_dir
+from wirebox.moore import (MachineError, MachineHom, MooreMachine,
+                           apply_algebra, run)
+from wirebox.oracle import find_distinguishing_word
 from wirebox.probes import (AMBIGUOUS, CARDINALITY, EQUALITY, EXACT, UNKNOWN,
                             KnowledgeBase, MachineOracle, OracleError, Outcome,
                             OutputImage, ProbeError, StateSet, Terminal, Test,
                             TraceSet, architecture_probe, compare_outcomes,
                             outcome_witness, run_test, transport_outcome,
                             yoneda_filter)
-from wirebox.wiring import Box, OuterIn, InnerOut, Port, Wiring, identity_wiring
+from wirebox.wiring import (Box, OuterIn, InnerOut, Port, Wiring,
+                            identity_wiring, input_space)
 
+UAV = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "uav"
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
 
@@ -43,15 +52,163 @@ BATTERY = (Test("traces-4", TraceSet(4)),
            Test("image-2", OutputImage(2)))
 
 
+def reference_traces(m: MooreMachine, depth: int) -> tuple:
+    """The trace set the slow way: every word of the length, run from init.
+
+    d·|I|^d steps; the reference that trace quotients are checked against.
+    """
+    inputs = input_space([m.box])
+    return tuple(sorted((word, tuple(run(m, word)))
+                        for word in itertools.product(inputs, repeat=depth)))
+
+
+def reference_witness(a: tuple, b: tuple):
+    """The least (word, outputs) pair in the symmetric difference."""
+    return min(set(a).symmetric_difference(b))
+
+
 # ---------------------------------------------------------------------------
 # tests and outcomes
 # ---------------------------------------------------------------------------
 
 def test_trace_outcome_covers_every_word():
-    out = run_test(Test("t", TraceSet(2)), delay())
-    assert len(out.value) == 4  # two binary steps
-    words = [w for w, _ in out.value]
+    pairs = reference_traces(delay(), 2)
+    assert len(pairs) == 4  # two binary steps
+    words = [w for w, _ in pairs]
     assert words == sorted(words)
+
+
+def test_trace_outcome_is_the_layered_quotient():
+    # delay at depth 3: init reads 0, input a leads to the class reading a
+    out = run_test(Test("t", TraceSet(3)), delay())
+    assert out.value == (((("0",), 0, 1),),
+                         ((("0",), 0, 1), (("1",), 0, 1)),
+                         ((("0",),), (("1",),)))
+    assert out.inputs == (("0",), ("1",))
+    # history behaves like delay; its four states fold into the same classes
+    assert run_test(Test("t", TraceSet(3)), history()) == out
+    assert run_test(Test("t", TraceSet(0)), delay()).value == ()
+
+
+def test_trace_quotient_has_one_layer_per_step():
+    view = load(UAV / "scenario.yaml").scenario.system("attacker-view")
+    composite = view.composite()
+    assert len(composite.states) == 32
+    value = run_test(Test("t", TraceSet(40)), composite).value
+    assert len(value) == 40
+    assert all(1 <= len(layer) <= 32 for layer in value)
+
+
+def test_trace_cardinality_comparison_always_agrees():
+    t = Test("t", TraceSet(3), CARDINALITY)
+    assert compare_outcomes(t, run_test(t, delay()), run_test(t, inverter()))
+
+
+def test_trace_outcome_names_a_missing_row():
+    # an unvalidated machine: the loader would have rejected both
+    d = delay()
+    update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
+    t = Test("t", TraceSet(3))
+    with pytest.raises(MachineError, match=r"no update for state 1 on input \('1',\)"):
+        run_test(t, MooreMachine(CELL, BIT, "0", update, d.readout))
+    with pytest.raises(MachineError, match="no readout for state 1"):
+        run_test(t, MooreMachine(CELL, BIT, "0", d.update, {"0": ("0",)}))
+    # rows the traces never reach are not read, as when running every word
+    assert run_test(Test("t", TraceSet(1)),
+                    MooreMachine(CELL, BIT, "0", update, {"0": ("0",)})).value \
+        == (((("0",),),),)
+
+
+def test_trace_outcomes_over_different_inputs_disagree():
+    # the same quotient shape over other input symbols is another trace set
+    xy = Box("cell", (Port("a", ("x", "y")),), CELL.out_ports)
+    renamed = MooreMachine(xy, BIT, "0",
+                           {(s, (a,)): "0" if a == "x" else "1"
+                            for s in BIT for a in ("x", "y")},
+                           {s: (s,) for s in BIT})
+    t = Test("t", TraceSet(3))
+    a, b = run_test(t, delay()), run_test(t, renamed)
+    assert a.value == b.value
+    assert not compare_outcomes(t, a, b)
+    with pytest.raises(ProbeError, match="different inputs"):
+        outcome_witness(t, a, b)
+
+
+def fixture_machines() -> list[tuple[str, MooreMachine]]:
+    """Every machine on the airframe box the fixtures define or produce."""
+    scenario = load(UAV / "scenario.yaml").scenario
+    machines = [(n, s.composite()) for n, s in scenario.systems.items()]
+    machines += [(f"{s.name}-attacked",
+                  apply_script(scenario.system(s.system), s.script).system.composite())
+                 for s in scenario.scripts]
+    machines += list(load_kb_dir(UAV / "kb").entries)
+    machines.append(("target", load(UAV / "target.yaml").machine))
+    return machines
+
+
+def test_trace_quotients_agree_with_the_reference_on_fixtures():
+    machines = fixture_machines()
+    disagreeing = 0
+    for depth in (1, 2, 4, 6):
+        t = Test("t", TraceSet(depth))
+        outcomes = [run_test(t, m) for _, m in machines]
+        traces = [reference_traces(m, depth) for _, m in machines]
+        for i, j in itertools.combinations(range(len(machines)), 2):
+            agree = traces[i] == traces[j]
+            assert compare_outcomes(t, outcomes[i], outcomes[j]) == agree, \
+                (machines[i][0], machines[j][0], depth)
+            if not agree:
+                disagreeing += 1
+                assert outcome_witness(t, outcomes[i], outcomes[j]) == \
+                    reference_witness(traces[i], traces[j])
+    assert disagreeing  # the fixtures exercise both verdicts
+
+
+def test_trace_witness_is_the_least_word_whatever_the_port_order():
+    # alphabets declared against sorted order: words still sort by symbol
+    box = Box("rev", (Port("a", ("1", "0")), Port("b", ("y", "x"))),
+              (Port("q", BIT),))
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(60):
+        a, b = random_machine(rng, box), random_machine(rng, box)
+        for depth in (1, 2, 3):
+            t = Test("t", TraceSet(depth))
+            ra, rb = reference_traces(a, depth), reference_traces(b, depth)
+            if ra != rb:
+                checked += 1
+                assert outcome_witness(t, run_test(t, a), run_test(t, b)) == \
+                    reference_witness(ra, rb)
+    assert checked
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(0, 3))
+def test_trace_quotients_agree_with_the_reference(seed, depth, variant):
+    # netgen composites against a relabelled copy, a copy with one row
+    # redirected, the same machines under another wiring, or a fresh machine
+    rng = random.Random(seed)
+    wiring, machines = random_network(rng)
+    a = apply_algebra(wiring, machines)
+    if variant == 0:
+        b = relabel(rng, a)
+    elif variant == 1:
+        update = dict(a.update)
+        update[rng.choice(sorted(update))] = rng.choice(a.states)
+        b = relabel(rng, MooreMachine(a.box, a.states, a.init, update, a.readout))
+    elif variant == 2:
+        b = apply_algebra(random_wiring(rng, wiring.inner, a.box), machines)
+    else:
+        b = random_machine(rng, a.box)
+    t = Test("t", TraceSet(depth))
+    oa, ob = run_test(t, a), run_test(t, b)
+    assert run_test(t, relabel(rng, a)) == oa
+    ra, rb = reference_traces(a, depth), reference_traces(b, depth)
+    quotient = compare_outcomes(t, oa, ob)
+    assert quotient == (ra == rb) == \
+        (find_distinguishing_word(a, b, depth) is None)
+    if not quotient:
+        assert outcome_witness(t, oa, ob) == reference_witness(ra, rb)
 
 
 def test_state_set_outcome_renders_states():
