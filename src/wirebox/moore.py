@@ -10,17 +10,22 @@ reached after 0..n-1 inputs.
 outer box and a machine per inner box, it builds the composite machine on
 the outer box.  States are tuples of component states; at each step the
 wiring routes current component readouts and outer inputs to component
-inputs, and every component steps at once.  ``lift_hom`` applies the same
-wiring to machine morphisms, componentwise on state maps.
+inputs, and every component steps at once.  The wiring's routing is
+compiled once per composite: each component readout is checked once,
+and per composite state whatever reads no outer input is routed once.
+A product of more than ``MAX_TRANSITIONS`` transitions is refused
+before any state is built.  ``lift_hom`` applies the same wiring to
+machine morphisms, componentwise on state maps.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .wiring import Box, Symbol, Wiring, evaluate, input_space
+from .wiring import Box, Symbol, Wiring, WiringError, _Routing, input_space
 
 State = Union[str, tuple]
 
@@ -175,6 +180,10 @@ def _machines_fit(w: Wiring, machines: Sequence[MooreMachine]):
                 f"is {b.name!r}")
 
 
+# a composite with more transitions than this is refused before it is built
+MAX_TRANSITIONS = 2 ** 20
+
+
 def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     """The composite machine a wiring induces on its outer box.
 
@@ -182,40 +191,103 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     current component readouts and the outer input through the wiring,
     then updates every component on its routed input; the composite
     readout routes component readouts through the out_map.
+
+    The wiring is compiled once.  Per composite state, the readout and
+    every component input that reads no outer input are routed once;
+    only the rest is routed again for each outer input.
     """
     _machines_fit(w, machines)
     outer = w.outer[0]
-    arities = [len(m.box.in_ports) for m in machines]
+    n_states = math.prod(len(m.states) for m in machines)
+    n_inputs = math.prod(len(p.alphabet) for p in outer.in_ports)
+    if n_states * n_inputs > MAX_TRANSITIONS:
+        raise MachineError(
+            f"composite would have {n_states} states x {n_inputs} inputs = "
+            f"{n_states * n_inputs} transitions, over the limit of "
+            f"{MAX_TRANSITIONS}")
+    routing = _Routing(w)
+    for i, m in enumerate(machines):
+        _check_readouts(i, m)
+    readouts = [m.readout for m in machines]
+    updates = [m.update for m in machines]
+    # slot i takes inner inputs a..b; inputs and slots that read an outer
+    # input are routed per outer input, the rest once per composite state
+    reads = routing.reads_outer
+    fixed = [(k, f) for k, f in enumerate(routing.inner_in) if not reads[k]]
+    varying = [(k, f) for k, f in enumerate(routing.inner_in) if reads[k]]
+    bounds = itertools.accumulate((len(m.box.in_ports) for m in machines),
+                                  initial=0)
+    slots = [(i, a, b) for i, (a, b) in enumerate(itertools.pairwise(bounds))]
+    fixed_slots = [(i, a, b) for i, a, b in slots if not any(reads[a:b])]
+    varying_slots = [(i, a, b) for i, a, b in slots if any(reads[a:b])]
     states = [tuple(t) for t in itertools.product(*[m.states for m in machines])]
     init = tuple(m.init for m in machines)
     update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
     readout: dict[State, tuple[Symbol, ...]] = {}
     outer_inputs = input_space([outer])
+    ins: list[Symbol] = [""] * len(routing.inner_in)
+    nxt: list[State] = [""] * len(machines)
     try:
         for s in states:
-            inner_outs = tuple(v for m, si in zip(machines, s) for v in m.readout[si])
+            inner_outs = tuple([v for r, si in zip(readouts, s) for v in r[si]])
+            for k, f in fixed:
+                ins[k] = f(inner_outs)
+            for i, a, b in fixed_slots:
+                nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
             for x in outer_inputs:
-                inner_ins, outer_out = evaluate(w, inner_outs, x)
-                nxt = []
-                pos = 0
-                for m, si, k in zip(machines, s, arities):
-                    nxt.append(m.update[(si, inner_ins[pos:pos + k])])
-                    pos += k
+                values = inner_outs + x
+                for k, f in varying:
+                    ins[k] = f(values)
+                for i, a, b in varying_slots:
+                    nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
                 update[(s, x)] = tuple(nxt)
             # out_map reads only inner outputs (Wiring._check_expr enforces
             # it), so every outer input gives state s the same readout
-            readout[s] = outer_out
+            readout[s] = tuple([f(inner_outs) for f in routing.outer_out])
     except KeyError:
-        # an unvalidated component lacks a table row; the loop state says which
-        for i, (m, si) in enumerate(zip(machines, s)):
-            if si not in m.readout:
-                raise MachineError(
-                    f"component {i}: no readout for state {render_state(si)}") from None
-        i = len(nxt)
-        raise MachineError(
-            f"component {i}: no update for state {render_state(s[i])} on input "
-            f"{inner_ins[pos:pos + arities[i]]}") from None
+        # an unvalidated component lacks an update row; find which
+        err = _missing_update(routing, machines, s, inner_outs, outer_inputs)
+        if err is None:
+            raise
+        raise err from None
     return MooreMachine(outer, tuple(states), init, update, readout)
+
+
+def _check_readouts(i: int, m: MooreMachine) -> None:
+    """Check every readout row of component ``i`` against its box."""
+    ports = m.box.out_ports
+    for si in m.states:
+        r = m.readout.get(si)
+        if r is None:
+            raise MachineError(
+                f"component {i}: no readout for state {render_state(si)}")
+        if len(r) != len(ports):
+            raise WiringError(
+                f"component {i}: readout of state {render_state(si)} has "
+                f"{len(r)} values for {len(ports)} output ports")
+        for p, v in zip(ports, r):
+            if v not in p.alphabet:
+                raise WiringError(
+                    f"value {v!r} is not in the alphabet of inner output "
+                    f"{i}.{p.name}")
+
+
+def _missing_update(routing: _Routing, machines: Sequence[MooreMachine],
+                    s: State, inner_outs: tuple[Symbol, ...],
+                    outer_inputs) -> MachineError | None:
+    """The error naming the first update row composite state ``s`` needs
+    and a component lacks: outer inputs in order, then components."""
+    for x in outer_inputs:
+        inner_ins, _ = routing.route(inner_outs + x)
+        pos = 0
+        for i, (m, si) in enumerate(zip(machines, s)):
+            fed = inner_ins[pos:pos + len(m.box.in_ports)]
+            pos += len(fed)
+            if (si, fed) not in m.update:
+                return MachineError(
+                    f"component {i}: no update for state {render_state(si)} "
+                    f"on input {fed}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -107,31 +107,41 @@ def bisimilar(a: MooreMachine, b: MooreMachine) -> bool:
     """
     _same_interface(a, b)
     inputs = _inputs(a)
-    # pooled state (tag, s) -> (readout, pooled successors in input order)
-    rows: dict[tuple[int, State], tuple] = {}
+    # pooled states are numbered; row k holds state k's readout, then its
+    # successors' numbers in input order.  An initial state or successor
+    # outside its machine has no number, so the lookup that numbers it fails.
+    index = {(tag, s): k for k, (tag, s) in
+             enumerate((tag, s) for tag, m in enumerate((a, b)) for s in m.states)}
+    rows: list[tuple] = []
+    inits = []
     try:
         for tag, (m, who) in enumerate(((a, "first machine"),
                                         (b, "second machine"))):
+            s = t = m.init
+            inits.append(index[(tag, t)])
             for s in m.states:
-                rows[(tag, s)] = (m.readout[s],) + tuple(
-                    (tag, m.update[(s, x)]) for x in inputs)
+                row = [m.readout[s]]
+                for x in inputs:
+                    t = m.update[(s, x)]
+                    row.append(index[(tag, t)])
+                rows.append(tuple(row))
     except KeyError:
-        raise _missing_row(m, s, inputs, who) from None
+        raise (_missing_row(m, s, inputs, who)
+               or _missing_row(m, t, inputs, who)
+               or MachineError(f"{who}: state {render_state(t)} is not declared")
+               ) from None
 
-    block: dict[tuple[int, State], int] = {}
-    sig0 = {}
-    for q, row in rows.items():
-        block[q] = sig0.setdefault(row[0], len(sig0))
+    sig0: dict = {}
+    block = [sig0.setdefault(row[0], len(sig0)) for row in rows]
     while True:
         sigs: dict[tuple, int] = {}
-        nxt: dict[tuple[int, State], int] = {}
-        for q, row in rows.items():
-            sig = (block[q],) + tuple(block[t] for t in row[1:])
-            nxt[q] = sigs.setdefault(sig, len(sigs))
+        nxt = [sigs.setdefault((block[k],) + tuple(block[t] for t in row[1:]),
+                               len(sigs))
+               for k, row in enumerate(rows)]
         if nxt == block:
             break
         block = nxt
-    return block[(0, a.init)] == block[(1, b.init)]
+    return block[inits[0]] == block[inits[1]]
 
 
 # ---------------------------------------------------------------------------

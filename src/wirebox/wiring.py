@@ -14,6 +14,12 @@ expressions, followed by normalization to a canonical form so that
 structural equality is meaningful.  ``evaluate`` gives the one-step
 semantics used everywhere else.
 
+Evaluation runs on routing compiled once per wiring: every port
+reference becomes a position in one flat tuple of values, and every
+table one dict.  ``evaluate``, ``find_eval_counterexample`` and the
+composite machines of ``moore.apply_algebra`` all route through it;
+``eval_expr`` walks a single expression and serves normalization.
+
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
 only inner outputs.  Nothing can read an outer output, so composites are
@@ -23,8 +29,9 @@ always well founded.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 Symbol = str
 
@@ -434,6 +441,67 @@ def _box_mismatch(a: Box, b: Box) -> str:
 # semantics
 # ---------------------------------------------------------------------------
 
+class _Routing:
+    """A wiring compiled to index-based routing.
+
+    Values travel as one flat tuple: the inner output values in document
+    order, then the outer input values, so every port reference is a
+    position in it.  ``inner_in`` and ``outer_out`` hold one function of
+    that tuple per inner input port and per outer output port, in
+    document order.  ``reads_outer`` flags the inner inputs whose
+    expression mentions an outer input; the others, like every outer
+    output, read only the inner output prefix.
+    """
+
+    __slots__ = ("inner_outs", "outer_ins", "inner_in", "outer_out",
+                 "reads_outer")
+
+    def __init__(self, w: Wiring):
+        self.inner_outs = w.inner_output_ports()
+        self.outer_ins = w.outer_input_ports()
+        at: dict[Ref, int] = {InnerOut(i, p.name): k
+                              for k, (i, p) in enumerate(self.inner_outs)}
+        at.update((OuterIn(j, p.name), len(self.inner_outs) + k)
+                  for k, (j, p) in enumerate(self.outer_ins))
+        in_exprs = [w.in_map[(i, p.name)] for i, p in w.inner_input_ports()]
+        self.inner_in = tuple(_compile_expr(e, at) for e in in_exprs)
+        self.outer_out = tuple(_compile_expr(w.out_map[(j, p.name)], at)
+                               for j, p in w.outer_output_ports())
+        self.reads_outer = tuple(
+            any(isinstance(r, OuterIn) for r in expr_refs(e)) for e in in_exprs)
+
+    def route(self, values: tuple[Symbol, ...]):
+        """(inner input values, outer output values) for a flat tuple."""
+        return (tuple([f(values) for f in self.inner_in]),
+                tuple([f(values) for f in self.outer_out]))
+
+
+def _compile_expr(expr: SourceExpr,
+                  at: Mapping[Ref, int]) -> Callable[[tuple], Symbol]:
+    """``expr`` as a function of the flat value tuple.
+
+    A validated wiring lists every key its tables can meet, so on values
+    inside the port alphabets every lookup hits.
+    """
+    if isinstance(expr, Const):
+        symbol = expr.symbol
+        return lambda values: symbol
+    if isinstance(expr, (OuterIn, InnerOut)):
+        return operator.itemgetter(at[expr])
+    if isinstance(expr, Table):
+        table = expr.function()
+        if expr.sources and all(isinstance(s, (OuterIn, InnerOut))
+                                for s in expr.sources):
+            get = operator.itemgetter(*(at[s] for s in expr.sources))
+            if len(expr.sources) == 1:
+                # an itemgetter of one position gives the value, not a 1-tuple
+                table = {key[0]: value for key, value in table.items()}
+            return lambda values: table[get(values)]
+        subs = tuple(_compile_expr(s, at) for s in expr.sources)
+        return lambda values: table[tuple([f(values) for f in subs])]
+    raise WiringError(f"not a source expression: {expr!r}")
+
+
 def evaluate(w: Wiring, inner_outs: Sequence[Symbol],
              outer_in: Sequence[Symbol]) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...]]:
     """One synchronous step of value routing.
@@ -442,36 +510,24 @@ def evaluate(w: Wiring, inner_outs: Sequence[Symbol],
     order; ``outer_in`` the outer input values.  Returns the pair
     (inner input values, outer output values), same flat convention.
     """
-    out_ports = w.inner_output_ports()
-    in_ports_outer = w.outer_input_ports()
-    if len(inner_outs) != len(out_ports):
+    routing = _Routing(w)
+    if len(inner_outs) != len(routing.inner_outs):
         raise WiringError(
-            f"expected {len(out_ports)} inner output values, got {len(inner_outs)}")
-    if len(outer_in) != len(in_ports_outer):
+            f"expected {len(routing.inner_outs)} inner output values, "
+            f"got {len(inner_outs)}")
+    if len(outer_in) != len(routing.outer_ins):
         raise WiringError(
-            f"expected {len(in_ports_outer)} outer input values, got {len(outer_in)}")
-    env: dict[Ref, Symbol] = {}
-    for (i, p), v in zip(out_ports, inner_outs):
+            f"expected {len(routing.outer_ins)} outer input values, "
+            f"got {len(outer_in)}")
+    for (i, p), v in zip(routing.inner_outs, inner_outs):
         if v not in p.alphabet:
             raise WiringError(
                 f"value {v!r} is not in the alphabet of inner output {i}.{p.name}")
-        env[InnerOut(i, p.name)] = v
-    for (j, p), v in zip(in_ports_outer, outer_in):
+    for (j, p), v in zip(routing.outer_ins, outer_in):
         if v not in p.alphabet:
             raise WiringError(
                 f"value {v!r} is not in the alphabet of outer input {j}.{p.name}")
-        env[OuterIn(j, p.name)] = v
-    inner_ins = tuple(eval_expr(w.in_map[(i, p.name)], env)
-                      for i, p in w.inner_input_ports())
-    outer_out = tuple(eval_expr(w.out_map[(j, p.name)], env)
-                      for j, p in w.outer_output_ports())
-    return inner_ins, outer_out
-
-
-def _eval_points(w: Wiring) -> Iterator[tuple[tuple[Symbol, ...], tuple[Symbol, ...]]]:
-    for inner_outs in output_space(w.inner):
-        for outer_in in input_space(w.outer):
-            yield inner_outs, outer_in
+    return routing.route(tuple(inner_outs) + tuple(outer_in))
 
 
 def find_eval_counterexample(a: Wiring, b: Wiring):
@@ -482,9 +538,13 @@ def find_eval_counterexample(a: Wiring, b: Wiring):
     """
     if a.inner != b.inner or a.outer != b.outer:
         raise WiringError("wirings have different boundaries")
-    for inner_outs, outer_in in _eval_points(a):
-        if evaluate(a, inner_outs, outer_in) != evaluate(b, inner_outs, outer_in):
-            return inner_outs, outer_in
+    ra, rb = _Routing(a), _Routing(b)
+    outer_inputs = input_space(a.outer)
+    for inner_outs in output_space(a.inner):
+        for outer_in in outer_inputs:
+            values = inner_outs + outer_in
+            if ra.route(values) != rb.route(values):
+                return inner_outs, outer_in
     return None
 
 

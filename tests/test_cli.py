@@ -9,9 +9,11 @@ import yaml
 
 from wirebox.cli import (EX_DATAERR, EX_OK, EX_USAGE, dispatch, format_word,
                          parse_word)
-from wirebox.fileformat import dump_machine, load, loads
-from wirebox.moore import run
+from wirebox.attacks import CompositeSystem
+from wirebox.fileformat import dump_machine, dump_system, load, loads
+from wirebox.moore import MooreMachine, run
 from wirebox.oracle import find_distinguishing_word
+from wirebox.wiring import Box, InnerOut, OuterIn, Port, Wiring
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 UAV = FIXTURES / "uav"
@@ -111,6 +113,26 @@ def test_compose_unknown_name_is_a_data_error():
                        "--name", "ghost")
     assert code == EX_DATAERR
     assert "ghost" in err
+
+
+def test_compose_refuses_a_state_space_over_the_limit(tmp_path):
+    # ten four-state shift registers in a row: 4**10 states x 2 inputs
+    bit = ("0", "1")
+    cell = Box("cell", (Port("a", bit),), (Port("q", bit),))
+    states = tuple(a + b for a in bit for b in bit)
+    register = MooreMachine(cell, states, "00",
+                            {(s, (a,)): s[1] + a for s in states for a in bit},
+                            {s: (s[1],) for s in states})
+    in_map = {(0, "a"): OuterIn(0, "a")}
+    in_map.update({(i, "a"): InnerOut(i - 1, "q") for i in range(1, 10)})
+    row = Wiring((cell,) * 10, (Box("row", cell.in_ports, cell.out_ports),),
+                 in_map, {(0, "q"): InnerOut(9, "q")})
+    path = tmp_path / "row.yaml"
+    path.write_text(dump_system({"row": CompositeSystem(row, (register,) * 10)}))
+    code, out, err = cli("compose", "--system", path, "--name", "row")
+    assert code == EX_DATAERR
+    assert out == ""
+    assert "2097152 transitions, over the limit of 1048576" in err
 
 
 def test_simulate_prints_one_output_per_step():

@@ -1,6 +1,7 @@
 """Machines, their validation, the wiring action, and machine morphisms."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            hom_violations, identity_hom, lift_hom,
                            render_state, run, step, validate_hom,
                            validate_machine)
-from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Wiring,
+from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Wiring, WiringError,
                             identity_wiring, input_space)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
@@ -151,6 +152,41 @@ def test_apply_algebra_names_a_missing_readout_row():
     broken = MooreMachine(CELL, BIT, "0", delay().update, {"0": ("0",)})
     with pytest.raises(MachineError, match="component 1: no readout for state 1"):
         apply_algebra(chain(), (delay(), broken))
+
+
+def test_apply_algebra_names_an_off_alphabet_readout():
+    broken = MooreMachine(CELL, BIT, "0", delay().update,
+                          {"0": ("0",), "1": ("2",)})
+    with pytest.raises(WiringError, match=r"'2' .* inner output 1\.q"):
+        apply_algebra(chain(), (delay(), broken))
+
+
+def test_apply_algebra_rejects_a_readout_of_the_wrong_length():
+    broken = MooreMachine(CELL, BIT, "0", delay().update,
+                          {"0": ("0", "0"), "1": ("1", "0")})
+    with pytest.raises(WiringError):
+        apply_algebra(chain(), (broken, delay()))
+
+
+def test_apply_algebra_refuses_a_product_over_the_limit():
+    # ten four-state components in a row: 4**10 states x 2 inputs
+    n = 10
+    in_map = {(0, "a"): OuterIn(0, "a")}
+    in_map.update({(i, "a"): InnerOut(i - 1, "q") for i in range(1, n)})
+    w = Wiring((CELL,) * n, (Box("row", CELL.in_ports, CELL.out_ports),),
+               in_map, {(0, "q"): InnerOut(n - 1, "q")})
+    machines = (history(),) * n
+    tracemalloc.start()
+    try:
+        with pytest.raises(MachineError,
+                           match=r"1048576 states x 2 inputs = 2097152 "
+                                 r"transitions, over the limit of 1048576"):
+            apply_algebra(w, machines)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # refused before any composite state is built
+    assert peak < 100_000
 
 
 def test_apply_algebra_requires_single_outer():

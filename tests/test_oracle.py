@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import BIT, random_machine, random_network, random_word
+from netgen import (BIT, random_machine, random_network, random_stack,
+                    random_word)
 from wirebox.moore import MachineError, MooreMachine, apply_algebra, run
 from wirebox.oracle import (bisimilar, find_distinguishing_word,
                             stagewise_simulate, trace_equivalent)
-from wirebox.wiring import Box, Port, identity_wiring, input_space
+from wirebox.wiring import Box, Port, compose, identity_wiring, input_space
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -124,14 +125,17 @@ def test_bisimilarity_equals_deep_trace_equivalence(seed):
 # stagewise simulation against the algebra
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 9))
 def test_stagewise_agrees_with_composite(seed):
+    # apply_algebra routes through the compiled wiring, stagewise_simulate
+    # through its own evaluator; composed wirings bring multi-source tables
     rng = random.Random(seed)
-    w, machines = random_network(rng)
-    word = random_word(rng, w.outer[0], rng.randint(0, 5))
-    assert stagewise_simulate(w, machines, word) == \
-        run(apply_algebra(w, machines), word)
+    f, g, machines = random_stack(rng)
+    for w in (f, compose(g, f)):
+        word = random_word(rng, w.outer[0], rng.randint(0, 8))
+        assert stagewise_simulate(w, machines, word) == \
+            run(apply_algebra(w, machines), word)
 
 
 def test_stagewise_checks_slot_boxes():
@@ -162,6 +166,19 @@ def test_bisimilar_names_a_missing_update_row():
     with pytest.raises(MachineError,
                        match=r"first machine: no update for state 1 on input \('1',\)"):
         bisimilar(without_update_row(), delay())
+
+
+def test_bisimilar_names_a_state_outside_the_machine():
+    d = delay()
+    update = dict(d.update)
+    update[("1", ("1",))] = "2"
+    escaping = MooreMachine(CELL, BIT, "0", update, d.readout)
+    with pytest.raises(MachineError, match="first machine: no readout for state 2"):
+        bisimilar(escaping, delay())
+    d = delay()
+    outside = MooreMachine(CELL, BIT, "9", d.update, d.readout)
+    with pytest.raises(MachineError, match="second machine: no readout for state 9"):
+        bisimilar(delay(), outside)
 
 
 def test_stagewise_names_a_missing_update_row():

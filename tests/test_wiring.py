@@ -11,8 +11,8 @@ from wirebox.wiring import (Architecture, Box, Const, InnerOut, OuterIn, Port,
                             Table, Wiring, WiringError, check_arch_morphism,
                             canonical_text, compose, eval_equal, eval_expr,
                             evaluate, expr_refs, find_eval_counterexample,
-                            flatten, identity_of, identity_wiring, normalize,
-                            tensor, wiring_equal)
+                            flatten, identity_of, identity_wiring, input_space,
+                            normalize, output_space, tensor, wiring_equal)
 
 B = Box("b", (Port("x", BIT), Port("y", BIT)), (Port("o", BIT),))
 C = Box("c", (Port("u", BIT),), (Port("v", BIT), Port("w", BIT)))
@@ -136,6 +136,15 @@ def test_identity_evaluation_is_transparent():
     assert outer_out == ("1",)
 
 
+def test_evaluate_sourceless_table():
+    w = identity_wiring(B)
+    in_map = dict(w.in_map)
+    in_map[(0, "y")] = Table((), (((), "1"),))
+    inner_ins, _ = evaluate(Wiring(w.inner, w.outer, in_map, w.out_map),
+                            ("0",), ("0", "0"))
+    assert inner_ins == ("0", "1")
+
+
 def test_find_eval_counterexample_none_on_equal():
     assert find_eval_counterexample(pipe(), pipe()) is None
 
@@ -149,6 +158,41 @@ def test_find_eval_counterexample_reports_point():
     assert point is not None
     inner_outs, outer_in = point
     assert len(inner_outs) == 3 and len(outer_in) == 2
+
+
+def reference_evaluate(w, inner_outs, outer_in):
+    # evaluate the uncompiled way: eval_expr over a Ref environment
+    env = {InnerOut(i, p.name): v
+           for (i, p), v in zip(w.inner_output_ports(), inner_outs)}
+    env.update({OuterIn(j, p.name): v
+                for (j, p), v in zip(w.outer_input_ports(), outer_in)})
+    return (tuple(eval_expr(w.in_map[(i, p.name)], env)
+                  for i, p in w.inner_input_ports()),
+            tuple(eval_expr(w.out_map[(j, p.name)], env)
+                  for j, p in w.outer_output_ports()))
+
+
+def nested(w: Wiring) -> Wiring:
+    # every source wrapped in an identity table over its target alphabet
+    def wrap(expr, port):
+        return Table((expr,), tuple(((v,), v) for v in port.alphabet))
+    return Wiring(w.inner, w.outer,
+                  {(i, p.name): wrap(w.in_map[(i, p.name)], p)
+                   for i, p in w.inner_input_ports()},
+                  {(j, p.name): wrap(w.out_map[(j, p.name)], p)
+                   for j, p in w.outer_output_ports()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_evaluate_agrees_with_the_uncompiled_reference(seed):
+    rng = random.Random(seed)
+    f, g, _ = random_stack(rng)
+    for w in (f, compose(g, f), nested(f)):
+        for inner_outs in output_space(w.inner):
+            for outer_in in input_space(w.outer):
+                assert evaluate(w, inner_outs, outer_in) == \
+                    reference_evaluate(w, inner_outs, outer_in)
 
 
 # ---------------------------------------------------------------------------
