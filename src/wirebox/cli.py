@@ -31,8 +31,6 @@ from typing import Optional, Sequence
 
 from . import fileformat as ff
 from .attacks import AttackError, apply_script, attack_diff
-from .dot import wiring_dot
-from .fincat import FinCatError, YonedaError, yoneda_check
 from .moore import MachineError, run, validate_machine
 from .probes import (AMBIGUOUS, EXACT, MachineOracle, OracleError, ProbeError,
                      Test, TraceSet, yoneda_filter)
@@ -42,8 +40,18 @@ EX_OK = 0
 EX_USAGE = 64
 EX_DATAERR = 65
 
-DOMAIN_ERRORS = (ff.LoadError, WiringError, MachineError, ProbeError,
-                 OracleError, AttackError, FinCatError)
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The exception classes that mean malformed input or a domain error.
+
+    ``fincat`` is imported only by the commands and documents that use it,
+    and no FinCatError can be raised before it is, so its error class
+    joins once the module is loaded.
+    """
+    errors = (ff.LoadError, WiringError, MachineError, ProbeError,
+              OracleError, AttackError)
+    fincat = sys.modules.get("wirebox.fincat")
+    return errors + (fincat.FinCatError,) if fincat else errors
 
 
 class _UsageError(Exception):
@@ -284,6 +292,8 @@ def _cmd_diff(args, out) -> int:
 
 
 def _cmd_export_dot(args, out) -> int:
+    from .dot import wiring_dot
+
     doc = ff.load(args.file)
     if isinstance(doc, ff.WiringDoc):
         name, wiring = doc.name, doc.wiring
@@ -308,6 +318,8 @@ def _cmd_export_dot(args, out) -> int:
 
 
 def _cmd_yoneda_check(args, out) -> int:
+    from .fincat import YonedaError, yoneda_check
+
     doc = _load(args.file, "fincat.v1")
     names = sorted(doc.functors)
     if args.functor is not None:
@@ -355,7 +367,7 @@ def dispatch(argv: Optional[Sequence[str]] = None,
     except _UsageError as e:
         print(str(e), file=err)
         return EX_USAGE
-    except DOMAIN_ERRORS as e:
+    except _domain_errors() as e:
         print(f"error: {e}", file=err)
         return EX_DATAERR
     except SystemExit as e:  # argparse --help

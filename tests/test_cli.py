@@ -7,6 +7,7 @@ import re
 import pytest
 import yaml
 
+import wirebox.fincat
 from wirebox.cli import (EX_DATAERR, EX_OK, EX_USAGE, dispatch, format_word,
                          parse_word)
 from wirebox.attacks import CompositeSystem
@@ -61,6 +62,34 @@ def test_missing_file_is_a_data_error():
     code, _, err = cli("validate", "/does/not/exist.yaml")
     assert code == EX_DATAERR
     assert err.startswith("error:")
+
+
+# each crashed the parse with a traceback before every parse error became
+# a LoadError
+MALFORMED = {
+    "impossible-date": "2001-02-30",
+    "int-tag": "!!int abc",
+    "float-tag": "!!float abc",
+    "timestamp-tag": "!!timestamp abc",
+    "5000-digit-integer": "1" * 5000,
+    "5000-deep-sequence": "[" * 5000 + "]" * 5000,
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scalars_exit_65_without_a_traceback(tmp_path, case,
+                                                       yaml_loader):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"schema: machine.v1\nname: {MALFORMED[case]}\n")
+    code, out, err = cli("validate", path)
+    assert (code, out) == (EX_DATAERR, "")
+    assert "Traceback" not in err
+    if case.endswith("deep-sequence") and yaml_loader is not yaml.SafeLoader:
+        # libyaml does not recurse per level: the nesting parses, and the
+        # document is refused for what it lacks
+        assert err == "error: bad.yaml: missing required key 'box'\n"
+    else:
+        assert err.startswith("error: bad.yaml: not valid YAML")
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +406,14 @@ def test_yoneda_check_can_filter_one_functor():
                        FIXTURES / "fincat" / "cyc3.yaml",
                        "--functor", "ghost")
     assert code == EX_DATAERR
+
+
+def test_yoneda_check_reports_a_category_error_as_a_data_error(monkeypatch):
+    def broken(category, obj, functor):
+        raise wirebox.fincat.FinCatError(f"no object {obj!r}")
+
+    monkeypatch.setattr(wirebox.fincat, "yoneda_check", broken)
+    code, out, err = cli("yoneda-check", "--file",
+                         FIXTURES / "fincat" / "arrow.yaml")
+    assert (code, out) == (EX_DATAERR, "")
+    assert err == "error: no object 'z'\n"

@@ -227,6 +227,76 @@ def test_invalid_yaml_is_a_load_error():
     assert "not valid YAML" in e.message
 
 
+def test_syntax_errors_give_the_same_line_and_column_under_either_loader(
+        yaml_loader):
+    # the loaders word the problem differently; the mark is shared
+    e = err("a: [1\nb: 2]\n")
+    assert e.message.startswith("not valid YAML at line 2, column 2: ")
+    assert e.message != "not valid YAML at line 2, column 2: "
+
+
+def test_a_tab_before_a_plain_scalar_parses_only_under_libyaml(yaml_loader):
+    text = (FIXTURES / "uav" / "kb" / "profile-flatline.yaml").read_text()
+    text = text.replace("name: profile", "name: \tprofile", 1)
+    if yaml_loader is yaml.SafeLoader:
+        with pytest.raises(LoadError, match="not valid YAML at line 2, column 7"):
+            loads(text, "f.yaml")
+    else:
+        assert loads(text, "f.yaml").name == "profile-flatline"
+
+
+def test_a_mid_document_byte_order_mark_fails_under_either_loader(yaml_loader):
+    text = (FIXTURES / "uav" / "kb" / "profile-flatline.yaml").read_text()
+    text = text.replace("\nbox:", "\n\ufeffbox:", 1)
+    with pytest.raises(LoadError) as exc:
+        loads(text, "f.yaml")
+    if yaml_loader is yaml.SafeLoader:  # skipped, so it ends up in the key
+        assert exc.value.message == "unknown keys ['\\ufeffbox']"
+    else:
+        assert exc.value.message.startswith("not valid YAML at line 3, column 2")
+
+
+FIXTURE_TEXTS = [p.read_text(encoding="utf-8")
+                 for p in sorted(FIXTURES.glob("**/*.yaml"))]
+
+
+@st.composite
+def mutated_fixture(draw) -> str:
+    """A fixture document with one to three characters or spans inserted,
+    deleted or duplicated.  Tabs and byte-order marks are left out: the
+    loaders are known to disagree on them (see the two tests above)."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = min(len(text), i + draw(st.integers(1, 16)))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if edit == "insert":
+            c = draw(st.one_of(st.sampled_from(" \n:-[]{},#&*!|>'\"?%@`"),
+                               st.characters(exclude_characters="\t\ufeff")))
+            text = text[:i] + c + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def parsed(text: str, loader):
+    try:
+        # repr tells 1 from True and 1.0, and a nan equals itself
+        return repr(yaml.load(text, Loader=loader))
+    except Exception:
+        return "raised"
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="pyyaml built without libyaml")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_fixture())
+def test_libyaml_parses_mutated_fixtures_like_the_pure_loader(text):
+    assert parsed(text, yaml.CSafeLoader) == parsed(text, yaml.SafeLoader)
+
+
 def test_top_level_must_be_a_mapping():
     e = err("- 1\n- 2\n")
     assert "expected a mapping" in e.message
