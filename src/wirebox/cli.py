@@ -12,11 +12,11 @@ Subcommands::
     yoneda-check verify naturality counts for a category file
 
 Exit codes: 0 success, 64 usage error, 65 malformed input or domain
-error.  ``learn`` exits 0 when exactly one candidate survives, 2 when
-several do, 3 when none do.  ``diff`` exits 0 when behavior is equal at
-the requested depth and 1 when it differs.  ``yoneda-check`` exits 1
-when a bijection fails.  ``--depth`` must be at least 1; a smaller
-value is a usage error.
+error, 73 when an ``--out`` file cannot be written.  ``learn`` exits 0
+when exactly one candidate survives, 2 when several do, 3 when none do.
+``diff`` exits 0 when behavior is equal at the requested depth and 1
+when it differs.  ``yoneda-check`` exits 1 when a bijection fails.
+``--depth`` must be at least 1; a smaller value is a usage error.
 
 Input words are written ``"0|1,1|0"``: steps separated by commas, the
 symbols of one step separated by bars, in port order; a word that does
@@ -39,6 +39,7 @@ from .wiring import Box, WiringError
 EX_OK = 0
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_CANTCREAT = 73
 
 
 def _domain_errors() -> tuple[type[Exception], ...]:
@@ -56,6 +57,23 @@ def _domain_errors() -> tuple[type[Exception], ...]:
 
 class _UsageError(Exception):
     pass
+
+
+class _WriteError(Exception):
+    pass
+
+
+def _write_or_print(text: str, path: Optional[str], out) -> None:
+    """Write ``text`` to ``path`` and say so, or print it when no path is given."""
+    if not path:
+        out.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise _WriteError(f"error: cannot write {path}: {e.strerror or e}") from None
+    print(f"wrote {path}", file=out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,12 +285,7 @@ def _cmd_attack(args, out) -> int:
               f"wiring={entry.wiring_fp} components={entry.components_fp}",
               file=out)
     text = ff.dump_system({f"{script.system}-attacked": result.system})
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {args.out}", file=out)
-    else:
-        out.write(text)
+    _write_or_print(text, args.out, out)
     return EX_OK
 
 
@@ -308,12 +321,7 @@ def _cmd_export_dot(args, out) -> int:
     else:
         raise ff.LoadError(args.file, "no wirings in this document")
     text = wiring_dot(wiring, name)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {args.out}", file=out)
-    else:
-        out.write(text)
+    _write_or_print(text, args.out, out)
     return EX_OK
 
 
@@ -367,6 +375,9 @@ def dispatch(argv: Optional[Sequence[str]] = None,
     except _UsageError as e:
         print(str(e), file=err)
         return EX_USAGE
+    except _WriteError as e:
+        print(str(e), file=err)
+        return EX_CANTCREAT
     except _domain_errors() as e:
         print(f"error: {e}", file=err)
         return EX_DATAERR

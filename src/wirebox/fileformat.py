@@ -26,11 +26,13 @@ pyyaml was built with libyaml, and with the pure-Python
 fixture; two differences are known.  A tab inside or after a plain
 scalar (``p1: \\tr``) parses under libyaml and is rejected by
 ``SafeLoader``; a byte-order mark in mid-document is skipped by
-``SafeLoader`` and rejected by libyaml.  Anything the parse raises,
-including malformed scalars such as ``2001-02-30`` or ``!!int abc``,
-becomes a LoadError ``not valid YAML``; a syntax error reads ``not valid
+``SafeLoader`` and rejected by libyaml.  Anything the parse raises
+becomes a LoadError ``not valid YAML``.  A syntax error reads ``not valid
 YAML at line L, column C: <problem>`` under either loader, though the
-problem text is the loader's own.
+problem text is the loader's own; a malformed scalar such as
+``2001-02-30`` or ``!!bool maybe`` reads ``not valid YAML at line L,
+column C: cannot read !!<tag> value '<text>'``, the text cut to 40
+characters.
 """
 
 from __future__ import annotations
@@ -52,8 +54,33 @@ from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
 if TYPE_CHECKING:  # only the fincat.v1 loader imports fincat at run time
     from . import fincat as fc
 
+
+def _marked_scalars(base: type) -> type:
+    """``base`` with the !!int, !!float, !!bool and !!timestamp constructors
+    raising a ConstructorError at the scalar's start mark on a malformed
+    value; every other node is constructed as ``base`` does it."""
+
+    class Loader(base):
+        pass
+
+    def construct_marked(loader, node):
+        # 2001-02-30 and !!int abc raise ValueError, !!bool maybe
+        # KeyError, !!timestamp abc AttributeError
+        try:
+            return base.yaml_constructors[node.tag](loader, node)
+        except (ValueError, KeyError, AttributeError):
+            tag = node.tag.rsplit(":", 1)[1]
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read !!{tag} value '{node.value[:40]}'",
+                node.start_mark) from None
+
+    for tag in ("int", "float", "bool", "timestamp"):
+        Loader.add_constructor(f"tag:yaml.org,2002:{tag}", construct_marked)
+    return Loader
+
+
 # libyaml's parser when pyyaml was built with it; same documents, ~8x faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = _marked_scalars(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class LoadError(Exception):
@@ -473,9 +500,8 @@ def loads(text: str, source: str = "<string>"):
     try:
         data = yaml.load(text, Loader=_YAML_LOADER)
     except Exception as e:
-        # besides YAMLError, the constructors raise ValueError and
-        # AttributeError on malformed scalars (2001-02-30, !!int abc) and
-        # the pure-Python loader RecursionError on deep nesting
+        # besides YAMLError, the pure-Python loader raises RecursionError
+        # on deep nesting
         raise LoadError(source, _yaml_problem(e)) from None
     d = _mapping(data, source)
     schema = _string(_get(d, "schema", source), f"{source}.schema")
@@ -719,13 +745,23 @@ def box_data(box: Box) -> dict:
 
 
 def machine_data(name: str, m: MooreMachine) -> dict:
-    """Machine as plain data; tuple states are rendered to strings."""
+    """Machine as plain data; tuple states are rendered to strings.
+
+    Two states that render alike, such as the composite states
+    ``("a,b", "c")`` and ``("a", "b,c")``, would load back as one, so
+    such a machine is refused with a LoadError.
+    """
     rs = render_state
+    states = [rs(s) for s in m.states]
+    if len(set(states)) != len(states):
+        text = next(t for k, t in enumerate(states) if t in states[:k])
+        raise LoadError(name, f"two states render as {text!r}, so the "
+                              f"machine cannot be written and read back")
     inputs = sorted({x for (_, x) in m.update})
     return {
         "name": name,
         "box": m.box.name,
-        "states": [rs(s) for s in m.states],
+        "states": states,
         "init": rs(m.init),
         "update": [{"state": rs(s), "input": list(x), "next": rs(m.update[(s, x)])}
                    for s in m.states for x in inputs if (s, x) in m.update],

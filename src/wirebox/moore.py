@@ -195,6 +195,11 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     The wiring is compiled once.  Per composite state, the readout and
     every component input that reads no outer input are routed once;
     only the rest is routed again for each outer input.
+
+    A component that was never validated may lack update rows; the
+    MachineError names the first one the build meets.  Composite states
+    go in product order; within one, components fed only by inner
+    outputs come first, then the others per outer input.
     """
     _machines_fit(w, machines)
     outer = w.outer[0]
@@ -244,12 +249,12 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
             # out_map reads only inner outputs (Wiring._check_expr enforces
             # it), so every outer input gives state s the same readout
             readout[s] = tuple([f(inner_outs) for f in routing.outer_out])
-    except KeyError:
-        # an unvalidated component lacks an update row; find which
-        err = _missing_update(routing, machines, s, inner_outs, outer_inputs)
-        if err is None:
-            raise
-        raise err from None
+    except KeyError as e:
+        # readouts are checked and tables total, so only slot i's update
+        # lookup can miss: an unvalidated component lacks that row
+        si, fed = e.args[0]
+        raise MachineError(f"component {i}: no update for state "
+                           f"{render_state(si)} on input {fed}") from None
     return MooreMachine(outer, tuple(states), init, update, readout)
 
 
@@ -270,24 +275,6 @@ def _check_readouts(i: int, m: MooreMachine) -> None:
                 raise WiringError(
                     f"value {v!r} is not in the alphabet of inner output "
                     f"{i}.{p.name}")
-
-
-def _missing_update(routing: _Routing, machines: Sequence[MooreMachine],
-                    s: State, inner_outs: tuple[Symbol, ...],
-                    outer_inputs) -> MachineError | None:
-    """The error naming the first update row composite state ``s`` needs
-    and a component lacks: outer inputs in order, then components."""
-    for x in outer_inputs:
-        inner_ins, _ = routing.route(inner_outs + x)
-        pos = 0
-        for i, (m, si) in enumerate(zip(machines, s)):
-            fed = inner_ins[pos:pos + len(m.box.in_ports)]
-            pos += len(fed)
-            if (si, fed) not in m.update:
-                return MachineError(
-                    f"component {i}: no update for state {render_state(si)} "
-                    f"on input {fed}")
-    return None
 
 
 # ---------------------------------------------------------------------------

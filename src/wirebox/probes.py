@@ -283,7 +283,12 @@ def transport_outcome(test: Test, hom: MachineHom, outcome: Outcome) -> Outcome:
     if isinstance(kind, StateSet):
         rendered = {render_state(s): render_state(t)
                     for s, t in hom.state_map.items()}
-        mapped = {rendered[v] for v in outcome.value}
+        try:
+            mapped = {rendered[v] for v in outcome.value}
+        except KeyError as e:
+            raise ProbeError(f"outcome {test.name!r} names state "
+                             f"{e.args[0]!r}, which the morphism's source "
+                             f"lacks") from None
         return Outcome(test.name, tuple(sorted(mapped)))
     raise ProbeError(f"unknown test kind {kind!r}")
 

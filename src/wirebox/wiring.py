@@ -14,11 +14,12 @@ expressions, followed by normalization to a canonical form so that
 structural equality is meaningful.  ``evaluate`` gives the one-step
 semantics used everywhere else.
 
-Evaluation runs on routing compiled once per wiring: every port
-reference becomes a position in one flat tuple of values, and every
-table one dict.  ``evaluate``, ``find_eval_counterexample`` and the
-composite machines of ``moore.apply_algebra`` all route through it;
-``eval_expr`` walks a single expression and serves normalization.
+All evaluation runs on compiled expressions: every port reference
+becomes a position in one flat tuple of values, and every table one
+dict.  ``evaluate``, ``find_eval_counterexample`` and the composite
+machines of ``moore.apply_algebra`` route through a whole wiring
+compiled once; normalization compiles each expression over the values
+of the references it reads.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -88,18 +89,6 @@ class Box:
         for p in self.out_ports:
             if p.name == name:
                 return p
-        raise WiringError(f"box {self.name!r} has no output port {name!r}")
-
-    def in_index(self, name: str) -> int:
-        for i, p in enumerate(self.in_ports):
-            if p.name == name:
-                return i
-        raise WiringError(f"box {self.name!r} has no input port {name!r}")
-
-    def out_index(self, name: str) -> int:
-        for i, p in enumerate(self.out_ports):
-            if p.name == name:
-                return i
         raise WiringError(f"box {self.name!r} has no output port {name!r}")
 
 
@@ -186,24 +175,6 @@ def expr_refs(expr: SourceExpr) -> list[Ref]:
 
     walk(expr)
     return out
-
-
-def eval_expr(expr: SourceExpr, env: Mapping[Ref, Symbol]) -> Symbol:
-    """Evaluate an expression under an assignment of port references."""
-    if isinstance(expr, Const):
-        return expr.symbol
-    if isinstance(expr, (OuterIn, InnerOut)):
-        try:
-            return env[expr]
-        except KeyError:
-            raise WiringError(f"unbound reference {expr}") from None
-    if isinstance(expr, Table):
-        key = tuple(eval_expr(s, env) for s in expr.sources)
-        try:
-            return expr.function()[key]
-        except KeyError:
-            raise WiringError(f"table has no entry for key {key}") from None
-    raise WiringError(f"not a source expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +412,14 @@ def _box_mismatch(a: Box, b: Box) -> str:
 # semantics
 # ---------------------------------------------------------------------------
 
+def _positions(w: Wiring) -> dict[Ref, int]:
+    """Every port reference's place in the flat value tuple: the inner
+    outputs in document order, then the outer inputs."""
+    refs = [InnerOut(i, p.name) for i, p in w.inner_output_ports()]
+    refs += [OuterIn(j, p.name) for j, p in w.outer_input_ports()]
+    return {r: k for k, r in enumerate(refs)}
+
+
 class _Routing:
     """A wiring compiled to index-based routing.
 
@@ -459,10 +438,7 @@ class _Routing:
     def __init__(self, w: Wiring):
         self.inner_outs = w.inner_output_ports()
         self.outer_ins = w.outer_input_ports()
-        at: dict[Ref, int] = {InnerOut(i, p.name): k
-                              for k, (i, p) in enumerate(self.inner_outs)}
-        at.update((OuterIn(j, p.name), len(self.inner_outs) + k)
-                  for k, (j, p) in enumerate(self.outer_ins))
+        at = _positions(w)
         in_exprs = [w.in_map[(i, p.name)] for i, p in w.inner_input_ports()]
         self.inner_in = tuple(_compile_expr(e, at) for e in in_exprs)
         self.outer_out = tuple(_compile_expr(w.out_map[(j, p.name)], at)
@@ -557,26 +533,23 @@ def eval_equal(a: Wiring, b: Wiring) -> bool:
 # normal form
 # ---------------------------------------------------------------------------
 
-def _ref_key(w: Wiring, ref: Ref) -> tuple[int, int, int]:
-    if isinstance(ref, InnerOut):
-        return (0, ref.box, w.inner[ref.box].out_index(ref.port))
-    return (1, ref.box, w.outer[ref.box].in_index(ref.port))
-
-
 def normalize_expr(w: Wiring, expr: SourceExpr) -> SourceExpr:
     """Canonical form: Const, a bare reference, or a flat minimal Table.
 
     The table's sources are the distinct references the value actually
-    depends on, sorted inner outputs first, then by box and port position.
+    depends on, in flat-position order: inner outputs first, then outer
+    inputs, each by box and port position.
     """
-    refs = sorted(expr_refs(expr), key=lambda r: _ref_key(w, r))
-    if not refs:
-        return Const(eval_expr(expr, {}))
-    domains = [w.ref_alphabet(r) for r in refs]
-    rows: list[tuple[tuple[Symbol, ...], Symbol]] = []
-    for combo in itertools.product(*domains):
-        env = dict(zip(refs, combo))
-        rows.append((combo, eval_expr(expr, env)))
+    return _normalize_expr(w, _positions(w), expr)
+
+
+def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
+                    expr: SourceExpr) -> SourceExpr:
+    refs = sorted(expr_refs(expr), key=at.__getitem__)
+    # compiled over the references' own value tuple, one point per row
+    fn = _compile_expr(expr, {r: k for k, r in enumerate(refs)})
+    rows = [(combo, fn(combo))
+            for combo in itertools.product(*[w.ref_alphabet(r) for r in refs])]
     keep: list[int] = []
     for i in range(len(refs)):
         groups: dict[tuple[Symbol, ...], set[Symbol]] = {}
@@ -598,8 +571,9 @@ def normalize_expr(w: Wiring, expr: SourceExpr) -> SourceExpr:
 
 def normalize(w: Wiring) -> Wiring:
     """The same wiring with every source expression in canonical form."""
-    in_map = {key: normalize_expr(w, expr) for key, expr in w.in_map.items()}
-    out_map = {key: normalize_expr(w, expr) for key, expr in w.out_map.items()}
+    at = _positions(w)
+    in_map = {key: _normalize_expr(w, at, expr) for key, expr in w.in_map.items()}
+    out_map = {key: _normalize_expr(w, at, expr) for key, expr in w.out_map.items()}
     return Wiring(w.inner, w.outer, in_map, out_map)
 
 

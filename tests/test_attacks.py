@@ -1,19 +1,24 @@
 """Rewrite and rewire steps, script application, transport, and diffing."""
 
+import pathlib
+import random
+
 import pytest
 
-from netgen import BIT
+from netgen import BIT, random_stack
 from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
                              DiffReport, LogEntry, RewireStep, RewriteStep,
                              apply_rewire, apply_rewrite, apply_script,
                              attack_diff, fingerprint_components,
                              fingerprint_wiring, transport_script)
+from wirebox.fileformat import load
 from wirebox.moore import (MachineHom, MooreMachine, apply_algebra,
                            compose_homs, hom_violations, identity_hom, run)
 from wirebox.oracle import find_distinguishing_word, trace_equivalent
 from wirebox.probes import StateSet, Test, TraceSet
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring,
-                            identity_wiring, normalize, tensor, wiring_equal)
+                            compose, identity_wiring, normalize, tensor,
+                            wiring_equal)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -238,6 +243,33 @@ def test_script_logs_every_step_with_fingerprints():
     assert result.log[1].wiring_fp == fingerprint_wiring(end.wiring)
     assert result.log[1].components_fp == fingerprint_components(end.components)
     assert result.system == end
+
+
+# fingerprints of the scenario's wirings; a change of the normal form's
+# source order or text shows here first
+SCENARIO_FINGERPRINTS = {
+    "frame": "7c8931ceaa7f", "gps-swap": "2325ffe15971",
+    "id-ctrl": "4bb31c8da5fa", "id-dyn": "0c6679bb8197",
+    "real-chain": "55e9ad97b724", "real-stack": "edda6c7fdb06",
+    "sensor-real": "158e34fbea1d", "sensor-view": "08b4cd020837",
+    "view-chain": "68e74d2f68b1", "view-stack": "736de904b9b6",
+}
+
+
+def test_scenario_wiring_fingerprints_are_pinned():
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "fixtures" / "uav" / "scenario.yaml")
+    wirings = load(path).wirings
+    assert {n: fingerprint_wiring(w) for n, w in wirings.items()} == \
+        SCENARIO_FINGERPRINTS
+
+
+def test_table_source_order_is_pinned():
+    # the scenario's normal forms hold no tables; these netgen composites
+    # hold tables of two or more sources
+    for seed, fp in ((0, "67969f6144cf"), (3, "6dc813e0b481")):
+        f, g, _ = random_stack(random.Random(seed))
+        assert fingerprint_wiring(compose(g, f)) == fp
 
 
 def test_script_hom_step_is_logged_as_morphism_mode():

@@ -8,8 +8,8 @@ import pytest
 import yaml
 
 import wirebox.fincat
-from wirebox.cli import (EX_DATAERR, EX_OK, EX_USAGE, dispatch, format_word,
-                         parse_word)
+from wirebox.cli import (EX_CANTCREAT, EX_DATAERR, EX_OK, EX_USAGE, dispatch,
+                         format_word, parse_word)
 from wirebox.attacks import CompositeSystem
 from wirebox.fileformat import dump_machine, dump_system, load, loads
 from wirebox.moore import MooreMachine, run
@@ -71,9 +71,15 @@ MALFORMED = {
     "int-tag": "!!int abc",
     "float-tag": "!!float abc",
     "timestamp-tag": "!!timestamp abc",
+    "bool-tag": "!!bool maybe",
     "5000-digit-integer": "1" * 5000,
     "5000-deep-sequence": "[" * 5000 + "]" * 5000,
 }
+
+# the tag each malformed scalar is read as
+SCALAR_TAG = {"impossible-date": "timestamp", "int-tag": "int",
+              "float-tag": "float", "timestamp-tag": "timestamp",
+              "bool-tag": "bool", "5000-digit-integer": "int"}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -88,6 +94,11 @@ def test_malformed_scalars_exit_65_without_a_traceback(tmp_path, case,
         # libyaml does not recurse per level: the nesting parses, and the
         # document is refused for what it lacks
         assert err == "error: bad.yaml: missing required key 'box'\n"
+    elif case in SCALAR_TAG:
+        # the scalar starts at line 2, column 7, after "name: "
+        text = MALFORMED[case].split()[-1][:40]
+        assert err == (f"error: bad.yaml: not valid YAML at line 2, column 7: "
+                       f"cannot read !!{SCALAR_TAG[case]} value '{text}'\n")
     else:
         assert err.startswith("error: bad.yaml: not valid YAML")
 
@@ -162,6 +173,25 @@ def test_compose_refuses_a_state_space_over_the_limit(tmp_path):
     assert code == EX_DATAERR
     assert out == ""
     assert "2097152 transitions, over the limit of 1048576" in err
+
+
+def test_compose_refuses_a_composite_whose_states_render_alike(tmp_path):
+    # ("a,b", "c") and ("a", "b,c") both render as (a,b,c)
+    cell = Box("cell", (Port("a", ("0", "1")),), (Port("q", ("0", "1")),))
+
+    def still(states):
+        return MooreMachine(cell, states, states[0],
+                            {(s, (a,)): s for s in states for a in "01"},
+                            {s: ("0",) for s in states})
+    chain = Wiring((cell, cell), (cell,),
+                   {(0, "a"): OuterIn(0, "a"), (1, "a"): InnerOut(0, "q")},
+                   {(0, "q"): InnerOut(1, "q")})
+    path = tmp_path / "pair.yaml"
+    path.write_text(dump_system({"pair": CompositeSystem(
+        chain, (still(("a,b", "a")), still(("c", "b,c"))))}))
+    code, out, err = cli("compose", "--system", path, "--name", "pair")
+    assert (code, out) == (EX_DATAERR, "")
+    assert err.startswith("error: pair: two states render as '(a,b,c)'")
 
 
 def test_simulate_prints_one_output_per_step():
@@ -315,6 +345,15 @@ def test_attack_writes_the_output_file(tmp_path):
     assert "attacker-view-attacked" in doc.systems
 
 
+def test_attack_to_an_unwritable_path_exits_73(tmp_path):
+    dest = tmp_path / "missing" / "attacked.yaml"
+    code, _, err = cli("attack", "--scenario", UAV / "scenario.yaml",
+                       "--script", "gps-firmware", "--out", dest)
+    assert code == EX_CANTCREAT == 73
+    assert err == f"error: cannot write {dest}: No such file or directory\n"
+    assert not dest.parent.exists()
+
+
 def test_attack_unknown_script_is_a_data_error():
     code, _, err = cli("attack", "--scenario", UAV / "scenario.yaml",
                        "--script", "ghost")
@@ -370,6 +409,14 @@ def test_export_dot_matches_the_golden_rendering(tmp_path):
                        "--wiring", "sensor-view", "--out", dest)
     assert code == EX_OK
     assert dest.read_text().startswith('digraph "sensor-view"')
+
+
+def test_export_dot_to_an_unwritable_path_exits_73(tmp_path):
+    dest = tmp_path / "missing" / "w.dot"
+    code, out, err = cli("export-dot", "--file", UAV / "scenario.yaml",
+                         "--wiring", "sensor-view", "--out", dest)
+    assert (code, out) == (EX_CANTCREAT, "")
+    assert err == f"error: cannot write {dest}: No such file or directory\n"
 
 
 def test_export_dot_needs_a_wiring_name_for_system_files():

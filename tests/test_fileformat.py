@@ -18,8 +18,8 @@ from wirebox.fileformat import (AttackDoc, LoadError, MachineDoc, SystemDoc,
                                 loads)
 from wirebox.moore import MooreMachine
 from wirebox.oracle import find_distinguishing_word
-from wirebox.wiring import (Box, Port, compose, identity_wiring, tensor,
-                            wiring_equal)
+from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Wiring, compose,
+                            identity_wiring, tensor, wiring_equal)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -75,6 +75,24 @@ def test_system_round_trip_shares_equal_machines(scenario):
     back = loaded.systems["real"]
     assert back.wiring == real.wiring
     assert back.components == real.components
+
+
+def colliding_pair() -> CompositeSystem:
+    # ("a,b", "c") and ("a", "b,c") both render as (a,b,c)
+    def still(states):
+        return MooreMachine(CELL, states, states[0],
+                            {(s, (a,)): s for s in states for a in BIT},
+                            {s: ("0",) for s in states})
+    chain = Wiring((CELL, CELL), (CELL,),
+                   {(0, "a"): OuterIn(0, "a"), (1, "a"): InnerOut(0, "q")},
+                   {(0, "q"): InnerOut(1, "q")})
+    return CompositeSystem(chain, (still(("a,b", "a")), still(("c", "b,c"))))
+
+
+def test_dumping_refuses_states_that_render_alike():
+    composite = colliding_pair().composite()
+    with pytest.raises(LoadError, match=r"two states render as '\(a,b,c\)'"):
+        dump_machine("pair", composite)
 
 
 def test_dump_system_covers_several_systems(scenario):

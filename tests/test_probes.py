@@ -278,6 +278,14 @@ def test_transport_maps_state_sets_along_hom():
     assert transport_outcome(tt, hom, out) is out
 
 
+def test_transport_refuses_a_state_outside_the_source():
+    hom = MachineHom(history(), delay(), {s: s[1] for s in history().states})
+    t = Test("s", StateSet())
+    with pytest.raises(ProbeError, match="names state 'b', which the "
+                                         "morphism's source lacks"):
+        transport_outcome(t, hom, Outcome("s", ("00", "b")))
+
+
 # ---------------------------------------------------------------------------
 # knowledge bases
 # ---------------------------------------------------------------------------

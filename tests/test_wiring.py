@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from netgen import BIT, random_network, random_stack, random_wiring, random_box
 from wirebox.wiring import (Architecture, Box, Const, InnerOut, OuterIn, Port,
                             Table, Wiring, WiringError, check_arch_morphism,
-                            canonical_text, compose, eval_equal, eval_expr,
-                            evaluate, expr_refs, find_eval_counterexample,
-                            flatten, identity_of, identity_wiring, input_space,
-                            normalize, output_space, tensor, wiring_equal)
+                            canonical_text, compose, eval_equal, evaluate,
+                            expr_refs, find_eval_counterexample, flatten,
+                            identity_of, identity_wiring, input_space,
+                            normalize, normalize_expr, output_space, tensor,
+                            wiring_equal)
 
 B = Box("b", (Port("x", BIT), Port("y", BIT)), (Port("o", BIT),))
 C = Box("c", (Port("u", BIT),), (Port("v", BIT), Port("w", BIT)))
@@ -109,6 +110,15 @@ def test_expr_refs_deduplicates_in_order():
     assert expr_refs(t) == [OuterIn(0, "x"), InnerOut(0, "o")]
 
 
+def eval_expr(expr, env):
+    # the uncompiled reference: walk the expression over a Ref environment
+    if isinstance(expr, Const):
+        return expr.symbol
+    if isinstance(expr, (OuterIn, InnerOut)):
+        return env[expr]
+    return expr.function()[tuple(eval_expr(s, env) for s in expr.sources)]
+
+
 def test_eval_expr_table():
     t = Table((OuterIn(0, "x"), OuterIn(0, "y")),
               ((("0", "0"), "0"), (("0", "1"), "1"),
@@ -160,12 +170,18 @@ def test_find_eval_counterexample_reports_point():
     assert len(inner_outs) == 3 and len(outer_in) == 2
 
 
-def reference_evaluate(w, inner_outs, outer_in):
-    # evaluate the uncompiled way: eval_expr over a Ref environment
+def reference_env(w, inner_outs, outer_in):
+    # a Ref environment, inner outputs then outer inputs in document order
     env = {InnerOut(i, p.name): v
            for (i, p), v in zip(w.inner_output_ports(), inner_outs)}
     env.update({OuterIn(j, p.name): v
                 for (j, p), v in zip(w.outer_input_ports(), outer_in)})
+    return env
+
+
+def reference_evaluate(w, inner_outs, outer_in):
+    # evaluate the uncompiled way: eval_expr over a Ref environment
+    env = reference_env(w, inner_outs, outer_in)
     return (tuple(eval_expr(w.in_map[(i, p.name)], env)
                   for i, p in w.inner_input_ports()),
             tuple(eval_expr(w.out_map[(j, p.name)], env)
@@ -193,6 +209,27 @@ def test_evaluate_agrees_with_the_uncompiled_reference(seed):
             for outer_in in input_space(w.outer):
                 assert evaluate(w, inner_outs, outer_in) == \
                     reference_evaluate(w, inner_outs, outer_in)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_normalize_expr_agrees_with_the_uncompiled_reference(seed):
+    rng = random.Random(seed)
+    f, g, _ = random_stack(rng)
+    for w in (f, compose(g, f), nested(f)):
+        exprs = list(w.in_map.values()) + list(w.out_map.values())
+        normal = [normalize_expr(w, e) for e in exprs]
+        envs = [reference_env(w, inner_outs, outer_in)
+                for inner_outs in output_space(w.inner)
+                for outer_in in input_space(w.outer)]
+        flat = list(envs[0])
+        for n in normal:
+            if isinstance(n, Table):
+                places = [flat.index(r) for r in n.sources]
+                assert places == sorted(set(places))
+        for env in envs:
+            assert [eval_expr(n, env) for n in normal] == \
+                [eval_expr(e, env) for e in exprs]
 
 
 # ---------------------------------------------------------------------------
