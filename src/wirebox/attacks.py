@@ -20,7 +20,6 @@ battery, and named scripts aimed at those systems.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -63,8 +62,16 @@ class CompositeSystem:
         return self.wiring.outer[0]
 
     def composite(self) -> MooreMachine:
-        """The machine the whole system presents on its outer box."""
-        return apply_algebra(self.wiring, self.components)
+        """The machine the whole system presents on its outer box.
+
+        Built on the first call and kept: the system is immutable, and
+        the composite's tables keep the rows routed on lookup.
+        """
+        m = self.__dict__.get("_composite")
+        if m is None:
+            m = apply_algebra(self.wiring, self.components)
+            object.__setattr__(self, "_composite", m)
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +217,19 @@ class ScriptResult:
     witnesses: tuple[Optional[MachineHom], ...]
 
 
+def _digest(text: str) -> str:
+    # imported here: loading OpenSSL costs a command that runs no script
+    # about 5 ms
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def fingerprint_wiring(w: Wiring) -> str:
-    return hashlib.sha256(wi.canonical_text(w).encode()).hexdigest()[:12]
+    return _digest(wi.canonical_text(w))
 
 
 def fingerprint_components(machines: Sequence[MooreMachine]) -> str:
-    text = "\n--\n".join(moore.canonical_text(m) for m in machines)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return _digest("\n--\n".join(moore.canonical_text(m) for m in machines))
 
 
 def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:

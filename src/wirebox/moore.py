@@ -11,17 +11,22 @@ outer box and a machine per inner box, it builds the composite machine on
 the outer box.  States are tuples of component states; at each step the
 wiring routes current component readouts and outer inputs to component
 inputs, and every component steps at once.  The wiring's routing is
-compiled once per composite: each component readout is checked once,
-and per composite state whatever reads no outer input is routed once.
-A product of more than ``MAX_TRANSITIONS`` transitions is refused
-before any state is built.  ``lift_hom`` applies the same wiring to
-machine morphisms, componentwise on state maps.
+compiled once per composite and each component readout is checked once.
+``states`` is the full product, but the rows of ``update`` and
+``readout`` are routed on demand: those of the states reachable from
+``init`` when the composite is built, where a missing component row
+raises, and any other state's on its first lookup, where the same
+error surfaces instead.  A product of more than ``MAX_TRANSITIONS``
+transitions is refused before any state is built.  ``lift_hom`` applies
+the same wiring to machine morphisms, componentwise on state maps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -39,9 +44,10 @@ class MooreMachine:
     """A finite state machine with state-determined output.
 
     ``update`` maps (state, input tuple) to the next state; ``readout``
-    maps a state to its output tuple.  Tables are plain dicts and are not
-    validated on construction; ``validate_machine`` reports problems, and
-    stepping on missing data raises MachineError.
+    maps a state to its output tuple.  Tables are plain dicts, or a
+    composite's tables routed on demand (see ``apply_algebra``), and are
+    not validated on construction; ``validate_machine`` reports problems,
+    and stepping on missing data raises MachineError.
     """
 
     box: Box
@@ -52,8 +58,10 @@ class MooreMachine:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "update", dict(self.update))
-        object.__setattr__(self, "readout", dict(self.readout))
+        for name in ("update", "readout"):
+            table = getattr(self, name)
+            if not isinstance(table, _Rows):
+                object.__setattr__(self, name, dict(table))
 
     def inputs(self) -> list[tuple[Symbol, ...]]:
         return input_space([self.box])
@@ -62,7 +70,10 @@ class MooreMachine:
 def render_state(s: State) -> str:
     """Canonical display form; composite states come out as (a,b,...)."""
     if isinstance(s, tuple):
-        return "(" + ",".join(render_state(x) for x in s) + ")"
+        try:
+            return "(" + ",".join(s) + ")"
+        except TypeError:  # a nested tuple
+            return "(" + ",".join(render_state(x) for x in s) + ")"
     return s
 
 
@@ -90,6 +101,7 @@ def validate_machine(m: MooreMachine) -> MachineReport:
     if m.init not in states:
         errors.append(f"initial state {render_state(m.init)} is not a state")
     inputs = m.inputs()
+    input_set = set(inputs)
     out_alphabets = [p.alphabet for p in m.box.out_ports]
     for s in m.states:
         r = m.readout.get(s)
@@ -117,7 +129,7 @@ def validate_machine(m: MooreMachine) -> MachineReport:
     for (s, x) in m.update:
         if s not in states:
             errors.append(f"update table keys unknown state {render_state(s)}")
-        elif x not in set(inputs):
+        elif x not in input_set:
             errors.append(
                 f"update table keys state {render_state(s)} with a tuple {x} "
                 f"outside the input space")
@@ -143,11 +155,13 @@ def validate_machine(m: MooreMachine) -> MachineReport:
 def step(m: MooreMachine, s: State, x: Sequence[Symbol]) -> tuple[State, tuple[Symbol, ...]]:
     """One transition: returns (next state, output read before stepping)."""
     x = tuple(x)
+    try:
+        return m.update[(s, x)], m.readout[s]
+    except KeyError:
+        pass
     if s not in m.readout:
         raise MachineError(f"no readout for state {render_state(s)}")
-    if (s, x) not in m.update:
-        raise MachineError(f"no update for state {render_state(s)} on input {x}")
-    return m.update[(s, x)], m.readout[s]
+    raise MachineError(f"no update for state {render_state(s)} on input {x}")
 
 
 def run(m: MooreMachine, word: Sequence[Sequence[Symbol]]) -> list[tuple[Symbol, ...]]:
@@ -187,19 +201,22 @@ MAX_TRANSITIONS = 2 ** 20
 def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     """The composite machine a wiring induces on its outer box.
 
-    Composite states are tuples of component states.  A step routes the
-    current component readouts and the outer input through the wiring,
-    then updates every component on its routed input; the composite
-    readout routes component readouts through the out_map.
+    Composite states are tuples of component states, and ``states`` holds
+    their full product, in product order.  A step routes the current
+    component readouts and the outer input through the wiring, then
+    updates every component on its routed input; the composite readout
+    routes component readouts through the out_map.
 
-    The wiring is compiled once.  Per composite state, the readout and
-    every component input that reads no outer input are routed once;
-    only the rest is routed again for each outer input.
-
-    A component that was never validated may lack update rows; the
-    MachineError names the first one the build meets.  Composite states
-    go in product order; within one, components fed only by inner
-    outputs come first, then the others per outer input.
+    The wiring is compiled once and each component readout checked once.
+    The rows of the states reachable from ``init`` are routed here, by a
+    search from ``init``; any other state's rows are routed on their
+    first lookup.  Within one state, components fed only by inner
+    outputs are routed once, then the others per outer input.  A
+    component that was never validated may lack update rows: the
+    MachineError names the first one the search meets, or, for a state
+    the search does not reach, the first one its lookup meets.  Iterating
+    either table, its ``len`` and ``==`` route every row first; the table
+    then holds every row, in product order.
     """
     _machines_fit(w, machines)
     outer = w.outer[0]
@@ -213,49 +230,228 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     routing = _Routing(w)
     for i, m in enumerate(machines):
         _check_readouts(i, m)
-    readouts = [m.readout for m in machines]
-    updates = [m.update for m in machines]
-    # slot i takes inner inputs a..b; inputs and slots that read an outer
-    # input are routed per outer input, the rest once per composite state
-    reads = routing.reads_outer
-    fixed = [(k, f) for k, f in enumerate(routing.inner_in) if not reads[k]]
-    varying = [(k, f) for k, f in enumerate(routing.inner_in) if reads[k]]
-    bounds = itertools.accumulate((len(m.box.in_ports) for m in machines),
-                                  initial=0)
-    slots = [(i, a, b) for i, (a, b) in enumerate(itertools.pairwise(bounds))]
-    fixed_slots = [(i, a, b) for i, a, b in slots if not any(reads[a:b])]
-    varying_slots = [(i, a, b) for i, a, b in slots if any(reads[a:b])]
-    states = [tuple(t) for t in itertools.product(*[m.states for m in machines])]
+    states = tuple(itertools.product(*[m.states for m in machines]))
     init = tuple(m.init for m in machines)
+    router = _Router(routing, machines, states, outer)
     update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
     readout: dict[State, tuple[Symbol, ...]] = {}
-    outer_inputs = input_space([outer])
-    ins: list[Symbol] = [""] * len(routing.inner_in)
-    nxt: list[State] = [""] * len(machines)
-    try:
-        for s in states:
-            inner_outs = tuple([v for r, si in zip(readouts, s) for v in r[si]])
-            for k, f in fixed:
-                ins[k] = f(inner_outs)
-            for i, a, b in fixed_slots:
+    if router.is_state(init):
+        seen = {init}
+        stack = [init]
+        while stack:
+            s = stack.pop()
+            readout[s], nexts = router.route(s)
+            for x, t in zip(router.inputs, nexts):
+                update[(s, x)] = t
+                if t not in seen and router.is_state(t):
+                    seen.add(t)
+                    stack.append(t)
+    return MooreMachine(outer, states, init, _UpdateRows(update, router),
+                        _ReadoutRows(readout, router))
+
+
+class _Router:
+    """Routes a composite's rows one state at a time.
+
+    It holds the compiled wiring and the component tables but no table
+    of the composite, so the tables that hold it form no reference
+    cycle, and a dead composite is freed by refcounting.
+    """
+
+    __slots__ = ("states", "inputs", "input_set", "_members", "_readouts",
+                 "_updates", "_outer_out", "_fixed", "_varying",
+                 "_fixed_slots", "_varying_slots")
+
+    def __init__(self, routing: _Routing, machines: Sequence[MooreMachine],
+                 states: tuple[State, ...], outer: Box):
+        self.states = states
+        self.inputs = input_space([outer])
+        self.input_set = frozenset(self.inputs)
+        self._members = [frozenset(m.states) for m in machines]
+        self._readouts = [m.readout for m in machines]
+        self._updates = [m.update for m in machines]
+        self._outer_out = routing.outer_out
+        # slot i takes inner inputs a..b; inputs and slots that read an
+        # outer input are routed per outer input, the rest once per state
+        reads = routing.reads_outer
+        self._fixed = [(k, f) for k, f in enumerate(routing.inner_in)
+                       if not reads[k]]
+        self._varying = [(k, f) for k, f in enumerate(routing.inner_in)
+                         if reads[k]]
+        bounds = itertools.accumulate(
+            (len(m.box.in_ports) for m in machines), initial=0)
+        slots = [(i, a, b) for i, (a, b) in enumerate(itertools.pairwise(bounds))]
+        self._fixed_slots = [(i, a, b) for i, a, b in slots
+                             if not any(reads[a:b])]
+        self._varying_slots = [(i, a, b) for i, a, b in slots
+                               if any(reads[a:b])]
+
+    def is_state(self, s) -> bool:
+        """Is ``s`` a composite state, one of the product's tuples?"""
+        return (isinstance(s, tuple) and len(s) == len(self._members)
+                and all(map(operator.contains, self._members, s)))
+
+    def readout(self, s: State) -> tuple[Symbol, ...]:
+        """The readout of composite state ``s``."""
+        inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
+        return tuple([f(inner_outs) for f in self._outer_out])
+
+    def route(self, s: State) -> tuple[tuple[Symbol, ...], list[State]]:
+        """The readout of composite state ``s`` and its successors, one
+        per outer input in ``inputs`` order."""
+        inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
+        updates = self._updates
+        ins: list[Symbol] = [""] * (len(self._fixed) + len(self._varying))
+        nxt: list[State] = [""] * len(updates)
+        for k, f in self._fixed:
+            ins[k] = f(inner_outs)
+        nexts = []
+        try:
+            for i, a, b in self._fixed_slots:
                 nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
-            for x in outer_inputs:
+            for x in self.inputs:
                 values = inner_outs + x
-                for k, f in varying:
+                for k, f in self._varying:
                     ins[k] = f(values)
-                for i, a, b in varying_slots:
+                for i, a, b in self._varying_slots:
                     nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
-                update[(s, x)] = tuple(nxt)
-            # out_map reads only inner outputs (Wiring._check_expr enforces
-            # it), so every outer input gives state s the same readout
-            readout[s] = tuple([f(inner_outs) for f in routing.outer_out])
-    except KeyError as e:
-        # readouts are checked and tables total, so only slot i's update
-        # lookup can miss: an unvalidated component lacks that row
-        si, fed = e.args[0]
-        raise MachineError(f"component {i}: no update for state "
-                           f"{render_state(si)} on input {fed}") from None
-    return MooreMachine(outer, tuple(states), init, update, readout)
+                nexts.append(tuple(nxt))
+        except KeyError as e:
+            # readouts are checked and tables total, so only slot i's
+            # update lookup can miss: an unvalidated component lacks that row
+            si, fed = e.args[0]
+            raise MachineError(f"component {i}: no update for state "
+                               f"{render_state(si)} on input {fed}") from None
+        # out_map reads only inner outputs (Wiring._check_expr enforces
+        # it), so every outer input gives state s the same readout
+        return tuple([f(inner_outs) for f in self._outer_out]), nexts
+
+
+class _Rows(dict):
+    """A composite's update or readout table, routed state by state.
+
+    It starts with the rows ``apply_algebra`` routed; ``__missing__``
+    routes any other composite state's rows on their first lookup, so a
+    lookup of a routed row costs a dict lookup.  ``in`` and ``get`` route
+    the state they ask about.  Reading the whole table (iteration,
+    ``len``, ``keys``, ``items``, ``values``, ``copy``, ``repr``, ``|``
+    and ``==``) first routes every row and leaves the table holding them
+    in product order, as a plain build would; the router is then dropped,
+    and a key the table lacks misses as in a plain dict.  A lock keeps
+    routing on lookup, from any thread, out of that reordering.
+    """
+
+    __slots__ = ("_router", "_lock")
+
+    def __init__(self, rows: dict, router: _Router):
+        dict.__init__(self, rows)
+        self._router = router
+        self._lock = threading.Lock()
+
+    def __missing__(self, key):
+        with self._lock:
+            router = self._router
+            # a forced table holds every row, so a key it lacks names none
+            # (and dict.__getitem__ would call back here); routing a row
+            # twice, when another thread routed it since the miss, stores
+            # the same values
+            if router is None:
+                if not dict.__contains__(self, key):
+                    raise KeyError(key)
+            elif not self._route(router, key):
+                raise KeyError(key)
+        return dict.__getitem__(self, key)
+
+    def __contains__(self, key) -> bool:
+        try:
+            self[key]
+        except KeyError:
+            return False
+        return True
+
+    def get(self, key, default=None):
+        try:
+            return self[key]
+        except KeyError:
+            return default
+
+    def __eq__(self, other):
+        self._force()
+        if isinstance(other, _Rows):
+            other._force()
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def _force(self) -> None:
+        if self._router is None:
+            return
+        with self._lock:
+            router = self._router
+            if router is not None:
+                rows = self._all_rows(router, dict(dict.items(self)))
+                dict.clear(self)
+                dict.update(self, rows)
+                self._router = None
+
+
+def _forcing(name: str):
+    """dict's method ``name``, called once every row is routed."""
+    method = getattr(dict, name)
+
+    def forced(self, *args):
+        self._force()
+        return method(self, *args)
+    forced.__name__ = forced.__qualname__ = name
+    return forced
+
+
+for _name in ("__iter__", "__reversed__", "__len__", "__repr__", "__or__",
+              "keys", "items", "values", "copy"):
+    setattr(_Rows, _name, _forcing(_name))
+
+
+class _UpdateRows(_Rows):
+    """Update rows, keyed (state, outer input); a state's are routed together."""
+
+    __slots__ = ()
+
+    def _route(self, router: _Router, key) -> bool:
+        if not (isinstance(key, tuple) and len(key) == 2
+                and router.is_state(key[0]) and key[1] in router.input_set):
+            return False
+        s = key[0]
+        dict.update(self, zip([(s, x) for x in router.inputs],
+                              router.route(s)[1]))
+        return True
+
+    def _all_rows(self, router: _Router, routed: dict) -> dict:
+        rows: dict = {}
+        for s in router.states:
+            keys = [(s, x) for x in router.inputs]
+            if keys and keys[0] in routed:
+                rows.update([(k, routed[k]) for k in keys])
+            else:
+                rows.update(zip(keys, router.route(s)[1]))
+        return rows
+
+
+class _ReadoutRows(_Rows):
+    """Readout rows, keyed by state."""
+
+    __slots__ = ()
+
+    def _route(self, router: _Router, s) -> bool:
+        if not router.is_state(s):
+            return False
+        dict.__setitem__(self, s, router.readout(s))
+        return True
+
+    def _all_rows(self, router: _Router, routed: dict) -> dict:
+        return {s: routed[s] if s in routed else router.readout(s)
+                for s in router.states}
 
 
 def _check_readouts(i: int, m: MooreMachine) -> None:
@@ -319,8 +515,9 @@ def hom_violations(h: MachineHom) -> list[str]:
     for s in h.source.states:
         if h.source.readout[s] != h.target.readout[h.state_map[s]]:
             out.append(f"readout differs at {render_state(s)}")
+    inputs = h.source.inputs()
     for s in h.source.states:
-        for x in h.source.inputs():
+        for x in inputs:
             lhs = h.state_map[h.source.update[(s, x)]]
             rhs = h.target.update[(h.state_map[s], x)]
             if lhs != rhs:

@@ -164,16 +164,16 @@ PortKey = tuple[int, str]
 def expr_refs(expr: SourceExpr) -> list[Ref]:
     """Port references occurring in an expression, in first-occurrence order."""
     out: list[Ref] = []
-
-    def walk(e: SourceExpr):
+    # depth first, sources left to right; a loop, since a recursive
+    # closure would leave a reference cycle behind on every call
+    stack = [expr]
+    while stack:
+        e = stack.pop()
         if isinstance(e, (OuterIn, InnerOut)):
             if e not in out:
                 out.append(e)
         elif isinstance(e, Table):
-            for s in e.sources:
-                walk(s)
-
-    walk(expr)
+            stack.extend(reversed(e.sources))
     return out
 
 

@@ -110,6 +110,13 @@ def test_composite_is_the_wiring_action():
     assert sys.box.name == "two"
 
 
+def test_a_system_builds_its_composite_once():
+    sys = pair()
+    assert sys.composite() is sys.composite()
+    # the kept composite is no field: equality and repr see none
+    assert sys == pair() and repr(sys) == repr(pair())
+
+
 def test_script_rejects_foreign_steps():
     with pytest.raises(AttackError, match="not an attack step"):
         AttackScript((42,))

@@ -1,7 +1,12 @@
 """Machines, their validation, the wiring action, and machine morphisms."""
 
+import gc
+import itertools
 import random
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +18,8 @@ from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            hom_violations, identity_hom, lift_hom,
                            render_state, run, step, validate_hom,
                            validate_machine)
-from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Wiring, WiringError,
-                            identity_wiring, input_space)
+from wirebox.wiring import (Box, Const, InnerOut, OuterIn, Port, Wiring,
+                            WiringError, _Routing, identity_wiring, input_space)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -81,6 +86,9 @@ def test_machine_equality_is_structural():
 def test_render_state_flattens_tuples():
     assert render_state(("a", ("b", "c"))) == "(a,(b,c))"
     assert render_state("plain") == "plain"
+    assert render_state(()) == "()"
+    assert render_state((("x",), "y")) == "((x),y)"
+    assert render_state(("a", "b")) == "(a,b)"
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +139,204 @@ def test_self_feedback_runs_on_readout():
     m = apply_algebra(loop, (delay("1"),))
     outs = run(m, ((), (), ()))
     assert outs == [("1",), ("1",), ("1",)]
+
+
+def hull() -> Wiring:
+    # one cell fed its own previous output, no outer input
+    return Wiring((CELL,), (Box("hull", (), CELL.out_ports),),
+                  {(0, "a"): InnerOut(0, "q")},
+                  {(0, "q"): InnerOut(0, "q")})
+
+
+def eager_apply_algebra(w: Wiring, machines) -> MooreMachine:
+    """Every row of the composite, routed state by state in product order.
+
+    The reference for the composite's tables: the whole product is built
+    at once, into plain dicts.
+    """
+    outer = w.outer[0]
+    routing = _Routing(w)
+    readouts = [m.readout for m in machines]
+    updates = [m.update for m in machines]
+    reads = routing.reads_outer
+    fixed = [(k, f) for k, f in enumerate(routing.inner_in) if not reads[k]]
+    varying = [(k, f) for k, f in enumerate(routing.inner_in) if reads[k]]
+    bounds = itertools.accumulate((len(m.box.in_ports) for m in machines),
+                                  initial=0)
+    slots = [(i, a, b) for i, (a, b) in enumerate(itertools.pairwise(bounds))]
+    fixed_slots = [(i, a, b) for i, a, b in slots if not any(reads[a:b])]
+    varying_slots = [(i, a, b) for i, a, b in slots if any(reads[a:b])]
+    states = [tuple(t) for t in itertools.product(*[m.states for m in machines])]
+    update, readout = {}, {}
+    ins = [""] * len(routing.inner_in)
+    nxt = [""] * len(machines)
+    for s in states:
+        inner_outs = tuple([v for r, si in zip(readouts, s) for v in r[si]])
+        for k, f in fixed:
+            ins[k] = f(inner_outs)
+        for i, a, b in fixed_slots:
+            nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
+        for x in input_space([outer]):
+            values = inner_outs + x
+            for k, f in varying:
+                ins[k] = f(values)
+            for i, a, b in varying_slots:
+                nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
+            update[(s, x)] = tuple(nxt)
+        readout[s] = tuple([f(inner_outs) for f in routing.outer_out])
+    return MooreMachine(outer, tuple(states),
+                        tuple(m.init for m in machines), update, readout)
+
+
+def reachable(m: MooreMachine) -> set:
+    seen, frontier = {m.init}, [m.init]
+    while frontier:
+        s = frontier.pop()
+        for x in m.inputs():
+            t = m.update[(s, x)]
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_composite_rows_agree_with_the_eager_reference(seed):
+    rng = random.Random(seed)
+    w, machines = random_network(rng)
+    want = eager_apply_algebra(w, machines)
+    m = apply_algebra(w, machines)
+    assert (m.states, m.init) == (want.states, want.init)
+    # built: the rows of the states reachable from init, and no others
+    assert set(dict.keys(m.readout)) == reachable(want)
+    inputs = m.inputs()
+    for _ in range(8):
+        s, x = rng.choice(want.states), rng.choice(inputs)
+        assert m.update[(s, x)] == want.update[(s, x)]
+        s, x = rng.choice(want.states), rng.choice(inputs)
+        assert (s, x) in m.update and m.update.get((s, x)) == want.update[(s, x)]
+        s = rng.choice(want.states)
+        assert m.readout.get(s) == want.readout[s]
+        s = rng.choice(want.states)
+        assert s in m.readout and m.readout[s] == want.readout[s]
+    assert ("s9", inputs[0]) not in m.update and m.readout.get("s9") is None
+    with pytest.raises(KeyError):
+        m.update[(want.init, ("2",) * len(inputs[0]))]
+    assert m == want
+    # forced, the tables miss what they lack as a plain dict does
+    bad = inputs[0] + ("2",)
+    assert ("s9", inputs[0]) not in m.update and m.readout.get("s9") is None
+    assert (want.init, bad) not in m.update and m.update.get((want.init, bad)) is None
+    with pytest.raises(KeyError):
+        m.update[(want.init, bad)]
+    with pytest.raises(MachineError, match="no update for state"):
+        step(m, want.init, bad)
+    with pytest.raises(MachineError, match="no readout for state s9"):
+        step(m, "s9", inputs[0])
+    assert list(m.update) == list(want.update)
+    assert list(m.readout.items()) == list(want.readout.items())
+    assert canonical_text(m) == canonical_text(want)
+    # forcing by iteration alone gives the same order
+    fresh = apply_algebra(w, machines)
+    assert list(fresh.update.items()) == list(want.update.items())
+    assert len(fresh.readout) == len(want.readout)
+
+
+def test_a_forced_composite_misses_like_a_dict():
+    m = apply_algebra(hull(), (delay("1"),))
+    assert len(m.update) == 2 and len(m.readout) == 2  # forces both
+    assert (("1",), ("0",)) not in m.update and ("2",) not in m.readout
+    assert m.update.get((("1",), ("0",))) is None and m.readout.get("1") is None
+    with pytest.raises(KeyError):
+        m.update[(("1",), ("0",))]
+    with pytest.raises(KeyError):
+        m.readout[("2",)]
+    with pytest.raises(MachineError, match="no update for state"):
+        step(m, ("1",), ("0",))
+    with pytest.raises(MachineError, match="no readout for state"):
+        step(m, ("2",), ())
+    assert run(m, ((), ())) == [("1",), ("1",)]
+
+
+def test_a_dead_composite_is_freed_by_refcounting():
+    # the hull's init ('1',) only reaches itself; ('0',) is routed on lookup
+    machines = (delay("1"),)
+    gc.collect()
+    gc.disable()
+    try:
+        m = apply_algebra(hull(), machines)
+        assert m.update[(("0",), ())] == ("0",)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_threads_share_a_composite_while_its_rows_are_routed():
+    # cells fed a constant stay at init, so 255 of the 256 states are
+    # routed by the threads' lookups, which go on while one thread forces
+    # the table; a row routed between the reordering's clear and refill
+    # would land out of product order
+    n = 4
+    w = Wiring((CELL,) * n, (Box("quiet", (), CELL.out_ports),),
+               {(i, "a"): Const("0") for i in range(n)},
+               {(0, "q"): InnerOut(n - 1, "q")})
+    machines = (history(),) * n
+    want = eager_apply_algebra(w, machines)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(100):
+            m = apply_algebra(w, machines)
+            wrong = []
+            forced = threading.Event()
+
+            def look(seed):
+                keys = list(want.update)
+                random.Random(seed).shuffle(keys)
+                while not forced.is_set():
+                    wrong.extend(k for k in keys
+                                 if m.update.get(k) != want.update[k])
+
+            def force():
+                if list(m.update) != list(want.update):
+                    wrong.append("order")
+                forced.set()
+
+            threads = [threading.Thread(target=look, args=(k,))
+                       for k in range(3)]
+            threads.append(threading.Thread(target=force))
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert wrong == []
+            assert m == want and list(m.update) == list(want.update)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_missing_row_only_an_unreached_state_needs_raises_on_lookup():
+    d = delay("1")
+    update = {k: v for k, v in d.update.items() if k != ("0", ("0",))}
+    broken = MooreMachine(CELL, BIT, "1", update, d.readout)
+    m = apply_algebra(hull(), (broken,))  # ('0',) is not reachable
+    assert run(m, ((), ())) == [("1",), ("1",)]
+    assert m.readout[("0",)] == ("0",)
+    message = r"component 0: no update for state 0 on input \('0',\)"
+    with pytest.raises(MachineError, match=message):
+        m.update[(("0",), ())]
+    with pytest.raises(MachineError, match=message):
+        (("0",), ()) in m.update
+    # the composite cannot list its rows, so validation raises the same
+    with pytest.raises(MachineError, match=message):
+        validate_machine(m)
+    with pytest.raises(MachineError, match=message):
+        canonical_text(m)
 
 
 def test_apply_algebra_checks_box_fit():
