@@ -63,17 +63,20 @@ class _WriteError(Exception):
     pass
 
 
-def _write_or_print(text: str, path: Optional[str], out) -> None:
-    """Write ``text`` to ``path`` and say so, or print it when no path is given."""
-    if not path:
-        out.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        raise _WriteError(f"error: cannot write {path}: {e.strerror or e}") from None
-    print(f"wrote {path}", file=out)
+def _write_or_print(text: str, path: Optional[str], out, log: str = "") -> None:
+    """Write ``text`` to ``path`` and say so, or print it when no path is given.
+
+    ``log`` is printed first, and only once the file is written, so a
+    failed write prints nothing.
+    """
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise _WriteError(f"error: cannot write {path}: {e.strerror or e}") from None
+        text = f"wrote {path}\n"
+    out.write(log + text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,12 +283,11 @@ def _cmd_attack(args, out) -> int:
     script = scenario.script(args.script)
     system = scenario.system(script.system)
     result = apply_script(system, script.script)
-    for entry in result.log:
-        print(f"step {entry.position}: {entry.detail} "
-              f"wiring={entry.wiring_fp} components={entry.components_fp}",
-              file=out)
+    log = "".join(f"step {entry.position}: {entry.detail} "
+                  f"wiring={entry.wiring_fp} components={entry.components_fp}\n"
+                  for entry in result.log)
     text = ff.dump_system({f"{script.system}-attacked": result.system})
-    _write_or_print(text, args.out, out)
+    _write_or_print(text, args.out, out, log)
     return EX_OK
 
 

@@ -48,6 +48,11 @@ class MooreMachine:
     composite's tables routed on demand (see ``apply_algebra``), and are
     not validated on construction; ``validate_machine`` reports problems,
     and stepping on missing data raises MachineError.
+
+    Tables are never mutated after construction; to change one, build a
+    new machine.  Two caches rely on this: the composite a system keeps
+    (``CompositeSystem.composite``) and the test outcomes that
+    ``probes.run_test`` keeps on the machine object, outside its fields.
     """
 
     box: Box

@@ -5,9 +5,12 @@ bounded traces, its state set, a one-point set, or the outputs reachable
 at an exact step.  Outcomes are canonical, so equal behavior gives equal
 values: state sets and output images are sorted tuples, and a trace set
 is its layered quotient (see ``TraceSet``), which costs O(d·|S|·|I|) to
-build instead of running all |I|^d words.  Each test carries a
-comparator saying what counts as agreement: literal equality, or bare
-cardinality for state sets, whose labels mean nothing.
+build instead of running all |I|^d words.  A value depends on the test's
+kind alone, so ``run_test`` computes it once per machine object and kind
+and keeps it on the machine: a knowledge base asked many queries pays for
+each entry's outcomes once.  Each test carries a comparator saying what
+counts as agreement: literal equality, or bare cardinality for state
+sets, whose labels mean nothing.
 
 Machine morphisms act on outcomes too: traces are preserved as they are,
 state sets map along the state map, the one-point outcome is constant.
@@ -97,6 +100,8 @@ class Test:
     comparator: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.kind, (TraceSet, StateSet, Terminal, OutputImage)):
+            raise ProbeError(f"unknown test kind {self.kind!r}")
         if not self.comparator:
             object.__setattr__(self, "comparator", default_comparator(self.kind))
         if self.comparator not in (EQUALITY, CARDINALITY):
@@ -122,32 +127,47 @@ class Outcome:
 
 
 def run_test(test: Test, m: MooreMachine) -> Outcome:
-    """Evaluate a test on a machine."""
-    kind = test.kind
+    """Evaluate a test on a machine.
+
+    An outcome's value depends on the test's kind alone, so it is
+    computed once per machine object and kind, kept on the machine
+    outside its fields, and reused by every later test of that kind under
+    the later test's own name.  A failure is not kept: a machine missing
+    a table row raises on every call.  Two threads sharing a machine may
+    both compute a value; the first one stored wins.
+    """
+    outcomes = m.__dict__.setdefault("_outcomes", {})
+    kept = outcomes.get(test.kind)
+    if kept is None:
+        kept = outcomes.setdefault(test.kind, _outcome_value(test.kind, m))
+    return Outcome(test.name, *kept)
+
+
+def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
+    """The ``(value, inputs)`` pair of an outcome of the given kind."""
     if isinstance(kind, TraceSet):
         inputs = tuple(input_space([m.box]))
-        return Outcome(test.name, _trace_quotient(m, inputs, kind.depth), inputs)
+        return _trace_quotient(m, inputs, kind.depth), inputs
     if isinstance(kind, StateSet):
-        return Outcome(test.name, tuple(sorted(render_state(s) for s in m.states)))
+        return tuple(sorted(render_state(s) for s in m.states)), ()
     if isinstance(kind, Terminal):
-        return Outcome(test.name, ("*",))
-    if isinstance(kind, OutputImage):
-        inputs = input_space([m.box])
-        layer = {m.init}
-        try:
-            for _ in range(kind.step):
-                layer = {m.update[(s, x)] for s in layer for x in inputs}
-        except KeyError as e:
-            s, x = e.args[0]
-            raise MachineError(
-                f"no update for state {render_state(s)} on input {x}") from None
-        try:
-            image = {m.readout[s] for s in layer}
-        except KeyError as e:
-            raise MachineError(
-                f"no readout for state {render_state(e.args[0])}") from None
-        return Outcome(test.name, tuple(sorted(image)))
-    raise ProbeError(f"unknown test kind {kind!r}")
+        return ("*",), ()
+    # an OutputImage, the one kind left that Test admits
+    inputs = input_space([m.box])
+    layer = {m.init}
+    try:
+        for _ in range(kind.step):
+            layer = {m.update[(s, x)] for s in layer for x in inputs}
+    except KeyError as e:
+        s, x = e.args[0]
+        raise MachineError(
+            f"no update for state {render_state(s)} on input {x}") from None
+    try:
+        image = {m.readout[s] for s in layer}
+    except KeyError as e:
+        raise MachineError(
+            f"no readout for state {render_state(e.args[0])}") from None
+    return tuple(sorted(image)), ()
 
 
 def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
@@ -280,17 +300,16 @@ def transport_outcome(test: Test, hom: MachineHom, outcome: Outcome) -> Outcome:
         return outcome
     if isinstance(kind, Terminal):
         return Outcome(test.name, ("*",))
-    if isinstance(kind, StateSet):
-        rendered = {render_state(s): render_state(t)
-                    for s, t in hom.state_map.items()}
-        try:
-            mapped = {rendered[v] for v in outcome.value}
-        except KeyError as e:
-            raise ProbeError(f"outcome {test.name!r} names state "
-                             f"{e.args[0]!r}, which the morphism's source "
-                             f"lacks") from None
-        return Outcome(test.name, tuple(sorted(mapped)))
-    raise ProbeError(f"unknown test kind {kind!r}")
+    # a StateSet, the one kind left that Test admits
+    rendered = {render_state(s): render_state(t)
+                for s, t in hom.state_map.items()}
+    try:
+        mapped = {rendered[v] for v in outcome.value}
+    except KeyError as e:
+        raise ProbeError(f"outcome {test.name!r} names state "
+                         f"{e.args[0]!r}, which the morphism's source "
+                         f"lacks") from None
+    return Outcome(test.name, tuple(sorted(mapped)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +405,12 @@ def yoneda_filter(kb: KnowledgeBase, battery: Sequence[Test],
     For each test, the target's outcome is requested from the oracle once
     and compared against each entry's outcome under the test's comparator.
     Entries surviving every answered test are the candidates.  A test the
-    oracle cannot answer is skipped and reported, never fatal.
+    oracle cannot answer is skipped and reported, never fatal.  A target
+    on another box than the knowledge base's is refused.
     """
+    if oracle.box != kb.box:
+        raise ProbeError(f"target inhabits box {oracle.box.name!r}, expected "
+                         f"the knowledge base's box {kb.box.name!r}")
     answers: dict[str, Optional[Outcome]] = {}
     incomplete: list[str] = []
     for t in battery:

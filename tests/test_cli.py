@@ -317,6 +317,17 @@ def test_learn_reports_unknown_with_exit_3(tmp_path, scenario):
     assert "candidates: (none)" in out
 
 
+def test_learn_refuses_a_target_on_another_box(tmp_path):
+    doc = yaml.safe_load((UAV / "kb" / "profile-flatline.yaml").read_text())
+    doc["box"]["name"] = "other"
+    target = tmp_path / "other.yaml"
+    target.write_text(yaml.safe_dump(doc))
+    code, out, err = cli("learn", "--kb", UAV / "kb", "--target", target)
+    assert (code, out) == (EX_DATAERR, "")
+    assert err == ("error: target inhabits box 'other', expected the "
+                   "knowledge base's box 'uav'\n")
+
+
 # ---------------------------------------------------------------------------
 # attack and diff
 # ---------------------------------------------------------------------------
@@ -347,9 +358,10 @@ def test_attack_writes_the_output_file(tmp_path):
 
 def test_attack_to_an_unwritable_path_exits_73(tmp_path):
     dest = tmp_path / "missing" / "attacked.yaml"
-    code, _, err = cli("attack", "--scenario", UAV / "scenario.yaml",
-                       "--script", "gps-firmware", "--out", dest)
+    code, out, err = cli("attack", "--scenario", UAV / "scenario.yaml",
+                         "--script", "gps-firmware", "--out", dest)
     assert code == EX_CANTCREAT == 73
+    assert out == ""
     assert err == f"error: cannot write {dest}: No such file or directory\n"
     assert not dest.parent.exists()
 

@@ -3,6 +3,8 @@
 import itertools
 import pathlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,124 @@ def test_transport_refuses_a_state_outside_the_source():
         transport_outcome(t, hom, Outcome("s", ("00", "b")))
 
 
+def test_a_test_of_no_known_kind_is_refused():
+    with pytest.raises(ProbeError, match="unknown test kind"):
+        Test("x", [])
+
+
+# ---------------------------------------------------------------------------
+# outcomes kept on the machine
+# ---------------------------------------------------------------------------
+
+def fresh_copy(m: MooreMachine) -> MooreMachine:
+    """An equal machine with plain tables and nothing kept on it yet."""
+    return MooreMachine(m.box, m.states, m.init, dict(m.update),
+                        dict(m.readout))
+
+
+def random_test(rng: random.Random, name: str) -> Test:
+    kind = rng.choice((TraceSet(rng.randint(0, 5)), StateSet(), Terminal(),
+                       OutputImage(rng.randint(0, 4))))
+    return Test(name, kind)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_kept_outcomes_equal_a_fresh_evaluation(seed, composite):
+    # repeated and interleaved requests on one machine, composite tables
+    # routed on demand or plain ones, against an uncached copy each time
+    rng = random.Random(seed)
+    if composite:
+        m = apply_algebra(*random_network(rng))
+    else:
+        m = random_machine(rng, Box("b", (Port("a", BIT), Port("b", BIT)),
+                                    (Port("q", BIT),)))
+    battery = [random_test(rng, f"t{rng.randint(0, 3)}") for _ in range(4)]
+    for _ in range(12):
+        t = rng.choice(battery)
+        assert run_test(t, m) == run_test(t, fresh_copy(m))
+
+
+def test_threads_share_a_machine_and_its_kept_outcomes():
+    # a fresh composite, so the threads also route its rows on demand;
+    # every thread must see the value stored first, equal to the reference
+    rng = random.Random(3)
+    wiring, machines = random_network(rng)
+    battery = [random_test(rng, f"t{k}") for k in range(8)]
+    want = [run_test(t, apply_algebra(wiring, machines)) for t in battery]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            m = apply_algebra(wiring, machines)
+            seen = [[] for _ in range(4)]
+
+            def ask(k):
+                order = list(range(len(battery)))
+                random.Random(k).shuffle(order)
+                seen[k].extend((i, run_test(battery[i], m)) for i in order)
+
+            threads = [threading.Thread(target=ask, args=(k,))
+                       for k in range(len(seen))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            for answers in seen:
+                assert len(answers) == len(battery)
+                for i, out in answers:
+                    assert out == want[i]
+                    assert out.value is run_test(battery[i], m).value
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_kb_across_many_targets_learns_as_fresh_ones_do():
+    rng = random.Random(5)
+    kb = load_kb_dir(UAV / "kb")
+    for k in range(12):
+        battery = tuple(random_test(rng, f"t{k}.{i}") for i in range(3))
+        _, m = rng.choice(kb.entries)
+        target = (relabel(rng, m), fresh_copy(m),
+                  random_machine(rng, kb.box))[k % 3]
+        fresh = KnowledgeBase(kb.box, tuple((n, fresh_copy(e))
+                                            for n, e in kb.entries))
+        assert yoneda_filter(kb, battery, MachineOracle(target)) == \
+            yoneda_filter(fresh, battery, MachineOracle(target))
+
+
+def test_tests_of_one_kind_keep_their_own_names():
+    m = history()
+    a, b = Test("short", TraceSet(3)), Test("also-short", TraceSet(3))
+    oa, ob = run_test(a, m), run_test(b, m)
+    assert (oa.test, ob.test) == ("short", "also-short")
+    assert oa.value == ob.value and oa.inputs == ob.inputs
+    assert compare_outcomes(b, ob, run_test(b, fresh_copy(m)))
+
+
+def test_a_missing_row_raises_on_every_call():
+    d = delay()
+    update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
+    m = MooreMachine(CELL, BIT, "0", update, d.readout)
+    for t in (Test("t", TraceSet(3)), Test("i", OutputImage(2))):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(MachineError) as e:
+                run_test(t, m)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1] == \
+            "no update for state 1 on input ('1',)"
+
+
+def test_kept_outcomes_leave_equality_and_repr_alone():
+    m = history()
+    for t in BATTERY:
+        run_test(t, m)
+    assert m == fresh_copy(m)
+    assert repr(m) == repr(fresh_copy(m))
+
+
 # ---------------------------------------------------------------------------
 # knowledge bases
 # ---------------------------------------------------------------------------
@@ -398,6 +518,13 @@ def test_unanswered_tests_are_skipped_not_fatal():
     assert set(result.incomplete) == {"traces-4", "state-count", "image-2"}
     assert result.classification == AMBIGUOUS  # only the point test answered
     assert all(v is None for _, t, v in result.matrix if t != "point")
+
+
+def test_learner_refuses_a_target_on_another_box():
+    other = Box("other", CELL.in_ports, CELL.out_ports)
+    target = MooreMachine(other, BIT, "0", delay().update, delay().readout)
+    with pytest.raises(ProbeError, match="'other'.*'cell'"):
+        yoneda_filter(full_kb(), BATTERY, MachineOracle(target))
 
 
 def test_battery_order_is_irrelevant():
