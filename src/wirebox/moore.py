@@ -16,9 +16,11 @@ compiled once per composite and each component readout is checked once.
 ``readout`` are routed on demand: those of the states reachable from
 ``init`` when the composite is built, where a missing component row
 raises, and any other state's on its first lookup, where the same
-error surfaces instead.  A product of more than ``MAX_TRANSITIONS``
-transitions is refused before any state is built.  ``lift_hom`` applies
-the same wiring to machine morphisms, componentwise on state maps.
+error surfaces instead.  Both tables are read-only mappings that list
+their keys in product order without routing a row.  A product of more
+than ``MAX_TRANSITIONS`` transitions is refused before any state is
+built.  ``lift_hom`` applies the same wiring to machine morphisms,
+componentwise on state maps.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import threading
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 from .wiring import Box, Symbol, Wiring, WiringError, _Routing, input_space
 
@@ -45,9 +47,10 @@ class MooreMachine:
 
     ``update`` maps (state, input tuple) to the next state; ``readout``
     maps a state to its output tuple.  Tables are plain dicts, or a
-    composite's tables routed on demand (see ``apply_algebra``), and are
-    not validated on construction; ``validate_machine`` reports problems,
-    and stepping on missing data raises MachineError.
+    composite's read-only mappings routed on demand (see
+    ``apply_algebra``), and are not validated on construction;
+    ``validate_machine`` reports problems, and stepping on missing data
+    raises MachineError.
 
     Tables are never mutated after construction; to change one, build a
     new machine.  Two caches rely on this: the composite a system keeps
@@ -163,10 +166,19 @@ def step(m: MooreMachine, s: State, x: Sequence[Symbol]) -> tuple[State, tuple[S
     try:
         return m.update[(s, x)], m.readout[s]
     except KeyError:
-        pass
+        raise _missing_row(m, s, (x,)) from None
+
+
+def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
+    """The error naming the first row of state ``s`` that ``m`` lacks:
+    its readout, then its updates in ``inputs`` order.
+
+    Call it after a lookup of one of those rows missed.
+    """
     if s not in m.readout:
-        raise MachineError(f"no readout for state {render_state(s)}")
-    raise MachineError(f"no update for state {render_state(s)} on input {x}")
+        return MachineError(f"no readout for state {render_state(s)}")
+    x = next(x for x in inputs if (s, x) not in m.update)
+    return MachineError(f"no update for state {render_state(s)} on input {x}")
 
 
 def run(m: MooreMachine, word: Sequence[Sequence[Symbol]]) -> list[tuple[Symbol, ...]]:
@@ -219,9 +231,10 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     outputs are routed once, then the others per outer input.  A
     component that was never validated may lack update rows: the
     MachineError names the first one the search meets, or, for a state
-    the search does not reach, the first one its lookup meets.  Iterating
-    either table, its ``len`` and ``==`` route every row first; the table
-    then holds every row, in product order.
+    the search does not reach, the first one its lookup meets.  Either
+    table lists its keys in product order, and counts them, without
+    routing a row; reading its values (``items``, ``values``, ``==``,
+    ``repr``) routes the rows read.
     """
     _machines_fit(w, machines)
     outer = w.outer[0]
@@ -332,90 +345,34 @@ class _Router:
         return tuple([f(inner_outs) for f in self._outer_out]), nexts
 
 
-class _Rows(dict):
+class _Rows(Mapping):
     """A composite's update or readout table, routed state by state.
 
-    It starts with the rows ``apply_algebra`` routed; ``__missing__``
-    routes any other composite state's rows on their first lookup, so a
-    lookup of a routed row costs a dict lookup.  ``in`` and ``get`` route
-    the state they ask about.  Reading the whole table (iteration,
-    ``len``, ``keys``, ``items``, ``values``, ``copy``, ``repr``, ``|``
-    and ``==``) first routes every row and leaves the table holding them
-    in product order, as a plain build would; the router is then dropped,
-    and a key the table lacks misses as in a plain dict.  A lock keeps
-    routing on lookup, from any thread, out of that reordering.
+    A read-only mapping over a plain dict that starts with the rows
+    ``apply_algebra`` routed; a lookup of any other composite state
+    routes that state's rows into the dict, so a routed row costs one
+    dict lookup.  The keys are the product's, in product order:
+    iteration and ``len`` take them from the router and route nothing,
+    while ``in``, ``get``, ``items``, ``values`` and ``==`` look rows up.
+    Two threads routing the same state store the same values.
     """
 
-    __slots__ = ("_router", "_lock")
+    __slots__ = ("_rows", "_router")
 
     def __init__(self, rows: dict, router: _Router):
-        dict.__init__(self, rows)
+        self._rows = rows
         self._router = router
-        self._lock = threading.Lock()
 
-    def __missing__(self, key):
-        with self._lock:
-            router = self._router
-            # a forced table holds every row, so a key it lacks names none
-            # (and dict.__getitem__ would call back here); routing a row
-            # twice, when another thread routed it since the miss, stores
-            # the same values
-            if router is None:
-                if not dict.__contains__(self, key):
-                    raise KeyError(key)
-            elif not self._route(router, key):
-                raise KeyError(key)
-        return dict.__getitem__(self, key)
-
-    def __contains__(self, key) -> bool:
+    def __getitem__(self, key):
         try:
-            self[key]
+            return self._rows[key]
         except KeyError:
-            return False
-        return True
+            if not self._route(key):
+                raise
+        return self._rows[key]
 
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __eq__(self, other):
-        self._force()
-        if isinstance(other, _Rows):
-            other._force()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def _force(self) -> None:
-        if self._router is None:
-            return
-        with self._lock:
-            router = self._router
-            if router is not None:
-                rows = self._all_rows(router, dict(dict.items(self)))
-                dict.clear(self)
-                dict.update(self, rows)
-                self._router = None
-
-
-def _forcing(name: str):
-    """dict's method ``name``, called once every row is routed."""
-    method = getattr(dict, name)
-
-    def forced(self, *args):
-        self._force()
-        return method(self, *args)
-    forced.__name__ = forced.__qualname__ = name
-    return forced
-
-
-for _name in ("__iter__", "__reversed__", "__len__", "__repr__", "__or__",
-              "keys", "items", "values", "copy"):
-    setattr(_Rows, _name, _forcing(_name))
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class _UpdateRows(_Rows):
@@ -423,24 +380,21 @@ class _UpdateRows(_Rows):
 
     __slots__ = ()
 
-    def _route(self, router: _Router, key) -> bool:
+    def __iter__(self):
+        return itertools.product(self._router.states, self._router.inputs)
+
+    def __len__(self) -> int:
+        return len(self._router.states) * len(self._router.inputs)
+
+    def _route(self, key) -> bool:
+        router = self._router
         if not (isinstance(key, tuple) and len(key) == 2
                 and router.is_state(key[0]) and key[1] in router.input_set):
             return False
         s = key[0]
-        dict.update(self, zip([(s, x) for x in router.inputs],
+        self._rows.update(zip([(s, x) for x in router.inputs],
                               router.route(s)[1]))
         return True
-
-    def _all_rows(self, router: _Router, routed: dict) -> dict:
-        rows: dict = {}
-        for s in router.states:
-            keys = [(s, x) for x in router.inputs]
-            if keys and keys[0] in routed:
-                rows.update([(k, routed[k]) for k in keys])
-            else:
-                rows.update(zip(keys, router.route(s)[1]))
-        return rows
 
 
 class _ReadoutRows(_Rows):
@@ -448,15 +402,17 @@ class _ReadoutRows(_Rows):
 
     __slots__ = ()
 
-    def _route(self, router: _Router, s) -> bool:
-        if not router.is_state(s):
-            return False
-        dict.__setitem__(self, s, router.readout(s))
-        return True
+    def __iter__(self):
+        return iter(self._router.states)
 
-    def _all_rows(self, router: _Router, routed: dict) -> dict:
-        return {s: routed[s] if s in routed else router.readout(s)
-                for s in router.states}
+    def __len__(self) -> int:
+        return len(self._router.states)
+
+    def _route(self, s) -> bool:
+        if not self._router.is_state(s):
+            return False
+        self._rows[s] = self._router.readout(s)
+        return True
 
 
 def _check_readouts(i: int, m: MooreMachine) -> None:

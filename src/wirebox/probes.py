@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Union
 
-from .moore import (MachineError, MachineHom, MooreMachine, State,
+from .moore import (MachineHom, MooreMachine, State, _missing_row,
                     apply_algebra, render_state)
-from .wiring import Box, Wiring, input_space
+from .wiring import Box, Wiring, _box_mismatch, input_space
 
 
 class ProbeError(Exception):
@@ -160,13 +160,11 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
             layer = {m.update[(s, x)] for s in layer for x in inputs}
     except KeyError as e:
         s, x = e.args[0]
-        raise MachineError(
-            f"no update for state {render_state(s)} on input {x}") from None
+        raise _missing_row(m, s, (x,)) from None
     try:
         image = {m.readout[s] for s in layer}
     except KeyError as e:
-        raise MachineError(
-            f"no readout for state {render_state(e.args[0])}") from None
+        raise _missing_row(m, e.args[0], ()) from None
     return tuple(sorted(image)), ()
 
 
@@ -191,11 +189,7 @@ def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
             layer = {t for s in layer for t in rows[s][1:]}
     except KeyError:
         # an unvalidated machine lacks a table row; the loop state says which
-        if s not in readout:
-            raise MachineError(f"no readout for state {render_state(s)}") from None
-        x = next(x for x in inputs if (s, x) not in update)
-        raise MachineError(
-            f"no update for state {render_state(s)} on input {x}") from None
+        raise _missing_row(m, s, inputs) from None
     signatures: list[list[tuple]] = []  # per layer, in provisional id order
     below: dict[State, int] = {}
     for k in reversed(range(depth)):
@@ -329,10 +323,13 @@ class KnowledgeBase:
         if len(set(names)) != len(names):
             raise ProbeError("knowledge base repeats an entry name")
         for n, m in self.entries:
-            if m.box != self.box:
+            if m.box.name != self.box.name:
                 raise ProbeError(
                     f"entry {n!r} inhabits box {m.box.name!r}, expected "
                     f"{self.box.name!r}")
+            if m.box != self.box:
+                raise ProbeError(f"entry {n!r} does not fit the knowledge "
+                                 f"base's box: {_box_mismatch(m.box, self.box)}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -408,9 +405,12 @@ def yoneda_filter(kb: KnowledgeBase, battery: Sequence[Test],
     oracle cannot answer is skipped and reported, never fatal.  A target
     on another box than the knowledge base's is refused.
     """
-    if oracle.box != kb.box:
+    if oracle.box.name != kb.box.name:
         raise ProbeError(f"target inhabits box {oracle.box.name!r}, expected "
                          f"the knowledge base's box {kb.box.name!r}")
+    if oracle.box != kb.box:
+        raise ProbeError(f"target does not fit the knowledge base's box: "
+                         f"{_box_mismatch(oracle.box, kb.box)}")
     answers: dict[str, Optional[Outcome]] = {}
     incomplete: list[str] = []
     for t in battery:

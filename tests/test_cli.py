@@ -328,6 +328,17 @@ def test_learn_refuses_a_target_on_another_box(tmp_path):
                    "knowledge base's box 'uav'\n")
 
 
+def test_learn_names_the_port_of_a_target_box_that_shares_its_name(tmp_path):
+    doc = yaml.safe_load((UAV / "target.yaml").read_text())
+    doc["box"]["outputs"][0]["port"] = "position"
+    target = tmp_path / "renamed.yaml"
+    target.write_text(yaml.safe_dump(doc))
+    code, out, err = cli("learn", "--kb", UAV / "kb", "--target", target)
+    assert (code, out) == (EX_DATAERR, "")
+    assert err == ("error: target does not fit the knowledge base's box: "
+                   "output port 'position' vs 'pos' on box 'uav'\n")
+
+
 # ---------------------------------------------------------------------------
 # attack and diff
 # ---------------------------------------------------------------------------

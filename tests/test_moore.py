@@ -209,7 +209,7 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     m = apply_algebra(w, machines)
     assert (m.states, m.init) == (want.states, want.init)
     # built: the rows of the states reachable from init, and no others
-    assert set(dict.keys(m.readout)) == reachable(want)
+    assert set(m.readout._rows) == reachable(want)
     inputs = m.inputs()
     for _ in range(8):
         s, x = rng.choice(want.states), rng.choice(inputs)
@@ -241,6 +241,26 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     fresh = apply_algebra(w, machines)
     assert list(fresh.update.items()) == list(want.update.items())
     assert len(fresh.readout) == len(want.readout)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_composite_tables_list_keys_without_routing_and_read_as_the_eager_ones(seed):
+    w, machines = random_network(random.Random(seed))
+    want = eager_apply_algebra(w, machines)
+    m = apply_algebra(w, machines)
+    built = (dict(m.update._rows), dict(m.readout._rows))
+    assert (len(m.update), len(m.readout)) == (len(want.update), len(want.readout))
+    assert list(m.update) == list(want.update)
+    assert list(m.readout) == list(want.readout)
+    assert (m.update._rows, m.readout._rows) == built
+    # reading the values routes the rest, listed in product order
+    assert repr(m) == repr(want)
+    fresh = apply_algebra(w, machines)
+    assert fresh.update == want.update and want.update == fresh.update
+    fresh = apply_algebra(w, machines)
+    assert want.readout == fresh.readout and fresh.readout == want.readout
+    assert not (fresh.readout != want.readout or want.readout != fresh.readout)
 
 
 def test_a_forced_composite_misses_like_a_dict():

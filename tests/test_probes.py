@@ -424,6 +424,15 @@ def test_kb_rejects_wrong_box():
         KnowledgeBase(CELL, (("m", m),))
 
 
+def test_kb_names_the_port_of_a_box_that_shares_its_name():
+    renamed = Box("cell", CELL.in_ports, (Port("out", BIT),))
+    m = MooreMachine(renamed, BIT, "0", delay().update, delay().readout)
+    with pytest.raises(ProbeError) as e:
+        KnowledgeBase(CELL, (("m", m),))
+    assert str(e.value) == ("entry 'm' does not fit the knowledge base's box: "
+                            "output port 'out' vs 'q' on box 'cell'")
+
+
 def test_kb_lookup():
     kb = KnowledgeBase(CELL, (("d", delay()),))
     assert kb.machine("d") == delay()
@@ -525,6 +534,15 @@ def test_learner_refuses_a_target_on_another_box():
     target = MooreMachine(other, BIT, "0", delay().update, delay().readout)
     with pytest.raises(ProbeError, match="'other'.*'cell'"):
         yoneda_filter(full_kb(), BATTERY, MachineOracle(target))
+
+
+def test_learner_names_the_port_of_a_target_box_that_shares_its_name():
+    renamed = Box("cell", (Port("b", BIT),), CELL.out_ports)
+    target = MooreMachine(renamed, BIT, "0", delay().update, delay().readout)
+    with pytest.raises(ProbeError) as e:
+        yoneda_filter(full_kb(), BATTERY, MachineOracle(target))
+    assert str(e.value) == ("target does not fit the knowledge base's box: "
+                            "input port 'b' vs 'a' on box 'cell'")
 
 
 def test_battery_order_is_irrelevant():
