@@ -14,6 +14,11 @@ expressions, followed by normalization to a canonical form so that
 structural equality is meaningful.  ``evaluate`` gives the one-step
 semantics used everywhere else.
 
+Substituting valid wirings into one another, or normalizing one, cannot
+make an invalid wiring.  So only the public constructor validates;
+``identity_wiring``, ``tensor``, ``compose`` and ``normalize`` build
+their results without the check.
+
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
 dict.  ``evaluate``, ``find_eval_counterexample`` and the composite
@@ -190,8 +195,11 @@ class Wiring:
     inner outputs.  ``out_map`` has one entry per outer output port, keyed
     by (outer box index, port name); sources may reference inner outputs
     only.  Construction validates totality and alphabet compatibility, so
-    an invalid wiring is never observable.  Equality compares the maps as
-    written; ``wiring_equal`` compares normal forms.
+    an invalid wiring is never observable.  The algebra's results are
+    valid by construction and are built by ``_built`` without
+    re-validation; a property test rebuilds each of them through this
+    validating constructor.  Equality compares the maps as written;
+    ``wiring_equal`` compares normal forms.
     """
 
     inner: tuple[Box, ...]
@@ -205,6 +213,22 @@ class Wiring:
         object.__setattr__(self, "in_map", dict(self.in_map))
         object.__setattr__(self, "out_map", dict(self.out_map))
         self._validate()
+
+    @classmethod
+    def _built(cls, inner: tuple[Box, ...], outer: tuple[Box, ...],
+               in_map: dict[PortKey, SourceExpr],
+               out_map: dict[PortKey, SourceExpr]) -> "Wiring":
+        """A wiring assembled from valid wirings, taken as it is.
+
+        The caller passes tuples and dicts of its own, valid by
+        construction; nothing is copied or checked.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "inner", inner)
+        object.__setattr__(w, "outer", outer)
+        object.__setattr__(w, "in_map", in_map)
+        object.__setattr__(w, "out_map", out_map)
+        return w
 
     def _validate(self):
         want_in = {(i, p.name) for i, b in enumerate(self.inner) for p in b.in_ports}
@@ -318,7 +342,7 @@ def identity_wiring(box: Box) -> Wiring:
     """The identity: one inner copy of the box, wires straight through."""
     in_map = {(0, p.name): OuterIn(0, p.name) for p in box.in_ports}
     out_map = {(0, p.name): InnerOut(0, p.name) for p in box.out_ports}
-    return Wiring((box,), (box,), in_map, out_map)
+    return Wiring._built((box,), (box,), in_map, out_map)
 
 
 def identity_of(boxes: Sequence[Box]) -> Wiring:
@@ -346,7 +370,7 @@ def tensor(wirings: Sequence[Wiring]) -> Wiring:
             in_map[(i + di, name)] = _substitute(expr, shift)
         for (j, name), expr in w.out_map.items():
             out_map[(j + do, name)] = _substitute(expr, shift)
-    return Wiring(tuple(inner), tuple(outer), in_map, out_map)
+    return Wiring._built(tuple(inner), tuple(outer), in_map, out_map)
 
 
 def _substitute(expr: SourceExpr, sub: Callable[[Ref], SourceExpr]) -> SourceExpr:
@@ -389,7 +413,7 @@ def compose(g: Wiring, f: Wiring) -> Wiring:
 
     in_map = {key: _substitute(expr, via_g) for key, expr in f.in_map.items()}
     out_map = {key: _substitute(expr, via_f) for key, expr in g.out_map.items()}
-    return normalize(Wiring(f.inner, g.outer, in_map, out_map))
+    return normalize(Wiring._built(f.inner, g.outer, in_map, out_map))
 
 
 def _box_mismatch(a: Box, b: Box) -> str:
@@ -545,6 +569,13 @@ def normalize_expr(w: Wiring, expr: SourceExpr) -> SourceExpr:
 
 def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
                     expr: SourceExpr) -> SourceExpr:
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, (OuterIn, InnerOut)):
+        # the minimisation below keeps a reference unless it can take only
+        # one value, which it then names
+        alphabet = w.ref_alphabet(expr)
+        return Const(alphabet[0]) if len(alphabet) == 1 else expr
     refs = sorted(expr_refs(expr), key=at.__getitem__)
     # compiled over the references' own value tuple, one point per row
     fn = _compile_expr(expr, {r: k for k, r in enumerate(refs)})
@@ -574,7 +605,7 @@ def normalize(w: Wiring) -> Wiring:
     at = _positions(w)
     in_map = {key: _normalize_expr(w, at, expr) for key, expr in w.in_map.items()}
     out_map = {key: _normalize_expr(w, at, expr) for key, expr in w.out_map.items()}
-    return Wiring(w.inner, w.outer, in_map, out_map)
+    return Wiring._built(w.inner, w.outer, in_map, out_map)
 
 
 def wiring_equal(a: Wiring, b: Wiring) -> bool:

@@ -224,7 +224,8 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     with pytest.raises(KeyError):
         m.update[(want.init, ("2",) * len(inputs[0]))]
     assert m == want
-    # forced, the tables miss what they lack as a plain dict does
+    # fully routed by the comparison, the tables miss what they lack as a
+    # plain dict does
     bad = inputs[0] + ("2",)
     assert ("s9", inputs[0]) not in m.update and m.readout.get("s9") is None
     assert (want.init, bad) not in m.update and m.update.get((want.init, bad)) is None
@@ -237,7 +238,7 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     assert list(m.update) == list(want.update)
     assert list(m.readout.items()) == list(want.readout.items())
     assert canonical_text(m) == canonical_text(want)
-    # forcing by iteration alone gives the same order
+    # reading the items of a fresh composite gives the same order
     fresh = apply_algebra(w, machines)
     assert list(fresh.update.items()) == list(want.update.items())
     assert len(fresh.readout) == len(want.readout)
@@ -263,9 +264,9 @@ def test_composite_tables_list_keys_without_routing_and_read_as_the_eager_ones(s
     assert not (fresh.readout != want.readout or want.readout != fresh.readout)
 
 
-def test_a_forced_composite_misses_like_a_dict():
+def test_a_composite_table_misses_like_a_dict():
     m = apply_algebra(hull(), (delay("1"),))
-    assert len(m.update) == 2 and len(m.readout) == 2  # forces both
+    assert len(m.update) == 2 and len(m.readout) == 2  # sized from the product
     assert (("1",), ("0",)) not in m.update and ("2",) not in m.readout
     assert m.update.get((("1",), ("0",))) is None and m.readout.get("1") is None
     with pytest.raises(KeyError):
@@ -295,11 +296,11 @@ def test_a_dead_composite_is_freed_by_refcounting():
         gc.enable()
 
 
-def test_threads_share_a_composite_while_its_rows_are_routed():
+def test_threads_share_a_composite_while_one_lists_its_keys():
     # cells fed a constant stay at init, so 255 of the 256 states are
-    # routed by the threads' lookups, which go on while one thread forces
-    # the table; a row routed between the reordering's clear and refill
-    # would land out of product order
+    # routed by the threads' lookups, which go on while one thread lists
+    # the table's keys; rows stored by the lookups must neither change
+    # the product order of that listing nor give a wrong row
     n = 4
     w = Wiring((CELL,) * n, (Box("quiet", (), CELL.out_ports),),
                {(i, "a"): Const("0") for i in range(n)},
@@ -312,23 +313,23 @@ def test_threads_share_a_composite_while_its_rows_are_routed():
         for attempt in range(100):
             m = apply_algebra(w, machines)
             wrong = []
-            forced = threading.Event()
+            listed = threading.Event()
 
             def look(seed):
                 keys = list(want.update)
                 random.Random(seed).shuffle(keys)
-                while not forced.is_set():
+                while not listed.is_set():
                     wrong.extend(k for k in keys
                                  if m.update.get(k) != want.update[k])
 
-            def force():
+            def list_keys():
                 if list(m.update) != list(want.update):
                     wrong.append("order")
-                forced.set()
+                listed.set()
 
             threads = [threading.Thread(target=look, args=(k,))
                        for k in range(3)]
-            threads.append(threading.Thread(target=force))
+            threads.append(threading.Thread(target=list_keys))
             for th in threads:
                 th.start()
             for th in threads:
