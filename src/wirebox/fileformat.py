@@ -13,8 +13,14 @@ Seven schemas are understood:
 
 Loading is eager and strict: every reference is resolved, machines are
 validated, wirings are constructed (which validates them), and any
-problem raises LoadError naming the offending field path.  Loading has no
-side effects and a fixed result for a fixed file.
+problem raises LoadError naming the offending field path.  That includes
+a refusal from a library constructor (a wiring, system, knowledge base,
+test or attack step that will not build): its message is reported at the
+path of the field that built it.  A test takes only the parameters of its
+own kind (``depth`` for traces, ``step`` for output-image) besides
+``name``, ``kind`` and ``compare``, and ``compare``, when present, is
+``equality`` or ``cardinality``.  Loading has no side effects and a fixed
+result for a fixed file.
 
 Definitions resolve top to bottom: a wiring may name only wirings defined
 before it, which keeps files readable and rules out cycles by
@@ -38,16 +44,19 @@ characters.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import yaml
 
-from .attacks import (AttackScript, CompositeSystem, RewireStep, RewriteStep,
-                      Scenario, ScenarioScript)
-from .moore import MachineHom, MooreMachine, hom_violations, render_state, validate_machine
+from .attacks import (AttackError, AttackScript, CompositeSystem, RewireStep,
+                      RewriteStep, Scenario, ScenarioScript)
+from .moore import (MachineError, MachineHom, MooreMachine, hom_violations,
+                    render_state, validate_machine)
 from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
-                     StateSet, Terminal, Test, TraceSet, default_comparator)
+                     ProbeError, StateSet, Terminal, Test, TraceSet,
+                     default_comparator)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
                      Wiring, WiringError, compose, identity_wiring, tensor)
 
@@ -92,8 +101,17 @@ class LoadError(Exception):
         self.message = message
 
 
+@contextmanager
+def _errors_at(path: str):
+    """Turn a library constructor's refusal into a LoadError at ``path``."""
+    try:
+        yield
+    except (WiringError, MachineError, ProbeError, AttackError) as e:
+        raise LoadError(path, str(e)) from None
+
+
 # ---------------------------------------------------------------------------
-# schema walking helpers
+# readers: each is called as read(value, path) and raises LoadError at path
 # ---------------------------------------------------------------------------
 
 def _mapping(v, path: str) -> dict:
@@ -120,34 +138,60 @@ def _integer(v, path: str) -> int:
     return v
 
 
-def _get(d: dict, key: str, path: str):
-    if key not in d:
-        raise LoadError(path, f"missing required key {key!r}")
-    return d[key]
+def _string_map(v, path: str) -> dict[str, str]:
+    return {_string(k, path): _string(x, path) for k, x in _mapping(v, path).items()}
 
 
-def _no_extras(d: dict, allowed: Sequence[str], path: str):
-    extra = sorted(set(d) - set(allowed))
+def _row(v, path: str, keys: Sequence[str]) -> dict:
+    """A mapping with no key outside ``keys``."""
+    extra = sorted(set(_mapping(v, path)) - set(keys))
     if extra:
         raise LoadError(path, f"unknown keys {extra}")
+    return v
 
 
-def _resolve(table: Mapping, kind: str, name, path: str, note: str = ""):
-    """The ``kind`` entry called ``name``; LoadError at ``path`` if undefined."""
-    if name not in table:
-        raise LoadError(path, f"unknown {kind} {name!r}{note}")
-    return table[name]
+def _field(d: dict, key: str, path: str, read=_string):
+    """The required ``d[key]``, read at ``path.key``."""
+    if key not in d:
+        raise LoadError(path, f"missing required key {key!r}")
+    return read(d[key], f"{path}.{key}")
 
 
-def _named(rows, path: str, kind: str, load_item) -> dict:
+def _list(read):
+    """A reader of a list whose item ``i`` is read at ``path[i]``."""
+    return lambda v, path: tuple(read(x, f"{path}[{i}]")
+                                 for i, x in enumerate(_sequence(v, path)))
+
+
+_symbols = _list(_string)
+
+
+def _rows(keys: Optional[Sequence[str]] = None):
+    """A reader of a list of mappings, as (row, row path) pairs; with
+    ``keys``, no row may hold another key."""
+    return _list(lambda v, path: (
+        _mapping(v, path) if keys is None else _row(v, path, keys), path))
+
+
+def _ref(table: Mapping, kind: str, note: str = ""):
+    """A reader of a name, resolved to its entry among the ``kind``
+    definitions in ``table``."""
+    def read(v, path: str):
+        name = _string(v, path)
+        if name not in table:
+            raise LoadError(path, f"unknown {kind} {name!r}{note}")
+        return table[name]
+    return read
+
+
+def _named(v, path: str, kind: str, load_item) -> dict:
     """Named items as ``{name: item}``; a repeated name fails at its item.
 
     ``load_item(row, item_path, earlier)`` gives (name, item); ``earlier``
     holds the items before it.
     """
     out: dict = {}
-    for i, row in enumerate(_sequence(rows, path)):
-        ip = f"{path}[{i}]"
+    for row, ip in _rows()(v, path):
         name, item = load_item(row, ip, out)
         if name in out:
             raise LoadError(ip, f"duplicate {kind} {name!r}")
@@ -155,20 +199,13 @@ def _named(rows, path: str, kind: str, load_item) -> dict:
     return out
 
 
-def _symbols(v, path: str) -> tuple[str, ...]:
-    return tuple(_string(x, f"{path}[{i}]") for i, x in enumerate(_sequence(v, path)))
-
-
 def _port_key(v, path: str) -> tuple[int, str]:
     s = _string(v, path)
-    head, sep, port = s.partition(".")
-    if not sep or not port:
-        raise LoadError(path, f"expected 'index.port', got {s!r}")
-    try:
-        idx = int(head)
-    except ValueError:
-        raise LoadError(path, f"expected 'index.port', got {s!r}") from None
-    return idx, port
+    head, _, port = s.partition(".")
+    with suppress(ValueError):
+        if port:
+            return int(head), port
+    raise LoadError(path, f"expected 'index.port', got {s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,53 +213,35 @@ def _port_key(v, path: str) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def _load_box(d, path: str) -> tuple[str, Box]:
-    d = _mapping(d, path)
-    _no_extras(d, ("name", "inputs", "outputs"), path)
-    name = _string(_get(d, "name", path), f"{path}.name")
+    d = _row(d, path, ("name", "inputs", "outputs"))
+    name = _field(d, "name", path)
 
     def ports(key: str) -> tuple[Port, ...]:
-        out = []
-        for i, p in enumerate(_sequence(_get(d, key, path), f"{path}.{key}")):
-            pp = f"{path}.{key}[{i}]"
-            p = _mapping(p, pp)
-            _no_extras(p, ("port", "alphabet"), pp)
-            out.append(Port(_string(_get(p, "port", pp), f"{pp}.port"),
-                            _symbols(_get(p, "alphabet", pp), f"{pp}.alphabet")))
-        return tuple(out)
+        return tuple(Port(_field(p, "port", pp), _field(p, "alphabet", pp, _symbols))
+                     for p, pp in _field(d, key, path, _rows(("port", "alphabet"))))
 
-    try:
+    with _errors_at(path):
         return name, Box(name, ports("inputs"), ports("outputs"))
-    except WiringError as e:
-        raise LoadError(path, str(e)) from None
 
 
 def _load_machine(d, boxes: Mapping[str, Box], path: str) -> tuple[str, MooreMachine]:
-    d = _mapping(d, path)
-    _no_extras(d, ("name", "box", "states", "init", "update", "readout"), path)
-    name = _string(_get(d, "name", path), f"{path}.name")
-    box = _resolve(boxes, "box", _string(_get(d, "box", path), f"{path}.box"),
-                   f"{path}.box")
-    states = _symbols(_get(d, "states", path), f"{path}.states")
-    init = _string(_get(d, "init", path), f"{path}.init")
+    d = _row(d, path, ("name", "box", "states", "init", "update", "readout"))
+    name = _field(d, "name", path)
+    box = _field(d, "box", path, _ref(boxes, "box"))
+    states = _field(d, "states", path, _symbols)
+    init = _field(d, "init", path)
     update = {}
-    for i, row in enumerate(_sequence(_get(d, "update", path), f"{path}.update")):
-        rp = f"{path}.update[{i}]"
-        row = _mapping(row, rp)
-        _no_extras(row, ("state", "input", "next"), rp)
-        key = (_string(_get(row, "state", rp), f"{rp}.state"),
-               _symbols(_get(row, "input", rp), f"{rp}.input"))
+    for row, rp in _field(d, "update", path, _rows(("state", "input", "next"))):
+        key = (_field(row, "state", rp), _field(row, "input", rp, _symbols))
         if key in update:
             raise LoadError(rp, f"duplicate update row for {key}")
-        update[key] = _string(_get(row, "next", rp), f"{rp}.next")
+        update[key] = _field(row, "next", rp)
     readout = {}
-    for i, row in enumerate(_sequence(_get(d, "readout", path), f"{path}.readout")):
-        rp = f"{path}.readout[{i}]"
-        row = _mapping(row, rp)
-        _no_extras(row, ("state", "output"), rp)
-        s = _string(_get(row, "state", rp), f"{rp}.state")
+    for row, rp in _field(d, "readout", path, _rows(("state", "output"))):
+        s = _field(row, "state", rp)
         if s in readout:
             raise LoadError(rp, f"duplicate readout row for {s!r}")
-        readout[s] = _symbols(_get(row, "output", rp), f"{rp}.output")
+        readout[s] = _field(row, "output", rp, _symbols)
     m = MooreMachine(box, states, init, update, readout)
     report = validate_machine(m)
     if not report.ok:
@@ -231,53 +250,36 @@ def _load_machine(d, boxes: Mapping[str, Box], path: str) -> tuple[str, MooreMac
 
 
 def _load_expr(d, path: str) -> SourceExpr:
-    d = _mapping(d, path)
-    keys = set(d)
+    keys = set(_mapping(d, path))
     if keys == {"outer"}:
-        idx, port = _port_key(d["outer"], f"{path}.outer")
-        return OuterIn(idx, port)
+        return OuterIn(*_field(d, "outer", path, _port_key))
     if keys == {"inner"}:
-        idx, port = _port_key(d["inner"], f"{path}.inner")
-        return InnerOut(idx, port)
+        return InnerOut(*_field(d, "inner", path, _port_key))
     if keys == {"const"}:
-        return Const(_string(d["const"], f"{path}.const"))
+        return Const(_field(d, "const", path))
     if keys == {"table"}:
         tp = f"{path}.table"
-        t = _mapping(d["table"], tp)
-        _no_extras(t, ("sources", "rows"), tp)
-        sources = tuple(
-            _load_expr(s, f"{tp}.sources[{i}]")
-            for i, s in enumerate(_sequence(_get(t, "sources", tp), f"{tp}.sources")))
-        entries = []
-        for i, row in enumerate(_sequence(_get(t, "rows", tp), f"{tp}.rows")):
-            rp = f"{tp}.rows[{i}]"
-            row = _mapping(row, rp)
-            _no_extras(row, ("key", "value"), rp)
-            entries.append((_symbols(_get(row, "key", rp), f"{rp}.key"),
-                            _string(_get(row, "value", rp), f"{rp}.value")))
-        return Table(sources, tuple(entries))
+        t = _row(d["table"], tp, ("sources", "rows"))
+        return Table(_field(t, "sources", tp, _list(_load_expr)),
+                     tuple((_field(row, "key", rp, _symbols), _field(row, "value", rp))
+                           for row, rp in _field(t, "rows", tp, _rows(("key", "value")))))
     raise LoadError(path, "expected exactly one of outer/inner/const/table")
 
 
 def _load_wiring(d, boxes: Mapping[str, Box], earlier: Mapping[str, Wiring],
                  path: str) -> tuple[str, Wiring]:
-    d = _mapping(d, path)
-    name = _string(_get(d, "name", path), f"{path}.name")
+    name = _field(_mapping(d, path), "name", path)
     keys = set(d) - {"name"}
     if keys == {"identity"}:
-        ip = f"{path}.identity"
-        return name, identity_wiring(
-            _resolve(boxes, "box", _string(d["identity"], ip), ip))
+        return name, identity_wiring(_field(d, "identity", path, _ref(boxes, "box")))
     if keys in ({"compose"}, {"tensor"}):
         (form,) = keys
         fp = f"{path}.{form}"
-        parts = _sequence(d[form], fp)
-        if form == "compose" and len(parts) < 2:
+        ws = _field(d, form, path, _list(
+            _ref(earlier, "wiring", " (forward references are not allowed)")))
+        if form == "compose" and len(ws) < 2:
             raise LoadError(fp, "needs at least two wirings")
-        ws = [_resolve(earlier, "wiring", _string(wn, f"{fp}[{i}]"), f"{fp}[{i}]",
-                       " (forward references are not allowed)")
-              for i, wn in enumerate(parts)]
-        try:
+        with _errors_at(fp):
             if form == "tensor":
                 return name, tensor(ws)
             # listed outermost first: compose spots g before f
@@ -285,53 +287,33 @@ def _load_wiring(d, boxes: Mapping[str, Box], earlier: Mapping[str, Wiring],
             for g in reversed(ws[:-1]):
                 out = compose(g, out)
             return name, out
-        except WiringError as e:
-            raise LoadError(fp, str(e)) from None
     if keys == {"inner", "outer", "inputs", "outputs"}:
-        def box_list(key: str) -> tuple[Box, ...]:
-            return tuple(
-                _resolve(boxes, "box", _string(bn, f"{path}.{key}[{i}]"),
-                         f"{path}.{key}[{i}]")
-                for i, bn in enumerate(_sequence(d[key], f"{path}.{key}")))
-
         def port_map(key: str) -> dict:
             out = {}
-            for i, row in enumerate(_sequence(d[key], f"{path}.{key}")):
-                rp = f"{path}.{key}[{i}]"
-                row = _mapping(row, rp)
-                _no_extras(row, ("target", "from"), rp)
-                target = _port_key(_get(row, "target", rp), f"{rp}.target")
+            for row, rp in _field(d, key, path, _rows(("target", "from"))):
+                target = _field(row, "target", rp, _port_key)
                 if target in out:
                     raise LoadError(rp, f"duplicate target {row['target']!r}")
-                out[target] = _load_expr(_get(row, "from", rp), f"{rp}.from")
+                out[target] = _field(row, "from", rp, _load_expr)
             return out
 
-        try:
-            return name, Wiring(box_list("inner"), box_list("outer"),
+        box_list = _list(_ref(boxes, "box"))
+        with _errors_at(path):
+            return name, Wiring(_field(d, "inner", path, box_list),
+                                _field(d, "outer", path, box_list),
                                 port_map("inputs"), port_map("outputs"))
-        except WiringError as e:
-            raise LoadError(path, str(e)) from None
     raise LoadError(
         path, "expected name plus exactly one of: identity, compose, tensor, "
               "or inner/outer/inputs/outputs")
 
 
 def _load_system(s, machines, wirings, sp: str) -> tuple[str, CompositeSystem]:
-    s = _mapping(s, sp)
-    _no_extras(s, ("name", "wiring", "components"), sp)
-    name = _string(_get(s, "name", sp), f"{sp}.name")
-    wiring = _resolve(wirings, "wiring",
-                      _string(_get(s, "wiring", sp), f"{sp}.wiring"),
-                      f"{sp}.wiring")
-    comps = tuple(
-        _resolve(machines, "machine", _string(mn, f"{sp}.components[{j}]"),
-                 f"{sp}.components[{j}]")
-        for j, mn in enumerate(_sequence(_get(s, "components", sp),
-                                         f"{sp}.components")))
-    try:
+    s = _row(s, sp, ("name", "wiring", "components"))
+    name = _field(s, "name", sp)
+    wiring = _field(s, "wiring", sp, _ref(wirings, "wiring"))
+    comps = _field(s, "components", sp, _list(_ref(machines, "machine")))
+    with _errors_at(sp):
         return name, CompositeSystem(wiring, comps)
-    except Exception as e:
-        raise LoadError(sp, str(e)) from None
 
 
 def _load_defs(d: dict, path: str):
@@ -353,53 +335,46 @@ _TEST_KINDS = {"traces": TraceSet, "states": StateSet, "terminal": Terminal,
 
 
 def _load_test(d, path: str) -> Test:
-    d = _mapping(d, path)
-    _no_extras(d, ("name", "kind", "depth", "step", "compare"), path)
-    name = _string(_get(d, "name", path), f"{path}.name")
-    kind_name = _string(_get(d, "kind", path), f"{path}.kind")
+    name = _field(_mapping(d, path), "name", path)
+    kind_name = _field(d, "kind", path)
     if kind_name not in _TEST_KINDS:
         *first, last = _TEST_KINDS
         raise LoadError(f"{path}.kind", f"unknown kind {kind_name!r}; expected "
                                         f"{', '.join(first)}, or {last}")
     cls = _TEST_KINDS[kind_name]
-    kind = cls(*(_integer(_get(d, f.name, path), f"{path}.{f.name}")
-                 for f in fields(cls)))
+    params = [f.name for f in fields(cls)]
+    _row(d, path, ("name", "kind", "compare", *params))
+    kind = cls(*(_field(d, p, path, _integer) for p in params))
     compare = d.get("compare", "")
-    if compare and compare not in (EQUALITY, CARDINALITY):
+    if "compare" in d and compare not in (EQUALITY, CARDINALITY):
         raise LoadError(f"{path}.compare",
                         f"expected {EQUALITY!r} or {CARDINALITY!r}")
-    return Test(name, kind, compare)
+    with _errors_at(path):
+        return Test(name, kind, compare)
 
 
-def _load_battery(rows, path: str) -> tuple[Test, ...]:
-    tests = tuple(_load_test(t, f"{path}[{i}]")
-                  for i, t in enumerate(_sequence(rows, path)))
+def _load_battery(v, path: str) -> tuple[Test, ...]:
+    tests = _list(_load_test)(v, path)
     names = [t.name for t in tests]
     if len(set(names)) != len(names):
         raise LoadError(path, "test names repeat")
     return tests
 
 
-def _load_steps(rows, machines, wirings, components, path: str) -> AttackScript:
+def _load_steps(v, machines, wirings, components, path: str) -> AttackScript:
     """Steps aimed at a system of ``components``; None in attack.v1."""
     steps: list = []
-    for i, row in enumerate(_sequence(rows, path)):
-        rp = f"{path}[{i}]"
-        row = _mapping(row, rp)
+    for row, rp in _rows()(v, path):
         if "rewrite" in row:
-            _no_extras(row, ("rewrite", "machine", "state_map"), rp)
-            idx = _integer(row["rewrite"], f"{rp}.rewrite")
-            target = _resolve(machines, "machine",
-                              _string(_get(row, "machine", rp), f"{rp}.machine"),
-                              f"{rp}.machine")
+            _row(row, rp, ("rewrite", "machine", "state_map"))
+            idx = _field(row, "rewrite", rp, _integer)
+            target = _field(row, "machine", rp, _ref(machines, "machine"))
             if "state_map" in row:
                 if components is None:
                     raise LoadError(f"{rp}.state_map", "attack documents define no "
                                     "systems, so a morphism rewrite cannot be checked "
                                     "here; it belongs in a scenario.v1 script")
-                raw = _mapping(row["state_map"], f"{rp}.state_map")
-                state_map = {_string(k, f"{rp}.state_map"): _string(v, f"{rp}.state_map")
-                             for k, v in raw.items()}
+                state_map = _field(row, "state_map", rp, _string_map)
                 if not 0 <= idx < len(components):
                     raise LoadError(f"{rp}.rewrite", f"no component {idx}")
                 hom = MachineHom(components[idx], target, state_map)
@@ -410,15 +385,11 @@ def _load_steps(rows, machines, wirings, components, path: str) -> AttackScript:
             else:
                 steps.append(RewriteStep(idx, machine=target))
         elif "rewire" in row:
-            _no_extras(row, ("rewire", "wiring"), rp)
-            idx = _integer(row["rewire"], f"{rp}.rewire")
-            endo = _resolve(wirings, "wiring",
-                            _string(_get(row, "wiring", rp), f"{rp}.wiring"),
-                            f"{rp}.wiring")
-            try:
+            _row(row, rp, ("rewire", "wiring"))
+            idx = _field(row, "rewire", rp, _integer)
+            endo = _field(row, "wiring", rp, _ref(wirings, "wiring"))
+            with _errors_at(rp):
                 steps.append(RewireStep(idx, endo))
-            except Exception as e:
-                raise LoadError(rp, str(e)) from None
         else:
             raise LoadError(rp, "expected a rewrite or rewire step")
     return AttackScript(tuple(steps))
@@ -503,12 +474,16 @@ def loads(text: str, source: str = "<string>"):
         # besides YAMLError, the pure-Python loader raises RecursionError
         # on deep nesting
         raise LoadError(source, _yaml_problem(e)) from None
-    d = _mapping(data, source)
-    schema = _string(_get(d, "schema", source), f"{source}.schema")
+    return _document(data, source)
+
+
+def _document(data, source: str):
+    """The document object for parsed YAML ``data``."""
+    schema = _field(_mapping(data, source), "schema", source)
     if schema not in _LOADERS:
         raise LoadError(f"{source}.schema",
                         f"unknown schema {schema!r}; expected one of {list(SCHEMAS)}")
-    return _LOADERS[schema](d, source)
+    return _LOADERS[schema](data, source)
 
 
 def load(path: str):
@@ -526,66 +501,60 @@ def load(path: str):
 
 
 def _doc_machine(d: dict, src: str) -> MachineDoc:
-    _no_extras(d, ("schema", "name", "box", "machine"), src)
-    _, box = _load_box(_get(d, "box", src), f"{src}.box")
-    body = dict(_mapping(_get(d, "machine", src), f"{src}.machine"))
-    body.setdefault("name", _string(_get(d, "name", src), f"{src}.name"))
+    _row(d, src, ("schema", "name", "box", "machine"))
+    _, box = _field(d, "box", src, _load_box)
+    body = dict(_field(d, "machine", src, _mapping))
+    body.setdefault("name", _field(d, "name", src))
     body["box"] = box.name
     name, machine = _load_machine(body, {box.name: box}, f"{src}.machine")
     return MachineDoc("machine.v1", name, machine)
 
 
 def _doc_wiring(d: dict, src: str) -> WiringDoc:
-    _no_extras(d, ("schema", "name", "boxes", "wiring"), src)
+    _row(d, src, ("schema", "name", "boxes", "wiring"))
     boxes, _, _, _ = _load_defs({"boxes": d.get("boxes", [])}, src)
-    body = dict(_mapping(_get(d, "wiring", src), f"{src}.wiring"))
-    body.setdefault("name", _string(_get(d, "name", src), f"{src}.name"))
+    body = dict(_field(d, "wiring", src, _mapping))
+    body.setdefault("name", _field(d, "name", src))
     name, wiring = _load_wiring(body, boxes, {}, f"{src}.wiring")
     return WiringDoc("wiring.v1", name, wiring, boxes)
 
 
 def _doc_system(d: dict, src: str) -> SystemDoc:
-    _no_extras(d, ("schema", "boxes", "machines", "wirings", "systems"), src)
+    _row(d, src, ("schema", "boxes", "machines", "wirings", "systems"))
     boxes, machines, wirings, systems = _load_defs(d, src)
     return SystemDoc("system.v1", boxes, machines, wirings, systems)
 
 
 def _doc_battery(d: dict, src: str) -> BatteryDoc:
-    _no_extras(d, ("schema", "tests"), src)
-    return BatteryDoc("battery.v1",
-                      _load_battery(_get(d, "tests", src), f"{src}.tests"))
+    _row(d, src, ("schema", "tests"))
+    return BatteryDoc("battery.v1", _field(d, "tests", src, _load_battery))
 
 
 def _doc_attack(d: dict, src: str) -> AttackDoc:
-    _no_extras(d, ("schema", "name", "system", "boxes", "machines", "wirings",
-                   "steps"), src)
-    name = _string(_get(d, "name", src), f"{src}.name")
+    _row(d, src, ("schema", "name", "system", "boxes", "machines", "wirings",
+                  "steps"))
+    name = _field(d, "name", src)
     system = _string(d["system"], f"{src}.system") if "system" in d else None
     boxes, machines, wirings, _ = _load_defs(d, src)
-    script = _load_steps(_get(d, "steps", src), machines, wirings, None,
-                         f"{src}.steps")
+    script = _field(d, "steps", src,
+                    lambda v, p: _load_steps(v, machines, wirings, None, p))
     return AttackDoc("attack.v1", name, system, script, boxes, machines, wirings)
 
 
 def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
-    _no_extras(d, ("schema", "name", "boxes", "machines", "wirings", "systems",
-                   "real", "attacker_view", "correspondence", "kb", "battery",
-                   "scripts"), src)
-    name = _string(_get(d, "name", src), f"{src}.name")
+    _row(d, src, ("schema", "name", "boxes", "machines", "wirings", "systems",
+                  "real", "attacker_view", "correspondence", "kb", "battery",
+                  "scripts"))
+    name = _field(d, "name", src)
     boxes, machines, wirings, systems = _load_defs(d, src)
-    real = _string(_get(d, "real", src), f"{src}.real")
-    view = _string(_get(d, "attacker_view", src), f"{src}.attacker_view")
+    real = _field(d, "real", src)
+    view = _field(d, "attacker_view", src)
     for key, kp in ((real, "real"), (view, "attacker_view")):
-        _resolve(systems, "system", key, f"{src}.{kp}")
+        _ref(systems, "system")(key, f"{src}.{kp}")
     corr: dict[int, tuple[int, ...]] = {}
-    for i, row in enumerate(_sequence(_get(d, "correspondence", src),
-                                      f"{src}.correspondence")):
-        rp = f"{src}.correspondence[{i}]"
-        row = _mapping(row, rp)
-        _no_extras(row, ("view", "real"), rp)
-        v = _integer(_get(row, "view", rp), f"{rp}.view")
-        rs = tuple(_integer(x, f"{rp}.real[{j}]")
-                   for j, x in enumerate(_sequence(_get(row, "real", rp), f"{rp}.real")))
+    for row, rp in _field(d, "correspondence", src, _rows(("view", "real"))):
+        v = _field(row, "view", rp, _integer)
+        rs = _field(row, "real", rp, _list(_integer))
         if v in corr:
             raise LoadError(rp, f"duplicate view slot {v}")
         corr[v] = rs
@@ -599,37 +568,30 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
         raise LoadError(f"{src}.correspondence",
                         f"real slots must cover 0..{n_real - 1} exactly once")
     entries = []
-    for i, row in enumerate(_sequence(_get(d, "kb", src), f"{src}.kb")):
-        rp = f"{src}.kb[{i}]"
-        row = _mapping(row, rp)
-        ename = _string(_get(row, "name", rp), f"{rp}.name")
+    for row, rp in _field(d, "kb", src, _rows()):
+        ename = _field(row, "name", rp)
         if set(row) == {"name", "machine"}:
-            entries.append((ename, _resolve(
-                machines, "machine", _string(row["machine"], f"{rp}.machine"),
-                f"{rp}.machine")))
+            entries.append((ename, _field(row, "machine", rp, _ref(machines, "machine"))))
         elif set(row) == {"name", "system"}:
-            entries.append((ename, _resolve(
-                systems, "system", _string(row["system"], f"{rp}.system"),
-                f"{rp}.system").composite()))
+            with _errors_at(rp):
+                entries.append((ename, _field(row, "system", rp,
+                                              _ref(systems, "system")).composite()))
         else:
             raise LoadError(rp, "expected name plus machine or system")
-    try:
+    with _errors_at(f"{src}.kb"):
         kb = KnowledgeBase(systems[view].box, tuple(entries))
-    except Exception as e:
-        raise LoadError(f"{src}.kb", str(e)) from None
-    tests = _load_battery(_get(d, "battery", src), f"{src}.battery")
+    tests = _field(d, "battery", src, _load_battery)
 
     def script(row, rp: str, _) -> tuple[str, ScenarioScript]:
-        row = _mapping(row, rp)
-        _no_extras(row, ("name", "system", "steps"), rp)
-        sname = _string(_get(row, "name", rp), f"{rp}.name")
+        row = _row(row, rp, ("name", "system", "steps"))
+        sname = _field(row, "name", rp)
         target = _string(row.get("system", view), f"{rp}.system")
-        comps = _resolve(systems, "system", target, f"{rp}.system").components
-        steps = _load_steps(_get(row, "steps", rp), machines, wirings, comps,
-                            f"{rp}.steps")
+        comps = _ref(systems, "system")(target, f"{rp}.system").components
+        steps = _field(row, "steps", rp,
+                       lambda v, p: _load_steps(v, machines, wirings, comps, p))
         return sname, ScenarioScript(sname, target, steps)
 
-    scripts = _named(_get(d, "scripts", src), f"{src}.scripts", "script", script)
+    scripts = _field(d, "scripts", src, lambda v, p: _named(v, p, "script", script))
     scenario = Scenario(name, systems, real, view, corr, kb, tests,
                         tuple(scripts.values()))
     return ScenarioDoc("scenario.v1", boxes, machines, wirings, systems, scenario)
@@ -638,53 +600,35 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
 def _doc_fincat(d: dict, src: str) -> FincatDoc:
     from . import fincat as fc
 
-    _no_extras(d, ("schema", "name", "objects", "morphisms", "identities",
-                   "composition", "functors"), src)
-    name = _string(_get(d, "name", src), f"{src}.name")
-    objects = tuple(_string(o, f"{src}.objects[{i}]")
-                    for i, o in enumerate(_sequence(_get(d, "objects", src),
-                                                    f"{src}.objects")))
-    morphisms = []
-    for i, row in enumerate(_sequence(_get(d, "morphisms", src), f"{src}.morphisms")):
-        rp = f"{src}.morphisms[{i}]"
-        row = _mapping(row, rp)
-        _no_extras(row, ("id", "src", "tgt"), rp)
-        morphisms.append(fc.Morphism(_string(_get(row, "id", rp), f"{rp}.id"),
-                                     _string(_get(row, "src", rp), f"{rp}.src"),
-                                     _string(_get(row, "tgt", rp), f"{rp}.tgt")))
-    identities = {_string(k, f"{src}.identities"): _string(v, f"{src}.identities")
-                  for k, v in _mapping(_get(d, "identities", src),
-                                       f"{src}.identities").items()}
+    _row(d, src, ("schema", "name", "objects", "morphisms", "identities",
+                  "composition", "functors"))
+    name = _field(d, "name", src)
+    objects = _field(d, "objects", src, _symbols)
+    morphisms = tuple(
+        fc.Morphism(_field(row, "id", rp), _field(row, "src", rp), _field(row, "tgt", rp))
+        for row, rp in _field(d, "morphisms", src, _rows(("id", "src", "tgt"))))
+    identities = _field(d, "identities", src, _string_map)
     composition = {}
-    for i, row in enumerate(_sequence(_get(d, "composition", src),
-                                      f"{src}.composition")):
-        rp = f"{src}.composition[{i}]"
-        row = _mapping(row, rp)
-        _no_extras(row, ("after", "first", "result"), rp)
-        key = (_string(_get(row, "after", rp), f"{rp}.after"),
-               _string(_get(row, "first", rp), f"{rp}.first"))
+    for row, rp in _field(d, "composition", src, _rows(("after", "first", "result"))):
+        key = (_field(row, "after", rp), _field(row, "first", rp))
         if key in composition:
             raise LoadError(rp, f"duplicate composition entry {key}")
-        composition[key] = _string(_get(row, "result", rp), f"{rp}.result")
-    cat = fc.FinCategory(name, objects, tuple(morphisms), identities, composition)
+        composition[key] = _field(row, "result", rp)
+    cat = fc.FinCategory(name, objects, morphisms, identities, composition)
     report = fc.validate_category(cat)
     if not report.ok:
         first = (report.structural + report.violations)[0]
         raise LoadError(src, f"category {name!r}: {first}")
 
     def functor(row, rp: str, _) -> tuple[str, fc.SetFunctor]:
-        row = _mapping(row, rp)
-        _no_extras(row, ("name", "objects", "morphisms"), rp)
-        fname = _string(_get(row, "name", rp), f"{rp}.name")
+        row = _row(row, rp, ("name", "objects", "morphisms"))
+        fname = _field(row, "name", rp)
         on_obj = {_string(k, f"{rp}.objects"): _symbols(v, f"{rp}.objects[{k}]")
-                  for k, v in _mapping(_get(row, "objects", rp),
-                                       f"{rp}.objects").items()}
+                  for k, v in _field(row, "objects", rp, _mapping).items()}
         on_mor = {}
-        for mk, mv in _mapping(_get(row, "morphisms", rp), f"{rp}.morphisms").items():
+        for mk, mv in _field(row, "morphisms", rp, _mapping).items():
             mp = f"{rp}.morphisms[{mk}]"
-            on_mor[_string(mk, mp)] = {
-                _string(a, mp): _string(b, mp)
-                for a, b in _mapping(mv, mp).items()}
+            on_mor[_string(mk, mp)] = _string_map(mv, mp)
         F = fc.SetFunctor(fname, cat, on_obj, on_mor)
         bad = fc.validate_functor(F)
         if bad:
@@ -724,11 +668,8 @@ def load_kb_dir(path: str) -> KnowledgeBase:
         if box is None:
             box = doc.machine.box
         entries.append((doc.name, doc.machine))
-    try:
+    with _errors_at(path):
         return KnowledgeBase(box, tuple(entries))
-    except Exception as e:
-        raise LoadError(path, str(e)) from None
-
 
 # ---------------------------------------------------------------------------
 # serialization

@@ -382,30 +382,28 @@ def representable_iso_check(cat: FinCategory, a: Obj,
 
     When they are, returns the witnessing isomorphism in the category:
     a pair (f, g) with f: b -> a and g: a -> b composing to identities
-    both ways.  The witness is extracted from the natural isomorphism by
-    evaluating at identities and verified by direct composition.
+    both ways.  The first transformation hom(a,-) => hom(b,-) that is a
+    bijection at every object is a natural isomorphism, since the inverse
+    of a natural isomorphism is natural; f is its value at the identity of
+    a, g its inverse's value at the identity of b, and the pair is
+    verified by direct composition.
     """
     for x in (a, b):
         if x not in cat.objects:
             raise FinCatError(f"no object {x!r}")
     Ha, Hb = hom_functor(cat, a), hom_functor(cat, b)
-    forwards = enumerate_nat(Ha, Hb)
-    backwards = enumerate_nat(Hb, Ha)
-    for eta in forwards:
-        for theta in backwards:
-            if all(all(theta.at(c)[eta.at(c)[x]] == x for x in Ha.at(c))
-                   for c in cat.objects) and \
-               all(all(eta.at(c)[theta.at(c)[y]] == y for y in Hb.at(c))
-                   for c in cat.objects):
-                f = eta.at(a)[cat.identity[a]]      # f: b -> a
-                g = theta.at(b)[cat.identity[b]]    # g: a -> b
-                if cat.comp(f, g) != cat.identity[a]:
-                    raise YonedaError(
-                        f"witness pair ({f}, {g}) does not compose to the "
-                        f"identity of {a!r}")
-                if cat.comp(g, f) != cat.identity[b]:
-                    raise YonedaError(
-                        f"witness pair ({g}, {f}) does not compose to the "
-                        f"identity of {b!r}")
-                return True, (f, g)
+    for eta in enumerate_nat(Ha, Hb):
+        if all(sorted(eta.at(c).values()) == sorted(Hb.at(c)) for c in cat.objects):
+            f = eta.at(a)[cat.identity[a]]      # f: b -> a
+            g = next(x for x, y in eta.at(b).items()  # g: a -> b
+                     if y == cat.identity[b])
+            if cat.comp(f, g) != cat.identity[a]:
+                raise YonedaError(
+                    f"witness pair ({f}, {g}) does not compose to the "
+                    f"identity of {a!r}")
+            if cat.comp(g, f) != cat.identity[b]:
+                raise YonedaError(
+                    f"witness pair ({g}, {f}) does not compose to the "
+                    f"identity of {b!r}")
+            return True, (f, g)
     return False, None

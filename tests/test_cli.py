@@ -134,6 +134,15 @@ def test_validate_rejects_a_scenario_that_repeats_a_name(tmp_path, section):
     assert err.startswith(f"error: scenario.yaml.{section}")
 
 
+def test_validate_names_the_test_with_a_negative_depth(tmp_path):
+    path = tmp_path / "neg.yaml"
+    path.write_text("schema: battery.v1\ntests:\n"
+                    "- {name: a, kind: traces, depth: -1}\n")
+    code, out, err = cli("validate", path)
+    assert (code, out) == (EX_DATAERR, "")
+    assert err == "error: neg.yaml.tests[0]: trace depth must be nonnegative\n"
+
+
 # ---------------------------------------------------------------------------
 # compose and simulate
 # ---------------------------------------------------------------------------

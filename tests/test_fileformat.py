@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgen import random_network
+from wirebox import fileformat
 from wirebox.attacks import (CompositeSystem, apply_script,
                              fingerprint_components, fingerprint_wiring)
 from wirebox.fileformat import (AttackDoc, LoadError, MachineDoc, SystemDoc,
@@ -315,6 +316,59 @@ def test_libyaml_parses_mutated_fixtures_like_the_pure_loader(text):
     assert parsed(text, yaml.CSafeLoader) == parsed(text, yaml.SafeLoader)
 
 
+# one value of each type the documents hold
+ANY_TYPE = (None, True, 3, "s", ["s"], {"k": "s"})
+
+
+def mutations(data):
+    """Every document one structural edit away from ``data``: a key
+    deleted, a value replaced by one of another type, an extra key added,
+    or a list item duplicated."""
+
+    def walk(node, rebuild):
+        # rebuild(new) is the whole document with this node replaced by new
+        for other in ANY_TYPE:
+            if type(other) is not type(node):
+                yield rebuild(other)
+        if isinstance(node, dict):
+            yield rebuild({**node, "extra": 1})
+            for k in node:
+                yield rebuild({j: v for j, v in node.items() if j != k})
+                yield from walk(node[k],
+                                lambda new, k=k: rebuild({**node, k: new}))
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                yield rebuild(node[:i + 1] + node[i:])
+                yield from walk(
+                    item, lambda new, i=i: rebuild(node[:i] + [new] + node[i + 1:]))
+
+    yield from walk(data, lambda new: new)
+
+
+def verdict(data, source: str) -> str:
+    """``ok``, or the LoadError's path and message, for parsed YAML data."""
+    try:
+        fileformat._document(data, source)  # loads() without the YAML parse
+    except LoadError as e:
+        assert e.path.startswith(source), e
+        return str(e)
+    return "ok"
+
+
+SMALL_FIXTURES = ("uav/battery.yaml", "uav/combo-attack.yaml",
+                  "uav/kb/profile-blinker.yaml", "uav/kb/profile-flatline.yaml",
+                  *(f"fincat/{p.name}" for p in sorted(FIXTURES.glob("fincat/*.yaml"))))
+
+
+@pytest.mark.parametrize("relpath", SMALL_FIXTURES)
+def test_every_structural_mutation_loads_or_fails_at_a_field_path(relpath):
+    data = yaml.safe_load((FIXTURES / relpath).read_text(encoding="utf-8"))
+    source = pathlib.PurePath(relpath).name
+    verdicts = [verdict(d, source) for d in mutations(data)]
+    # both outcomes occur, so the edits reach past the loader's first check
+    assert "ok" in verdicts and any(v != "ok" for v in verdicts)
+
+
 def test_top_level_must_be_a_mapping():
     e = err("- 1\n- 2\n")
     assert "expected a mapping" in e.message
@@ -365,6 +419,47 @@ def test_unknown_test_kind_points_at_the_field():
         - {name: t, kind: wibble}
     """)
     assert e.path == "t.yaml.tests[0].kind"
+
+
+@pytest.mark.parametrize("test, stray", [
+    ("{name: a, kind: states, depth: 3}", "depth"),
+    ("{name: a, kind: traces, depth: 2, step: 9}", "step"),
+    ("{name: a, kind: terminal, step: 1}", "step"),
+    ("{name: a, kind: output-image, step: 1, depth: 1}", "depth"),
+])
+def test_a_test_takes_only_its_own_kinds_parameters(test, stray):
+    e = err(f"schema: battery.v1\ntests:\n- {test}\n")
+    assert e.path == "t.yaml.tests[0]"
+    assert e.message == f"unknown keys [{stray!r}]"
+
+
+@pytest.mark.parametrize("value", ["false", "null", "0", "''", "equal"])
+def test_a_present_compare_must_name_a_comparator(value):
+    e = err(f"schema: battery.v1\ntests:\n- {{name: a, kind: states, compare: {value}}}\n")
+    assert e.path == "t.yaml.tests[0].compare"
+    assert e.message == "expected 'equality' or 'cardinality'"
+
+
+def test_compare_names_the_comparator_or_is_left_out():
+    tests = doc("""
+        schema: battery.v1
+        tests:
+        - {name: a, kind: states}
+        - {name: b, kind: states, compare: equality}
+        - {name: c, kind: traces, depth: 2, compare: cardinality}
+    """).tests
+    assert [t.comparator for t in tests] == ["cardinality", "equality",
+                                             "cardinality"]
+
+
+@pytest.mark.parametrize("test, message", [
+    ("{name: a, kind: traces, depth: -1}", "trace depth must be nonnegative"),
+    ("{name: a, kind: output-image, step: -2}",
+     "output image step must be nonnegative"),
+])
+def test_a_negative_parameter_fails_at_its_test(test, message):
+    e = err(f"schema: battery.v1\ntests:\n- {test}\n")
+    assert (e.path, e.message) == ("t.yaml.tests[0]", message)
 
 
 def test_unknown_component_points_at_the_slot():
