@@ -138,10 +138,34 @@ class RewriteResult:
 # application
 # ---------------------------------------------------------------------------
 
-def _check_index(sys: CompositeSystem, index: int):
+def check_index(sys: CompositeSystem, index: int) -> None:
+    """Raise AttackError unless ``index`` names one of the system's slots."""
     if not 0 <= index < len(sys.components):
         raise AttackError(
             f"no component {index}; system has {len(sys.components)}")
+
+
+def check_step(sys: CompositeSystem, step) -> None:
+    """Raise AttackError unless ``step``'s slot is one of the system's and
+    its replacement machine or endomorphism is on that slot's box.
+
+    A morphism rewrite's target is left to ``hom_violations``, which
+    checks it against the source, the slot's current component.  Slots
+    and their boxes never change under a step, so a whole script can be
+    checked against the system it is aimed at.
+    """
+    index = step.index
+    check_index(sys, index)
+    slot = sys.wiring.inner[index]
+    if isinstance(step, RewireStep):
+        if step.endo.inner[0] != slot:
+            raise AttackError(
+                f"endomorphism is on box {step.endo.inner[0].name!r}, slot "
+                f"{index} is {slot.name!r}")
+    elif step.machine is not None and step.machine.box != slot:
+        raise AttackError(
+            f"replacement inhabits box {step.machine.box.name!r}, slot "
+            f"{index} is {slot.name!r}")
 
 
 def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
@@ -151,7 +175,7 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
     the returned witness is the morphism lifted along the wiring to a
     morphism between the old and new composites.
     """
-    _check_index(sys, step.index)
+    check_step(sys, step)
     current = sys.components[step.index]
     if step.machine is not None:
         replacement = step.machine
@@ -168,10 +192,6 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
         homs = [moore.identity_hom(m) for m in sys.components]
         homs[step.index] = hom
         witness = moore.lift_hom(sys.wiring, homs)
-    if replacement.box != sys.wiring.inner[step.index]:
-        raise AttackError(
-            f"replacement inhabits box {replacement.box.name!r}, slot "
-            f"{step.index} is {sys.wiring.inner[step.index].name!r}")
     report = moore.validate_machine(replacement)
     if not report.ok:
         raise AttackError(f"replacement machine is invalid: {report.errors[0]}")
@@ -187,12 +207,7 @@ def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
     slot except ``index``, where the endomorphism sits.  Components are
     the same objects, untouched.
     """
-    _check_index(sys, step.index)
-    slot_box = sys.wiring.inner[step.index]
-    if step.endo.inner[0] != slot_box:
-        raise AttackError(
-            f"endomorphism is on box {step.endo.inner[0].name!r}, slot "
-            f"{step.index} is {slot_box.name!r}")
+    check_step(sys, step)
     pads = [wi.identity_wiring(b) for b in sys.wiring.inner]
     pads[step.index] = step.endo
     rewired = wi.compose(sys.wiring, wi.tensor(pads))

@@ -51,7 +51,8 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import yaml
 
 from .attacks import (AttackError, AttackScript, CompositeSystem, RewireStep,
-                      RewriteStep, Scenario, ScenarioScript)
+                      RewriteStep, Scenario, ScenarioScript, check_index,
+                      check_step)
 from .moore import (MachineError, MachineHom, MooreMachine, hom_violations,
                     render_state, validate_machine)
 from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
@@ -361,37 +362,53 @@ def _load_battery(v, path: str) -> tuple[Test, ...]:
     return tests
 
 
-def _load_steps(v, machines, wirings, components, path: str) -> AttackScript:
-    """Steps aimed at a system of ``components``; None in attack.v1."""
+def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
+    """Steps aimed at ``system``, each checked as ``attacks.check_step``
+    will check it when applied: a slot index past the system's slots, or
+    a replacement machine or endomorphism on another box than its slot's,
+    fails at the step's ``rewrite`` or ``rewire`` key.  A morphism
+    rewrite's target is checked by ``hom_violations`` instead, against
+    the slot's component, at its ``state_map`` key.
+
+    An attack.v1 document defines no systems, so there ``system`` is None:
+    its steps are checked only when applied, and it cannot carry a
+    morphism rewrite.
+    """
     steps: list = []
     for row, rp in _rows()(v, path):
         if "rewrite" in row:
             _row(row, rp, ("rewrite", "machine", "state_map"))
-            idx = _field(row, "rewrite", rp, _integer)
+            key = "rewrite"
+            idx = _field(row, key, rp, _integer)
             target = _field(row, "machine", rp, _ref(machines, "machine"))
             if "state_map" in row:
-                if components is None:
+                if system is None:
                     raise LoadError(f"{rp}.state_map", "attack documents define no "
                                     "systems, so a morphism rewrite cannot be checked "
                                     "here; it belongs in a scenario.v1 script")
                 state_map = _field(row, "state_map", rp, _string_map)
-                if not 0 <= idx < len(components):
-                    raise LoadError(f"{rp}.rewrite", f"no component {idx}")
-                hom = MachineHom(components[idx], target, state_map)
+                with _errors_at(f"{rp}.rewrite"):
+                    check_index(system, idx)
+                hom = MachineHom(system.components[idx], target, state_map)
                 bad = hom_violations(hom)
                 if bad:
                     raise LoadError(f"{rp}.state_map", bad[0])
-                steps.append(RewriteStep(idx, hom=hom))
+                step = RewriteStep(idx, hom=hom)
             else:
-                steps.append(RewriteStep(idx, machine=target))
+                step = RewriteStep(idx, machine=target)
         elif "rewire" in row:
             _row(row, rp, ("rewire", "wiring"))
-            idx = _field(row, "rewire", rp, _integer)
+            key = "rewire"
+            idx = _field(row, key, rp, _integer)
             endo = _field(row, "wiring", rp, _ref(wirings, "wiring"))
             with _errors_at(rp):
-                steps.append(RewireStep(idx, endo))
+                step = RewireStep(idx, endo)
         else:
             raise LoadError(rp, "expected a rewrite or rewire step")
+        if system is not None:
+            with _errors_at(f"{rp}.{key}"):
+                check_step(system, step)
+        steps.append(step)
     return AttackScript(tuple(steps))
 
 
@@ -586,9 +603,9 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
         row = _row(row, rp, ("name", "system", "steps"))
         sname = _field(row, "name", rp)
         target = _string(row.get("system", view), f"{rp}.system")
-        comps = _ref(systems, "system")(target, f"{rp}.system").components
+        aimed = _ref(systems, "system")(target, f"{rp}.system")
         steps = _field(row, "steps", rp,
-                       lambda v, p: _load_steps(v, machines, wirings, comps, p))
+                       lambda v, p: _load_steps(v, machines, wirings, aimed, p))
         return sname, ScenarioScript(sname, target, steps)
 
     scripts = _field(d, "scripts", src, lambda v, p: _named(v, p, "script", script))

@@ -12,15 +12,19 @@ the outer box.  States are tuples of component states; at each step the
 wiring routes current component readouts and outer inputs to component
 inputs, and every component steps at once.  The wiring's routing is
 compiled once per composite and each component readout is checked once.
-``states`` is the full product, but the rows of ``update`` and
+Nothing the size of the product is built: ``states`` is a read-only
+sequence over the component state sets, and the rows of ``update`` and
 ``readout`` are routed on demand: those of the states reachable from
 ``init`` when the composite is built, where a missing component row
 raises, and any other state's on its first lookup, where the same
 error surfaces instead.  Both tables are read-only mappings that list
-their keys in product order without routing a row.  A product of more
-than ``MAX_TRANSITIONS`` transitions is refused before any state is
-built.  ``lift_hom`` applies the same wiring to machine morphisms,
-componentwise on state maps.
+their keys in product order without routing a row.  A reader that walks
+the whole product (iterating ``states`` or a table, so validating,
+rendering, dumping, comparing or checking morphisms) refuses a product of
+more than ``MAX_TRANSITIONS`` transitions; building refuses a reachable
+part of more than that many, and stepping and running never refuse.
+``lift_hom`` applies the same wiring to machine morphisms, componentwise
+on state maps.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ class MachineError(Exception):
 class MooreMachine:
     """A finite state machine with state-determined output.
 
+    ``states`` is a tuple, or a composite's read-only product sequence;
     ``update`` maps (state, input tuple) to the next state; ``readout``
     maps a state to its output tuple.  Tables are plain dicts, or a
     composite's read-only mappings routed on demand (see
@@ -59,13 +64,14 @@ class MooreMachine:
     """
 
     box: Box
-    states: tuple[State, ...]
+    states: Sequence[State]
     init: State
     update: Mapping[tuple[State, tuple[Symbol, ...]], State]
     readout: Mapping[State, tuple[Symbol, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
+        if not isinstance(self.states, _Product):
+            object.__setattr__(self, "states", tuple(self.states))
         for name in ("update", "readout"):
             table = getattr(self, name)
             if not isinstance(table, _Rows):
@@ -182,12 +188,20 @@ def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
 
 
 def run(m: MooreMachine, word: Sequence[Sequence[Symbol]]) -> list[tuple[Symbol, ...]]:
-    """Outputs along a word: readout of the state before each input."""
+    """Outputs along a word: readout of the state before each input.
+
+    Steps as ``step`` does, and a missing row raises the same error.
+    """
+    update, readout = m.update, m.readout
     s = m.init
     outs: list[tuple[Symbol, ...]] = []
-    for x in word:
-        s, out = step(m, s, x)
-        outs.append(out)
+    try:
+        for x in word:
+            x = tuple(x)
+            outs.append(readout[s])
+            s = update[(s, x)]
+    except KeyError:
+        raise _missing_row(m, s, (x,)) from None
     return outs
 
 
@@ -211,18 +225,19 @@ def _machines_fit(w: Wiring, machines: Sequence[MooreMachine]):
                 f"is {b.name!r}")
 
 
-# a composite with more transitions than this is refused before it is built
+# a reader refuses to walk a composite with more transitions than this
 MAX_TRANSITIONS = 2 ** 20
 
 
 def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     """The composite machine a wiring induces on its outer box.
 
-    Composite states are tuples of component states, and ``states`` holds
-    their full product, in product order.  A step routes the current
-    component readouts and the outer input through the wiring, then
-    updates every component on its routed input; the composite readout
-    routes component readouts through the out_map.
+    Composite states are tuples of component states, and ``states`` is
+    their full product, in product order, as a read-only sequence that
+    stores no composite state (see ``_Product``).  A step routes the
+    current component readouts and the outer input through the wiring,
+    then updates every component on its routed input; the composite
+    readout routes component readouts through the out_map.
 
     The wiring is compiled once and each component readout checked once.
     The rows of the states reachable from ``init`` are routed here, by a
@@ -235,28 +250,33 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     table lists its keys in product order, and counts them, without
     routing a row; reading its values (``items``, ``values``, ``==``,
     ``repr``) routes the rows read.
+
+    Building costs the reachable part alone, whatever the product's size,
+    and is refused with a MachineError once the search has found more
+    than ``MAX_TRANSITIONS`` transitions (states times outer inputs), so
+    it never routes more rows than that.  Walking the whole product,
+    through ``states`` or either table, is refused with the same error
+    when the product has more than ``MAX_TRANSITIONS`` transitions.
     """
     _machines_fit(w, machines)
     outer = w.outer[0]
-    n_states = math.prod(len(m.states) for m in machines)
-    n_inputs = math.prod(len(p.alphabet) for p in outer.in_ports)
-    if n_states * n_inputs > MAX_TRANSITIONS:
-        raise MachineError(
-            f"composite would have {n_states} states x {n_inputs} inputs = "
-            f"{n_states * n_inputs} transitions, over the limit of "
-            f"{MAX_TRANSITIONS}")
     routing = _Routing(w)
     for i, m in enumerate(machines):
         _check_readouts(i, m)
-    states = tuple(itertools.product(*[m.states for m in machines]))
+    states = _Product(tuple(m.states for m in machines),
+                      math.prod(len(p.alphabet) for p in outer.in_ports))
     init = tuple(m.init for m in machines)
     router = _Router(routing, machines, states, outer)
     update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
     readout: dict[State, tuple[Symbol, ...]] = {}
     if router.is_state(init):
+        n_inputs = len(router.inputs)
+        most = MAX_TRANSITIONS // n_inputs
         seen = {init}
         stack = [init]
         while stack:
+            if len(seen) > most:
+                raise _over_the_limit("reaches at least", len(seen), n_inputs)
             s = stack.pop()
             readout[s], nexts = router.route(s)
             for x, t in zip(router.inputs, nexts):
@@ -268,6 +288,71 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
                         _ReadoutRows(readout, router))
 
 
+def _over_the_limit(has: str, n_states: int, n_inputs: int) -> MachineError:
+    return MachineError(
+        f"composite {has} {n_states} states x {n_inputs} inputs = "
+        f"{n_states * n_inputs} transitions, over the limit of {MAX_TRANSITIONS}")
+
+
+class _Product(Sequence):
+    """A composite's state set: the product of its components' state
+    sets, in product order, stored as those sets alone.
+
+    ``len``, ``in`` and indexing (mixed radix, last component fastest)
+    cost a few operations each; ``==`` and ``hash`` agree with the equal
+    tuple's.  Iteration, and so everything that walks the whole product
+    (``hash``, ``repr``, ``==`` against a differing product, a table's
+    iteration, validation, rendering, morphism checks), raises
+    MachineError when the composite has more than ``MAX_TRANSITIONS``
+    transitions, ``n_inputs`` per state.
+    """
+
+    __slots__ = ("_parts", "_members", "_n_inputs", "_len")
+
+    def __init__(self, parts: tuple[Sequence[State], ...], n_inputs: int):
+        self._parts = parts
+        self._members = [frozenset(p) for p in parts]
+        self._n_inputs = n_inputs
+        self._len = math.prod(map(len, parts))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, s) -> bool:
+        return (isinstance(s, tuple) and len(s) == len(self._members)
+                and all(map(operator.contains, self._members, s)))
+
+    def __iter__(self):
+        if self._len * self._n_inputs > MAX_TRANSITIONS:
+            raise _over_the_limit("would have", self._len, self._n_inputs)
+        return itertools.product(*self._parts)
+
+    def __getitem__(self, k: int) -> tuple:
+        k = operator.index(k)
+        if not -self._len <= k < self._len:
+            raise IndexError("composite state index out of range")
+        k %= self._len
+        digits = []
+        for p in reversed(self._parts):
+            k, d = divmod(k, len(p))
+            digits.append(p[d])
+        return tuple(reversed(digits))
+
+    def __eq__(self, other):
+        if isinstance(other, _Product) and self._parts == other._parts:
+            return True
+        if not isinstance(other, (tuple, _Product)):
+            return NotImplemented
+        return (self._len == len(other) and
+                all(map(operator.eq, itertools.product(*self._parts), other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class _Router:
     """Routes a composite's rows one state at a time.
 
@@ -276,16 +361,17 @@ class _Router:
     cycle, and a dead composite is freed by refcounting.
     """
 
-    __slots__ = ("states", "inputs", "input_set", "_members", "_readouts",
+    __slots__ = ("states", "is_state", "inputs", "input_set", "_readouts",
                  "_updates", "_outer_out", "_fixed", "_varying",
                  "_fixed_slots", "_varying_slots")
 
     def __init__(self, routing: _Routing, machines: Sequence[MooreMachine],
-                 states: tuple[State, ...], outer: Box):
+                 states: _Product, outer: Box):
         self.states = states
+        # is s a composite state, one of the product's tuples?
+        self.is_state = states.__contains__
         self.inputs = input_space([outer])
         self.input_set = frozenset(self.inputs)
-        self._members = [frozenset(m.states) for m in machines]
         self._readouts = [m.readout for m in machines]
         self._updates = [m.update for m in machines]
         self._outer_out = routing.outer_out
@@ -303,11 +389,6 @@ class _Router:
                              if not any(reads[a:b])]
         self._varying_slots = [(i, a, b) for i, a, b in slots
                                if any(reads[a:b])]
-
-    def is_state(self, s) -> bool:
-        """Is ``s`` a composite state, one of the product's tuples?"""
-        return (isinstance(s, tuple) and len(s) == len(self._members)
-                and all(map(operator.contains, self._members, s)))
 
     def readout(self, s: State) -> tuple[Symbol, ...]:
         """The readout of composite state ``s``."""
@@ -352,8 +433,9 @@ class _Rows(Mapping):
     ``apply_algebra`` routed; a lookup of any other composite state
     routes that state's rows into the dict, so a routed row costs one
     dict lookup.  The keys are the product's, in product order:
-    iteration and ``len`` take them from the router and route nothing,
-    while ``in``, ``get``, ``items``, ``values`` and ``==`` look rows up.
+    iteration and ``len`` take them from the router's ``states`` and route
+    nothing, while ``in``, ``get``, ``items``, ``values`` and ``==`` look
+    rows up.  Iteration meets the product's size limit (see ``_Product``).
     Two threads routing the same state store the same values.
     """
 
@@ -381,7 +463,8 @@ class _UpdateRows(_Rows):
     __slots__ = ()
 
     def __iter__(self):
-        return itertools.product(self._router.states, self._router.inputs)
+        states, inputs = self._router.states, self._router.inputs
+        return ((s, x) for s in states for x in inputs)
 
     def __len__(self) -> int:
         return len(self._router.states) * len(self._router.inputs)

@@ -3,14 +3,16 @@
 A Test assigns every machine on a fixed box an outcome: its set of
 bounded traces, its state set, a one-point set, or the outputs reachable
 at an exact step.  Outcomes are canonical, so equal behavior gives equal
-values: state sets and output images are sorted tuples, and a trace set
-is its layered quotient (see ``TraceSet``), which costs O(d·|S|·|I|) to
-build instead of running all |I|^d words.  A value depends on the test's
-kind alone, so ``run_test`` computes it once per machine object and kind
-and keeps it on the machine: a knowledge base asked many queries pays for
-each entry's outcomes once.  Each test carries a comparator saying what
-counts as agreement: literal equality, or bare cardinality for state
-sets, whose labels mean nothing.
+values: output images are sorted tuples, a state set is its sorted
+rendered names, which are rendered only when something reads them (see
+``StateSet``), and a trace set is its layered quotient (see
+``TraceSet``), which costs O(d·|S|·|I|) to build instead of running all
+|I|^d words.  A value depends on the test's kind alone, so ``run_test``
+computes it once per machine object and kind and keeps it on the
+machine: a knowledge base asked many queries pays for each entry's
+outcomes once.  Each test carries a comparator saying what counts as
+agreement: literal equality, or bare cardinality for state sets, whose
+labels mean nothing.
 
 Machine morphisms act on outcomes too: traces are preserved as they are,
 state sets map along the state map, the one-point outcome is constant.
@@ -25,8 +27,9 @@ runs it over the composites of candidate decompositions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Union
+from typing import Optional, Protocol, Union
 
 from .moore import (MachineHom, MooreMachine, State, _missing_row,
                     apply_algebra, render_state)
@@ -65,7 +68,16 @@ class TraceSet:
 
 @dataclass(frozen=True)
 class StateSet:
-    """The machine's state set, rendered; compare by cardinality."""
+    """The machine's state set, rendered; compare by cardinality.
+
+    The value is a read-only sequence of the rendered state names in
+    sorted order, equal to, and hashing like, the sorted tuple of them.
+    Its ``len`` is the machine's state count; the names are rendered and
+    sorted on the first read of anything else (``==``, ``hash``,
+    iteration, indexing), so the default cardinality comparison renders
+    no state.  Rendering walks the whole state set, so on a composite it
+    meets the product's size limit (see ``moore.apply_algebra``).
+    """
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,8 @@ class Test:
 
 @dataclass(frozen=True)
 class Outcome:
-    """The value a test takes on a machine; values are canonical tuples.
+    """The value a test takes on a machine; values are canonical tuples,
+    or for a state set a sequence equal to one (see ``StateSet``).
 
     A trace outcome also records the box's input tuples, in the order its
     successor columns follow, so a witness can name a word; other
@@ -122,7 +135,7 @@ class Outcome:
     """
 
     test: str
-    value: tuple
+    value: Sequence
     inputs: tuple = ()
 
 
@@ -149,7 +162,7 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
         inputs = tuple(input_space([m.box]))
         return _trace_quotient(m, inputs, kind.depth), inputs
     if isinstance(kind, StateSet):
-        return tuple(sorted(render_state(s) for s in m.states)), ()
+        return _StateNames(m.states), ()
     if isinstance(kind, Terminal):
         return ("*",), ()
     # an OutputImage, the one kind left that Test admits
@@ -166,6 +179,46 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
     except KeyError as e:
         raise _missing_row(m, e.args[0], ()) from None
     return tuple(sorted(image)), ()
+
+
+class _StateNames(Sequence):
+    """A state-set outcome's value: the sorted rendered names of a state
+    set, rendered on first read; ``len`` reads the state set's alone."""
+
+    __slots__ = ("_states", "_names")
+
+    def __init__(self, states: Sequence[State]):
+        self._states = states
+        self._names: Optional[tuple[str, ...]] = None
+
+    def _sorted(self) -> tuple[str, ...]:
+        if self._names is None:
+            self._names = tuple(sorted(render_state(s) for s in self._states))
+        return self._names
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, k):
+        return self._sorted()[k]
+
+    def __iter__(self):
+        return iter(self._sorted())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _StateNames)):
+            return NotImplemented
+        if len(other) != len(self):
+            return False
+        if isinstance(other, _StateNames):
+            other = other._sorted()
+        return self._sorted() == other
+
+    def __hash__(self) -> int:
+        return hash(self._sorted())
+
+    def __repr__(self) -> str:
+        return repr(self._sorted())
 
 
 def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:

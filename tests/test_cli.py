@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import wirebox.fincat
+import wirebox.moore
 from wirebox.cli import (EX_CANTCREAT, EX_DATAERR, EX_OK, EX_USAGE, dispatch,
                          format_word, parse_word)
 from wirebox.attacks import CompositeSystem
@@ -134,6 +135,21 @@ def test_validate_rejects_a_scenario_that_repeats_a_name(tmp_path, section):
     assert err.startswith(f"error: scenario.yaml.{section}")
 
 
+@pytest.mark.parametrize("script, key", [("gps-firmware", "rewrite"),
+                                         ("gps-swap", "rewire")])
+def test_a_step_past_the_system_slots_fails_at_load(tmp_path, script, key):
+    data = yaml.safe_load((UAV / "scenario.yaml").read_text())
+    k = next(k for k, s in enumerate(data["scripts"]) if s["name"] == script)
+    data["scripts"][k]["steps"][0][key] = 9
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    want = (f"error: scenario.yaml.scripts[{k}].steps[0].{key}: "
+            f"no component 9; system has 5\n")
+    for argv in (("validate", path),
+                 ("diff", "--scenario", path, "--script", script)):
+        assert cli(*argv) == (EX_DATAERR, "", want)
+
+
 def test_validate_names_the_test_with_a_negative_depth(tmp_path):
     path = tmp_path / "neg.yaml"
     path.write_text("schema: battery.v1\ntests:\n"
@@ -182,6 +198,36 @@ def test_compose_refuses_a_state_space_over_the_limit(tmp_path):
     assert code == EX_DATAERR
     assert out == ""
     assert "2097152 transitions, over the limit of 1048576" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--input", "1,0,1"),
+    ("compose",),
+])
+def test_a_reachable_part_over_the_limit_is_a_data_error(tmp_path, monkeypatch,
+                                                          command):
+    # twenty shift registers in a row reach 2**21 states x 2 inputs; the
+    # limit is lowered so the refused search stays small
+    monkeypatch.setattr(wirebox.moore, "MAX_TRANSITIONS", 2 ** 12)
+    bit = ("0", "1")
+    cell = Box("cell", (Port("a", bit),), (Port("q", bit),))
+    states = tuple(a + b for a in bit for b in bit)
+    register = MooreMachine(cell, states, "00",
+                            {(s, (a,)): s[1] + a for s in states for a in bit},
+                            {s: (s[1],) for s in states})
+    in_map = {(0, "a"): OuterIn(0, "a")}
+    in_map.update({(i, "a"): InnerOut(i - 1, "q") for i in range(1, 20)})
+    row = Wiring((cell,) * 20, (Box("row", cell.in_ports, cell.out_ports),),
+                 in_map, {(0, "q"): InnerOut(19, "q")})
+    path = tmp_path / "row.yaml"
+    path.write_text(dump_system({"row": CompositeSystem(row, (register,) * 20)}))
+    code, out, err = cli(command[0], "--system", path, "--name", "row",
+                         *command[1:])
+    assert code == EX_DATAERR
+    assert out == ""
+    assert re.search(r"reaches at least \d+ states x 2 inputs = \d+ "
+                     r"transitions, over the limit of 4096", err)
+    assert "Traceback" not in err
 
 
 def test_compose_refuses_a_composite_whose_states_render_alike(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from netgen import random_network
 from wirebox import fileformat
-from wirebox.attacks import (CompositeSystem, apply_script,
+from wirebox.attacks import (AttackError, CompositeSystem, apply_script,
                              fingerprint_components, fingerprint_wiring)
 from wirebox.fileformat import (AttackDoc, LoadError, MachineDoc, SystemDoc,
                                 dump_machine, dump_system, load, load_kb_dir,
@@ -550,6 +550,40 @@ def test_state_map_must_be_a_machine_morphism():
     with pytest.raises(LoadError) as exc:
         reload(data)
     assert exc.value.path.endswith(".steps[0].state_map")
+
+
+@pytest.mark.parametrize("script, change, field, message", [
+    ("gps-firmware", {"rewrite": 9}, "rewrite", "no component 9; system has 5"),
+    ("gps-swap", {"rewire": 9}, "rewire", "no component 9; system has 5"),
+    ("gps-minimize", {"rewrite": -1}, "rewrite", "no component -1; system has 5"),
+    ("gps-firmware", {"rewrite": 0}, "rewrite",
+     "replacement inhabits box 'gps', slot 0 is 'imu'"),
+    ("gps-swap", {"rewire": 0}, "rewire",
+     "endomorphism is on box 'gps', slot 0 is 'imu'"),
+    # a morphism rewrite's target is checked against the slot's component
+    ("gps-minimize", {"rewrite": 0}, "state_map",
+     "source inhabits 'imu', target 'gps'"),
+])
+def test_scenario_steps_must_fit_their_system(script, change, field, message):
+    # the checks the step would fail when applied, made at load
+    data = scenario_data()
+    k = next(k for k, s in enumerate(data["scripts"]) if s["name"] == script)
+    data["scripts"][k]["steps"][0].update(change)
+    with pytest.raises(LoadError) as exc:
+        reload(data)
+    assert exc.value.path == f"scenario.yaml.scripts[{k}].steps[0].{field}"
+    assert exc.value.message == message
+
+
+def test_attack_documents_check_their_steps_when_applied():
+    # no system to check against at load: the slot fails when applied
+    data = yaml.safe_load((FIXTURES / "uav" / "combo-attack.yaml").read_text())
+    data["steps"][0]["rewrite"] = 9
+    doc = loads(yaml.safe_dump(data, sort_keys=False), "attack.yaml")
+    assert doc.script.steps[0].index == 9
+    system = load(FIXTURES / "uav" / "scenario.yaml").scenario.system(doc.system)
+    with pytest.raises(AttackError, match="step 0: no component 9; system has 5"):
+        apply_script(system, doc.script)
 
 
 def test_scenario_script_names_must_not_repeat():

@@ -12,14 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import BIT, random_machine, random_network
+from netgen import BIT, random_machine, random_network, random_word
+from wirebox import moore
+from wirebox.fileformat import dump_machine
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, canonical_text, compose_homs,
                            hom_violations, identity_hom, lift_hom,
                            render_state, run, step, validate_hom,
                            validate_machine)
-from wirebox.wiring import (Box, Const, InnerOut, OuterIn, Port, Wiring,
-                            WiringError, _Routing, identity_wiring, input_space)
+from wirebox.oracle import bisimilar, stagewise_simulate
+from wirebox.probes import (EQUALITY, EXACT, KnowledgeBase, MachineOracle,
+                            StateSet, Test, TraceSet, compare_outcomes,
+                            run_test, yoneda_filter)
+from wirebox.wiring import (Box, Const, InnerOut, OuterIn, Port, Table,
+                            Wiring, WiringError, _Routing, identity_wiring,
+                            input_space)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -40,6 +47,24 @@ def history() -> MooreMachine:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+
+def test_run_names_a_missing_row_as_step_does():
+    # unvalidated machines; each word meets the missing row at its third step
+    d = delay()
+    no_update = MooreMachine(CELL, BIT, "0", {k: v for k, v in d.update.items()
+                                              if k != ("1", ("1",))}, d.readout)
+    no_readout = MooreMachine(CELL, BIT, "0", no_update.update, {"0": ("0",)})
+    for m, word, want in (
+            (no_update, [("0",), ("1",), ("1",), ("0",)],
+             "no update for state 1 on input ('1',)"),
+            (no_readout, [("0",), ("1",), ("1",), ("0",)],
+             "no readout for state 1")):
+        with pytest.raises(MachineError) as ran:
+            run(m, word)
+        with pytest.raises(MachineError) as stepped:
+            step(m, "1", word[2])
+        assert str(ran.value) == str(stepped.value) == want
+
 
 def test_valid_machine_reports_clean():
     report = validate_machine(delay())
@@ -208,6 +233,21 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     want = eager_apply_algebra(w, machines)
     m = apply_algebra(w, machines)
     assert (m.states, m.init) == (want.states, want.init)
+    # the lazy product is the eager tuple, read every way
+    states = m.states
+    assert list(states) == list(want.states) and len(states) == len(want.states)
+    assert states == want.states and want.states == states
+    assert not states != want.states and not want.states != states
+    assert (hash(states), repr(states)) == (hash(want.states), repr(want.states))
+    for k in range(-len(states), len(states)):
+        assert states[k] == want.states[k]
+    for k in (len(states), -len(states) - 1):
+        with pytest.raises(IndexError):
+            states[k]
+    assert all(s in states for s in want.states)
+    for s in (want.init[:-1], want.init + want.init[:1],
+              ("s9",) + want.init[1:], want.init[0], list(want.init), None):
+        assert s not in states
     # built: the rows of the states reachable from init, and no others
     assert set(m.readout._rows) == reachable(want)
     inputs = m.inputs()
@@ -395,25 +435,118 @@ def test_apply_algebra_rejects_a_readout_of_the_wrong_length():
         apply_algebra(chain(), (broken, delay()))
 
 
-def test_apply_algebra_refuses_a_product_over_the_limit():
-    # ten four-state components in a row: 4**10 states x 2 inputs
-    n = 10
+def history_row(n: int) -> tuple[Wiring, tuple[MooreMachine, ...]]:
+    """n four-state components in a row: 4**n states x 2 inputs, of which
+    the 2**(n + 1) holding the last n + 1 inputs are reachable from init."""
     in_map = {(0, "a"): OuterIn(0, "a")}
     in_map.update({(i, "a"): InnerOut(i - 1, "q") for i in range(1, n)})
     w = Wiring((CELL,) * n, (Box("row", CELL.in_ports, CELL.out_ports),),
                in_map, {(0, "q"): InnerOut(n - 1, "q")})
-    machines = (history(),) * n
+    return w, (history(),) * n
+
+
+def test_whole_product_readers_refuse_a_product_over_the_limit():
+    n = 10
+    w, machines = history_row(n)
+    m = apply_algebra(w, machines)
+    word = random_word(random.Random(7), m.box, 64)
+    assert run(m, word) == stagewise_simulate(w, machines, word)
+    assert (len(m.states), len(m.update), len(m.readout)) == \
+        (4 ** 10, 2 * 4 ** 10, 4 ** 10)
+    assert m.states[-1] == ("11",) * n and ("01",) * n in m.states
+    limit = (r"1048576 states x 2 inputs = 2097152 transitions, over the "
+             r"limit of 1048576")
+    # lift_hom builds both composites, so it routes their reachable rows
+    # before it is refused
+    with pytest.raises(MachineError, match=limit):
+        lift_hom(w, [identity_hom(h) for h in machines])
+    t = Test("names", StateSet(), EQUALITY)
+    other = apply_algebra(w, machines)
+    readers = {
+        "states": lambda: list(m.states),
+        "hash": lambda: hash(m.states),
+        "repr": lambda: repr(m),
+        "update keys": lambda: list(m.update),
+        "readout rows": lambda: dict(m.readout.items()),
+        "validate_machine": lambda: validate_machine(m),
+        "canonical_text": lambda: canonical_text(m),
+        "dump_machine": lambda: dump_machine("row", m),
+        "identity_hom": lambda: identity_hom(m),
+        "hom_violations": lambda: hom_violations(MachineHom(m, m, {})),
+        "bisimilar": lambda: bisimilar(m, m),
+        "equality StateSet": lambda: compare_outcomes(t, run_test(t, m),
+                                                      run_test(t, other)),
+    }
     tracemalloc.start()
     try:
-        with pytest.raises(MachineError,
-                           match=r"1048576 states x 2 inputs = 2097152 "
-                                 r"transitions, over the limit of 1048576"):
+        for read in readers.values():
+            with pytest.raises(MachineError, match=limit):
+                read()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each reader is refused before it walks a composite state
+    assert peak < 100_000
+
+
+def test_apply_algebra_refuses_a_reachable_part_over_the_limit(monkeypatch):
+    # at the real limit the search routes 2**20 transitions before it is
+    # refused, as many as a composite it accepts may hold (about 4 s and
+    # 300 MB on the twenty-cell row); a limit of 2**12 makes the same
+    # refusal small
+    monkeypatch.setattr(moore, "MAX_TRANSITIONS", 2 ** 12)
+    # the ten-cell row reaches 2**11 states x 2 inputs: exactly the limit
+    m = apply_algebra(*history_row(10))
+    assert len(m.update._rows) == 2 ** 12
+    limit = (r"composite reaches at least \d+ states x 2 inputs = \d+ "
+             r"transitions, over the limit of 4096")
+    with pytest.raises(MachineError, match=limit):
+        apply_algebra(*history_row(11))
+    w, machines = history_row(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MachineError, match=limit):
             apply_algebra(w, machines)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # refused before any composite state is built
-    assert peak < 100_000
+    # the refused search holds at most 4096 routed rows
+    assert peak < 2_000_000
+
+
+def test_a_network_of_32_components_composes_runs_and_is_learned():
+    # a binary tree of 32 two-state cells under one outer input: 2**32
+    # product states, of which 67 are reachable from init; every cell a
+    # delay or an inverter, drawn from a fixed seed
+    rng = random.Random(32)
+    n = 32
+    in_map = {(0, "a"): OuterIn(0, "a")}
+    in_map.update({(i, "a"): InnerOut((i - 1) // 2, "q") for i in range(1, n)})
+    xor = tuple(((a, b), str(int(a != b))) for a in BIT for b in BIT)
+    outer = Box("tree", CELL.in_ports, CELL.out_ports)
+    w = Wiring((CELL,) * n, (outer,), in_map,
+               {(0, "q"): Table((InnerOut(n - 1, "q"), InnerOut(20, "q")), xor)})
+    cells = (delay(), MooreMachine(CELL, BIT, "0", delay().update,
+                                   {"0": ("1",), "1": ("0",)}))
+    machines = tuple(rng.choice(cells) for _ in range(n))
+    word = random_word(rng, outer, 256)
+    tracemalloc.start()
+    try:
+        m = apply_algebra(w, machines)
+        assert len(m.states) == 2 ** 32 > 2 ** 30
+        assert run(m, word) == stagewise_simulate(w, machines, word)
+        kb = KnowledgeBase(outer, (("tree", apply_algebra(w, machines)),
+                                   ("delay", MooreMachine(outer, BIT, "0",
+                                                          delay().update,
+                                                          delay().readout))))
+        battery = (Test("traces-6", TraceSet(6)), Test("states", StateSet()))
+        result = yoneda_filter(kb, battery, MachineOracle(m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.candidates, result.classification) == (("tree",), EXACT)
+    assert ("delay", "states", False) in result.matrix
+    assert peak < 1_000_000
 
 
 def test_apply_algebra_requires_single_outer():

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from netgen import (BIT, random_machine, random_network, random_wiring,
                     relabel)
+from wirebox import probes
 from wirebox.attacks import apply_script
 from wirebox.fileformat import load, load_kb_dir
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
-                           apply_algebra, run)
+                           apply_algebra, render_state, run)
 from wirebox.oracle import find_distinguishing_word
 from wirebox.probes import (AMBIGUOUS, CARDINALITY, EQUALITY, EXACT, UNKNOWN,
                             KnowledgeBase, MachineOracle, OracleError, Outcome,
@@ -216,6 +217,64 @@ def test_trace_quotients_agree_with_the_reference(seed, depth, variant):
 def test_state_set_outcome_renders_states():
     out = run_test(Test("s", StateSet()), history())
     assert out.value == ("00", "01", "10", "11")
+
+
+def some_machine(rng: random.Random, composite: bool) -> MooreMachine:
+    if composite:
+        return apply_algebra(*random_network(rng))
+    return random_machine(rng, Box("b", (Port("a", BIT), Port("b", BIT)),
+                                   (Port("q", BIT),)))
+
+
+def renamed(m: MooreMachine) -> MachineHom:
+    """The morphism from ``m`` onto a copy whose states are plain names."""
+    name = {s: f"r{k}" for k, s in enumerate(m.states)}
+    copy = MooreMachine(m.box, tuple(name.values()), name[m.init],
+                        {(name[s], x): name[t] for (s, x), t in m.update.items()},
+                        {name[s]: r for s, r in m.readout.items()})
+    return MachineHom(m, copy, name)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_state_set_value_reads_as_the_sorted_rendered_names(seed, composite,
+                                                            other_composite):
+    rng = random.Random(seed)
+    m = some_machine(rng, composite)
+    other = some_machine(rng, other_composite)
+    want = tuple(sorted(render_state(s) for s in m.states))
+    value = run_test(Test("s", StateSet()), m).value
+    assert len(value) == len(want) and list(value) == list(want)
+    assert value == want and want == value
+    assert not value != want and not want != value
+    assert hash(value) == hash(want) and set(value) == set(want)
+    assert value != want + ("x",) and want[1:] != value
+    hom = renamed(m)
+    for comparator in (EQUALITY, CARDINALITY):
+        t = Test("s", StateSet(), comparator)
+        a, b = run_test(t, m), run_test(t, other)
+        ea = Outcome("s", want)
+        eb = Outcome("s", tuple(sorted(render_state(s) for s in other.states)))
+        assert a == ea and ea == a and hash(a) == hash(ea)
+        assert compare_outcomes(t, a, b) == compare_outcomes(t, ea, eb)
+        assert outcome_witness(t, a, b) == outcome_witness(t, ea, eb)
+        assert transport_outcome(t, hom, a) == transport_outcome(t, hom, ea)
+
+
+def test_a_cardinality_state_set_renders_no_state(monkeypatch):
+    def render(s):
+        raise AssertionError(f"rendered {s!r}")
+
+    monkeypatch.setattr(probes, "render_state", render)
+    t = Test("s", StateSet())
+    big = apply_algebra(chain(), (history(), history()))
+    small = apply_algebra(chain(), (delay(), delay()))
+    a, b = run_test(t, big), run_test(t, small)
+    assert len(a.value) == 16 and not compare_outcomes(t, a, b)
+    assert outcome_witness(t, a, b) == (16, 4)
+    kb = KnowledgeBase(big.box, (("big", big), ("small", small)))
+    result = yoneda_filter(kb, (t,), MachineOracle(fresh_copy(big)))
+    assert result.candidates == ("big",)
 
 
 def test_terminal_outcome_is_constant():
