@@ -9,11 +9,20 @@ behavioral tests an attacker can run against an opaque system to
 filter a knowledge base.  ``attacks`` applies both: scripted component
 rewrites and rewirings with provenance, transported between an
 attacker's view and the deployed system, and scenarios that bundle the
-two with a knowledge base and named scripts.  ``fileformat``, ``dot``,
-and ``cli`` are the shell.
+two with a knowledge base and named scripts.  ``fileformat`` (with
+``systemformat``), ``dot``, and ``cli`` are the shell.
 """
 
 from importlib import import_module
+
+
+class WireboxError(Exception):
+    """A refusal the library makes: malformed input or a domain error.
+
+    Every module's error class derives from it, so a caller can catch
+    them all without importing the modules that raise them.
+    """
+
 
 # submodule -> the public names it defines.  A submodule is imported on
 # the first lookup of one of its names, or of the submodule itself, so
@@ -48,7 +57,7 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
 
-__all__ = list(_MODULE_OF)
+__all__ = ["WireboxError", *_MODULE_OF]
 __version__ = "0.1.0"
 
 

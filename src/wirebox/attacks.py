@@ -21,14 +21,14 @@ battery, and named scripts aimed at those systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from . import moore, oracle, probes, wiring as wi
+from . import WireboxError, moore, probes, wiring as wi
 from .moore import MachineHom, MooreMachine, apply_algebra, hom_violations
 from .wiring import Wiring
 
 
-class AttackError(Exception):
+class AttackError(WireboxError):
     """A step that does not apply to the system it was aimed at."""
 
     def __init__(self, message: str, log: tuple = ()):
@@ -126,8 +126,7 @@ class AttackScript:
                 raise AttackError(f"not an attack step: {s!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class RewriteResult:
+class RewriteResult(NamedTuple):
     """The attacked system, plus the lifted morphism in morphism mode."""
 
     system: CompositeSystem
@@ -225,8 +224,10 @@ class LogEntry:
     components_fp: str
 
 
-@dataclass(frozen=True, eq=False)
-class ScriptResult:
+class ScriptResult(NamedTuple):
+    """The attacked system, a log entry per step, and each step's lifted
+    morphism (None for a plain rewrite or a rewire)."""
+
     system: CompositeSystem
     log: tuple[LogEntry, ...]
     witnesses: tuple[Optional[MachineHom], ...]
@@ -325,7 +326,9 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
         raise AttackError("systems present different boxes")
     before = baseline.composite()
     after = attacked.composite()
-    word = oracle.find_distinguishing_word(before, after, depth)
+    from .oracle import find_distinguishing_word
+
+    word = find_distinguishing_word(before, after, depth)
     results = []
     for t in battery:
         agree = probes.compare_outcomes(

@@ -18,6 +18,11 @@ when exactly one candidate survives, 2 when several do, 3 when none do.
 when it differs.  ``yoneda-check`` exits 1 when a bijection fails.
 ``--depth`` must be at least 1; a smaller value is a usage error.
 
+Each command imports the library modules it uses when it runs, so one
+call loads only those: ``yoneda-check`` loads ``fincat`` and no machine
+module, ``learn`` loads no attack code, and only ``diff`` loads
+``oracle``.
+
 Input words are written ``"0|1,1|0"``: steps separated by commas, the
 symbols of one step separated by bars, in port order; a word that does
 not fit the box is a usage error.
@@ -27,32 +32,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import fileformat as ff
-from .attacks import AttackError, apply_script, attack_diff
-from .moore import MachineError, run, validate_machine
-from .probes import (AMBIGUOUS, EXACT, MachineOracle, OracleError, ProbeError,
-                     Test, TraceSet, yoneda_filter)
-from .wiring import Box, WiringError
+from . import WireboxError, fileformat as ff
+
+if TYPE_CHECKING:
+    from .wiring import Box
 
 EX_OK = 0
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_CANTCREAT = 73
-
-
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """The exception classes that mean malformed input or a domain error.
-
-    ``fincat`` is imported only by the commands and documents that use it,
-    and no FinCatError can be raised before it is, so its error class
-    joins once the module is loaded.
-    """
-    errors = (ff.LoadError, WiringError, MachineError, ProbeError,
-              OracleError, AttackError)
-    fincat = sys.modules.get("wirebox.fincat")
-    return errors + (fincat.FinCatError,) if fincat else errors
 
 
 class _UsageError(Exception):
@@ -200,26 +190,29 @@ def _composite(path: str, name: str):
 
 def _cmd_validate(args, out) -> int:
     doc = ff.load(args.file)
-    if isinstance(doc, ff.MachineDoc):
+    schema = doc.schema
+    if schema == "machine.v1":
+        from .moore import validate_machine
+
         report = validate_machine(doc.machine)
         for w in report.warnings:
             print(f"warning: {w}", file=out)
         print(f"ok: machine {doc.name!r} on box {doc.machine.box.name!r}, "
               f"{len(doc.machine.states)} states", file=out)
-    elif isinstance(doc, ff.WiringDoc):
+    elif schema == "wiring.v1":
         w = doc.wiring
         print(f"ok: wiring {doc.name!r}, {len(w.inner)} inner boxes -> "
               f"{len(w.outer)} outer", file=out)
-    elif isinstance(doc, ff.SystemDoc):
+    elif schema == "system.v1":
         print(f"ok: {len(doc.boxes)} boxes, {len(doc.machines)} machines, "
               f"{len(doc.wirings)} wirings, {len(doc.systems)} systems",
               file=out)
-    elif isinstance(doc, ff.BatteryDoc):
+    elif schema == "battery.v1":
         print(f"ok: {len(doc.tests)} tests", file=out)
-    elif isinstance(doc, ff.AttackDoc):
+    elif schema == "attack.v1":
         print(f"ok: attack {doc.name!r}, {len(doc.script.steps)} steps",
               file=out)
-    elif isinstance(doc, ff.ScenarioDoc):
+    elif schema == "scenario.v1":
         sc = doc.scenario
         print(f"ok: scenario {sc.name!r}, {len(sc.systems)} systems, "
               f"{len(sc.kb.entries)} knowledge base entries, "
@@ -238,6 +231,8 @@ def _cmd_compose(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    from .moore import run
+
     if (args.machine is None) == (args.system is None):
         raise _UsageError("simulate: give exactly one of --machine/--system")
     if args.machine is not None:
@@ -254,6 +249,9 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_learn(args, out) -> int:
+    from .probes import (AMBIGUOUS, EXACT, MachineOracle, Test, TraceSet,
+                         yoneda_filter)
+
     kb = ff.load_kb_dir(args.kb)
     target = _load(args.target, "machine.v1").machine
     if args.battery:
@@ -279,6 +277,8 @@ def _cmd_learn(args, out) -> int:
 
 
 def _cmd_attack(args, out) -> int:
+    from .attacks import apply_script
+
     scenario = _load(args.scenario, "scenario.v1").scenario
     script = scenario.script(args.script)
     system = scenario.system(script.system)
@@ -292,6 +292,8 @@ def _cmd_attack(args, out) -> int:
 
 
 def _cmd_diff(args, out) -> int:
+    from .attacks import apply_script, attack_diff
+
     scenario = _load(args.scenario, "scenario.v1").scenario
     script = scenario.script(args.script)
     baseline = scenario.system(script.system)
@@ -310,11 +312,11 @@ def _cmd_export_dot(args, out) -> int:
     from .dot import wiring_dot
 
     doc = ff.load(args.file)
-    if isinstance(doc, ff.WiringDoc):
+    if doc.schema == "wiring.v1":
         name, wiring = doc.name, doc.wiring
         if args.wiring and args.wiring != doc.name:
             raise ff.LoadError(args.file, f"no wiring named {args.wiring!r}")
-    elif isinstance(doc, (ff.SystemDoc, ff.ScenarioDoc)):
+    elif doc.schema in ("system.v1", "scenario.v1"):
         if not args.wiring:
             raise _UsageError("export-dot: this file needs --wiring NAME")
         if args.wiring not in doc.wirings:
@@ -380,7 +382,7 @@ def dispatch(argv: Optional[Sequence[str]] = None,
     except _WriteError as e:
         print(str(e), file=err)
         return EX_CANTCREAT
-    except _domain_errors() as e:
+    except WireboxError as e:
         print(f"error: {e}", file=err)
         return EX_DATAERR
     except SystemExit as e:  # argparse --help

@@ -26,6 +26,15 @@ Definitions resolve top to bottom: a wiring may name only wirings defined
 before it, which keeps files readable and rules out cycles by
 construction.
 
+This module parses, reads fields, dispatches on the schema and loads
+``fincat.v1``, importing ``fincat`` when it does.  The six other schemas'
+loaders and document classes, ``load_kb_dir`` and the writers live in
+``systemformat``, which imports ``wiring``, ``moore`` and ``probes``, and
+``attacks`` only for systems, attack steps and scenarios.  It is loaded
+on the first such document or on the first lookup of one of its names
+here (``fileformat.MachineDoc``, ``fileformat.dump_system``), so a
+command that reads one category loads none of the machine modules.
+
 Text is parsed with pyyaml's libyaml loader (``yaml.CSafeLoader``) when
 pyyaml was built with libyaml, and with the pure-Python
 ``yaml.SafeLoader`` otherwise.  Both give equal data on every bundled
@@ -44,22 +53,12 @@ characters.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 import yaml
 
-from .attacks import (AttackError, AttackScript, CompositeSystem, RewireStep,
-                      RewriteStep, Scenario, ScenarioScript, check_index,
-                      check_step)
-from .moore import (MachineError, MachineHom, MooreMachine, hom_violations,
-                    render_state, validate_machine)
-from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
-                     ProbeError, StateSet, Terminal, Test, TraceSet,
-                     default_comparator)
-from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
-                     Wiring, WiringError, compose, identity_wiring, tensor)
+from . import WireboxError
 
 if TYPE_CHECKING:  # only the fincat.v1 loader imports fincat at run time
     from . import fincat as fc
@@ -93,7 +92,7 @@ def _marked_scalars(base: type) -> type:
 _YAML_LOADER = _marked_scalars(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
-class LoadError(Exception):
+class LoadError(WireboxError):
     """A document that cannot be loaded, with the field path at fault."""
 
     def __init__(self, path: str, message: str):
@@ -104,10 +103,13 @@ class LoadError(Exception):
 
 @contextmanager
 def _errors_at(path: str):
-    """Turn a library constructor's refusal into a LoadError at ``path``."""
+    """Turn a library constructor's refusal into a LoadError at ``path``;
+    a LoadError from a field read inside keeps its own path."""
     try:
         yield
-    except (WiringError, MachineError, ProbeError, AttackError) as e:
+    except LoadError:
+        raise
+    except WireboxError as e:
         raise LoadError(path, str(e)) from None
 
 
@@ -200,278 +202,14 @@ def _named(v, path: str, kind: str, load_item) -> dict:
     return out
 
 
-def _port_key(v, path: str) -> tuple[int, str]:
-    s = _string(v, path)
-    head, _, port = s.partition(".")
-    with suppress(ValueError):
-        if port:
-            return int(head), port
-    raise LoadError(path, f"expected 'index.port', got {s!r}")
-
-
-# ---------------------------------------------------------------------------
-# pieces
-# ---------------------------------------------------------------------------
-
-def _load_box(d, path: str) -> tuple[str, Box]:
-    d = _row(d, path, ("name", "inputs", "outputs"))
-    name = _field(d, "name", path)
-
-    def ports(key: str) -> tuple[Port, ...]:
-        return tuple(Port(_field(p, "port", pp), _field(p, "alphabet", pp, _symbols))
-                     for p, pp in _field(d, key, path, _rows(("port", "alphabet"))))
-
-    with _errors_at(path):
-        return name, Box(name, ports("inputs"), ports("outputs"))
-
-
-def _load_machine(d, boxes: Mapping[str, Box], path: str) -> tuple[str, MooreMachine]:
-    d = _row(d, path, ("name", "box", "states", "init", "update", "readout"))
-    name = _field(d, "name", path)
-    box = _field(d, "box", path, _ref(boxes, "box"))
-    states = _field(d, "states", path, _symbols)
-    init = _field(d, "init", path)
-    update = {}
-    for row, rp in _field(d, "update", path, _rows(("state", "input", "next"))):
-        key = (_field(row, "state", rp), _field(row, "input", rp, _symbols))
-        if key in update:
-            raise LoadError(rp, f"duplicate update row for {key}")
-        update[key] = _field(row, "next", rp)
-    readout = {}
-    for row, rp in _field(d, "readout", path, _rows(("state", "output"))):
-        s = _field(row, "state", rp)
-        if s in readout:
-            raise LoadError(rp, f"duplicate readout row for {s!r}")
-        readout[s] = _field(row, "output", rp, _symbols)
-    m = MooreMachine(box, states, init, update, readout)
-    report = validate_machine(m)
-    if not report.ok:
-        raise LoadError(path, f"machine {name!r}: {report.errors[0]}")
-    return name, m
-
-
-def _load_expr(d, path: str) -> SourceExpr:
-    keys = set(_mapping(d, path))
-    if keys == {"outer"}:
-        return OuterIn(*_field(d, "outer", path, _port_key))
-    if keys == {"inner"}:
-        return InnerOut(*_field(d, "inner", path, _port_key))
-    if keys == {"const"}:
-        return Const(_field(d, "const", path))
-    if keys == {"table"}:
-        tp = f"{path}.table"
-        t = _row(d["table"], tp, ("sources", "rows"))
-        return Table(_field(t, "sources", tp, _list(_load_expr)),
-                     tuple((_field(row, "key", rp, _symbols), _field(row, "value", rp))
-                           for row, rp in _field(t, "rows", tp, _rows(("key", "value")))))
-    raise LoadError(path, "expected exactly one of outer/inner/const/table")
-
-
-def _load_wiring(d, boxes: Mapping[str, Box], earlier: Mapping[str, Wiring],
-                 path: str) -> tuple[str, Wiring]:
-    name = _field(_mapping(d, path), "name", path)
-    keys = set(d) - {"name"}
-    if keys == {"identity"}:
-        return name, identity_wiring(_field(d, "identity", path, _ref(boxes, "box")))
-    if keys in ({"compose"}, {"tensor"}):
-        (form,) = keys
-        fp = f"{path}.{form}"
-        ws = _field(d, form, path, _list(
-            _ref(earlier, "wiring", " (forward references are not allowed)")))
-        if form == "compose" and len(ws) < 2:
-            raise LoadError(fp, "needs at least two wirings")
-        with _errors_at(fp):
-            if form == "tensor":
-                return name, tensor(ws)
-            # listed outermost first: compose spots g before f
-            out = ws[-1]
-            for g in reversed(ws[:-1]):
-                out = compose(g, out)
-            return name, out
-    if keys == {"inner", "outer", "inputs", "outputs"}:
-        def port_map(key: str) -> dict:
-            out = {}
-            for row, rp in _field(d, key, path, _rows(("target", "from"))):
-                target = _field(row, "target", rp, _port_key)
-                if target in out:
-                    raise LoadError(rp, f"duplicate target {row['target']!r}")
-                out[target] = _field(row, "from", rp, _load_expr)
-            return out
-
-        box_list = _list(_ref(boxes, "box"))
-        with _errors_at(path):
-            return name, Wiring(_field(d, "inner", path, box_list),
-                                _field(d, "outer", path, box_list),
-                                port_map("inputs"), port_map("outputs"))
-    raise LoadError(
-        path, "expected name plus exactly one of: identity, compose, tensor, "
-              "or inner/outer/inputs/outputs")
-
-
-def _load_system(s, machines, wirings, sp: str) -> tuple[str, CompositeSystem]:
-    s = _row(s, sp, ("name", "wiring", "components"))
-    name = _field(s, "name", sp)
-    wiring = _field(s, "wiring", sp, _ref(wirings, "wiring"))
-    comps = _field(s, "components", sp, _list(_ref(machines, "machine")))
-    with _errors_at(sp):
-        return name, CompositeSystem(wiring, comps)
-
-
-def _load_defs(d: dict, path: str):
-    """Boxes, machines, wirings and systems, each defined before its use."""
-    boxes = _named(d.get("boxes", []), f"{path}.boxes", "box",
-                   lambda b, p, _: _load_box(b, p))
-    machines = _named(d.get("machines", []), f"{path}.machines", "machine",
-                      lambda m, p, _: _load_machine(m, boxes, p))
-    wirings = _named(d.get("wirings", []), f"{path}.wirings", "wiring",
-                     lambda w, p, earlier: _load_wiring(w, boxes, earlier, p))
-    systems = _named(d.get("systems", []), f"{path}.systems", "system",
-                     lambda s, p, _: _load_system(s, machines, wirings, p))
-    return boxes, machines, wirings, systems
-
-
-# kind names in documents; a kind's fields are its integer parameters
-_TEST_KINDS = {"traces": TraceSet, "states": StateSet, "terminal": Terminal,
-               "output-image": OutputImage}
-
-
-def _load_test(d, path: str) -> Test:
-    name = _field(_mapping(d, path), "name", path)
-    kind_name = _field(d, "kind", path)
-    if kind_name not in _TEST_KINDS:
-        *first, last = _TEST_KINDS
-        raise LoadError(f"{path}.kind", f"unknown kind {kind_name!r}; expected "
-                                        f"{', '.join(first)}, or {last}")
-    cls = _TEST_KINDS[kind_name]
-    params = [f.name for f in fields(cls)]
-    _row(d, path, ("name", "kind", "compare", *params))
-    kind = cls(*(_field(d, p, path, _integer) for p in params))
-    compare = d.get("compare", "")
-    if "compare" in d and compare not in (EQUALITY, CARDINALITY):
-        raise LoadError(f"{path}.compare",
-                        f"expected {EQUALITY!r} or {CARDINALITY!r}")
-    with _errors_at(path):
-        return Test(name, kind, compare)
-
-
-def _load_battery(v, path: str) -> tuple[Test, ...]:
-    tests = _list(_load_test)(v, path)
-    names = [t.name for t in tests]
-    if len(set(names)) != len(names):
-        raise LoadError(path, "test names repeat")
-    return tests
-
-
-def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
-    """Steps aimed at ``system``, each checked as ``attacks.check_step``
-    will check it when applied: a slot index past the system's slots, or
-    a replacement machine or endomorphism on another box than its slot's,
-    fails at the step's ``rewrite`` or ``rewire`` key.  A morphism
-    rewrite's target is checked by ``hom_violations`` instead, against
-    the slot's component, at its ``state_map`` key.
-
-    An attack.v1 document defines no systems, so there ``system`` is None:
-    its steps are checked only when applied, and it cannot carry a
-    morphism rewrite.
-    """
-    steps: list = []
-    for row, rp in _rows()(v, path):
-        if "rewrite" in row:
-            _row(row, rp, ("rewrite", "machine", "state_map"))
-            key = "rewrite"
-            idx = _field(row, key, rp, _integer)
-            target = _field(row, "machine", rp, _ref(machines, "machine"))
-            if "state_map" in row:
-                if system is None:
-                    raise LoadError(f"{rp}.state_map", "attack documents define no "
-                                    "systems, so a morphism rewrite cannot be checked "
-                                    "here; it belongs in a scenario.v1 script")
-                state_map = _field(row, "state_map", rp, _string_map)
-                with _errors_at(f"{rp}.rewrite"):
-                    check_index(system, idx)
-                hom = MachineHom(system.components[idx], target, state_map)
-                bad = hom_violations(hom)
-                if bad:
-                    raise LoadError(f"{rp}.state_map", bad[0])
-                step = RewriteStep(idx, hom=hom)
-            else:
-                step = RewriteStep(idx, machine=target)
-        elif "rewire" in row:
-            _row(row, rp, ("rewire", "wiring"))
-            key = "rewire"
-            idx = _field(row, key, rp, _integer)
-            endo = _field(row, "wiring", rp, _ref(wirings, "wiring"))
-            with _errors_at(rp):
-                step = RewireStep(idx, endo)
-        else:
-            raise LoadError(rp, "expected a rewrite or rewire step")
-        if system is not None:
-            with _errors_at(f"{rp}.{key}"):
-                check_step(system, step)
-        steps.append(step)
-    return AttackScript(tuple(steps))
-
-
 # ---------------------------------------------------------------------------
 # documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class MachineDoc:
-    schema: str
-    name: str
-    machine: MooreMachine
-
-
-@dataclass(frozen=True, eq=False)
-class WiringDoc:
-    schema: str
-    name: str
-    wiring: Wiring
-    boxes: Mapping[str, Box]
-
-
-@dataclass(frozen=True, eq=False)
-class SystemDoc:
-    schema: str
-    boxes: Mapping[str, Box]
-    machines: Mapping[str, MooreMachine]
-    wirings: Mapping[str, Wiring]
-    systems: Mapping[str, CompositeSystem]
-
-
-@dataclass(frozen=True, eq=False)
-class BatteryDoc:
-    schema: str
-    tests: tuple[Test, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class AttackDoc:
-    schema: str
-    name: str
-    system: Optional[str]
-    script: AttackScript
-    boxes: Mapping[str, Box]
-    machines: Mapping[str, MooreMachine]
-    wirings: Mapping[str, Wiring]
-
-
-@dataclass(frozen=True, eq=False)
-class FincatDoc:
+class FincatDoc(NamedTuple):
     schema: str
     category: fc.FinCategory
     functors: Mapping[str, fc.SetFunctor]
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioDoc:
-    schema: str
-    boxes: Mapping[str, Box]
-    machines: Mapping[str, MooreMachine]
-    wirings: Mapping[str, Wiring]
-    systems: Mapping[str, CompositeSystem]
-    scenario: Scenario
 
 
 def _yaml_problem(e: Exception) -> str:
@@ -497,10 +235,13 @@ def loads(text: str, source: str = "<string>"):
 def _document(data, source: str):
     """The document object for parsed YAML ``data``."""
     schema = _field(_mapping(data, source), "schema", source)
-    if schema not in _LOADERS:
+    if schema not in SCHEMAS:
         raise LoadError(f"{source}.schema",
                         f"unknown schema {schema!r}; expected one of {list(SCHEMAS)}")
-    return _LOADERS[schema](data, source)
+    if schema == "fincat.v1":
+        return _doc_fincat(data, source)
+    from . import systemformat
+    return systemformat.LOADERS[schema](data, source)
 
 
 def load(path: str):
@@ -515,103 +256,6 @@ def load(path: str):
     except OSError as e:
         raise LoadError(path, f"cannot read: {e}") from None
     return loads(text, source=os.path.basename(path))
-
-
-def _doc_machine(d: dict, src: str) -> MachineDoc:
-    _row(d, src, ("schema", "name", "box", "machine"))
-    _, box = _field(d, "box", src, _load_box)
-    body = dict(_field(d, "machine", src, _mapping))
-    body.setdefault("name", _field(d, "name", src))
-    body["box"] = box.name
-    name, machine = _load_machine(body, {box.name: box}, f"{src}.machine")
-    return MachineDoc("machine.v1", name, machine)
-
-
-def _doc_wiring(d: dict, src: str) -> WiringDoc:
-    _row(d, src, ("schema", "name", "boxes", "wiring"))
-    boxes, _, _, _ = _load_defs({"boxes": d.get("boxes", [])}, src)
-    body = dict(_field(d, "wiring", src, _mapping))
-    body.setdefault("name", _field(d, "name", src))
-    name, wiring = _load_wiring(body, boxes, {}, f"{src}.wiring")
-    return WiringDoc("wiring.v1", name, wiring, boxes)
-
-
-def _doc_system(d: dict, src: str) -> SystemDoc:
-    _row(d, src, ("schema", "boxes", "machines", "wirings", "systems"))
-    boxes, machines, wirings, systems = _load_defs(d, src)
-    return SystemDoc("system.v1", boxes, machines, wirings, systems)
-
-
-def _doc_battery(d: dict, src: str) -> BatteryDoc:
-    _row(d, src, ("schema", "tests"))
-    return BatteryDoc("battery.v1", _field(d, "tests", src, _load_battery))
-
-
-def _doc_attack(d: dict, src: str) -> AttackDoc:
-    _row(d, src, ("schema", "name", "system", "boxes", "machines", "wirings",
-                  "steps"))
-    name = _field(d, "name", src)
-    system = _string(d["system"], f"{src}.system") if "system" in d else None
-    boxes, machines, wirings, _ = _load_defs(d, src)
-    script = _field(d, "steps", src,
-                    lambda v, p: _load_steps(v, machines, wirings, None, p))
-    return AttackDoc("attack.v1", name, system, script, boxes, machines, wirings)
-
-
-def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
-    _row(d, src, ("schema", "name", "boxes", "machines", "wirings", "systems",
-                  "real", "attacker_view", "correspondence", "kb", "battery",
-                  "scripts"))
-    name = _field(d, "name", src)
-    boxes, machines, wirings, systems = _load_defs(d, src)
-    real = _field(d, "real", src)
-    view = _field(d, "attacker_view", src)
-    for key, kp in ((real, "real"), (view, "attacker_view")):
-        _ref(systems, "system")(key, f"{src}.{kp}")
-    corr: dict[int, tuple[int, ...]] = {}
-    for row, rp in _field(d, "correspondence", src, _rows(("view", "real"))):
-        v = _field(row, "view", rp, _integer)
-        rs = _field(row, "real", rp, _list(_integer))
-        if v in corr:
-            raise LoadError(rp, f"duplicate view slot {v}")
-        corr[v] = rs
-    n_view = len(systems[view].components)
-    n_real = len(systems[real].components)
-    if set(corr) != set(range(n_view)):
-        raise LoadError(f"{src}.correspondence",
-                        f"view slots must cover 0..{n_view - 1} exactly")
-    covered = [j for v in sorted(corr) for j in corr[v]]
-    if sorted(covered) != list(range(n_real)):
-        raise LoadError(f"{src}.correspondence",
-                        f"real slots must cover 0..{n_real - 1} exactly once")
-    entries = []
-    for row, rp in _field(d, "kb", src, _rows()):
-        ename = _field(row, "name", rp)
-        if set(row) == {"name", "machine"}:
-            entries.append((ename, _field(row, "machine", rp, _ref(machines, "machine"))))
-        elif set(row) == {"name", "system"}:
-            with _errors_at(rp):
-                entries.append((ename, _field(row, "system", rp,
-                                              _ref(systems, "system")).composite()))
-        else:
-            raise LoadError(rp, "expected name plus machine or system")
-    with _errors_at(f"{src}.kb"):
-        kb = KnowledgeBase(systems[view].box, tuple(entries))
-    tests = _field(d, "battery", src, _load_battery)
-
-    def script(row, rp: str, _) -> tuple[str, ScenarioScript]:
-        row = _row(row, rp, ("name", "system", "steps"))
-        sname = _field(row, "name", rp)
-        target = _string(row.get("system", view), f"{rp}.system")
-        aimed = _ref(systems, "system")(target, f"{rp}.system")
-        steps = _field(row, "steps", rp,
-                       lambda v, p: _load_steps(v, machines, wirings, aimed, p))
-        return sname, ScenarioScript(sname, target, steps)
-
-    scripts = _field(d, "scripts", src, lambda v, p: _named(v, p, "script", script))
-    scenario = Scenario(name, systems, real, view, corr, kb, tests,
-                        tuple(scripts.values()))
-    return ScenarioDoc("scenario.v1", boxes, machines, wirings, systems, scenario)
 
 
 def _doc_fincat(d: dict, src: str) -> FincatDoc:
@@ -656,164 +300,19 @@ def _doc_fincat(d: dict, src: str) -> FincatDoc:
     return FincatDoc("fincat.v1", cat, functors)
 
 
-_LOADERS = {"machine.v1": _doc_machine, "wiring.v1": _doc_wiring,
-            "system.v1": _doc_system, "battery.v1": _doc_battery,
-            "attack.v1": _doc_attack, "scenario.v1": _doc_scenario,
-            "fincat.v1": _doc_fincat}
-SCHEMAS = tuple(_LOADERS)
+SCHEMAS = ("machine.v1", "wiring.v1", "system.v1", "battery.v1", "attack.v1",
+           "scenario.v1", "fincat.v1")
+
+# systemformat's public names, looked up there on each use
+_SYSTEM_NAMES = frozenset((
+    "MachineDoc", "WiringDoc", "SystemDoc", "BatteryDoc", "AttackDoc",
+    "ScenarioDoc", "load_kb_dir", "box_data", "machine_data", "expr_data",
+    "wiring_data", "test_data", "dump_machine", "collect_boxes",
+    "dump_system"))
 
 
-def load_kb_dir(path: str) -> KnowledgeBase:
-    """A knowledge base from a directory of machine.v1 files.
-
-    Files are read in sorted name order; entry names are the machine
-    names in the files.  All machines must share one box.
-    """
-    try:
-        names = sorted(n for n in os.listdir(path)
-                       if n.endswith((".yaml", ".yml")))
-    except OSError as e:
-        raise LoadError(path, f"cannot read directory: {e}") from None
-    if not names:
-        raise LoadError(path, "no machine files found")
-    entries = []
-    box = None
-    for n in names:
-        doc = load(os.path.join(path, n))
-        if not isinstance(doc, MachineDoc):
-            raise LoadError(n, "knowledge base entries must be machine.v1")
-        if box is None:
-            box = doc.machine.box
-        entries.append((doc.name, doc.machine))
-    with _errors_at(path):
-        return KnowledgeBase(box, tuple(entries))
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def box_data(box: Box) -> dict:
-    return {
-        "name": box.name,
-        "inputs": [{"port": p.name, "alphabet": list(p.alphabet)}
-                   for p in box.in_ports],
-        "outputs": [{"port": p.name, "alphabet": list(p.alphabet)}
-                    for p in box.out_ports],
-    }
-
-
-def machine_data(name: str, m: MooreMachine) -> dict:
-    """Machine as plain data; tuple states are rendered to strings.
-
-    Two states that render alike, such as the composite states
-    ``("a,b", "c")`` and ``("a", "b,c")``, would load back as one, so
-    such a machine is refused with a LoadError.
-    """
-    rs = render_state
-    states = [rs(s) for s in m.states]
-    if len(set(states)) != len(states):
-        text = next(t for k, t in enumerate(states) if t in states[:k])
-        raise LoadError(name, f"two states render as {text!r}, so the "
-                              f"machine cannot be written and read back")
-    inputs = sorted({x for (_, x) in m.update})
-    return {
-        "name": name,
-        "box": m.box.name,
-        "states": states,
-        "init": rs(m.init),
-        "update": [{"state": rs(s), "input": list(x), "next": rs(m.update[(s, x)])}
-                   for s in m.states for x in inputs if (s, x) in m.update],
-        "readout": [{"state": rs(s), "output": list(m.readout[s])}
-                    for s in m.states if s in m.readout],
-    }
-
-
-def expr_data(expr: SourceExpr) -> dict:
-    if isinstance(expr, OuterIn):
-        return {"outer": f"{expr.box}.{expr.port}"}
-    if isinstance(expr, InnerOut):
-        return {"inner": f"{expr.box}.{expr.port}"}
-    if isinstance(expr, Const):
-        return {"const": expr.symbol}
-    return {"table": {
-        "sources": [expr_data(s) for s in expr.sources],
-        "rows": [{"key": list(k), "value": v} for k, v in expr.entries],
-    }}
-
-
-def wiring_data(name: str, w: Wiring) -> dict:
-    return {
-        "name": name,
-        "inner": [b.name for b in w.inner],
-        "outer": [b.name for b in w.outer],
-        "inputs": [{"target": f"{i}.{p.name}",
-                    "from": expr_data(w.in_map[(i, p.name)])}
-                   for i, p in w.inner_input_ports()],
-        "outputs": [{"target": f"{j}.{p.name}",
-                     "from": expr_data(w.out_map[(j, p.name)])}
-                    for j, p in w.outer_output_ports()],
-    }
-
-
-def test_data(t: Test) -> dict:
-    kind = t.kind
-    out: dict = {"name": t.name,
-                 "kind": next(n for n, c in _TEST_KINDS.items() if type(kind) is c)}
-    out.update((f.name, getattr(kind, f.name)) for f in fields(kind))
-    if t.comparator != default_comparator(kind):
-        out["compare"] = t.comparator
-    return out
-
-
-def _dump(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=False, width=88)
-
-
-def dump_machine(name: str, m: MooreMachine) -> str:
-    data = machine_data(name, m)
-    body = {k: data[k] for k in ("states", "init", "update", "readout")}
-    return _dump({"schema": "machine.v1", "name": name,
-                  "box": box_data(m.box), "machine": body})
-
-
-def collect_boxes(*groups) -> dict[str, Box]:
-    """Distinct boxes by name; conflicting same-name boxes are an error."""
-    out: dict[str, Box] = {}
-    for group in groups:
-        for box in group:
-            if box.name in out and out[box.name] != box:
-                raise LoadError(box.name, "conflicting definitions for one box name")
-            out[box.name] = box
-    return out
-
-
-def dump_system(systems: Mapping[str, CompositeSystem]) -> str:
-    """A system.v1 document covering the given named systems.
-
-    Component machines are named slot by slot; structurally equal
-    machines share one definition.
-    """
-    boxes = collect_boxes(*(group for system in systems.values()
-                            for group in (system.wiring.inner, system.wiring.outer)))
-    machines: list[tuple[str, MooreMachine]] = []
-    wirings: list[tuple[str, Wiring]] = []
-    out_systems = []
-    for sys_name, system in systems.items():
-        comp_names = []
-        for m in system.components:
-            found = next((n for n, other in machines if other == m), None)
-            if found is None:
-                found = f"{m.box.name}-{len(machines)}"
-                machines.append((found, m))
-            comp_names.append(found)
-        wname = f"{sys_name}-wiring"
-        wirings.append((wname, system.wiring))
-        out_systems.append({"name": sys_name, "wiring": wname,
-                            "components": comp_names})
-    return _dump({
-        "schema": "system.v1",
-        "boxes": [box_data(b) for b in boxes.values()],
-        "machines": [machine_data(n, m) for n, m in machines],
-        "wirings": [wiring_data(n, w) for n, w in wirings],
-        "systems": out_systems,
-    })
+def __getattr__(name: str):
+    if name in _SYSTEM_NAMES:
+        from . import systemformat
+        return getattr(systemformat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,14 +34,15 @@ import math
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
+from . import WireboxError
 from .wiring import Box, Symbol, Wiring, WiringError, _Routing, input_space
 
 State = Union[str, tuple]
 
 
-class MachineError(Exception):
+class MachineError(WireboxError):
     """Malformed machine, morphism, or step on undefined data."""
 
 
@@ -91,8 +92,7 @@ def render_state(s: State) -> str:
     return s
 
 
-@dataclass(frozen=True)
-class MachineReport:
+class MachineReport(NamedTuple):
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 
@@ -263,8 +263,7 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     routing = _Routing(w)
     for i, m in enumerate(machines):
         _check_readouts(i, m)
-    states = _Product(tuple(m.states for m in machines),
-                      math.prod(len(p.alphabet) for p in outer.in_ports))
+    states = _product(machines, outer)
     init = tuple(m.init for m in machines)
     router = _Router(routing, machines, states, outer)
     update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
@@ -286,6 +285,11 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
                     stack.append(t)
     return MooreMachine(outer, states, init, _UpdateRows(update, router),
                         _ReadoutRows(readout, router))
+
+
+def _product(machines: Sequence[MooreMachine], outer: Box) -> _Product:
+    return _Product(tuple(m.states for m in machines),
+                    math.prod(len(p.alphabet) for p in outer.in_ports))
 
 
 def _over_the_limit(has: str, n_states: int, n_inputs: int) -> MachineError:
@@ -323,9 +327,13 @@ class _Product(Sequence):
                 and all(map(operator.contains, self._members, s)))
 
     def __iter__(self):
+        self.check_walkable()
+        return itertools.product(*self._parts)
+
+    def check_walkable(self) -> None:
+        """Raise MachineError when walking the product is refused."""
         if self._len * self._n_inputs > MAX_TRANSITIONS:
             raise _over_the_limit("would have", self._len, self._n_inputs)
-        return itertools.product(*self._parts)
 
     def __getitem__(self, k: int) -> tuple:
         k = operator.index(k)
@@ -596,14 +604,19 @@ def lift_hom(w: Wiring, homs: Sequence[MachineHom]) -> MachineHom:
 
     Source and target are the composites of the component sources and
     targets; the state map acts componentwise.  The result is validated,
-    so a non-morphism input fails loudly here.
+    so a non-morphism input fails loudly here.  Both composites are walked
+    whole, so a product over the limit is refused, with the whole-product
+    readers' MachineError, before either is built.
     """
     for i, h in enumerate(homs):
         bad = hom_violations(h)
         if bad:
             raise MachineError(f"component {i}: {bad[0]}")
-    src = apply_algebra(w, [h.source for h in homs])
-    tgt = apply_algebra(w, [h.target for h in homs])
+    sides = ([h.source for h in homs], [h.target for h in homs])
+    for machines in sides:
+        _machines_fit(w, machines)
+        _product(machines, w.outer[0]).check_walkable()
+    src, tgt = (apply_algebra(w, machines) for machines in sides)
     state_map = {s: tuple(h.state_map[si] for h, si in zip(homs, s))
                  for s in src.states}
     lifted = MachineHom(src, tgt, state_map)

@@ -29,18 +29,19 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Protocol, Union
+from typing import NamedTuple, Optional, Protocol, Union
 
+from . import WireboxError
 from .moore import (MachineHom, MooreMachine, State, _missing_row,
                     apply_algebra, render_state)
 from .wiring import Box, Wiring, _box_mismatch, input_space
 
 
-class ProbeError(Exception):
+class ProbeError(WireboxError):
     """Bad test data or mismatched outcome comparison."""
 
 
-class OracleError(Exception):
+class OracleError(WireboxError):
     """The target oracle could not answer a test."""
 
 
@@ -427,8 +428,7 @@ AMBIGUOUS = "ambiguous"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class LearnResult:
+class LearnResult(NamedTuple):
     """Who survived, how that classifies, and the full verdict matrix.
 
     ``matrix`` holds one (entry, test, verdict) triple per comparison in

@@ -39,10 +39,12 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
+from . import WireboxError
+
 Symbol = str
 
 
-class WiringError(Exception):
+class WiringError(WireboxError):
     """Malformed box, expression, or wiring."""
 
 

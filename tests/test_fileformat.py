@@ -483,6 +483,31 @@ def test_unknown_component_points_at_the_slot():
     assert "ghost" in e.message
 
 
+CELL_BOX = """
+        - name: cell
+          inputs:
+          - {port: a, alphabet: ['0', '1']}
+          outputs:
+          - {port: q, alphabet: ['0', '1']}
+"""
+
+
+@pytest.mark.parametrize("text, path, message", [
+    # each field is read inside the constructor call that turns a
+    # library refusal into an error at the enclosing row
+    ("schema: wiring.v1\nname: w\nboxes:\n- name: cell\n  inputs:\n"
+     "  - {port: a}\n  outputs: []\nwiring: {identity: cell}\n",
+     "t.yaml.boxes[0].inputs[0]", "missing required key 'alphabet'"),
+    ("schema: system.v1\nboxes:" + CELL_BOX + "wirings:\n- name: w\n"
+     "  inner: [cell, ghost]\n  outer: [cell]\n  inputs: []\n  outputs: []\n",
+     "t.yaml.wirings[0].inner[1]", "unknown box 'ghost'"),
+])
+def test_a_field_read_inside_a_constructor_keeps_its_own_path(text, path,
+                                                              message):
+    e = err(text)
+    assert (e.path, e.message) == (path, message)
+
+
 def test_attack_step_must_be_rewrite_or_rewire():
     e = err("""
         schema: attack.v1

@@ -2,8 +2,12 @@
 
 import itertools
 import pathlib
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirebox.fileformat import load
 from wirebox.fincat import (FinCategory, FinCatError, Morphism,
@@ -46,10 +50,65 @@ def cyc3() -> FinCategory:
                        {"s": "e"}, comp)
 
 
-def constant(cat: FinCategory) -> SetFunctor:
-    return SetFunctor("const", cat,
-                      {a: ("*",) for a in cat.objects},
-                      {m.mid: {"*": "*"} for m in cat.morphisms})
+def constant(cat: FinCategory, elements=("*",)) -> SetFunctor:
+    return SetFunctor(f"const{len(elements)}", cat,
+                      {a: tuple(elements) for a in cat.objects},
+                      {m.mid: {x: x for x in elements} for m in cat.morphisms})
+
+
+def poset(n: int, edges, names=None) -> FinCategory:
+    """The partial order on 0..n-1 generated by the acyclic ``edges``
+    (i, j), one morphism "i-j" per related pair; object i is named
+    ``names[i]``, or p<i>."""
+    below = {(i, i) for i in range(n)} | set(edges)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if (i, k) in below and (k, j) in below:
+            below.add((i, j))
+    objs = tuple(names or (f"p{i}" for i in range(n)))
+    mors = tuple(Morphism(f"{i}-{j}", objs[i], objs[j]) for i, j in sorted(below))
+    comp = {(f"{j}-{k}", f"{i}-{j}"): f"{i}-{k}"
+            for i, j in below for j2, k in below if j2 == j}
+    return FinCategory(f"poset{n}", objs, mors,
+                       {objs[i]: f"{i}-{i}" for i in range(n)}, comp)
+
+
+def fan(n: int) -> FinCategory:
+    """An apex z with one arrow to each of n objects; z sorts after them."""
+    return poset(n + 1, [(n, j) for j in range(n)],
+                 [f"o{j}" for j in range(n)] + ["z"])
+
+
+def cyclic_monoids(shapes) -> FinCategory:
+    """The product of the cyclic monoids <x | x^(i+p) = x^i>, one per
+    (index i, period p) in ``shapes``, as a one-object category."""
+    def mult(i, p):
+        return lambda a, b: a + b if a + b < i + p else i + (a + b - i) % p
+
+    factors = [(range(i + p), mult(i, p)) for i, p in shapes]
+    elems = list(itertools.product(*(r for r, _ in factors)))
+
+    def name(e):
+        return "x" + "".join(map(str, e))
+
+    comp = {(name(g), name(f)): name(tuple(m(a, b) for (_, m), a, b
+                                           in zip(factors, g, f)))
+            for g in elems for f in elems}
+    return FinCategory("monoid" + str(shapes), ("s",),
+                       tuple(Morphism(name(e), "s", "s") for e in elems),
+                       {"s": name(elems[0])}, comp)
+
+
+def coproduct(F: SetFunctor, G: SetFunctor) -> SetFunctor:
+    """F + G, elements tagged 1: and 2:."""
+    def tagged(t, H, a):
+        return tuple(f"{t}:{x}" for x in H.at(a))
+
+    cat = F.cat
+    return SetFunctor(
+        f"{F.name}+{G.name}", cat,
+        {a: tagged(1, F, a) + tagged(2, G, a) for a in cat.objects},
+        {m.mid: {f"{t}:{x}": f"{t}:{y}" for t, H in ((1, F), (2, G))
+                 for x, y in H.map(m.mid).items()} for m in cat.morphisms})
 
 
 def brute_nat(F: SetFunctor, G: SetFunctor):
@@ -89,6 +148,50 @@ FIXTURE_CATS = tuple(
     load(p).category for p in sorted(
         (pathlib.Path(__file__).resolve().parent.parent / "fixtures"
          / "fincat").glob("*.yaml")))
+
+# brute force tries every componentwise assignment; keep it this small
+BRUTE_ASSIGNMENTS = 3000
+
+
+def assignments(F: SetFunctor, G: SetFunctor) -> int:
+    n = 1
+    for a in F.cat.objects:
+        n *= len(G.at(a)) ** len(F.at(a))
+    return n
+
+
+@st.composite
+def small_categories(draw) -> FinCategory:
+    shape = st.tuples(st.integers(0, 2), st.integers(1, 3))
+    kind = draw(st.sampled_from(["fixed", "poset", "fan", "cospan", "monoid",
+                                 "monoids"]))
+    if kind == "fixed":
+        return draw(st.sampled_from(ALL_CATS + FIXTURE_CATS))
+    if kind == "poset":
+        n = draw(st.integers(1, 4))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return poset(n, [e for e in pairs if draw(st.booleans())])
+    if kind == "fan":
+        return fan(draw(st.integers(1, 4)))
+    if kind == "cospan":
+        return poset(3, [(0, 2), (1, 2)])
+    if kind == "monoid":
+        return cyclic_monoids([draw(shape.filter(lambda s: sum(s) <= 4))])
+    return cyclic_monoids([draw(st.tuples(st.integers(0, 1), st.integers(1, 2)))
+                           for _ in range(2)])
+
+
+@st.composite
+def functor_pairs(draw) -> tuple[SetFunctor, SetFunctor]:
+    """Two functors on one small category: hom functors, constant
+    functors of one or two elements, and sums of two hom functors."""
+    cat = draw(small_categories())
+    homs = [hom_functor(cat, a) for a in cat.objects]
+    functors = homs + [constant(cat), constant(cat, ("p", "q"))]
+    functors += [coproduct(F, G) for F, G in itertools.product(homs, repeat=2)]
+    pairs = [(F, G) for F in functors for G in functors
+             if assignments(F, G) <= BRUTE_ASSIGNMENTS]
+    return draw(st.sampled_from(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +278,42 @@ def test_hom_functors_are_functors():
 # naturality enumeration
 # ---------------------------------------------------------------------------
 
-def test_enumeration_matches_brute_force():
-    for cat in ALL_CATS:
-        functors = [hom_functor(cat, a) for a in cat.objects]
-        functors.append(constant(cat))
-        for F in functors:
-            for G in functors:
-                fast = enumerate_nat(F, G)
-                slow = brute_nat(F, G)
-                assert [e.encode() for e in fast] == \
-                    [e.encode() for e in slow], (cat.name, F.name, G.name)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(functor_pairs())
+def test_enumeration_matches_brute_force(pair):
+    # the same transformations in the same order
+    F, G = pair
+    assert validate_functor(F) == [] and validate_functor(G) == []
+    fast = enumerate_nat(F, G)
+    assert [e.encode() for e in fast] == \
+        [e.encode() for e in brute_nat(F, G)], (F.cat.name, F.name, G.name)
+
+
+def test_the_generators_are_valid_categories():
+    cats = [poset(4, [(0, 1), (1, 2), (0, 3)]), fan(3), poset(3, [(0, 2), (1, 2)]),
+            cyclic_monoids([(2, 2)]), cyclic_monoids([(0, 2), (1, 1)])]
+    for cat in cats:
+        assert validate_category(cat).ok, cat.name
+    assert len(poset(4, [(0, 1), (1, 2), (0, 3)]).morphisms) == 4 + 4
+    assert len(cyclic_monoids([(0, 2), (1, 2)]).morphisms) == 6
+
+
+def test_a_fan_of_forty_arrows_is_checked_in_linear_time():
+    # the apex identity forces every slot; taken last, the search would
+    # branch three ways at each of the forty arrows first
+    cat = fan(40)
+    F = constant(cat, ("a", "b", "c"))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        witness = yoneda_check(cat, "z", F)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [e for _, e in witness.pairs] == ["a", "b", "c"]
+    assert elapsed < 1.0
+    assert peak < 1_000_000
 
 
 def test_enumerated_transformations_are_natural():

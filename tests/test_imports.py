@@ -1,5 +1,7 @@
 """Every library module uses each name it imports; what ``import
-wirebox.cli`` loads; the package's public names.
+wirebox.cli`` and each command load; the package's public names; the
+writers ``fileformat`` resolves on first use; the records kept as named
+tuples.
 
 The unused-import check uses the stdlib ``ast`` module only: a name
 counts as used when it appears as a name node anywhere in the module.
@@ -18,8 +20,14 @@ import sys
 import pytest
 
 import wirebox
+from wirebox import fileformat, systemformat
+from wirebox.attacks import RewriteResult, ScriptResult
+from wirebox.fincat import CategoryReport
+from wirebox.moore import MachineReport
+from wirebox.probes import LearnResult
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wirebox"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wirebox"
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:
@@ -41,16 +49,141 @@ def test_library_modules_use_every_name_they_import():
     assert [u for p in modules for u in unused_imports(p)] == []
 
 
-def test_the_command_line_imports_neither_fincat_nor_dot():
+def fresh(code: str, *argv: str) -> str:
+    """The stdout of ``code`` run in a new interpreter, with the tests
+    directory and this checkout's package on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import wirebox.cli, sys; print(sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        [str(SRC.parent), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_the_command_line_imports_neither_fincat_nor_dot():
+    out = fresh("import wirebox.cli, sys; print(sorted(sys.modules))")
     loaded = set(ast.literal_eval(out))
     assert {"wirebox.cli", "wirebox.fileformat"} <= loaded
     assert not {"wirebox.fincat", "wirebox.dot"} & loaded
+
+
+UAV = ROOT / "fixtures" / "uav"
+SCENARIO = str(UAV / "scenario.yaml")
+# each cli-airframe command, its exit code, and the modules it loads
+# besides wirebox, wirebox.cli and wirebox.fileformat
+MACHINES = {"systemformat", "wiring", "moore", "probes"}
+COMMANDS = {
+    "yoneda-check": (["yoneda-check", "--file",
+                      str(ROOT / "fixtures" / "fincat" / "cyc3.yaml")],
+                     0, {"fincat"}),
+    "learn": (["learn", "--kb", str(UAV / "kb"), "--target",
+               str(UAV / "target.yaml"), "--battery", str(UAV / "battery.yaml")],
+              0, MACHINES),
+    "diff": (["diff", "--scenario", SCENARIO, "--script", "gps-firmware"],
+             1, MACHINES | {"attacks", "oracle"}),
+    "attack": (["attack", "--scenario", SCENARIO, "--script", "combo", "--out",
+                "OUT"], 0, MACHINES | {"attacks"}),
+    "compose": (["compose", "--system", SCENARIO, "--name", "real"],
+                0, MACHINES | {"attacks"}),
+    "simulate": (["simulate", "--system", SCENARIO, "--name", "real",
+                  "--input", "0|1,1|1"], 0, MACHINES | {"attacks"}),
+    "export-dot": (["export-dot", "--file", SCENARIO, "--wiring",
+                    "sensor-view"], 0, MACHINES | {"attacks", "dot"}),
+    "validate": (["validate", SCENARIO], 0, MACHINES | {"attacks"}),
+}
+DISPATCH = """
+import io, sys
+from wirebox.cli import dispatch
+code = dispatch(sys.argv[1:], io.StringIO(), io.StringIO())
+print([code, sorted(m for m in sys.modules if m.startswith("wirebox"))])
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_the_modules_it_uses(command, tmp_path):
+    argv, want_code, modules = COMMANDS[command]
+    argv = [str(tmp_path / "out.yaml") if a == "OUT" else a for a in argv]
+    code, loaded = ast.literal_eval(fresh(DISPATCH, *argv))
+    assert code == want_code
+    assert set(loaded) == {"wirebox", "wirebox.cli", "wirebox.fileformat"} \
+        | {f"wirebox.{m}" for m in modules}
+    if command == "learn":
+        assert not {"attacks", "oracle", "fincat", "dot"} & modules
+    assert ("oracle" in modules) == (command == "diff")
+
+
+# each writer called in an interpreter that has loaded no document, so
+# ``fileformat`` resolves it on that first call; each prints what it
+# wrote and what that reads back as
+WRITERS = {
+    "dump_machine": """
+m = uav.gps_history_machine()
+text = ff.dump_machine("gps", m)
+print(text == ff.dump_machine("gps", ff.loads(text).machine))
+""",
+    "dump_system": """
+systems = {"view": uav.build_uav_attacker_view()}
+text = ff.dump_system(systems)
+print(text == ff.dump_system(ff.loads(text).systems))
+""",
+    "test_data": """
+import yaml
+battery = uav.standard_battery()
+data = {"schema": "battery.v1", "tests": [ff.test_data(t) for t in battery]}
+print(ff.loads(yaml.safe_dump(data)).tests == battery)
+""",
+    "load_kb_dir": """
+kb = ff.load_kb_dir(sys.argv[1])
+print(len(kb.entries) == 4 and all(
+    ff.loads(ff.dump_machine(n, m)).machine == m for n, m in kb.entries))
+""",
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_work_before_any_document_is_loaded(writer):
+    code = ("import sys\nimport uav\nfrom wirebox import fileformat as ff\n"
+            "assert 'wirebox.systemformat' not in sys.modules\n"
+            + WRITERS[writer])
+    assert fresh(code, str(UAV / "kb")) == "True\n"
+
+
+def test_fileformat_resolves_every_public_name_of_systemformat():
+    public = {n for n, v in vars(systemformat).items()
+              if not n.startswith("_") and n != "LOADERS"
+              and getattr(v, "__module__", None) == systemformat.__name__}
+    assert public == fileformat._SYSTEM_NAMES
+    assert fileformat.SCHEMAS == (*systemformat.LOADERS, "fincat.v1")
+    for name in public:
+        assert getattr(fileformat, name) is getattr(systemformat, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fileformat.no_such_name
+
+
+def test_records_keep_their_fields_defaults_and_verdicts():
+    docs = {"MachineDoc": "schema name machine",
+            "WiringDoc": "schema name wiring boxes",
+            "SystemDoc": "schema boxes machines wirings systems",
+            "BatteryDoc": "schema tests",
+            "AttackDoc": "schema name system script boxes machines wirings",
+            "ScenarioDoc": "schema boxes machines wirings systems scenario",
+            "FincatDoc": "schema category functors"}
+    for name, names in docs.items():
+        cls = getattr(fileformat, name)
+        assert cls._fields == tuple(names.split()), name
+        assert cls._field_defaults == {}, name
+    assert MachineReport._fields == ("errors", "warnings")
+    assert CategoryReport._fields == ("structural", "violations")
+    assert RewriteResult._fields == ("system", "witness")
+    assert ScriptResult._fields == ("system", "log", "witnesses")
+    assert LearnResult._fields == ("candidates", "classification", "matrix",
+                                   "incomplete")
+    assert RewriteResult("s").witness is None
+    assert LearnResult((), "unknown", ()).incomplete == ()
+    assert MachineReport((), ("unreachable",)).ok
+    assert not MachineReport(("no readout",), ()).ok
+    assert CategoryReport((), ()).ok
+    assert not CategoryReport(("dangling",), ()).ok
+    assert not CategoryReport((), ("associativity",)).ok
+    assert repr(MachineReport((), ())) == "MachineReport(errors=(), warnings=())"
 
 
 # every name the package re-exported when ``import wirebox`` still
@@ -90,7 +223,16 @@ def test_every_public_name_resolves_to_its_module_attribute():
     star: dict = {}
     exec("from wirebox import *", star)
     assert {n for names in PUBLIC.values() for n in names.split()} \
-        == set(star) - {"__builtins__"}
+        | {"WireboxError"} == set(star) - {"__builtins__"}
+
+
+def test_every_library_error_is_a_wirebox_error():
+    errors = [getattr(wirebox, n) for names in PUBLIC.values()
+              for n in names.split() if n.endswith("Error")]
+    errors.append(fileformat.LoadError)
+    assert len(errors) == 9
+    for cls in errors:
+        assert issubclass(cls, wirebox.WireboxError), cls
 
 
 def test_unknown_names_are_attribute_errors():
