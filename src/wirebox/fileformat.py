@@ -47,7 +47,10 @@ YAML at line L, column C: <problem>`` under either loader, though the
 problem text is the loader's own; a malformed scalar such as
 ``2001-02-30`` or ``!!bool maybe`` reads ``not valid YAML at line L,
 column C: cannot read !!<tag> value '<text>'``, the text cut to 40
-characters.
+characters.  Numbers keep their text: a scalar that reads as a number
+but prints differently (``01``, ``1.50``, ``1_000``, ``0x1F``, ``+1``,
+``.5``) loads as its text, so a state ``01`` stays apart from a state
+``1``, and an integer field written ``06`` is refused at its path.
 """
 
 from __future__ import annotations
@@ -67,7 +70,9 @@ if TYPE_CHECKING:  # only the fincat.v1 loader imports fincat at run time
 def _marked_scalars(base: type) -> type:
     """``base`` with the !!int, !!float, !!bool and !!timestamp constructors
     raising a ConstructorError at the scalar's start mark on a malformed
-    value; every other node is constructed as ``base`` does it."""
+    value, and a number that prints differently from its text (``01``,
+    ``1.50``, ``0x1F``) kept as that text; every other node is
+    constructed as ``base`` does it."""
 
     class Loader(base):
         pass
@@ -76,12 +81,16 @@ def _marked_scalars(base: type) -> type:
         # 2001-02-30 and !!int abc raise ValueError, !!bool maybe
         # KeyError, !!timestamp abc AttributeError
         try:
-            return base.yaml_constructors[node.tag](loader, node)
+            value = base.yaml_constructors[node.tag](loader, node)
         except (ValueError, KeyError, AttributeError):
             tag = node.tag.rsplit(":", 1)[1]
             raise yaml.constructor.ConstructorError(
                 None, None, f"cannot read !!{tag} value '{node.value[:40]}'",
                 node.start_mark) from None
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and str(value) != node.value):
+            return node.value
+        return value
 
     for tag in ("int", "float", "bool", "timestamp"):
         Loader.add_constructor(f"tag:yaml.org,2002:{tag}", construct_marked)

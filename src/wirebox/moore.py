@@ -14,15 +14,17 @@ inputs, and every component steps at once.  The wiring's routing is
 compiled once per composite and each component readout is checked once.
 Nothing the size of the product is built: ``states`` is a read-only
 sequence over the component state sets, and the rows of ``update`` and
-``readout`` are routed on demand: those of the states reachable from
-``init`` when the composite is built, where a missing component row
-raises, and any other state's on its first lookup, where the same
-error surfaces instead.  Both tables are read-only mappings that list
-their keys in product order without routing a row.  A reader that walks
-the whole product (iterating ``states`` or a table, so validating,
-rendering, dumping, comparing or checking morphisms) refuses a product of
-more than ``MAX_TRANSITIONS`` transitions; building refuses a reachable
-part of more than that many, and stepping and running never refuse.
+``readout`` are routed on demand, a state's rows in both tables at
+once: those of the states reachable from ``init`` when the composite is
+built, where a missing component row raises, and any other state's on
+the first lookup of one of its rows, where the same error surfaces
+instead (its readout still answers).  Both tables are read-only
+mappings that list their keys in product order without routing a row.
+A reader that walks the whole product (iterating ``states`` or a table,
+so validating, rendering, dumping, comparing or checking morphisms)
+refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
+refuses a reachable part of more than that many, and stepping and
+running never refuse.
 ``lift_hom`` applies the same wiring to machine morphisms, componentwise
 on state maps.
 """
@@ -241,12 +243,13 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
 
     The wiring is compiled once and each component readout checked once.
     The rows of the states reachable from ``init`` are routed here, by a
-    search from ``init``; any other state's rows are routed on their
-    first lookup.  Within one state, components fed only by inner
-    outputs are routed once, then the others per outer input.  A
-    component that was never validated may lack update rows: the
-    MachineError names the first one the search meets, or, for a state
-    the search does not reach, the first one its lookup meets.  Either
+    search from ``init``; any other state's rows, readout and updates
+    together, are routed on the first lookup of one of them.  Within one
+    state, components fed only by inner outputs are routed once, then
+    the others per outer input.  A component that was never validated
+    may lack update rows: the MachineError names the first one the
+    search meets, or, for a state the search does not reach, the first
+    one an update lookup meets; that state's readout still answers.  Either
     table lists its keys in product order, and counts them, without
     routing a row; reading its values (``items``, ``values``, ``==``,
     ``repr``) routes the rows read.
@@ -266,8 +269,6 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     states = _product(machines, outer)
     init = tuple(m.init for m in machines)
     router = _Router(routing, machines, states, outer)
-    update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
-    readout: dict[State, tuple[Symbol, ...]] = {}
     if router.is_state(init):
         n_inputs = len(router.inputs)
         most = MAX_TRANSITIONS // n_inputs
@@ -276,15 +277,12 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
         while stack:
             if len(seen) > most:
                 raise _over_the_limit("reaches at least", len(seen), n_inputs)
-            s = stack.pop()
-            readout[s], nexts = router.route(s)
-            for x, t in zip(router.inputs, nexts):
-                update[(s, x)] = t
+            for t in router.fill(stack.pop()):
                 if t not in seen and router.is_state(t):
                     seen.add(t)
                     stack.append(t)
-    return MooreMachine(outer, states, init, _UpdateRows(update, router),
-                        _ReadoutRows(readout, router))
+    return MooreMachine(outer, states, init, _UpdateRows(router.update, router),
+                        _ReadoutRows(router.readout, router))
 
 
 def _product(machines: Sequence[MooreMachine], outer: Box) -> _Product:
@@ -362,15 +360,16 @@ class _Product(Sequence):
 
 
 class _Router:
-    """Routes a composite's rows one state at a time.
+    """Routes a composite's rows one state at a time, into ``update`` and
+    ``readout``, the plain row dicts its two tables read.
 
     It holds the compiled wiring and the component tables but no table
     of the composite, so the tables that hold it form no reference
     cycle, and a dead composite is freed by refcounting.
     """
 
-    __slots__ = ("states", "is_state", "inputs", "input_set", "_readouts",
-                 "_updates", "_outer_out", "_fixed", "_varying",
+    __slots__ = ("states", "is_state", "inputs", "update", "readout",
+                 "_readouts", "_updates", "_outer_out", "_fixed", "_varying",
                  "_fixed_slots", "_varying_slots")
 
     def __init__(self, routing: _Routing, machines: Sequence[MooreMachine],
@@ -379,7 +378,8 @@ class _Router:
         # is s a composite state, one of the product's tuples?
         self.is_state = states.__contains__
         self.inputs = input_space([outer])
-        self.input_set = frozenset(self.inputs)
+        self.update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
+        self.readout: dict[State, tuple[Symbol, ...]] = {}
         self._readouts = [m.readout for m in machines]
         self._updates = [m.update for m in machines]
         self._outer_out = routing.outer_out
@@ -398,15 +398,18 @@ class _Router:
         self._varying_slots = [(i, a, b) for i, a, b in slots
                                if any(reads[a:b])]
 
-    def readout(self, s: State) -> tuple[Symbol, ...]:
-        """The readout of composite state ``s``."""
-        inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
-        return tuple([f(inner_outs) for f in self._outer_out])
+    def fill(self, s: State) -> list[State]:
+        """Route composite state ``s``: store its readout, then its update
+        rows, and return its successors, one per outer input in
+        ``inputs`` order.
 
-    def route(self, s: State) -> tuple[tuple[Symbol, ...], list[State]]:
-        """The readout of composite state ``s`` and its successors, one
-        per outer input in ``inputs`` order."""
+        The readout is stored first, so it answers even when a component
+        lacks one of the update rows, whose MachineError this raises.
+        """
         inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
+        # out_map reads only inner outputs (Wiring._check_expr enforces
+        # it), so every outer input gives state s the same readout
+        self.readout[s] = tuple([f(inner_outs) for f in self._outer_out])
         updates = self._updates
         ins: list[Symbol] = [""] * (len(self._fixed) + len(self._varying))
         nxt: list[State] = [""] * len(updates)
@@ -429,22 +432,23 @@ class _Router:
             si, fed = e.args[0]
             raise MachineError(f"component {i}: no update for state "
                                f"{render_state(si)} on input {fed}") from None
-        # out_map reads only inner outputs (Wiring._check_expr enforces
-        # it), so every outer input gives state s the same readout
-        return tuple([f(inner_outs) for f in self._outer_out]), nexts
+        self.update.update(zip([(s, x) for x in self.inputs], nexts))
+        return nexts
 
 
 class _Rows(Mapping):
     """A composite's update or readout table, routed state by state.
 
-    A read-only mapping over a plain dict that starts with the rows
-    ``apply_algebra`` routed; a lookup of any other composite state
-    routes that state's rows into the dict, so a routed row costs one
-    dict lookup.  The keys are the product's, in product order:
-    iteration and ``len`` take them from the router's ``states`` and route
-    nothing, while ``in``, ``get``, ``items``, ``values`` and ``==`` look
-    rows up.  Iteration meets the product's size limit (see ``_Product``).
-    Two threads routing the same state store the same values.
+    A read-only mapping over one of the router's row dicts, which starts
+    with the rows ``apply_algebra`` routed.  A lookup of any other key
+    of a composite state routes that state (``_Router.fill``), readout
+    and update rows at once, so a routed row costs one dict lookup.  Each
+    table says only which state a key names.  The keys are the
+    product's, in product order: iteration and ``len`` take them from the
+    router's ``states`` and route nothing, while ``in``, ``get``,
+    ``items``, ``values`` and ``==`` look rows up.  Iteration meets the
+    product's size limit (see ``_Product``).  Two threads routing the
+    same state store the same values.
     """
 
     __slots__ = ("_rows", "_router")
@@ -457,7 +461,14 @@ class _Rows(Mapping):
         try:
             return self._rows[key]
         except KeyError:
-            if not self._route(key):
+            s = self._state(key)
+            if not self._router.is_state(s):
+                raise
+        try:
+            self._router.fill(s)
+        except MachineError:
+            # a readout is stored before a missing update row raises
+            if key not in self._rows:
                 raise
         return self._rows[key]
 
@@ -466,7 +477,7 @@ class _Rows(Mapping):
 
 
 class _UpdateRows(_Rows):
-    """Update rows, keyed (state, outer input); a state's are routed together."""
+    """Update rows, keyed (state, outer input)."""
 
     __slots__ = ()
 
@@ -477,15 +488,9 @@ class _UpdateRows(_Rows):
     def __len__(self) -> int:
         return len(self._router.states) * len(self._router.inputs)
 
-    def _route(self, key) -> bool:
-        router = self._router
-        if not (isinstance(key, tuple) and len(key) == 2
-                and router.is_state(key[0]) and key[1] in router.input_set):
-            return False
-        s = key[0]
-        self._rows.update(zip([(s, x) for x in router.inputs],
-                              router.route(s)[1]))
-        return True
+    @staticmethod
+    def _state(key):
+        return key[0] if isinstance(key, tuple) and len(key) == 2 else None
 
 
 class _ReadoutRows(_Rows):
@@ -499,11 +504,9 @@ class _ReadoutRows(_Rows):
     def __len__(self) -> int:
         return len(self._router.states)
 
-    def _route(self, s) -> bool:
-        if not self._router.is_state(s):
-            return False
-        self._rows[s] = self._router.readout(s)
-        return True
+    @staticmethod
+    def _state(key):
+        return key
 
 
 def _check_readouts(i: int, m: MooreMachine) -> None:

@@ -233,30 +233,23 @@ class Wiring:
         return w
 
     def _validate(self):
-        want_in = {(i, p.name) for i, b in enumerate(self.inner) for p in b.in_ports}
-        have_in = set(self.in_map)
-        if want_in != have_in:
-            missing = sorted(want_in - have_in)
-            extra = sorted(have_in - want_in)
-            raise WiringError(
-                f"in_map must cover inner input ports exactly; "
-                f"missing {missing}, extra {extra}")
-        want_out = {(j, p.name) for j, b in enumerate(self.outer) for p in b.out_ports}
-        have_out = set(self.out_map)
-        if want_out != have_out:
-            missing = sorted(want_out - have_out)
-            extra = sorted(have_out - want_out)
-            raise WiringError(
-                f"out_map must cover outer output ports exactly; "
-                f"missing {missing}, extra {extra}")
-        for (i, name), expr in self.in_map.items():
-            target = self.inner[i].in_port(name)
-            self._check_expr(expr, target, f"inner input {i}.{name}",
-                             allow_outer=True)
-        for (j, name), expr in self.out_map.items():
-            target = self.outer[j].out_port(name)
-            self._check_expr(expr, target, f"outer output {j}.{name}",
-                             allow_outer=False)
+        sides = (("in_map", "inner input", self.in_map,
+                  self.inner_input_ports(), True),
+                 ("out_map", "outer output", self.out_map,
+                  self.outer_output_ports(), False))
+        for label, what, table, ports, _ in sides:
+            want = {(i, p.name) for i, p in ports}
+            if want != table.keys():
+                missing = sorted(want - table.keys())
+                extra = sorted(table.keys() - want)
+                raise WiringError(
+                    f"{label} must cover {what} ports exactly; "
+                    f"missing {missing}, extra {extra}")
+        for label, what, table, ports, allow_outer in sides:
+            target = {(i, p.name): p for i, p in ports}
+            for (i, name), expr in table.items():
+                self._check_expr(expr, target[(i, name)], f"{what} {i}.{name}",
+                                 allow_outer)
 
     def _ref_port(self, ref: Ref, where: str, allow_outer: bool) -> Port:
         if isinstance(ref, OuterIn):
@@ -272,53 +265,40 @@ class Wiring:
 
     def _check_expr(self, expr: SourceExpr, target: Port, where: str,
                     allow_outer: bool):
+        values = self._values(expr, where, allow_outer)
+        bad = [v for v in values if v not in target.alphabet]
+        if not bad:
+            return
+        alphabet = list(target.alphabet)
         if isinstance(expr, Const):
-            if expr.symbol not in target.alphabet:
-                raise WiringError(
-                    f"{where}: constant {expr.symbol!r} is not in the "
-                    f"target alphabet {list(target.alphabet)}")
-            return
-        if isinstance(expr, (OuterIn, InnerOut)):
-            src = self._ref_port(expr, where, allow_outer)
-            bad = [s for s in src.alphabet if s not in target.alphabet]
-            if bad:
-                raise WiringError(
-                    f"{where}: source alphabet {list(src.alphabet)} is not "
-                    f"contained in target alphabet {list(target.alphabet)}")
-            return
+            raise WiringError(f"{where}: constant {expr.symbol!r} is not in "
+                              f"the target alphabet {alphabet}")
         if isinstance(expr, Table):
-            self._check_table(expr, where, allow_outer)
-            for key, value in expr.entries:
-                if value not in target.alphabet:
-                    raise WiringError(
-                        f"{where}: table value {value!r} at key {key} is not "
-                        f"in the target alphabet {list(target.alphabet)}")
-            return
-        raise WiringError(f"{where}: not a source expression: {expr!r}")
+            key = next(k for k, v in expr.entries if v == bad[0])
+            raise WiringError(
+                f"{where}: table value {bad[0]!r} at key {key} is not in the "
+                f"target alphabet {alphabet}")
+        raise WiringError(
+            f"{where}: source alphabet {list(values)} is not contained in "
+            f"target alphabet {alphabet}")
 
-    def _check_table(self, table: Table, where: str, allow_outer: bool):
-        domains = []
-        for s in table.sources:
-            if isinstance(s, Table):
-                self._check_table(s, where, allow_outer)
-            elif isinstance(s, (OuterIn, InnerOut)):
-                self._ref_port(s, where, allow_outer)
-            elif not isinstance(s, Const):
-                raise WiringError(f"{where}: not a source expression: {s!r}")
-            domains.append(self._expr_values(s, allow_outer))
-        fn = table.function()
-        for key in itertools.product(*domains):
-            if key not in fn:
-                raise WiringError(f"{where}: table misses key {key}")
-
-    def _expr_values(self, expr: SourceExpr, allow_outer: bool) -> tuple[Symbol, ...]:
+    def _values(self, expr: SourceExpr, where: str,
+                allow_outer: bool) -> tuple[Symbol, ...]:
+        """The values ``expr`` can take, in first-occurrence order, once
+        its references and every key of its tables, nested tables
+        included, are checked."""
         if isinstance(expr, Const):
             return (expr.symbol,)
         if isinstance(expr, (OuterIn, InnerOut)):
-            return self._ref_port(expr, "table source", allow_outer).alphabet
-        if isinstance(expr, Table):
-            return tuple(dict.fromkeys(v for _, v in expr.entries))
-        raise WiringError(f"not a source expression: {expr!r}")
+            return self._ref_port(expr, where, allow_outer).alphabet
+        if not isinstance(expr, Table):
+            raise WiringError(f"{where}: not a source expression: {expr!r}")
+        domains = [self._values(s, where, allow_outer) for s in expr.sources]
+        fn = expr.function()
+        for key in itertools.product(*domains):
+            if key not in fn:
+                raise WiringError(f"{where}: table misses key {key}")
+        return tuple(dict.fromkeys(v for _, v in expr.entries))
 
     # -- port enumeration, document order ----------------------------------
 
@@ -333,11 +313,6 @@ class Wiring:
 
     def outer_output_ports(self) -> list[tuple[int, Port]]:
         return [(j, p) for j, b in enumerate(self.outer) for p in b.out_ports]
-
-    def ref_alphabet(self, ref: Ref) -> tuple[Symbol, ...]:
-        if isinstance(ref, OuterIn):
-            return self.outer[ref.box].in_port(ref.port).alphabet
-        return self.inner[ref.box].out_port(ref.port).alphabet
 
 
 def identity_wiring(box: Box) -> Wiring:
@@ -458,12 +433,9 @@ class _Routing:
     output, read only the inner output prefix.
     """
 
-    __slots__ = ("inner_outs", "outer_ins", "inner_in", "outer_out",
-                 "reads_outer")
+    __slots__ = ("inner_in", "outer_out", "reads_outer")
 
     def __init__(self, w: Wiring):
-        self.inner_outs = w.inner_output_ports()
-        self.outer_ins = w.outer_input_ports()
         at = _positions(w)
         in_exprs = [w.in_map[(i, p.name)] for i, p in w.inner_input_ports()]
         self.inner_in = tuple(_compile_expr(e, at) for e in in_exprs)
@@ -512,24 +484,24 @@ def evaluate(w: Wiring, inner_outs: Sequence[Symbol],
     order; ``outer_in`` the outer input values.  Returns the pair
     (inner input values, outer output values), same flat convention.
     """
-    routing = _Routing(w)
-    if len(inner_outs) != len(routing.inner_outs):
+    inner_ports, outer_ports = w.inner_output_ports(), w.outer_input_ports()
+    if len(inner_outs) != len(inner_ports):
         raise WiringError(
-            f"expected {len(routing.inner_outs)} inner output values, "
+            f"expected {len(inner_ports)} inner output values, "
             f"got {len(inner_outs)}")
-    if len(outer_in) != len(routing.outer_ins):
+    if len(outer_in) != len(outer_ports):
         raise WiringError(
-            f"expected {len(routing.outer_ins)} outer input values, "
+            f"expected {len(outer_ports)} outer input values, "
             f"got {len(outer_in)}")
-    for (i, p), v in zip(routing.inner_outs, inner_outs):
+    for (i, p), v in zip(inner_ports, inner_outs):
         if v not in p.alphabet:
             raise WiringError(
                 f"value {v!r} is not in the alphabet of inner output {i}.{p.name}")
-    for (j, p), v in zip(routing.outer_ins, outer_in):
+    for (j, p), v in zip(outer_ports, outer_in):
         if v not in p.alphabet:
             raise WiringError(
                 f"value {v!r} is not in the alphabet of outer input {j}.{p.name}")
-    return routing.route(tuple(inner_outs) + tuple(outer_in))
+    return _Routing(w).route(tuple(inner_outs) + tuple(outer_in))
 
 
 def find_eval_counterexample(a: Wiring, b: Wiring):
@@ -576,13 +548,13 @@ def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
     if isinstance(expr, (OuterIn, InnerOut)):
         # the minimisation below keeps a reference unless it can take only
         # one value, which it then names
-        alphabet = w.ref_alphabet(expr)
+        alphabet = w._ref_port(expr, "", True).alphabet
         return Const(alphabet[0]) if len(alphabet) == 1 else expr
     refs = sorted(expr_refs(expr), key=at.__getitem__)
     # compiled over the references' own value tuple, one point per row
     fn = _compile_expr(expr, {r: k for k, r in enumerate(refs)})
-    rows = [(combo, fn(combo))
-            for combo in itertools.product(*[w.ref_alphabet(r) for r in refs])]
+    alphabets = [w._ref_port(r, "", True).alphabet for r in refs]
+    rows = [(combo, fn(combo)) for combo in itertools.product(*alphabets)]
     keep: list[int] = []
     for i in range(len(refs)):
         groups: dict[tuple[Symbol, ...], set[Symbol]] = {}

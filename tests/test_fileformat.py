@@ -275,6 +275,45 @@ def test_a_mid_document_byte_order_mark_fails_under_either_loader(yaml_loader):
         assert exc.value.message.startswith("not valid YAML at line 3, column 2")
 
 
+@pytest.mark.parametrize("text", ["01", "010", "1.50", "1_000", "0x1F", "+1",
+                                  ".5", ".inf", "-0"])
+def test_a_number_keeps_its_text_under_either_loader(yaml_loader, text):
+    # written unquoted, each would otherwise load as a number that prints
+    # differently, and as 1 for the first and for +1
+    m = doc(f"""
+        schema: machine.v1
+        name: m
+        box:
+          name: cell
+          inputs:
+          - {{port: a, alphabet: [0, 1]}}
+          outputs:
+          - {{port: q, alphabet: [0, 1]}}
+        machine:
+          states: [{text}, 1]
+          init: {text}
+          update:
+          - {{state: {text}, input: [0], next: 1}}
+          - {{state: {text}, input: [1], next: {text}}}
+          - {{state: 1, input: [0], next: 1}}
+          - {{state: 1, input: [1], next: {text}}}
+          readout:
+          - {{state: {text}, output: [0]}}
+          - {{state: 1, output: [1]}}
+    """).machine
+    assert (m.states, m.init) == ((text, "1"), text)
+    assert m.update[(text, ("0",))] == "1" and m.update[("1", ("1",))] == text
+    assert m.box.in_ports[0].alphabet == ("0", "1")
+
+
+def test_an_integer_written_with_a_leading_zero_is_refused(yaml_loader):
+    e = err("schema: battery.v1\ntests:\n- {name: a, kind: traces, depth: 06}\n")
+    assert (e.path, e.message) == ("t.yaml.tests[0].depth",
+                                   "expected an integer, got str")
+    assert doc("schema: battery.v1\ntests:\n- {name: a, kind: traces, "
+               "depth: 6}\n").tests[0].kind.depth == 6
+
+
 FIXTURE_TEXTS = [p.read_text(encoding="utf-8")
                  for p in sorted(FIXTURES.glob("**/*.yaml"))]
 

@@ -25,7 +25,7 @@ from wirebox.probes import (EQUALITY, EXACT, KnowledgeBase, MachineOracle,
                             StateSet, Test, TraceSet, compare_outcomes,
                             run_test, yoneda_filter)
 from wirebox.wiring import (Box, Const, InnerOut, OuterIn, Port, Table,
-                            Wiring, WiringError, _Routing, identity_wiring,
+                            Wiring, WiringError, evaluate, identity_wiring,
                             input_space)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
@@ -177,38 +177,20 @@ def eager_apply_algebra(w: Wiring, machines) -> MooreMachine:
     """Every row of the composite, routed state by state in product order.
 
     The reference for the composite's tables: the whole product is built
-    at once, into plain dicts.
+    at once, into plain dicts, with one ``evaluate`` of the wiring per
+    state and outer input.
     """
     outer = w.outer[0]
-    routing = _Routing(w)
-    readouts = [m.readout for m in machines]
-    updates = [m.update for m in machines]
-    reads = routing.reads_outer
-    fixed = [(k, f) for k, f in enumerate(routing.inner_in) if not reads[k]]
-    varying = [(k, f) for k, f in enumerate(routing.inner_in) if reads[k]]
-    bounds = itertools.accumulate((len(m.box.in_ports) for m in machines),
-                                  initial=0)
-    slots = [(i, a, b) for i, (a, b) in enumerate(itertools.pairwise(bounds))]
-    fixed_slots = [(i, a, b) for i, a, b in slots if not any(reads[a:b])]
-    varying_slots = [(i, a, b) for i, a, b in slots if any(reads[a:b])]
+    slots = list(itertools.pairwise(itertools.accumulate(
+        (len(m.box.in_ports) for m in machines), initial=0)))
     states = [tuple(t) for t in itertools.product(*[m.states for m in machines])]
     update, readout = {}, {}
-    ins = [""] * len(routing.inner_in)
-    nxt = [""] * len(machines)
     for s in states:
-        inner_outs = tuple([v for r, si in zip(readouts, s) for v in r[si]])
-        for k, f in fixed:
-            ins[k] = f(inner_outs)
-        for i, a, b in fixed_slots:
-            nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
+        inner_outs = tuple(v for m, si in zip(machines, s) for v in m.readout[si])
         for x in input_space([outer]):
-            values = inner_outs + x
-            for k, f in varying:
-                ins[k] = f(values)
-            for i, a, b in varying_slots:
-                nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
-            update[(s, x)] = tuple(nxt)
-        readout[s] = tuple([f(inner_outs) for f in routing.outer_out])
+            ins, readout[s] = evaluate(w, inner_outs, x)
+            update[(s, x)] = tuple(m.update[(si, ins[a:b])] for m, si, (a, b)
+                                   in zip(machines, s, slots))
     return MooreMachine(outer, tuple(states),
                         tuple(m.init for m in machines), update, readout)
 
@@ -318,6 +300,15 @@ def test_a_composite_table_misses_like_a_dict():
     with pytest.raises(MachineError, match="no readout for state"):
         step(m, ("2",), ())
     assert run(m, ((), ())) == [("1",), ("1",)]
+
+
+def test_a_readout_lookup_routes_the_whole_state():
+    # ('0',) is not reachable from the hull's init ('1',), so the first
+    # lookup of its readout routes it, update rows included
+    m = apply_algebra(hull(), (delay("1"),))
+    assert ("0",) not in m.readout._rows
+    assert m.readout[("0",)] == ("0",)
+    assert m.update._rows[(("0",), ())] == ("0",)
 
 
 def test_a_dead_composite_is_freed_by_refcounting():

@@ -104,6 +104,84 @@ def test_alphabet_mismatch_is_rejected():
                {(0, "o"): InnerOut(0, "o")})
 
 
+# the outer box of the refusals below: b's ports, plus a three-symbol input
+WIDE = Box("o", B.in_ports + (Port("t", ("0", "1", "2")),), B.out_ports)
+FLIP = ((("0",), "1"), (("1",), "0"))
+
+
+@pytest.mark.parametrize("ins, outs, message", [
+    # each case changes the valid wiring below; None deletes an entry
+    ({(0, "y"): None}, {},
+     "in_map must cover inner input ports exactly; missing [(0, 'y')], "
+     "extra []"),
+    ({(0, "z"): OuterIn(0, "x")}, {},
+     "in_map must cover inner input ports exactly; missing [], "
+     "extra [(0, 'z')]"),
+    ({}, {(0, "o"): None},
+     "out_map must cover outer output ports exactly; missing [(0, 'o')], "
+     "extra []"),
+    ({}, {(1, "o"): InnerOut(0, "o")},
+     "out_map must cover outer output ports exactly; missing [], "
+     "extra [(1, 'o')]"),
+    # in_map's cover is checked first, and both covers before any expression
+    ({(0, "y"): None}, {(0, "o"): None},
+     "in_map must cover inner input ports exactly; missing [(0, 'y')], "
+     "extra []"),
+    ({(0, "y"): Const("2")}, {(0, "o"): None},
+     "out_map must cover outer output ports exactly; missing [(0, 'o')], "
+     "extra []"),
+    ({(0, "y"): Const("2")}, {},
+     "inner input 0.y: constant '2' is not in the target alphabet ['0', '1']"),
+    ({(0, "y"): OuterIn(0, "t")}, {},
+     "inner input 0.y: source alphabet ['0', '1', '2'] is not contained in "
+     "target alphabet ['0', '1']"),
+    ({(0, "y"): Table((OuterIn(0, "t"),), ((("0",), "1"), (("1",), "2"),
+                                           (("2",), "2")))}, {},
+     "inner input 0.y: table value '2' at key ('1',) is not in the target "
+     "alphabet ['0', '1']"),
+    ({}, {(0, "o"): Table((InnerOut(0, "o"),), ((("0",), "3"), (("1",), "2")))},
+     "outer output 0.o: table value '3' at key ('0',) is not in the target "
+     "alphabet ['0', '1']"),
+    ({(0, "y"): Table((OuterIn(0, "t"),), FLIP)}, {},
+     "inner input 0.y: table misses key ('2',)"),
+    ({(0, "y"): Table((Table((OuterIn(0, "x"),), ((("0",), "1"),)),), FLIP)},
+     {}, "inner input 0.y: table misses key ('1',)"),
+    # a nested table is checked before the keys of the table it feeds, and
+    # a table's keys before its values
+    ({(0, "y"): Table((Table((OuterIn(0, "t"),), FLIP), OuterIn(0, "t")), ())},
+     {}, "inner input 0.y: table misses key ('2',)"),
+    ({(0, "y"): Table((OuterIn(0, "x"),), ((("0",), "2"),))}, {},
+     "inner input 0.y: table misses key ('1',)"),
+    ({}, {(0, "o"): OuterIn(0, "x")},
+     "outer output 0.o: outer inputs may not feed outer outputs"),
+    ({}, {(0, "o"): Table((InnerOut(0, "o"), Table((OuterIn(0, "x"),), FLIP)),
+                          ())},
+     "outer output 0.o: outer inputs may not feed outer outputs"),
+    ({(0, "y"): InnerOut(3, "o")}, {}, "inner input 0.y: no inner box 3"),
+    ({(0, "y"): OuterIn(2, "x")}, {}, "inner input 0.y: no outer box 2"),
+    ({(0, "y"): Table((InnerOut(1, "o"),), FLIP)}, {},
+     "inner input 0.y: no inner box 1"),
+    ({(0, "y"): InnerOut(0, "zz")}, {}, "box 'b' has no output port 'zz'"),
+    ({(0, "y"): OuterIn(0, "zz")}, {}, "box 'o' has no input port 'zz'"),
+    ({(0, "y"): "x"}, {}, "inner input 0.y: not a source expression: 'x'"),
+    ({(0, "y"): Table(("x",), ((("x",), "0"),))}, {},
+     "inner input 0.y: not a source expression: 'x'"),
+])
+def test_every_wiring_refusal_keeps_its_message(ins, outs, message):
+    in_map = {(0, "x"): OuterIn(0, "x"), (0, "y"): OuterIn(0, "y")}
+    out_map = {(0, "o"): InnerOut(0, "o")}
+    Wiring((B,), (WIDE,), in_map, out_map)  # valid unchanged
+    for table, changes in ((in_map, ins), (out_map, outs)):
+        for key, expr in changes.items():
+            if expr is None:
+                del table[key]
+            else:
+                table[key] = expr
+    with pytest.raises(WiringError) as exc:
+        Wiring((B,), (WIDE,), in_map, out_map)
+    assert str(exc.value) == message
+
+
 def test_expr_refs_deduplicates_in_order():
     t = Table((OuterIn(0, "x"), InnerOut(0, "o"), OuterIn(0, "x")),
               tuple((k, "0") for k in
