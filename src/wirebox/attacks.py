@@ -20,10 +20,9 @@ battery, and named scripts aimed at those systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from . import WireboxError, moore, probes, wiring as wi
+from . import Record, WireboxError, moore, probes, wiring as wi
 from .moore import MachineHom, MooreMachine, apply_algebra, hom_violations
 from .wiring import Wiring
 
@@ -36,8 +35,7 @@ class AttackError(WireboxError):
         self.log = log
 
 
-@dataclass(frozen=True)
-class CompositeSystem:
+class CompositeSystem(Record):
     """A wiring into a single box plus one machine per inner slot."""
 
     wiring: Wiring
@@ -78,8 +76,7 @@ class CompositeSystem:
 # steps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class RewriteStep:
+class RewriteStep(Record, eq=False):
     """Replace the component at ``index``.
 
     Exactly one of ``machine`` (plain replacement) or ``hom`` (a machine
@@ -98,8 +95,7 @@ class RewriteStep:
                 "machine morphism, not both")
 
 
-@dataclass(frozen=True, eq=False)
-class RewireStep:
+class RewireStep(Record, eq=False):
     """Precompose the wiring with an endomorphism of one slot's box."""
 
     index: int
@@ -113,8 +109,7 @@ class RewireStep:
                 "a rewire endomorphism must have equal inner and outer boxes")
 
 
-@dataclass(frozen=True)
-class AttackScript:
+class AttackScript(Record):
     """An ordered list of rewrite and rewire steps."""
 
     steps: tuple = ()
@@ -213,8 +208,7 @@ def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
     return CompositeSystem(rewired, sys.components)
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(Record):
     """One applied step: what it was and what the system became."""
 
     position: int
@@ -304,8 +298,7 @@ def transport_script(script: AttackScript,
 # reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(Record):
     """How two systems differ behaviorally, if at all."""
 
     equivalent: bool
@@ -341,8 +334,7 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
 # scenarios
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioScript:
+class ScenarioScript(Record):
     """A named attack script aimed at one of the scenario's systems."""
 
     name: str
@@ -350,8 +342,7 @@ class ScenarioScript:
     script: AttackScript
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(Record, eq=False):
     """Systems, their correspondence, and the probing setup around them."""
 
     name: str

@@ -15,10 +15,9 @@ isomorphism in the category that witnesses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
-from . import WireboxError
+from . import Record, WireboxError
 
 Obj = str
 MorId = str
@@ -33,15 +32,13 @@ class YonedaError(FinCatError):
     """An exhaustive correspondence check failed."""
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     mid: MorId
     src: Obj
     tgt: Obj
 
 
-@dataclass(frozen=True, eq=False)
-class FinCategory:
+class FinCategory(Record, eq=False):
     """Tabular category data; validity is checked separately."""
 
     name: str
@@ -166,8 +163,7 @@ def validate_category(cat: FinCategory) -> CategoryReport:
 # set-valued functors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SetFunctor:
+class SetFunctor(Record, eq=False):
     """A functor into finite sets, as tables.
 
     ``on_objects`` assigns each object a tuple of element names;
@@ -256,8 +252,7 @@ def hom_functor(cat: FinCategory, a: Obj) -> SetFunctor:
 # natural transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NatTransformation:
+class NatTransformation(Record):
     """A family of maps F(a) -> G(a), natural in a."""
 
     components: Mapping[Obj, Mapping[Elem, Elem]]
@@ -351,8 +346,7 @@ def enumerate_nat(F: SetFunctor, G: SetFunctor) -> list[NatTransformation]:
 # Yoneda
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class YonedaWitness:
+class YonedaWitness(Record):
     """The verified correspondence for one object and functor."""
 
     object: Obj

@@ -35,10 +35,9 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from . import WireboxError
+from . import Record, WireboxError
 from .wiring import Box, Symbol, Wiring, WiringError, _Routing, input_space
 
 State = Union[str, tuple]
@@ -48,8 +47,7 @@ class MachineError(WireboxError):
     """Malformed machine, morphism, or step on undefined data."""
 
 
-@dataclass(frozen=True)
-class MooreMachine:
+class MooreMachine(Record):
     """A finite state machine with state-determined output.
 
     ``states`` is a tuple, or a composite's read-only product sequence;
@@ -532,8 +530,7 @@ def _check_readouts(i: int, m: MooreMachine) -> None:
 # machine morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MachineHom:
+class MachineHom(Record):
     """A state map between machines on the same box.
 
     Must send init to init, preserve readouts, and commute with update on

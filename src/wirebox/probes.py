@@ -28,10 +28,9 @@ runs it over the composites of candidate decompositions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol, Union
 
-from . import WireboxError
+from . import Record, WireboxError
 from .moore import (MachineHom, MooreMachine, State, _missing_row,
                     apply_algebra, render_state)
 from .wiring import Box, Wiring, _box_mismatch, input_space
@@ -49,8 +48,7 @@ class OracleError(WireboxError):
 # test kinds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceSet:
+class TraceSet(Record):
     """All (word, outputs) pairs for words of exactly the given length.
 
     The outcome is the set's layered quotient, the minimal acyclic
@@ -67,8 +65,7 @@ class TraceSet:
     depth: int
 
 
-@dataclass(frozen=True)
-class StateSet:
+class StateSet(Record):
     """The machine's state set, rendered; compare by cardinality.
 
     The value is a read-only sequence of the rendered state names in
@@ -81,13 +78,11 @@ class StateSet:
     """
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(Record):
     """The one-point outcome; every machine agrees."""
 
 
-@dataclass(frozen=True)
-class OutputImage:
+class OutputImage(Record):
     """Readouts of states reachable in exactly the given number of steps."""
     step: int
 
@@ -102,8 +97,7 @@ def default_comparator(kind: TestKind) -> str:
     return CARDINALITY if isinstance(kind, StateSet) else EQUALITY
 
 
-@dataclass(frozen=True)
-class Test:
+class Test(Record):
     """A named behavioral test with an outcome comparator."""
 
     __test__ = False  # not a unit test, despite the name
@@ -125,8 +119,7 @@ class Test:
             raise ProbeError("output image step must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """The value a test takes on a machine; values are canonical tuples,
     or for a state set a sequence equal to one (see ``StateSet``).
 
@@ -364,8 +357,7 @@ def transport_outcome(test: Test, hom: MachineHom, outcome: Outcome) -> Outcome:
 # knowledge bases and the learner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class KnowledgeBase:
+class KnowledgeBase(Record, eq=False):
     """Named machines on one box, the learner's space of hypotheses."""
 
     box: Box

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from contextlib import suppress
-from dataclasses import fields
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 import yaml
@@ -178,9 +177,8 @@ def _load_test(d, path: str) -> Test:
         raise LoadError(f"{path}.kind", f"unknown kind {kind_name!r}; expected "
                                         f"{', '.join(first)}, or {last}")
     cls = _TEST_KINDS[kind_name]
-    params = [f.name for f in fields(cls)]
-    _row(d, path, ("name", "kind", "compare", *params))
-    kind = cls(*(_field(d, p, path, _integer) for p in params))
+    _row(d, path, ("name", "kind", "compare", *cls._fields))
+    kind = cls(*(_field(d, p, path, _integer) for p in cls._fields))
     compare = d.get("compare", "")
     if "compare" in d and compare not in (EQUALITY, CARDINALITY):
         raise LoadError(f"{path}.compare",
@@ -500,14 +498,51 @@ def test_data(t: Test) -> dict:
     kind = t.kind
     out: dict = {"name": t.name,
                  "kind": next(n for n, c in _TEST_KINDS.items() if type(kind) is c)}
-    out.update((f.name, getattr(kind, f.name)) for f in fields(kind))
+    out.update((n, getattr(kind, n)) for n in kind._fields)
     if t.comparator != default_comparator(kind):
         out["compare"] = t.comparator
     return out
 
 
 def _dump(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=False, width=88)
+    """The document for ``data``: exactly ``yaml.safe_dump(data,
+    sort_keys=False, width=88)``, written by libyaml's emitter
+    (``yaml.CSafeDumper``) when it writes the same text.
+
+    That is when pyyaml was built with libyaml and ``data`` holds only
+    lists, dicts and printable-ASCII strings (``' '`` to ``'~'``), its
+    keys 1 to 99 characters long.  The two emitters fold long
+    double-quoted scalars, the style of every non-ASCII one, at
+    different places; they also disagree on when an empty key or one of
+    123 to 128 characters is written as a ``?`` key.  Any other data is
+    written by ``yaml.safe_dump``, pyyaml's own emitter.
+    """
+    dumper = getattr(yaml, "CSafeDumper", None)
+    if dumper is None or not _printable_ascii(data):
+        dumper = yaml.SafeDumper
+    return yaml.dump(data, Dumper=dumper, sort_keys=False, width=88)
+
+
+def _printable_ascii(data) -> bool:
+    """Is ``data`` lists and dicts of printable-ASCII strings, with keys of
+    1 to 99 characters?"""
+    texts = []
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            texts.append(x)
+        elif type(x) is list:
+            stack += x
+        elif type(x) is dict:
+            if not all(type(k) is str and 0 < len(k) < 100 for k in x):
+                return False
+            texts += x
+            stack += x.values()
+        else:
+            return False
+    text = "".join(texts)
+    return text.isascii() and text.isprintable()
 
 
 def dump_machine(name: str, m: MooreMachine) -> str:

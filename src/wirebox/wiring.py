@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from . import WireboxError
+from . import Record, WireboxError
 
 Symbol = str
 
@@ -56,8 +55,7 @@ class CompositionError(WiringError):
 # interfaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Port:
+class Port(Record):
     """A named port with a finite, ordered alphabet of symbols."""
 
     name: str
@@ -72,8 +70,7 @@ class Port:
             raise WiringError(f"port {self.name!r} repeats alphabet symbols")
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """An interface: input ports and output ports."""
 
     name: str
@@ -119,31 +116,27 @@ def output_space(boxes: Sequence[Box]) -> list[tuple[Symbol, ...]]:
 # source expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OuterIn:
+class OuterIn(Record):
     """The value on an outer box's input port."""
 
     box: int
     port: str
 
 
-@dataclass(frozen=True)
-class InnerOut:
+class InnerOut(Record):
     """The value on an inner box's output port."""
 
     box: int
     port: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     """A fixed symbol, independent of every port."""
 
     symbol: Symbol
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """A total lookup over the values of its source expressions.
 
     ``entries`` maps one key per joint source value to a symbol; keys are
@@ -188,8 +181,7 @@ def expr_refs(expr: SourceExpr) -> list[Ref]:
 # wirings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Wiring:
+class Wiring(Record):
     """A morphism from a tensor of inner boxes to a tensor of outer boxes.
 
     ``in_map`` has exactly one entry per inner input port, keyed by
@@ -620,8 +612,7 @@ def _expr_text(expr: SourceExpr) -> str:
 # architectures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(Record):
     """A box, optionally decomposed by a wiring into child architectures.
 
     A leaf is atomic.  A node's wiring must have the node's box as its

@@ -1,7 +1,8 @@
 """Every library module uses each name it imports; what ``import
-wirebox.cli`` and each command load; the package's public names; the
+wirebox.cli`` and each command load, and the stdlib modules behind
+``dataclasses`` that none of them loads; the package's public names; the
 writers ``fileformat`` resolves on first use; the records kept as named
-tuples.
+tuples, and the classes built on ``wirebox.Record``.
 
 The unused-import check uses the stdlib ``ast`` module only: a name
 counts as used when it appears as a name node anywhere in the module.
@@ -12,6 +13,7 @@ it holds the package's public names.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -25,6 +27,7 @@ from wirebox.attacks import RewriteResult, ScriptResult
 from wirebox.fincat import CategoryReport
 from wirebox.moore import MachineReport
 from wirebox.probes import LearnResult
+from test_records import FIELDS, IDENTITY
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wirebox"
@@ -58,11 +61,17 @@ def fresh(code: str, *argv: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
+# ``dataclasses`` and what importing it loads besides; no command needs
+# them, since the library's records are built on ``wirebox.Record``
+DATACLASS_STACK = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_the_command_line_imports_neither_fincat_nor_dot():
     out = fresh("import wirebox.cli, sys; print(sorted(sys.modules))")
     loaded = set(ast.literal_eval(out))
     assert {"wirebox.cli", "wirebox.fileformat"} <= loaded
     assert not {"wirebox.fincat", "wirebox.dot"} & loaded
+    assert not DATACLASS_STACK & loaded
 
 
 UAV = ROOT / "fixtures" / "uav"
@@ -93,7 +102,7 @@ DISPATCH = """
 import io, sys
 from wirebox.cli import dispatch
 code = dispatch(sys.argv[1:], io.StringIO(), io.StringIO())
-print([code, sorted(m for m in sys.modules if m.startswith("wirebox"))])
+print([code, sorted(sys.modules)])
 """
 
 
@@ -101,9 +110,11 @@ print([code, sorted(m for m in sys.modules if m.startswith("wirebox"))])
 def test_each_command_loads_only_the_modules_it_uses(command, tmp_path):
     argv, want_code, modules = COMMANDS[command]
     argv = [str(tmp_path / "out.yaml") if a == "OUT" else a for a in argv]
-    code, loaded = ast.literal_eval(fresh(DISPATCH, *argv))
+    code, everything = ast.literal_eval(fresh(DISPATCH, *argv))
+    loaded = {m for m in everything if m.startswith("wirebox")}
     assert code == want_code
-    assert set(loaded) == {"wirebox", "wirebox.cli", "wirebox.fileformat"} \
+    assert not DATACLASS_STACK & set(everything)
+    assert loaded == {"wirebox", "wirebox.cli", "wirebox.fileformat"} \
         | {f"wirebox.{m}" for m in modules}
     if command == "learn":
         assert not {"attacks", "oracle", "fincat", "dot"} & modules
@@ -184,6 +195,42 @@ def test_records_keep_their_fields_defaults_and_verdicts():
     assert not CategoryReport(("dangling",), ()).ok
     assert not CategoryReport((), ("associativity",)).ok
     assert repr(MachineReport((), ())) == "MachineReport(errors=(), warnings=())"
+
+
+def test_the_record_classes_are_the_pinned_ones_with_their_field_tuples():
+    modules = [importlib.import_module(f"wirebox.{p.stem}")
+               for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    records = {v for m in modules for v in vars(m).values()
+               if isinstance(v, type) and issubclass(v, wirebox.Record)
+               and v is not wirebox.Record}
+    assert records == set(FIELDS)
+    for cls in records:
+        assert cls._fields == tuple(FIELDS[cls].split()), cls
+        assert (cls.__eq__ is object.__eq__) == (cls in IDENTITY), cls
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+
+def test_a_record_class_is_checked_when_it_is_defined():
+    class Pair(wirebox.Record):
+        left: int
+        right: int = 0
+
+    class Triple(Pair):
+        extra: str = "x"
+
+    assert Triple._fields == ("left", "right", "extra")
+    assert Triple(1) == Triple(1, 0, "x") != Pair(1)
+    assert repr(Triple(1, extra="y")) == \
+        f"{Triple.__qualname__}(left=1, right=0, extra='y')"
+    with pytest.raises(TypeError, match=r"Pair.__init__\(\) missing 1 required"):
+        Pair()
+    with pytest.raises(TypeError, match="without a default follows"):
+        class Gap(wirebox.Record):
+            a: int = 0
+            b: int
+    with pytest.raises(TypeError, match="at most 8 fields"):
+        class Wide(wirebox.Record):
+            __annotations__ = {f"f{i}": int for i in range(9)}
 
 
 # every name the package re-exported when ``import wirebox`` still
