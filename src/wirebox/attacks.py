@@ -65,7 +65,7 @@ class CompositeSystem(Record):
         Built on the first call and kept: the system is immutable, and
         the composite's tables keep the rows routed on lookup.
         """
-        m = self.__dict__.get("_composite")
+        m = getattr(self, "_composite", None)
         if m is None:
             m = apply_algebra(self.wiring, self.components)
             object.__setattr__(self, "_composite", m)

@@ -50,7 +50,8 @@ column C: cannot read !!<tag> value '<text>'``, the text cut to 40
 characters.  Numbers keep their text: a scalar that reads as a number
 but prints differently (``01``, ``1.50``, ``1_000``, ``0x1F``, ``+1``,
 ``.5``) loads as its text, so a state ``01`` stays apart from a state
-``1``, and an integer field written ``06`` is refused at its path.
+``1``, and an integer field written ``06`` is refused at its path.  A
+table expression hundreds of tables deep reads ``document nests too deeply``.
 """
 
 from __future__ import annotations
@@ -238,7 +239,10 @@ def loads(text: str, source: str = "<string>"):
         # besides YAMLError, the pure-Python loader raises RecursionError
         # on deep nesting
         raise LoadError(source, _yaml_problem(e)) from None
-    return _document(data, source)
+    try:
+        return _document(data, source)
+    except RecursionError:  # the loaders recurse once per nested level
+        raise LoadError(source, "document nests too deeply") from None
 
 
 def _document(data, source: str):

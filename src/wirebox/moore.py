@@ -61,7 +61,9 @@ class MooreMachine(Record):
     Tables are never mutated after construction; to change one, build a
     new machine.  Two caches rely on this: the composite a system keeps
     (``CompositeSystem.composite``) and the test outcomes that
-    ``probes.run_test`` keeps on the machine object, outside its fields.
+    ``probes.run_test`` keeps on the machine object, outside its fields,
+    in the table ``_outcomes`` that every machine starts with.  Starting
+    it here, not on first use, leaves threads no table to race to set.
     """
 
     box: Box
@@ -77,6 +79,7 @@ class MooreMachine(Record):
             table = getattr(self, name)
             if not isinstance(table, _Rows):
                 object.__setattr__(self, name, dict(table))
+        object.__setattr__(self, "_outcomes", {})
 
     def inputs(self) -> list[tuple[Symbol, ...]]:
         return input_space([self.box])
@@ -578,13 +581,6 @@ def hom_violations(h: MachineHom) -> list[str]:
                     f"input {x}: map-then-step gives {render_state(rhs)}, "
                     f"step-then-map gives {render_state(lhs)}")
     return out
-
-
-def validate_hom(h: MachineHom) -> None:
-    """Raise MachineError on the first violation."""
-    bad = hom_violations(h)
-    if bad:
-        raise MachineError(bad[0])
 
 
 def identity_hom(m: MooreMachine) -> MachineHom:

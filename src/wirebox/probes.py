@@ -143,7 +143,7 @@ def run_test(test: Test, m: MooreMachine) -> Outcome:
     a table row raises on every call.  Two threads sharing a machine may
     both compute a value; the first one stored wins.
     """
-    outcomes = m.__dict__.setdefault("_outcomes", {})
+    outcomes = m._outcomes
     kept = outcomes.get(test.kind)
     if kept is None:
         kept = outcomes.setdefault(test.kind, _outcome_value(test.kind, m))

@@ -21,10 +21,10 @@ their results without the check.
 
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
-dict.  ``evaluate``, ``find_eval_counterexample`` and the composite
-machines of ``moore.apply_algebra`` route through a whole wiring
-compiled once; normalization compiles each expression over the values
-of the references it reads.
+dict.  ``evaluate``, ``eval_equal`` and the composite machines of
+``moore.apply_algebra`` route through a whole wiring compiled once;
+normalization compiles each expression over the values of the
+references it reads.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -496,12 +496,9 @@ def evaluate(w: Wiring, inner_outs: Sequence[Symbol],
     return _Routing(w).route(tuple(inner_outs) + tuple(outer_in))
 
 
-def find_eval_counterexample(a: Wiring, b: Wiring):
-    """First (inner_outs, outer_in) on which two wirings route differently.
-
-    Returns None when the wirings agree everywhere (same boundaries and
-    equal evaluation); raises on boundary shape mismatch.
-    """
+def eval_equal(a: Wiring, b: Wiring) -> bool:
+    """Exhaustive semantic equality of two wirings on the same boundary;
+    raises WiringError when their boundaries differ."""
     if a.inner != b.inner or a.outer != b.outer:
         raise WiringError("wirings have different boundaries")
     ra, rb = _Routing(a), _Routing(b)
@@ -510,31 +507,19 @@ def find_eval_counterexample(a: Wiring, b: Wiring):
         for outer_in in outer_inputs:
             values = inner_outs + outer_in
             if ra.route(values) != rb.route(values):
-                return inner_outs, outer_in
-    return None
-
-
-def eval_equal(a: Wiring, b: Wiring) -> bool:
-    """Exhaustive semantic equality of two wirings on the same boundary."""
-    return find_eval_counterexample(a, b) is None
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------
 
-def normalize_expr(w: Wiring, expr: SourceExpr) -> SourceExpr:
-    """Canonical form: Const, a bare reference, or a flat minimal Table.
-
-    The table's sources are the distinct references the value actually
-    depends on, in flat-position order: inner outputs first, then outer
-    inputs, each by box and port position.
-    """
-    return _normalize_expr(w, _positions(w), expr)
-
-
 def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
                     expr: SourceExpr) -> SourceExpr:
+    """Canonical form: Const, a bare reference, or a flat minimal Table
+    over the references the value depends on, in flat-position order
+    (inner outputs, then outer inputs, each by box and port position)."""
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, (OuterIn, InnerOut)):

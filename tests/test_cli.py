@@ -104,6 +104,40 @@ def test_malformed_scalars_exit_65_without_a_traceback(tmp_path, case,
         assert err.startswith("error: bad.yaml: not valid YAML")
 
 
+def nested_tables(depth: int) -> str:
+    """A wiring.v1 whose one outer output reads ``depth`` nested tables."""
+    expr = "{inner: 0.y}"
+    for _ in range(depth):
+        expr = (f"{{table: {{sources: [{expr}], "
+                f"rows: [{{key: ['0'], value: '0'}}, {{key: ['1'], value: '1'}}]}}}}")
+    return ("schema: wiring.v1\nname: deep\nboxes:\n"
+            "- {name: B, inputs: [{port: x, alphabet: ['0', '1']}], "
+            "outputs: [{port: y, alphabet: ['0', '1']}]}\n"
+            "wiring:\n  inner: [B]\n  outer: [B]\n"
+            "  inputs: [{target: 0.x, from: {outer: 0.x}}]\n"
+            f"  outputs: [{{target: 0.y, from: {expr}}}]\n")
+
+
+def test_a_table_nested_100_deep_loads(tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text(nested_tables(100))
+    code, out, err = cli("validate", path)
+    assert (code, err) == (EX_OK, "")
+    assert out == "ok: wiring 'deep', 1 inner boxes -> 1 outer\n"
+
+
+def test_a_document_nested_too_deeply_exits_65_without_a_traceback(
+        tmp_path, yaml_loader):
+    path = tmp_path / "deep.yaml"
+    path.write_text(nested_tables(250))
+    code, out, err = cli("validate", path)
+    assert (code, out) == (EX_DATAERR, "")
+    assert err.startswith("error: deep.yaml: ") and err.count("\n") == 1
+    if yaml_loader is not yaml.SafeLoader:
+        # libyaml parses the nesting; loading the parsed data recurses
+        assert err == "error: deep.yaml: document nests too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

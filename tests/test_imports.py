@@ -1,15 +1,16 @@
 """Every library module uses each name it imports; what ``import
 wirebox.cli`` and each command load, and the stdlib modules behind
-``dataclasses`` that none of them loads; the package's public names; the
-writers ``fileformat`` resolves on first use; the records kept as named
-tuples, and the classes built on ``wirebox.Record``.
+``dataclasses`` that none of them loads; that ``import wirebox`` loads
+no submodule and defines only ``WireboxError``, ``Record`` and
+``__version__``; the writers ``fileformat`` resolves on first use; the
+records kept as named tuples, and the classes built on
+``wirebox.Record``.
 
 The unused-import check uses the stdlib ``ast`` module only: a name
 counts as used when it appears as a name node anywhere in the module.
 Quoted annotations are strings to ``ast``, so a name used only there
 counts as unused; every module has ``from __future__ import
-annotations`` and needs no quotes.  ``__init__.py`` is skipped, because
-it holds the package's public names.
+annotations`` and needs no quotes.
 """
 
 import ast
@@ -47,7 +48,7 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_library_modules_use_every_name_they_import():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [u for p in modules for u in unused_imports(p)] == []
 
@@ -233,50 +234,25 @@ def test_a_record_class_is_checked_when_it_is_defined():
             __annotations__ = {f"f{i}": int for i in range(9)}
 
 
-# every name the package re-exported when ``import wirebox`` still
-# imported all six library modules
-PUBLIC = {
-    "wiring": "Architecture Box CompositionError Const InnerOut OuterIn Port "
-              "SourceExpr Table Wiring WiringError check_arch_morphism compose "
-              "eval_equal evaluate find_eval_counterexample flatten "
-              "identity_wiring normalize normalize_expr tensor wiring_equal",
-    "moore": "MachineError MachineHom MooreMachine apply_algebra compose_homs "
-             "hom_violations identity_hom lift_hom render_state run step "
-             "validate_hom validate_machine",
-    "oracle": "bisimilar find_distinguishing_word stagewise_simulate "
-              "trace_equivalent",
-    "fincat": "FinCategory FinCatError Morphism NatTransformation SetFunctor "
-              "YonedaError YonedaWitness enumerate_nat hom_functor is_natural "
-              "representable_iso_check validate_category validate_functor "
-              "yoneda_check",
-    "probes": "AMBIGUOUS CARDINALITY EQUALITY EXACT UNKNOWN KnowledgeBase "
-              "LearnResult MachineOracle OracleError Outcome OutputImage "
-              "ProbeError StateSet Terminal Test TraceSet architecture_probe "
-              "compare_outcomes run_test transport_outcome yoneda_filter",
-    "attacks": "AttackError AttackScript CompositeSystem DiffReport LogEntry "
-               "RewireStep RewriteStep ScriptResult apply_rewire apply_rewrite "
-               "apply_script attack_diff transport_script",
-}
-
-
-def test_every_public_name_resolves_to_its_module_attribute():
-    listed = dir(wirebox)
-    for module, names in PUBLIC.items():
-        sub = getattr(wirebox, module)
-        assert sub is sys.modules[f"wirebox.{module}"]
-        for name in names.split():
-            assert getattr(wirebox, name) is getattr(sub, name), name
-            assert name in listed, name
-    star: dict = {}
-    exec("from wirebox import *", star)
-    assert {n for names in PUBLIC.values() for n in names.split()} \
-        | {"WireboxError"} == set(star) - {"__builtins__"}
+def test_importing_the_package_loads_no_submodule_and_defines_two_names():
+    out = fresh("import sys, wirebox\n"
+                "print([sorted(m for m in sys.modules if m.startswith('wirebox')),"
+                " sorted(n for n in vars(wirebox) if not n.startswith('_')),"
+                " wirebox.__version__])")
+    loaded, public, version = ast.literal_eval(out)
+    assert loaded == ["wirebox"]
+    assert public == ["Record", "WireboxError"]
+    assert version == "0.1.0"
 
 
 def test_every_library_error_is_a_wirebox_error():
-    errors = [getattr(wirebox, n) for names in PUBLIC.values()
-              for n in names.split() if n.endswith("Error")]
-    errors.append(fileformat.LoadError)
+    modules = [importlib.import_module(f"wirebox.{p.stem}")
+               for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    # each public exception class a library module defines
+    errors = {v for m in modules for n, v in vars(m).items()
+              if not n.startswith("_") and isinstance(v, type)
+              and issubclass(v, Exception) and v.__module__ == m.__name__}
+    assert fileformat.LoadError in errors
     assert len(errors) == 9
     for cls in errors:
         assert issubclass(cls, wirebox.WireboxError), cls

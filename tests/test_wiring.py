@@ -11,9 +11,8 @@ from wirebox.attacks import CompositeSystem, RewireStep, apply_rewire
 from wirebox.wiring import (Architecture, Box, Const, InnerOut, OuterIn, Port,
                             Table, Wiring, WiringError, check_arch_morphism,
                             canonical_text, compose, eval_equal, evaluate,
-                            expr_refs, find_eval_counterexample, flatten,
-                            identity_of, identity_wiring, input_space,
-                            normalize, normalize_expr, output_space, tensor,
+                            expr_refs, flatten, identity_of, identity_wiring,
+                            input_space, normalize, output_space, tensor,
                             wiring_equal)
 
 B = Box("b", (Port("x", BIT), Port("y", BIT)), (Port("o", BIT),))
@@ -234,19 +233,15 @@ def test_evaluate_sourceless_table():
     assert inner_ins == ("0", "1")
 
 
-def test_find_eval_counterexample_none_on_equal():
-    assert find_eval_counterexample(pipe(), pipe()) is None
-
-
-def test_find_eval_counterexample_reports_point():
+def test_eval_equal_tells_a_rerouted_input_apart():
     w = pipe()
     in_map = dict(w.in_map)
     in_map[(0, "x")] = OuterIn(0, "y")
     flipped = Wiring(w.inner, w.outer, in_map, w.out_map)
-    point = find_eval_counterexample(w, flipped)
-    assert point is not None
-    inner_outs, outer_in = point
-    assert len(inner_outs) == 3 and len(outer_in) == 2
+    assert eval_equal(w, pipe())
+    assert not eval_equal(w, flipped)
+    with pytest.raises(WiringError, match="different boundaries"):
+        eval_equal(w, identity_wiring(B))
 
 
 def reference_env(w, inner_outs, outer_in):
@@ -292,12 +287,13 @@ def test_evaluate_agrees_with_the_uncompiled_reference(seed):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 9))
-def test_normalize_expr_agrees_with_the_uncompiled_reference(seed):
+def test_normalize_agrees_with_the_uncompiled_reference(seed):
     rng = random.Random(seed)
     f, g, _ = random_stack(rng)
     for w in (f, compose(g, f), nested(f)):
         exprs = list(w.in_map.values()) + list(w.out_map.values())
-        normal = [normalize_expr(w, e) for e in exprs]
+        norm = normalize(w)
+        normal = list(norm.in_map.values()) + list(norm.out_map.values())
         envs = [reference_env(w, inner_outs, outer_in)
                 for inner_outs in output_space(w.inner)
                 for outer_in in input_space(w.outer)]
@@ -467,20 +463,29 @@ def pinned() -> Wiring:
 
 def test_a_reference_on_a_one_symbol_port_normalizes_to_const():
     w = pinned()
-    for ref in (OuterIn(0, "k"), InnerOut(1, "h")):
-        assert normalize_expr(w, ref) == Const("1")
-        # the same as minimising the reference as a table
-        assert normalize_expr(w, Table((ref,), (((("1",), "1"),)))) == Const("1")
-    n = normalize(w)
-    assert n.in_map[(0, "x")] == n.in_map[(0, "y")] == Const("1")
-    assert n.out_map[(0, "h")] == Const("1")
+
+    def one_row(expr):
+        if isinstance(expr, Const):
+            return expr
+        return Table((expr,), (((("1",), "1"),)))
+
+    # the same as minimising each reference as a table
+    tabled = Wiring(w.inner, w.outer,
+                    {k: one_row(e) for k, e in w.in_map.items()},
+                    {k: one_row(e) for k, e in w.out_map.items()})
+    for n in (normalize(w), normalize(tabled)):
+        assert n.in_map[(0, "x")] == n.in_map[(0, "y")] == Const("1")
+        assert n.out_map[(0, "h")] == Const("1")
 
 
 def test_const_and_multi_symbol_references_normalize_to_themselves():
     w = pinned()
     for expr in (Const("0"), Const("1"), InnerOut(0, "o")):
-        assert normalize_expr(w, expr) == expr
-    assert normalize_expr(pipe(), OuterIn(0, "x")) == OuterIn(0, "x")
+        in_map = dict(w.in_map)
+        in_map[(0, "y")] = expr
+        n = normalize(Wiring(w.inner, w.outer, in_map, w.out_map))
+        assert n.in_map[(0, "y")] == expr
+    assert normalize(pipe()) == pipe()
 
 
 def test_normalize_is_idempotent_on_a_one_symbol_port():
