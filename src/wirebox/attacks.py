@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import Record, WireboxError, moore, probes, wiring as wi
-from .moore import MachineHom, MooreMachine, apply_algebra, hom_violations
+from .moore import MachineHom, MooreMachine, _machines_fit, apply_algebra
 from .wiring import Wiring
 
 
@@ -36,24 +36,15 @@ class AttackError(WireboxError):
 
 
 class CompositeSystem(Record):
-    """A wiring into a single box plus one machine per inner slot."""
+    """A wiring into a single box plus one machine per inner slot; a
+    misfit raises ``apply_algebra``'s MachineError."""
 
     wiring: Wiring
     components: tuple[MooreMachine, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if len(self.wiring.outer) != 1:
-            raise AttackError("a system composes into a single box")
-        if len(self.components) != len(self.wiring.inner):
-            raise AttackError(
-                f"wiring has {len(self.wiring.inner)} slots but "
-                f"{len(self.components)} components were given")
-        for i, (b, m) in enumerate(zip(self.wiring.inner, self.components)):
-            if m.box != b:
-                raise AttackError(
-                    f"component {i} inhabits box {m.box.name!r}, slot {i} "
-                    f"is {b.name!r}")
+        _machines_fit(self.wiring, self.components)
 
     @property
     def box(self):
@@ -143,10 +134,11 @@ def check_step(sys: CompositeSystem, step) -> None:
     """Raise AttackError unless ``step``'s slot is one of the system's and
     its replacement machine or endomorphism is on that slot's box.
 
-    A morphism rewrite's target is left to ``hom_violations``, which
-    checks it against the source, the slot's current component.  Slots
-    and their boxes never change under a step, so a whole script can be
-    checked against the system it is aimed at.
+    A morphism rewrite's target was checked against its source when the
+    morphism was built; ``apply_rewrite`` checks that the source is the
+    slot's current component.  Slots and their boxes never change under a
+    step, so a whole script can be checked against the system it is
+    aimed at.
     """
     index = step.index
     check_index(sys, index)
@@ -166,8 +158,9 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
     """Swap one component machine, preserving the slot's box.
 
     In morphism mode the morphism's source must be the current component;
-    the returned witness is the morphism lifted along the wiring to a
-    morphism between the old and new composites.
+    the morphism was checked when built.  The returned witness is the
+    morphism lifted along the wiring to one between the old and new
+    composites.
     """
     check_step(sys, step)
     current = sys.components[step.index]
@@ -179,9 +172,6 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
         if hom.source != current:
             raise AttackError(
                 f"morphism source is not the current component {step.index}")
-        bad = hom_violations(hom)
-        if bad:
-            raise AttackError(f"not a machine morphism: {bad[0]}")
         replacement = hom.target
         homs = [moore.identity_hom(m) for m in sys.components]
         homs[step.index] = hom

@@ -51,7 +51,10 @@ characters.  Numbers keep their text: a scalar that reads as a number
 but prints differently (``01``, ``1.50``, ``1_000``, ``0x1F``, ``+1``,
 ``.5``) loads as its text, so a state ``01`` stays apart from a state
 ``1``, and an integer field written ``06`` is refused at its path.  A
-table expression hundreds of tables deep reads ``document nests too deeply``.
+table expression nested more than 100 tables deep is refused at the
+path of its outermost expression, ``table expression nests more than
+100 tables deep``; a caller whose own stack is nearly full gets
+``document nests too deeply`` instead.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ def loads(text: str, source: str = "<string>"):
         raise LoadError(source, _yaml_problem(e)) from None
     try:
         return _document(data, source)
-    except RecursionError:  # the loaders recurse once per nested level
+    except RecursionError:  # a backstop: the loaders recurse per table
         raise LoadError(source, "document nests too deeply") from None
 
 

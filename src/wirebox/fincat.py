@@ -52,14 +52,6 @@ class FinCategory(Record, eq=False):
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
         object.__setattr__(self, "identity", dict(self.identity))
         object.__setattr__(self, "composition", dict(self.composition))
-        object.__setattr__(
-            self, "_by_id", {m.mid: m for m in self.morphisms})
-
-    def morphism(self, mid: MorId) -> Morphism:
-        try:
-            return self._by_id[mid]
-        except KeyError:
-            raise FinCatError(f"no morphism {mid!r}") from None
 
     def hom(self, a: Obj, b: Obj) -> list[MorId]:
         """Morphisms a -> b, sorted by id."""

@@ -326,13 +326,9 @@ class _Product(Sequence):
                 and all(map(operator.contains, self._members, s)))
 
     def __iter__(self):
-        self.check_walkable()
-        return itertools.product(*self._parts)
-
-    def check_walkable(self) -> None:
-        """Raise MachineError when walking the product is refused."""
         if self._len * self._n_inputs > MAX_TRANSITIONS:
             raise _over_the_limit("would have", self._len, self._n_inputs)
+        return itertools.product(*self._parts)
 
     def __getitem__(self, k: int) -> tuple:
         k = operator.index(k)
@@ -537,7 +533,10 @@ class MachineHom(Record):
     """A state map between machines on the same box.
 
     Must send init to init, preserve readouts, and commute with update on
-    every (state, input) square.
+    every (state, input) square.  Construction checks this and raises
+    MachineError with the first of ``hom_violations``.  What
+    ``identity_hom``, ``compose_homs`` and ``lift_hom`` build is a
+    morphism by construction and skips the check (``_built``).
     """
 
     source: MooreMachine
@@ -546,10 +545,25 @@ class MachineHom(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "state_map", dict(self.state_map))
+        bad = hom_violations(self)
+        if bad:
+            raise MachineError(bad[0])
+
+    @classmethod
+    def _built(cls, source: MooreMachine, target: MooreMachine,
+               state_map: dict[State, State]) -> "MachineHom":
+        """A morphism by construction, taken as it is: nothing is copied
+        or checked."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "state_map", state_map)
+        return h
 
 
 def hom_violations(h: MachineHom) -> list[str]:
-    """Every way a would-be machine morphism fails, empty when valid."""
+    """Every way ``h`` fails to be a machine morphism, empty when it is
+    one; ``MachineHom`` raises the first when it is built."""
     out: list[str] = []
     if h.source.box != h.target.box:
         out.append(
@@ -584,42 +598,34 @@ def hom_violations(h: MachineHom) -> list[str]:
 
 
 def identity_hom(m: MooreMachine) -> MachineHom:
-    return MachineHom(m, m, {s: s for s in m.states})
+    return MachineHom._built(m, m, {s: s for s in m.states})
 
 
 def compose_homs(g: MachineHom, h: MachineHom) -> MachineHom:
     """The composite g after h; sources and targets must chain."""
     if h.target != g.source:
         raise MachineError("homs do not chain: h.target differs from g.source")
-    return MachineHom(h.source, g.target,
-                      {s: g.state_map[h.state_map[s]] for s in h.source.states})
+    return MachineHom._built(h.source, g.target, {
+        s: g.state_map[h.state_map[s]] for s in h.source.states})
 
 
 def lift_hom(w: Wiring, homs: Sequence[MachineHom]) -> MachineHom:
     """The wiring applied to a list of machine morphisms.
 
     Source and target are the composites of the component sources and
-    targets; the state map acts componentwise.  The result is validated,
-    so a non-morphism input fails loudly here.  Both composites are walked
-    whole, so a product over the limit is refused, with the whole-product
-    readers' MachineError, before either is built.
+    targets; the state map acts componentwise, so the result is a
+    morphism by construction and is not checked again.  The map is built
+    over the source's whole product first, so a product over the limit is
+    refused, with the whole-product readers' MachineError, before any
+    row is routed.
     """
-    for i, h in enumerate(homs):
-        bad = hom_violations(h)
-        if bad:
-            raise MachineError(f"component {i}: {bad[0]}")
-    sides = ([h.source for h in homs], [h.target for h in homs])
-    for machines in sides:
-        _machines_fit(w, machines)
-        _product(machines, w.outer[0]).check_walkable()
-    src, tgt = (apply_algebra(w, machines) for machines in sides)
+    sources = [h.source for h in homs]
+    _machines_fit(w, sources)
     state_map = {s: tuple(h.state_map[si] for h, si in zip(homs, s))
-                 for s in src.states}
-    lifted = MachineHom(src, tgt, state_map)
-    bad = hom_violations(lifted)
-    if bad:
-        raise MachineError(f"lifted map is not a machine morphism: {bad[0]}")
-    return lifted
+                 for s in _product(sources, w.outer[0])}
+    return MachineHom._built(apply_algebra(w, sources),
+                             apply_algebra(w, [h.target for h in homs]),
+                             state_map)
 
 
 def canonical_text(m: MooreMachine) -> str:

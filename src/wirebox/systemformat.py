@@ -21,8 +21,7 @@ import yaml
 from .fileformat import (LoadError, _errors_at, _field, _integer, _list,
                          _mapping, _named, _ref, _row, _rows, _string,
                          _string_map, _symbols, load)
-from .moore import (MachineHom, MooreMachine, hom_violations, render_state,
-                    validate_machine)
+from .moore import MachineHom, MooreMachine, render_state, validate_machine
 from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
                      StateSet, Terminal, Test, TraceSet, default_comparator)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
@@ -82,7 +81,12 @@ def _load_machine(d, boxes: Mapping[str, Box], path: str) -> tuple[str, MooreMac
     return name, m
 
 
-def _load_expr(d, path: str) -> SourceExpr:
+# the most tables a source expression may nest; the first table deeper
+# is refused at the path of the outermost expression
+_MAX_TABLES = 100
+
+
+def _load_expr(d, path: str, outermost: str = "", depth: int = 0) -> SourceExpr:
     keys = set(_mapping(d, path))
     if keys == {"outer"}:
         return OuterIn(*_field(d, "outer", path, _port_key))
@@ -91,9 +95,14 @@ def _load_expr(d, path: str) -> SourceExpr:
     if keys == {"const"}:
         return Const(_field(d, "const", path))
     if keys == {"table"}:
+        outermost = outermost or path
+        if depth == _MAX_TABLES:
+            raise LoadError(outermost, f"table expression nests more than "
+                                       f"{_MAX_TABLES} tables deep")
         tp = f"{path}.table"
         t = _row(d["table"], tp, ("sources", "rows"))
-        return Table(_field(t, "sources", tp, _list(_load_expr)),
+        sources = _list(lambda v, p: _load_expr(v, p, outermost, depth + 1))
+        return Table(_field(t, "sources", tp, sources),
                      tuple((_field(row, "key", rp, _symbols), _field(row, "value", rp))
                            for row, rp in _field(t, "rows", tp, _rows(("key", "value")))))
     raise LoadError(path, "expected exactly one of outer/inner/const/table")
@@ -200,8 +209,9 @@ def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
     will check it when applied: a slot index past the system's slots, or
     a replacement machine or endomorphism on another box than its slot's,
     fails at the step's ``rewrite`` or ``rewire`` key.  A morphism
-    rewrite's target is checked by ``hom_violations`` instead, against
-    the slot's component, at its ``state_map`` key.
+    rewrite's morphism, from the slot's component to its target, is
+    checked when it is built (``MachineHom``), and its first violation
+    fails at the step's ``state_map`` key.
 
     An attack.v1 document defines no systems, so there ``system`` is None:
     its steps are checked only when applied, and it cannot carry a
@@ -225,10 +235,8 @@ def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
                 state_map = _field(row, "state_map", rp, _string_map)
                 with _errors_at(f"{rp}.rewrite"):
                     check_index(system, idx)
-                hom = MachineHom(system.components[idx], target, state_map)
-                bad = hom_violations(hom)
-                if bad:
-                    raise LoadError(f"{rp}.state_map", bad[0])
+                with _errors_at(f"{rp}.state_map"):
+                    hom = MachineHom(system.components[idx], target, state_map)
                 step = RewriteStep(idx, hom=hom)
             else:
                 step = RewriteStep(idx, machine=target)

@@ -90,10 +90,16 @@ def random_word(rng: random.Random, box: Box, length: int):
 
 def relabel(rng: random.Random, m: MooreMachine) -> MooreMachine:
     """An isomorphic copy with fresh state names in shuffled order."""
+    return relabelling(rng, m)[0]
+
+
+def relabelling(rng: random.Random, m: MooreMachine):
+    """``relabel``'s copy of ``m``, with the map from ``m``'s states to
+    the copy's: (copy, map)."""
     order = list(m.states)
     rng.shuffle(order)
     name = {s: f"r{k}" for k, s in enumerate(order)}
     return MooreMachine(
         m.box, tuple(name[s] for s in order), name[m.init],
         {(name[s], x): name[t] for (s, x), t in m.update.items()},
-        {name[s]: r for s, r in m.readout.items()})
+        {name[s]: r for s, r in m.readout.items()}), name

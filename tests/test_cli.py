@@ -1,8 +1,11 @@
 """The command line: exit codes, output shapes, and file handling."""
 
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -126,16 +129,38 @@ def test_a_table_nested_100_deep_loads(tmp_path):
     assert out == "ok: wiring 'deep', 1 inner boxes -> 1 outer\n"
 
 
+# the refusal of the 101st nested table, at the outermost expression
+TOO_DEEP = ("error: deep.yaml.wiring.outputs[0].from: table expression nests "
+            "more than 100 tables deep\n")
+
+
 def test_a_document_nested_too_deeply_exits_65_without_a_traceback(
         tmp_path, yaml_loader):
     path = tmp_path / "deep.yaml"
     path.write_text(nested_tables(250))
     code, out, err = cli("validate", path)
     assert (code, out) == (EX_DATAERR, "")
-    assert err.startswith("error: deep.yaml: ") and err.count("\n") == 1
-    if yaml_loader is not yaml.SafeLoader:
-        # libyaml parses the nesting; loading the parsed data recurses
-        assert err == "error: deep.yaml: document nests too deeply\n"
+    assert err.count("\n") == 1
+    if yaml_loader is yaml.SafeLoader:
+        # the pure-Python parser recurses per level and refuses first
+        assert err.startswith("error: deep.yaml: ")
+    else:
+        # libyaml parses the nesting; loading refuses the 101st table
+        assert err == TOO_DEEP
+
+
+def test_a_table_nested_101_deep_is_refused_alike_in_any_process(tmp_path):
+    # the bound is the document's, not the caller's stack depth
+    path = tmp_path / "deep.yaml"
+    path.write_text(nested_tables(101))
+    assert cli("validate", path) == (EX_DATAERR, "", TOO_DEEP)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "wirebox.cli", "validate",
+                           str(path)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (EX_DATAERR, "", TOO_DEEP)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import BIT, random_machine, random_network, random_word
+from netgen import (BIT, random_machine, random_network, random_word,
+                    relabelling)
 from wirebox import moore
 from wirebox.fileformat import dump_machine
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
@@ -563,29 +564,58 @@ def collapse() -> MachineHom:
     return MachineHom(history(), delay(), {s: s[1] for s in history().states})
 
 
+def inverted() -> MooreMachine:
+    return MooreMachine(CELL, BIT, "0", delay().update,
+                        {"0": ("1",), "1": ("0",)})
+
+
+def sticky() -> MooreMachine:
+    return MooreMachine(CELL, BIT, "0",
+                        {(s, (a,)): s for s in BIT for a in BIT},
+                        {s: (s,) for s in BIT})
+
+
+IDENTITY = {"0": "0", "1": "1"}
+
+
 def test_collapse_is_a_morphism():
     assert hom_violations(collapse()) == []
 
 
 def test_hom_must_send_init_to_init():
-    bad = MachineHom(delay(), delay("1"), {"0": "0", "1": "1"})
-    assert any("init" in v for v in hom_violations(bad))
+    with pytest.raises(MachineError, match="init"):
+        MachineHom(delay(), delay("1"), IDENTITY)
 
 
 def test_hom_must_preserve_readout():
-    inverted = MooreMachine(CELL, BIT, "0", delay().update,
-                            {"0": ("1",), "1": ("0",)})
-    bad = MachineHom(delay(), inverted, {"0": "0", "1": "1"})
-    assert any("readout" in v for v in hom_violations(bad))
+    with pytest.raises(MachineError, match="readout"):
+        MachineHom(delay(), inverted(), IDENTITY)
 
 
 def test_hom_must_commute_with_update():
-    # swap map breaks the update square even though readouts line up
-    sticky = MooreMachine(CELL, BIT, "0",
-                          {(s, (a,)): s for s in BIT for a in BIT},
-                          {s: (s,) for s in BIT})
-    bad = MachineHom(delay(), sticky, {"0": "0", "1": "1"})
-    assert any("update" in v for v in hom_violations(bad))
+    # the identity map breaks the update square though readouts line up
+    with pytest.raises(MachineError, match="update"):
+        MachineHom(delay(), sticky(), IDENTITY)
+
+
+@pytest.mark.parametrize("source, target, state_map, message", [
+    (delay(), MooreMachine(Box("other", CELL.in_ports, CELL.out_ports), BIT,
+                           "0", delay().update, delay().readout),
+     IDENTITY, "source inhabits 'cell', target 'other'"),
+    (delay(), delay(), {"0": "0"}, "state map misses 1"),
+    (delay(), delay(), {"0": "0", "1": "2"},
+     "state map sends 1 outside the target states"),
+    (delay(), delay("1"), IDENTITY, "initial state is not preserved"),
+    (delay(), inverted(), IDENTITY, "readout differs at 0"),
+    (delay(), sticky(), IDENTITY,
+     "update square fails at state 0 on input ('1',): map-then-step gives 0, "
+     "step-then-map gives 1"),
+], ids=["box", "misses", "outside", "init", "readout", "update"])
+def test_a_hom_is_refused_when_built_with_its_first_violation(
+        source, target, state_map, message):
+    with pytest.raises(MachineError) as e:
+        MachineHom(source, target, state_map)
+    assert str(e.value) == message
 
 
 def test_identity_and_composition_of_homs():
@@ -607,9 +637,42 @@ def test_lift_hom_acts_componentwise():
 
 
 def test_lift_hom_rejects_invalid_component():
-    bad = MachineHom(delay(), delay("1"), {"0": "0", "1": "1"})
-    with pytest.raises(MachineError):
-        lift_hom(chain(), (bad, identity_hom(delay())))
+    # an invalid component is refused when it is built, so lift_hom never
+    # meets one; it still refuses a list that does not fit the wiring
+    with pytest.raises(MachineError, match="init"):
+        MachineHom(delay(), delay("1"), IDENTITY)
+    with pytest.raises(MachineError, match="2 inner boxes but 1 machines"):
+        lift_hom(chain(), (identity_hom(delay()),))
+
+
+def hom_results(rng):
+    # every kind of morphism the library builds unchecked, from one seeded
+    # network whose components get identity or relabelling morphisms
+    w, machines = random_network(rng)
+    homs, backs = [], []
+    for m in machines:
+        copy, name = relabelling(rng, m)
+        there = MachineHom(m, copy, name)
+        back = MachineHom(copy, m, {v: s for s, v in name.items()})
+        if rng.random() < 0.5:
+            there, back = identity_hom(m), identity_hom(m)
+        homs.append(there)
+        backs.append(back)
+    lifted, lifted_back = lift_hom(w, homs), lift_hom(w, backs)
+    return ([identity_hom(m) for m in machines]
+            + [identity_hom(lifted.source)]
+            + [compose_homs(b, h) for h, b in zip(homs, backs)]
+            + [compose_homs(h, identity_hom(h.source)) for h in homs]
+            + [lifted, lifted_back, compose_homs(lifted_back, lifted)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_hom_results_pass_the_validating_constructor(seed):
+    # identity_hom, compose_homs and lift_hom skip the check on what they
+    # build; the public constructor is the slow reference they must agree with
+    for h in hom_results(random.Random(seed)):
+        assert MachineHom(h.source, h.target, h.state_map) == h
 
 
 def test_canonical_text_distinguishes_machines():
