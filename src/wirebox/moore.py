@@ -10,16 +10,16 @@ reached after 0..n-1 inputs.
 outer box and a machine per inner box, it builds the composite machine on
 the outer box.  States are tuples of component states; at each step the
 wiring routes current component readouts and outer inputs to component
-inputs, and every component steps at once.  The wiring's routing is
-compiled once per composite and each component readout is checked once.
-Nothing the size of the product is built: ``states`` is a read-only
-sequence over the component state sets, and the rows of ``update`` and
-``readout`` are routed on demand, a state's rows in both tables at
-once: those of the states reachable from ``init`` when the composite is
-built, where a missing component row raises, and any other state's on
-the first lookup of one of its rows, where the same error surfaces
-instead (its readout still answers).  Both tables are read-only
-mappings that list their keys in product order without routing a row.
+inputs, and every component steps at once.  A machine is checked when
+``MooreMachine(...)`` builds it, so every machine is total and a
+composite is built unchecked.  The wiring's routing is compiled once
+per composite.  Nothing the size of the product is built: ``states`` is
+a read-only sequence over the component state sets, and the rows of
+``update`` and ``readout`` are routed on demand, a state's rows in both
+tables at once: those of the states reachable from ``init`` when the
+composite is built, and any other state's on the first lookup of one of
+its rows.  Both tables are read-only mappings that list their keys in
+product order without routing a row.
 A reader that walks the whole product (iterating ``states`` or a table,
 so validating, rendering, dumping, comparing or checking morphisms)
 refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
@@ -38,7 +38,7 @@ from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Union
 
 from . import Record, WireboxError
-from .wiring import Box, Symbol, Wiring, WiringError, _Routing, input_space
+from .wiring import Box, Symbol, Wiring, _Routing, input_space
 
 State = Union[str, tuple]
 
@@ -54,9 +54,11 @@ class MooreMachine(Record):
     ``update`` maps (state, input tuple) to the next state; ``readout``
     maps a state to its output tuple.  Tables are plain dicts, or a
     composite's read-only mappings routed on demand (see
-    ``apply_algebra``), and are not validated on construction;
-    ``validate_machine`` reports problems, and stepping on missing data
-    raises MachineError.
+    ``apply_algebra``).  Construction raises MachineError with the first
+    of ``validate_machine``'s errors, so every machine is total; what
+    ``apply_algebra`` builds is valid by construction and skips the check
+    (``_built``).  A copy of a composite made through this constructor
+    walks its whole product, so it meets ``MAX_TRANSITIONS``.
 
     Tables are never mutated after construction; to change one, build a
     new machine.  Two caches rely on this: the composite a system keeps
@@ -80,6 +82,23 @@ class MooreMachine(Record):
             if not isinstance(table, _Rows):
                 object.__setattr__(self, name, dict(table))
         object.__setattr__(self, "_outcomes", {})
+        errors = validate_machine(self).errors
+        if errors:
+            raise MachineError(errors[0])
+
+    @classmethod
+    def _built(cls, box: Box, states: Sequence[State], init: State,
+               update: Mapping, readout: Mapping) -> "MooreMachine":
+        """A machine valid by construction, taken as it is: nothing is
+        copied or checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "box", box)
+        object.__setattr__(m, "states", states)
+        object.__setattr__(m, "init", init)
+        object.__setattr__(m, "update", update)
+        object.__setattr__(m, "readout", readout)
+        object.__setattr__(m, "_outcomes", {})
+        return m
 
     def inputs(self) -> list[tuple[Symbol, ...]]:
         return input_space([self.box])
@@ -170,7 +189,8 @@ def validate_machine(m: MooreMachine) -> MachineReport:
 
 
 def step(m: MooreMachine, s: State, x: Sequence[Symbol]) -> tuple[State, tuple[Symbol, ...]]:
-    """One transition: returns (next state, output read before stepping)."""
+    """One transition: returns (next state, output read before stepping);
+    a state or input from outside the machine raises MachineError."""
     x = tuple(x)
     try:
         return m.update[(s, x)], m.readout[s]
@@ -182,7 +202,8 @@ def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
     """The error naming the first row of state ``s`` that ``m`` lacks:
     its readout, then its updates in ``inputs`` order.
 
-    Call it after a lookup of one of those rows missed.
+    Call it after a lookup of one of those rows missed: a machine is
+    total, so ``s`` or an input is not the machine's.
     """
     if s not in m.readout:
         return MachineError(f"no readout for state {render_state(s)}")
@@ -193,7 +214,8 @@ def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
 def run(m: MooreMachine, word: Sequence[Sequence[Symbol]]) -> list[tuple[Symbol, ...]]:
     """Outputs along a word: readout of the state before each input.
 
-    Steps as ``step`` does, and a missing row raises the same error.
+    Steps as ``step`` does, and a word holding an input outside the
+    input space raises the same error.
     """
     update, readout = m.update, m.readout
     s = m.init
@@ -242,18 +264,16 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     then updates every component on its routed input; the composite
     readout routes component readouts through the out_map.
 
-    The wiring is compiled once and each component readout checked once.
-    The rows of the states reachable from ``init`` are routed here, by a
-    search from ``init``; any other state's rows, readout and updates
-    together, are routed on the first lookup of one of them.  Within one
-    state, components fed only by inner outputs are routed once, then
-    the others per outer input.  A component that was never validated
-    may lack update rows: the MachineError names the first one the
-    search meets, or, for a state the search does not reach, the first
-    one an update lookup meets; that state's readout still answers.  Either
-    table lists its keys in product order, and counts them, without
-    routing a row; reading its values (``items``, ``values``, ``==``,
-    ``repr``) routes the rows read.
+    The components were checked when built and the wiring when built, so
+    every routed row exists and the composite is built unchecked
+    (``MooreMachine._built``).  The wiring is compiled once.  The rows of
+    the states reachable from ``init`` are routed here, by a search from
+    ``init``; any other state's rows, readout and updates together, are
+    routed on the first lookup of one of them.  Within one state,
+    components fed only by inner outputs are routed once, then the
+    others per outer input.  Either table lists its keys in product
+    order, and counts them, without routing a row; reading its values
+    (``items``, ``values``, ``==``, ``repr``) routes the rows read.
 
     Building costs the reachable part alone, whatever the product's size,
     and is refused with a MachineError once the search has found more
@@ -265,25 +285,23 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     _machines_fit(w, machines)
     outer = w.outer[0]
     routing = _Routing(w)
-    for i, m in enumerate(machines):
-        _check_readouts(i, m)
     states = _product(machines, outer)
     init = tuple(m.init for m in machines)
     router = _Router(routing, machines, states, outer)
-    if router.is_state(init):
-        n_inputs = len(router.inputs)
-        most = MAX_TRANSITIONS // n_inputs
-        seen = {init}
-        stack = [init]
-        while stack:
-            if len(seen) > most:
-                raise _over_the_limit("reaches at least", len(seen), n_inputs)
-            for t in router.fill(stack.pop()):
-                if t not in seen and router.is_state(t):
-                    seen.add(t)
-                    stack.append(t)
-    return MooreMachine(outer, states, init, _UpdateRows(router.update, router),
-                        _ReadoutRows(router.readout, router))
+    n_inputs = len(router.inputs)
+    most = MAX_TRANSITIONS // n_inputs
+    seen = {init}
+    stack = [init]
+    while stack:
+        if len(seen) > most:
+            raise _over_the_limit("reaches at least", len(seen), n_inputs)
+        for t in router.fill(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return MooreMachine._built(outer, states, init,
+                               _UpdateRows(router.update, router),
+                               _ReadoutRows(router.readout, router))
 
 
 def _product(machines: Sequence[MooreMachine], outer: Box) -> _Product:
@@ -396,12 +414,12 @@ class _Router:
                                if any(reads[a:b])]
 
     def fill(self, s: State) -> list[State]:
-        """Route composite state ``s``: store its readout, then its update
+        """Route composite state ``s``: store its readout and its update
         rows, and return its successors, one per outer input in
         ``inputs`` order.
 
-        The readout is stored first, so it answers even when a component
-        lacks one of the update rows, whose MachineError this raises.
+        The components are total and the wiring routes only values of
+        their alphabets, so every component row looked up exists.
         """
         inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
         # out_map reads only inner outputs (Wiring._check_expr enforces
@@ -413,22 +431,15 @@ class _Router:
         for k, f in self._fixed:
             ins[k] = f(inner_outs)
         nexts = []
-        try:
-            for i, a, b in self._fixed_slots:
+        for i, a, b in self._fixed_slots:
+            nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
+        for x in self.inputs:
+            values = inner_outs + x
+            for k, f in self._varying:
+                ins[k] = f(values)
+            for i, a, b in self._varying_slots:
                 nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
-            for x in self.inputs:
-                values = inner_outs + x
-                for k, f in self._varying:
-                    ins[k] = f(values)
-                for i, a, b in self._varying_slots:
-                    nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
-                nexts.append(tuple(nxt))
-        except KeyError as e:
-            # readouts are checked and tables total, so only slot i's
-            # update lookup can miss: an unvalidated component lacks that row
-            si, fed = e.args[0]
-            raise MachineError(f"component {i}: no update for state "
-                               f"{render_state(si)} on input {fed}") from None
+            nexts.append(tuple(nxt))
         self.update.update(zip([(s, x) for x in self.inputs], nexts))
         return nexts
 
@@ -438,14 +449,15 @@ class _Rows(Mapping):
 
     A read-only mapping over one of the router's row dicts, which starts
     with the rows ``apply_algebra`` routed.  A lookup of any other key
-    of a composite state routes that state (``_Router.fill``), readout
-    and update rows at once, so a routed row costs one dict lookup.  Each
-    table says only which state a key names.  The keys are the
-    product's, in product order: iteration and ``len`` take them from the
-    router's ``states`` and route nothing, while ``in``, ``get``,
-    ``items``, ``values`` and ``==`` look rows up.  Iteration meets the
-    product's size limit (see ``_Product``).  Two threads routing the
-    same state store the same values.
+    of a composite state routes that state (``_Router.fill``, which never
+    fails: the components are total), readout and update rows at once,
+    and reads the row again, so a routed row costs one dict lookup.  Each
+    table says only which state a key names.  The keys are the product's,
+    in product order: iteration and ``len`` take them from the router's
+    ``states`` and route nothing, while ``in``, ``get``, ``items``,
+    ``values`` and ``==`` look rows up.  Iteration meets the product's
+    size limit (see ``_Product``).  Two threads routing the same state
+    store the same values.
     """
 
     __slots__ = ("_rows", "_router")
@@ -461,12 +473,7 @@ class _Rows(Mapping):
             s = self._state(key)
             if not self._router.is_state(s):
                 raise
-        try:
-            self._router.fill(s)
-        except MachineError:
-            # a readout is stored before a missing update row raises
-            if key not in self._rows:
-                raise
+        self._router.fill(s)
         return self._rows[key]
 
     def __repr__(self) -> str:
@@ -504,25 +511,6 @@ class _ReadoutRows(_Rows):
     @staticmethod
     def _state(key):
         return key
-
-
-def _check_readouts(i: int, m: MooreMachine) -> None:
-    """Check every readout row of component ``i`` against its box."""
-    ports = m.box.out_ports
-    for si in m.states:
-        r = m.readout.get(si)
-        if r is None:
-            raise MachineError(
-                f"component {i}: no readout for state {render_state(si)}")
-        if len(r) != len(ports):
-            raise WiringError(
-                f"component {i}: readout of state {render_state(si)} has "
-                f"{len(r)} values for {len(ports)} output ports")
-        for p, v in zip(ports, r):
-            if v not in p.alphabet:
-                raise WiringError(
-                    f"value {v!r} is not in the alphabet of inner output "
-                    f"{i}.{p.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +620,7 @@ def canonical_text(m: MooreMachine) -> str:
     """Deterministic text rendering, for fingerprints."""
     lines = [f"box {m.box.name}", f"init {render_state(m.init)}"]
     for s in m.states:
-        lines.append(f"state {render_state(s)} -> {'|'.join(m.readout.get(s, ()))}")
+        lines.append(f"state {render_state(s)} -> {'|'.join(m.readout[s])}")
     for (s, x) in sorted(m.update, key=lambda k: (render_state(k[0]), k[1])):
         lines.append(
             f"step {render_state(s)} {'|'.join(x)} -> "

@@ -31,8 +31,7 @@ from collections.abc import Sequence
 from typing import NamedTuple, Optional, Protocol, Union
 
 from . import Record, WireboxError
-from .moore import (MachineHom, MooreMachine, State, _missing_row,
-                    apply_algebra, render_state)
+from .moore import MachineHom, MooreMachine, State, apply_algebra, render_state
 from .wiring import Box, Wiring, _box_mismatch, input_space
 
 
@@ -139,9 +138,8 @@ def run_test(test: Test, m: MooreMachine) -> Outcome:
     An outcome's value depends on the test's kind alone, so it is
     computed once per machine object and kind, kept on the machine
     outside its fields, and reused by every later test of that kind under
-    the later test's own name.  A failure is not kept: a machine missing
-    a table row raises on every call.  Two threads sharing a machine may
-    both compute a value; the first one stored wins.
+    the later test's own name.  Two threads sharing a machine may both
+    compute a value; the first one stored wins.
     """
     outcomes = m._outcomes
     kept = outcomes.get(test.kind)
@@ -162,17 +160,9 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
     # an OutputImage, the one kind left that Test admits
     inputs = input_space([m.box])
     layer = {m.init}
-    try:
-        for _ in range(kind.step):
-            layer = {m.update[(s, x)] for s in layer for x in inputs}
-    except KeyError as e:
-        s, x = e.args[0]
-        raise _missing_row(m, s, (x,)) from None
-    try:
-        image = {m.readout[s] for s in layer}
-    except KeyError as e:
-        raise _missing_row(m, e.args[0], ()) from None
-    return tuple(sorted(image)), ()
+    for _ in range(kind.step):
+        layer = {m.update[(s, x)] for s in layer for x in inputs}
+    return tuple(sorted({m.readout[s] for s in layer})), ()
 
 
 class _StateNames(Sequence):
@@ -227,16 +217,12 @@ def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
     rows: dict[State, tuple] = {}  # state -> (readout, successors...)
     layers = []
     layer = {m.init}
-    try:
-        for _ in range(depth):
-            layers.append(layer)
-            for s in layer:
-                if s not in rows:
-                    rows[s] = (readout[s],) + tuple(update[(s, x)] for x in inputs)
-            layer = {t for s in layer for t in rows[s][1:]}
-    except KeyError:
-        # an unvalidated machine lacks a table row; the loop state says which
-        raise _missing_row(m, s, inputs) from None
+    for _ in range(depth):
+        layers.append(layer)
+        for s in layer:
+            if s not in rows:
+                rows[s] = (readout[s],) + tuple(update[(s, x)] for x in inputs)
+        layer = {t for s in layer for t in rows[s][1:]}
     signatures: list[list[tuple]] = []  # per layer, in provisional id order
     below: dict[State, int] = {}
     for k in reversed(range(depth)):

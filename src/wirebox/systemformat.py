@@ -21,7 +21,7 @@ import yaml
 from .fileformat import (LoadError, _errors_at, _field, _integer, _list,
                          _mapping, _named, _ref, _row, _rows, _string,
                          _string_map, _symbols, load)
-from .moore import MachineHom, MooreMachine, render_state, validate_machine
+from .moore import MachineError, MachineHom, MooreMachine, render_state
 from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
                      StateSet, Terminal, Test, TraceSet, default_comparator)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
@@ -74,11 +74,10 @@ def _load_machine(d, boxes: Mapping[str, Box], path: str) -> tuple[str, MooreMac
         if s in readout:
             raise LoadError(rp, f"duplicate readout row for {s!r}")
         readout[s] = _field(row, "output", rp, _symbols)
-    m = MooreMachine(box, states, init, update, readout)
-    report = validate_machine(m)
-    if not report.ok:
-        raise LoadError(path, f"machine {name!r}: {report.errors[0]}")
-    return name, m
+    try:
+        return name, MooreMachine(box, states, init, update, readout)
+    except MachineError as e:
+        raise LoadError(path, f"machine {name!r}: {e}") from None
 
 
 # the most tables a source expression may nest; the first table deeper
@@ -462,16 +461,16 @@ def machine_data(name: str, m: MooreMachine) -> dict:
         text = next(t for k, t in enumerate(states) if t in states[:k])
         raise LoadError(name, f"two states render as {text!r}, so the "
                               f"machine cannot be written and read back")
-    inputs = sorted({x for (_, x) in m.update})
+    inputs = sorted(m.inputs())
     return {
         "name": name,
         "box": m.box.name,
         "states": states,
         "init": rs(m.init),
         "update": [{"state": rs(s), "input": list(x), "next": rs(m.update[(s, x)])}
-                   for s in m.states for x in inputs if (s, x) in m.update],
+                   for s in m.states for x in inputs],
         "readout": [{"state": rs(s), "output": list(m.readout[s])}
-                    for s in m.states if s in m.readout],
+                    for s in m.states],
     }
 
 

@@ -144,14 +144,6 @@ def test_replace_checks_the_slot_box():
         apply_rewrite(single(), RewriteStep(0, machine=foreign))
 
 
-def test_replace_rejects_invalid_machines():
-    broken_update = dict(delay().update)
-    del broken_update[("0", ("1",))]
-    broken = MooreMachine(CELL, BIT, "0", broken_update, delay().readout)
-    with pytest.raises(AttackError, match="invalid"):
-        apply_rewrite(single(), RewriteStep(0, machine=broken))
-
-
 def test_rewrite_index_must_exist():
     with pytest.raises(AttackError, match="no component 5"):
         apply_rewrite(single(), RewriteStep(5, machine=delay()))

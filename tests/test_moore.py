@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import (BIT, random_machine, random_network, random_word,
-                    relabelling)
+from netgen import (BIT, random_machine, random_network, random_stack,
+                    random_word, relabelling)
 from wirebox import moore
 from wirebox.fileformat import dump_machine
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
@@ -25,7 +25,7 @@ from wirebox.probes import (EQUALITY, EXACT, KnowledgeBase, MachineOracle,
                             StateSet, Test, TraceSet, compare_outcomes,
                             run_test, yoneda_filter)
 from wirebox.wiring import (Box, Const, InnerOut, OuterIn, Port, Table,
-                            Wiring, WiringError, evaluate, identity_wiring,
+                            Wiring, compose, evaluate, identity_wiring,
                             input_space)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
@@ -49,21 +49,19 @@ def history() -> MooreMachine:
 # ---------------------------------------------------------------------------
 
 def test_run_names_a_missing_row_as_step_does():
-    # unvalidated machines; each word meets the missing row at its third step
-    d = delay()
-    no_update = MooreMachine(CELL, BIT, "0", {k: v for k, v in d.update.items()
-                                              if k != ("1", ("1",))}, d.readout)
-    no_readout = MooreMachine(CELL, BIT, "0", no_update.update, {"0": ("0",)})
-    for m, word, want in (
-            (no_update, [("0",), ("1",), ("1",), ("0",)],
-             "no update for state 1 on input ('1',)"),
-            (no_readout, [("0",), ("1",), ("1",), ("0",)],
-             "no readout for state 1")):
-        with pytest.raises(MachineError) as ran:
-            run(m, word)
-        with pytest.raises(MachineError) as stepped:
-            step(m, "1", word[2])
-        assert str(ran.value) == str(stepped.value) == want
+    # a machine is total, so only the caller's data can miss a row: the
+    # word's third input is outside the input space, and step may be
+    # given a state outside the machine
+    m = delay()
+    word = [("0",), ("1",), ("2",), ("0",)]
+    with pytest.raises(MachineError) as ran:
+        run(m, word)
+    with pytest.raises(MachineError) as stepped:
+        step(m, "1", word[2])
+    assert str(ran.value) == str(stepped.value) == \
+        "no update for state 1 on input ('2',)"
+    with pytest.raises(MachineError, match="^no readout for state 9$"):
+        step(m, "9", ("0",))
 
 
 def test_valid_machine_reports_clean():
@@ -71,27 +69,58 @@ def test_valid_machine_reports_clean():
     assert report.ok and not report.warnings
 
 
-def test_missing_update_row_is_an_error():
-    m = delay()
-    update = dict(m.update)
-    del update[("0", ("1",))]
-    broken = MooreMachine(CELL, BIT, "0", update, dict(m.readout))
-    report = validate_machine(broken)
-    assert not report.ok
-    assert any("update missing" in e for e in report.errors)
+def with_rows(update=(), readout=(), drop=()):
+    """The tables of ``delay()`` with rows added and keys dropped."""
+    d = delay()
+    update = {k: v for k, v in {**d.update, **dict(update)}.items()
+              if k not in drop}
+    readout = {k: v for k, v in {**d.readout, **dict(readout)}.items()
+               if k not in drop}
+    return update, readout
 
 
-def test_unknown_init_is_an_error():
-    report = validate_machine(
-        MooreMachine(CELL, BIT, "9", delay().update, delay().readout))
-    assert any("init" in e for e in report.errors)
+@pytest.mark.parametrize("states, init, tables, message", [
+    (("0", "1", "0"), "0", with_rows(), "machine repeats a state"),
+    (BIT, "9", with_rows(), "initial state 9 is not a state"),
+    (BIT, "0", with_rows(drop=["1"]), "readout missing for state 1"),
+    (BIT, "0", with_rows(readout={"0": ("0", "0")}),
+     "readout of 0 has 2 values for 1 output ports"),
+    (BIT, "0", with_rows(readout={"1": ("2",)}),
+     "readout of 1 puts '2' on port q outside its alphabet"),
+    (BIT, "0", with_rows(drop=[("0", ("1",))]),
+     "update missing for state 0 on input ('1',)"),
+    (BIT, "0", with_rows(update={("1", ("1",)): "2"}),
+     "update of 1 on ('1',) leaves the state set"),
+    (BIT, "0", with_rows(update={("9", ("0",)): "0"}),
+     "update table keys unknown state 9"),
+    (BIT, "0", with_rows(update={("0", ("2",)): "0"}),
+     "update table keys state 0 with a tuple ('2',) outside the input space"),
+    (BIT, "0", with_rows(readout={"9": ("0",)}),
+     "readout table keys unknown state 9"),
+], ids=["repeated", "init", "no-readout", "readout-length", "readout-alphabet",
+        "no-update", "update-escapes", "update-state", "update-input",
+        "readout-state"])
+def test_a_machine_is_refused_when_built_with_its_first_violation(
+        states, init, tables, message):
+    # every error validate_machine reports, each the first of its machine
+    update, readout = tables
+    broken = MooreMachine._built(CELL, states, init, update, readout)
+    assert validate_machine(broken).errors[0] == message
+    with pytest.raises(MachineError) as e:
+        MooreMachine(CELL, states, init, update, readout)
+    assert str(e.value) == message
 
 
-def test_readout_outside_alphabet_is_an_error():
-    m = delay()
-    readout = dict(m.readout, **{"1": ("7",)})
-    report = validate_machine(MooreMachine(CELL, BIT, "0", m.update, readout))
-    assert not report.ok
+@pytest.mark.parametrize("tables, message", [
+    (with_rows(drop=["1"]), "readout missing for state 1"),
+    (with_rows(drop=[("1", ("0",))]), "update missing for state 1 on input ('0',)"),
+], ids=["readout", "update"])
+def test_a_machine_lacking_a_row_never_reaches_a_morphism(tables, message):
+    # hom_violations reads both machines' rows directly: a machine lacking
+    # one is refused when built, with a MachineError, not a KeyError later
+    with pytest.raises(MachineError) as e:
+        MachineHom(MooreMachine(CELL, BIT, "0", *tables), delay(), IDENTITY)
+    assert str(e.value) == message
 
 
 def test_unreachable_state_is_only_a_warning():
@@ -372,58 +401,9 @@ def test_threads_share_a_composite_while_one_lists_its_keys():
         sys.setswitchinterval(interval)
 
 
-def test_a_missing_row_only_an_unreached_state_needs_raises_on_lookup():
-    d = delay("1")
-    update = {k: v for k, v in d.update.items() if k != ("0", ("0",))}
-    broken = MooreMachine(CELL, BIT, "1", update, d.readout)
-    m = apply_algebra(hull(), (broken,))  # ('0',) is not reachable
-    assert run(m, ((), ())) == [("1",), ("1",)]
-    assert m.readout[("0",)] == ("0",)
-    message = r"component 0: no update for state 0 on input \('0',\)"
-    with pytest.raises(MachineError, match=message):
-        m.update[(("0",), ())]
-    with pytest.raises(MachineError, match=message):
-        (("0",), ()) in m.update
-    # the composite cannot list its rows, so validation raises the same
-    with pytest.raises(MachineError, match=message):
-        validate_machine(m)
-    with pytest.raises(MachineError, match=message):
-        canonical_text(m)
-
-
 def test_apply_algebra_checks_box_fit():
     with pytest.raises(MachineError):
         apply_algebra(chain(), (delay(),))
-
-
-def test_apply_algebra_names_a_missing_update_row():
-    # an unvalidated component, as a library caller may pass one
-    d = delay()
-    update = {k: v for k, v in d.update.items() if k != ("1", ("0",))}
-    broken = MooreMachine(CELL, BIT, "0", update, d.readout)
-    with pytest.raises(MachineError,
-                       match=r"component 1: no update for state 1 on input \('0',\)"):
-        apply_algebra(chain(), (delay(), broken))
-
-
-def test_apply_algebra_names_a_missing_readout_row():
-    broken = MooreMachine(CELL, BIT, "0", delay().update, {"0": ("0",)})
-    with pytest.raises(MachineError, match="component 1: no readout for state 1"):
-        apply_algebra(chain(), (delay(), broken))
-
-
-def test_apply_algebra_names_an_off_alphabet_readout():
-    broken = MooreMachine(CELL, BIT, "0", delay().update,
-                          {"0": ("0",), "1": ("2",)})
-    with pytest.raises(WiringError, match=r"'2' .* inner output 1\.q"):
-        apply_algebra(chain(), (delay(), broken))
-
-
-def test_apply_algebra_rejects_a_readout_of_the_wrong_length():
-    broken = MooreMachine(CELL, BIT, "0", delay().update,
-                          {"0": ("0", "0"), "1": ("1", "0")})
-    with pytest.raises(WiringError):
-        apply_algebra(chain(), (broken, delay()))
 
 
 def history_row(n: int) -> tuple[Wiring, tuple[MooreMachine, ...]]:
@@ -673,6 +653,21 @@ def test_hom_results_pass_the_validating_constructor(seed):
     # build; the public constructor is the slow reference they must agree with
     for h in hom_results(random.Random(seed)):
         assert MachineHom(h.source, h.target, h.state_map) == h
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_composites_pass_the_checking_constructor(seed):
+    # apply_algebra builds its composite unchecked (MooreMachine._built);
+    # the public constructor is the slow reference it must agree with,
+    # both on the composite's own tables and on plain copies of them
+    f, g, machines = random_stack(random.Random(seed))
+    inner = apply_algebra(f, machines)
+    for m in (inner, apply_algebra(g, (inner,)),
+              apply_algebra(compose(g, f), machines)):
+        assert MooreMachine(m.box, m.states, m.init, m.update, m.readout) == m
+        assert MooreMachine(m.box, tuple(m.states), m.init, dict(m.update),
+                            dict(m.readout)) == m
 
 
 def test_canonical_text_distinguishes_machines():

@@ -147,13 +147,14 @@ def test_stagewise_checks_slot_boxes():
 
 
 # ---------------------------------------------------------------------------
-# missing table rows: an unvalidated machine the loader would have rejected
+# missing table rows: machines the constructor refuses, built unchecked,
+# since the reference semantics must not rely on every machine being total
 # ---------------------------------------------------------------------------
 
 def without_update_row() -> MooreMachine:
     d = delay()
     update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
-    return MooreMachine(CELL, BIT, "0", update, d.readout)
+    return MooreMachine._built(CELL, BIT, "0", update, d.readout)
 
 
 def test_distinguishing_word_names_a_missing_update_row():
@@ -172,11 +173,11 @@ def test_bisimilar_names_a_state_outside_the_machine():
     d = delay()
     update = dict(d.update)
     update[("1", ("1",))] = "2"
-    escaping = MooreMachine(CELL, BIT, "0", update, d.readout)
+    escaping = MooreMachine._built(CELL, BIT, "0", update, d.readout)
     with pytest.raises(MachineError, match="first machine: no readout for state 2"):
         bisimilar(escaping, delay())
     d = delay()
-    outside = MooreMachine(CELL, BIT, "9", d.update, d.readout)
+    outside = MooreMachine._built(CELL, BIT, "9", d.update, d.readout)
     with pytest.raises(MachineError, match="second machine: no readout for state 9"):
         bisimilar(delay(), outside)
 

@@ -15,8 +15,8 @@ from netgen import (BIT, random_machine, random_network, random_wiring,
 from wirebox import probes
 from wirebox.attacks import apply_script
 from wirebox.fileformat import load, load_kb_dir
-from wirebox.moore import (MachineError, MachineHom, MooreMachine,
-                           apply_algebra, render_state, run)
+from wirebox.moore import (MachineHom, MooreMachine, apply_algebra,
+                           render_state, run)
 from wirebox.oracle import find_distinguishing_word
 from wirebox.probes import (AMBIGUOUS, CARDINALITY, EQUALITY, EXACT, UNKNOWN,
                             KnowledgeBase, MachineOracle, OracleError, Outcome,
@@ -105,21 +105,6 @@ def test_trace_quotient_has_one_layer_per_step():
 def test_trace_cardinality_comparison_always_agrees():
     t = Test("t", TraceSet(3), CARDINALITY)
     assert compare_outcomes(t, run_test(t, delay()), run_test(t, inverter()))
-
-
-def test_trace_outcome_names_a_missing_row():
-    # an unvalidated machine: the loader would have rejected both
-    d = delay()
-    update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
-    t = Test("t", TraceSet(3))
-    with pytest.raises(MachineError, match=r"no update for state 1 on input \('1',\)"):
-        run_test(t, MooreMachine(CELL, BIT, "0", update, d.readout))
-    with pytest.raises(MachineError, match="no readout for state 1"):
-        run_test(t, MooreMachine(CELL, BIT, "0", d.update, {"0": ("0",)}))
-    # rows the traces never reach are not read, as when running every word
-    assert run_test(Test("t", TraceSet(1)),
-                    MooreMachine(CELL, BIT, "0", update, {"0": ("0",)})).value \
-        == (((("0",),),),)
 
 
 def test_trace_outcomes_over_different_inputs_disagree():
@@ -290,18 +275,6 @@ def test_output_image_walks_exact_depth():
     assert at_zero.value == (("0",),)
 
 
-def test_output_image_names_a_missing_row():
-    # an unvalidated machine: the loader would have rejected both
-    d = delay()
-    update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
-    with pytest.raises(MachineError, match=r"no update for state 1 on input \('1',\)"):
-        run_test(Test("i", OutputImage(2)), MooreMachine(CELL, BIT, "0", update,
-                                                         d.readout))
-    with pytest.raises(MachineError, match="no readout for state 1"):
-        run_test(Test("i", OutputImage(1)), MooreMachine(CELL, BIT, "0", d.update,
-                                                         {"0": ("0",)}))
-
-
 def test_default_comparator_counts_states_only():
     t = Test("s", StateSet())
     assert t.comparator == CARDINALITY
@@ -441,20 +414,6 @@ def test_tests_of_one_kind_keep_their_own_names():
     assert (oa.test, ob.test) == ("short", "also-short")
     assert oa.value == ob.value and oa.inputs == ob.inputs
     assert compare_outcomes(b, ob, run_test(b, fresh_copy(m)))
-
-
-def test_a_missing_row_raises_on_every_call():
-    d = delay()
-    update = {k: v for k, v in d.update.items() if k != ("1", ("1",))}
-    m = MooreMachine(CELL, BIT, "0", update, d.readout)
-    for t in (Test("t", TraceSet(3)), Test("i", OutputImage(2))):
-        messages = []
-        for _ in range(2):
-            with pytest.raises(MachineError) as e:
-                run_test(t, m)
-            messages.append(str(e.value))
-        assert messages[0] == messages[1] == \
-            "no update for state 1 on input ('1',)"
 
 
 def test_kept_outcomes_leave_equality_and_repr_alone():
