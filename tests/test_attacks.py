@@ -144,6 +144,16 @@ def test_replace_checks_the_slot_box():
         apply_rewrite(single(), RewriteStep(0, machine=foreign))
 
 
+def test_replace_rejects_invalid_machines():
+    # a machine lacking an update row is refused when it is built, so no
+    # rewrite carries one
+    broken_update = dict(delay().update)
+    del broken_update[("0", ("1",))]
+    with pytest.raises(MachineError,
+                       match=r"^update missing for state 0 on input \('1',\)$"):
+        MooreMachine(CELL, BIT, "0", broken_update, delay().readout)
+
+
 def test_rewrite_index_must_exist():
     with pytest.raises(AttackError, match="no component 5"):
         apply_rewrite(single(), RewriteStep(5, machine=delay()))

@@ -64,6 +64,30 @@ def test_run_names_a_missing_row_as_step_does():
         step(m, "9", ("0",))
 
 
+def test_missing_update_row_is_an_error():
+    m = delay()
+    update = dict(m.update)
+    del update[("0", ("1",))]
+    report = validate_machine(
+        MooreMachine._built(CELL, BIT, "0", update, dict(m.readout)))
+    assert not report.ok
+    assert any("update missing" in e for e in report.errors)
+    with pytest.raises(MachineError,
+                       match=r"^update missing for state 0 on input \('1',\)$"):
+        MooreMachine(CELL, BIT, "0", update, dict(m.readout))
+
+
+def test_readout_outside_alphabet_is_an_error():
+    m = delay()
+    readout = dict(m.readout, **{"1": ("7",)})
+    report = validate_machine(
+        MooreMachine._built(CELL, BIT, "0", m.update, readout))
+    assert not report.ok
+    with pytest.raises(MachineError, match="^readout of 1 puts '7' on port q "
+                                           "outside its alphabet$"):
+        MooreMachine(CELL, BIT, "0", m.update, readout)
+
+
 def test_valid_machine_reports_clean():
     report = validate_machine(delay())
     assert report.ok and not report.warnings
@@ -399,6 +423,26 @@ def test_threads_share_a_composite_while_one_lists_its_keys():
             assert m == want and list(m.update) == list(want.update)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_apply_algebra_names_a_missing_update_row():
+    # a component lacking an update row is refused when it is built, with
+    # the row named, so apply_algebra only ever routes total components
+    d = delay()
+    update = {k: v for k, v in d.update.items() if k != ("1", ("0",))}
+    with pytest.raises(MachineError,
+                       match=r"^update missing for state 1 on input \('0',\)$"):
+        MooreMachine(CELL, BIT, "0", update, d.readout)
+    assert apply_algebra(chain(), (delay(), delay())).init == ("0", "0")
+
+
+def test_apply_algebra_names_an_off_alphabet_readout():
+    # an off-alphabet readout is refused when the component is built, so
+    # no composite puts the value on an inner output
+    with pytest.raises(MachineError, match="^readout of 1 puts '2' on port q "
+                                           "outside its alphabet$"):
+        MooreMachine(CELL, BIT, "0", delay().update,
+                     {"0": ("0",), "1": ("2",)})
 
 
 def test_apply_algebra_checks_box_fit():
