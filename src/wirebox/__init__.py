@@ -44,8 +44,8 @@ class Record:
       equality and hashing instead;
     - assignment and deletion that raise ``AttributeError``.
       ``object.__setattr__`` still sets an attribute, for a
-      ``__post_init__`` that normalises a field and for caches kept in
-      the instance ``__dict__``;
+      ``__post_init__`` that normalises a field and for the values
+      ``_kept`` keeps in the instance ``__dict__``;
     - the ``repr`` ``C(a=1, b='x')``.
 
     That is what ``@dataclass(frozen=True)`` gave these classes, and the
@@ -83,6 +83,21 @@ class Record:
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(" + ", ".join(
             f"{n}={getattr(self, n)!r}" for n in self._fields) + ")"
+
+
+def _kept(obj, name: str, compute):
+    """``compute(obj)``, computed on the first call for ``obj`` and kept
+    in its ``__dict__`` under ``name``.
+
+    For a value that is a pure function of an immutable object: it is
+    never recomputed, and equality, hashing and ``repr`` read only the
+    fields, so they never see it.  Two threads may both compute it; each
+    gets the value stored first, equal to its own.
+    """
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        return obj.__dict__.setdefault(name, compute(obj))
 
 
 def _specialized(templates: tuple, cls: type, name: str, defaults=None):

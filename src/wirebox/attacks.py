@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from . import Record, WireboxError, moore, probes, wiring as wi
-from .moore import MachineHom, MooreMachine, _machines_fit, apply_algebra
+from . import Record, WireboxError, _kept, moore, probes, wiring as wi
+from .moore import (MachineHom, MooreMachine, _lifted, _machines_fit,
+                    apply_algebra)
 from .wiring import Wiring
 
 
@@ -53,14 +54,14 @@ class CompositeSystem(Record):
     def composite(self) -> MooreMachine:
         """The machine the whole system presents on its outer box.
 
-        Built on the first call and kept: the system is immutable, and
-        the composite's tables keep the rows routed on lookup.
+        Built on the first call and kept (``_kept``): the system is
+        immutable, and the composite's tables keep the rows routed on
+        lookup.  A morphism rewrite builds the composites of the system
+        it rewrites and of the one it returns, as its witness's source
+        and target, so ``attack_diff`` of the two builds neither again.
         """
-        m = getattr(self, "_composite", None)
-        if m is None:
-            m = apply_algebra(self.wiring, self.components)
-            object.__setattr__(self, "_composite", m)
-        return m
+        return _kept(self, "_composite",
+                     lambda sys: apply_algebra(sys.wiring, sys.components))
 
 
 # ---------------------------------------------------------------------------
@@ -157,28 +158,31 @@ def check_step(sys: CompositeSystem, step) -> None:
 def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
     """Swap one component machine, preserving the slot's box.
 
-    In morphism mode the morphism's source must be the current component.
-    The replacement and the morphism were checked when built.  The
-    returned witness is the morphism lifted along the wiring to one
-    between the old and new composites.
+    The returned system keeps ``sys``'s wiring object, and with it the
+    routing compiled for ``sys``'s composite.  In morphism mode the
+    morphism's source must be the current component.  The replacement
+    and the morphism were checked when built.  The returned witness is
+    the morphism lifted along the wiring, as ``moore.lift_hom`` lifts
+    it, from ``sys.composite()`` to the returned system's composite,
+    which is built here and kept on that system.  Its state map is
+    computed on lookup, so on a product over the limit the rewrite
+    costs the reachable parts alone, and reading the map whole is
+    refused.
     """
     check_step(sys, step)
-    current = sys.components[step.index]
-    if step.machine is not None:
-        replacement = step.machine
-        witness = None
-    else:
-        hom = step.hom
-        if hom.source != current:
-            raise AttackError(
-                f"morphism source is not the current component {step.index}")
-        replacement = hom.target
-        homs = [moore.identity_hom(m) for m in sys.components]
-        homs[step.index] = hom
-        witness = moore.lift_hom(sys.wiring, homs)
+    hom = step.hom
+    if hom is not None and hom.source != sys.components[step.index]:
+        raise AttackError(
+            f"morphism source is not the current component {step.index}")
     components = list(sys.components)
-    components[step.index] = replacement
-    return RewriteResult(CompositeSystem(sys.wiring, tuple(components)), witness)
+    components[step.index] = step.machine if hom is None else hom.target
+    result = CompositeSystem(sys.wiring, tuple(components))
+    if hom is None:
+        return RewriteResult(result)
+    homs = [moore.identity_hom(m) for m in sys.components]
+    homs[step.index] = hom
+    return RewriteResult(result, _lifted(homs, sys.composite(),
+                                         result.composite()))
 
 
 def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
@@ -222,11 +226,16 @@ def _digest(text: str) -> str:
 
 
 def fingerprint_wiring(w: Wiring) -> str:
-    return _digest(wi.canonical_text(w))
+    """The digest of the wiring's canonical text, kept on the wiring."""
+    return _kept(w, "_fingerprint", lambda w: _digest(wi.canonical_text(w)))
 
 
 def fingerprint_components(machines: Sequence[MooreMachine]) -> str:
-    return _digest("\n--\n".join(moore.canonical_text(m) for m in machines))
+    """The digest of the machines' canonical texts, each kept on its
+    machine: a step changes at most one component, so a script renders
+    each machine once."""
+    return _digest("\n--\n".join(
+        _kept(m, "_canonical_text", moore.canonical_text) for m in machines))
 
 
 def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:

@@ -26,7 +26,8 @@ refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
 refuses a reachable part of more than that many, and stepping and
 running never refuse.
 ``lift_hom`` applies the same wiring to machine morphisms, componentwise
-on state maps.
+on state maps: the lifted map is read-only and maps a state on lookup,
+so lifting, like building, costs the reachable parts alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import operator
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Union
 
-from . import Record, WireboxError
+from . import Record, WireboxError, _kept
 from .wiring import Box, Symbol, Wiring, _Routing, input_space
 
 State = Union[str, tuple]
@@ -55,17 +56,20 @@ class MooreMachine(Record):
     maps a state to its output tuple.  Tables are plain dicts, or a
     composite's read-only mappings routed on demand (see
     ``apply_algebra``).  Construction raises MachineError with the first
-    of ``validate_machine``'s errors, so every machine is total; what
-    ``apply_algebra`` builds is valid by construction and skips the check
-    (``_built``).  A copy of a composite made through this constructor
-    walks its whole product, so it meets ``MAX_TRANSITIONS``.
+    of ``validate_machine``'s errors, so every machine is total; it skips
+    the reachability pass, which only warns.  What ``apply_algebra``
+    builds is valid by construction and skips the check (``_built``).  A
+    copy of a composite made through this constructor walks its whole
+    product, so it meets ``MAX_TRANSITIONS``.
 
     Tables are never mutated after construction; to change one, build a
-    new machine.  Two caches rely on this: the composite a system keeps
-    (``CompositeSystem.composite``) and the test outcomes that
-    ``probes.run_test`` keeps on the machine object, outside its fields,
-    in the table ``_outcomes`` that every machine starts with.  Starting
-    it here, not on first use, leaves threads no table to race to set.
+    new machine.  Three caches rely on this: the composite a system keeps
+    (``CompositeSystem.composite``), the canonical text that
+    ``attacks.fingerprint_components`` keeps on the machine (``_kept``),
+    and the test outcomes that ``probes.run_test`` keeps on the machine
+    object, outside its fields, in the table ``_outcomes`` that every
+    machine starts with.  Starting it here, not on first use, leaves
+    threads no table to race to set.
     """
 
     box: Box
@@ -82,7 +86,7 @@ class MooreMachine(Record):
             if not isinstance(table, _Rows):
                 object.__setattr__(self, name, dict(table))
         object.__setattr__(self, "_outcomes", {})
-        errors = validate_machine(self).errors
+        errors = _machine_errors(self)
         if errors:
             raise MachineError(errors[0])
 
@@ -127,10 +131,32 @@ def validate_machine(m: MooreMachine) -> MachineReport:
     """Check totality, alphabet membership, and reachability.
 
     Totality or domain violations are errors; states declared but not
-    reachable from the initial state are warnings.
+    reachable from the initial state are warnings, looked for only on a
+    machine without errors.
     """
-    errors: list[str] = []
+    errors = _machine_errors(m)
     warnings: list[str] = []
+    if not errors:
+        inputs = m.inputs()
+        seen = {m.init}
+        frontier = [m.init]
+        while frontier:
+            s = frontier.pop()
+            for x in inputs:
+                t = m.update[(s, x)]
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        for s in m.states:
+            if s not in seen:
+                warnings.append(f"state {render_state(s)} is unreachable")
+    return MachineReport(tuple(errors), tuple(warnings))
+
+
+def _machine_errors(m: MooreMachine) -> list[str]:
+    """``validate_machine``'s errors, in its order: what the constructor
+    refuses a machine for."""
+    errors: list[str] = []
     states = set(m.states)
     if len(states) != len(m.states):
         errors.append("machine repeats a state")
@@ -172,20 +198,7 @@ def validate_machine(m: MooreMachine) -> MachineReport:
     for s in m.readout:
         if s not in states:
             errors.append(f"readout table keys unknown state {render_state(s)}")
-    if not errors:
-        seen = {m.init}
-        frontier = [m.init]
-        while frontier:
-            s = frontier.pop()
-            for x in inputs:
-                t = m.update[(s, x)]
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        for s in m.states:
-            if s not in seen:
-                warnings.append(f"state {render_state(s)} is unreachable")
-    return MachineReport(tuple(errors), tuple(warnings))
+    return errors
 
 
 def step(m: MooreMachine, s: State, x: Sequence[Symbol]) -> tuple[State, tuple[Symbol, ...]]:
@@ -266,8 +279,11 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
 
     The components were checked when built and the wiring when built, so
     every routed row exists and the composite is built unchecked
-    (``MooreMachine._built``).  The wiring is compiled once.  The rows of
-    the states reachable from ``init`` are routed here, by a search from
+    (``MooreMachine._built``).  The wiring is compiled on its first
+    composite and the compiled routing kept on it (``_kept``), so a
+    wiring object is compiled once however many composites it makes;
+    they share the routing, which holds no table.  The rows of the
+    states reachable from ``init`` are routed here, by a search from
     ``init``; any other state's rows, readout and updates together, are
     routed on the first lookup of one of them.  Within one state,
     components fed only by inner outputs are routed once, then the
@@ -284,8 +300,9 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     """
     _machines_fit(w, machines)
     outer = w.outer[0]
-    routing = _Routing(w)
-    states = _product(machines, outer)
+    routing = _kept(w, "_routing", _Routing)
+    states = _Product(tuple(m.states for m in machines),
+                      math.prod(len(p.alphabet) for p in outer.in_ports))
     init = tuple(m.init for m in machines)
     router = _Router(routing, machines, states, outer)
     n_inputs = len(router.inputs)
@@ -302,11 +319,6 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     return MooreMachine._built(outer, states, init,
                                _UpdateRows(router.update, router),
                                _ReadoutRows(router.readout, router))
-
-
-def _product(machines: Sequence[MooreMachine], outer: Box) -> _Product:
-    return _Product(tuple(m.states for m in machines),
-                    math.prod(len(p.alphabet) for p in outer.in_ports))
 
 
 def _over_the_limit(has: str, n_states: int, n_inputs: int) -> MachineError:
@@ -601,19 +613,64 @@ def lift_hom(w: Wiring, homs: Sequence[MachineHom]) -> MachineHom:
     """The wiring applied to a list of machine morphisms.
 
     Source and target are the composites of the component sources and
-    targets; the state map acts componentwise, so the result is a
-    morphism by construction and is not checked again.  The map is built
-    over the source's whole product first, so a product over the limit is
-    refused, with the whole-product readers' MachineError, before any
-    row is routed.
+    targets, each costing its reachable part (see ``apply_algebra``).
+    The state map acts componentwise, so the result is a morphism by
+    construction and is not checked again.  It is a read-only mapping
+    that maps a composite state on lookup and stores nothing
+    (``_LiftedMap``), so lifting costs no more on a product over the
+    limit; reading the map whole, as ``dict``, iteration, ``==`` or
+    ``hom_violations`` do, is refused there with the whole-product
+    readers' MachineError.
     """
-    sources = [h.source for h in homs]
-    _machines_fit(w, sources)
-    state_map = {s: tuple(h.state_map[si] for h, si in zip(homs, s))
-                 for s in _product(sources, w.outer[0])}
-    return MachineHom._built(apply_algebra(w, sources),
-                             apply_algebra(w, [h.target for h in homs]),
-                             state_map)
+    return _lifted(homs, apply_algebra(w, [h.source for h in homs]),
+                   apply_algebra(w, [h.target for h in homs]))
+
+
+def _lifted(homs: Sequence[MachineHom], source: MooreMachine,
+            target: MooreMachine) -> MachineHom:
+    """``homs`` lifted to a morphism from ``source`` to ``target``, the
+    composites one wiring makes of their sources and of their targets;
+    the caller passes them, built already."""
+    return MachineHom._built(source, target, _LiftedMap(
+        tuple(h.state_map for h in homs), source.states))
+
+
+class _LiftedMap(Mapping):
+    """A lifted morphism's state map: a composite state ``(s_1, ..., s_n)``
+    maps to ``(h_1(s_1), ..., h_n(s_n))``.
+
+    Read-only and computed on lookup, like a composite's tables: a
+    lookup costs one component lookup per slot, and a key that is not a
+    state of the source product raises KeyError.  The keys are the
+    source's states, in product order, so iteration, and with it
+    ``dict``, ``items`` and ``==``, meets the product's size limit (see
+    ``_Product``).  It holds the component maps and the source's state
+    sequence, nothing it writes to, so threads may share it.
+    """
+
+    __slots__ = ("_maps", "_states")
+
+    def __init__(self, maps: tuple[Mapping[State, State], ...],
+                 states: Sequence[State]):
+        self._maps = maps
+        self._states = states
+
+    def __getitem__(self, s):
+        if s not in self._states:
+            raise KeyError(s)
+        return tuple(map(operator.getitem, self._maps, s))
+
+    def __contains__(self, s) -> bool:
+        return s in self._states
+
+    def __iter__(self):
+        return iter(self._states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def canonical_text(m: MooreMachine) -> str:

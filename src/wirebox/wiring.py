@@ -23,8 +23,9 @@ All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
 dict.  ``evaluate``, ``eval_equal`` and the composite machines of
 ``moore.apply_algebra`` route through a whole wiring compiled once;
-normalization compiles each expression over the values of the
-references it reads.
+``apply_algebra`` keeps that compiled routing on the wiring, so every
+composite of one wiring object shares it.  Normalization compiles each
+expression over the values of the references it reads.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -552,11 +553,22 @@ def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
 
 
 def normalize(w: Wiring) -> Wiring:
-    """The same wiring with every source expression in canonical form."""
+    """The same wiring with every source expression in canonical form.
+
+    The form built here is marked as one, and normalizing is idempotent,
+    so ``normalize`` of a marked form returns it as it is: ``compose``'s
+    result, say, is normalized once, however often its fingerprint or
+    equality is asked for.  A copy made through ``Wiring(...)`` carries
+    no mark and is normalized again, to an equal form.
+    """
+    if "_normal" in w.__dict__:
+        return w
     at = _positions(w)
     in_map = {key: _normalize_expr(w, at, expr) for key, expr in w.in_map.items()}
     out_map = {key: _normalize_expr(w, at, expr) for key, expr in w.out_map.items()}
-    return Wiring._built(w.inner, w.outer, in_map, out_map)
+    n = Wiring._built(w.inner, w.outer, in_map, out_map)
+    object.__setattr__(n, "_normal", True)
+    return n
 
 
 def wiring_equal(a: Wiring, b: Wiring) -> bool:

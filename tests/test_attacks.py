@@ -2,20 +2,26 @@
 
 import pathlib
 import random
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netgen import BIT, random_stack
+from netgen import (BIT, random_machine, random_network, random_stack,
+                    random_wiring, relabelling)
+from wirebox import moore, wiring as wi
 from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
-                             DiffReport, LogEntry, RewireStep, RewriteStep,
+                             DiffReport, RewireStep, RewriteStep,
                              apply_rewire, apply_rewrite, apply_script,
-                             attack_diff, fingerprint_components,
+                             _digest, attack_diff, fingerprint_components,
                              fingerprint_wiring, transport_script)
 from wirebox.fileformat import load
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, compose_homs, hom_violations,
                            identity_hom, run)
-from wirebox.oracle import find_distinguishing_word, trace_equivalent
+from wirebox.oracle import find_distinguishing_word
 from wirebox.probes import StateSet, Test, TraceSet
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring,
                             compose, identity_wiring, normalize, tensor,
@@ -119,6 +125,37 @@ def test_a_system_builds_its_composite_once():
     assert sys == pair() and repr(sys) == repr(pair())
 
 
+def test_threads_racing_for_kept_values_all_get_the_one_stored():
+    # a kept value is stored once, first come, and every thread that asks
+    # for it, the ones that computed it too, reads that one object
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for attempt in range(50):
+            f, _, machines = random_stack(random.Random(attempt))
+            system = CompositeSystem(f, machines)
+            got = []
+            start = threading.Barrier(6)
+
+            def race():
+                start.wait(timeout=60)
+                got.append((system.composite(), fingerprint_wiring(f),
+                            fingerprint_components(machines)))
+
+            threads = [threading.Thread(target=race) for _ in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert len(got) == 6
+            composite, wiring_fp, components_fp = got[0]
+            assert all(c is composite and w is wiring_fp
+                       and p == components_fp for c, w, p in got)
+    finally:
+        setswitchinterval(interval)
+
+
 def test_script_rejects_foreign_steps():
     with pytest.raises(AttackError, match="not an attack step"):
         AttackScript((42,))
@@ -176,8 +213,9 @@ def test_hom_mode_lifts_the_witness_to_the_composites():
     witness = result.witness
     assert witness is not None
     assert hom_violations(witness) == []
-    assert witness.source == sys.composite()
-    assert witness.target == result.system.composite()
+    # the composites the witness spans are the systems' own, built once
+    assert witness.source is sys.composite()
+    assert witness.target is result.system.composite()
     # the slot collapsed from four states to two
     assert len(witness.source.states) == 8
     assert len(witness.target.states) == 4
@@ -253,6 +291,64 @@ def test_script_logs_every_step_with_fingerprints():
     assert result.log[1].wiring_fp == fingerprint_wiring(end.wiring)
     assert result.log[1].components_fp == fingerprint_components(end.components)
     assert result.system == end
+
+
+def random_script(rng: random.Random, w: Wiring, machines) -> AttackScript:
+    """One to four steps on ``w``'s slots: plain and morphism rewrites,
+    each morphism out of its slot's component at that point, and rewires."""
+    components = list(machines)
+    steps = []
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randrange(len(components))
+        box = w.inner[k]
+        roll = rng.random()
+        if roll < 1 / 3:
+            components[k] = random_machine(rng, box)
+            steps.append(RewriteStep(k, machine=components[k]))
+        elif roll < 2 / 3:
+            copy, name = relabelling(rng, components[k])
+            steps.append(RewriteStep(k, hom=MachineHom(components[k], copy,
+                                                       name)))
+            components[k] = copy
+        else:
+            steps.append(RewireStep(k, random_wiring(rng, (box,), box)))
+    return AttackScript(tuple(steps))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_kept_fingerprints_agree_with_fresh_copies(seed):
+    # fingerprints, routings and composites are kept on the objects a
+    # script meets; a second run reads them, and copies made through the
+    # constructors carry none and compute each afresh
+    rng = random.Random(seed)
+    w, machines = random_network(rng)
+    system = CompositeSystem(w, machines)
+    script = random_script(rng, w, machines)
+    first = apply_script(system, script)
+    second = apply_script(system, script)
+    assert second.log == first.log
+    assert second.system == first.system
+    assert second.witnesses == first.witnesses
+    current = system
+    for step, entry in zip(script.steps, first.log):
+        current = (apply_rewrite(current, step).system
+                   if isinstance(step, RewriteStep)
+                   else apply_rewire(current, step))
+        n = current.wiring
+        copy = Wiring(n.inner, n.outer, n.in_map, n.out_map)
+        machines = [MooreMachine(m.box, m.states, m.init, m.update, m.readout)
+                    for m in current.components]
+        assert entry.wiring_fp == _digest(wi.canonical_text(copy))
+        assert entry.components_fp == _digest(
+            "\n--\n".join(moore.canonical_text(m) for m in machines))
+        normal = normalize(n)
+        assert normalize(normal) is normal
+        assert normal == normalize(copy)
+        if isinstance(step, RewireStep):
+            # a rewired wiring is compose's normal form, marked as one
+            assert normal is n
+    assert first.system == current
 
 
 # fingerprints of the scenario's wirings; a change of the normal form's

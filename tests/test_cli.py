@@ -471,6 +471,42 @@ def test_attack_prints_provenance_then_the_system(tmp_path):
     assert "attacker-view-attacked" in doc.systems
 
 
+# the provenance lines of each fixture script: the view's wiring is
+# view-chain (68e74d2f68b1), a gps-swap rewire gives 2c0ca6077ab0, and the
+# components are the stock view (6c05f22ed0c6) or carry gps-hacked
+# (fd12259d225e); gps-minimize's view-hist components collapse to the stock
+PROVENANCE = {
+    "gps-firmware": [
+        "step 0: rewrite[replace] component 1 wiring=68e74d2f68b1 "
+        "components=fd12259d225e"],
+    "gps-swap": [
+        "step 0: rewire component 1 wiring=2c0ca6077ab0 "
+        "components=6c05f22ed0c6"],
+    "combo": [
+        "step 0: rewrite[replace] component 1 wiring=68e74d2f68b1 "
+        "components=fd12259d225e",
+        "step 1: rewire component 1 wiring=2c0ca6077ab0 "
+        "components=fd12259d225e"],
+    "double-swap": [
+        "step 0: rewire component 1 wiring=2c0ca6077ab0 "
+        "components=6c05f22ed0c6",
+        "step 1: rewire component 1 wiring=68e74d2f68b1 "
+        "components=6c05f22ed0c6"],
+    "gps-minimize": [
+        "step 0: rewrite[morphism] component 1 wiring=68e74d2f68b1 "
+        "components=6c05f22ed0c6"],
+}
+
+
+@pytest.mark.parametrize("script", sorted(PROVENANCE))
+def test_attack_prints_the_pinned_provenance_of_each_fixture_script(script):
+    code, out, _ = cli("attack", "--scenario", UAV / "scenario.yaml",
+                       "--script", script)
+    assert code == EX_OK
+    lines = PROVENANCE[script]
+    assert out.splitlines()[:len(lines) + 1] == lines + ["schema: system.v1"]
+
+
 def test_attack_writes_the_output_file(tmp_path):
     dest = tmp_path / "attacked.yaml"
     code, out, _ = cli("attack", "--scenario", UAV / "scenario.yaml",

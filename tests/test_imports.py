@@ -1,4 +1,4 @@
-"""Every library module uses each name it imports; what ``import
+"""Every library and test module uses each name it imports; what ``import
 wirebox.cli`` and each command load, and the stdlib modules behind
 ``dataclasses`` that none of them loads; that ``import wirebox`` loads
 no submodule and defines only ``WireboxError``, ``Record`` and
@@ -50,6 +50,12 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 def test_library_modules_use_every_name_they_import():
     modules = sorted(SRC.glob("*.py"))
     assert modules
+    assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def test_test_modules_use_every_name_they_import():
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    assert ROOT / "tests" / "test_imports.py" in modules
     assert [u for p in modules for u in unused_imports(p)] == []
 
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import (BIT, random_machine, random_network, random_stack,
-                    random_word, relabelling)
+from netgen import BIT, random_network, random_stack, random_word, relabelling
 from wirebox import moore
+from wirebox.attacks import (AttackScript, CompositeSystem, RewriteStep,
+                             apply_rewrite, apply_script, attack_diff)
 from wirebox.fileformat import dump_machine
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, canonical_text, compose_homs,
@@ -472,7 +473,9 @@ def test_whole_product_readers_refuse_a_product_over_the_limit():
     limit = (r"1048576 states x 2 inputs = 2097152 transitions, over the "
              r"limit of 1048576")
     t = Test("names", StateSet(), EQUALITY)
-    homs = [identity_hom(h) for h in machines]
+    # lifting builds the two composites, as apply_algebra builds other,
+    # and is accepted; its state map is the whole-product reader
+    lifted = lift_hom(w, [identity_hom(h) for h in machines])
     other = apply_algebra(w, machines)
     readers = {
         "states": lambda: list(m.states),
@@ -486,7 +489,7 @@ def test_whole_product_readers_refuse_a_product_over_the_limit():
         "identity_hom": lambda: identity_hom(m),
         "hom_violations": lambda: hom_violations(MachineHom(m, m, {})),
         "bisimilar": lambda: bisimilar(m, m),
-        "lift_hom": lambda: lift_hom(w, homs),
+        "lift_hom": lambda: dict(lifted.state_map),
         "equality StateSet": lambda: compare_outcomes(t, run_test(t, m),
                                                       run_test(t, other)),
     }
@@ -527,11 +530,10 @@ def test_apply_algebra_refuses_a_reachable_part_over_the_limit(monkeypatch):
     assert peak < 2_000_000
 
 
-def test_a_network_of_32_components_composes_runs_and_is_learned():
-    # a binary tree of 32 two-state cells under one outer input: 2**32
-    # product states, of which 67 are reachable from init; every cell a
-    # delay or an inverter, drawn from a fixed seed
-    rng = random.Random(32)
+def tree_of_32(rng: random.Random):
+    """A binary tree of 32 two-state cells under one outer input: 2**32
+    product states, of which 67 are reachable from init; every cell a
+    delay or an inverter, drawn from ``rng``.  (wiring, cells)"""
     n = 32
     in_map = {(0, "a"): OuterIn(0, "a")}
     in_map.update({(i, "a"): InnerOut((i - 1) // 2, "q") for i in range(1, n)})
@@ -541,7 +543,13 @@ def test_a_network_of_32_components_composes_runs_and_is_learned():
                {(0, "q"): Table((InnerOut(n - 1, "q"), InnerOut(20, "q")), xor)})
     cells = (delay(), MooreMachine(CELL, BIT, "0", delay().update,
                                    {"0": ("1",), "1": ("0",)}))
-    machines = tuple(rng.choice(cells) for _ in range(n))
+    return w, tuple(rng.choice(cells) for _ in range(n))
+
+
+def test_a_network_of_32_components_composes_runs_and_is_learned():
+    rng = random.Random(32)
+    w, machines = tree_of_32(rng)
+    outer = w.outer[0]
     word = random_word(rng, outer, 256)
     tracemalloc.start()
     try:
@@ -559,6 +567,31 @@ def test_a_network_of_32_components_composes_runs_and_is_learned():
         tracemalloc.stop()
     assert (result.candidates, result.classification) == (("tree",), EXACT)
     assert ("delay", "states", False) in result.matrix
+    assert peak < 1_000_000
+
+
+def test_a_morphism_rewrite_and_its_diff_run_on_the_32_cell_tree():
+    # the lifted morphism maps a composite state on lookup, so a morphism
+    # rewrite costs the 67 reachable states of each composite, and the
+    # diff reads the composites the rewrite built
+    w, machines = tree_of_32(random.Random(32))
+    system = CompositeSystem(w, machines)
+    script = AttackScript((RewriteStep(7, hom=identity_hom(machines[7])),))
+    tracemalloc.start()
+    try:
+        result = apply_script(system, script)
+        report = attack_diff(system, result.system, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.equivalent and report.witness is None
+    (witness,) = result.witnesses
+    assert witness.source is system.composite()
+    assert witness.target is result.system.composite()
+    s = witness.source.update[(witness.source.init, ("1",))]
+    assert witness.state_map[s] == s and len(witness.state_map) == 2 ** 32
+    with pytest.raises(MachineError, match="would have 4294967296 states"):
+        dict(witness.state_map)
     assert peak < 1_000_000
 
 
@@ -683,11 +716,15 @@ def hom_results(rng):
         homs.append(there)
         backs.append(back)
     lifted, lifted_back = lift_hom(w, homs), lift_hom(w, backs)
+    k = rng.randrange(len(machines))
+    rewritten = apply_rewrite(CompositeSystem(w, machines),
+                              RewriteStep(k, hom=homs[k])).witness
     return ([identity_hom(m) for m in machines]
             + [identity_hom(lifted.source)]
             + [compose_homs(b, h) for h, b in zip(homs, backs)]
             + [compose_homs(h, identity_hom(h.source)) for h in homs]
-            + [lifted, lifted_back, compose_homs(lifted_back, lifted)])
+            + [lifted, lifted_back, compose_homs(lifted_back, lifted),
+               rewritten])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -696,7 +733,23 @@ def test_hom_results_pass_the_validating_constructor(seed):
     # identity_hom, compose_homs and lift_hom skip the check on what they
     # build; the public constructor is the slow reference they must agree with
     for h in hom_results(random.Random(seed)):
-        assert MachineHom(h.source, h.target, h.state_map) == h
+        checked = MachineHom(h.source, h.target, h.state_map)
+        assert checked == h
+        if isinstance(h.state_map, dict):
+            continue
+        # a lifted map: read-only, mapping on lookup exactly the keys and
+        # values of the checked copy, a plain dict
+        lazy, eager = h.state_map, checked.state_map
+        assert type(eager) is dict
+        assert len(lazy) == len(eager) and list(lazy) == list(eager)
+        assert all(lazy[s] == t and s in lazy for s, t in eager.items())
+        assert repr(lazy) == repr(eager)
+        for key in (("x",) * len(h.source.init), "x", (), None):
+            assert key not in lazy and lazy.get(key) is None
+            with pytest.raises(KeyError):
+                lazy[key]
+        with pytest.raises(TypeError):
+            lazy[h.source.init] = h.target.init
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -139,7 +139,6 @@ def test_stagewise_agrees_with_composite(seed):
 
 
 def test_stagewise_checks_slot_boxes():
-    from netgen import random_wiring
     rng = random.Random(5)
     w, machines = random_network(rng)
     with pytest.raises(MachineError):
