@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate everything under fixtures/ from the programmatic builders.
 
-The airframe builders live in ``tests/uav.py``.  Each ``gen_*`` returns
+The airframe builders live in ``tests/uav.py``, and the categories the
+tests share in ``tests/categories.py``.  Each ``gen_*`` returns
 the texts it produces as ``{path relative to fixtures/: text}``; only
 running this file as a script writes them.  Every generated document is
 loaded back and cross-checked first, so a fixture that disagrees with
@@ -22,6 +23,7 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 
 import uav
+from categories import chain3, cyc3, walking_iso
 from wirebox import fincat as fc
 from wirebox import fileformat as ff
 from wirebox.attacks import AttackScript, apply_script
@@ -170,17 +172,6 @@ def constant_functor(cat: fc.FinCategory, name: str = "const") -> fc.SetFunctor:
                          {m.mid: {"*": "*"} for m in cat.morphisms})
 
 
-def walking_iso() -> fc.FinCategory:
-    return fc.FinCategory(
-        "walking-iso", ("a", "b"),
-        (fc.Morphism("ida", "a", "a"), fc.Morphism("idb", "b", "b"),
-         fc.Morphism("f", "a", "b"), fc.Morphism("g", "b", "a")),
-        {"a": "ida", "b": "idb"},
-        {("ida", "ida"): "ida", ("ida", "g"): "g", ("f", "ida"): "f",
-         ("f", "g"): "idb", ("g", "idb"): "g", ("g", "f"): "ida",
-         ("idb", "f"): "f", ("idb", "idb"): "idb"})
-
-
 def arrow() -> fc.FinCategory:
     return fc.FinCategory(
         "arrow", ("z", "o"),
@@ -199,32 +190,6 @@ def parallel_pair() -> fc.FinCategory:
         {"x": "idx", "y": "idy"},
         {("idx", "idx"): "idx", ("u", "idx"): "u", ("v", "idx"): "v",
          ("idy", "u"): "u", ("idy", "v"): "v", ("idy", "idy"): "idy"})
-
-
-def chain3() -> fc.FinCategory:
-    return fc.FinCategory(
-        "chain3", ("p", "q", "r"),
-        (fc.Morphism("idp", "p", "p"), fc.Morphism("idq", "q", "q"),
-         fc.Morphism("idr", "r", "r"), fc.Morphism("f", "p", "q"),
-         fc.Morphism("g", "q", "r"), fc.Morphism("h", "p", "r")),
-        {"p": "idp", "q": "idq", "r": "idr"},
-        {("idp", "idp"): "idp", ("idq", "idq"): "idq", ("idr", "idr"): "idr",
-         ("f", "idp"): "f", ("idq", "f"): "f",
-         ("g", "idq"): "g", ("idr", "g"): "g",
-         ("h", "idp"): "h", ("idr", "h"): "h",
-         ("g", "f"): "h"})
-
-
-def cyc3() -> fc.FinCategory:
-    comp = {}
-    names = ["e", "r1", "r2"]
-    for i in range(3):
-        for j in range(3):
-            comp[(names[i], names[j])] = names[(i + j) % 3]
-    return fc.FinCategory(
-        "cyc3", ("s",),
-        tuple(fc.Morphism(n, "s", "s") for n in names),
-        {"s": "e"}, comp)
 
 
 def cyc3_action() -> fc.SetFunctor:

@@ -46,7 +46,9 @@ class Record:
       ``object.__setattr__`` still sets an attribute, for a
       ``__post_init__`` that normalises a field and for the values
       ``_kept`` keeps in the instance ``__dict__``;
-    - the ``repr`` ``C(a=1, b='x')``.
+    - the ``repr`` ``C(a=1, b='x')``;
+    - the classmethod ``C._built(*values)``, the one unchecked
+      constructor, for a record valid by construction.
 
     That is what ``@dataclass(frozen=True)`` gave these classes, and the
     three methods run the bytecode a dataclass's would.  A dataclass
@@ -73,6 +75,16 @@ class Record:
 
     def __post_init__(self):
         pass
+
+    @classmethod
+    def _built(cls, *values):
+        """A record valid by construction, taken as it is: the values go
+        to the fields in order, and nothing is copied or checked
+        (``__post_init__`` is not called)."""
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _setattr(record, name, value)
+        return record
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

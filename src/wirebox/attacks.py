@@ -20,7 +20,7 @@ battery, and named scripts aimed at those systems.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import Record, WireboxError, _kept, moore, probes, wiring as wi
 from .moore import (MachineHom, MooreMachine, _lifted, _machines_fit,
@@ -113,7 +113,7 @@ class AttackScript(Record):
                 raise AttackError(f"not an attack step: {s!r}")
 
 
-class RewriteResult(NamedTuple):
+class RewriteResult(Record):
     """The attacked system, plus the lifted morphism in morphism mode."""
 
     system: CompositeSystem
@@ -209,7 +209,7 @@ class LogEntry(Record):
     components_fp: str
 
 
-class ScriptResult(NamedTuple):
+class ScriptResult(Record):
     """The attacked system, a log entry per step, and each step's lifted
     morphism (None for a plain rewrite or a rewire)."""
 

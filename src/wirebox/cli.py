@@ -194,8 +194,7 @@ def _cmd_validate(args, out) -> int:
     if schema == "machine.v1":
         from .moore import validate_machine
 
-        report = validate_machine(doc.machine)
-        for w in report.warnings:
+        for w in validate_machine(doc.machine):
             print(f"warning: {w}", file=out)
         print(f"ok: machine {doc.name!r} on box {doc.machine.box.name!r}, "
               f"{len(doc.machine.states)} states", file=out)

@@ -61,11 +61,11 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import yaml
 
-from . import WireboxError
+from . import Record, WireboxError
 
 if TYPE_CHECKING:  # only the fincat.v1 loader imports fincat at run time
     from . import fincat as fc
@@ -219,7 +219,7 @@ def _named(v, path: str, kind: str, load_item) -> dict:
 # documents
 # ---------------------------------------------------------------------------
 
-class FincatDoc(NamedTuple):
+class FincatDoc(Record):
     schema: str
     category: fc.FinCategory
     functors: Mapping[str, fc.SetFunctor]

@@ -15,7 +15,7 @@ isomorphism in the category that witnesses it.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from . import Record, WireboxError
 
@@ -66,7 +66,7 @@ class FinCategory(Record, eq=False):
             raise FinCatError(f"no composite for ({g!r}, {f!r})") from None
 
 
-class CategoryReport(NamedTuple):
+class CategoryReport(Record):
     structural: tuple[str, ...]
     violations: tuple[str, ...]
 
@@ -272,6 +272,12 @@ def is_natural(F: SetFunctor, G: SetFunctor, eta: NatTransformation) -> bool:
     return True
 
 
+def _structure(cat: FinCategory) -> tuple:
+    """What makes ``cat`` the category it is, for comparing two of them."""
+    return (cat.name, set(cat.objects), set(cat.morphisms), cat.identity,
+            cat.composition)
+
+
 def enumerate_nat(F: SetFunctor, G: SetFunctor) -> list[NatTransformation]:
     """All natural transformations F => G, in canonical encoding order.
 
@@ -286,8 +292,12 @@ def enumerate_nat(F: SetFunctor, G: SetFunctor) -> list[NatTransformation]:
     every slot, so the search visits each slot once; sorted order could
     branch on every forced slot first, 3^n leaves on a fan of n arrows
     into a three-element functor.
+
+    F and G must be functors (``validate_functor`` empty), as those of a
+    loaded document are, on one category: the same object, or two equal
+    in name and structure.
     """
-    if F.cat is not G.cat and F.cat.name != G.cat.name:
+    if F.cat is not G.cat and _structure(F.cat) != _structure(G.cat):
         raise FinCatError("functors live on different categories")
     cat = F.cat
     out_by: dict[Obj, list[Morphism]] = {a: [] for a in cat.objects}

@@ -36,7 +36,7 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple, Union
+from typing import Union
 
 from . import Record, WireboxError, _kept
 from .wiring import Box, Symbol, Wiring, _Routing, input_space
@@ -56,9 +56,10 @@ class MooreMachine(Record):
     maps a state to its output tuple.  Tables are plain dicts, or a
     composite's read-only mappings routed on demand (see
     ``apply_algebra``).  Construction raises MachineError with the first
-    of ``validate_machine``'s errors, so every machine is total; it skips
-    the reachability pass, which only warns.  What ``apply_algebra``
-    builds is valid by construction and skips the check (``_built``).  A
+    of ``_machine_errors``, so every machine is total; it skips the
+    reachability pass, which only warns (``validate_machine``).  What
+    ``apply_algebra`` builds is valid by construction and skips the check
+    (``_built``, ``Record._built`` with the ``_outcomes`` table).  A
     copy of a composite made through this constructor walks its whole
     product, so it meets ``MAX_TRANSITIONS``.
 
@@ -91,16 +92,9 @@ class MooreMachine(Record):
             raise MachineError(errors[0])
 
     @classmethod
-    def _built(cls, box: Box, states: Sequence[State], init: State,
-               update: Mapping, readout: Mapping) -> "MooreMachine":
-        """A machine valid by construction, taken as it is: nothing is
-        copied or checked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "box", box)
-        object.__setattr__(m, "states", states)
-        object.__setattr__(m, "init", init)
-        object.__setattr__(m, "update", update)
-        object.__setattr__(m, "readout", readout)
+    def _built(cls, *values) -> "MooreMachine":
+        """``Record._built``, starting the ``_outcomes`` table."""
+        m = super()._built(*values)
         object.__setattr__(m, "_outcomes", {})
         return m
 
@@ -118,44 +112,33 @@ def render_state(s: State) -> str:
     return s
 
 
-class MachineReport(NamedTuple):
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
+def validate_machine(m: MooreMachine) -> tuple[str, ...]:
+    """The warnings a machine has: one for each state declared but not
+    reachable from the initial state.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_machine(m: MooreMachine) -> MachineReport:
-    """Check totality, alphabet membership, and reachability.
-
-    Totality or domain violations are errors; states declared but not
-    reachable from the initial state are warnings, looked for only on a
-    machine without errors.
+    Everything else a machine could get wrong is refused when it is
+    built (``_machine_errors``), so a machine is total and the search
+    from ``init`` reads only rows it has.  It reads every state, so a
+    composite's product over the limit refuses it before the search.
     """
-    errors = _machine_errors(m)
-    warnings: list[str] = []
-    if not errors:
-        inputs = m.inputs()
-        seen = {m.init}
-        frontier = [m.init]
-        while frontier:
-            s = frontier.pop()
-            for x in inputs:
-                t = m.update[(s, x)]
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        for s in m.states:
-            if s not in seen:
-                warnings.append(f"state {render_state(s)} is unreachable")
-    return MachineReport(tuple(errors), tuple(warnings))
+    states = iter(m.states)
+    inputs = m.inputs()
+    seen = {m.init}
+    frontier = [m.init]
+    while frontier:
+        s = frontier.pop()
+        for x in inputs:
+            t = m.update[(s, x)]
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return tuple(f"state {render_state(s)} is unreachable"
+                 for s in states if s not in seen)
 
 
 def _machine_errors(m: MooreMachine) -> list[str]:
-    """``validate_machine``'s errors, in its order: what the constructor
-    refuses a machine for."""
+    """Every way ``m`` fails to be a total machine on its box, in a fixed
+    order; the constructor refuses a machine with the first."""
     errors: list[str] = []
     states = set(m.states)
     if len(states) != len(m.states):
@@ -536,7 +519,7 @@ class MachineHom(Record):
     every (state, input) square.  Construction checks this and raises
     MachineError with the first of ``hom_violations``.  What
     ``identity_hom``, ``compose_homs`` and ``lift_hom`` build is a
-    morphism by construction and skips the check (``_built``).
+    morphism by construction and skips the check (``Record._built``).
     """
 
     source: MooreMachine
@@ -548,17 +531,6 @@ class MachineHom(Record):
         bad = hom_violations(self)
         if bad:
             raise MachineError(bad[0])
-
-    @classmethod
-    def _built(cls, source: MooreMachine, target: MooreMachine,
-               state_map: dict[State, State]) -> "MachineHom":
-        """A morphism by construction, taken as it is: nothing is copied
-        or checked."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "source", source)
-        object.__setattr__(h, "target", target)
-        object.__setattr__(h, "state_map", state_map)
-        return h
 
 
 def hom_violations(h: MachineHom) -> list[str]:

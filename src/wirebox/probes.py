@@ -28,7 +28,7 @@ runs it over the composites of candidate decompositions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import NamedTuple, Optional, Protocol, Union
+from typing import Optional, Protocol, Union
 
 from . import Record, WireboxError
 from .moore import MachineHom, MooreMachine, State, apply_algebra, render_state
@@ -406,7 +406,7 @@ AMBIGUOUS = "ambiguous"
 UNKNOWN = "unknown"
 
 
-class LearnResult(NamedTuple):
+class LearnResult(Record):
     """Who survived, how that classifies, and the full verdict matrix.
 
     ``matrix`` holds one (entry, test, verdict) triple per comparison in

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import os
 from contextlib import suppress
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import yaml
 
+from . import Record
 from .fileformat import (LoadError, _errors_at, _field, _integer, _list,
                          _mapping, _named, _ref, _row, _rows, _string,
                          _string_map, _symbols, load)
@@ -259,20 +260,20 @@ def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
 # documents
 # ---------------------------------------------------------------------------
 
-class MachineDoc(NamedTuple):
+class MachineDoc(Record):
     schema: str
     name: str
     machine: MooreMachine
 
 
-class WiringDoc(NamedTuple):
+class WiringDoc(Record):
     schema: str
     name: str
     wiring: Wiring
     boxes: Mapping[str, Box]
 
 
-class SystemDoc(NamedTuple):
+class SystemDoc(Record):
     schema: str
     boxes: Mapping[str, Box]
     machines: Mapping[str, MooreMachine]
@@ -280,12 +281,12 @@ class SystemDoc(NamedTuple):
     systems: Mapping[str, CompositeSystem]
 
 
-class BatteryDoc(NamedTuple):
+class BatteryDoc(Record):
     schema: str
     tests: tuple[Test, ...]
 
 
-class AttackDoc(NamedTuple):
+class AttackDoc(Record):
     schema: str
     name: str
     system: Optional[str]
@@ -295,7 +296,7 @@ class AttackDoc(NamedTuple):
     wirings: Mapping[str, Wiring]
 
 
-class ScenarioDoc(NamedTuple):
+class ScenarioDoc(Record):
     schema: str
     boxes: Mapping[str, Box]
     machines: Mapping[str, MooreMachine]

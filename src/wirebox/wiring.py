@@ -191,9 +191,10 @@ class Wiring(Record):
     by (outer box index, port name); sources may reference inner outputs
     only.  Construction validates totality and alphabet compatibility, so
     an invalid wiring is never observable.  The algebra's results are
-    valid by construction and are built by ``_built`` without
-    re-validation; a property test rebuilds each of them through this
-    validating constructor.  Equality compares the maps as written;
+    valid by construction and are built by ``Record._built`` without
+    re-validation, from tuples and dicts of the algebra's own; a
+    property test rebuilds each of them through this validating
+    constructor.  Equality compares the maps as written;
     ``wiring_equal`` compares normal forms.
     """
 
@@ -208,22 +209,6 @@ class Wiring(Record):
         object.__setattr__(self, "in_map", dict(self.in_map))
         object.__setattr__(self, "out_map", dict(self.out_map))
         self._validate()
-
-    @classmethod
-    def _built(cls, inner: tuple[Box, ...], outer: tuple[Box, ...],
-               in_map: dict[PortKey, SourceExpr],
-               out_map: dict[PortKey, SourceExpr]) -> "Wiring":
-        """A wiring assembled from valid wirings, taken as it is.
-
-        The caller passes tuples and dicts of its own, valid by
-        construction; nothing is copied or checked.
-        """
-        w = object.__new__(cls)
-        object.__setattr__(w, "inner", inner)
-        object.__setattr__(w, "outer", outer)
-        object.__setattr__(w, "in_map", in_map)
-        object.__setattr__(w, "out_map", out_map)
-        return w
 
     def _validate(self):
         sides = (("in_map", "inner input", self.in_map,

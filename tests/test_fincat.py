@@ -9,45 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from categories import chain3, cyc3, walking_iso
 from wirebox.fileformat import load
 from wirebox.fincat import (FinCategory, FinCatError, Morphism,
                             NatTransformation, SetFunctor, YonedaError,
                             enumerate_nat, hom_functor, is_natural,
                             representable_iso_check, validate_category,
                             validate_functor, yoneda_check)
-
-
-def walking_iso() -> FinCategory:
-    return FinCategory(
-        "walking-iso", ("a", "b"),
-        (Morphism("ida", "a", "a"), Morphism("idb", "b", "b"),
-         Morphism("f", "a", "b"), Morphism("g", "b", "a")),
-        {"a": "ida", "b": "idb"},
-        {("ida", "ida"): "ida", ("ida", "g"): "g", ("f", "ida"): "f",
-         ("f", "g"): "idb", ("g", "idb"): "g", ("g", "f"): "ida",
-         ("idb", "f"): "f", ("idb", "idb"): "idb"})
-
-
-def chain3() -> FinCategory:
-    return FinCategory(
-        "chain3", ("p", "q", "r"),
-        (Morphism("idp", "p", "p"), Morphism("idq", "q", "q"),
-         Morphism("idr", "r", "r"), Morphism("f", "p", "q"),
-         Morphism("g", "q", "r"), Morphism("h", "p", "r")),
-        {"p": "idp", "q": "idq", "r": "idr"},
-        {("idp", "idp"): "idp", ("idq", "idq"): "idq", ("idr", "idr"): "idr",
-         ("f", "idp"): "f", ("idq", "f"): "f", ("g", "idq"): "g",
-         ("idr", "g"): "g", ("h", "idp"): "h", ("idr", "h"): "h",
-         ("g", "f"): "h"})
-
-
-def cyc3() -> FinCategory:
-    names = ["e", "r1", "r2"]
-    comp = {(names[i], names[j]): names[(i + j) % 3]
-            for i in range(3) for j in range(3)}
-    return FinCategory("cyc3", ("s",),
-                       tuple(Morphism(n, "s", "s") for n in names),
-                       {"s": "e"}, comp)
 
 
 def constant(cat: FinCategory, elements=("*",)) -> SetFunctor:
@@ -331,10 +299,26 @@ def test_empty_hom_set_means_no_transformations():
     assert len(enumerate_nat(hom_functor(cat, "r"), hom_functor(cat, "q"))) == 1
 
 
+def monoid_m(square: str) -> FinCategory:
+    """The category ``m`` with one object and morphisms e and a, where
+    a after a is ``square``: a for the idempotent, e for the group."""
+    return FinCategory("m", ("s",), (Morphism("e", "s", "s"),
+                                     Morphism("a", "s", "s")),
+                       {"s": "e"}, {("e", "e"): "e", ("e", "a"): "a",
+                                    ("a", "e"): "a", ("a", "a"): square})
+
+
 def test_cross_category_enumeration_is_rejected():
-    with pytest.raises(FinCatError):
-        enumerate_nat(hom_functor(walking_iso(), "a"),
-                      hom_functor(chain3(), "p"))
+    pairs = [(hom_functor(walking_iso(), "a"), hom_functor(chain3(), "p")),
+             # one name, one object, one set of ids, two compositions
+             (hom_functor(monoid_m("a"), "s"), hom_functor(monoid_m("e"), "s"))]
+    for F, G in pairs:
+        assert not validate_functor(F) and not validate_functor(G)
+        with pytest.raises(FinCatError, match="different categories"):
+            enumerate_nat(F, G)
+    # two equal copies of one category are one category
+    assert len(enumerate_nat(hom_functor(cyc3(), "s"),
+                             hom_functor(cyc3(), "s"))) == 3
 
 
 # ---------------------------------------------------------------------------

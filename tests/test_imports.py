@@ -2,9 +2,9 @@
 wirebox.cli`` and each command load, and the stdlib modules behind
 ``dataclasses`` that none of them loads; that ``import wirebox`` loads
 no submodule and defines only ``WireboxError``, ``Record`` and
-``__version__``; the writers ``fileformat`` resolves on first use; the
-records kept as named tuples, and the classes built on
-``wirebox.Record``.
+``__version__``; the writers ``fileformat`` resolves on first use; and
+that every record, results and documents included, is a
+``wirebox.Record`` and none a named tuple.
 
 The unused-import check uses the stdlib ``ast`` module only: a name
 counts as used when it appears as a name node anywhere in the module.
@@ -26,7 +26,6 @@ import wirebox
 from wirebox import fileformat, systemformat
 from wirebox.attacks import RewriteResult, ScriptResult
 from wirebox.fincat import CategoryReport
-from wirebox.moore import MachineReport
 from wirebox.probes import LearnResult
 from test_records import FIELDS, IDENTITY
 
@@ -176,6 +175,11 @@ def test_fileformat_resolves_every_public_name_of_systemformat():
         fileformat.no_such_name
 
 
+def defaults(cls) -> dict:
+    """A record class's defaults, by field."""
+    return {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+
+
 def test_records_keep_their_fields_defaults_and_verdicts():
     docs = {"MachineDoc": "schema name machine",
             "WiringDoc": "schema name wiring boxes",
@@ -187,21 +191,22 @@ def test_records_keep_their_fields_defaults_and_verdicts():
     for name, names in docs.items():
         cls = getattr(fileformat, name)
         assert cls._fields == tuple(names.split()), name
-        assert cls._field_defaults == {}, name
-    assert MachineReport._fields == ("errors", "warnings")
+        assert defaults(cls) == {}, name
     assert CategoryReport._fields == ("structural", "violations")
     assert RewriteResult._fields == ("system", "witness")
     assert ScriptResult._fields == ("system", "log", "witnesses")
     assert LearnResult._fields == ("candidates", "classification", "matrix",
                                    "incomplete")
+    assert defaults(RewriteResult) == {"witness": None}
+    assert defaults(LearnResult) == {"incomplete": ()}
+    assert defaults(CategoryReport) == defaults(ScriptResult) == {}
     assert RewriteResult("s").witness is None
     assert LearnResult((), "unknown", ()).incomplete == ()
-    assert MachineReport((), ("unreachable",)).ok
-    assert not MachineReport(("no readout",), ()).ok
     assert CategoryReport((), ()).ok
     assert not CategoryReport(("dangling",), ()).ok
     assert not CategoryReport((), ("associativity",)).ok
-    assert repr(MachineReport((), ())) == "MachineReport(errors=(), warnings=())"
+    assert repr(CategoryReport((), ())) == \
+        "CategoryReport(structural=(), violations=())"
 
 
 def test_the_record_classes_are_the_pinned_ones_with_their_field_tuples():
@@ -215,6 +220,22 @@ def test_the_record_classes_are_the_pinned_ones_with_their_field_tuples():
         assert cls._fields == tuple(FIELDS[cls].split()), cls
         assert (cls.__eq__ is object.__eq__) == (cls in IDENTITY), cls
         assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+
+def test_every_record_is_a_record_and_none_a_tuple():
+    # no library module names a named tuple, in an import or anywhere else
+    for path in sorted(SRC.glob("*.py")):
+        names = {n.id if isinstance(n, ast.Name) else n.attr if
+                 isinstance(n, ast.Attribute) else n.name
+                 for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+        assert not names & {"NamedTuple", "namedtuple"}, path.name
+    modules = [importlib.import_module(f"wirebox.{p.stem}")
+               for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    classes = {v for m in modules for v in vars(m).values()
+               if isinstance(v, type) and v.__module__ == m.__name__}
+    assert not [c for c in classes if issubclass(c, tuple)]
+    assert {c for c in classes if hasattr(c, "_fields")} == set(FIELDS)
 
 
 def test_a_record_class_is_checked_when_it_is_defined():

@@ -1,29 +1,37 @@
 """The contract of the library's frozen records.
 
-Every record class keeps its fields, in order and with their defaults;
-equality that checks the class, or identity for the records that opt
-out; a hash of the field tuple, which fails on a record holding a dict;
-refused assignment; and the field-by-field ``repr``.  The tests reach the
-fields only through construction, attribute access and ``repr``, so they
-hold whatever builds the classes.
+Every record class, results and documents included, keeps its fields,
+in order and with their defaults; equality that checks the class, or
+identity for the records that opt out; a hash of the field tuple, which
+fails on a record holding a dict or a machine; refused assignment; and
+the field-by-field ``repr``.  The tests reach the fields only through
+construction, attribute access and ``repr``, so they hold whatever
+builds the classes.
 """
 
 import functools
 import pathlib
 
 import pytest
+import yaml
 
 import uav
 from wirebox.attacks import (AttackScript, CompositeSystem, DiffReport,
-                             LogEntry, RewireStep, RewriteStep, Scenario,
-                             ScenarioScript, apply_script, attack_diff)
-from wirebox.fileformat import load
-from wirebox.fincat import (FinCategory, Morphism, NatTransformation,
-                            SetFunctor, YonedaWitness, enumerate_nat,
-                            hom_functor, yoneda_check)
+                             LogEntry, RewireStep, RewriteResult, RewriteStep,
+                             Scenario, ScenarioScript, ScriptResult,
+                             apply_rewrite, apply_script, attack_diff)
+from wirebox.fileformat import (AttackDoc, BatteryDoc, FincatDoc, MachineDoc,
+                                ScenarioDoc, SystemDoc, WiringDoc, box_data,
+                                collect_boxes, dump_system, load, loads,
+                                wiring_data)
+from wirebox.fincat import (CategoryReport, FinCategory, Morphism,
+                            NatTransformation, SetFunctor, YonedaWitness,
+                            enumerate_nat, hom_functor, validate_category,
+                            yoneda_check)
 from wirebox.moore import MachineHom, MooreMachine, identity_hom
-from wirebox.probes import (KnowledgeBase, Outcome, OutputImage, StateSet,
-                            Terminal, Test, TraceSet, run_test)
+from wirebox.probes import (KnowledgeBase, LearnResult, MachineOracle, Outcome,
+                            OutputImage, StateSet, Terminal, Test, TraceSet,
+                            run_test, yoneda_filter)
 from wirebox.wiring import (Architecture, Box, Const, InnerOut, OuterIn, Port,
                             Table, Wiring)
 
@@ -62,21 +70,41 @@ FIELDS = {
     ScenarioScript: "name system script",
     Scenario: "name systems real attacker_view correspondence kb battery "
               "scripts",
+    CategoryReport: "structural violations",
+    LearnResult: "candidates classification matrix incomplete",
+    RewriteResult: "system witness",
+    ScriptResult: "system log witnesses",
+    MachineDoc: "schema name machine",
+    WiringDoc: "schema name wiring boxes",
+    SystemDoc: "schema boxes machines wirings systems",
+    BatteryDoc: "schema tests",
+    AttackDoc: "schema name system script boxes machines wirings",
+    ScenarioDoc: "schema boxes machines wirings systems scenario",
+    FincatDoc: "schema category functors",
 }
 # records that compare and hash by identity
 IDENTITY = {RewriteStep, RewireStep, Scenario, KnowledgeBase, FinCategory,
             SetFunctor}
-# records with a dict among their fields: equal records compare equal,
-# but hashing one fails
+# records with a dict or a machine among their fields: equal records
+# compare equal, but hashing one fails
 UNHASHABLE = {Wiring, MooreMachine, CompositeSystem, MachineHom,
-              NatTransformation}
+              NatTransformation, RewriteResult, ScriptResult, MachineDoc,
+              WiringDoc, SystemDoc, AttackDoc, ScenarioDoc, FincatDoc}
 
 
 @functools.lru_cache(maxsize=None)
 def samples() -> dict:
     """One instance of every record class, built the library's way."""
-    scenario = load(ROOT / "fixtures" / "uav" / "scenario.yaml").scenario
+    uav_dir = ROOT / "fixtures" / "uav"
+    scenario_doc = load(uav_dir / "scenario.yaml")
+    scenario = scenario_doc.scenario
     system = scenario.systems[scenario.real]
+    target = load(uav_dir / "target.yaml")
+    wiring_doc = loads(yaml.safe_dump({
+        "schema": "wiring.v1", "name": "real",
+        "boxes": [box_data(b) for b in collect_boxes(
+            system.wiring.inner, system.wiring.outer).values()],
+        "wiring": wiring_data("real", system.wiring)}), "real.yaml")
     machine = system.components[0]
     a = OuterIn(0, "a")
     fincat = load(ROOT / "fixtures" / "fincat" / "cyc3.yaml")
@@ -118,6 +146,18 @@ def samples() -> dict:
         DiffReport: attack_diff(view, attacked.system, 3),
         ScenarioScript: scenario.scripts[0],
         Scenario: scenario,
+        CategoryReport: validate_category(cat),
+        LearnResult: yoneda_filter(scenario.kb, scenario.battery,
+                                   MachineOracle(target.machine)),
+        RewriteResult: apply_rewrite(view, uav.gps_firmware_rewrite()),
+        ScriptResult: attacked,
+        MachineDoc: target,
+        WiringDoc: wiring_doc,
+        SystemDoc: loads(dump_system({scenario.real: system}), "system.yaml"),
+        BatteryDoc: load(uav_dir / "battery.yaml"),
+        AttackDoc: load(uav_dir / "combo-attack.yaml"),
+        ScenarioDoc: scenario_doc,
+        FincatDoc: fincat,
     }
 
 
@@ -132,8 +172,8 @@ def values_of(record) -> list:
 RECORDS = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
 
-def test_thirty_records_are_pinned():
-    assert len(FIELDS) == 30
+def test_forty_one_records_are_pinned():
+    assert len(FIELDS) == 41
     assert IDENTITY | UNHASHABLE <= set(FIELDS)
     assert set(samples()) == set(FIELDS)
 
