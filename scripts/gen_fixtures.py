@@ -244,10 +244,7 @@ def gen_fincat() -> dict[str, str]:
             functors.append(cyc3_action())
         entries.append((cat, functors))
     for cat, functors in entries:
-        report = fc.validate_category(cat)
-        assert report.ok, (cat.name, report)
         for F in functors:
-            assert not fc.validate_functor(F), (cat.name, F.name)
             for a in cat.objects:
                 fc.yoneda_check(cat, a, F)
         text = _dump(category_data(cat, functors))

@@ -14,9 +14,11 @@ two with a knowledge base and named scripts.  ``fileformat`` (with
 imported from their module; ``import wirebox`` loads none of them.
 """
 
+from _thread import allocate_lock as _allocate_lock
 from types import FunctionType as _FunctionType
 
 __version__ = "0.1.0"
+_KEEPING = _allocate_lock()  # held by ``_kept`` to store a value
 
 
 class WireboxError(Exception):
@@ -45,7 +47,7 @@ class Record:
     - assignment and deletion that raise ``AttributeError``.
       ``object.__setattr__`` still sets an attribute, for a
       ``__post_init__`` that normalises a field and for the values
-      ``_kept`` keeps in the instance ``__dict__``;
+      ``_kept`` keeps on an instance;
     - the ``repr`` ``C(a=1, b='x')``;
     - the classmethod ``C._built(*values)``, the one unchecked
       constructor, for a record valid by construction.
@@ -99,17 +101,22 @@ class Record:
 
 def _kept(obj, name: str, compute):
     """``compute(obj)``, computed on the first call for ``obj`` and kept
-    in its ``__dict__`` under ``name``.
+    on it as the attribute ``name``.
 
     For a value that is a pure function of an immutable object: it is
     never recomputed, and equality, hashing and ``repr`` read only the
     fields, so they never see it.  Two threads may both compute it; each
-    gets the value stored first, equal to its own.
+    gets the value stored first, equal to its own.  It never reads
+    ``obj.__dict__``: on CPython 3.11 that slows every later attribute read.
     """
     try:
-        return obj.__dict__[name]
-    except KeyError:
-        return obj.__dict__.setdefault(name, compute(obj))
+        return getattr(obj, name)
+    except AttributeError:
+        value = compute(obj)
+    with _KEEPING:
+        if not hasattr(obj, name):
+            _setattr(obj, name, value)
+    return getattr(obj, name)
 
 
 def _specialized(templates: tuple, cls: type, name: str, defaults=None):

@@ -11,12 +11,14 @@ Seven schemas are understood:
   and named scripts
 * ``fincat.v1``   a finite category presentation with set-valued functors
 
-Loading is eager and strict: every reference is resolved, machines are
-validated, wirings are constructed (which validates them), and any
-problem raises LoadError naming the offending field path.  That includes
-a refusal from a library constructor (a wiring, system, knowledge base,
-test or attack step that will not build): its message is reported at the
-path of the field that built it.  A test takes only the parameters of its
+Loading is eager and strict: every reference is resolved, and machines,
+wirings, categories and functors are constructed, which checks them, so
+any problem raises LoadError naming the offending field path.  That
+includes a refusal from a library constructor (a machine, wiring,
+system, knowledge base, test, attack step, category or functor that
+will not build): its message is reported at the path of the field that
+built it, with ``category '<name>': `` or ``functor '<name>': `` before
+a category's or functor's.  A test takes only the parameters of its
 own kind (``depth`` for traces, ``step`` for output-image) besides
 ``name``, ``kind`` and ``compare``, and ``compare``, when present, is
 ``equality`` or ``cardinality``.  Loading has no side effects and a fixed
@@ -291,11 +293,10 @@ def _doc_fincat(d: dict, src: str) -> FincatDoc:
         if key in composition:
             raise LoadError(rp, f"duplicate composition entry {key}")
         composition[key] = _field(row, "result", rp)
-    cat = fc.FinCategory(name, objects, morphisms, identities, composition)
-    report = fc.validate_category(cat)
-    if not report.ok:
-        first = (report.structural + report.violations)[0]
-        raise LoadError(src, f"category {name!r}: {first}")
+    try:
+        cat = fc.FinCategory(name, objects, morphisms, identities, composition)
+    except fc.FinCatError as e:
+        raise LoadError(src, f"category {name!r}: {e}") from None
 
     def functor(row, rp: str, _) -> tuple[str, fc.SetFunctor]:
         row = _row(row, rp, ("name", "objects", "morphisms"))
@@ -306,11 +307,10 @@ def _doc_fincat(d: dict, src: str) -> FincatDoc:
         for mk, mv in _field(row, "morphisms", rp, _mapping).items():
             mp = f"{rp}.morphisms[{mk}]"
             on_mor[_string(mk, mp)] = _string_map(mv, mp)
-        F = fc.SetFunctor(fname, cat, on_obj, on_mor)
-        bad = fc.validate_functor(F)
-        if bad:
-            raise LoadError(rp, f"functor {fname!r}: {bad[0]}")
-        return fname, F
+        try:
+            return fname, fc.SetFunctor(fname, cat, on_obj, on_mor)
+        except fc.FinCatError as e:
+            raise LoadError(rp, f"functor {fname!r}: {e}") from None
 
     functors = _named(d.get("functors", []), f"{src}.functors", "functor", functor)
     return FincatDoc("fincat.v1", cat, functors)

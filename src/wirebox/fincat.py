@@ -2,15 +2,16 @@
 
 A finite category is presented by explicit data: objects, morphisms with
 source and target, chosen identities, and a full composition table.
-``validate_category`` reports structural gaps and law violations instead
-of raising, so broken presentations can be inspected.
+Set-valued functors are likewise tabular.  Both are checked once, when
+built: ``FinCategory(...)`` and ``SetFunctor(...)`` raise FinCatError
+with the first structural gap or law violation.
 
-Set-valued functors are likewise tabular.  ``enumerate_nat`` lists every
-natural transformation between two functors; ``yoneda_check`` verifies,
-by exhaustive enumeration, that transformations out of a hom-functor
-correspond one to one with elements, and ``representable_iso_check``
-decides whether two objects have isomorphic hom-functors and produces the
-isomorphism in the category that witnesses it.
+``enumerate_nat`` lists every natural transformation between two
+functors; ``yoneda_check`` verifies, by exhaustive enumeration, that
+transformations out of a hom-functor correspond one to one with
+elements, and ``representable_iso_check`` decides whether two objects
+have isomorphic hom-functors and produces the isomorphism in the
+category that witnesses it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Morphism(Record):
 
 
 class FinCategory(Record, eq=False):
-    """Tabular category data; validity is checked separately."""
+    """Tabular category data, refused when built (``_category_errors``)."""
 
     name: str
     objects: tuple[Obj, ...]
@@ -52,6 +53,9 @@ class FinCategory(Record, eq=False):
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
         object.__setattr__(self, "identity", dict(self.identity))
         object.__setattr__(self, "composition", dict(self.composition))
+        errors = _category_errors(self)
+        if errors:
+            raise FinCatError(errors[0])
 
     def hom(self, a: Obj, b: Obj) -> list[MorId]:
         """Morphisms a -> b, sorted by id."""
@@ -66,17 +70,8 @@ class FinCategory(Record, eq=False):
             raise FinCatError(f"no composite for ({g!r}, {f!r})") from None
 
 
-class CategoryReport(Record):
-    structural: tuple[str, ...]
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.structural and not self.violations
-
-
-def validate_category(cat: FinCategory) -> CategoryReport:
-    """Structural findings and law violations, deterministically ordered.
+def _category_errors(cat: FinCategory) -> list[str]:
+    """The sorted structural findings, or else the sorted law violations.
 
     Structural: dangling ids, missing or mistyped identities, missing
     composites for composable pairs, entries for non-composable pairs,
@@ -126,7 +121,7 @@ def validate_category(cat: FinCategory) -> CategoryReport:
                 structural.append(
                     f"no composite for composable pair ({g.mid}, {f.mid})")
     if structural:
-        return CategoryReport(tuple(sorted(structural)), ())
+        return sorted(structural)
     violations: list[str] = []
     for f in cat.morphisms:
         left = cat.comp(cat.identity[f.tgt], f.mid)
@@ -148,7 +143,7 @@ def validate_category(cat: FinCategory) -> CategoryReport:
                     violations.append(
                         f"associativity fails on ({h.mid}, {g.mid}, {f.mid}): "
                         f"{a} vs {b}")
-    return CategoryReport((), tuple(sorted(violations)))
+    return sorted(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +153,9 @@ def validate_category(cat: FinCategory) -> CategoryReport:
 class SetFunctor(Record, eq=False):
     """A functor into finite sets, as tables.
 
-    ``on_objects`` assigns each object a tuple of element names;
-    ``on_morphisms`` assigns each morphism a map between the right sets.
+    ``on_objects`` assigns each object a tuple of distinct element names;
+    ``on_morphisms`` assigns each morphism a map between the right sets;
+    other tables are refused when built (``_functor_errors``).
     """
 
     name: str
@@ -172,6 +168,9 @@ class SetFunctor(Record, eq=False):
                            {a: tuple(v) for a, v in self.on_objects.items()})
         object.__setattr__(self, "on_morphisms",
                            {m: dict(v) for m, v in self.on_morphisms.items()})
+        errors = _functor_errors(self)
+        if errors:
+            raise FinCatError(errors[0])
 
     def at(self, a: Obj) -> tuple[Elem, ...]:
         try:
@@ -187,16 +186,19 @@ class SetFunctor(Record, eq=False):
                 f"functor {self.name!r} undefined on morphism {mid!r}") from None
 
 
-def validate_functor(F: SetFunctor) -> list[str]:
-    """Totality, typing, and the two functor laws; empty when valid."""
-    cat = F.cat
-    out: list[str] = []
-    for a in cat.objects:
-        if a not in F.on_objects:
-            out.append(f"no value at object {a!r}")
-    for m in cat.morphisms:
-        if m.mid not in F.on_morphisms:
-            out.append(f"no map for morphism {m.mid!r}")
+def _functor_errors(F: SetFunctor) -> list[str]:
+    """Totality (each value a set, a map per morphism, nothing more),
+    typing, then the functor laws: the first group that fails, or []."""
+    cat, values = F.cat, F.on_objects
+    out = [f"no value at object {a!r}" for a in cat.objects if a not in values]
+    out += [f"no map for morphism {m.mid!r}" for m in cat.morphisms
+            if m.mid not in F.on_morphisms]
+    out += [f"value at {a!r} repeats an element" for a in cat.objects
+            if len(set(values.get(a, ()))) != len(values.get(a, ()))]
+    out += [f"value at unknown object {a!r}"
+            for a in sorted(set(values) - set(cat.objects))]
+    out += [f"map for unknown morphism {mid!r}" for mid in
+            sorted(set(F.on_morphisms) - {m.mid for m in cat.morphisms})]
     if out:
         return out
     for m in cat.morphisms:
@@ -228,7 +230,7 @@ def hom_functor(cat: FinCategory, a: Obj) -> SetFunctor:
     """The covariant hom-functor of an object: sets of morphisms out of it.
 
     Elements at b are the ids of morphisms a -> b; a morphism g acts by
-    postcomposition.
+    postcomposition; a functor by construction, so built unchecked.
     """
     if a not in cat.objects:
         raise FinCatError(f"no object {a!r}")
@@ -237,7 +239,7 @@ def hom_functor(cat: FinCategory, a: Obj) -> SetFunctor:
     for g in cat.morphisms:
         on_morphisms[g.mid] = {f: cat.comp(g.mid, f)
                                for f in on_objects[g.src]}
-    return SetFunctor(f"hom({a},-)", cat, on_objects, on_morphisms)
+    return SetFunctor._built(f"hom({a},-)", cat, on_objects, on_morphisms)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +295,8 @@ def enumerate_nat(F: SetFunctor, G: SetFunctor) -> list[NatTransformation]:
     branch on every forced slot first, 3^n leaves on a fan of n arrows
     into a three-element functor.
 
-    F and G must be functors (``validate_functor`` empty), as those of a
-    loaded document are, on one category: the same object, or two equal
-    in name and structure.
+    F and G must live on one category: the same object, or two equal in
+    name and structure; each result is natural by construction, built unchecked.
     """
     if F.cat is not G.cat and _structure(F.cat) != _structure(G.cat):
         raise FinCatError("functors live on different categories")
@@ -329,7 +330,7 @@ def enumerate_nat(F: SetFunctor, G: SetFunctor) -> list[NatTransformation]:
     def search(assign: dict):
         free = next((s for s in slots if s not in assign), None)
         if free is None:
-            results.append(NatTransformation(
+            results.append(NatTransformation._built(
                 {a: {x: assign[(a, x)] for x in F.at(a)} for a in cat.objects}))
             return
         a, _ = free

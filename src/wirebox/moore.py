@@ -59,18 +59,15 @@ class MooreMachine(Record):
     of ``_machine_errors``, so every machine is total; it skips the
     reachability pass, which only warns (``validate_machine``).  What
     ``apply_algebra`` builds is valid by construction and skips the check
-    (``_built``, ``Record._built`` with the ``_outcomes`` table).  A
-    copy of a composite made through this constructor walks its whole
-    product, so it meets ``MAX_TRANSITIONS``.
+    (``Record._built``).  A copy of a composite made through this
+    constructor walks its whole product, so it meets ``MAX_TRANSITIONS``.
 
     Tables are never mutated after construction; to change one, build a
     new machine.  Three caches rely on this: the composite a system keeps
     (``CompositeSystem.composite``), the canonical text that
     ``attacks.fingerprint_components`` keeps on the machine (``_kept``),
-    and the test outcomes that ``probes.run_test`` keeps on the machine
-    object, outside its fields, in the table ``_outcomes`` that every
-    machine starts with.  Starting it here, not on first use, leaves
-    threads no table to race to set.
+    and the table of test outcomes that ``probes.run_test`` keeps on the
+    machine (``_kept``).
     """
 
     box: Box
@@ -86,17 +83,9 @@ class MooreMachine(Record):
             table = getattr(self, name)
             if not isinstance(table, _Rows):
                 object.__setattr__(self, name, dict(table))
-        object.__setattr__(self, "_outcomes", {})
         errors = _machine_errors(self)
         if errors:
             raise MachineError(errors[0])
-
-    @classmethod
-    def _built(cls, *values) -> "MooreMachine":
-        """``Record._built``, starting the ``_outcomes`` table."""
-        m = super()._built(*values)
-        object.__setattr__(m, "_outcomes", {})
-        return m
 
     def inputs(self) -> list[tuple[Symbol, ...]]:
         return input_space([self.box])
@@ -262,7 +251,7 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
 
     The components were checked when built and the wiring when built, so
     every routed row exists and the composite is built unchecked
-    (``MooreMachine._built``).  The wiring is compiled on its first
+    (``Record._built``).  The wiring is compiled on its first
     composite and the compiled routing kept on it (``_kept``), so a
     wiring object is compiled once however many composites it makes;
     they share the routing, which holds no table.  The rows of the

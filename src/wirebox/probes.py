@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Optional, Protocol, Union
 
-from . import Record, WireboxError
+from . import Record, WireboxError, _kept
 from .moore import MachineHom, MooreMachine, State, apply_algebra, render_state
 from .wiring import Box, Wiring, _box_mismatch, input_space
 
@@ -141,7 +141,7 @@ def run_test(test: Test, m: MooreMachine) -> Outcome:
     the later test's own name.  Two threads sharing a machine may both
     compute a value; the first one stored wins.
     """
-    outcomes = m._outcomes
+    outcomes = _kept(m, "_outcomes", lambda m: {})
     kept = outcomes.get(test.kind)
     if kept is None:
         kept = outcomes.setdefault(test.kind, _outcome_value(test.kind, m))

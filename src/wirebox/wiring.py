@@ -22,10 +22,10 @@ their results without the check.
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
 dict.  ``evaluate``, ``eval_equal`` and the composite machines of
-``moore.apply_algebra`` route through a whole wiring compiled once;
-``apply_algebra`` keeps that compiled routing on the wiring, so every
-composite of one wiring object shares it.  Normalization compiles each
-expression over the values of the references it reads.
+``moore.apply_algebra`` route through a whole wiring compiled once and
+kept on the wiring, so every step and every composite of one wiring
+object share it.  Normalization compiles each expression over the
+values of the references it reads.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -39,7 +39,7 @@ import itertools
 import operator
 from typing import Callable, Mapping, Sequence, Union
 
-from . import Record, WireboxError
+from . import Record, WireboxError, _kept
 
 Symbol = str
 
@@ -461,6 +461,7 @@ def evaluate(w: Wiring, inner_outs: Sequence[Symbol],
     ``inner_outs`` holds the current inner output values, flat in document
     order; ``outer_in`` the outer input values.  Returns the pair
     (inner input values, outer output values), same flat convention.
+    The wiring is compiled once and the routing kept on it (``_kept``).
     """
     inner_ports, outer_ports = w.inner_output_ports(), w.outer_input_ports()
     if len(inner_outs) != len(inner_ports):
@@ -479,7 +480,7 @@ def evaluate(w: Wiring, inner_outs: Sequence[Symbol],
         if v not in p.alphabet:
             raise WiringError(
                 f"value {v!r} is not in the alphabet of outer input {j}.{p.name}")
-    return _Routing(w).route(tuple(inner_outs) + tuple(outer_in))
+    return _kept(w, "_routing", _Routing).route(tuple(inner_outs) + tuple(outer_in))
 
 
 def eval_equal(a: Wiring, b: Wiring) -> bool:
@@ -487,7 +488,7 @@ def eval_equal(a: Wiring, b: Wiring) -> bool:
     raises WiringError when their boundaries differ."""
     if a.inner != b.inner or a.outer != b.outer:
         raise WiringError("wirings have different boundaries")
-    ra, rb = _Routing(a), _Routing(b)
+    ra, rb = _kept(a, "_routing", _Routing), _kept(b, "_routing", _Routing)
     outer_inputs = input_space(a.outer)
     for inner_outs in output_space(a.inner):
         for outer_in in outer_inputs:
@@ -546,7 +547,7 @@ def normalize(w: Wiring) -> Wiring:
     equality is asked for.  A copy made through ``Wiring(...)`` carries
     no mark and is normalized again, to an equal form.
     """
-    if "_normal" in w.__dict__:
+    if hasattr(w, "_normal"):  # not w.__dict__, which would slow every read
         return w
     at = _positions(w)
     in_map = {key: _normalize_expr(w, at, expr) for key, expr in w.in_map.items()}

@@ -194,6 +194,18 @@ def test_validate_rejects_a_scenario_that_repeats_a_name(tmp_path, section):
     assert err.startswith(f"error: scenario.yaml.{section}")
 
 
+@pytest.mark.parametrize("command", ["validate", "yoneda-check"])
+def test_a_functor_that_repeats_an_element_is_a_data_error(tmp_path, command):
+    # validate once printed ok for it, and yoneda-check exited 1
+    data = yaml.safe_load((FIXTURES / "fincat" / "arrow.yaml").read_text())
+    data["functors"][0]["objects"]["z"].append("idz")
+    path = tmp_path / "arrow.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    argv = [command, path] if command == "validate" else [command, "--file", path]
+    assert cli(*argv) == (EX_DATAERR, "", "error: arrow.yaml.functors[0]: "
+                          "functor 'hom(z,-)': value at 'z' repeats an element\n")
+
+
 @pytest.mark.parametrize("script, key", [("gps-firmware", "rewrite"),
                                          ("gps-swap", "rewire")])
 def test_a_step_past_the_system_slots_fails_at_load(tmp_path, script, key):

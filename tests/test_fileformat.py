@@ -1,6 +1,7 @@
 """Loading, validating, and dumping the YAML document formats."""
 
 import importlib.util
+import io
 import pathlib
 import random
 import textwrap
@@ -406,6 +407,112 @@ def test_every_structural_mutation_loads_or_fails_at_a_field_path(relpath):
     verdicts = [verdict(d, source) for d in mutations(data)]
     # both outcomes occur, so the edits reach past the loader's first check
     assert "ok" in verdicts and any(v != "ok" for v in verdicts)
+
+
+def cyc3_refusal(edit) -> str:
+    """``str(LoadError)`` for the cyc3 fixture after ``edit(data)``."""
+    data = yaml.safe_load((FIXTURES / "fincat" / "cyc3.yaml").read_text(
+        encoding="utf-8"))
+    edit(data)
+    with pytest.raises(LoadError) as e:
+        loads(yaml.safe_dump(data), "cyc3.yaml")
+    return str(e.value)
+
+
+def composition_row(data, after: str, first: str) -> dict:
+    return next(r for r in data["composition"]
+                if (r["after"], r["first"]) == (after, first))
+
+
+def drop_composite(data):
+    data["composition"].remove(composition_row(data, "r1", "r2"))
+
+
+def break_associativity(data):
+    composition_row(data, "r1", "r1")["result"] = "e"
+
+
+def drop_functor_map(data):
+    del data["functors"][2]["morphisms"]["r2"]
+
+
+def break_functor_law(data):
+    maps = data["functors"][2]["morphisms"]
+    maps["r2"] = dict(maps["r1"])
+
+
+@pytest.mark.parametrize("edit, text", [
+    (drop_composite,
+     "cyc3.yaml: category 'cyc3': no composite for composable pair (r1, r2)"),
+    (break_associativity,
+     "cyc3.yaml: category 'cyc3': associativity fails on (r1, r1, r2): "
+     "r2 vs r1"),
+    (drop_functor_map,
+     "cyc3.yaml.functors[2]: functor 'act4': no map for morphism 'r2'"),
+    (break_functor_law,
+     "cyc3.yaml.functors[2]: functor 'act4': composition law fails on "
+     "(r1, r1) at 'x'"),
+], ids=["structural", "law", "functor-gap", "functor-law"])
+def test_a_fincat_refusal_keeps_its_text(edit, text):
+    # a structural error, a law violation, a functor gap, a functor law
+    assert cyc3_refusal(edit) == text
+
+
+def repeat_an_element(data):
+    data["functors"][2]["objects"]["s"].append("x")
+
+
+def value_at_unknown_object(data):
+    data["functors"][2]["objects"]["zz"] = ["x"]
+
+
+def map_for_unknown_morphism(data):
+    data["functors"][2]["morphisms"]["nope"] = {"x": "x"}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (repeat_an_element, "value at 's' repeats an element"),
+    (value_at_unknown_object, "value at unknown object 'zz'"),
+    (map_for_unknown_morphism, "map for unknown morphism 'nope'"),
+], ids=["repeat", "unknown-object", "unknown-morphism"])
+def test_a_functor_that_is_not_into_sets_of_the_category_is_refused(
+        edit, message):
+    assert cyc3_refusal(edit) == \
+        f"cyc3.yaml.functors[2]: functor 'act4': {message}"
+
+
+FINCAT_FIXTURES = sorted(FIXTURES.glob("fincat/*.yaml"))
+
+
+@pytest.mark.parametrize("path", FINCAT_FIXTURES, ids=lambda p: p.name)
+def test_every_fincat_mutation_is_refused_or_passes_the_lemma(path, tmp_path):
+    # a loadable category document cannot fail yoneda-check, in process
+    # or through the command line; one whose functors key was deleted has
+    # nothing to check, which the command refuses
+    from wirebox.cli import EX_DATAERR, EX_OK, dispatch
+    from wirebox.fincat import yoneda_check
+
+    loaded = 0
+    for k, data in enumerate(mutations(yaml.safe_load(
+            path.read_text(encoding="utf-8")))):
+        try:
+            doc = fileformat._document(data, path.name)
+        except LoadError as e:
+            assert e.path.startswith(path.name), e
+            continue
+        loaded += 1
+        for F in doc.functors.values():
+            for a in doc.category.objects:
+                yoneda_check(doc.category, a, F)
+        mutant = tmp_path / str(k) / path.name
+        mutant.parent.mkdir()
+        mutant.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        code = dispatch(["yoneda-check", "--file", str(mutant)], out, err)
+        want = EX_OK if doc.functors else EX_DATAERR
+        assert (code, "Traceback" in err.getvalue()) == (want, False), \
+            (k, out.getvalue(), err.getvalue())
+    assert loaded
 
 
 def test_top_level_must_be_a_mapping():

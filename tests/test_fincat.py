@@ -14,8 +14,7 @@ from wirebox.fileformat import load
 from wirebox.fincat import (FinCategory, FinCatError, Morphism,
                             NatTransformation, SetFunctor, YonedaError,
                             enumerate_nat, hom_functor, is_natural,
-                            representable_iso_check, validate_category,
-                            validate_functor, yoneda_check)
+                            representable_iso_check, yoneda_check)
 
 
 def constant(cat: FinCategory, elements=("*",)) -> SetFunctor:
@@ -77,6 +76,19 @@ def coproduct(F: SetFunctor, G: SetFunctor) -> SetFunctor:
         {a: tagged(1, F, a) + tagged(2, G, a) for a in cat.objects},
         {m.mid: {f"{t}:{x}": f"{t}:{y}" for t, H in ((1, F), (2, G))
                  for x, y in H.map(m.mid).items()} for m in cat.morphisms})
+
+
+def checked(F: SetFunctor) -> SetFunctor:
+    """``F`` rebuilt through the checking constructor, which raises
+    FinCatError unless it is a functor."""
+    return SetFunctor(F.name, F.cat, F.on_objects, F.on_morphisms)
+
+
+def refusal(build) -> str:
+    """The message of the FinCatError that ``build()`` raises."""
+    with pytest.raises(FinCatError) as e:
+        build()
+    return str(e.value)
 
 
 def brute_nat(F: SetFunctor, G: SetFunctor):
@@ -167,79 +179,101 @@ def functor_pairs(draw) -> tuple[SetFunctor, SetFunctor]:
 # ---------------------------------------------------------------------------
 
 def test_fixture_categories_are_valid():
-    for cat in ALL_CATS:
-        report = validate_category(cat)
-        assert report.ok, (cat.name, report)
+    # each was checked when built; a rebuild through the constructor agrees
+    for cat in ALL_CATS + FIXTURE_CATS:
+        again = FinCategory(cat.name, cat.objects, cat.morphisms,
+                            cat.identity, cat.composition)
+        assert again.composition == cat.composition, cat.name
 
 
 def test_missing_identity_is_structural():
-    cat = FinCategory("bad", ("a",), (Morphism("u", "a", "a"),), {},
-                      {("u", "u"): "u"})
-    report = validate_category(cat)
-    assert any("identity" in s for s in report.structural)
+    assert refusal(lambda: FinCategory(
+        "bad", ("a",), (Morphism("u", "a", "a"),), {},
+        {("u", "u"): "u"})) == "object 'a' has no identity"
 
 
 def test_non_composable_entry_is_structural():
-    cat = FinCategory(
+    assert refusal(lambda: FinCategory(
         "bad", ("a", "b"),
         (Morphism("ida", "a", "a"), Morphism("idb", "b", "b"),
          Morphism("f", "a", "b")),
         {"a": "ida", "b": "idb"},
         {("ida", "ida"): "ida", ("idb", "idb"): "idb", ("idb", "f"): "f",
-         ("f", "ida"): "f", ("f", "f"): "f"})
-    report = validate_category(cat)
-    assert any("not composable" in s for s in report.structural)
+         ("f", "ida"): "f", ("f", "f"): "f"})) == \
+        "composition entry (f, f) is not composable"
 
 
 def test_missing_composite_is_structural():
-    cat = FinCategory(
+    assert refusal(lambda: FinCategory(
         "bad", ("a", "b"),
         (Morphism("ida", "a", "a"), Morphism("idb", "b", "b"),
          Morphism("f", "a", "b")),
         {"a": "ida", "b": "idb"},
-        {("ida", "ida"): "ida", ("idb", "idb"): "idb", ("idb", "f"): "f"})
-    report = validate_category(cat)
-    assert any("no composite" in s.lower() or "missing" in s.lower()
-               for s in report.structural)
+        {("ida", "ida"): "ida", ("idb", "idb"): "idb", ("idb", "f"): "f"})) == \
+        "no composite for composable pair (f, ida)"
 
 
 def test_broken_associativity_is_a_law_violation():
+    # the structure is sound, so the first error is the first violation
     comp = {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
             ("a", "e"): "a", ("b", "e"): "b",
             ("a", "a"): "b", ("a", "b"): "e",
             ("b", "a"): "a", ("b", "b"): "b"}
-    cat = FinCategory("skew", ("s",),
-                      (Morphism("e", "s", "s"), Morphism("a", "s", "s"),
-                       Morphism("b", "s", "s")),
-                      {"s": "e"}, comp)
-    report = validate_category(cat)
-    assert not report.structural
-    assert any("associat" in v for v in report.violations)
+    assert refusal(lambda: FinCategory(
+        "skew", ("s",),
+        (Morphism("e", "s", "s"), Morphism("a", "s", "s"),
+         Morphism("b", "s", "s")),
+        {"s": "e"}, comp)).startswith("associativity fails on ")
 
 
 def test_broken_identity_absorption_is_a_law_violation():
     comp = {("e", "e"): "e", ("e", "u"): "e", ("u", "e"): "u",
             ("u", "u"): "u"}
-    cat = FinCategory("absorb", ("s",),
-                      (Morphism("e", "s", "s"), Morphism("u", "s", "s")),
-                      {"s": "e"}, comp)
-    report = validate_category(cat)
-    assert any("id . u" in v for v in report.violations)
+    assert refusal(lambda: FinCategory(
+        "absorb", ("s",),
+        (Morphism("e", "s", "s"), Morphism("u", "s", "s")),
+        {"s": "e"}, comp)) == "id . u = e, expected u"
+
+
+def swapped_cyc3_tables() -> tuple:
+    """Tables on cyc3 whose r1 and r2 both act as one swap, so r1 after r1
+    is not r2."""
+    return (cyc3(), {"s": ("x", "y")},
+            {"e": {"x": "x", "y": "y"},
+             "r1": {"x": "y", "y": "x"},
+             "r2": {"x": "x", "y": "y"}})
 
 
 def test_functor_validation_catches_broken_composition():
+    assert "composition law fails" in refusal(
+        lambda: SetFunctor("bad", *swapped_cyc3_tables()))
+
+
+def test_a_functor_is_refused_for_a_value_or_map_the_category_lacks():
     cat = cyc3()
-    bad = SetFunctor("bad", cat, {"s": ("x", "y")},
-                     {"e": {"x": "x", "y": "y"},
-                      "r1": {"x": "y", "y": "x"},
-                      "r2": {"x": "x", "y": "y"}})
-    assert any("composition" in v for v in validate_functor(bad))
+    objects = {"s": ("x",)}
+    maps = {m.mid: {"x": "x"} for m in cat.morphisms}
+    assert refusal(lambda: SetFunctor("F", cat, {"s": ("x", "y", "x")},
+                                      {m: {"x": "x", "y": "y"} for m in maps})) \
+        == "value at 's' repeats an element"
+    assert refusal(lambda: SetFunctor("F", cat, {**objects, "zz": ("x",)},
+                                      maps)) == "value at unknown object 'zz'"
+    assert refusal(lambda: SetFunctor("F", cat, objects,
+                                      {**maps, "nope": {"x": "x"}})) == \
+        "map for unknown morphism 'nope'"
+    # a gap is still named before any of the three
+    assert refusal(lambda: SetFunctor("F", cat, {"zz": ("x",)}, maps)) == \
+        "no value at object 's'"
 
 
 def test_hom_functors_are_functors():
-    for cat in ALL_CATS:
+    # hom_functor builds unchecked; the checking constructor is the reference
+    for cat in ALL_CATS + FIXTURE_CATS:
         for a in cat.objects:
-            assert validate_functor(hom_functor(cat, a)) == []
+            H = hom_functor(cat, a)
+            again = checked(H)
+            assert (again.on_objects, again.on_morphisms) == \
+                (H.on_objects, H.on_morphisms), (cat.name, a)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +285,8 @@ def test_hom_functors_are_functors():
 def test_enumeration_matches_brute_force(pair):
     # the same transformations in the same order
     F, G = pair
-    assert validate_functor(F) == [] and validate_functor(G) == []
+    checked(F)
+    checked(G)
     fast = enumerate_nat(F, G)
     assert [e.encode() for e in fast] == \
         [e.encode() for e in brute_nat(F, G)], (F.cat.name, F.name, G.name)
@@ -260,8 +295,7 @@ def test_enumeration_matches_brute_force(pair):
 def test_the_generators_are_valid_categories():
     cats = [poset(4, [(0, 1), (1, 2), (0, 3)]), fan(3), poset(3, [(0, 2), (1, 2)]),
             cyclic_monoids([(2, 2)]), cyclic_monoids([(0, 2), (1, 1)])]
-    for cat in cats:
-        assert validate_category(cat).ok, cat.name
+    # each was checked when built
     assert len(poset(4, [(0, 1), (1, 2), (0, 3)]).morphisms) == 4 + 4
     assert len(cyclic_monoids([(0, 2), (1, 2)]).morphisms) == 6
 
@@ -313,7 +347,8 @@ def test_cross_category_enumeration_is_rejected():
              # one name, one object, one set of ids, two compositions
              (hom_functor(monoid_m("a"), "s"), hom_functor(monoid_m("e"), "s"))]
     for F, G in pairs:
-        assert not validate_functor(F) and not validate_functor(G)
+        checked(F)
+        checked(G)
         with pytest.raises(FinCatError, match="different categories"):
             enumerate_nat(F, G)
     # two equal copies of one category are one category
@@ -336,13 +371,13 @@ def test_yoneda_counts_match_elements():
 
 
 def test_yoneda_rejects_non_functor_tables():
-    cat = cyc3()
-    bad = SetFunctor("bad", cat, {"s": ("x", "y")},
-                     {"e": {"x": "x", "y": "y"},
-                      "r1": {"x": "y", "y": "x"},
-                      "r2": {"x": "x", "y": "y"}})
+    # the constructor refuses the tables; forced past it, the exhaustive
+    # check still finds the failed correspondence
+    tables = swapped_cyc3_tables()
+    with pytest.raises(FinCatError, match="composition law fails"):
+        SetFunctor("bad", *tables)
     with pytest.raises(YonedaError):
-        yoneda_check(cat, "s", bad)
+        yoneda_check(tables[0], "s", SetFunctor._built("bad", *tables))
 
 
 def test_isomorphic_objects_are_detected_with_witness():

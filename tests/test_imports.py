@@ -25,7 +25,6 @@ import pytest
 import wirebox
 from wirebox import fileformat, systemformat
 from wirebox.attacks import RewriteResult, ScriptResult
-from wirebox.fincat import CategoryReport
 from wirebox.probes import LearnResult
 from test_records import FIELDS, IDENTITY
 
@@ -192,21 +191,15 @@ def test_records_keep_their_fields_defaults_and_verdicts():
         cls = getattr(fileformat, name)
         assert cls._fields == tuple(names.split()), name
         assert defaults(cls) == {}, name
-    assert CategoryReport._fields == ("structural", "violations")
     assert RewriteResult._fields == ("system", "witness")
     assert ScriptResult._fields == ("system", "log", "witnesses")
     assert LearnResult._fields == ("candidates", "classification", "matrix",
                                    "incomplete")
     assert defaults(RewriteResult) == {"witness": None}
     assert defaults(LearnResult) == {"incomplete": ()}
-    assert defaults(CategoryReport) == defaults(ScriptResult) == {}
+    assert defaults(ScriptResult) == {}
     assert RewriteResult("s").witness is None
     assert LearnResult((), "unknown", ()).incomplete == ()
-    assert CategoryReport((), ()).ok
-    assert not CategoryReport(("dangling",), ()).ok
-    assert not CategoryReport((), ("associativity",)).ok
-    assert repr(CategoryReport((), ())) == \
-        "CategoryReport(structural=(), violations=())"
 
 
 def test_the_record_classes_are_the_pinned_ones_with_their_field_tuples():

@@ -744,7 +744,7 @@ def test_hom_results_pass_the_validating_constructor(seed):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 9))
 def test_composites_pass_the_checking_constructor(seed):
-    # apply_algebra builds its composite unchecked (MooreMachine._built);
+    # apply_algebra builds its composite unchecked (Record._built);
     # the public constructor is the slow reference it must agree with,
     # both on the composite's own tables and on plain copies of them
     f, g, machines = random_stack(random.Random(seed))
