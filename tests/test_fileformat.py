@@ -15,9 +15,11 @@ from netgen import random_network
 from wirebox import fileformat
 from wirebox.attacks import (AttackError, CompositeSystem, apply_script,
                              fingerprint_components, fingerprint_wiring)
+from wirebox.cli import EX_DATAERR, EX_OK, dispatch
 from wirebox.fileformat import (AttackDoc, LoadError, MachineDoc, SystemDoc,
                                 dump_machine, dump_system, load, load_kb_dir,
                                 loads)
+from wirebox.fincat import yoneda_check
 from wirebox.moore import MooreMachine
 from wirebox.oracle import find_distinguishing_word
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Wiring, compose,
@@ -489,9 +491,6 @@ def test_every_fincat_mutation_is_refused_or_passes_the_lemma(path, tmp_path):
     # a loadable category document cannot fail yoneda-check, in process
     # or through the command line; one whose functors key was deleted has
     # nothing to check, which the command refuses
-    from wirebox.cli import EX_DATAERR, EX_OK, dispatch
-    from wirebox.fincat import yoneda_check
-
     loaded = 0
     for k, data in enumerate(mutations(yaml.safe_load(
             path.read_text(encoding="utf-8")))):
