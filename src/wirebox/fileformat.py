@@ -18,11 +18,11 @@ includes a refusal from a library constructor (a machine, wiring,
 system, knowledge base, test, attack step, category or functor that
 will not build): its message is reported at the path of the field that
 built it, with ``category '<name>': `` or ``functor '<name>': `` before
-a category's or functor's.  A test takes only the parameters of its
-own kind (``depth`` for traces, ``step`` for output-image) besides
-``name``, ``kind`` and ``compare``, and ``compare``, when present, is
-``equality`` or ``cardinality``.  Loading has no side effects and a fixed
-result for a fixed file.
+a category's or functor's.  A test takes only ``name``, ``kind``
+and the parameters of its own kind (``depth`` for traces, ``step`` for
+output-image); its kind decides how outcomes compare, so a test names no
+comparison.  Loading has no side effects and a fixed result for a fixed
+file.
 
 Definitions resolve top to bottom: a wiring may name only wirings defined
 before it, which keeps files readable and rules out cycles by

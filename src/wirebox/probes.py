@@ -2,17 +2,16 @@
 
 A Test assigns every machine on a fixed box an outcome: its set of
 bounded traces, its state set, a one-point set, or the outputs reachable
-at an exact step.  Outcomes are canonical, so equal behavior gives equal
-values: output images are sorted tuples, a state set is its sorted
-rendered names, which are rendered only when something reads them (see
-``StateSet``), and a trace set is its layered quotient (see
-``TraceSet``), which costs O(d·|S|·|I|) to build instead of running all
-|I|^d words.  A value depends on the test's kind alone, so ``run_test``
-computes it once per machine object and kind and keeps it on the
-machine: a knowledge base asked many queries pays for each entry's
-outcomes once.  Each test carries a comparator saying what counts as
-agreement: literal equality, or bare cardinality for state sets, whose
-labels mean nothing.
+at an exact step.  The kind decides what counts as agreement: state
+sets, whose labels mean nothing, agree when they are equally large, and
+every other outcome when the values are equal, so no test can see how a
+machine's states are named.  Those other values are canonical, so equal
+behavior gives equal values: output images are sorted tuples, and a
+trace set is its layered quotient (see ``TraceSet``), which costs
+O(d·|S|·|I|) to build instead of running all |I|^d words.  A value
+depends on the test's kind alone, so ``run_test`` computes it once per
+machine object and kind and keeps it on the machine: a knowledge base
+asked many queries pays for each entry's outcomes once.
 
 Machine morphisms act on outcomes too: traces are preserved as they are,
 state sets map along the state map, the one-point outcome is constant.
@@ -65,15 +64,12 @@ class TraceSet(Record):
 
 
 class StateSet(Record):
-    """The machine's state set, rendered; compare by cardinality.
+    """The machine's state set; two state sets agree when they are
+    equally large.
 
-    The value is a read-only sequence of the rendered state names in
-    sorted order, equal to, and hashing like, the sorted tuple of them.
-    Its ``len`` is the machine's state count; the names are rendered and
-    sorted on the first read of anything else (``==``, ``hash``,
-    iteration, indexing), so the default cardinality comparison renders
-    no state.  Rendering walks the whole state set, so on a composite it
-    meets the product's size limit (see ``moore.apply_algebra``).
+    The value is the machine's own ``states``, nothing rendered or
+    sorted, so a composite's state set is counted without walking its
+    product (see ``moore.apply_algebra``).
     """
 
 
@@ -88,30 +84,17 @@ class OutputImage(Record):
 
 TestKind = Union[TraceSet, StateSet, Terminal, OutputImage]
 
-EQUALITY = "equality"
-CARDINALITY = "cardinality"
-
-
-def default_comparator(kind: TestKind) -> str:
-    return CARDINALITY if isinstance(kind, StateSet) else EQUALITY
-
-
 class Test(Record):
-    """A named behavioral test with an outcome comparator."""
+    """A named behavioral test; its kind decides how outcomes compare."""
 
     __test__ = False  # not a unit test, despite the name
 
     name: str
     kind: TestKind
-    comparator: str = ""
 
     def __post_init__(self):
         if not isinstance(self.kind, (TraceSet, StateSet, Terminal, OutputImage)):
             raise ProbeError(f"unknown test kind {self.kind!r}")
-        if not self.comparator:
-            object.__setattr__(self, "comparator", default_comparator(self.kind))
-        if self.comparator not in (EQUALITY, CARDINALITY):
-            raise ProbeError(f"unknown comparator {self.comparator!r}")
         if isinstance(self.kind, TraceSet) and self.kind.depth < 0:
             raise ProbeError("trace depth must be nonnegative")
         if isinstance(self.kind, OutputImage) and self.kind.step < 0:
@@ -120,7 +103,8 @@ class Test(Record):
 
 class Outcome(Record):
     """The value a test takes on a machine; values are canonical tuples,
-    or for a state set a sequence equal to one (see ``StateSet``).
+    except a state set's, which is the machine's own ``states`` (see
+    ``StateSet``).
 
     A trace outcome also records the box's input tuples, in the order its
     successor columns follow, so a witness can name a word; other
@@ -154,7 +138,7 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
         inputs = tuple(input_space([m.box]))
         return _trace_quotient(m, inputs, kind.depth), inputs
     if isinstance(kind, StateSet):
-        return _StateNames(m.states), ()
+        return m.states, ()
     if isinstance(kind, Terminal):
         return ("*",), ()
     # an OutputImage, the one kind left that Test admits
@@ -163,46 +147,6 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
     for _ in range(kind.step):
         layer = {m.update[(s, x)] for s in layer for x in inputs}
     return tuple(sorted({m.readout[s] for s in layer})), ()
-
-
-class _StateNames(Sequence):
-    """A state-set outcome's value: the sorted rendered names of a state
-    set, rendered on first read; ``len`` reads the state set's alone."""
-
-    __slots__ = ("_states", "_names")
-
-    def __init__(self, states: Sequence[State]):
-        self._states = states
-        self._names: Optional[tuple[str, ...]] = None
-
-    def _sorted(self) -> tuple[str, ...]:
-        if self._names is None:
-            self._names = tuple(sorted(render_state(s) for s in self._states))
-        return self._names
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __getitem__(self, k):
-        return self._sorted()[k]
-
-    def __iter__(self):
-        return iter(self._sorted())
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _StateNames)):
-            return NotImplemented
-        if len(other) != len(self):
-            return False
-        if isinstance(other, _StateNames):
-            other = other._sorted()
-        return self._sorted() == other
-
-    def __hash__(self) -> int:
-        return hash(self._sorted())
-
-    def __repr__(self) -> str:
-        return repr(self._sorted())
 
 
 def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
@@ -248,11 +192,12 @@ def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
 
 
 def compare_outcomes(test: Test, a: Outcome, b: Outcome) -> bool:
-    """Agreement under the test's comparator."""
+    """Agreement as the test's kind decides it: state sets by count,
+    everything else by value."""
     if a.test != test.name or b.test != test.name:
         raise ProbeError(
             f"outcomes {a.test!r}/{b.test!r} do not belong to test {test.name!r}")
-    if test.comparator == CARDINALITY:
+    if isinstance(test.kind, StateSet):
         return len(a.value) == len(b.value)
     return a.value == b.value and a.inputs == b.inputs
 
@@ -265,7 +210,7 @@ def outcome_witness(test: Test, a: Outcome, b: Outcome):
     """
     if compare_outcomes(test, a, b):
         return None
-    if test.comparator == CARDINALITY:
+    if isinstance(test.kind, StateSet):
         return (len(a.value), len(b.value))
     if isinstance(test.kind, TraceSet):
         return _trace_witness(a, b)
@@ -328,15 +273,15 @@ def transport_outcome(test: Test, hom: MachineHom, outcome: Outcome) -> Outcome:
     if isinstance(kind, Terminal):
         return Outcome(test.name, ("*",))
     # a StateSet, the one kind left that Test admits
-    rendered = {render_state(s): render_state(t)
-                for s, t in hom.state_map.items()}
     try:
-        mapped = {rendered[v] for v in outcome.value}
+        mapped = {hom.state_map[s] for s in outcome.value}
     except KeyError as e:
         raise ProbeError(f"outcome {test.name!r} names state "
-                         f"{e.args[0]!r}, which the morphism's source "
-                         f"lacks") from None
-    return Outcome(test.name, tuple(sorted(mapped)))
+                         f"{render_state(e.args[0])!r}, which the morphism's "
+                         f"source lacks") from None
+    # repr orders states of mixed types (a name and a tuple) and, unlike
+    # render_state, keeps apart composite states that render alike
+    return Outcome(test.name, tuple(sorted(mapped, key=repr)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +376,7 @@ def yoneda_filter(kb: KnowledgeBase, battery: Sequence[Test],
     """Eliminate knowledge base entries that disagree with the target.
 
     For each test, the target's outcome is requested from the oracle once
-    and compared against each entry's outcome under the test's comparator.
+    and compared against each entry's outcome as the test's kind decides.
     Entries surviving every answered test are the candidates.  A test the
     oracle cannot answer is skipped and reported, never fatal.  A target
     on another box than the knowledge base's is refused.

@@ -23,8 +23,8 @@ from .fileformat import (LoadError, _errors_at, _field, _integer, _list,
                          _mapping, _named, _ref, _row, _rows, _string,
                          _string_map, _symbols, load)
 from .moore import MachineError, MachineHom, MooreMachine, render_state
-from .probes import (CARDINALITY, EQUALITY, KnowledgeBase, OutputImage,
-                     StateSet, Terminal, Test, TraceSet, default_comparator)
+from .probes import (KnowledgeBase, OutputImage, StateSet, Terminal, Test,
+                     TraceSet)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
                      Wiring, compose, identity_wiring, tensor)
 
@@ -186,14 +186,10 @@ def _load_test(d, path: str) -> Test:
         raise LoadError(f"{path}.kind", f"unknown kind {kind_name!r}; expected "
                                         f"{', '.join(first)}, or {last}")
     cls = _TEST_KINDS[kind_name]
-    _row(d, path, ("name", "kind", "compare", *cls._fields))
+    _row(d, path, ("name", "kind", *cls._fields))
     kind = cls(*(_field(d, p, path, _integer) for p in cls._fields))
-    compare = d.get("compare", "")
-    if "compare" in d and compare not in (EQUALITY, CARDINALITY):
-        raise LoadError(f"{path}.compare",
-                        f"expected {EQUALITY!r} or {CARDINALITY!r}")
     with _errors_at(path):
-        return Test(name, kind, compare)
+        return Test(name, kind)
 
 
 def _load_battery(v, path: str) -> tuple[Test, ...]:
@@ -507,8 +503,6 @@ def test_data(t: Test) -> dict:
     out: dict = {"name": t.name,
                  "kind": next(n for n, c in _TEST_KINDS.items() if type(kind) is c)}
     out.update((n, getattr(kind, n)) for n in kind._fields)
-    if t.comparator != default_comparator(kind):
-        out["compare"] = t.comparator
     return out
 
 

@@ -11,8 +11,9 @@ Wirings compose like processes with feedback: ``compose(g, f)`` plugs the
 inner assembly ``f`` into the hole ``g`` expects, and ``tensor`` places
 wirings side by side.  Both are implemented by substitution on source
 expressions, followed by normalization to a canonical form so that
-structural equality is meaningful.  ``evaluate`` gives the one-step
-semantics used everywhere else.
+structural equality is meaningful.  ``evaluate`` computes one step of
+value routing, with its arguments checked, for callers and tests; the
+library's own steps run the compiled routing directly.
 
 Substituting valid wirings into one another, or normalizing one, cannot
 make an invalid wiring.  So only the public constructor validates;

@@ -432,6 +432,29 @@ def test_learn_reports_ambiguity_with_exit_2(tmp_path):
     assert "classification: ambiguous" in out
 
 
+def test_learn_refuses_a_compare_key_without_a_traceback(tmp_path):
+    # a test's kind decides how its outcomes compare; there is no key for it
+    battery = tmp_path / "compare.yaml"
+    battery.write_text("schema: battery.v1\ntests:\n"
+                       "- {name: names, kind: states, compare: equality}\n")
+    code, out, err = cli("learn", "--kb", UAV / "kb",
+                         "--target", UAV / "target.yaml", "--battery", battery)
+    assert (code, out) == (EX_DATAERR, "")
+    assert err == ("error: compare.yaml.tests[0]: unknown keys "
+                   "['compare']\n")
+
+
+def test_a_scenario_test_with_a_compare_key_is_refused(tmp_path):
+    doc = yaml.safe_load((UAV / "scenario.yaml").read_text())
+    doc["battery"][1]["compare"] = "cardinality"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    code, out, err = cli("validate", path)
+    assert (code, out) == (EX_DATAERR, "")
+    assert err == ("error: scenario.yaml.battery[1]: unknown keys "
+                   "['compare']\n")
+
+
 def test_learn_reports_unknown_with_exit_3(tmp_path, scenario):
     real = scenario.system("real").composite()
     target = tmp_path / "real.yaml"

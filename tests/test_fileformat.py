@@ -571,30 +571,12 @@ def test_unknown_test_kind_points_at_the_field():
     ("{name: a, kind: traces, depth: 2, step: 9}", "step"),
     ("{name: a, kind: terminal, step: 1}", "step"),
     ("{name: a, kind: output-image, step: 1, depth: 1}", "depth"),
+    ("{name: a, kind: states, compare: equality}", "compare"),
 ])
 def test_a_test_takes_only_its_own_kinds_parameters(test, stray):
     e = err(f"schema: battery.v1\ntests:\n- {test}\n")
     assert e.path == "t.yaml.tests[0]"
     assert e.message == f"unknown keys [{stray!r}]"
-
-
-@pytest.mark.parametrize("value", ["false", "null", "0", "''", "equal"])
-def test_a_present_compare_must_name_a_comparator(value):
-    e = err(f"schema: battery.v1\ntests:\n- {{name: a, kind: states, compare: {value}}}\n")
-    assert e.path == "t.yaml.tests[0].compare"
-    assert e.message == "expected 'equality' or 'cardinality'"
-
-
-def test_compare_names_the_comparator_or_is_left_out():
-    tests = doc("""
-        schema: battery.v1
-        tests:
-        - {name: a, kind: states}
-        - {name: b, kind: states, compare: equality}
-        - {name: c, kind: traces, depth: 2, compare: cardinality}
-    """).tests
-    assert [t.comparator for t in tests] == ["cardinality", "equality",
-                                             "cardinality"]
 
 
 @pytest.mark.parametrize("test, message", [

@@ -16,12 +16,12 @@ from wirebox import probes
 from wirebox.attacks import apply_script
 from wirebox.fileformat import load, load_kb_dir
 from wirebox.moore import (MachineHom, MooreMachine, apply_algebra,
-                           render_state, run)
+                           identity_hom, lift_hom, run)
 from wirebox.oracle import find_distinguishing_word
-from wirebox.probes import (AMBIGUOUS, CARDINALITY, EQUALITY, EXACT, UNKNOWN,
-                            KnowledgeBase, MachineOracle, OracleError, Outcome,
-                            OutputImage, ProbeError, StateSet, Terminal, Test,
-                            TraceSet, architecture_probe, compare_outcomes,
+from wirebox.probes import (AMBIGUOUS, EXACT, UNKNOWN, KnowledgeBase,
+                            MachineOracle, OracleError, Outcome, OutputImage,
+                            ProbeError, StateSet, Terminal, Test, TraceSet,
+                            architecture_probe, compare_outcomes,
                             outcome_witness, run_test, transport_outcome,
                             yoneda_filter)
 from wirebox.wiring import (Box, OuterIn, InnerOut, Port, Wiring,
@@ -100,11 +100,6 @@ def test_trace_quotient_has_one_layer_per_step():
     value = run_test(Test("t", TraceSet(40)), composite).value
     assert len(value) == 40
     assert all(1 <= len(layer) <= 32 for layer in value)
-
-
-def test_trace_cardinality_comparison_always_agrees():
-    t = Test("t", TraceSet(3), CARDINALITY)
-    assert compare_outcomes(t, run_test(t, delay()), run_test(t, inverter()))
 
 
 def test_trace_outcomes_over_different_inputs_disagree():
@@ -222,28 +217,22 @@ def renamed(m: MooreMachine) -> MachineHom:
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
-def test_state_set_value_reads_as_the_sorted_rendered_names(seed, composite,
-                                                            other_composite):
+def test_state_set_value_is_the_machines_own_states(seed, composite,
+                                                    other_composite):
     rng = random.Random(seed)
     m = some_machine(rng, composite)
     other = some_machine(rng, other_composite)
-    want = tuple(sorted(render_state(s) for s in m.states))
-    value = run_test(Test("s", StateSet()), m).value
-    assert len(value) == len(want) and list(value) == list(want)
-    assert value == want and want == value
-    assert not value != want and not want != value
-    assert hash(value) == hash(want) and set(value) == set(want)
-    assert value != want + ("x",) and want[1:] != value
+    t = Test("s", StateSet())
+    a, b = run_test(t, m), run_test(t, other)
+    assert a.value is m.states and a.inputs == ()
+    counts = (len(m.states), len(other.states))
+    agree = counts[0] == counts[1]
+    assert compare_outcomes(t, a, b) == agree
+    assert outcome_witness(t, a, b) == (None if agree else counts)
     hom = renamed(m)
-    for comparator in (EQUALITY, CARDINALITY):
-        t = Test("s", StateSet(), comparator)
-        a, b = run_test(t, m), run_test(t, other)
-        ea = Outcome("s", want)
-        eb = Outcome("s", tuple(sorted(render_state(s) for s in other.states)))
-        assert a == ea and ea == a and hash(a) == hash(ea)
-        assert compare_outcomes(t, a, b) == compare_outcomes(t, ea, eb)
-        assert outcome_witness(t, a, b) == outcome_witness(t, ea, eb)
-        assert transport_outcome(t, hom, a) == transport_outcome(t, hom, ea)
+    carried = transport_outcome(t, hom, a)
+    assert carried.value == tuple(sorted(hom.state_map.values()))
+    assert compare_outcomes(t, carried, run_test(t, hom.target))
 
 
 def test_a_cardinality_state_set_renders_no_state(monkeypatch):
@@ -275,9 +264,8 @@ def test_output_image_walks_exact_depth():
     assert at_zero.value == (("0",),)
 
 
-def test_default_comparator_counts_states_only():
+def test_a_state_set_test_counts_states_only():
     t = Test("s", StateSet())
-    assert t.comparator == CARDINALITY
     a = run_test(t, delay())
     b = run_test(t, inverter())
     assert compare_outcomes(t, a, b)  # both have two states
@@ -320,6 +308,30 @@ def test_transport_refuses_a_state_outside_the_source():
         transport_outcome(t, hom, Outcome("s", ("00", "b")))
 
 
+def test_transport_keeps_states_that_render_alike_apart():
+    # ("a,b", "c") and ("a", "b,c") both render as (a,b,c)
+    def still(states):
+        return MooreMachine(CELL, states, states[0],
+                            {(s, (a,)): s for s in states for a in BIT},
+                            {s: ("0",) for s in states})
+    hom = lift_hom(chain(), [identity_hom(still(("a,b", "a"))),
+                             identity_hom(still(("c", "b,c")))])
+    t = Test("s", StateSet())
+    carried = transport_outcome(t, hom, run_test(t, hom.source))
+    assert len(carried.value) == 4
+    assert compare_outcomes(t, carried, run_test(t, hom.target))
+
+
+def test_transport_orders_states_of_mixed_types():
+    states = ("a", ("b", "c"))
+    m = MooreMachine(CELL, states, "a",
+                     {(s, (a,)): s for s in states for a in BIT},
+                     {s: ("0",) for s in states})
+    t = Test("s", StateSet())
+    carried = transport_outcome(t, identity_hom(m), run_test(t, m))
+    assert carried.value == ("a", ("b", "c"))
+
+
 def test_a_test_of_no_known_kind_is_refused():
     with pytest.raises(ProbeError, match="unknown test kind"):
         Test("x", [])
@@ -356,6 +368,22 @@ def test_kept_outcomes_equal_a_fresh_evaluation(seed, composite):
     for _ in range(12):
         t = rng.choice(battery)
         assert run_test(t, m) == run_test(t, fresh_copy(m))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_no_test_sees_how_states_are_labelled(seed):
+    # the four kinds, each on a composite and its relabelled copy
+    rng = random.Random(seed)
+    m = apply_algebra(*random_network(rng))
+    copy = relabel(rng, m)
+    kb = KnowledgeBase(m.box, (("m", m), ("other", random_machine(rng, m.box))))
+    for kind in (TraceSet(rng.randint(0, 5)), StateSet(), Terminal(),
+                 OutputImage(rng.randint(0, 4))):
+        t = Test("t", kind)
+        assert compare_outcomes(t, run_test(t, m), run_test(t, copy)), kind
+        result = yoneda_filter(kb, (t,), MachineOracle(copy))
+        assert "m" in result.candidates, kind
 
 
 def test_threads_share_a_machine_and_its_kept_outcomes():

@@ -52,7 +52,7 @@ FIELDS = {
     StateSet: "",
     Terminal: "",
     OutputImage: "step",
-    Test: "name kind comparator",
+    Test: "name kind",
     Outcome: "test value inputs",
     KnowledgeBase: "box entries",
     Morphism: "mid src tgt",
@@ -192,9 +192,6 @@ def test_fields_come_in_order_by_position_and_by_keyword(cls):
 def test_defaults_fill_the_trailing_fields():
     machine = samples()[MooreMachine]
     hom = identity_hom(machine)
-    assert Test("t", TraceSet(2)).comparator == "equality"
-    assert Test("t", StateSet()).comparator == "cardinality"
-    assert Test("t", StateSet(), "equality").comparator == "equality"
     assert Outcome("t", ()).inputs == ()
     leaf = Architecture(uav.uav_box())
     assert leaf.wiring is None and leaf.children == ()
@@ -271,7 +268,7 @@ def test_reprs():
     assert repr(TraceSet(5)) == "TraceSet(depth=5)"
     assert repr(Terminal()) == "Terminal()"
     assert repr(Test("t", TraceSet(2))) == \
-        "Test(name='t', kind=TraceSet(depth=2), comparator='equality')"
+        "Test(name='t', kind=TraceSet(depth=2))"
     assert repr(LogEntry(1, "RewireStep", "rewire component 1", "ab", "cd")) \
         == ("LogEntry(position=1, kind='RewireStep', "
             "detail='rewire component 1', wiring_fp='ab', components_fp='cd')")
