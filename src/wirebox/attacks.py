@@ -308,16 +308,14 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
     """Compare composite behavior before and after an attack.
 
     Reports trace equivalence to the given depth with a shortest
-    distinguishing word when there is one, plus per-test agreement for
-    any battery supplied.
+    distinguishing word (``probes.separating_word``), plus agreement for
+    each test of any battery supplied.
     """
     if baseline.box != attacked.box:
         raise AttackError("systems present different boxes")
     before = baseline.composite()
     after = attacked.composite()
-    from .oracle import find_distinguishing_word
-
-    word = find_distinguishing_word(before, after, depth)
+    word = probes.separating_word(before, after, depth)
     results = []
     for t in battery:
         agree = probes.compare_outcomes(

@@ -16,12 +16,13 @@ error, 73 when an ``--out`` file cannot be written.  ``learn`` exits 0
 when exactly one candidate survives, 2 when several do, 3 when none do.
 ``diff`` exits 0 when behavior is equal at the requested depth and 1
 when it differs.  ``yoneda-check`` exits 1 when a bijection fails.
-``--depth`` must be at least 1; a smaller value is a usage error.
+``--depth`` must be at least 1; a smaller value is a usage error, and so
+is ``learn --depth`` together with ``--battery``.
 
 Each command imports the library modules it uses when it runs, so one
 call loads only those: ``yoneda-check`` loads ``fincat`` and no machine
-module, ``learn`` loads no attack code, and only ``diff`` loads
-``oracle``.
+module, ``learn`` loads no attack code, and no command loads ``oracle``,
+the reference semantics the tests check the library against.
 
 Input words are written ``"0|1,1|0"``: steps separated by commas, the
 symbols of one step separated by bars, in port order; a word that does
@@ -141,8 +142,9 @@ def _build_parser() -> _Parser:
     l.add_argument("--target", required=True, metavar="FILE",
                    help="machine.v1 the oracle answers for")
     l.add_argument("--battery", metavar="FILE", help="battery.v1 tests")
-    l.add_argument("--depth", type=depth, default=6,
-                   help="trace depth when no battery is given (default 6)")
+    l.add_argument("--depth", type=depth,
+                   help="depth of the one trace test run when no --battery "
+                        "is given (default 6)")
 
     a = sub.add_parser("attack", description="apply a script with provenance")
     a.add_argument("--scenario", required=True, metavar="FILE")
@@ -251,12 +253,14 @@ def _cmd_learn(args, out) -> int:
     from .probes import (AMBIGUOUS, EXACT, MachineOracle, Test, TraceSet,
                          yoneda_filter)
 
+    if args.battery and args.depth is not None:
+        raise _UsageError("learn: give --battery or --depth, not both")
     kb = ff.load_kb_dir(args.kb)
     target = _load(args.target, "machine.v1").machine
     if args.battery:
         battery = _load(args.battery, "battery.v1").tests
     else:
-        battery = (Test("traces", TraceSet(args.depth)),)
+        battery = (Test("traces", TraceSet(args.depth or 6)),)
     oracle = MachineOracle(target)
     result = yoneda_filter(kb, battery, oracle)
     marks = {True: "y", False: "n", None: "?"}

@@ -235,7 +235,8 @@ def _machines_fit(w: Wiring, machines: Sequence[MooreMachine]):
                 f"is {b.name!r}")
 
 
-# a reader refuses to walk a composite with more transitions than this
+# a reader refuses to walk a composite with more transitions than this;
+# probes' pair search and trace quotients refuse to hold more
 MAX_TRANSITIONS = 2 ** 20
 
 
@@ -283,7 +284,8 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     stack = [init]
     while stack:
         if len(seen) > most:
-            raise _over_the_limit("reaches at least", len(seen), n_inputs)
+            raise _over_the_limit("composite reaches at least", len(seen),
+                                  n_inputs)
         for t in router.fill(stack.pop()):
             if t not in seen:
                 seen.add(t)
@@ -293,10 +295,11 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
                                _ReadoutRows(router.readout, router))
 
 
-def _over_the_limit(has: str, n_states: int, n_inputs: int) -> MachineError:
+def _over_the_limit(has: str, n: int, n_inputs: int,
+                    what: str = "states") -> MachineError:
     return MachineError(
-        f"composite {has} {n_states} states x {n_inputs} inputs = "
-        f"{n_states * n_inputs} transitions, over the limit of {MAX_TRANSITIONS}")
+        f"{has} {n} {what} x {n_inputs} inputs = "
+        f"{n * n_inputs} transitions, over the limit of {MAX_TRANSITIONS}")
 
 
 class _Product(Sequence):
@@ -329,7 +332,8 @@ class _Product(Sequence):
 
     def __iter__(self):
         if self._len * self._n_inputs > MAX_TRANSITIONS:
-            raise _over_the_limit("would have", self._len, self._n_inputs)
+            raise _over_the_limit("composite would have", self._len,
+                                  self._n_inputs)
         return itertools.product(*self._parts)
 
     def __getitem__(self, k: int) -> tuple:

@@ -13,6 +13,17 @@ depends on the test's kind alone, so ``run_test`` computes it once per
 machine object and kind and keeps it on the machine: a knowledge base
 asked many queries pays for each entry's outcomes once.
 
+``separating_word`` is the one search for an input word that separates
+two machines: breadth first over the pairs of states a word leads them
+to, inputs in order, each pair kept with the first word that reaches
+it, reading the machines' tables directly.  ``attacks.attack_diff`` runs
+it on two composites, and ``outcome_witness`` on two trace quotients, so
+both name the shortest word, least in declared alphabet order.  It stops
+at a level that adds no pair, and refuses, like a composite, to hold
+more than ``MAX_TRANSITIONS`` pairs times inputs; so does a trace
+quotient with its rows.  ``oracle.find_distinguishing_word`` is its
+reference.
+
 Machine morphisms act on outcomes too: traces are preserved as they are,
 state sets map along the state map, the one-point outcome is constant.
 ``transport_outcome`` implements that action.
@@ -29,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Optional, Protocol, Union
 
-from . import Record, WireboxError, _kept
+from . import Record, WireboxError, _kept, moore
 from .moore import MachineHom, MooreMachine, State, apply_algebra, render_state
 from .wiring import Box, Wiring, _box_mismatch, input_space
 
@@ -155,13 +166,21 @@ def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
     A forward pass collects each layer's states with their readout and
     successors; a backward pass classes every layer by signature
     (readout, then the successors' classes in the next layer); a second
-    forward pass renumbers the classes in order of first reach.
+    forward pass renumbers the classes in order of first reach.  The
+    rows of the value are counted layer by layer, and a value of more
+    than ``MAX_TRANSITIONS`` rows times inputs is refused before it is
+    built.
     """
     update, readout = m.update, m.readout
     rows: dict[State, tuple] = {}  # state -> (readout, successors...)
     layers = []
     layer = {m.init}
+    most, built = moore.MAX_TRANSITIONS // len(inputs), 0
     for _ in range(depth):
+        built += len(layer)
+        if built > most:
+            raise moore._over_the_limit("trace quotient would have at least",
+                                        built, len(inputs), "rows")
         layers.append(layer)
         for s in layer:
             if s not in rows:
@@ -205,56 +224,62 @@ def compare_outcomes(test: Test, a: Outcome, b: Outcome) -> bool:
 def outcome_witness(test: Test, a: Outcome, b: Outcome):
     """First element where two disagreeing outcomes differ, for reports.
 
-    For trace outcomes that is the least (word, outputs) pair in the
-    symmetric difference of the two trace sets.
+    For trace outcomes that is ``separating_word``'s word, found on the two
+    quotients read as machines whose states are ``(layer, class)``.
     """
     if compare_outcomes(test, a, b):
         return None
     if isinstance(test.kind, StateSet):
         return (len(a.value), len(b.value))
     if isinstance(test.kind, TraceSet):
-        return _trace_witness(a, b)
+        if a.inputs != b.inputs:
+            raise ProbeError("trace outcomes over different inputs have no witness")
+        return _separating_word(*_quotient_machine(a), *_quotient_machine(b),
+                                a.inputs, len(a.value))
     sa, sb = set(a.value), set(b.value)
     only = sorted(sa.symmetric_difference(sb))
     return only[0] if only else (a.value, b.value)
 
 
-def _trace_witness(a: Outcome, b: Outcome):
-    """The least (word, outputs) pair on which two trace quotients differ.
+def _quotient_machine(q: Outcome) -> tuple:
+    """A trace outcome's ``(init, readout, update)``, states ``(layer, class)``."""
+    rows = [((k, i), row) for k, layer in enumerate(q.value)
+            for i, row in enumerate(layer)]
+    return ((0, 0), {s: row[0] for s, row in rows},
+            {(s, x): (s[0] + 1, j) for s, row in rows for x, j in zip(q.inputs, row[1:])})
 
-    Words are searched depth first with inputs in sorted order, so the
-    first difference found lies on the least word; a pair of classes
-    whose subtree agrees is not searched twice.  Once readouts differ,
-    every extension differs, and the least one repeats the least input.
-    """
-    if a.inputs != b.inputs:
-        raise ProbeError("trace outcomes over different inputs have no witness")
-    inputs, qa, qb = a.inputs, a.value, b.value
-    order = sorted(range(len(inputs)), key=inputs.__getitem__)
 
-    def outputs(q, word):
-        outs, i = [], 0
-        for k, c in enumerate(word):
-            outs.append(q[k][i][0])
-            if k + 1 < len(q):
-                i = q[k][i][1 + c]
-        return tuple(outs)
+def separating_word(a: MooreMachine, b: MooreMachine, depth: int):
+    """The shortest word of length ``depth`` or less, least among equals in
+    ``input_space`` order, on which two machines on one box give different
+    outputs, or None; see the module docstring for the search."""
+    if a.box != b.box:
+        raise ProbeError(f"machines on different boxes: {_box_mismatch(a.box, b.box)}")
+    return _separating_word(a.init, a.readout, a.update, b.init, b.readout,
+                            b.update, input_space([a.box]), depth)
 
-    agreed = set()
-    stack = [(0, 0, 0, ())]  # layer, class in a, class in b, input columns
-    while stack:
-        k, i, j, word = stack.pop()
-        if (k, i, j) in agreed:
-            continue
-        agreed.add((k, i, j))
-        ra, rb = qa[k][i], qb[k][j]
-        if ra[0] != rb[0]:
-            word += (order[0],) * (len(qa) - k)
-            return (tuple(inputs[c] for c in word),
-                    min(outputs(qa, word), outputs(qb, word)))
-        if k + 1 < len(qa):
-            stack.extend((k + 1, ra[1 + c], rb[1 + c], word + (c,))
-                         for c in reversed(order))
+
+def _separating_word(init_a, readout_a, update_a, init_b, readout_b, update_b,
+                     inputs: Sequence, depth: int):
+    most = moore.MAX_TRANSITIONS // len(inputs)
+    came = {(init_a, init_b): None}  # pair -> (pair before, input), first word
+    queue = [((init_a, init_b), 1)] if depth > 0 else []  # (pair, witness length)
+    for pair, k in queue:
+        sa, sb = pair
+        if readout_a[sa] != readout_b[sb]:
+            word = [inputs[0]]
+            while came[pair]:
+                pair, x = came[pair]
+                word.append(x)
+            return tuple(reversed(word))
+        for x in inputs if k < depth else ():
+            t = (update_a[(sa, x)], update_b[(sb, x)])
+            if t not in came:
+                came[t] = (pair, x)
+                queue.append((t, k + 1))
+        if len(came) > most:
+            raise moore._over_the_limit("pair search reaches at least",
+                                        len(came), len(inputs), "state pairs")
     return None
 
 
@@ -379,8 +404,13 @@ def yoneda_filter(kb: KnowledgeBase, battery: Sequence[Test],
     and compared against each entry's outcome as the test's kind decides.
     Entries surviving every answered test are the candidates.  A test the
     oracle cannot answer is skipped and reported, never fatal.  A target
-    on another box than the knowledge base's is refused.
+    on another box than the knowledge base's is refused, and so is a
+    battery whose test names repeat, before the oracle is asked anything:
+    answers are kept by test name.
     """
+    names = [t.name for t in battery]
+    if len(set(names)) != len(names):
+        raise ProbeError("test names repeat")
     if oracle.box.name != kb.box.name:
         raise ProbeError(f"target inhabits box {oracle.box.name!r}, expected "
                          f"the knowledge base's box {kb.box.name!r}")

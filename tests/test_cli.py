@@ -423,6 +423,31 @@ def test_learn_depth_below_one_is_a_usage_error(depth):
     assert "--depth: must be at least 1" in err
 
 
+def test_learn_refuses_depth_with_a_battery():
+    # --depth sets the one trace test run without a battery, so given with
+    # one it would be ignored
+    code, out, err = cli("learn", "--kb", UAV / "kb",
+                         "--target", UAV / "target.yaml",
+                         "--battery", UAV / "battery.yaml", "--depth", "2")
+    assert (code, out) == (EX_USAGE, "")
+    assert err == "learn: give --battery or --depth, not both\n"
+    # without a battery the depth defaults to 6
+    assert cli("learn", "--kb", UAV / "kb", "--target", UAV / "target.yaml") \
+        == cli("learn", "--kb", UAV / "kb", "--target", UAV / "target.yaml",
+               "--depth", "6")
+
+
+def test_learn_refuses_a_trace_test_over_the_limit():
+    # the target's depth-300000 quotient would hold about 2.7 million rows
+    # x 4 inputs; it is refused once its rows pass the limit
+    code, out, err = cli("learn", "--kb", UAV / "kb",
+                         "--target", UAV / "target.yaml", "--depth", "300000")
+    assert (code, out) == (EX_DATAERR, "")
+    assert re.fullmatch(r"error: trace quotient would have at least \d+ rows "
+                        r"x 4 inputs = \d+ transitions, over the limit of "
+                        r"1048576\n", err)
+
+
 def test_learn_reports_ambiguity_with_exit_2(tmp_path):
     weak = tmp_path / "weak.yaml"
     weak.write_text("schema: battery.v1\ntests:\n- {name: point, kind: terminal}\n")
@@ -591,6 +616,15 @@ def test_diff_respects_the_depth_flag():
                        "--script", "gps-firmware", "--depth", "3")
     assert code == EX_OK
     assert "equal to depth 3" in out
+
+
+def test_diff_stops_when_no_new_state_pair_is_left():
+    # double-swap's pair search closes after depth 4, so a depth of 10**8
+    # costs what depth 5 does
+    code, out, _ = cli("diff", "--scenario", UAV / "scenario.yaml",
+                       "--script", "double-swap", "--depth", "100000000")
+    assert code == EX_OK
+    assert out.splitlines()[-1] == "equal to depth 100000000"
 
 
 @pytest.mark.parametrize("depth", ["0", "-2"])

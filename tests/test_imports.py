@@ -51,6 +51,24 @@ def test_library_modules_use_every_name_they_import():
     assert [u for p in modules for u in unused_imports(p)] == []
 
 
+def test_no_library_module_imports_the_reference():
+    # oracle.py is the independent reference semantics; the library's own
+    # searches never call it
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+                names.append(str(node.module))
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(".oracle." in f".{n}." for n in names):
+                importers.append(path.name)
+    assert importers == []
+
+
 def test_test_modules_use_every_name_they_import():
     modules = sorted((ROOT / "tests").glob("*.py"))
     assert ROOT / "tests" / "test_imports.py" in modules
@@ -92,7 +110,7 @@ COMMANDS = {
                str(UAV / "target.yaml"), "--battery", str(UAV / "battery.yaml")],
               0, MACHINES),
     "diff": (["diff", "--scenario", SCENARIO, "--script", "gps-firmware"],
-             1, MACHINES | {"attacks", "oracle"}),
+             1, MACHINES | {"attacks"}),
     "attack": (["attack", "--scenario", SCENARIO, "--script", "combo", "--out",
                 "OUT"], 0, MACHINES | {"attacks"}),
     "compose": (["compose", "--system", SCENARIO, "--name", "real"],
@@ -123,7 +141,8 @@ def test_each_command_loads_only_the_modules_it_uses(command, tmp_path):
         | {f"wirebox.{m}" for m in modules}
     if command == "learn":
         assert not {"attacks", "oracle", "fincat", "dot"} & modules
-    assert ("oracle" in modules) == (command == "diff")
+    # the reference semantics checks the library and runs in no command
+    assert "wirebox.oracle" not in loaded
 
 
 # each writer called in an interpreter that has loaded no document, so

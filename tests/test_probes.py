@@ -5,6 +5,7 @@ import pathlib
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +13,18 @@ from hypothesis import strategies as st
 
 from netgen import (BIT, random_machine, random_network, random_wiring,
                     relabel)
-from wirebox import probes
-from wirebox.attacks import apply_script
+from wirebox import moore, probes
+from wirebox.attacks import CompositeSystem, apply_script, attack_diff
 from wirebox.fileformat import load, load_kb_dir
-from wirebox.moore import (MachineHom, MooreMachine, apply_algebra,
-                           identity_hom, lift_hom, run)
-from wirebox.oracle import find_distinguishing_word
+from wirebox.moore import (MachineError, MachineHom, MooreMachine,
+                           apply_algebra, identity_hom, lift_hom, run)
+from wirebox.oracle import bisimilar, find_distinguishing_word
 from wirebox.probes import (AMBIGUOUS, EXACT, UNKNOWN, KnowledgeBase,
                             MachineOracle, OracleError, Outcome, OutputImage,
                             ProbeError, StateSet, Terminal, Test, TraceSet,
                             architecture_probe, compare_outcomes,
-                            outcome_witness, run_test, transport_outcome,
-                            yoneda_filter)
+                            outcome_witness, run_test, separating_word,
+                            transport_outcome, yoneda_filter)
 from wirebox.wiring import (Box, OuterIn, InnerOut, Port, Wiring,
                             identity_wiring, input_space)
 
@@ -63,11 +64,6 @@ def reference_traces(m: MooreMachine, depth: int) -> tuple:
     inputs = input_space([m.box])
     return tuple(sorted((word, tuple(run(m, word)))
                         for word in itertools.product(inputs, repeat=depth)))
-
-
-def reference_witness(a: tuple, b: tuple):
-    """The least (word, outputs) pair in the symmetric difference."""
-    return min(set(a).symmetric_difference(b))
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +139,35 @@ def test_trace_quotients_agree_with_the_reference_on_fixtures():
             if not agree:
                 disagreeing += 1
                 assert outcome_witness(t, outcomes[i], outcomes[j]) == \
-                    reference_witness(traces[i], traces[j])
+                    find_distinguishing_word(machines[i][1], machines[j][1], depth)
     assert disagreeing  # the fixtures exercise both verdicts
 
 
+# alphabets declared against sorted order
+REV = Box("rev", (Port("a", ("1", "0")), Port("b", ("y", "x"))),
+          (Port("q", BIT),))
+
+
 def test_trace_witness_is_the_least_word_whatever_the_port_order():
-    # alphabets declared against sorted order: words still sort by symbol
-    box = Box("rev", (Port("a", ("1", "0")), Port("b", ("y", "x"))),
-              (Port("q", BIT),))
+    # words are ordered by the declared alphabets, not by sorted symbols
     rng = random.Random(7)
     checked = 0
     for _ in range(60):
-        a, b = random_machine(rng, box), random_machine(rng, box)
+        a, b = random_machine(rng, REV), random_machine(rng, REV)
         for depth in (1, 2, 3):
             t = Test("t", TraceSet(depth))
             ra, rb = reference_traces(a, depth), reference_traces(b, depth)
             if ra != rb:
                 checked += 1
                 assert outcome_witness(t, run_test(t, a), run_test(t, b)) == \
-                    reference_witness(ra, rb)
+                    find_distinguishing_word(a, b, depth)
     assert checked
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(0, 3))
-def test_trace_quotients_agree_with_the_reference(seed, depth, variant):
-    # netgen composites against a relabelled copy, a copy with one row
-    # redirected, the same machines under another wiring, or a fresh machine
-    rng = random.Random(seed)
+def network_pair(rng: random.Random, variant: int):
+    """A netgen composite and, by variant, a relabelled copy of it, a copy
+    with one row redirected, the same machines under another wiring, or
+    a fresh machine on its box."""
     wiring, machines = random_network(rng)
     a = apply_algebra(wiring, machines)
     if variant == 0:
@@ -183,6 +180,14 @@ def test_trace_quotients_agree_with_the_reference(seed, depth, variant):
         b = apply_algebra(random_wiring(rng, wiring.inner, a.box), machines)
     else:
         b = random_machine(rng, a.box)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(0, 3))
+def test_trace_quotients_agree_with_the_reference(seed, depth, variant):
+    rng = random.Random(seed)
+    a, b = network_pair(rng, variant)
     t = Test("t", TraceSet(depth))
     oa, ob = run_test(t, a), run_test(t, b)
     assert run_test(t, relabel(rng, a)) == oa
@@ -191,7 +196,25 @@ def test_trace_quotients_agree_with_the_reference(seed, depth, variant):
     assert quotient == (ra == rb) == \
         (find_distinguishing_word(a, b, depth) is None)
     if not quotient:
-        assert outcome_witness(t, oa, ob) == reference_witness(ra, rb)
+        assert outcome_witness(t, oa, ob) == find_distinguishing_word(a, b, depth)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+def test_one_search_gives_the_reference_word(seed, variant):
+    # at every depth, the pair search on two machines and on their trace
+    # quotients finds the reference's word; with no depth bound it closes
+    # exactly when the machines are bisimilar
+    rng = random.Random(seed)
+    pairs = (network_pair(rng, variant),
+             (random_machine(rng, REV), random_machine(rng, REV)))
+    for a, b in pairs:
+        for depth in range(9):
+            t = Test("t", TraceSet(depth))
+            word = find_distinguishing_word(a, b, depth)
+            assert separating_word(a, b, depth) == word
+            assert outcome_witness(t, run_test(t, a), run_test(t, b)) == word
+        assert (separating_word(a, b, 10 ** 9) is None) == bisimilar(a, b)
 
 
 def test_state_set_outcome_renders_states():
@@ -283,6 +306,72 @@ def test_witness_is_none_on_agreement():
     assert outcome_witness(t, run_test(t, delay()), run_test(t, delay())) is None
 
 
+def test_output_image_witness_is_the_least_readout_in_one_image_only():
+    t = Test("i", OutputImage(1))
+    stuck = MooreMachine(CELL, BIT, "0", {(s, (a,)): "0" for s in BIT for a in BIT},
+                         {s: (s,) for s in BIT})
+    a, b = run_test(t, delay()), run_test(t, stuck)
+    assert (a.value, b.value) == ((("0",), ("1",)), (("0",),))
+    assert outcome_witness(t, a, b) == ("1",)
+    t0 = Test("i0", OutputImage(0))
+    assert outcome_witness(t0, run_test(t0, delay("1")), run_test(t0, delay())) \
+        == ("0",)
+
+
+def counter(counted: str, n: int) -> CompositeSystem:
+    """A one-cell system that counts, modulo n, the steps whose input is
+    ``counted``, and always reads 0."""
+    states = tuple(str(k) for k in range(n))
+    cell = MooreMachine(CELL, states, "0",
+                        {(s, (a,)): str((int(s) + (a == counted)) % n)
+                         for s in states for a in BIT},
+                        {s: ("0",) for s in states})
+    return CompositeSystem(identity_wiring(CELL), (cell,))
+
+
+def test_the_pair_search_refuses_a_pair_space_over_the_limit(monkeypatch):
+    # a word with i ones and j zeros leads the two counters to the pair
+    # (i mod 64, j mod 64), so all 4096 pairs are reachable, and every one
+    # reads alike; a limit of 2**12 transitions (2048 pairs of 2 inputs)
+    # makes the refusal small
+    monkeypatch.setattr(moore, "MAX_TRANSITIONS", 2 ** 12)
+    systems = counter("1", 64), counter("0", 64)
+    ones, zeros = (system.composite() for system in systems)
+    assert separating_word(ones, zeros, 40) is None
+    limit = (r"pair search reaches at least 20(49|50) state pairs x 2 inputs = "
+             r"\d+ transitions, over the limit of 4096")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MachineError, match=limit):
+            separating_word(ones, zeros, 10 ** 9)
+        with pytest.raises(MachineError, match=limit):
+            attack_diff(*systems, 10 ** 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the refused search holds about 2048 pairs
+    assert peak < 1_000_000
+
+
+def test_a_trace_test_over_the_limit_is_refused():
+    # the airframe target's depth-300000 quotient would hold about 2.7
+    # million rows x 4 inputs; it is refused once 2**18 rows are counted
+    target = load(UAV / "target.yaml").machine
+    t = Test("t", TraceSet(300_000))
+    limit = (r"trace quotient would have at least \d+ rows x 4 inputs = \d+ "
+             r"transitions, over the limit of 1048576")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MachineError, match=limit):
+            run_test(t, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000
+    # the fixture battery's depth is far below the limit
+    assert len(run_test(Test("t", TraceSet(6)), target).value) == 6
+
+
 def test_outcomes_must_match_their_test():
     t = Test("t", TraceSet(2))
     with pytest.raises(ProbeError):
@@ -298,6 +387,15 @@ def test_transport_maps_state_sets_along_hom():
     tt = Test("t", TraceSet(2))
     out = run_test(tt, history())
     assert transport_outcome(tt, hom, out) is out
+
+
+def test_transport_keeps_the_one_point_outcome_and_refuses_another_tests():
+    hom = MachineHom(history(), delay(), {s: s[1] for s in history().states})
+    t = Test("p", Terminal())
+    assert transport_outcome(t, hom, run_test(t, history())) == Outcome("p", ("*",))
+    with pytest.raises(ProbeError) as exc:
+        transport_outcome(t, hom, Outcome("q", ("*",)))
+    assert str(exc.value) == "outcome 'q' is not from 'p'"
 
 
 def test_transport_refuses_a_state_outside_the_source():
@@ -544,6 +642,21 @@ class CountingOracle:
     def outcome(self, test):
         self.calls += 1
         return self._inner.outcome(test)
+
+
+def test_a_battery_whose_test_names_repeat_is_refused():
+    # answers are kept by test name, so a repeated name would compare one
+    # test's outcomes against another test's answer
+    kb = load_kb_dir(UAV / "kb")
+    target = load(UAV / "target.yaml").machine
+    traces = Test("t", TraceSet(6))
+    oracle = CountingOracle(target)
+    with pytest.raises(ProbeError) as exc:
+        yoneda_filter(kb, (traces, Test("t", StateSet())), oracle)
+    assert str(exc.value) == "test names repeat"
+    assert oracle.calls == 0
+    result = yoneda_filter(kb, (traces,), MachineOracle(target))
+    assert (result.candidates, result.classification) == (("profile-stock",), EXACT)
 
 
 def test_one_oracle_query_per_test():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from netgen import BIT, random_network, random_stack, random_wiring, random_box
 from wirebox.attacks import CompositeSystem, RewireStep, apply_rewire
-from wirebox.wiring import (Architecture, Box, Const, InnerOut, OuterIn, Port,
-                            Table, Wiring, WiringError, check_arch_morphism,
+from wirebox.wiring import (Architecture, Box, CompositionError, Const,
+                            InnerOut, OuterIn, Port, Table, Wiring,
+                            WiringError, _box_mismatch, check_arch_morphism,
                             canonical_text, compose, eval_equal, evaluate,
                             expr_refs, flatten, identity_of, identity_wiring,
                             input_space, normalize, output_space, tensor,
@@ -233,6 +234,20 @@ def test_evaluate_sourceless_table():
     assert inner_ins == ("0", "1")
 
 
+@pytest.mark.parametrize("inner_outs, outer_in, message", [
+    (("1", "0"), ("1", "0"), "expected 3 inner output values, got 2"),
+    (("1", "0", "1"), ("1",), "expected 2 outer input values, got 1"),
+    (("1", "2", "1"), ("1", "0"),
+     "value '2' is not in the alphabet of inner output 1.v"),
+    (("1", "0", "1"), ("1", "x"),
+     "value 'x' is not in the alphabet of outer input 0.y"),
+])
+def test_evaluate_refuses_values_that_do_not_fit(inner_outs, outer_in, message):
+    with pytest.raises(WiringError) as exc:
+        evaluate(pipe(), inner_outs, outer_in)
+    assert str(exc.value) == message
+
+
 def test_eval_equal_tells_a_rerouted_input_apart():
     w = pipe()
     in_map = dict(w.in_map)
@@ -348,8 +363,31 @@ def test_tensor_interchange(seed):
 
 
 def test_compose_rejects_boundary_mismatch():
-    with pytest.raises(WiringError):
+    with pytest.raises(CompositionError) as exc:
         compose(pipe(), pipe())
+    assert str(exc.value) == "boundary mismatch: 1 outer boxes vs 2 inner boxes"
+
+
+@pytest.mark.parametrize("hole, message", [
+    (Box("b2", B.in_ports, B.out_ports), "box 'b' vs 'b2'"),
+    (Box("b", B.in_ports[:1], B.out_ports), "box 'b' has 2 vs 1 input ports"),
+    (Box("b", B.in_ports, B.out_ports + (Port("p", BIT),)),
+     "box 'b' has 1 vs 2 output ports"),
+    (Box("b", (Port("z", BIT),) + B.in_ports[1:], B.out_ports),
+     "input port 'x' vs 'z' on box 'b'"),
+    (Box("b", B.in_ports, (Port("o", ("1", "0")),)),
+     "output port 'o' on box 'b': alphabet ['0', '1'] vs ['1', '0']"),
+])
+def test_compose_names_the_first_boundary_difference(hole, message):
+    with pytest.raises(CompositionError) as exc:
+        compose(identity_wiring(hole), identity_wiring(B))
+    assert str(exc.value) == f"boundary box 0: {message}"
+
+
+def test_a_box_mismatch_falls_back_to_the_box_name():
+    # every caller asks only about boxes that differ, and each way two
+    # boxes can differ has its own text above; two equal boxes get this one
+    assert _box_mismatch(B, Box("b", B.in_ports, B.out_ports)) == "box 'b' differs"
 
 
 def test_tensor_shifts_indices():
