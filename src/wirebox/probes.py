@@ -7,11 +7,14 @@ sets, whose labels mean nothing, agree when they are equally large, and
 every other outcome when the values are equal, so no test can see how a
 machine's states are named.  Those other values are canonical, so equal
 behavior gives equal values: output images are sorted tuples, and a
-trace set is its layered quotient (see ``TraceSet``), which costs
-O(d·|S|·|I|) to build instead of running all |I|^d words.  A value
-depends on the test's kind alone, so ``run_test`` computes it once per
-machine object and kind and keeps it on the machine: a knowledge base
-asked many queries pays for each entry's outcomes once.
+trace set is its layered quotient (see ``TraceSet``), built in one
+forward and one backward pass, which costs O(d·|S|·|I|) instead of
+running all |I|^d words.  An output image walks layers of reachable
+states, which repeat, so its cost is bounded by their tail and cycle
+whatever the step (see ``_nth``).  A value depends on the test's kind
+alone, so ``run_test`` computes it once per machine object and kind and
+keeps it on the machine: a knowledge base asked many queries pays for
+each entry's outcomes once.
 
 ``separating_word`` is the one search for an input word that separates
 two machines: breadth first over the pairs of states a word leads them
@@ -63,13 +66,15 @@ class TraceSet(Record):
     The outcome is the set's layered quotient, the minimal acyclic
     automaton of the pairs.  Layer k holds the classes of the states
     reachable in exactly k steps under (depth-k)-step trace equivalence,
-    numbered in order of first reach from ``init`` (classes in order,
-    inputs in ``input_space`` order).  The value has one entry per layer,
-    a tuple of ``(readout, successor class ids...)`` rows, successors in
-    input order; rows of the last layer hold the readout alone.  Two
-    machines on one box have equal values exactly when every word of the
-    given length gives them equal outputs, whatever their states are
-    called.
+    numbered in order of first reach from ``init``: the layer's states
+    are taken as first reached (the layer before's states in order, each
+    one's successors in ``input_space`` order), and each class is
+    numbered when its first state is met.  The value has one entry per
+    layer, a tuple of ``(readout, successor class ids...)`` rows,
+    successors in input order; rows of the last layer hold the readout
+    alone.  Two machines on one box have equal values exactly when every
+    word of the given length gives them equal outputs, whatever their
+    states are called.
     """
     depth: int
 
@@ -154,27 +159,54 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
         return ("*",), ()
     # an OutputImage, the one kind left that Test admits
     inputs = input_space([m.box])
-    layer = {m.init}
-    for _ in range(kind.step):
-        layer = {m.update[(s, x)] for s in layer for x in inputs}
+
+    def advance(layer):
+        return {m.update[(s, x)] for s in layer for x in inputs}
+
+    layer = _nth({m.init}, advance, kind.step)
     return tuple(sorted({m.readout[s] for s in layer})), ()
+
+
+def _nth(first, advance, n: int):
+    """Element ``n`` of the sequence ``first``, ``advance(first)``, ...,
+    which must be eventually periodic, as a machine's layers are.
+
+    Brent's cycle finding holds two elements: the walker, and a resting
+    one that moves up to the walker after it has rested 1, 2, 4, ...
+    steps.  When the walker meets the resting one, ``lam`` steps on, the
+    sequence repeats every ``lam`` steps from there, so the walk skips
+    whole periods.  It advances at most ``n`` times, and at most four
+    times the length of the sequence's tail and cycle whatever ``n`` is.
+    """
+    resting = element = first
+    lam, power = 0, 1
+    for k in range(1, n + 1):
+        element, lam = advance(element), lam + 1
+        if element == resting:
+            # element k is element k - lam
+            return _nth(element, advance, (n - k) % lam)
+        if lam == power:
+            resting, power, lam = element, 2 * power, 0
+    return element
 
 
 def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
     """The layered quotient of the machine's traces of length ``depth``.
 
-    A forward pass collects each layer's states with their readout and
-    successors; a backward pass classes every layer by signature
-    (readout, then the successors' classes in the next layer); a second
-    forward pass renumbers the classes in order of first reach.  The
-    rows of the value are counted layer by layer, and a value of more
-    than ``MAX_TRANSITIONS`` rows times inputs is refused before it is
-    built.
+    A forward pass collects each layer's states in order of first reach
+    (see ``TraceSet``) with their readout and successors; a backward pass
+    classes every layer by signature (readout, then the successors'
+    classes in the next layer), numbering each class as it first meets
+    it, and the signatures are the layer's rows.  States of one class
+    have the same successor classes, so the numbering is the one a walk
+    over classes would give.  The rows of the value are counted layer by
+    layer, and a value of more than ``MAX_TRANSITIONS`` rows times inputs
+    is refused before it is built.
     """
     update, readout = m.update, m.readout
     rows: dict[State, tuple] = {}  # state -> (readout, successors...)
-    layers = []
-    layer = {m.init}
+    layers = []  # per layer, state -> class id, filled by the backward pass
+    layer = {m.init: None}
     most, built = moore.MAX_TRANSITIONS // len(inputs), 0
     for _ in range(depth):
         built += len(layer)
@@ -185,28 +217,19 @@ def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
         for s in layer:
             if s not in rows:
                 rows[s] = (readout[s],) + tuple(update[(s, x)] for x in inputs)
-        layer = {t for s in layer for t in rows[s][1:]}
-    signatures: list[list[tuple]] = []  # per layer, in provisional id order
+        layer = dict.fromkeys([t for s in layer for t in rows[s][1:]])
+    value = []
     below: dict[State, int] = {}
     for k in reversed(range(depth)):
         classes: dict[tuple, int] = {}
-        ids = {}
         last = k == depth - 1
         for s in layers[k]:
             row = rows[s]
             sig = row[:1] if last else row[:1] + tuple(below[t] for t in row[1:])
-            ids[s] = classes.setdefault(sig, len(classes))
-        signatures.append(list(classes))
-        below = ids
-    signatures.reverse()
-    value = []
-    reached = {0: 0}  # provisional id -> canonical id, in canonical order
-    for sigs in signatures:
-        nxt: dict[int, int] = {}
-        value.append(tuple(
-            (sigs[p][0],) + tuple(nxt.setdefault(q, len(nxt)) for q in sigs[p][1:])
-            for p in reached))
-        reached = nxt
+            layers[k][s] = classes.setdefault(sig, len(classes))
+        value.append(tuple(classes))
+        below = layers[k]
+    value.reverse()
     return tuple(value)
 
 

@@ -373,6 +373,8 @@ def compose(g: Wiring, f: Wiring) -> Wiring:
 
 
 def _box_mismatch(a: Box, b: Box) -> str:
+    """Where two boxes that differ first differ: name, port count, port
+    name or alphabet, inputs before outputs."""
     if a.name != b.name:
         return f"box {a.name!r} vs {b.name!r}"
     for side, pa, pb in (("input", a.in_ports, b.in_ports),
@@ -385,7 +387,6 @@ def _box_mismatch(a: Box, b: Box) -> str:
             if x.alphabet != y.alphabet:
                 return (f"{side} port {x.name!r} on box {a.name!r}: alphabet "
                         f"{list(x.alphabet)} vs {list(y.alphabet)}")
-    return f"box {a.name!r} differs"
 
 
 # ---------------------------------------------------------------------------

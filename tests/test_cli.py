@@ -457,6 +457,19 @@ def test_learn_reports_ambiguity_with_exit_2(tmp_path):
     assert "classification: ambiguous" in out
 
 
+def test_learn_runs_an_output_image_test_a_billion_steps_out(tmp_path):
+    # the target's layers repeat within a few steps, so the billionth is
+    # found without walking to it; two entries read like the target there
+    far = tmp_path / "far.yaml"
+    far.write_text("schema: battery.v1\ntests:\n"
+                   "- {name: far, kind: output-image, step: 1000000000}\n")
+    code, out, err = cli("learn", "--kb", UAV / "kb",
+                         "--target", UAV / "target.yaml", "--battery", far)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[0] == ("far: profile-blinker=n profile-flatline=n "
+                                   "profile-hacked=y profile-stock=y")
+
+
 def test_learn_refuses_a_compare_key_without_a_traceback(tmp_path):
     # a test's kind decides how its outcomes compare; there is no key for it
     battery = tmp_path / "compare.yaml"

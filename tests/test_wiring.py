@@ -10,7 +10,7 @@ from netgen import BIT, random_network, random_stack, random_wiring, random_box
 from wirebox.attacks import CompositeSystem, RewireStep, apply_rewire
 from wirebox.wiring import (Architecture, Box, CompositionError, Const,
                             InnerOut, OuterIn, Port, Table, Wiring,
-                            WiringError, _box_mismatch, check_arch_morphism,
+                            WiringError, check_arch_morphism,
                             canonical_text, compose, eval_equal, evaluate,
                             expr_refs, flatten, identity_of, identity_wiring,
                             input_space, normalize, output_space, tensor,
@@ -382,12 +382,6 @@ def test_compose_names_the_first_boundary_difference(hole, message):
     with pytest.raises(CompositionError) as exc:
         compose(identity_wiring(hole), identity_wiring(B))
     assert str(exc.value) == f"boundary box 0: {message}"
-
-
-def test_a_box_mismatch_falls_back_to_the_box_name():
-    # every caller asks only about boxes that differ, and each way two
-    # boxes can differ has its own text above; two equal boxes get this one
-    assert _box_mismatch(B, Box("b", B.in_ports, B.out_ports)) == "box 'b' differs"
 
 
 def test_tensor_shifts_indices():
