@@ -188,14 +188,15 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
 def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
     """Reroute one slot by precomposing with an endomorphism wiring.
 
-    The new wiring is the old one composed with the identity on every
-    slot except ``index``, where the endomorphism sits.  Components are
-    the same objects, untouched.
+    The new wiring is the normal form of the old one composed with the
+    identity on every slot except ``index``, where the endomorphism
+    sits.  ``wiring.precompose_slot`` computes it by substitution into
+    the expressions the endomorphism touches; ``compose(g,
+    tensor(pads))`` is its reference.  Components are the same objects,
+    untouched.
     """
     check_step(sys, step)
-    pads = [wi.identity_wiring(b) for b in sys.wiring.inner]
-    pads[step.index] = step.endo
-    rewired = wi.compose(sys.wiring, wi.tensor(pads))
+    rewired = wi.precompose_slot(sys.wiring, step.index, step.endo)
     return CompositeSystem(rewired, sys.components)
 
 
@@ -238,33 +239,62 @@ def fingerprint_components(machines: Sequence[MooreMachine]) -> str:
         _kept(m, "_canonical_text", moore.canonical_text) for m in machines))
 
 
-def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
-    """Fold a script over a system, logging every step.
+def _script_steps(sys: CompositeSystem, script: AttackScript):
+    """Apply a script's steps to a system left to right, yielding
+    (step, detail, system, witness) after each: the step, what it did,
+    the system it left, and its lifted morphism (None for a plain
+    rewrite or a rewire).
 
-    The first step that does not apply aborts with an AttackError whose
-    ``log`` attribute holds the entries for the steps already applied.
+    The first step that does not apply raises an AttackError whose
+    message names its position, ``step N: ...``.
     """
-    log: list[LogEntry] = []
-    witnesses: list[Optional[MachineHom]] = []
     current = sys
     for pos, step in enumerate(script.steps):
         try:
             if isinstance(step, RewriteStep):
                 result = apply_rewrite(current, step)
-                current = result.system
-                witnesses.append(result.witness)
+                current, witness = result.system, result.witness
                 mode = "replace" if step.machine is not None else "morphism"
                 detail = f"rewrite[{mode}] component {step.index}"
             else:
-                current = apply_rewire(current, step)
-                witnesses.append(None)
+                current, witness = apply_rewire(current, step), None
                 detail = f"rewire component {step.index}"
         except AttackError as e:
-            raise AttackError(f"step {pos}: {e}", tuple(log)) from None
-        log.append(LogEntry(pos, type(step).__name__, detail,
-                            fingerprint_wiring(current.wiring),
-                            fingerprint_components(current.components)))
+            raise AttackError(f"step {pos}: {e}") from None
+        yield step, detail, current, witness
+
+
+def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
+    """Fold a script over a system, logging every step with the
+    fingerprints of the system it left.
+
+    The first step that does not apply aborts with the AttackError of
+    ``_script_steps``, whose ``log`` attribute holds the entries for the
+    steps already applied.
+    """
+    log: list[LogEntry] = []
+    witnesses: list[Optional[MachineHom]] = []
+    current = sys
+    try:
+        for step, detail, current, witness in _script_steps(sys, script):
+            log.append(LogEntry(len(log), type(step).__name__, detail,
+                                fingerprint_wiring(current.wiring),
+                                fingerprint_components(current.components)))
+            witnesses.append(witness)
+    except AttackError as e:
+        raise AttackError(str(e), tuple(log)) from None
     return ScriptResult(current, tuple(log), tuple(witnesses))
+
+
+def attacked_system(sys: CompositeSystem,
+                    script: AttackScript) -> CompositeSystem:
+    """The system a script leaves, folded by ``_script_steps`` as
+    ``apply_script`` folds it but with no log, so no fingerprint is
+    computed."""
+    current = sys
+    for _, _, current, _ in _script_steps(sys, script):
+        pass
+    return current
 
 
 def transport_script(script: AttackScript,

@@ -11,22 +11,29 @@ Wirings compose like processes with feedback: ``compose(g, f)`` plugs the
 inner assembly ``f`` into the hole ``g`` expects, and ``tensor`` places
 wirings side by side.  Both are implemented by substitution on source
 expressions, followed by normalization to a canonical form so that
-structural equality is meaningful.  ``evaluate`` computes one step of
-value routing, with its arguments checked, for callers and tests; the
-library's own steps run the compiled routing directly.
+structural equality is meaningful.  ``precompose_slot`` reroutes one
+inner box through an endomorphism of it: its result is the normal form
+of ``compose(g, tensor(pads))``, with identity pads on the other boxes,
+computed by substitution into only the expressions the endomorphism
+touches, and that general composite is its reference.  ``evaluate``
+computes one step of value routing, with its arguments checked, for
+callers and tests; the library's own steps run the compiled routing
+directly.
 
 Substituting valid wirings into one another, or normalizing one, cannot
 make an invalid wiring.  So only the public constructor validates;
-``identity_wiring``, ``tensor``, ``compose`` and ``normalize`` build
-their results without the check.
+``identity_wiring``, ``tensor``, ``compose``, ``precompose_slot`` and
+``normalize`` build their results without the check.
 
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
 dict.  ``evaluate``, ``eval_equal`` and the composite machines of
 ``moore.apply_algebra`` route through a whole wiring compiled once and
 kept on the wiring, so every step and every composite of one wiring
-object share it.  Normalization compiles each expression over the
-values of the references it reads.
+object share it; a slot rerouted by ``precompose_slot`` takes the
+compiled functions of its base for every port it leaves alone.
+Normalization compiles each expression over the values of the
+references it reads.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -372,6 +379,78 @@ def compose(g: Wiring, f: Wiring) -> Wiring:
     return normalize(Wiring._built(f.inner, g.outer, in_map, out_map))
 
 
+def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
+    """``g`` with inner box ``index`` rerouted through ``endo``, an
+    endomorphism of that box: ``compose(g, tensor(pads))``, where the
+    pads are the identity on every inner box but ``endo`` at ``index``.
+
+    The result is that composite's normal form, key order included, and
+    is marked as one; ``compose`` stays its reference.  It is computed
+    by substitution into the entries the endomorphism touches: the
+    slot's own inputs, and every entry that reads an output of the slot
+    which ``endo`` remaps.  Every other entry is taken as it is from
+    g's normal form, kept on ``g`` (``_kept``).  When g's routing is
+    compiled, the result's takes its functions for the ports not
+    touched and compiles the touched ones.
+    """
+    if not 0 <= index < len(g.inner):
+        raise CompositionError(f"no inner box {index}")
+    box = g.inner[index]
+    if endo.inner != (box,) or endo.outer != (box,):
+        raise CompositionError(
+            f"not an endomorphism of inner box {index} {box.name!r}")
+    normal = g if hasattr(g, "_normal") else _kept(g, "_normal_form", normalize)
+    # the slot's outputs that endo remaps, and what each one now reads
+    remapped = {InnerOut(index, q): _substitute(
+                    expr, lambda r: InnerOut(index, r.port))
+                for (_, q), expr in endo.out_map.items()
+                if expr != InnerOut(0, q)}
+    at = _positions(g)
+
+    def via_endo(ref: Ref) -> SourceExpr:
+        return remapped.get(ref, ref)
+
+    def via_g(ref: Ref) -> SourceExpr:
+        # endo's inner outputs are the slot's; its outer inputs read
+        # what g feeds the slot
+        if isinstance(ref, InnerOut):
+            return InnerOut(index, ref.port)
+        return _substitute(normal.in_map[(index, ref.port)], via_endo)
+
+    touched_in: set[PortKey] = set()
+    touched_out: set[PortKey] = set()
+
+    def entry(key: PortKey, expr: SourceExpr, touched: set) -> SourceExpr:
+        # a normal form's table reads references only
+        refs = expr.sources if isinstance(expr, Table) else (expr,)
+        if not any(r in remapped for r in refs):
+            return expr
+        touched.add(key)
+        return _normalize_expr(g, at, _substitute(expr, via_endo))
+
+    in_map: dict[PortKey, SourceExpr] = {}
+    for k, b in enumerate(g.inner):
+        if k == index:
+            for (_, name), expr in endo.in_map.items():
+                touched_in.add((k, name))
+                in_map[(k, name)] = _normalize_expr(
+                    g, at, _substitute(expr, via_g))
+        else:
+            for p in b.in_ports:
+                in_map[(k, p.name)] = entry((k, p.name),
+                                            normal.in_map[(k, p.name)],
+                                            touched_in)
+    out_map = {key: entry(key, expr, touched_out)
+               for key, expr in normal.out_map.items()}
+    n = Wiring._built(g.inner, g.outer, in_map, out_map)
+    object.__setattr__(n, "_normal", True)
+    base = getattr(g, "_routing", None)
+    if base is not None:
+        object.__setattr__(n, "_routing",
+                           _Routing(n, base, touched_in, touched_out))
+    return n
+
+
 def _box_mismatch(a: Box, b: Box) -> str:
     """Where two boxes that differ first differ: name, port count, port
     name or alphabet, inputs before outputs."""
@@ -415,14 +494,33 @@ class _Routing:
 
     __slots__ = ("inner_in", "outer_out", "reads_outer")
 
-    def __init__(self, w: Wiring):
+    def __init__(self, w: Wiring, base: _Routing | None = None,
+                 touched_in=(), touched_out=()):
+        """Compile ``w``; or, given ``base``, a routing of a wiring on w's
+        boundary that routes every port as ``w`` does except the in_map
+        keys ``touched_in`` and out_map keys ``touched_out``, take base's
+        functions and flags for every port but those, and compile those
+        alone.  A flag taken may say an input reads an outer input that
+        its normal form no longer reads, which costs only speed."""
         at = _positions(w)
-        in_exprs = [w.in_map[(i, p.name)] for i, p in w.inner_input_ports()]
-        self.inner_in = tuple(_compile_expr(e, at) for e in in_exprs)
-        self.outer_out = tuple(_compile_expr(w.out_map[(j, p.name)], at)
-                               for j, p in w.outer_output_ports())
-        self.reads_outer = tuple(
-            any(isinstance(r, OuterIn) for r in expr_refs(e)) for e in in_exprs)
+        inner_in, reads_outer, outer_out = [], [], []
+        for k, (i, p) in enumerate(w.inner_input_ports()):
+            if base is None or (i, p.name) in touched_in:
+                expr = w.in_map[(i, p.name)]
+                inner_in.append(_compile_expr(expr, at))
+                reads_outer.append(
+                    any(isinstance(r, OuterIn) for r in expr_refs(expr)))
+            else:
+                inner_in.append(base.inner_in[k])
+                reads_outer.append(base.reads_outer[k])
+        for k, (j, p) in enumerate(w.outer_output_ports()):
+            if base is None or (j, p.name) in touched_out:
+                outer_out.append(_compile_expr(w.out_map[(j, p.name)], at))
+            else:
+                outer_out.append(base.outer_out[k])
+        self.inner_in = tuple(inner_in)
+        self.outer_out = tuple(outer_out)
+        self.reads_outer = tuple(reads_outer)
 
     def route(self, values: tuple[Symbol, ...]):
         """(inner input values, outer output values) for a flat tuple."""

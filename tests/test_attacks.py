@@ -15,7 +15,8 @@ from wirebox import moore, wiring as wi
 from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
                              DiffReport, RewireStep, RewriteStep,
                              apply_rewire, apply_rewrite, apply_script,
-                             _digest, attack_diff, fingerprint_components,
+                             _digest, attack_diff, attacked_system,
+                             fingerprint_components,
                              fingerprint_wiring, transport_script)
 from wirebox.fileformat import load
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
@@ -392,6 +393,25 @@ def test_aborted_script_reports_the_partial_log():
         apply_script(pair(), script)
     assert len(exc.value.log) == 1
     assert exc.value.log[0].detail == "rewire component 0"
+
+
+def test_attacked_system_is_the_logged_fold_without_its_log():
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "fixtures" / "uav" / "scenario.yaml")
+    scenario = load(path).scenario
+    for entry in scenario.scripts:
+        base = scenario.system(entry.system)
+        assert attacked_system(base, entry.script) == \
+            apply_script(base, entry.script).system
+    script = AttackScript((RewireStep(0, not_endo()),
+                           RewriteStep(9, machine=delay())))
+    with pytest.raises(AttackError) as logged:
+        apply_script(pair(), script)
+    with pytest.raises(AttackError) as bare:
+        attacked_system(pair(), script)
+    assert str(bare.value) == str(logged.value) == \
+        "step 1: no component 9; system has 2"
+    assert bare.value.log == ()
 
 
 def test_empty_script_is_the_identity():

@@ -1,5 +1,6 @@
 """The command line: exit codes, output shapes, and file handling."""
 
+import hashlib
 import io
 import os
 import pathlib
@@ -588,6 +589,34 @@ def test_attack_writes_the_output_file(tmp_path):
     assert f"wrote {dest}" in out
     doc = loads(dest.read_text(), "attacked.yaml")
     assert "attacker-view-attacked" in doc.systems
+
+
+# the sha256 of the file ``attack --out`` writes for each fixture script;
+# gps-swap, combo and double-swap rewire, so these pin the rewired
+# wiring's normal form, key order included, as the file writes it
+ATTACK_OUT_SHA256 = {
+    "gps-firmware":
+        "99f20fe100083aaaf79f4376d9a05315cc6326bfc7a44dd1bb67d0e88368054e",
+    "gps-swap":
+        "2fcc3b9ab276a30fa6f640c0adb6cd08cd50549153d5cd60c787620051e70bee",
+    "combo":
+        "c8ebce56761e9ae637b2506484e056db3fce56e681470a09578167a75950db1c",
+    "double-swap":
+        "8a62a018462532ae5aea78e987e64658583d854bbc23c39939b7fea4f945b905",
+    "gps-minimize":
+        "897938d5cf2cdaafa6b12f89f602dc4a6011f0c8449ada8fec4bbbb619c53510",
+}
+
+
+@pytest.mark.parametrize("script", sorted(ATTACK_OUT_SHA256))
+def test_attack_out_writes_the_pinned_bytes(script, tmp_path):
+    dest = tmp_path / "attacked.yaml"
+    code, out, _ = cli("attack", "--scenario", UAV / "scenario.yaml",
+                       "--script", script, "--out", dest)
+    assert code == EX_OK
+    assert out.splitlines()[-1] == f"wrote {dest}"
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == \
+        ATTACK_OUT_SHA256[script]
 
 
 def test_attack_to_an_unwritable_path_exits_73(tmp_path):

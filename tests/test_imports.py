@@ -1,6 +1,7 @@
 """Every library and test module uses each name it imports; what ``import
 wirebox.cli`` and each command load, and the stdlib modules behind
-``dataclasses`` that none of them loads; that ``import wirebox`` loads
+``dataclasses`` that none of them loads, and ``hashlib``, which
+``diff`` does not load; that ``import wirebox`` loads
 no submodule and defines only ``WireboxError``, ``Record`` and
 ``__version__``; the writers ``fileformat`` resolves on first use; and
 that every record, results and documents included, is a
@@ -143,6 +144,15 @@ def test_each_command_loads_only_the_modules_it_uses(command, tmp_path):
         assert not {"attacks", "oracle", "fincat", "dot"} & modules
     # the reference semantics checks the library and runs in no command
     assert "wirebox.oracle" not in loaded
+
+
+def test_diff_computes_no_fingerprint():
+    # diff prints no provenance log, so it renders no canonical text for
+    # one and never loads hashlib; combo both rewrites and rewires
+    argv = ["diff", "--scenario", SCENARIO, "--script", "combo"]
+    code, everything = ast.literal_eval(fresh(DISPATCH, *argv))
+    assert code == 1
+    assert "hashlib" not in everything
 
 
 # each writer called in an interpreter that has loaded no document, so

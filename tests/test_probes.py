@@ -257,7 +257,7 @@ def test_one_search_gives_the_reference_word(seed, variant):
         assert (separating_word(a, b, 10 ** 9) is None) == bisimilar(a, b)
 
 
-def test_state_set_outcome_renders_states():
+def test_state_set_value_is_the_history_machines_states_in_order():
     out = run_test(Test("s", StateSet()), history())
     assert out.value == ("00", "01", "10", "11")
 

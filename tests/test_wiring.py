@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgen import BIT, random_network, random_stack, random_wiring, random_box
+from wirebox import wiring
 from wirebox.attacks import CompositeSystem, RewireStep, apply_rewire
 from wirebox.wiring import (Architecture, Box, CompositionError, Const,
                             InnerOut, OuterIn, Port, Table, Wiring,
-                            WiringError, check_arch_morphism,
+                            WiringError, _Routing, check_arch_morphism,
                             canonical_text, compose, eval_equal, evaluate,
                             expr_refs, flatten, identity_of, identity_wiring,
-                            input_space, normalize, output_space, tensor,
-                            wiring_equal)
+                            input_space, normalize, output_space,
+                            precompose_slot, tensor, wiring_equal)
 
 B = Box("b", (Port("x", BIT), Port("y", BIT)), (Port("o", BIT),))
 C = Box("c", (Port("u", BIT),), (Port("v", BIT), Port("w", BIT)))
@@ -421,6 +422,91 @@ def test_algebra_results_pass_the_validating_constructor(seed):
     # constructor is the slow reference it must agree with
     for w in algebra_results(random.Random(seed)):
         assert Wiring(w.inner, w.outer, w.in_map, w.out_map) == w
+
+
+# ---------------------------------------------------------------------------
+# rewiring one slot
+# ---------------------------------------------------------------------------
+
+def padded(g: Wiring, index: int, endo: Wiring) -> Wiring:
+    """The reference for ``precompose_slot``: g composed with the identity
+    on every inner box but ``endo`` at ``index``."""
+    pads = [identity_wiring(b) for b in g.inner]
+    pads[index] = endo
+    return compose(g, tensor(pads))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_precompose_slot_is_the_padded_composite(seed):
+    # endomorphisms drawn like any wiring remap outputs, and read
+    # constants and tables
+    rng = random.Random(seed)
+    g, _ = random_network(rng)
+    index = rng.randrange(len(g.inner))
+    endo = random_wiring(rng, (g.inner[index],), g.inner[index])
+    want = padded(g, index, endo)
+    fresh = _Routing(want)
+    points = [(inner_outs, outer_in) for inner_outs in output_space(g.inner)
+              for outer_in in input_space(g.outer)]
+    results = []
+    for base in (g, normalize(g)):
+        results.append(precompose_slot(base, index, endo))
+        evaluate(base, *points[0])  # compiles base's routing and keeps it
+        results.append(precompose_slot(base, index, endo))
+    for k, got in enumerate(results):
+        assert got == want
+        assert list(got.in_map) == list(want.in_map)
+        assert list(got.out_map) == list(want.out_map)
+        assert canonical_text(got) == canonical_text(want)
+        assert hasattr(got, "_normal") and normalize(got) is got
+        assert Wiring(got.inner, got.outer, got.in_map, got.out_map) == got
+        # a routing is derived from the base's when the base has one
+        assert hasattr(got, "_routing") == (k % 2 == 1)
+        for inner_outs, outer_in in points:
+            assert evaluate(got, inner_outs, outer_in) == \
+                fresh.route(inner_outs + outer_in)
+        # a flag may say an input reads the outer box when it does not,
+        # never the other way round
+        assert all(kept or not own for kept, own in
+                   zip(got._routing.reads_outer, fresh.reads_outer))
+
+
+def test_a_rewire_normalizes_its_base_once_and_builds_no_pad(monkeypatch):
+    g, machines = random_network(random.Random(3))
+    index = len(g.inner) - 1
+    box = g.inner[index]
+    endo = Wiring((box,), (box,),
+                  {(0, p.name): Const("1") for p in box.in_ports},
+                  {(0, p.name): InnerOut(0, p.name) for p in box.out_ports})
+    for name in ("compose", "tensor", "identity_wiring"):
+        monkeypatch.setattr(wiring, name, None)
+    normalized, entries = [], []
+    monkeypatch.setattr(wiring, "normalize", lambda w, real=normalize:
+                        normalized.append(w) or real(w))
+    monkeypatch.setattr(wiring, "_normalize_expr",
+                        lambda w, at, e, real=wiring._normalize_expr:
+                        entries.append(e) or real(w, at, e))
+    system = CompositeSystem(g, machines)
+    first = apply_rewire(system, RewireStep(index, endo))
+    assert normalized == [g]
+    del entries[:]
+    second = apply_rewire(system, RewireStep(index, endo))
+    # the base's normal form is kept; only the slot's inputs are
+    # normalized again, since endo remaps none of its outputs
+    assert normalized == [g]
+    assert len(entries) == len(box.in_ports)
+    assert second.wiring == first.wiring
+    assert all(second.wiring.in_map[(index, p.name)] == Const("1")
+               for p in box.in_ports)
+
+
+def test_precompose_slot_refuses_what_is_no_endomorphism_of_the_slot():
+    with pytest.raises(CompositionError, match="no inner box 2"):
+        precompose_slot(pipe(), 2, identity_wiring(B))
+    with pytest.raises(CompositionError,
+                       match="not an endomorphism of inner box 1 'c'"):
+        precompose_slot(pipe(), 1, identity_wiring(B))
 
 
 # ---------------------------------------------------------------------------
