@@ -341,8 +341,6 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
     distinguishing word (``probes.separating_word``), plus agreement for
     each test of any battery supplied.
     """
-    if baseline.box != attacked.box:
-        raise AttackError("systems present different boxes")
     before = baseline.composite()
     after = attacked.composite()
     word = probes.separating_word(before, after, depth)

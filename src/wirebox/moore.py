@@ -246,9 +246,9 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     Composite states are tuples of component states, and ``states`` is
     their full product, in product order, as a read-only sequence that
     stores no composite state (see ``_Product``).  A step routes the
-    current component readouts and the outer input through the wiring,
-    then updates every component on its routed input; the composite
-    readout routes component readouts through the out_map.
+    component readouts and the outer input into each component's input
+    tuple, then updates every component on it; the composite readout
+    routes component readouts through the out_map.
 
     The components were checked when built and the wiring when built, so
     every routed row exists and the composite is built unchecked
@@ -372,8 +372,7 @@ class _Router:
     """
 
     __slots__ = ("states", "is_state", "inputs", "update", "readout",
-                 "_readouts", "_updates", "_outer_out", "_fixed", "_varying",
-                 "_fixed_slots", "_varying_slots")
+                 "_readouts", "_outer_out", "_fixed", "_varying")
 
     def __init__(self, routing: _Routing, machines: Sequence[MooreMachine],
                  states: _Product, outer: Box):
@@ -384,22 +383,13 @@ class _Router:
         self.update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
         self.readout: dict[State, tuple[Symbol, ...]] = {}
         self._readouts = [m.readout for m in machines]
-        self._updates = [m.update for m in machines]
         self._outer_out = routing.outer_out
-        # slot i takes inner inputs a..b; inputs and slots that read an
-        # outer input are routed per outer input, the rest once per state
-        reads = routing.reads_outer
-        self._fixed = [(k, f) for k, f in enumerate(routing.inner_in)
-                       if not reads[k]]
-        self._varying = [(k, f) for k, f in enumerate(routing.inner_in)
-                         if reads[k]]
-        bounds = itertools.accumulate(
-            (len(m.box.in_ports) for m in machines), initial=0)
-        slots = [(i, a, b) for i, (a, b) in enumerate(itertools.pairwise(bounds))]
-        self._fixed_slots = [(i, a, b) for i, a, b in slots
-                             if not any(reads[a:b])]
-        self._varying_slots = [(i, a, b) for i, a, b in slots
-                               if any(reads[a:b])]
+        # (slot, its input function, its update table); slots that read
+        # an outer input are routed per outer input, the rest once per state
+        slots = [(i, f, m.update)
+                 for i, (f, m) in enumerate(zip(routing.slots, machines))]
+        self._fixed = [t for t in slots if not routing.reads_outer[t[0]]]
+        self._varying = [t for t in slots if routing.reads_outer[t[0]]]
 
     def fill(self, s: State) -> list[State]:
         """Route composite state ``s``: store its readout and its update
@@ -412,21 +402,15 @@ class _Router:
         inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
         # out_map reads only inner outputs (Wiring._check_expr enforces
         # it), so every outer input gives state s the same readout
-        self.readout[s] = tuple([f(inner_outs) for f in self._outer_out])
-        updates = self._updates
-        ins: list[Symbol] = [""] * (len(self._fixed) + len(self._varying))
-        nxt: list[State] = [""] * len(updates)
-        for k, f in self._fixed:
-            ins[k] = f(inner_outs)
+        self.readout[s] = self._outer_out(inner_outs)
+        nxt = list(s)
+        for i, f, update in self._fixed:
+            nxt[i] = update[(s[i], f(inner_outs))]
         nexts = []
-        for i, a, b in self._fixed_slots:
-            nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
         for x in self.inputs:
             values = inner_outs + x
-            for k, f in self._varying:
-                ins[k] = f(values)
-            for i, a, b in self._varying_slots:
-                nxt[i] = updates[i][(s[i], tuple(ins[a:b]))]
+            for i, f, update in self._varying:
+                nxt[i] = update[(s[i], f(values))]
             nexts.append(tuple(nxt))
         self.update.update(zip([(s, x) for x in self.inputs], nexts))
         return nexts

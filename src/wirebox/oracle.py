@@ -190,6 +190,10 @@ def stagewise_simulate(w: Wiring, machines: Sequence[MooreMachine],
             if len(x) != len(outer.in_ports):
                 raise MachineError(
                     f"input {x} has {len(x)} symbols for {len(outer.in_ports)} ports")
+            for p, v in zip(outer.in_ports, x):
+                if v not in p.alphabet:
+                    raise MachineError(
+                        f"input {x} puts {v!r} on port {p.name} outside its alphabet")
             inner_vals = {}
             for i, (m, s) in enumerate(zip(machines, states)):
                 r = m.readout[s]

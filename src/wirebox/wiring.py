@@ -28,12 +28,12 @@ make an invalid wiring.  So only the public constructor validates;
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
 dict.  ``evaluate``, ``eval_equal`` and the composite machines of
-``moore.apply_algebra`` route through a whole wiring compiled once and
-kept on the wiring, so every step and every composite of one wiring
-object share it; a slot rerouted by ``precompose_slot`` takes the
-compiled functions of its base for every port it leaves alone.
-Normalization compiles each expression over the values of the
-references it reads.
+``moore.apply_algebra`` route through a whole wiring compiled once, one
+function per component, and kept on the wiring, so every step and
+composite of one wiring object share it; a slot rerouted by
+``precompose_slot`` takes its base's functions for every component it
+leaves alone.  Normalization compiles each expression over the values
+of the references it reads.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -389,9 +389,9 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
     by substitution into the entries the endomorphism touches: the
     slot's own inputs, and every entry that reads an output of the slot
     which ``endo`` remaps.  Every other entry is taken as it is from
-    g's normal form, kept on ``g`` (``_kept``).  When g's routing is
-    compiled, the result's takes its functions for the ports not
-    touched and compiles the touched ones.
+    g's normal form, kept on ``g`` by ``normalize``.  When g's routing
+    is compiled, the result's takes g's functions for the components and
+    outer outputs it does not touch, and compiles the rest.
     """
     if not 0 <= index < len(g.inner):
         raise CompositionError(f"no inner box {index}")
@@ -399,7 +399,7 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
     if endo.inner != (box,) or endo.outer != (box,):
         raise CompositionError(
             f"not an endomorphism of inner box {index} {box.name!r}")
-    normal = g if hasattr(g, "_normal") else _kept(g, "_normal_form", normalize)
+    normal = normalize(g)
     # the slot's outputs that endo remaps, and what each one now reads
     remapped = {InnerOut(index, q): _substitute(
                     expr, lambda r: InnerOut(index, r.port))
@@ -417,37 +417,33 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
             return InnerOut(index, ref.port)
         return _substitute(normal.in_map[(index, ref.port)], via_endo)
 
-    touched_in: set[PortKey] = set()
-    touched_out: set[PortKey] = set()
+    # the inner boxes rerouted, and None for the outer outputs
+    touched: set[int | None] = {index}
 
-    def entry(key: PortKey, expr: SourceExpr, touched: set) -> SourceExpr:
+    def entry(k: int | None, expr: SourceExpr) -> SourceExpr:
         # a normal form's table reads references only
         refs = expr.sources if isinstance(expr, Table) else (expr,)
         if not any(r in remapped for r in refs):
             return expr
-        touched.add(key)
+        touched.add(k)
         return _normalize_expr(g, at, _substitute(expr, via_endo))
 
     in_map: dict[PortKey, SourceExpr] = {}
     for k, b in enumerate(g.inner):
         if k == index:
             for (_, name), expr in endo.in_map.items():
-                touched_in.add((k, name))
                 in_map[(k, name)] = _normalize_expr(
                     g, at, _substitute(expr, via_g))
         else:
             for p in b.in_ports:
-                in_map[(k, p.name)] = entry((k, p.name),
-                                            normal.in_map[(k, p.name)],
-                                            touched_in)
-    out_map = {key: entry(key, expr, touched_out)
-               for key, expr in normal.out_map.items()}
+                in_map[(k, p.name)] = entry(k, normal.in_map[(k, p.name)])
+    out_map = {key: entry(None, expr) for key, expr in normal.out_map.items()}
     n = Wiring._built(g.inner, g.outer, in_map, out_map)
     object.__setattr__(n, "_normal", True)
     base = getattr(g, "_routing", None)
     if base is not None:
         object.__setattr__(n, "_routing",
-                           _Routing(n, base, touched_in, touched_out))
+                           _Routing(n, base, touched, None in touched))
     return n
 
 
@@ -485,47 +481,60 @@ class _Routing:
 
     Values travel as one flat tuple: the inner output values in document
     order, then the outer input values, so every port reference is a
-    position in it.  ``inner_in`` and ``outer_out`` hold one function of
-    that tuple per inner input port and per outer output port, in
-    document order.  ``reads_outer`` flags the inner inputs whose
-    expression mentions an outer input; the others, like every outer
-    output, read only the inner output prefix.
+    position in it.  ``slots`` holds one function of that tuple per inner
+    box, giving its input tuple, and ``outer_out`` one giving the outer
+    outputs.  ``reads_outer`` flags the inner boxes whose inputs mention
+    an outer input; the others, like ``outer_out``, read only the inner
+    output prefix.
     """
 
-    __slots__ = ("inner_in", "outer_out", "reads_outer")
+    __slots__ = ("slots", "outer_out", "reads_outer")
 
     def __init__(self, w: Wiring, base: _Routing | None = None,
-                 touched_in=(), touched_out=()):
-        """Compile ``w``; or, given ``base``, a routing of a wiring on w's
-        boundary that routes every port as ``w`` does except the in_map
-        keys ``touched_in`` and out_map keys ``touched_out``, take base's
-        functions and flags for every port but those, and compile those
-        alone.  A flag taken may say an input reads an outer input that
-        its normal form no longer reads, which costs only speed."""
+                 touched=(), outer_touched: bool = False):
+        """Compile ``w``; or, given ``base``, the routing of a wiring that
+        routes all but the inner boxes ``touched`` (and the outer outputs,
+        if ``outer_touched``) as ``w`` does, take base's function and flag
+        for the rest.  A flag taken may say a box reads an outer input
+        that it no longer reads, which costs only speed."""
         at = _positions(w)
-        inner_in, reads_outer, outer_out = [], [], []
-        for k, (i, p) in enumerate(w.inner_input_ports()):
-            if base is None or (i, p.name) in touched_in:
-                expr = w.in_map[(i, p.name)]
-                inner_in.append(_compile_expr(expr, at))
-                reads_outer.append(
-                    any(isinstance(r, OuterIn) for r in expr_refs(expr)))
+        slots, reads_outer = [], []
+        for i, b in enumerate(w.inner):
+            if base is None or i in touched:
+                exprs = [w.in_map[(i, p.name)] for p in b.in_ports]
+                slots.append(_compile_tuple(exprs, at))
+                reads_outer.append(any(isinstance(r, OuterIn)
+                                       for e in exprs for r in expr_refs(e)))
             else:
-                inner_in.append(base.inner_in[k])
-                reads_outer.append(base.reads_outer[k])
-        for k, (j, p) in enumerate(w.outer_output_ports()):
-            if base is None or (j, p.name) in touched_out:
-                outer_out.append(_compile_expr(w.out_map[(j, p.name)], at))
-            else:
-                outer_out.append(base.outer_out[k])
-        self.inner_in = tuple(inner_in)
-        self.outer_out = tuple(outer_out)
+                slots.append(base.slots[i])
+                reads_outer.append(base.reads_outer[i])
+        outs = [w.out_map[(j, p.name)] for j, p in w.outer_output_ports()]
+        self.outer_out = (_compile_tuple(outs, at) if base is None or outer_touched
+                          else base.outer_out)
+        self.slots = tuple(slots)
         self.reads_outer = tuple(reads_outer)
 
     def route(self, values: tuple[Symbol, ...]):
         """(inner input values, outer output values) for a flat tuple."""
-        return (tuple([f(values) for f in self.inner_in]),
-                tuple([f(values) for f in self.outer_out]))
+        return (tuple([v for f in self.slots for v in f(values)]),
+                self.outer_out(values))
+
+
+def _compile_tuple(exprs: Sequence[SourceExpr],
+                   at: Mapping[Ref, int]) -> Callable[[tuple], tuple]:
+    """The tuple of ``exprs``' values as a function of the flat value
+    tuple: one ``itemgetter`` for two or more bare references, else one
+    call per expression, spelt out for one or two of them."""
+    if len(exprs) > 1 and all(isinstance(e, (OuterIn, InnerOut)) for e in exprs):
+        return operator.itemgetter(*(at[e] for e in exprs))
+    fs = [_compile_expr(e, at) for e in exprs]
+    if len(fs) == 1:
+        f, = fs
+        return lambda values: (f(values),)
+    if len(fs) == 2:
+        f, g = fs
+        return lambda values: (f(values), g(values))
+    return lambda values: tuple([f(values) for f in fs])
 
 
 def _compile_expr(expr: SourceExpr,
@@ -641,14 +650,17 @@ def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
 def normalize(w: Wiring) -> Wiring:
     """The same wiring with every source expression in canonical form.
 
-    The form built here is marked as one, and normalizing is idempotent,
-    so ``normalize`` of a marked form returns it as it is: ``compose``'s
-    result, say, is normalized once, however often its fingerprint or
-    equality is asked for.  A copy made through ``Wiring(...)`` carries
-    no mark and is normalized again, to an equal form.
+    The form is computed once, kept on ``w`` (``_kept``) and marked as
+    one; normalizing is idempotent, so ``normalize`` of a marked form,
+    such as ``compose``'s result, returns it as it is.  A copy made
+    through ``Wiring(...)`` carries no mark and is normalized again.
     """
     if hasattr(w, "_normal"):  # not w.__dict__, which would slow every read
         return w
+    return _kept(w, "_normal_form", _normal_form)
+
+
+def _normal_form(w: Wiring) -> Wiring:
     at = _positions(w)
     in_map = {key: _normalize_expr(w, at, expr) for key, expr in w.in_map.items()}
     out_map = {key: _normalize_expr(w, at, expr) for key, expr in w.out_map.items()}

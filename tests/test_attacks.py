@@ -23,7 +23,7 @@ from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, compose_homs, hom_violations,
                            identity_hom, run)
 from wirebox.oracle import find_distinguishing_word
-from wirebox.probes import StateSet, Test, TraceSet
+from wirebox.probes import ProbeError, StateSet, Test, TraceSet
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring,
                             compose, identity_wiring, normalize, tensor,
                             wiring_equal)
@@ -477,5 +477,13 @@ def test_diff_runs_the_battery():
 
 
 def test_diff_requires_matching_boundaries():
-    with pytest.raises(AttackError, match="different boxes"):
+    # one refusal, from the pair search, naming where the boxes first differ
+    with pytest.raises(ProbeError, match=r"^machines on different boxes: "
+                                         r"box 'cell' vs 'two'$"):
         attack_diff(single(), pair(), 4)
+    wide = Box("cell", (Port("a", ("0", "1", "2")),), CELL.out_ports)
+    update = {(s, (a,)): min(a, "1") for s in BIT for a in ("0", "1", "2")}
+    other = MooreMachine(wide, BIT, "0", update, {s: (s,) for s in BIT})
+    with pytest.raises(ProbeError, match=r"^machines on different boxes: input "
+                                         r"port 'a' on box 'cell': alphabet"):
+        attack_diff(single(), CompositeSystem(identity_wiring(wide), (other,)), 4)

@@ -16,6 +16,7 @@ import wirebox.moore
 from wirebox.cli import (EX_CANTCREAT, EX_DATAERR, EX_OK, EX_USAGE, dispatch,
                          format_word, parse_word)
 from wirebox.attacks import CompositeSystem
+from wirebox.dot import wiring_dot
 from wirebox.fileformat import dump_machine, dump_system, load, loads
 from wirebox.moore import MooreMachine, run
 from wirebox.oracle import find_distinguishing_word
@@ -181,6 +182,20 @@ def test_validate_reports_each_document_shape():
         assert code == EX_OK
         # warnings, if any, come first; the verdict is the last line
         assert out.splitlines()[-1].startswith(prefix), (path, out)
+
+
+def test_validate_counts_a_system_documents_parts(tmp_path):
+    cell = Box("cell", (Port("a", ("0", "1")),), (Port("q", ("0", "1")),))
+    still = MooreMachine(cell, ("0",), "0", {("0", ("0",)): "0",
+                                             ("0", ("1",)): "0"},
+                         {"0": ("0",)})
+    chain = Wiring((cell, cell), (Box("two", cell.in_ports, cell.out_ports),),
+                   {(0, "a"): OuterIn(0, "a"), (1, "a"): InnerOut(0, "q")},
+                   {(0, "q"): InnerOut(1, "q")})
+    path = tmp_path / "pair.yaml"
+    path.write_text(dump_system({"pair": CompositeSystem(chain, (still, still))}))
+    assert cli("validate", path) == \
+        (EX_OK, "ok: 2 boxes, 1 machines, 1 wirings, 1 systems\n", "")
 
 
 @pytest.mark.parametrize("section", ["scripts", "battery"])
@@ -422,6 +437,14 @@ def test_learn_depth_below_one_is_a_usage_error(depth):
     assert code == EX_USAGE
     assert out == ""
     assert "--depth: must be at least 1" in err
+
+
+def test_learn_refuses_a_knowledge_base_it_cannot_list(tmp_path):
+    for kb in (tmp_path / "missing", UAV / "target.yaml"):
+        code, out, err = cli("learn", "--kb", kb, "--target", UAV / "target.yaml")
+        assert (code, out) == (EX_DATAERR, "")
+        assert err.startswith(f"error: {kb}: cannot read directory: ")
+        assert err.count("\n") == 1
 
 
 def test_learn_refuses_depth_with_a_battery():
@@ -713,6 +736,24 @@ def test_export_dot_unknown_wiring_is_a_data_error():
     code, _, err = cli("export-dot", "--file", UAV / "scenario.yaml",
                        "--wiring", "ghost")
     assert code == EX_DATAERR
+
+
+def test_export_dot_renders_a_wiring_document(tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text(nested_tables(1))
+    want = wiring_dot(load(path).wiring, "deep")
+    # its one wiring needs no name; naming it is allowed, naming another not
+    assert cli("export-dot", "--file", path) == (EX_OK, want, "")
+    assert cli("export-dot", "--file", path, "--wiring", "deep") == \
+        (EX_OK, want, "")
+    assert cli("export-dot", "--file", path, "--wiring", "ghost") == \
+        (EX_DATAERR, "", f"error: {path}: no wiring named 'ghost'\n")
+
+
+def test_export_dot_refuses_a_document_without_wirings():
+    path = UAV / "battery.yaml"
+    assert cli("export-dot", "--file", path) == \
+        (EX_DATAERR, "", f"error: {path}: no wirings in this document\n")
 
 
 def test_yoneda_check_reports_counts_per_object():

@@ -628,6 +628,9 @@ CELL_BOX = """
     ("schema: system.v1\nboxes:" + CELL_BOX + "wirings:\n- name: w\n"
      "  inner: [cell, ghost]\n  outer: [cell]\n  inputs: []\n  outputs: []\n",
      "t.yaml.wirings[0].inner[1]", "unknown box 'ghost'"),
+    ("schema: system.v1\nboxes:" + CELL_BOX + "wirings:\n- name: wid\n"
+     "  identity: cell\n- name: once\n  compose: [wid]\n",
+     "t.yaml.wirings[1].compose", "needs at least two wirings"),
 ])
 def test_a_field_read_inside_a_constructor_keeps_its_own_path(text, path,
                                                               message):

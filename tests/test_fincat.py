@@ -235,6 +235,16 @@ def test_broken_identity_absorption_is_a_law_violation():
         {"s": "e"}, comp)) == "id . u = e, expected u"
 
 
+def test_broken_right_identity_is_a_law_violation():
+    # every composite g . f is f, so the identity absorbs on the left only
+    comp = {("e", "e"): "e", ("e", "u"): "u", ("u", "e"): "e",
+            ("u", "u"): "u"}
+    assert refusal(lambda: FinCategory(
+        "right", ("s",),
+        (Morphism("e", "s", "s"), Morphism("u", "s", "s")),
+        {"s": "e"}, comp)) == "u . id = e, expected u"
+
+
 def swapped_cyc3_tables() -> tuple:
     """Tables on cyc3 whose r1 and r2 both act as one swap, so r1 after r1
     is not r2."""
@@ -264,6 +274,16 @@ def test_a_functor_is_refused_for_a_value_or_map_the_category_lacks():
     # a gap is still named before any of the three
     assert refusal(lambda: SetFunctor("F", cat, {"zz": ("x",)}, maps)) == \
         "no value at object 's'"
+
+
+def test_a_functor_must_send_identities_to_identities():
+    # a constant map on the one identity composes with itself, so only
+    # the identity law fails
+    one = FinCategory("one", ("s",), (Morphism("e", "s", "s"),), {"s": "e"},
+                      {("e", "e"): "e"})
+    assert refusal(lambda: SetFunctor(
+        "F", one, {"s": ("x", "y")}, {"e": {"x": "x", "y": "x"}})) == \
+        "identity of 's' does not act as identity"
 
 
 def test_hom_functors_are_functors():

@@ -12,7 +12,8 @@ from netgen import (BIT, random_machine, random_network, random_stack,
 from wirebox.moore import MachineError, MooreMachine, apply_algebra, run
 from wirebox.oracle import (bisimilar, find_distinguishing_word,
                             stagewise_simulate, trace_equivalent)
-from wirebox.wiring import Box, Port, compose, identity_wiring, input_space
+from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring, compose,
+                            identity_wiring, input_space)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -143,6 +144,20 @@ def test_stagewise_checks_slot_boxes():
     w, machines = random_network(rng)
     with pytest.raises(MachineError):
         stagewise_simulate(w, machines[:-1] + (delay(),), ())
+
+
+def test_stagewise_refuses_a_symbol_outside_the_outer_alphabet():
+    # a table reads the symbol before any component does
+    box = Box("b", (Port("x", BIT),), (Port("q", BIT),))
+    table = Table((OuterIn(0, "x"),), ((("0",), "0"), (("1",), "1")))
+    w = Wiring((CELL,), (box,), {(0, "a"): table}, {(0, "q"): InnerOut(0, "q")})
+    for simulate in (stagewise_simulate,
+                     lambda w, ms, word: run(apply_algebra(w, ms), word)):
+        with pytest.raises(MachineError):
+            simulate(w, (delay(),), (("1",), ("z",)))
+    with pytest.raises(MachineError,
+                       match=r"input \('z',\) puts 'z' on port x outside its alphabet"):
+        stagewise_simulate(w, (delay(),), (("1",), ("z",)))
 
 
 # ---------------------------------------------------------------------------

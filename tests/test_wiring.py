@@ -40,6 +40,11 @@ def test_port_rejects_empty_alphabet():
         Port("x", ())
 
 
+def test_port_rejects_empty_name():
+    with pytest.raises(WiringError, match="^port name must be nonempty$"):
+        Port("", BIT)
+
+
 def test_port_rejects_duplicate_symbols():
     with pytest.raises(WiringError):
         Port("x", ("0", "0"))
@@ -95,6 +100,11 @@ def test_table_requires_total_entries():
                {(0, "x"): Table((OuterIn(0, "x"),), ((("0",), "1"),)),
                 (0, "y"): OuterIn(0, "y")},
                {(0, "o"): InnerOut(0, "o")})
+
+
+def test_table_rejects_a_repeated_key():
+    with pytest.raises(WiringError, match="^table repeats a key$"):
+        Table((OuterIn(0, "x"),), ((("0",), "0"), (("1",), "1"), (("0",), "1")))
 
 
 def test_alphabet_mismatch_is_rejected():
@@ -449,11 +459,29 @@ def test_precompose_slot_is_the_padded_composite(seed):
     fresh = _Routing(want)
     points = [(inner_outs, outer_in) for inner_outs in output_space(g.inner)
               for outer_in in input_space(g.outer)]
+    # the components endo leaves alone: every box but the slot whose
+    # inputs read no slot output that endo remaps; likewise the outer outputs
+    remapped = {InnerOut(index, q) for (_, q), e in endo.out_map.items()
+                if e != InnerOut(0, q)}
+    normal = normalize(g)
+
+    def rerouted(exprs):
+        return any(r in remapped for e in exprs for r in expr_refs(e))
+
+    untouched = [k != index and not rerouted(
+                     normal.in_map[(k, p.name)] for p in b.in_ports)
+                 for k, b in enumerate(g.inner)]
+    outer_untouched = not rerouted(normal.out_map.values())
     results = []
-    for base in (g, normalize(g)):
+    for base in (g, normal):
         results.append(precompose_slot(base, index, endo))
         evaluate(base, *points[0])  # compiles base's routing and keeps it
         results.append(precompose_slot(base, index, endo))
+        # a derived routing reuses base's function for every untouched
+        # component and compiles the others
+        mine, theirs = results[-1]._routing, base._routing
+        assert [f is h for f, h in zip(mine.slots, theirs.slots)] == untouched
+        assert (mine.outer_out is theirs.outer_out) == outer_untouched
     for k, got in enumerate(results):
         assert got == want
         assert list(got.in_map) == list(want.in_map)
@@ -482,7 +510,9 @@ def test_a_rewire_normalizes_its_base_once_and_builds_no_pad(monkeypatch):
     for name in ("compose", "tensor", "identity_wiring"):
         monkeypatch.setattr(wiring, name, None)
     normalized, entries = [], []
-    monkeypatch.setattr(wiring, "normalize", lambda w, real=normalize:
+    # normalize keeps its result; count the forms it computes
+    monkeypatch.setattr(wiring, "_normal_form",
+                        lambda w, real=wiring._normal_form:
                         normalized.append(w) or real(w))
     monkeypatch.setattr(wiring, "_normalize_expr",
                         lambda w, at, e, real=wiring._normalize_expr:
@@ -632,6 +662,33 @@ def test_architecture_rejects_wrong_children():
     outer = Box("p", B.in_ports, C.out_ports)
     with pytest.raises(WiringError):
         Architecture(outer, pipe(), (Architecture(C), Architecture(B)))
+
+
+@pytest.mark.parametrize("w, children, message", [
+    (None, (Architecture(B),), "atomic architecture cannot have children"),
+    (pipe(), (Architecture(B), Architecture(C)),
+     "architecture wiring must target exactly the root box 'b'"),
+])
+def test_every_architecture_refusal_keeps_its_message(w, children, message):
+    with pytest.raises(WiringError) as exc:
+        Architecture(B, w, children)
+    assert str(exc.value) == message
+
+
+def test_arch_morphism_refuses_mismatched_boundaries():
+    ident, other = identity_wiring(B), identity_wiring(C)
+    with pytest.raises(WiringError,
+                       match="^architectures target different boxes$"):
+        check_arch_morphism(ident, other, ident)
+    with pytest.raises(WiringError,
+                       match="^mediating wiring has the wrong boundary$"):
+        check_arch_morphism(ident, ident, other)
+
+
+def test_wirings_on_different_boundaries_are_not_equal():
+    assert not wiring_equal(identity_wiring(B), identity_wiring(C))
+    assert not wiring_equal(pipe(), tensor((identity_wiring(B),
+                                            identity_wiring(C))))
 
 
 def test_arch_morphism_accepts_mediating_rewire():
