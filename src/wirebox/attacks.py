@@ -147,12 +147,12 @@ def check_step(sys: CompositeSystem, step) -> None:
     if isinstance(step, RewireStep):
         if step.endo.inner[0] != slot:
             raise AttackError(
-                f"endomorphism is on box {step.endo.inner[0].name!r}, slot "
-                f"{index} is {slot.name!r}")
+                f"endomorphism does not fit slot {index}: "
+                f"{wi._box_mismatch(step.endo.inner[0], slot)}")
     elif step.machine is not None and step.machine.box != slot:
         raise AttackError(
-            f"replacement inhabits box {step.machine.box.name!r}, slot "
-            f"{index} is {slot.name!r}")
+            f"replacement does not fit slot {index}: "
+            f"{wi._box_mismatch(step.machine.box, slot)}")
 
 
 def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
@@ -188,12 +188,13 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
 def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
     """Reroute one slot by precomposing with an endomorphism wiring.
 
-    The new wiring is the normal form of the old one composed with the
-    identity on every slot except ``index``, where the endomorphism
-    sits.  ``wiring.precompose_slot`` computes it by substitution into
-    the expressions the endomorphism touches; ``compose(g,
-    tensor(pads))`` is its reference.  Components are the same objects,
-    untouched.
+    The new wiring is the old one composed with the identity on every
+    slot except ``index``, where the endomorphism sits.
+    ``wiring.precompose_slot`` computes it by substitution into the
+    expressions the endomorphism touches, and takes every other entry,
+    and the compiled routing of the components made of them, from the
+    old wiring; ``compose(g, tensor(pads))`` is its reference.
+    Components are the same objects, untouched.
     """
     check_step(sys, step)
     rewired = wi.precompose_slot(sys.wiring, step.index, step.endo)

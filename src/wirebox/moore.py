@@ -39,7 +39,7 @@ from collections.abc import Mapping, Sequence
 from typing import Union
 
 from . import Record, WireboxError, _kept
-from .wiring import Box, Symbol, Wiring, _Routing, input_space
+from .wiring import Box, Symbol, Wiring, _box_mismatch, _Routing, input_space
 
 State = Union[str, tuple]
 
@@ -230,9 +230,8 @@ def _machines_fit(w: Wiring, machines: Sequence[MooreMachine]):
             f"machines were given")
     for i, (b, m) in enumerate(zip(w.inner, machines)):
         if m.box != b:
-            raise MachineError(
-                f"machine {i} inhabits box {m.box.name!r}, wiring slot {i} "
-                f"is {b.name!r}")
+            raise MachineError(f"machine {i} does not fit wiring slot {i}: "
+                               f"{_box_mismatch(m.box, b)}")
 
 
 # a reader refuses to walk a composite with more transitions than this;
@@ -515,9 +514,8 @@ def hom_violations(h: MachineHom) -> list[str]:
     one; ``MachineHom`` raises the first when it is built."""
     out: list[str] = []
     if h.source.box != h.target.box:
-        out.append(
-            f"source inhabits {h.source.box.name!r}, target "
-            f"{h.target.box.name!r}")
+        out.append(f"source and target inhabit different boxes: "
+                   f"{_box_mismatch(h.source.box, h.target.box)}")
         return out
     tstates = set(h.target.states)
     for s in h.source.states:

@@ -7,23 +7,25 @@ comes from, and for every outer output port, where its value comes from.
 Sources are expressions over outer input ports, inner output ports,
 constants, and finite lookup tables of those.
 
-Wirings compose like processes with feedback: ``compose(g, f)`` plugs the
-inner assembly ``f`` into the hole ``g`` expects, and ``tensor`` places
-wirings side by side.  Both are implemented by substitution on source
-expressions, followed by normalization to a canonical form so that
-structural equality is meaningful.  ``precompose_slot`` reroutes one
-inner box through an endomorphism of it: its result is the normal form
-of ``compose(g, tensor(pads))``, with identity pads on the other boxes,
+A wiring is its normal form: the constructor puts every source
+expression in canonical form, so structural equality is wiring
+equality.  Wirings compose like processes with feedback: ``compose(g,
+f)`` plugs the inner assembly ``f`` into the hole ``g`` expects, and
+``tensor`` places wirings side by side.  Both are implemented by
+substitution on source expressions; ``compose`` normalizes what it
+substitutes, and a tensor of normal forms is one.  ``precompose_slot``
+reroutes one inner box through an endomorphism of it: its result is
+``compose(g, tensor(pads))``, with identity pads on the other boxes,
 computed by substitution into only the expressions the endomorphism
 touches, and that general composite is its reference.  ``evaluate``
 computes one step of value routing, with its arguments checked, for
 callers and tests; the library's own steps run the compiled routing
 directly.
 
-Substituting valid wirings into one another, or normalizing one, cannot
-make an invalid wiring.  So only the public constructor validates;
-``identity_wiring``, ``tensor``, ``compose``, ``precompose_slot`` and
-``normalize`` build their results without the check.
+Substituting valid wirings into one another cannot make an invalid
+wiring.  So only the public constructor validates; ``identity_wiring``,
+``tensor``, ``compose`` and ``precompose_slot`` build their results
+without the check.
 
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
@@ -31,9 +33,9 @@ dict.  ``evaluate``, ``eval_equal`` and the composite machines of
 ``moore.apply_algebra`` route through a whole wiring compiled once, one
 function per component, and kept on the wiring, so every step and
 composite of one wiring object share it; a slot rerouted by
-``precompose_slot`` takes its base's functions for every component it
-leaves alone.  Normalization compiles each expression over the values
-of the references it reads.
+``precompose_slot`` takes its base's functions for every component
+whose entries it takes from the base.  Normalization compiles each
+expression over the values of the references it reads.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -198,12 +200,14 @@ class Wiring(Record):
     inner outputs.  ``out_map`` has one entry per outer output port, keyed
     by (outer box index, port name); sources may reference inner outputs
     only.  Construction validates totality and alphabet compatibility, so
-    an invalid wiring is never observable.  The algebra's results are
-    valid by construction and are built by ``Record._built`` without
-    re-validation, from tuples and dicts of the algebra's own; a
-    property test rebuilds each of them through this validating
-    constructor.  Equality compares the maps as written;
-    ``wiring_equal`` compares normal forms.
+    an invalid wiring is never observable, then stores every source
+    expression's normal form, in the maps' key order.  The algebra's
+    results are valid and normal by construction and are built by
+    ``Record._built`` without re-validation, from tuples and dicts of
+    the algebra's own; a property test rebuilds each of them through
+    this validating constructor.  So equality, which compares the
+    normal forms, is wiring equality: two wirings are equal exactly when
+    they route every value alike.
     """
 
     inner: tuple[Box, ...]
@@ -217,6 +221,7 @@ class Wiring(Record):
         object.__setattr__(self, "in_map", dict(self.in_map))
         object.__setattr__(self, "out_map", dict(self.out_map))
         self._validate()
+        _normal_form(self)
 
     def _validate(self):
         sides = (("in_map", "inner input", self.in_map,
@@ -303,8 +308,9 @@ class Wiring(Record):
 
 def identity_wiring(box: Box) -> Wiring:
     """The identity: one inner copy of the box, wires straight through."""
-    in_map = {(0, p.name): OuterIn(0, p.name) for p in box.in_ports}
-    out_map = {(0, p.name): InnerOut(0, p.name) for p in box.out_ports}
+    in_map = {(0, p.name): _read(OuterIn(0, p.name), p) for p in box.in_ports}
+    out_map = {(0, p.name): _read(InnerOut(0, p.name), p)
+               for p in box.out_ports}
     return Wiring._built((box,), (box,), in_map, out_map)
 
 
@@ -314,7 +320,11 @@ def identity_of(boxes: Sequence[Box]) -> Wiring:
 
 
 def tensor(wirings: Sequence[Wiring]) -> Wiring:
-    """Place wirings side by side, concatenating inner and outer boxes."""
+    """Place wirings side by side, concatenating inner and outer boxes.
+
+    A tensor of normal forms is one: shifting the references keeps
+    their flat-position order.
+    """
     if not wirings:
         raise WiringError("tensor of no wirings")
     inner: list[Box] = []
@@ -351,7 +361,7 @@ def compose(g: Wiring, f: Wiring) -> Wiring:
     Requires f's outer boundary to equal g's inner boundary box for box.
     Implemented by substitution: where g reads its outer inputs it now
     reads through f's out_map, and where f reads its outer inputs it now
-    reads through g's in_map.  The result is normalized.
+    reads through g's in_map.  The substituted wiring is normalized.
     """
     if len(f.outer) != len(g.inner):
         raise CompositionError(
@@ -376,7 +386,7 @@ def compose(g: Wiring, f: Wiring) -> Wiring:
 
     in_map = {key: _substitute(expr, via_g) for key, expr in f.in_map.items()}
     out_map = {key: _substitute(expr, via_f) for key, expr in g.out_map.items()}
-    return normalize(Wiring._built(f.inner, g.outer, in_map, out_map))
+    return _normal_form(Wiring._built(f.inner, g.outer, in_map, out_map))
 
 
 def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
@@ -384,14 +394,13 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
     endomorphism of that box: ``compose(g, tensor(pads))``, where the
     pads are the identity on every inner box but ``endo`` at ``index``.
 
-    The result is that composite's normal form, key order included, and
-    is marked as one; ``compose`` stays its reference.  It is computed
-    by substitution into the entries the endomorphism touches: the
-    slot's own inputs, and every entry that reads an output of the slot
-    which ``endo`` remaps.  Every other entry is taken as it is from
-    g's normal form, kept on ``g`` by ``normalize``.  When g's routing
-    is compiled, the result's takes g's functions for the components and
-    outer outputs it does not touch, and compiles the rest.
+    The result is that composite, key order included; ``compose`` stays
+    its reference.  It is computed by substitution into the entries the
+    endomorphism touches: the slot's own inputs, and every entry that
+    reads an output of the slot which ``endo`` remaps.  Every other
+    entry is g's own object.  When g's routing is compiled, the
+    result's takes g's functions for the components whose entries are
+    all g's, and compiles the rest.
     """
     if not 0 <= index < len(g.inner):
         raise CompositionError(f"no inner box {index}")
@@ -399,7 +408,6 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
     if endo.inner != (box,) or endo.outer != (box,):
         raise CompositionError(
             f"not an endomorphism of inner box {index} {box.name!r}")
-    normal = normalize(g)
     # the slot's outputs that endo remaps, and what each one now reads
     remapped = {InnerOut(index, q): _substitute(
                     expr, lambda r: InnerOut(index, r.port))
@@ -415,17 +423,13 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
         # what g feeds the slot
         if isinstance(ref, InnerOut):
             return InnerOut(index, ref.port)
-        return _substitute(normal.in_map[(index, ref.port)], via_endo)
+        return _substitute(g.in_map[(index, ref.port)], via_endo)
 
-    # the inner boxes rerouted, and None for the outer outputs
-    touched: set[int | None] = {index}
-
-    def entry(k: int | None, expr: SourceExpr) -> SourceExpr:
+    def entry(expr: SourceExpr) -> SourceExpr:
         # a normal form's table reads references only
         refs = expr.sources if isinstance(expr, Table) else (expr,)
         if not any(r in remapped for r in refs):
             return expr
-        touched.add(k)
         return _normalize_expr(g, at, _substitute(expr, via_endo))
 
     in_map: dict[PortKey, SourceExpr] = {}
@@ -436,14 +440,11 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
                     g, at, _substitute(expr, via_g))
         else:
             for p in b.in_ports:
-                in_map[(k, p.name)] = entry(k, normal.in_map[(k, p.name)])
-    out_map = {key: entry(None, expr) for key, expr in normal.out_map.items()}
+                in_map[(k, p.name)] = entry(g.in_map[(k, p.name)])
+    out_map = {key: entry(expr) for key, expr in g.out_map.items()}
     n = Wiring._built(g.inner, g.outer, in_map, out_map)
-    object.__setattr__(n, "_normal", True)
-    base = getattr(g, "_routing", None)
-    if base is not None:
-        object.__setattr__(n, "_routing",
-                           _Routing(n, base, touched, None in touched))
+    if hasattr(g, "_routing"):
+        object.__setattr__(n, "_routing", _Routing(n, g))
     return n
 
 
@@ -490,27 +491,31 @@ class _Routing:
 
     __slots__ = ("slots", "outer_out", "reads_outer")
 
-    def __init__(self, w: Wiring, base: _Routing | None = None,
-                 touched=(), outer_touched: bool = False):
-        """Compile ``w``; or, given ``base``, the routing of a wiring that
-        routes all but the inner boxes ``touched`` (and the outer outputs,
-        if ``outer_touched``) as ``w`` does, take base's function and flag
-        for the rest.  A flag taken may say a box reads an outer input
-        that it no longer reads, which costs only speed."""
+    def __init__(self, w: Wiring, base: Wiring | None = None):
+        """Compile ``w``; or, given ``base``, a wiring on w's boundary
+        whose routing is compiled, take base's function and flag for
+        every component whose entries are all base's own objects, and
+        compile the rest."""
         at = _positions(w)
+
+        def taken(side: str, keys) -> bool:
+            return base is not None and all(
+                getattr(w, side)[k] is getattr(base, side)[k] for k in keys)
+
         slots, reads_outer = [], []
         for i, b in enumerate(w.inner):
-            if base is None or i in touched:
-                exprs = [w.in_map[(i, p.name)] for p in b.in_ports]
+            keys = [(i, p.name) for p in b.in_ports]
+            if taken("in_map", keys):
+                slots.append(base._routing.slots[i])
+                reads_outer.append(base._routing.reads_outer[i])
+            else:
+                exprs = [w.in_map[k] for k in keys]
                 slots.append(_compile_tuple(exprs, at))
                 reads_outer.append(any(isinstance(r, OuterIn)
                                        for e in exprs for r in expr_refs(e)))
-            else:
-                slots.append(base.slots[i])
-                reads_outer.append(base.reads_outer[i])
-        outs = [w.out_map[(j, p.name)] for j, p in w.outer_output_ports()]
-        self.outer_out = (_compile_tuple(outs, at) if base is None or outer_touched
-                          else base.outer_out)
+        keys = [(j, p.name) for j, p in w.outer_output_ports()]
+        self.outer_out = (base._routing.outer_out if taken("out_map", keys)
+                          else _compile_tuple([w.out_map[k] for k in keys], at))
         self.slots = tuple(slots)
         self.reads_outer = tuple(reads_outer)
 
@@ -619,10 +624,7 @@ def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, (OuterIn, InnerOut)):
-        # the minimisation below keeps a reference unless it can take only
-        # one value, which it then names
-        alphabet = w._ref_port(expr, "", True).alphabet
-        return Const(alphabet[0]) if len(alphabet) == 1 else expr
+        return _read(expr, w._ref_port(expr, "", True))
     refs = sorted(expr_refs(expr), key=at.__getitem__)
     # compiled over the references' own value tuple, one point per row
     fn = _compile_expr(expr, {r: k for k, r in enumerate(refs)})
@@ -647,45 +649,31 @@ def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
     return Table(kept_refs, tuple(entries.items()))
 
 
-def normalize(w: Wiring) -> Wiring:
-    """The same wiring with every source expression in canonical form.
-
-    The form is computed once, kept on ``w`` (``_kept``) and marked as
-    one; normalizing is idempotent, so ``normalize`` of a marked form,
-    such as ``compose``'s result, returns it as it is.  A copy made
-    through ``Wiring(...)`` carries no mark and is normalized again.
-    """
-    if hasattr(w, "_normal"):  # not w.__dict__, which would slow every read
-        return w
-    return _kept(w, "_normal_form", _normal_form)
+def _read(ref: Ref, port: Port) -> SourceExpr:
+    """A reference to ``port`` in normal form: the one symbol of a
+    one-symbol port, which is all it can read, else the reference."""
+    return Const(port.alphabet[0]) if len(port.alphabet) == 1 else ref
 
 
 def _normal_form(w: Wiring) -> Wiring:
+    """``w`` with every source expression put in canonical form, in
+    place and in key order, for the constructor and ``compose``."""
     at = _positions(w)
-    in_map = {key: _normalize_expr(w, at, expr) for key, expr in w.in_map.items()}
-    out_map = {key: _normalize_expr(w, at, expr) for key, expr in w.out_map.items()}
-    n = Wiring._built(w.inner, w.outer, in_map, out_map)
-    object.__setattr__(n, "_normal", True)
-    return n
-
-
-def wiring_equal(a: Wiring, b: Wiring) -> bool:
-    """Structural equality of normal forms."""
-    if a.inner != b.inner or a.outer != b.outer:
-        return False
-    return normalize(a) == normalize(b)
+    for side in ("in_map", "out_map"):
+        object.__setattr__(w, side, {key: _normalize_expr(w, at, expr)
+                                     for key, expr in getattr(w, side).items()})
+    return w
 
 
 def canonical_text(w: Wiring) -> str:
-    """A deterministic text rendering of the normal form, for fingerprints."""
-    n = normalize(w)
+    """A deterministic text rendering of a wiring, for fingerprints."""
     lines = []
-    for side, boxes in (("inner", n.inner), ("outer", n.outer)):
+    for side, boxes in (("inner", w.inner), ("outer", w.outer)):
         for b in boxes:
             ins = ",".join(f"{p.name}:{'|'.join(p.alphabet)}" for p in b.in_ports)
             outs = ",".join(f"{p.name}:{'|'.join(p.alphabet)}" for p in b.out_ports)
             lines.append(f"{side} {b.name} [{ins}] [{outs}]")
-    for label, table in (("in", n.in_map), ("out", n.out_map)):
+    for label, table in (("in", w.in_map), ("out", w.out_map)):
         for key in sorted(table):
             lines.append(f"{label} {key[0]}.{key[1]} <- {_expr_text(table[key])}")
     return "\n".join(lines)
@@ -750,10 +738,12 @@ def check_arch_morphism(phi: Wiring, psi: Wiring, k: Wiring) -> bool:
 
     ``phi`` and ``psi`` are architectures over the same root (equal outer
     boundary); ``k`` maps phi's inner tensor to psi's inner tensor.  True
-    iff ``compose(psi, k)`` equals ``phi`` on every evaluation point.
+    iff ``compose(psi, k)`` equals ``phi``: both are normal forms, so
+    they are equal exactly when they agree on every evaluation point,
+    which ``eval_equal`` would walk.
     """
     if phi.outer != psi.outer:
         raise WiringError("architectures target different boxes")
     if k.inner != phi.inner or k.outer != psi.inner:
         raise WiringError("mediating wiring has the wrong boundary")
-    return eval_equal(compose(psi, k), phi)
+    return compose(psi, k) == phi

@@ -50,6 +50,18 @@ def _random_expr(rng: random.Random, refs: Sequence, allow_table: bool):
 
 def random_wiring(rng: random.Random, inner: Sequence[Box],
                   outer: Box) -> Wiring:
+    return rebuilt(random_raw_wiring(rng, inner, outer))
+
+
+def rebuilt(w: Wiring) -> Wiring:
+    """``w``'s maps through the validating constructor, which normalizes."""
+    return Wiring(w.inner, w.outer, w.in_map, w.out_map)
+
+
+def random_raw_wiring(rng: random.Random, inner: Sequence[Box],
+                      outer: Box) -> Wiring:
+    """``random_wiring``'s maps as drawn, taken unchecked and not
+    normalized (``Wiring._built``): the raw input its constructor gets."""
     inner = tuple(inner)
     feedback = [InnerOut(i, p.name)
                 for i, b in enumerate(inner) for p in b.out_ports]
@@ -61,17 +73,24 @@ def random_wiring(rng: random.Random, inner: Sequence[Box],
     out_map = {}
     for p in outer.out_ports:
         out_map[(0, p.name)] = _random_expr(rng, feedback, True)
-    return Wiring(inner, (outer,), in_map, out_map)
+    return Wiring._built(inner, (outer,), in_map, out_map)
 
 
 def random_network(rng: random.Random, tag: str = "n"):
     """One wiring with machines: (wiring, machines)."""
+    raw, machines = random_raw_network(rng, tag)
+    return rebuilt(raw), machines
+
+
+def random_raw_network(rng: random.Random, tag: str = "n"):
+    """``random_network``'s draws, with the wiring's maps as drawn
+    (``random_raw_wiring``): (raw wiring, machines)."""
     inner = tuple(random_box(rng, f"{tag}{k}")
                   for k in range(rng.randint(1, 3)))
     outer = random_box(rng, f"{tag}x")
-    wiring = random_wiring(rng, inner, outer)
+    raw = random_raw_wiring(rng, inner, outer)
     machines = tuple(random_machine(rng, b) for b in inner)
-    return wiring, machines
+    return raw, machines
 
 
 def random_stack(rng: random.Random, tag: str = "m"):

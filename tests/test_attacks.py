@@ -25,8 +25,7 @@ from wirebox.moore import (MachineError, MachineHom, MooreMachine,
 from wirebox.oracle import find_distinguishing_word
 from wirebox.probes import ProbeError, StateSet, Test, TraceSet
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring,
-                            compose, identity_wiring, normalize, tensor,
-                            wiring_equal)
+                            compose, identity_wiring, tensor)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -75,6 +74,17 @@ def single() -> CompositeSystem:
     return CompositeSystem(identity_wiring(CELL), (delay(),))
 
 
+# a box named like CELL that differs in an input alphabet, and a machine on it
+WIDE = Box("cell", (Port("a", ("0", "1", "2")),), CELL.out_ports)
+WIDE_DIFFERS = ("input port 'a' on box 'cell': alphabet ['0', '1', '2'] vs "
+                "['0', '1']")
+
+
+def wide_delay() -> MooreMachine:
+    update = {(s, (a,)): s for s in BIT for a in ("0", "1", "2")}
+    return MooreMachine(WIDE, BIT, "0", update, {s: (s,) for s in BIT})
+
+
 def pair() -> CompositeSystem:
     return CompositeSystem(chain(), (delay(), delay()))
 
@@ -106,7 +116,7 @@ def test_system_checks_component_count_and_boxes():
         CompositeSystem(chain(), (delay(),))
     other = Box("other", CELL.in_ports, CELL.out_ports)
     wrong = MooreMachine(other, BIT, "0", delay().update, delay().readout)
-    with pytest.raises(MachineError, match="inhabits box"):
+    with pytest.raises(MachineError, match="does not fit wiring slot"):
         CompositeSystem(identity_wiring(CELL), (wrong,))
     two_out = tensor((identity_wiring(CELL), identity_wiring(CELL)))
     with pytest.raises(MachineError, match="single box"):
@@ -175,10 +185,24 @@ def test_replace_swaps_only_the_named_slot():
     assert result.system.wiring is sys.wiring
 
 
+def test_a_machine_on_a_namesake_box_is_refused_where_it_differs():
+    for build in (CompositeSystem, apply_algebra):
+        with pytest.raises(MachineError) as exc:
+            build(identity_wiring(CELL), (wide_delay(),))
+        assert str(exc.value) == \
+            f"machine 0 does not fit wiring slot 0: {WIDE_DIFFERS}"
+
+
+def test_replace_names_where_a_namesake_box_differs():
+    with pytest.raises(AttackError) as exc:
+        apply_rewrite(single(), RewriteStep(0, machine=wide_delay()))
+    assert str(exc.value) == f"replacement does not fit slot 0: {WIDE_DIFFERS}"
+
+
 def test_replace_checks_the_slot_box():
     other = Box("other", CELL.in_ports, CELL.out_ports)
     foreign = MooreMachine(other, BIT, "0", delay().update, delay().readout)
-    with pytest.raises(AttackError, match="inhabits"):
+    with pytest.raises(AttackError, match="does not fit slot"):
         apply_rewrite(single(), RewriteStep(0, machine=foreign))
 
 
@@ -243,7 +267,7 @@ def test_rewire_leaves_components_untouched():
     rewired = apply_rewire(sys, RewireStep(0, not_endo()))
     assert rewired.components[0] is sys.components[0]
     assert rewired.components[1] is sys.components[1]
-    assert not wiring_equal(rewired.wiring, sys.wiring)
+    assert rewired.wiring != sys.wiring
 
 
 def test_rewire_negates_the_routed_input():
@@ -252,11 +276,18 @@ def test_rewire_negates_the_routed_input():
     assert outs == [("0",), ("0",), ("0",)]  # delay of the negated word
 
 
+def test_rewire_names_where_a_namesake_box_differs():
+    with pytest.raises(AttackError) as exc:
+        apply_rewire(single(), RewireStep(0, identity_wiring(WIDE)))
+    assert str(exc.value) == \
+        f"endomorphism does not fit slot 0: {WIDE_DIFFERS}"
+
+
 def test_rewire_checks_the_slot_box():
     other = Box("other", CELL.in_ports, CELL.out_ports)
     endo = Wiring((other,), (other,), {(0, "a"): OuterIn(0, "a")},
                   {(0, "q"): InnerOut(0, "q")})
-    with pytest.raises(AttackError, match="endomorphism is on box"):
+    with pytest.raises(AttackError, match="endomorphism does not fit slot"):
         apply_rewire(single(), RewireStep(0, endo))
 
 
@@ -264,7 +295,7 @@ def test_double_negation_restores_the_wiring():
     sys = pair()
     once = apply_rewire(sys, RewireStep(0, not_endo()))
     twice = apply_rewire(once, RewireStep(0, not_endo()))
-    assert normalize(twice.wiring) == normalize(sys.wiring)
+    assert twice.wiring == sys.wiring
     assert find_distinguishing_word(
         sys.composite(), twice.composite(), 6) is None
 
@@ -343,12 +374,11 @@ def test_kept_fingerprints_agree_with_fresh_copies(seed):
         assert entry.wiring_fp == _digest(wi.canonical_text(copy))
         assert entry.components_fp == _digest(
             "\n--\n".join(moore.canonical_text(m) for m in machines))
-        normal = normalize(n)
-        assert normalize(normal) is normal
-        assert normal == normalize(copy)
-        if isinstance(step, RewireStep):
-            # a rewired wiring is compose's normal form, marked as one
-            assert normal is n
+        # every wiring a step leaves is a normal form: its copy through
+        # the normalizing constructor is equal, key order included
+        assert copy == n
+        assert list(copy.in_map) == list(n.in_map)
+        assert list(copy.out_map) == list(n.out_map)
     assert first.system == current
 
 

@@ -750,6 +750,40 @@ def test_export_dot_renders_a_wiring_document(tmp_path):
         (EX_DATAERR, "", f"error: {path}: no wiring named 'ghost'\n")
 
 
+def test_a_table_equal_to_a_reference_is_held_as_that_reference(tmp_path):
+    # one identity table over a reference normalizes to the reference
+    table, bare = tmp_path / "table.yaml", tmp_path / "bare.yaml"
+    table.write_text(nested_tables(1))
+    bare.write_text(nested_tables(0))
+    assert load(table).wiring.out_map == {(0, "y"): InnerOut(0, "y")}
+    assert load(table).wiring == load(bare).wiring
+    assert cli("export-dot", "--file", table) == cli("export-dot", "--file", bare)
+    # a system on sensor-view, whose input 2.m reads imu's readout through
+    # such a table, writes the bare reference
+    data = yaml.safe_load((UAV / "scenario.yaml").read_text())
+    data["systems"].append({"name": "sensor", "wiring": "sensor-view",
+                            "components": ["imu-and", "gps-stock", "proc-xor"]})
+    data["scripts"].append({"name": "sensor-firmware", "system": "sensor",
+                            "steps": [{"rewrite": 1, "machine": "gps-hacked"}]})
+    written = []
+    for name in ("bare", "table"):
+        if name == "table":
+            view = next(w for w in data["wirings"] if w["name"] == "sensor-view")
+            entry = next(e for e in view["inputs"] if e["target"] == "2.m")
+            entry["from"] = {"table": {"sources": [entry["from"]], "rows": [
+                {"key": [v], "value": v} for v in ("0", "1")]}}
+        path = tmp_path / f"{name}-scenario.yaml"
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        dest = tmp_path / f"{name}-attacked.yaml"
+        code, _, err = cli("attack", "--scenario", path, "--script",
+                           "sensor-firmware", "--out", dest)
+        assert (code, err) == (EX_OK, "")
+        written.append(dest.read_text())
+    assert "table" in path.read_text()
+    assert written[1] == written[0]
+    assert "table" not in written[1]
+
+
 def test_export_dot_refuses_a_document_without_wirings():
     path = UAV / "battery.yaml"
     assert cli("export-dot", "--file", path) == \

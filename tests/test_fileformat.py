@@ -23,7 +23,7 @@ from wirebox.fincat import yoneda_check
 from wirebox.moore import MooreMachine
 from wirebox.oracle import find_distinguishing_word
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Wiring, compose,
-                            identity_wiring, tensor, wiring_equal)
+                            identity_wiring, tensor)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -205,7 +205,7 @@ def test_wiring_forms_match_the_programmatic_builders():
     loaded = doc(FORMS)
     wid = identity_wiring(CELL)
     assert loaded.wirings["wid"] == wid
-    assert wiring_equal(loaded.wirings["pair"], tensor((wid, wid)))
+    assert loaded.wirings["pair"] == tensor((wid, wid))
     assert loaded.wirings["twice"] == compose(wid, wid)
 
 
@@ -712,12 +712,12 @@ def test_state_map_must_be_a_machine_morphism():
     ("gps-swap", {"rewire": 9}, "rewire", "no component 9; system has 5"),
     ("gps-minimize", {"rewrite": -1}, "rewrite", "no component -1; system has 5"),
     ("gps-firmware", {"rewrite": 0}, "rewrite",
-     "replacement inhabits box 'gps', slot 0 is 'imu'"),
+     "replacement does not fit slot 0: box 'gps' vs 'imu'"),
     ("gps-swap", {"rewire": 0}, "rewire",
-     "endomorphism is on box 'gps', slot 0 is 'imu'"),
+     "endomorphism does not fit slot 0: box 'gps' vs 'imu'"),
     # a morphism rewrite's target is checked against the slot's component
     ("gps-minimize", {"rewrite": 0}, "state_map",
-     "source inhabits 'imu', target 'gps'"),
+     "source and target inhabit different boxes: box 'imu' vs 'gps'"),
 ])
 def test_scenario_steps_must_fit_their_system(script, change, field, message):
     # the checks the step would fail when applied, made at load

@@ -647,7 +647,13 @@ def test_hom_must_commute_with_update():
 @pytest.mark.parametrize("source, target, state_map, message", [
     (delay(), MooreMachine(Box("other", CELL.in_ports, CELL.out_ports), BIT,
                            "0", delay().update, delay().readout),
-     IDENTITY, "source inhabits 'cell', target 'other'"),
+     IDENTITY,
+     "source and target inhabit different boxes: box 'cell' vs 'other'"),
+    # a box of the same name is told apart by where it differs
+    (delay(), MooreMachine(Box("cell", CELL.in_ports, (Port("r", BIT),)), BIT,
+                           "0", delay().update, delay().readout),
+     IDENTITY, "source and target inhabit different boxes: output port 'q' "
+     "vs 'r' on box 'cell'"),
     (delay(), delay(), {"0": "0"}, "state map misses 1"),
     (delay(), delay(), {"0": "0", "1": "2"},
      "state map sends 1 outside the target states"),
@@ -656,7 +662,8 @@ def test_hom_must_commute_with_update():
     (delay(), sticky(), IDENTITY,
      "update square fails at state 0 on input ('1',): map-then-step gives 0, "
      "step-then-map gives 1"),
-], ids=["box", "misses", "outside", "init", "readout", "update"])
+], ids=["box", "namesake-box", "misses", "outside", "init", "readout",
+         "update"])
 def test_a_hom_is_refused_when_built_with_its_first_violation(
         source, target, state_map, message):
     with pytest.raises(MachineError) as e:
