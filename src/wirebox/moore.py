@@ -13,13 +13,15 @@ wiring routes current component readouts and outer inputs to component
 inputs, and every component steps at once.  A machine is checked when
 ``MooreMachine(...)`` builds it, so every machine is total and a
 composite is built unchecked.  The wiring's routing is compiled once
-per composite.  Nothing the size of the product is built: ``states`` is
+per wiring.  Nothing the size of the product is built: ``states`` is
 a read-only sequence over the component state sets, and the rows of
 ``update`` and ``readout`` are routed on demand, a state's rows in both
 tables at once: those of the states reachable from ``init`` when the
 composite is built, and any other state's on the first lookup of one of
-its rows.  Both tables are read-only mappings that list their keys in
-product order without routing a row.
+its rows, where an update lookup routes its updates alone.  Each table
+is a ``dict`` of the rows routed so far, so a routed row is read by
+dict's own lookup, and it reads as a read-only mapping over the whole
+product that lists its keys in product order without routing a row.
 A reader that walks the whole product (iterating ``states`` or a table,
 so validating, rendering, dumping, comparing or checking morphisms)
 refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
@@ -54,8 +56,9 @@ class MooreMachine(Record):
     ``states`` is a tuple, or a composite's read-only product sequence;
     ``update`` maps (state, input tuple) to the next state; ``readout``
     maps a state to its output tuple.  Tables are plain dicts, or a
-    composite's read-only mappings routed on demand (see
-    ``apply_algebra``).  Construction raises MachineError with the first
+    composite's dict subclasses routed on demand, which read as
+    read-only mappings over the whole product (see ``apply_algebra``
+    and ``_Table``).  Construction raises MachineError with the first
     of ``_machine_errors``, so every machine is total; it skips the
     reachability pass, which only warns (``validate_machine``).  What
     ``apply_algebra`` builds is valid by construction and skips the check
@@ -81,7 +84,7 @@ class MooreMachine(Record):
             object.__setattr__(self, "states", tuple(self.states))
         for name in ("update", "readout"):
             table = getattr(self, name)
-            if not isinstance(table, _Rows):
+            if not isinstance(table, _Table):
                 object.__setattr__(self, name, dict(table))
         errors = _machine_errors(self)
         if errors:
@@ -256,12 +259,14 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     wiring object is compiled once however many composites it makes;
     they share the routing, which holds no table.  The rows of the
     states reachable from ``init`` are routed here, by a search from
-    ``init``; any other state's rows, readout and updates together, are
-    routed on the first lookup of one of them.  Within one state,
-    components fed only by inner outputs are routed once, then the
-    others per outer input.  Either table lists its keys in product
-    order, and counts them, without routing a row; reading its values
-    (``items``, ``values``, ``==``, ``repr``) routes the rows read.
+    ``init``; any other state's rows are routed on the first lookup of
+    one of them, its readout and updates on a readout lookup, its
+    updates alone on an update lookup.  A routed row is read by dict's
+    own lookup (see ``_Table``).  Within one state, components fed only
+    by inner outputs are routed once, then the others per outer input.
+    Either table lists its keys in product order, and counts them,
+    without routing a row; reading its values (``items``, ``values``,
+    ``==``, ``repr``) routes the rows read.
 
     Building costs the reachable part alone, whatever the product's size,
     and is refused with a MachineError once the search has found more
@@ -277,6 +282,8 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
                       math.prod(len(p.alphabet) for p in outer.in_ports))
     init = tuple(m.init for m in machines)
     router = _Router(routing, machines, states, outer)
+    update = _UpdateTable(router)
+    readout = _ReadoutTable(router, update)
     n_inputs = len(router.inputs)
     most = MAX_TRANSITIONS // n_inputs
     seen = {init}
@@ -285,13 +292,11 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
         if len(seen) > most:
             raise _over_the_limit("composite reaches at least", len(seen),
                                   n_inputs)
-        for t in router.fill(stack.pop()):
+        for t in router.fill(stack.pop(), update, readout):
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
-    return MooreMachine._built(outer, states, init,
-                               _UpdateRows(router.update, router),
-                               _ReadoutRows(router.readout, router))
+    return MooreMachine._built(outer, states, init, update, readout)
 
 
 def _over_the_limit(has: str, n: int, n_inputs: int,
@@ -362,16 +367,16 @@ class _Product(Sequence):
 
 
 class _Router:
-    """Routes a composite's rows one state at a time, into ``update`` and
-    ``readout``, the plain row dicts its two tables read.
+    """Routes a composite's rows one state at a time, into the tables
+    it is handed.
 
     It holds the compiled wiring and the component tables but no table
     of the composite, so the tables that hold it form no reference
     cycle, and a dead composite is freed by refcounting.
     """
 
-    __slots__ = ("states", "is_state", "inputs", "update", "readout",
-                 "_readouts", "_outer_out", "_fixed", "_varying")
+    __slots__ = ("states", "is_state", "inputs", "_readouts", "_outer_out",
+                 "_fixed", "_varying")
 
     def __init__(self, routing: _Routing, machines: Sequence[MooreMachine],
                  states: _Product, outer: Box):
@@ -379,8 +384,6 @@ class _Router:
         # is s a composite state, one of the product's tuples?
         self.is_state = states.__contains__
         self.inputs = input_space([outer])
-        self.update: dict[tuple[State, tuple[Symbol, ...]], State] = {}
-        self.readout: dict[State, tuple[Symbol, ...]] = {}
         self._readouts = [m.readout for m in machines]
         self._outer_out = routing.outer_out
         # (slot, its input function, its update table); slots that read
@@ -390,71 +393,92 @@ class _Router:
         self._fixed = [t for t in slots if not routing.reads_outer[t[0]]]
         self._varying = [t for t in slots if routing.reads_outer[t[0]]]
 
-    def fill(self, s: State) -> list[State]:
-        """Route composite state ``s``: store its readout and its update
-        rows, and return its successors, one per outer input in
-        ``inputs`` order.
+    def fill(self, s: State, update: dict, readout: dict | None = None
+             ) -> list[State]:
+        """Route composite state ``s``: store its update rows in
+        ``update``, and its readout in ``readout`` when given, and return
+        its successors, one per outer input in ``inputs`` order.
 
         The components are total and the wiring routes only values of
         their alphabets, so every component row looked up exists.
         """
         inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
-        # out_map reads only inner outputs (Wiring._check_expr enforces
-        # it), so every outer input gives state s the same readout
-        self.readout[s] = self._outer_out(inner_outs)
+        if readout is not None:
+            # out_map reads only inner outputs (Wiring._check_expr enforces
+            # it), so every outer input gives state s the same readout
+            dict.__setitem__(readout, s, self._outer_out(inner_outs))
         nxt = list(s)
-        for i, f, update in self._fixed:
-            nxt[i] = update[(s[i], f(inner_outs))]
+        for i, f, table in self._fixed:
+            nxt[i] = table[(s[i], f(inner_outs))]
         nexts = []
         for x in self.inputs:
             values = inner_outs + x
-            for i, f, update in self._varying:
-                nxt[i] = update[(s[i], f(values))]
+            for i, f, table in self._varying:
+                nxt[i] = table[(s[i], f(values))]
             nexts.append(tuple(nxt))
-        self.update.update(zip([(s, x) for x in self.inputs], nexts))
+        dict.update(update, zip([(s, x) for x in self.inputs], nexts))
         return nexts
 
 
-class _Rows(Mapping):
-    """A composite's update or readout table, routed state by state.
+def _read_only(table, *args, **kwargs):
+    raise TypeError(f"{type(table).__name__} is a read-only mapping")
 
-    A read-only mapping over one of the router's row dicts, which starts
-    with the rows ``apply_algebra`` routed.  A lookup of any other key
-    of a composite state routes that state (``_Router.fill``, which never
-    fails: the components are total), readout and update rows at once,
-    and reads the row again, so a routed row costs one dict lookup.  Each
-    table says only which state a key names.  The keys are the product's,
-    in product order: iteration and ``len`` take them from the router's
-    ``states`` and route nothing, while ``in``, ``get``, ``items``,
-    ``values`` and ``==`` look rows up.  Iteration meets the product's
-    size limit (see ``_Product``).  Two threads routing the same state
-    store the same values.
+
+class _Table(dict):
+    """A composite's update or readout table: a dict of the rows routed
+    so far that reads as a read-only mapping over the whole product.
+
+    It starts with the rows ``apply_algebra`` routed.  ``__getitem__`` is
+    dict's own, so a routed row costs one dict lookup; a lookup that
+    misses a key of a composite state routes that state
+    (``_Router.fill``, which never fails: the components are total) and
+    reads the row again, and any other miss raises KeyError.  The keys
+    are the product's, in product order: iteration and ``len`` take them
+    from the router's ``states`` and route nothing, while ``in``,
+    ``get``, ``keys``, ``items``, ``values``, ``==``, ``!=`` and ``repr``
+    are the ``Mapping`` mixins, which look rows up.  Iteration meets the
+    product's size limit (see ``_Product``).  Every other dict method,
+    writes, ``copy``, ``|`` and ``reversed`` included, raises TypeError;
+    the router stores rows through dict's own methods.  Two threads
+    routing the same state store the same values.
     """
 
-    __slots__ = ("_rows", "_router")
+    __slots__ = ("_router",)
 
-    def __init__(self, rows: dict, router: _Router):
-        self._rows = rows
+    def __init__(self, router: _Router):
         self._router = router
 
-    def __getitem__(self, key):
-        try:
-            return self._rows[key]
-        except KeyError:
-            s = self._state(key)
-            if not self._router.is_state(s):
-                raise
-        self._router.fill(s)
-        return self._rows[key]
+    __contains__ = Mapping.__contains__
+    get = Mapping.get
+    keys = Mapping.keys
+    items = Mapping.items
+    values = Mapping.values
+    __eq__ = Mapping.__eq__
+    # dict's own != compares the routed rows alone
+    __ne__ = object.__ne__
+    __setitem__ = __delitem__ = setdefault = update = pop = popitem = \
+        clear = copy = __or__ = __ror__ = __ior__ = __reversed__ = _read_only
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
 
-class _UpdateRows(_Rows):
-    """Update rows, keyed (state, outer input)."""
+class _UpdateTable(_Table):
+    """Update rows, keyed (state, outer input).  A miss routes that
+    state's update rows alone."""
 
     __slots__ = ()
+
+    def __missing__(self, key):
+        s = key[0] if isinstance(key, tuple) and len(key) == 2 else None
+        if not self._router.is_state(s):
+            raise KeyError(key)
+        self._router.fill(s, self)
+        # a state's input outside the input space is still missing, and
+        # dict's lookup would call __missing__ again
+        if not dict.__contains__(self, key):
+            raise KeyError(key)
+        return dict.__getitem__(self, key)
 
     def __iter__(self):
         states, inputs = self._router.states, self._router.inputs
@@ -463,25 +487,29 @@ class _UpdateRows(_Rows):
     def __len__(self) -> int:
         return len(self._router.states) * len(self._router.inputs)
 
-    @staticmethod
-    def _state(key):
-        return key[0] if isinstance(key, tuple) and len(key) == 2 else None
 
+class _ReadoutTable(_Table):
+    """Readout rows, keyed by state.  It holds the update table, and not
+    the other way round, so the two form no reference cycle; a miss
+    routes that state's rows into both."""
 
-class _ReadoutRows(_Rows):
-    """Readout rows, keyed by state."""
+    __slots__ = ("_update",)
 
-    __slots__ = ()
+    def __init__(self, router: _Router, update: _UpdateTable):
+        super().__init__(router)
+        self._update = update
+
+    def __missing__(self, s):
+        if not self._router.is_state(s):
+            raise KeyError(s)
+        self._router.fill(s, self._update, self)
+        return dict.__getitem__(self, s)
 
     def __iter__(self):
         return iter(self._router.states)
 
     def __len__(self) -> int:
         return len(self._router.states)
-
-    @staticmethod
-    def _state(key):
-        return key
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from collections import deque
 from typing import Optional, Sequence
 
 from .moore import MachineError, MooreMachine, State, render_state
-from .wiring import Const, InnerOut, OuterIn, Symbol, Table, Wiring, WiringError
+from .wiring import (Const, InnerOut, OuterIn, Symbol, Table, Wiring,
+                     WiringError, _box_mismatch)
 
 Word = tuple[tuple[Symbol, ...], ...]
 
@@ -178,9 +179,8 @@ def stagewise_simulate(w: Wiring, machines: Sequence[MooreMachine],
             f"machines were given")
     for i, (b, m) in enumerate(zip(w.inner, machines)):
         if m.box != b:
-            raise MachineError(
-                f"machine {i} inhabits box {m.box.name!r}, wiring slot {i} "
-                f"is {b.name!r}")
+            raise MachineError(f"machine {i} does not fit wiring slot {i}: "
+                               f"{_box_mismatch(m.box, b)}")
     outer = w.outer[0]
     states = [m.init for m in machines]
     outs: list[tuple[Symbol, ...]] = []

@@ -29,7 +29,8 @@ without the check.
 
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
-dict.  ``evaluate``, ``eval_equal`` and the composite machines of
+dict.  The positions depend on the boundary alone, so they are kept on
+the wiring and a rewire takes its base's.  ``evaluate``, ``eval_equal`` and the composite machines of
 ``moore.apply_algebra`` route through a whole wiring compiled once, one
 function per component, and kept on the wiring, so every step and
 composite of one wiring object share it; a slot rerouted by
@@ -413,7 +414,7 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
                     expr, lambda r: InnerOut(index, r.port))
                 for (_, q), expr in endo.out_map.items()
                 if expr != InnerOut(0, q)}
-    at = _positions(g)
+    at = _kept(g, "_positions", _positions)
 
     def via_endo(ref: Ref) -> SourceExpr:
         return remapped.get(ref, ref)
@@ -443,6 +444,8 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
                 in_map[(k, p.name)] = entry(g.in_map[(k, p.name)])
     out_map = {key: entry(expr) for key, expr in g.out_map.items()}
     n = Wiring._built(g.inner, g.outer, in_map, out_map)
+    # n has g's boundary, so g's positions are n's
+    object.__setattr__(n, "_positions", at)
     if hasattr(g, "_routing"):
         object.__setattr__(n, "_routing", _Routing(n, g))
     return n
@@ -471,7 +474,11 @@ def _box_mismatch(a: Box, b: Box) -> str:
 
 def _positions(w: Wiring) -> dict[Ref, int]:
     """Every port reference's place in the flat value tuple: the inner
-    outputs in document order, then the outer inputs."""
+    outputs in document order, then the outer inputs.
+
+    It depends on the boundary alone, so it is kept on the wiring
+    (``_kept``) and handed on to a rewire of it (``precompose_slot``).
+    """
     refs = [InnerOut(i, p.name) for i, p in w.inner_output_ports()]
     refs += [OuterIn(j, p.name) for j, p in w.outer_input_ports()]
     return {r: k for k, r in enumerate(refs)}
@@ -496,7 +503,7 @@ class _Routing:
         whose routing is compiled, take base's function and flag for
         every component whose entries are all base's own objects, and
         compile the rest."""
-        at = _positions(w)
+        at = _kept(w, "_positions", _positions)
 
         def taken(side: str, keys) -> bool:
             return base is not None and all(
@@ -658,7 +665,7 @@ def _read(ref: Ref, port: Port) -> SourceExpr:
 def _normal_form(w: Wiring) -> Wiring:
     """``w`` with every source expression put in canonical form, in
     place and in key order, for the constructor and ``compose``."""
-    at = _positions(w)
+    at = _kept(w, "_positions", _positions)
     for side in ("in_map", "out_map"):
         object.__setattr__(w, side, {key: _normalize_expr(w, at, expr)
                                      for key, expr in getattr(w, side).items()})

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import operator
 import random
 import sys
 import threading
@@ -274,7 +275,7 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
               ("s9",) + want.init[1:], want.init[0], list(want.init), None):
         assert s not in states
     # built: the rows of the states reachable from init, and no others
-    assert set(m.readout._rows) == reachable(want)
+    assert set(dict.keys(m.readout)) == reachable(want)
     inputs = m.inputs()
     for _ in range(8):
         s, x = rng.choice(want.states), rng.choice(inputs)
@@ -315,11 +316,11 @@ def test_composite_tables_list_keys_without_routing_and_read_as_the_eager_ones(s
     w, machines = random_network(random.Random(seed))
     want = eager_apply_algebra(w, machines)
     m = apply_algebra(w, machines)
-    built = (dict(m.update._rows), dict(m.readout._rows))
+    built = (dict.copy(m.update), dict.copy(m.readout))
     assert (len(m.update), len(m.readout)) == (len(want.update), len(want.readout))
     assert list(m.update) == list(want.update)
     assert list(m.readout) == list(want.readout)
-    assert (m.update._rows, m.readout._rows) == built
+    assert (dict.copy(m.update), dict.copy(m.readout)) == built
     # reading the values routes the rest, listed in product order
     assert repr(m) == repr(want)
     fresh = apply_algebra(w, machines)
@@ -345,13 +346,93 @@ def test_a_composite_table_misses_like_a_dict():
     assert run(m, ((), ())) == [("1",), ("1",)]
 
 
+# dict's methods, by what a composite table does with them: the ones a
+# read-only Mapping has answer over the whole product; every other one,
+# called as below, raises TypeError; the rest make or describe the object
+WHOLE_PRODUCT = {"__getitem__", "__iter__", "__len__", "__contains__", "get",
+                 "keys", "items", "values", "__eq__", "__ne__", "__repr__"}
+REFUSED = {
+    "__setitem__": lambda t, k, v: t.__setitem__(k, v),
+    "__delitem__": lambda t, k, v: t.__delitem__(k),
+    "setdefault": lambda t, k, v: t.setdefault(k, v),
+    "update": lambda t, k, v: t.update({k: v}),
+    "pop": lambda t, k, v: t.pop(k),
+    "popitem": lambda t, k, v: t.popitem(),
+    "clear": lambda t, k, v: t.clear(),
+    "copy": lambda t, k, v: t.copy(),
+    "fromkeys": lambda t, k, v: t.fromkeys([k]),
+    "__or__": lambda t, k, v: t | {k: v},
+    "__ror__": lambda t, k, v: {k: v} | t,
+    "__ior__": lambda t, k, v: operator.ior(t, {k: v}),
+    "__reversed__": lambda t, k, v: reversed(t),
+    "__hash__": lambda t, k, v: hash(t),
+    "__lt__": lambda t, k, v: t < {k: v},
+    "__le__": lambda t, k, v: t <= {k: v},
+    "__gt__": lambda t, k, v: t > {k: v},
+    "__ge__": lambda t, k, v: t >= {k: v},
+}
+OBJECT_MACHINERY = {"__new__", "__init__", "__getattribute__", "__sizeof__",
+                    "__doc__", "__class_getitem__"}
+
+
+def test_composite_tables_answer_dict_methods_whole_or_refuse_them():
+    # a method a newer Python adds to dict fails here until it is sorted
+    assert set(vars(dict)) == WHOLE_PRODUCT | REFUSED.keys() | OBJECT_MACHINERY
+    w, machines = history_row(3)  # 64 states, 16 reachable from init
+    want = eager_apply_algebra(w, machines)
+    for name in ("update", "readout"):
+        eager = getattr(want, name)
+
+        def fresh():
+            # a new composite for each reader, holding the reachable rows only
+            table = getattr(apply_algebra(w, machines), name)
+            assert dict.__len__(table) < len(eager)
+            return table
+
+        assert type(fresh()).__getitem__ is dict.__getitem__
+        assert [fresh()[k] for k in eager] == list(eager.values())
+        assert list(fresh()) == list(eager) and len(fresh()) == len(eager)
+        assert all(k in fresh() for k in eager)
+        assert [fresh().get(k) for k in eager] == list(eager.values())
+        assert list(fresh().keys()) == list(eager.keys())
+        assert list(fresh().items()) == list(eager.items())
+        assert list(fresh().values()) == list(eager.values())
+        assert fresh() == eager and eager == fresh()
+        assert not (fresh() != eager or eager != fresh())
+        assert fresh() != {} and {} != fresh()
+        assert repr(fresh()) == repr(eager)
+        # dict's own fast paths copy through keys() and lookups
+        assert dict(fresh()) == eager and {**fresh()} == eager
+        key, value = next(iter(eager.items()))
+        for method, call in REFUSED.items():
+            table = fresh()
+            routed = dict.copy(table)
+            with pytest.raises(TypeError):
+                call(table, key, value)
+            assert dict.copy(table) == routed, method
+
+
+def test_an_input_outside_the_input_space_misses_in_both_tables():
+    # s is in the product and not reachable from init: a miss in the
+    # update table routes its update rows, then finds no row for the key
+    m = apply_algebra(*history_row(3))
+    s = next(s for s in m.states if s not in dict.keys(m.readout))
+    for bad in (("2",), ("0", "0"), ()):
+        for table in (m.update, m.readout):
+            assert (s, bad) not in table and table.get((s, bad)) is None
+            with pytest.raises(KeyError):
+                table[(s, bad)]
+    assert (s, ("1",)) in dict.keys(m.update)
+    assert s not in dict.keys(m.readout)
+
+
 def test_a_readout_lookup_routes_the_whole_state():
     # ('0',) is not reachable from the hull's init ('1',), so the first
     # lookup of its readout routes it, update rows included
     m = apply_algebra(hull(), (delay("1"),))
-    assert ("0",) not in m.readout._rows
+    assert ("0",) not in dict.keys(m.readout)
     assert m.readout[("0",)] == ("0",)
-    assert m.update._rows[(("0",), ())] == ("0",)
+    assert dict.get(m.update, (("0",), ())) == ("0",)
 
 
 def test_a_dead_composite_is_freed_by_refcounting():
@@ -502,7 +583,7 @@ def test_apply_algebra_refuses_a_reachable_part_over_the_limit(monkeypatch):
     monkeypatch.setattr(moore, "MAX_TRANSITIONS", 2 ** 12)
     # the ten-cell row reaches 2**11 states x 2 inputs: exactly the limit
     m = apply_algebra(*history_row(10))
-    assert len(m.update._rows) == 2 ** 12
+    assert dict.__len__(m.update) == 2 ** 12
     limit = (r"composite reaches at least \d+ states x 2 inputs = \d+ "
              r"transitions, over the limit of 4096")
     with pytest.raises(MachineError, match=limit):

@@ -146,6 +146,19 @@ def test_stagewise_checks_slot_boxes():
         stagewise_simulate(w, machines[:-1] + (delay(),), ())
 
 
+def test_stagewise_names_where_a_namesake_box_differs():
+    # the same name, a wider input alphabet: refused where the boxes differ
+    wide = Box("cell", (Port("a", BIT + ("2",)),), CELL.out_ports)
+    machine = MooreMachine(wide, BIT, "0",
+                           {(s, (a,)): s for s in BIT for a in BIT + ("2",)},
+                           {s: (s,) for s in BIT})
+    with pytest.raises(MachineError) as exc:
+        stagewise_simulate(identity_wiring(CELL), (machine,), ())
+    assert str(exc.value) == (
+        "machine 0 does not fit wiring slot 0: input port 'a' on box 'cell': "
+        "alphabet ['0', '1', '2'] vs ['0', '1']")
+
+
 def test_stagewise_refuses_a_symbol_outside_the_outer_alphabet():
     # a table reads the symbol before any component does
     box = Box("b", (Port("x", BIT),), (Port("q", BIT),))

@@ -10,6 +10,7 @@ from netgen import (BIT, random_box, random_network, random_raw_network,
                     random_stack, random_wiring, rebuilt)
 from wirebox import wiring
 from wirebox.attacks import CompositeSystem, RewireStep, apply_rewire
+from wirebox.moore import apply_algebra
 from wirebox.wiring import (Architecture, Box, CompositionError, Const,
                             InnerOut, OuterIn, Port, Table, Wiring,
                             WiringError, _Routing, check_arch_morphism,
@@ -567,6 +568,31 @@ def test_a_rewire_normalizes_only_the_slot_and_builds_no_pad(monkeypatch):
     assert second.wiring == first.wiring
     assert all(second.wiring.in_map[(index, p.name)] == Const("1")
                for p in box.in_ports)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_rewire_takes_its_base_positions_and_computes_none(monkeypatch, seed):
+    g, machines = random_network(random.Random(seed))
+    index = len(g.inner) - 1
+    box = g.inner[index]
+    # each output advanced one symbol along its alphabet, so the entries
+    # that read the slot are normalized again over the positions
+    endo = Wiring((box,), (box,),
+                  {(0, p.name): OuterIn(0, p.name) for p in box.in_ports},
+                  {(0, p.name): Table((InnerOut(0, p.name),), tuple(
+                      ((a,), p.alphabet[(k + 1) % len(p.alphabet)])
+                      for k, a in enumerate(p.alphabet)))
+                   for p in box.out_ports})
+    apply_algebra(g, machines)  # compiles g's routing
+    real, calls = wiring._positions, []
+    monkeypatch.setattr(wiring, "_positions",
+                        lambda w: calls.append(w) or real(w))
+    n = precompose_slot(g, index, endo)
+    second = precompose_slot(n, index, endo)
+    assert calls == []
+    assert n._positions is g._positions and second._positions is g._positions
+    assert n._positions == real(n)
+    assert (n, second) == (padded(g, index, endo), padded(n, index, endo))
 
 
 def test_precompose_slot_refuses_what_is_no_endomorphism_of_the_slot():
