@@ -340,15 +340,22 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
 
     Reports trace equivalence to the given depth with a shortest
     distinguishing word (``probes.separating_word``), plus agreement for
-    each test of any battery supplied.
+    each test of any battery supplied.  The search's result decides a
+    trace test, and an output image it proves equal, by
+    ``probes.search_verdict``, with no outcome built; every other test
+    is run on both composites and compared.  So a trace test the search
+    decides gets its verdict even where its quotient would be over the
+    limit.
     """
     before = baseline.composite()
     after = attacked.composite()
     word = probes.separating_word(before, after, depth)
     results = []
     for t in battery:
-        agree = probes.compare_outcomes(
-            t, probes.run_test(t, before), probes.run_test(t, after))
+        agree = probes.search_verdict(t, word, depth)
+        if agree is None:
+            agree = probes.compare_outcomes(
+                t, probes.run_test(t, before), probes.run_test(t, after))
         results.append((t.name, agree))
     return DiffReport(word is None, word, depth, tuple(results))
 

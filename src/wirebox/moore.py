@@ -430,9 +430,10 @@ class _Table(dict):
 
     It starts with the rows ``apply_algebra`` routed.  ``__getitem__`` is
     dict's own, so a routed row costs one dict lookup; a lookup that
-    misses a key of a composite state routes that state
-    (``_Router.fill``, which never fails: the components are total) and
-    reads the row again, and any other miss raises KeyError.  The keys
+    misses a key of the product (a composite state, and for an update
+    row an outer input) routes that state (``_Router.fill``, which never
+    fails: the components are total) and reads the row again, and any
+    other miss raises KeyError, routing nothing.  The keys
     are the product's, in product order: iteration and ``len`` take them
     from the router's ``states`` and route nothing, while ``in``,
     ``get``, ``keys``, ``items``, ``values``, ``==``, ``!=`` and ``repr``
@@ -471,13 +472,11 @@ class _UpdateTable(_Table):
 
     def __missing__(self, key):
         s = key[0] if isinstance(key, tuple) and len(key) == 2 else None
-        if not self._router.is_state(s):
+        # an input outside the input space routes nothing: routing would
+        # not store its row, and dict's lookup would call __missing__ again
+        if not self._router.is_state(s) or key[1] not in self._router.inputs:
             raise KeyError(key)
         self._router.fill(s, self)
-        # a state's input outside the input space is still missing, and
-        # dict's lookup would call __missing__ again
-        if not dict.__contains__(self, key):
-            raise KeyError(key)
         return dict.__getitem__(self, key)
 
     def __iter__(self):

@@ -25,7 +25,11 @@ both name the shortest word, least in declared alphabet order.  It stops
 at a level that adds no pair, and refuses, like a composite, to hold
 more than ``MAX_TRANSITIONS`` pairs times inputs; so does a trace
 quotient with its rows.  ``oracle.find_distinguishing_word`` is its
-reference.
+reference.  Its result decides every trace test but one deeper than a
+search that found no word, and proves equal the output images of the
+steps shorter words reach (``search_verdict``), so ``attack_diff``
+runs only the tests it leaves open; ``run_test`` and
+``compare_outcomes`` stay their reference.
 
 Machine morphisms act on outcomes too: traces are preserved as they are,
 state sets map along the state map, the one-point outcome is constant.
@@ -115,6 +119,45 @@ class Test(Record):
             raise ProbeError("trace depth must be nonnegative")
         if isinstance(self.kind, OutputImage) and self.kind.step < 0:
             raise ProbeError("output image step must be nonnegative")
+
+
+def search_verdict(test: Test, word, depth: int) -> Optional[bool]:
+    """The verdict on ``test`` that ``word``, what ``separating_word(a,
+    b, depth)`` returned, proves for machines ``a`` and ``b``, or None
+    when it proves none.
+
+    A word of length n reads the outputs of the states 0 to n - 1 steps
+    reach.  Let ``clear`` be the word's length L, or ``depth + 1`` when
+    the search found none.  The search is breadth first, so every word
+    shorter than ``clear`` gives the two machines equal outputs, and when
+    it found a word, the two give different outputs on it (Moore, 1956:
+    every experiment shorter than the shortest distinguishing one
+    agrees).  Then:
+
+    * ``TraceSet(d)`` with d < ``clear``: every word of length d gives
+      equal outputs, so the trace sets, and their canonical quotients,
+      are equal.  With a word found and d >= L, every word of length d
+      that starts with it gives different outputs, so they disagree.
+      With no word found and d > ``depth``, nothing is proved.
+    * ``OutputImage(k)`` with k + 1 < ``clear``: every word of length
+      k + 1 gives equal outputs, the last of which is the readout of
+      the state k steps reach, so the two images are the same set.
+      Otherwise a word may differ at step k while the images are still
+      equal, so nothing is proved.
+    * A state set or the one-point outcome is no view of the traces.
+
+    What is left undecided goes through ``run_test`` and
+    ``compare_outcomes``, the reference for every verdict.
+    """
+    clear = depth + 1 if word is None else len(word)
+    kind = test.kind
+    if isinstance(kind, TraceSet):
+        if word is None and kind.depth > depth:
+            return None
+        return kind.depth < clear
+    if isinstance(kind, OutputImage) and kind.step + 1 < clear:
+        return True
+    return None
 
 
 class Outcome(Record):

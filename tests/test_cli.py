@@ -692,6 +692,32 @@ def test_diff_stops_when_no_new_state_pair_is_left():
     assert out.splitlines()[-1] == "equal to depth 100000000"
 
 
+@pytest.mark.parametrize("script,depth,code,line", [
+    ("double-swap", "100000000", EX_OK, "far: agree"),
+    ("gps-firmware", "6", 1, "far: disagree"),
+    ("double-swap", "3", EX_DATAERR, None),
+])
+def test_diff_gives_a_deep_trace_test_the_verdict_its_search_proves(
+        tmp_path, script, depth, code, line):
+    # a depth-300000 trace quotient is over the limit; the pair search
+    # decides the test when it finds a word or closes, and with neither
+    # the quotient is still built and refused
+    text = (UAV / "scenario.yaml").read_text(encoding="utf-8")
+    image = "- name: image-2\n  kind: output-image\n  step: 2\n"
+    assert text.count(image) == 1
+    far = tmp_path / "far.yaml"
+    far.write_text(text.replace(
+        image, image + "- {name: far, kind: traces, depth: 300000}\n"),
+        encoding="utf-8")
+    got, out, err = cli("diff", "--scenario", far, "--script", script,
+                        "--depth", depth)
+    assert got == code and "Traceback" not in err
+    if line is None:
+        assert out == "" and "over the limit" in err
+    else:
+        assert line in out.splitlines() and err == ""
+
+
 @pytest.mark.parametrize("depth", ["0", "-2"])
 def test_diff_depth_below_one_is_a_usage_error(depth):
     code, out, err = cli("diff", "--scenario", UAV / "scenario.yaml",

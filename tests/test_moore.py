@@ -413,8 +413,8 @@ def test_composite_tables_answer_dict_methods_whole_or_refuse_them():
 
 
 def test_an_input_outside_the_input_space_misses_in_both_tables():
-    # s is in the product and not reachable from init: a miss in the
-    # update table routes its update rows, then finds no row for the key
+    # s is in the product and not reachable from init: a miss on an input
+    # outside the input space routes nothing and finds no row for the key
     m = apply_algebra(*history_row(3))
     s = next(s for s in m.states if s not in dict.keys(m.readout))
     for bad in (("2",), ("0", "0"), ()):
@@ -422,8 +422,26 @@ def test_an_input_outside_the_input_space_misses_in_both_tables():
             assert (s, bad) not in table and table.get((s, bad)) is None
             with pytest.raises(KeyError):
                 table[(s, bad)]
-    assert (s, ("1",)) in dict.keys(m.update)
+    assert (s, ("1",)) not in dict.keys(m.update)
     assert s not in dict.keys(m.readout)
+
+
+def test_an_update_miss_routes_only_a_key_of_the_product(monkeypatch):
+    m = apply_algebra(*history_row(3))
+    s = next(s for s in m.states if s not in dict.keys(m.readout))
+    fills = []
+    fill = moore._Router.fill
+    monkeypatch.setattr(moore._Router, "fill",
+                        lambda *args: fills.append(args[1]) or fill(*args))
+    for _ in range(3):
+        assert m.update.get((s, ("2",))) is None
+    assert fills == []
+    # a valid lookup routes the state once, storing both of its rows:
+    # each cell shifts in the newest bit of the cell before it
+    for x in BIT:
+        assert m.update[(s, (x,))] == (s[0][1] + x, s[1][1] + s[0][1],
+                                       s[2][1] + s[1][1])
+    assert fills == [s]
 
 
 def test_a_readout_lookup_routes_the_whole_state():

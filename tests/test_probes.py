@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from netgen import (BIT, random_machine, random_network, random_wiring,
                     relabel)
 from wirebox import moore, probes
-from wirebox.attacks import CompositeSystem, apply_script, attack_diff
+from wirebox.attacks import (CompositeSystem, apply_script, attack_diff,
+                             attacked_system)
 from wirebox.fileformat import load, load_kb_dir
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, identity_hom, lift_hom, run)
@@ -255,6 +256,76 @@ def test_one_search_gives_the_reference_word(seed, variant):
             assert separating_word(a, b, depth) == word
             assert outcome_witness(t, run_test(t, a), run_test(t, b)) == word
         assert (separating_word(a, b, 10 ** 9) is None) == bisimilar(a, b)
+
+
+#: trace depths and image steps from 0 to 9, on both sides of each search
+#: depth from 0 to 8 and of each word length the search finds
+SPREAD = (tuple(Test(f"traces-{d}", TraceSet(d)) for d in range(10))
+          + tuple(Test(f"image-{k}", OutputImage(k)) for k in range(10))
+          + (Test("states", StateSet()), Test("point", Terminal())))
+
+
+def assert_diff_verdicts_are_the_reference(baseline, attacked, depth, battery):
+    before, after = baseline.composite(), attacked.composite()
+    want = [(t.name, compare_outcomes(t, run_test(t, before),
+                                      run_test(t, after))) for t in battery]
+    assert list(attack_diff(baseline, attacked, depth, battery).tests) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+def test_a_diff_gives_every_test_the_verdict_of_its_outcomes(seed, variant):
+    # the verdicts the pair search decides are those run_test's outcomes
+    # give, for equal and unequal machines alike
+    rng = random.Random(seed)
+    a, b = network_pair(rng, variant)
+    pairs = ((a, b), (random_machine(rng, REV), random_machine(rng, REV)),
+             (a, a))
+    for a, b in pairs:
+        systems = [CompositeSystem(identity_wiring(m.box), (m,)) for m in (a, b)]
+        for depth in range(9):
+            assert_diff_verdicts_are_the_reference(*systems, depth, SPREAD)
+
+
+def test_a_diff_of_each_fixture_script_gives_the_reference_verdicts():
+    scenario = load(UAV / "scenario.yaml").scenario
+    decided = set()
+    for entry in scenario.scripts:
+        baseline = scenario.system(entry.system)
+        attacked = attacked_system(baseline, entry.script)
+        for depth in range(1, 8):
+            assert_diff_verdicts_are_the_reference(baseline, attacked, depth,
+                                                   scenario.battery)
+            word = separating_word(baseline.composite(),
+                                   attacked.composite(), depth)
+            decided.update(probes.search_verdict(t, word, depth) is not None
+                           for t in scenario.battery
+                           if isinstance(t.kind, (TraceSet, OutputImage)))
+    # the search decides some trace and image tests and leaves others open
+    assert decided == {False, True}
+
+
+def test_a_diff_the_search_decides_builds_no_trace_or_image_outcome(
+        monkeypatch):
+    calls = []
+    for name in ("_trace_quotient", "_nth"):
+        f = getattr(probes, name)
+        monkeypatch.setattr(probes, name, lambda *args, f=f, name=name:
+                            calls.append(name) or f(*args))
+    scenario = load(UAV / "scenario.yaml").scenario
+    systems = [(scenario.system(e.system),
+                attacked_system(scenario.system(e.system), e.script))
+               for e in scenario.scripts]
+    for baseline, attacked in systems:
+        word = separating_word(baseline.composite(), attacked.composite(), 6)
+        assert all(probes.search_verdict(t, word, 6) is not None
+                   for t in scenario.battery
+                   if isinstance(t.kind, (TraceSet, OutputImage)))
+        attack_diff(baseline, attacked, 6, scenario.battery)
+    assert calls == []
+    # at depth 2 the search decides neither traces-6 nor image-2
+    attack_diff(*systems[0], 2, scenario.battery)
+    assert {"_trace_quotient", "_nth"} <= set(calls)
 
 
 def test_state_set_value_is_the_history_machines_states_in_order():
