@@ -27,9 +27,9 @@ from categories import chain3, cyc3, walking_iso
 from wirebox import fincat as fc
 from wirebox import fileformat as ff
 from wirebox.attacks import AttackScript, apply_script
-from wirebox.dot import architecture_dot, wiring_dot
+from wirebox.dot import wiring_dot
 from wirebox.oracle import trace_equivalent
-from wirebox.wiring import Architecture, identity_wiring
+from wirebox.wiring import identity_wiring
 
 ROOT = os.path.join(HERE, "..", "fixtures")
 
@@ -259,18 +259,11 @@ def gen_fincat() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def gen_golden() -> dict[str, str]:
-    arch = Architecture(
-        uav.uav_box(), uav.frame_wiring(),
-        (Architecture(uav.sense_box(), uav.sensor_view_wiring(),
-                      (Architecture(uav.imu_box()), Architecture(uav.gps_box()),
-                       Architecture(uav.proc_box()))),
-         Architecture(uav.ctrl_box()), Architecture(uav.dyn_box())))
     return {
         "golden/identity.dot":
             wiring_dot(identity_wiring(uav.gps_box()), "identity"),
         "golden/sensor-view.dot":
             wiring_dot(uav.sensor_view_wiring(), "sensor-view"),
-        "golden/architecture.dot": architecture_dot(arch, "airframe"),
     }
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from . import Record, WireboxError, _kept, moore, probes, wiring as wi
-from .moore import (MachineHom, MooreMachine, _lifted, _machines_fit,
-                    apply_algebra)
+from .moore import (MachineHom, MooreMachine, _machines_fit, apply_algebra,
+                    lift_hom)
 from .wiring import Wiring
 
 
@@ -138,8 +138,9 @@ def check_step(sys: CompositeSystem, step) -> None:
     A morphism rewrite's target was checked against its source when the
     morphism was built; ``apply_rewrite`` checks that the source is the
     slot's current component.  Slots and their boxes never change under a
-    step, so a whole script can be checked against the system it is
-    aimed at.
+    step, so each step's slot and box can be checked against the system
+    the script is aimed at; its morphism's source cannot, since the
+    steps before it may have replaced the slot's component.
     """
     index = step.index
     check_index(sys, index)
@@ -162,9 +163,10 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
     routing compiled for ``sys``'s composite.  In morphism mode the
     morphism's source must be the current component.  The replacement
     and the morphism were checked when built.  The returned witness is
-    the morphism lifted along the wiring, as ``moore.lift_hom`` lifts
-    it, from ``sys.composite()`` to the returned system's composite,
-    which is built here and kept on that system.  Its state map is
+    the morphism, with identities on the other slots, lifted along the
+    wiring by ``moore.lift_hom``, from ``sys.composite()`` to the
+    returned system's composite, which is built here and kept on that
+    system.  Its state map is
     computed on lookup, so on a product over the limit the rewrite
     costs the reachable parts alone, and reading the map whole is
     refused.
@@ -181,8 +183,8 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
         return RewriteResult(result)
     homs = [moore.identity_hom(m) for m in sys.components]
     homs[step.index] = hom
-    return RewriteResult(result, _lifted(homs, sys.composite(),
-                                         result.composite()))
+    return RewriteResult(result, lift_hom(homs, sys.composite(),
+                                          result.composite()))
 
 
 def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:

@@ -1,4 +1,4 @@
-"""Graphviz DOT rendering for wirings and architectures.
+"""Graphviz DOT rendering for wirings.
 
 Output is deterministic: nodes and edges appear in port order, box by
 box, so the same wiring always renders to the same text.  Inner boxes
@@ -9,8 +9,7 @@ table shows every wire it reads.  Constants become small source nodes.
 
 from __future__ import annotations
 
-from .wiring import (Architecture, Box, Const, OuterIn, SourceExpr, Table,
-                     Wiring, expr_refs, flatten)
+from .wiring import Box, Const, OuterIn, SourceExpr, Table, Wiring, expr_refs
 
 
 def _quote(s: str) -> str:
@@ -36,20 +35,24 @@ def _expr_edges(expr: SourceExpr, dst: str, lines: list[str], consts: list[str])
         lines.append(f"  {_quote(src)} -> {_quote(dst)}{styled};")
 
 
-def _box_cluster(box: Box, i: int, cluster_ns: str, indent: str) -> list[str]:
-    lines = [f"{indent}subgraph cluster_{cluster_ns}b{i} {{",
-             f"{indent}  label={_quote(f'{box.name}[{i}]')};"]
+def _box_cluster(box: Box, i: int) -> list[str]:
+    lines = [f"  subgraph cluster_b{i} {{",
+             f"    label={_quote(f'{box.name}[{i}]')};"]
     for p in box.in_ports:
-        lines.append(f"{indent}  {_quote(f'box{i}:in.{p.name}')} "
+        lines.append(f"    {_quote(f'box{i}:in.{p.name}')} "
                      f"[label={_quote(p.name)} shape=box];")
     for p in box.out_ports:
-        lines.append(f"{indent}  {_quote(f'box{i}:out.{p.name}')} "
+        lines.append(f"    {_quote(f'box{i}:out.{p.name}')} "
                      f"[label={_quote(p.name)} shape=ellipse];")
-    lines.append(f"{indent}}}")
+    lines.append("  }")
     return lines
 
 
-def _ports_and_edges(w: Wiring, lines: list[str]):
+def wiring_dot(w: Wiring, name: str = "wiring") -> str:
+    """Render one wiring as a DOT digraph."""
+    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;"]
+    for i, box in enumerate(w.inner):
+        lines.extend(_box_cluster(box, i))
     # outer port nodes, then one edge per wire, after the inner clusters
     for j, box in enumerate(w.outer):
         for p in box.in_ports:
@@ -65,43 +68,5 @@ def _ports_and_edges(w: Wiring, lines: list[str]):
         _expr_edges(w.in_map[(i, p.name)], f"box{i}:in.{p.name}", lines, consts)
     for j, p in w.outer_output_ports():
         _expr_edges(w.out_map[(j, p.name)], f"out:{j}.{p.name}", lines, consts)
-
-
-def wiring_dot(w: Wiring, name: str = "wiring") -> str:
-    """Render one wiring as a DOT digraph."""
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;"]
-    for i, box in enumerate(w.inner):
-        lines.extend(_box_cluster(box, i, "", "  "))
-    _ports_and_edges(w, lines)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def architecture_dot(arch: Architecture, name: str = "architecture") -> str:
-    """Render an architecture as nested clusters with flattened edges.
-
-    Cluster nesting mirrors the tree; leaf clusters are numbered by
-    their flat slot and edges come from the flattened wiring, so what
-    is drawn is exactly what executes.
-    """
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  compound=true;"]
-    slot = [0]
-
-    def emit(a: Architecture, cluster_ns: str, pos: int, indent: str):
-        if a.wiring is None:
-            lines.extend(_box_cluster(a.root, slot[0], cluster_ns, indent))
-            slot[0] += 1
-            return
-        lines.append(f"{indent}subgraph cluster_{cluster_ns}g{pos} {{")
-        lines.append(f"{indent}  label={_quote(f'{a.root.name}[{pos}]')};")
-        for j, child in enumerate(a.children):
-            emit(child, f"{cluster_ns}g{pos}", j, indent + "  ")
-        lines.append(f"{indent}}}")
-
-    # an atomic architecture is one leaf cluster with no wires
-    for j, child in enumerate((arch,) if arch.wiring is None else arch.children):
-        emit(child, "", j, "  ")
-    if arch.wiring is not None:
-        _ports_and_edges(flatten(arch), lines)
     lines.append("}")
     return "\n".join(lines) + "\n"

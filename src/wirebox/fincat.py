@@ -9,14 +9,13 @@ with the first structural gap or law violation.
 ``enumerate_nat`` lists every natural transformation between two
 functors; ``yoneda_check`` verifies, by exhaustive enumeration, that
 transformations out of a hom-functor correspond one to one with
-elements, and ``representable_iso_check`` decides whether two objects
-have isomorphic hom-functors and produces the isomorphism in the
-category that witnesses it.
+elements.  ``oracle.is_natural`` checks every square of a
+transformation, and is the reference the enumeration is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import Record, WireboxError
 
@@ -264,16 +263,6 @@ class NatTransformation(Record):
                      for a in sorted(self.components))
 
 
-def is_natural(F: SetFunctor, G: SetFunctor, eta: NatTransformation) -> bool:
-    """Check every naturality square of eta exhaustively."""
-    cat = F.cat
-    for m in cat.morphisms:
-        for x in F.at(m.src):
-            if eta.at(m.tgt)[F.map(m.mid)[x]] != G.map(m.mid)[eta.at(m.src)[x]]:
-                return False
-    return True
-
-
 def _structure(cat: FinCategory) -> tuple:
     """What makes ``cat`` the category it is, for comparing two of them."""
     return (cat.name, set(cat.objects), set(cat.morphisms), cat.identity,
@@ -383,35 +372,3 @@ def yoneda_check(cat: FinCategory, a: Obj, F: SetFunctor) -> YonedaWitness:
         raise YonedaError(f"evaluation at the identity of {a!r} is not surjective")
     return YonedaWitness(a, F.name, pairs)
 
-
-def representable_iso_check(cat: FinCategory, a: Obj,
-                            b: Obj) -> tuple[bool, Optional[tuple[MorId, MorId]]]:
-    """Are hom(a,-) and hom(b,-) naturally isomorphic?
-
-    When they are, returns the witnessing isomorphism in the category:
-    a pair (f, g) with f: b -> a and g: a -> b composing to identities
-    both ways.  The first transformation hom(a,-) => hom(b,-) that is a
-    bijection at every object is a natural isomorphism, since the inverse
-    of a natural isomorphism is natural; f is its value at the identity of
-    a, g its inverse's value at the identity of b, and the pair is
-    verified by direct composition.
-    """
-    for x in (a, b):
-        if x not in cat.objects:
-            raise FinCatError(f"no object {x!r}")
-    Ha, Hb = hom_functor(cat, a), hom_functor(cat, b)
-    for eta in enumerate_nat(Ha, Hb):
-        if all(sorted(eta.at(c).values()) == sorted(Hb.at(c)) for c in cat.objects):
-            f = eta.at(a)[cat.identity[a]]      # f: b -> a
-            g = next(x for x, y in eta.at(b).items()  # g: a -> b
-                     if y == cat.identity[b])
-            if cat.comp(f, g) != cat.identity[a]:
-                raise YonedaError(
-                    f"witness pair ({f}, {g}) does not compose to the "
-                    f"identity of {a!r}")
-            if cat.comp(g, f) != cat.identity[b]:
-                raise YonedaError(
-                    f"witness pair ({g}, {f}) does not compose to the "
-                    f"identity of {b!r}")
-            return True, (f, g)
-    return False, None

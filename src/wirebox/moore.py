@@ -27,8 +27,9 @@ so validating, rendering, dumping, comparing or checking morphisms)
 refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
 refuses a reachable part of more than that many, and stepping and
 running never refuse.
-``lift_hom`` applies the same wiring to machine morphisms, componentwise
-on state maps: the lifted map is read-only and maps a state on lookup,
+``lift_hom`` lifts machine morphisms along a wiring, given the two
+composites it makes of their sources and of their targets: the lifted
+state map acts componentwise, is read-only and maps a state on lookup,
 so lifting, like building, costs the reachable parts alone.
 """
 
@@ -583,11 +584,12 @@ def compose_homs(g: MachineHom, h: MachineHom) -> MachineHom:
         s: g.state_map[h.state_map[s]] for s in h.source.states})
 
 
-def lift_hom(w: Wiring, homs: Sequence[MachineHom]) -> MachineHom:
-    """The wiring applied to a list of machine morphisms.
+def lift_hom(homs: Sequence[MachineHom], source: MooreMachine,
+             target: MooreMachine) -> MachineHom:
+    """``homs`` lifted to a morphism from ``source`` to ``target``, the
+    composites one wiring makes of their sources and of their targets;
+    the caller builds both (``apply_algebra``).
 
-    Source and target are the composites of the component sources and
-    targets, each costing its reachable part (see ``apply_algebra``).
     The state map acts componentwise, so the result is a morphism by
     construction and is not checked again.  It is a read-only mapping
     that maps a composite state on lookup and stores nothing
@@ -596,15 +598,6 @@ def lift_hom(w: Wiring, homs: Sequence[MachineHom]) -> MachineHom:
     ``hom_violations`` do, is refused there with the whole-product
     readers' MachineError.
     """
-    return _lifted(homs, apply_algebra(w, [h.source for h in homs]),
-                   apply_algebra(w, [h.target for h in homs]))
-
-
-def _lifted(homs: Sequence[MachineHom], source: MooreMachine,
-            target: MooreMachine) -> MachineHom:
-    """``homs`` lifted to a morphism from ``source`` to ``target``, the
-    composites one wiring makes of their sources and of their targets;
-    the caller passes them, built already."""
     return MachineHom._built(source, target, _LiftedMap(
         tuple(h.state_map for h in homs), source.states))
 

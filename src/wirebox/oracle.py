@@ -1,9 +1,12 @@
 """Independent reference semantics for checking machines and composites.
 
 Everything here recomputes behavior from raw tables, on purpose: the
-simulator walks wiring expressions with its own evaluator instead of
-calling the composition algebra, so the two paths can check each other.
-Do not refactor the duplication away.
+simulator, ``route`` and ``eval_equal`` walk wiring expressions with one
+evaluator of their own, which compiles nothing, instead of calling the
+composition algebra or its compiled routing, so the two paths can check
+each other; ``is_natural`` checks every naturality square that
+``fincat.enumerate_nat`` builds its transformations to satisfy.  Do not
+refactor the duplication away.
 
 Word order conventions: inputs to a machine are flat tuples of port
 symbols; words are sequences of those.  Input tuples are ordered by the
@@ -15,11 +18,14 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .moore import MachineError, MooreMachine, State, render_state
 from .wiring import (Const, InnerOut, OuterIn, Symbol, Table, Wiring,
                      WiringError, _box_mismatch)
+
+if TYPE_CHECKING:  # for annotations: importing oracle loads no fincat
+    from .fincat import NatTransformation, SetFunctor
 
 Word = tuple[tuple[Symbol, ...], ...]
 
@@ -163,6 +169,38 @@ def _eval(expr, inner_vals, outer_vals):
     raise WiringError(f"not a source expression: {expr!r}")
 
 
+def route(w: Wiring, inner_outs: Sequence[Symbol], outer_in: Sequence[Symbol]
+          ) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...]]:
+    """One step of value routing, read off the source expressions.
+
+    ``inner_outs`` holds the inner output values and ``outer_in`` the
+    outer input values, each flat in document port order; returns the
+    inner input values and the outer output values, flat the same way.
+    """
+    inner_vals = {(i, p.name): v
+                  for (i, p), v in zip(w.inner_output_ports(), inner_outs)}
+    outer_vals = {(j, p.name): v
+                  for (j, p), v in zip(w.outer_input_ports(), outer_in)}
+    return (tuple(_eval(w.in_map[(i, p.name)], inner_vals, outer_vals)
+                  for i, p in w.inner_input_ports()),
+            tuple(_eval(w.out_map[(j, p.name)], inner_vals, {})
+                  for j, p in w.outer_output_ports()))
+
+
+def eval_equal(a: Wiring, b: Wiring) -> bool:
+    """Do two wirings on one boundary ``route`` every value alike?
+
+    Exhaustive over the inner output and outer input values; raises
+    WiringError when the boundaries differ.
+    """
+    if a.inner != b.inner or a.outer != b.outer:
+        raise WiringError("wirings have different boundaries")
+    points = itertools.product(
+        itertools.product(*(p.alphabet for _, p in a.inner_output_ports())),
+        itertools.product(*(p.alphabet for _, p in a.outer_input_ports())))
+    return all(route(a, *point) == route(b, *point) for point in points)
+
+
 def stagewise_simulate(w: Wiring, machines: Sequence[MooreMachine],
                        word: Sequence[Sequence[Symbol]]) -> list[tuple[Symbol, ...]]:
     """Run the wired network step by step without building the composite.
@@ -216,3 +254,12 @@ def stagewise_simulate(w: Wiring, machines: Sequence[MooreMachine],
                 raise _missing_row(mk, sk, (), f"component {k}") from None
         raise _missing_row(m, states[i], (fed,), f"component {i}") from None
     return outs
+
+
+def is_natural(F: SetFunctor, G: SetFunctor, eta: NatTransformation) -> bool:
+    """Does every naturality square of ``eta``: F => G commute?"""
+    for m in F.cat.morphisms:
+        for x in F.at(m.src):
+            if eta.at(m.tgt)[F.map(m.mid)[x]] != G.map(m.mid)[eta.at(m.src)[x]]:
+                return False
+    return True

@@ -31,15 +31,12 @@ steps shorter words reach (``search_verdict``), so ``attack_diff``
 runs only the tests it leaves open; ``run_test`` and
 ``compare_outcomes`` stay their reference.
 
-Machine morphisms act on outcomes too: traces are preserved as they are,
-state sets map along the state map, the one-point outcome is constant.
-``transport_outcome`` implements that action.
-
 ``yoneda_filter`` is the learner: it compares a black-box target against
 known machines, test by test, and keeps the candidates that agree
 everywhere.  Target data comes only through the oracle interface; the
-learner never touches a target machine directly.  ``architecture_probe``
-runs it over the composites of candidate decompositions.
+learner never touches a target machine directly.  A knowledge base may
+hold composites, so the same filter tells candidate decompositions
+apart: a scenario's ``kb`` rows name systems as well as machines.
 """
 
 from __future__ import annotations
@@ -48,8 +45,8 @@ from collections.abc import Sequence
 from typing import Optional, Protocol, Union
 
 from . import Record, WireboxError, _kept, moore
-from .moore import MachineHom, MooreMachine, State, apply_algebra, render_state
-from .wiring import Box, Wiring, _box_mismatch, input_space
+from .moore import MooreMachine, State
+from .wiring import Box, _box_mismatch, input_space
 
 
 class ProbeError(WireboxError):
@@ -349,32 +346,6 @@ def _separating_word(init_a, readout_a, update_a, init_b, readout_b, update_b,
     return None
 
 
-def transport_outcome(test: Test, hom: MachineHom, outcome: Outcome) -> Outcome:
-    """How a machine morphism carries a source outcome to the target.
-
-    Trace sets and output images are untouched (morphisms preserve
-    behavior), state sets map along the state map, the one-point outcome
-    is constant.
-    """
-    if outcome.test != test.name:
-        raise ProbeError(f"outcome {outcome.test!r} is not from {test.name!r}")
-    kind = test.kind
-    if isinstance(kind, (TraceSet, OutputImage)):
-        return outcome
-    if isinstance(kind, Terminal):
-        return Outcome(test.name, ("*",))
-    # a StateSet, the one kind left that Test admits
-    try:
-        mapped = {hom.state_map[s] for s in outcome.value}
-    except KeyError as e:
-        raise ProbeError(f"outcome {test.name!r} names state "
-                         f"{render_state(e.args[0])!r}, which the morphism's "
-                         f"source lacks") from None
-    # repr orders states of mixed types (a name and a tuple) and, unlike
-    # render_state, keeps apart composite states that render alike
-    return Outcome(test.name, tuple(sorted(mapped, key=repr)))
-
-
 # ---------------------------------------------------------------------------
 # knowledge bases and the learner
 # ---------------------------------------------------------------------------
@@ -507,24 +478,3 @@ def yoneda_filter(kb: KnowledgeBase, battery: Sequence[Test],
     return LearnResult(candidates, _classify(candidates), tuple(matrix),
                        tuple(incomplete))
 
-
-def architecture_probe(oracle: TargetOracle,
-                       hypotheses: Sequence[tuple[str, Wiring, Sequence[MooreMachine]]],
-                       depth: int) -> LearnResult:
-    """Which candidate decompositions are consistent with the target?
-
-    Each hypothesis is a named wiring plus machines for its inner boxes;
-    its composite must inhabit the target's box.  ``yoneda_filter`` runs
-    the composites, as a knowledge base, against the target on bounded
-    traces of the given depth, so internals the traces cannot see
-    (redundant components, equivalent machines) stay indistinguishable.
-    Names must be distinct; an oracle that cannot answer leaves every
-    hypothesis a candidate.
-    """
-    for name, wiring, _ in hypotheses:
-        if len(wiring.outer) != 1 or wiring.outer[0] != oracle.box:
-            raise ProbeError(
-                f"hypothesis {name!r} does not compose to the target's box")
-    kb = KnowledgeBase(oracle.box, tuple((name, apply_algebra(w, ms))
-                                         for name, w, ms in hypotheses))
-    return yoneda_filter(kb, (Test(f"traces-{depth}", TraceSet(depth)),), oracle)

@@ -205,9 +205,12 @@ def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
     will check it when applied: a slot index past the system's slots, or
     a replacement machine or endomorphism on another box than its slot's,
     fails at the step's ``rewrite`` or ``rewire`` key.  A morphism
-    rewrite's morphism, from the slot's component to its target, is
-    checked when it is built (``MachineHom``), and its first violation
-    fails at the step's ``state_map`` key.
+    rewrite's morphism, from the slot's component as the steps before
+    it leave it to its target, is checked when it is built
+    (``MachineHom``), and its first violation fails at the step's
+    ``state_map`` key.  So the steps are folded as they are read: each
+    rewrite, plain or morphism, makes its machine the slot's current
+    component, and a rewire leaves the components alone.
 
     An attack.v1 document defines no systems, so there ``system`` is None:
     its steps are checked only when applied, and it cannot carry a
@@ -217,6 +220,7 @@ def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
                           check_step)
 
     steps: list = []
+    current = list(system.components) if system is not None else None
     for row, rp in _rows()(v, path):
         if "rewrite" in row:
             _row(row, rp, ("rewrite", "machine", "state_map"))
@@ -232,7 +236,7 @@ def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
                 with _errors_at(f"{rp}.rewrite"):
                     check_index(system, idx)
                 with _errors_at(f"{rp}.state_map"):
-                    hom = MachineHom(system.components[idx], target, state_map)
+                    hom = MachineHom(current[idx], target, state_map)
                 step = RewriteStep(idx, hom=hom)
             else:
                 step = RewriteStep(idx, machine=target)
@@ -248,6 +252,8 @@ def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
         if system is not None:
             with _errors_at(f"{rp}.{key}"):
                 check_step(system, step)
+            if key == "rewrite":
+                current[idx] = target
         steps.append(step)
     return AttackScript(tuple(steps))
 

@@ -17,10 +17,9 @@ substitutes, and a tensor of normal forms is one.  ``precompose_slot``
 reroutes one inner box through an endomorphism of it: its result is
 ``compose(g, tensor(pads))``, with identity pads on the other boxes,
 computed by substitution into only the expressions the endomorphism
-touches, and that general composite is its reference.  ``evaluate``
-computes one step of value routing, with its arguments checked, for
-callers and tests; the library's own steps run the compiled routing
-directly.
+touches, and that general composite is its reference.  Nested
+decompositions need no type of their own: a composite of composites is
+one wiring, built by ``compose`` and ``tensor``.
 
 Substituting valid wirings into one another cannot make an invalid
 wiring.  So only the public constructor validates; ``identity_wiring``,
@@ -30,13 +29,15 @@ without the check.
 All evaluation runs on compiled expressions: every port reference
 becomes a position in one flat tuple of values, and every table one
 dict.  The positions depend on the boundary alone, so they are kept on
-the wiring and a rewire takes its base's.  ``evaluate``, ``eval_equal`` and the composite machines of
-``moore.apply_algebra`` route through a whole wiring compiled once, one
-function per component, and kept on the wiring, so every step and
-composite of one wiring object share it; a slot rerouted by
+the wiring and a rewire takes its base's.  The composite machines of
+``moore.apply_algebra`` route through a whole wiring compiled once
+(``_Routing``), one function per component, and kept on the wiring, so
+every composite of one wiring object shares it; a slot rerouted by
 ``precompose_slot`` takes its base's functions for every component
 whose entries it takes from the base.  Normalization compiles each
 expression over the values of the references it reads.
+``oracle.eval_equal`` checks the compiled routing against the source
+expressions, read by the reference's own evaluator.
 
 Directionality is enforced by the expression variants themselves: an inner
 input may read outer inputs and inner outputs; an outer output may read
@@ -115,12 +116,6 @@ def input_space(boxes: Sequence[Box]) -> list[tuple[Symbol, ...]]:
     in declaration order.
     """
     alphabets = [p.alphabet for b in boxes for p in b.in_ports]
-    return [tuple(t) for t in itertools.product(*alphabets)]
-
-
-def output_space(boxes: Sequence[Box]) -> list[tuple[Symbol, ...]]:
-    """All joint output tuples for a list of boxes, flat as in input_space."""
-    alphabets = [p.alphabet for b in boxes for p in b.out_ports]
     return [tuple(t) for t in itertools.product(*alphabets)]
 
 
@@ -575,50 +570,6 @@ def _compile_expr(expr: SourceExpr,
     raise WiringError(f"not a source expression: {expr!r}")
 
 
-def evaluate(w: Wiring, inner_outs: Sequence[Symbol],
-             outer_in: Sequence[Symbol]) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...]]:
-    """One synchronous step of value routing.
-
-    ``inner_outs`` holds the current inner output values, flat in document
-    order; ``outer_in`` the outer input values.  Returns the pair
-    (inner input values, outer output values), same flat convention.
-    The wiring is compiled once and the routing kept on it (``_kept``).
-    """
-    inner_ports, outer_ports = w.inner_output_ports(), w.outer_input_ports()
-    if len(inner_outs) != len(inner_ports):
-        raise WiringError(
-            f"expected {len(inner_ports)} inner output values, "
-            f"got {len(inner_outs)}")
-    if len(outer_in) != len(outer_ports):
-        raise WiringError(
-            f"expected {len(outer_ports)} outer input values, "
-            f"got {len(outer_in)}")
-    for (i, p), v in zip(inner_ports, inner_outs):
-        if v not in p.alphabet:
-            raise WiringError(
-                f"value {v!r} is not in the alphabet of inner output {i}.{p.name}")
-    for (j, p), v in zip(outer_ports, outer_in):
-        if v not in p.alphabet:
-            raise WiringError(
-                f"value {v!r} is not in the alphabet of outer input {j}.{p.name}")
-    return _kept(w, "_routing", _Routing).route(tuple(inner_outs) + tuple(outer_in))
-
-
-def eval_equal(a: Wiring, b: Wiring) -> bool:
-    """Exhaustive semantic equality of two wirings on the same boundary;
-    raises WiringError when their boundaries differ."""
-    if a.inner != b.inner or a.outer != b.outer:
-        raise WiringError("wirings have different boundaries")
-    ra, rb = _kept(a, "_routing", _Routing), _kept(b, "_routing", _Routing)
-    outer_inputs = input_space(a.outer)
-    for inner_outs in output_space(a.inner):
-        for outer_in in outer_inputs:
-            values = inner_outs + outer_in
-            if ra.route(values) != rb.route(values):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------
@@ -697,60 +648,3 @@ def _expr_text(expr: SourceExpr) -> str:
     rows = ",".join(f"{'|'.join(k)}->{v}" for k, v in expr.entries)
     return f"table [{srcs}] {{{rows}}}"
 
-
-# ---------------------------------------------------------------------------
-# architectures
-# ---------------------------------------------------------------------------
-
-class Architecture(Record):
-    """A box, optionally decomposed by a wiring into child architectures.
-
-    A leaf is atomic.  A node's wiring must have the node's box as its
-    single outer box and the children's boxes, in order, as inner boxes.
-    """
-
-    root: Box
-    wiring: Wiring | None = None
-    children: tuple["Architecture", ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if self.wiring is None:
-            if self.children:
-                raise WiringError("atomic architecture cannot have children")
-            return
-        if self.wiring.outer != (self.root,):
-            raise WiringError(
-                f"architecture wiring must target exactly the root box "
-                f"{self.root.name!r}")
-        if self.wiring.inner != tuple(c.root for c in self.children):
-            raise WiringError(
-                "architecture wiring inner boxes must match children in order")
-
-    def leaves(self) -> list[Box]:
-        if self.wiring is None:
-            return [self.root]
-        return [leaf for c in self.children for leaf in c.leaves()]
-
-
-def flatten(arch: Architecture) -> Wiring:
-    """Compose an architecture tree into one wiring from its leaves."""
-    if arch.wiring is None:
-        return identity_wiring(arch.root)
-    return compose(arch.wiring, tensor([flatten(c) for c in arch.children]))
-
-
-def check_arch_morphism(phi: Wiring, psi: Wiring, k: Wiring) -> bool:
-    """Does ``k`` exhibit ``phi`` as ``psi`` precomposed with ``k``?
-
-    ``phi`` and ``psi`` are architectures over the same root (equal outer
-    boundary); ``k`` maps phi's inner tensor to psi's inner tensor.  True
-    iff ``compose(psi, k)`` equals ``phi``: both are normal forms, so
-    they are equal exactly when they agree on every evaluation point,
-    which ``eval_equal`` would walk.
-    """
-    if phi.outer != psi.outer:
-        raise WiringError("architectures target different boxes")
-    if k.inner != phi.inner or k.outer != psi.inner:
-        raise WiringError("mediating wiring has the wrong boundary")
-    return compose(psi, k) == phi

@@ -18,12 +18,11 @@ from wirebox.attacks import apply_script, transport_script
 from wirebox.fileformat import load
 from wirebox.fincat import yoneda_check
 from wirebox.moore import apply_algebra, hom_violations, run
-from wirebox.oracle import (bisimilar, find_distinguishing_word,
+from wirebox.oracle import (bisimilar, eval_equal, find_distinguishing_word,
                             stagewise_simulate, trace_equivalent)
 from wirebox.probes import AMBIGUOUS, EXACT, UNKNOWN, MachineOracle, Terminal, \
     Test, yoneda_filter
-from wirebox.wiring import (compose, eval_equal, identity_of, identity_wiring,
-                            tensor)
+from wirebox.wiring import compose, identity_of, identity_wiring, tensor
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DEPTH = 6

@@ -1,5 +1,6 @@
 """The command line: exit codes, output shapes, and file handling."""
 
+import copy
 import hashlib
 import io
 import os
@@ -235,6 +236,53 @@ def test_a_step_past_the_system_slots_fails_at_load(tmp_path, script, key):
     for argv in (("validate", path),
                  ("diff", "--scenario", path, "--script", script)):
         assert cli(*argv) == (EX_DATAERR, "", want)
+
+
+def with_minimize_steps(tmp_path, change) -> tuple[int, pathlib.Path]:
+    """The scenario with ``change(data, steps)`` applied, where ``steps``
+    are gps-minimize's, written to a file; and gps-minimize's index."""
+    data = yaml.safe_load((UAV / "scenario.yaml").read_text())
+    k = next(k for k, s in enumerate(data["scripts"])
+             if s["name"] == "gps-minimize")
+    change(data, data["scripts"][k]["steps"])
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    return k, path
+
+
+def test_every_command_refuses_a_morphism_from_a_replaced_component(tmp_path):
+    # a second copy of gps-minimize's step maps gps-history's states, but
+    # the first copy leaves gps-stock in slot 1: every command refuses the
+    # script at the second step's state_map
+    k, path = with_minimize_steps(
+        tmp_path, lambda _, steps: steps.append(copy.deepcopy(steps[0])))
+    want = (f"error: scenario.yaml.scripts[{k}].steps[1].state_map: "
+            f"state map misses 0\n")
+    for argv in (("validate", path),
+                 ("diff", "--scenario", path, "--script", "gps-minimize"),
+                 ("attack", "--scenario", path, "--script", "gps-minimize")):
+        assert cli(*argv) == (EX_DATAERR, "", want)
+
+
+def test_every_command_runs_a_morphism_from_a_rewritten_component(tmp_path):
+    # a plain rewrite puts gps-history in slot 1, so gps-minimize's
+    # morphism applies next, and every command runs the script
+    def append(data, steps):
+        data["scripts"].append({
+            "name": "history-then-minimize", "system": "attacker-view",
+            "steps": [{"rewrite": 1, "machine": "gps-history"},
+                      copy.deepcopy(steps[0])]})
+    _, path = with_minimize_steps(tmp_path, append)
+    code, out, err = cli("validate", path)
+    assert (code, err) == (EX_OK, "") and out.endswith(", 6 scripts\n")
+    code, out, err = cli("diff", "--scenario", path,
+                         "--script", "history-then-minimize")
+    assert (code, err) == (EX_OK, "")
+    assert out.splitlines()[-1] == "equal to depth 6"
+    code, out, err = cli("attack", "--scenario", path,
+                         "--script", "history-then-minimize")
+    assert (code, err) == (EX_OK, "")
+    assert out.startswith("step 0: rewrite[replace] component 1 ")
 
 
 def test_validate_names_the_test_with_a_negative_depth(tmp_path):

@@ -2,23 +2,13 @@
 
 import pathlib
 
-from uav import (ctrl_box, dyn_box, frame_wiring, gps_box, imu_box, proc_box,
-                 sense_box, sensor_feed_attack_wiring, sensor_real_wiring,
-                 sensor_view_wiring, uav_box)
-from wirebox.dot import architecture_dot, wiring_dot
-from wirebox.wiring import (Architecture, Box, InnerOut, OuterIn, Port, Table,
-                            Wiring, identity_wiring)
+from uav import (gps_box, sensor_feed_attack_wiring, sensor_real_wiring,
+                 sensor_view_wiring)
+from wirebox.dot import wiring_dot
+from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring,
+                            identity_wiring)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "golden"
-
-
-def airframe_arch() -> Architecture:
-    return Architecture(
-        uav_box(), frame_wiring(),
-        (Architecture(sense_box(), sensor_view_wiring(),
-                      (Architecture(imu_box()), Architecture(gps_box()),
-                       Architecture(proc_box()))),
-         Architecture(ctrl_box()), Architecture(dyn_box())))
 
 
 def test_identity_matches_the_golden_file():
@@ -31,23 +21,9 @@ def test_sensor_view_matches_the_golden_file():
     assert got == (GOLDEN / "sensor-view.dot").read_text()
 
 
-def test_architecture_matches_the_golden_file():
-    got = architecture_dot(airframe_arch(), "airframe")
-    assert got == (GOLDEN / "architecture.dot").read_text()
-
-
 def test_rendering_is_deterministic():
     w = sensor_view_wiring()
     assert wiring_dot(w) == wiring_dot(w)
-    a = airframe_arch()
-    assert architecture_dot(a) == architecture_dot(a)
-
-
-def test_atomic_architecture_is_one_cluster_without_wires():
-    text = architecture_dot(Architecture(gps_box()))
-    assert text.count("subgraph cluster_b0 {") == 1
-    assert 'label="gps[0]"' in text
-    assert "->" not in text and "house" not in text
 
 
 def test_identity_renders_one_cluster():
@@ -78,12 +54,3 @@ def test_table_fan_in_edges_are_dashed():
     plain = wiring_dot(identity_wiring(box))
     assert "style=dashed" not in plain
 
-
-def test_architecture_nests_a_cluster_per_subtree():
-    text = architecture_dot(airframe_arch(), "airframe")
-    # one cluster per composite child plus one per leaf; the root is the page
-    assert 'label="sense[0]"' in text
-    assert 'label="imu[0]"' in text and 'label="gps[1]"' in text
-    assert 'label="ctrl[3]"' in text and 'label="dyn[4]"' in text
-    assert text.count("subgraph cluster_") == 6
-    assert "compound=true" in text

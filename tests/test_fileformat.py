@@ -1,5 +1,6 @@
 """Loading, validating, and dumping the YAML document formats."""
 
+import copy
 import importlib.util
 import io
 import pathlib
@@ -728,6 +729,26 @@ def test_scenario_steps_must_fit_their_system(script, change, field, message):
         reload(data)
     assert exc.value.path == f"scenario.yaml.scripts[{k}].steps[0].{field}"
     assert exc.value.message == message
+
+
+def test_a_morphism_rewrite_after_a_plain_rewrite_of_its_slot_loads():
+    # a plain rewrite puts gps-history in slot 1 of attacker-view, so
+    # gps-minimize's morphism is checked against it, not against gps-1,
+    # the slot's machine before the script
+    data = scenario_data()
+    minimize = next(s for s in data["scripts"] if s["name"] == "gps-minimize")
+    data["scripts"].append({
+        "name": "history-then-minimize", "system": "attacker-view",
+        "steps": [{"rewrite": 1, "machine": "gps-history"},
+                  copy.deepcopy(minimize["steps"][0])]})
+    scenario = reload(data).scenario
+    aimed = scenario.script("history-then-minimize")
+    view = scenario.system(aimed.system)
+    attacked = apply_script(view, aimed.script)
+    # the plain rewrite lifts no morphism, the morphism rewrite one
+    assert [w is None for w in attacked.witnesses] == [True, False]
+    assert find_distinguishing_word(attacked.system.composite(),
+                                    view.composite(), 10) is None
 
 
 def test_attack_documents_check_their_steps_when_applied():

@@ -13,8 +13,8 @@ from categories import chain3, cyc3, walking_iso
 from wirebox.fileformat import load
 from wirebox.fincat import (FinCategory, FinCatError, Morphism,
                             NatTransformation, SetFunctor, YonedaError,
-                            enumerate_nat, hom_functor, is_natural,
-                            representable_iso_check, yoneda_check)
+                            enumerate_nat, hom_functor, yoneda_check)
+from wirebox.oracle import is_natural
 
 
 def constant(cat: FinCategory, elements=("*",)) -> SetFunctor:
@@ -106,21 +106,6 @@ def brute_nat(F: SetFunctor, G: SetFunctor):
             found.append(eta)
     found.sort(key=NatTransformation.encode)
     return found
-
-
-def paired_iso_check(cat: FinCategory, a, b):
-    # every forward transformation against every backward one: a pair
-    # that composes to the identity at every object both ways
-    Ha, Hb = hom_functor(cat, a), hom_functor(cat, b)
-    backwards = enumerate_nat(Hb, Ha)
-    for eta in enumerate_nat(Ha, Hb):
-        for theta in backwards:
-            if all(all(theta.at(c)[eta.at(c)[x]] == x for x in Ha.at(c)) and
-                   all(eta.at(c)[theta.at(c)[y]] == y for y in Hb.at(c))
-                   for c in cat.objects):
-                return True, (eta.at(a)[cat.identity[a]],
-                              theta.at(b)[cat.identity[b]])
-    return False, None
 
 
 ALL_CATS = (walking_iso(), chain3(), cyc3())
@@ -399,31 +384,3 @@ def test_yoneda_rejects_non_functor_tables():
     with pytest.raises(YonedaError):
         yoneda_check(tables[0], "s", SetFunctor._built("bad", *tables))
 
-
-def test_isomorphic_objects_are_detected_with_witness():
-    cat = walking_iso()
-    ok, pair = representable_iso_check(cat, "a", "b")
-    assert ok
-    f, g = pair
-    assert cat.comp(f, g) == cat.identity["a"]
-    assert cat.comp(g, f) == cat.identity["b"]
-
-
-def test_non_isomorphic_objects_are_rejected():
-    ok, pair = representable_iso_check(chain3(), "p", "q")
-    assert not ok and pair is None
-
-
-def test_self_iso_uses_identity():
-    ok, pair = representable_iso_check(chain3(), "p", "p")
-    assert ok and pair == ("idp", "idp")
-
-
-def test_iso_check_matches_the_paired_reference():
-    pairs = 0
-    for cat in ALL_CATS + FIXTURE_CATS:
-        for a, b in itertools.product(cat.objects, repeat=2):
-            assert representable_iso_check(cat, a, b) == \
-                paired_iso_check(cat, a, b), (cat.name, a, b)
-            pairs += 1
-    assert pairs == 22 + 14  # 22 in the five fixtures, 14 in the three above

@@ -1,4 +1,5 @@
-"""Every library and test module uses each name it imports; what ``import
+"""Every library and test module uses each name it imports; the library
+references each public function and class it defines; what ``import
 wirebox.cli`` and each command load, and the stdlib modules behind
 ``dataclasses`` that none of them loads, and ``hashlib``, which
 ``diff`` does not load; that ``import wirebox`` loads
@@ -68,6 +69,59 @@ def test_no_library_module_imports_the_reference():
             if any(".oracle." in f".{n}." for n in names):
                 importers.append(path.name)
     assert importers == []
+
+
+# public names no command reaches that a later change is meant to reach:
+# a diff's witness, carrying a script to the real system, and the identity
+# and composition whose laws the acceptance criteria check
+UNREACHED = {"outcome_witness", "transport_script", "identity_of",
+             "compose_homs"}
+
+
+def references(node: ast.AST, docstrings: set[int]) -> set[str]:
+    """The names ``node`` references: names, attributes, imports, and
+    string constants that are identifiers, docstrings left out."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and n.value.isidentifier() and id(n) not in docstrings):
+            out.add(n.value)
+    return out
+
+
+def test_every_public_library_name_is_referenced_in_the_library():
+    # the library is what the commands reach: a public function or class
+    # that only tests call belongs in tests, or in oracle.py, the reference
+    # semantics, which this check leaves out on both sides
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef,
+                                           ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        for stmt in tree.body:
+            names = references(stmt, docstrings)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                # a definition's references to itself do not reach it
+                names.discard(stmt.name)
+                if not stmt.name.startswith("_"):
+                    defined[stmt.name] = path.name
+            used |= names
+    assert UNREACHED <= defined.keys()
+    assert {f"{m}: {n}" for n, m in defined.items()
+            if n not in used | UNREACHED} == set()
+    # each allowed name is still unreached, or it leaves the list
+    assert UNREACHED.isdisjoint(used)
 
 
 def test_test_modules_use_every_name_they_import():

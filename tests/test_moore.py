@@ -22,13 +22,12 @@ from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, canonical_text, compose_homs,
                            hom_violations, identity_hom, lift_hom,
                            render_state, run, step, validate_machine)
-from wirebox.oracle import bisimilar, stagewise_simulate
+from wirebox.oracle import bisimilar, route, stagewise_simulate
 from wirebox.probes import (EXACT, KnowledgeBase, MachineOracle, StateSet,
                             Test, TraceSet, compare_outcomes, run_test,
                             yoneda_filter)
 from wirebox.wiring import (Box, Const, InnerOut, OuterIn, Port, Table,
-                            Wiring, compose, evaluate, identity_wiring,
-                            input_space)
+                            Wiring, compose, identity_wiring, input_space)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -221,7 +220,7 @@ def eager_apply_algebra(w: Wiring, machines) -> MooreMachine:
     """Every row of the composite, routed state by state in product order.
 
     The reference for the composite's tables: the whole product is built
-    at once, into plain dicts, with one ``evaluate`` of the wiring per
+    at once, into plain dicts, with one ``oracle.route`` of the wiring per
     state and outer input.
     """
     outer = w.outer[0]
@@ -232,7 +231,7 @@ def eager_apply_algebra(w: Wiring, machines) -> MooreMachine:
     for s in states:
         inner_outs = tuple(v for m, si in zip(machines, s) for v in m.readout[si])
         for x in input_space([outer]):
-            ins, readout[s] = evaluate(w, inner_outs, x)
+            ins, readout[s] = route(w, inner_outs, x)
             update[(s, x)] = tuple(m.update[(si, ins[a:b])] for m, si, (a, b)
                                    in zip(machines, s, slots))
     return MooreMachine(outer, tuple(states),
@@ -560,10 +559,10 @@ def test_whole_product_readers_refuse_a_product_over_the_limit():
     assert m.states[-1] == ("11",) * n and ("01",) * n in m.states
     limit = (r"1048576 states x 2 inputs = 2097152 transitions, over the "
              r"limit of 1048576")
-    # lifting builds the two composites, as apply_algebra builds other,
-    # and is accepted; its state map is the whole-product reader
-    lifted = lift_hom(w, [identity_hom(h) for h in machines])
+    # lifting onto two composites is accepted; its state map is the
+    # whole-product reader
     other = apply_algebra(w, machines)
+    lifted = lift_hom([identity_hom(h) for h in machines], m, other)
     readers = {
         "states": lambda: list(m.states),
         "hash": lambda: hash(m.states),
@@ -781,20 +780,22 @@ def test_identity_and_composition_of_homs():
 
 def test_lift_hom_acts_componentwise():
     w = chain()
-    lifted = lift_hom(w, (collapse(), identity_hom(delay())))
-    assert lifted.source == apply_algebra(w, (history(), delay()))
-    assert lifted.target == apply_algebra(w, (delay(), delay()))
+    source = apply_algebra(w, (history(), delay()))
+    target = apply_algebra(w, (delay(), delay()))
+    lifted = lift_hom((collapse(), identity_hom(delay())), source, target)
+    assert (lifted.source, lifted.target) == (source, target)
     assert hom_violations(lifted) == []
     assert lifted.state_map[("10", "1")] == ("0", "1")
 
 
 def test_lift_hom_rejects_invalid_component():
     # an invalid component is refused when it is built, so lift_hom never
-    # meets one; it still refuses a list that does not fit the wiring
+    # meets one; nor a list that does not fit the wiring, since
+    # apply_algebra refuses it when the caller builds the composites
     with pytest.raises(MachineError, match="init"):
         MachineHom(delay(), delay("1"), IDENTITY)
     with pytest.raises(MachineError, match="2 inner boxes but 1 machines"):
-        lift_hom(chain(), (identity_hom(delay()),))
+        apply_algebra(chain(), (delay(),))
 
 
 def hom_results(rng):
@@ -810,7 +811,10 @@ def hom_results(rng):
             there, back = identity_hom(m), identity_hom(m)
         homs.append(there)
         backs.append(back)
-    lifted, lifted_back = lift_hom(w, homs), lift_hom(w, backs)
+    sources = apply_algebra(w, [h.source for h in homs])
+    targets = apply_algebra(w, [h.target for h in homs])
+    lifted = lift_hom(homs, sources, targets)
+    lifted_back = lift_hom(backs, targets, sources)
     k = rng.randrange(len(machines))
     rewritten = apply_rewrite(CompositeSystem(w, machines),
                               RewriteStep(k, hom=homs[k])).witness

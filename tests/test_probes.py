@@ -18,15 +18,13 @@ from wirebox import moore, probes
 from wirebox.attacks import (CompositeSystem, apply_script, attack_diff,
                              attacked_system)
 from wirebox.fileformat import load, load_kb_dir
-from wirebox.moore import (MachineError, MachineHom, MooreMachine,
-                           apply_algebra, identity_hom, lift_hom, run)
+from wirebox.moore import MachineError, MooreMachine, apply_algebra, run
 from wirebox.oracle import bisimilar, find_distinguishing_word
 from wirebox.probes import (AMBIGUOUS, EXACT, UNKNOWN, KnowledgeBase,
                             MachineOracle, OracleError, Outcome, OutputImage,
                             ProbeError, StateSet, Terminal, Test, TraceSet,
-                            architecture_probe, compare_outcomes,
-                            outcome_witness, run_test, separating_word,
-                            transport_outcome, yoneda_filter)
+                            compare_outcomes, outcome_witness, run_test,
+                            separating_word, yoneda_filter)
 from wirebox.wiring import (Box, OuterIn, InnerOut, Port, Wiring,
                             identity_wiring, input_space)
 
@@ -340,15 +338,6 @@ def some_machine(rng: random.Random, composite: bool) -> MooreMachine:
                                    (Port("q", BIT),)))
 
 
-def renamed(m: MooreMachine) -> MachineHom:
-    """The morphism from ``m`` onto a copy whose states are plain names."""
-    name = {s: f"r{k}" for k, s in enumerate(m.states)}
-    copy = MooreMachine(m.box, tuple(name.values()), name[m.init],
-                        {(name[s], x): name[t] for (s, x), t in m.update.items()},
-                        {name[s]: r for s, r in m.readout.items()})
-    return MachineHom(m, copy, name)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
 def test_state_set_value_is_the_machines_own_states(seed, composite,
@@ -363,17 +352,14 @@ def test_state_set_value_is_the_machines_own_states(seed, composite,
     agree = counts[0] == counts[1]
     assert compare_outcomes(t, a, b) == agree
     assert outcome_witness(t, a, b) == (None if agree else counts)
-    hom = renamed(m)
-    carried = transport_outcome(t, hom, a)
-    assert carried.value == tuple(sorted(hom.state_map.values()))
-    assert compare_outcomes(t, carried, run_test(t, hom.target))
 
 
 def test_a_cardinality_state_set_renders_no_state(monkeypatch):
     def render(s):
         raise AssertionError(f"rendered {s!r}")
 
-    monkeypatch.setattr(probes, "render_state", render)
+    # probes renders no state at all; moore's renderer is the one left
+    monkeypatch.setattr(moore, "render_state", render)
     t = Test("s", StateSet())
     big = apply_algebra(chain(), (history(), history()))
     small = apply_algebra(chain(), (delay(), delay()))
@@ -535,58 +521,6 @@ def test_outcomes_must_match_their_test():
     t = Test("t", TraceSet(2))
     with pytest.raises(ProbeError):
         compare_outcomes(t, Outcome("other", ()), Outcome("t", ()))
-
-
-def test_transport_maps_state_sets_along_hom():
-    hom = MachineHom(history(), delay(), {s: s[1] for s in history().states})
-    t = Test("s", StateSet())
-    carried = transport_outcome(t, hom, run_test(t, history()))
-    assert carried.value == ("0", "1")
-    # traces pass through untouched
-    tt = Test("t", TraceSet(2))
-    out = run_test(tt, history())
-    assert transport_outcome(tt, hom, out) is out
-
-
-def test_transport_keeps_the_one_point_outcome_and_refuses_another_tests():
-    hom = MachineHom(history(), delay(), {s: s[1] for s in history().states})
-    t = Test("p", Terminal())
-    assert transport_outcome(t, hom, run_test(t, history())) == Outcome("p", ("*",))
-    with pytest.raises(ProbeError) as exc:
-        transport_outcome(t, hom, Outcome("q", ("*",)))
-    assert str(exc.value) == "outcome 'q' is not from 'p'"
-
-
-def test_transport_refuses_a_state_outside_the_source():
-    hom = MachineHom(history(), delay(), {s: s[1] for s in history().states})
-    t = Test("s", StateSet())
-    with pytest.raises(ProbeError, match="names state 'b', which the "
-                                         "morphism's source lacks"):
-        transport_outcome(t, hom, Outcome("s", ("00", "b")))
-
-
-def test_transport_keeps_states_that_render_alike_apart():
-    # ("a,b", "c") and ("a", "b,c") both render as (a,b,c)
-    def still(states):
-        return MooreMachine(CELL, states, states[0],
-                            {(s, (a,)): s for s in states for a in BIT},
-                            {s: ("0",) for s in states})
-    hom = lift_hom(chain(), [identity_hom(still(("a,b", "a"))),
-                             identity_hom(still(("c", "b,c")))])
-    t = Test("s", StateSet())
-    carried = transport_outcome(t, hom, run_test(t, hom.source))
-    assert len(carried.value) == 4
-    assert compare_outcomes(t, carried, run_test(t, hom.target))
-
-
-def test_transport_orders_states_of_mixed_types():
-    states = ("a", ("b", "c"))
-    m = MooreMachine(CELL, states, "a",
-                     {(s, (a,)): s for s in states for a in BIT},
-                     {s: ("0",) for s in states})
-    t = Test("s", StateSet())
-    carried = transport_outcome(t, identity_hom(m), run_test(t, m))
-    assert carried.value == ("a", ("b", "c"))
 
 
 def test_a_test_of_no_known_kind_is_refused():
@@ -882,7 +816,7 @@ def test_more_tests_never_grow_the_candidate_set(seed, cut):
 
 
 # ---------------------------------------------------------------------------
-# architecture probing
+# a two-cell chain
 # ---------------------------------------------------------------------------
 
 def chain() -> Wiring:
@@ -890,51 +824,3 @@ def chain() -> Wiring:
     return Wiring((CELL, CELL), (outer,),
                   {(0, "a"): OuterIn(0, "a"), (1, "a"): InnerOut(0, "q")},
                   {(0, "q"): InnerOut(1, "q")})
-
-
-def test_architecture_probe_identifies_decomposition():
-    target = MachineOracle(apply_algebra(chain(), (delay(), delay())))
-    outer = Box("two", CELL.in_ports, CELL.out_ports)
-    flat = identity_wiring(outer)
-    two = MooreMachine(outer, ("a", "b", "c"), "a",
-                       {("a", ("0",)): "a", ("a", ("1",)): "b",
-                        ("b", ("0",)): "a", ("b", ("1",)): "b",
-                        ("c", ("0",)): "a", ("c", ("1",)): "b"},
-                       {"a": ("0",), "b": ("1",), "c": ("0",)})
-    result = architecture_probe(
-        target,
-        (("chained", chain(), (delay(), delay())),
-         ("single", flat, (two,))),
-        depth=4)
-    assert result.candidates == ("chained",)
-
-
-def test_architecture_probe_rejects_wrong_boundary():
-    target = MachineOracle(delay())
-    with pytest.raises(ProbeError):
-        architecture_probe(target, (("bad", chain(), (delay(), delay())),), 3)
-
-
-def test_architecture_probe_without_an_answer_keeps_every_hypothesis():
-    # as yoneda_filter does for any battery: no answer eliminates nobody
-    target = RefusingOracle(apply_algebra(chain(), (delay(), delay())))
-    result = architecture_probe(
-        target,
-        (("chained", chain(), (delay(), delay())),
-         ("inverted", chain(), (inverter(), delay()))),
-        depth=3)
-    assert result.candidates == ("chained", "inverted")
-    assert result.classification == AMBIGUOUS
-    assert result.matrix == (("chained", "traces-3", None),
-                             ("inverted", "traces-3", None))
-    assert result.incomplete == ("traces-3",)
-
-
-def test_architecture_probe_rejects_repeated_hypothesis_names():
-    target = MachineOracle(apply_algebra(chain(), (delay(), delay())))
-    with pytest.raises(ProbeError, match="repeats an entry name"):
-        architecture_probe(
-            target,
-            (("h", chain(), (delay(), delay())),
-             ("h", chain(), (inverter(), delay()))),
-            3)

@@ -31,8 +31,7 @@ from wirebox.moore import MachineHom, MooreMachine, identity_hom
 from wirebox.probes import (KnowledgeBase, LearnResult, MachineOracle, Outcome,
                             OutputImage, StateSet, Terminal, Test, TraceSet,
                             run_test, yoneda_filter)
-from wirebox.wiring import (Architecture, Box, Const, InnerOut, OuterIn, Port,
-                            Table, Wiring)
+from wirebox.wiring import Box, Const, InnerOut, OuterIn, Port, Table, Wiring
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -45,7 +44,6 @@ FIELDS = {
     Const: "symbol",
     Table: "sources entries",
     Wiring: "inner outer in_map out_map",
-    Architecture: "root wiring children",
     MooreMachine: "box states init update readout",
     MachineHom: "source target state_map",
     TraceSet: "depth",
@@ -121,7 +119,6 @@ def samples() -> dict:
                      [(("1", "0"), "1"), (("0", "0"), "0"), (("0", "1"), "1"),
                       (("1", "1"), "0")]),
         Wiring: system.wiring,
-        Architecture: Architecture(uav.uav_box()),
         MooreMachine: machine,
         MachineHom: identity_hom(machine),
         TraceSet: TraceSet(3),
@@ -169,8 +166,8 @@ def values_of(record) -> list:
 RECORDS = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
 
-def test_forty_records_are_pinned():
-    assert len(FIELDS) == 40
+def test_thirty_nine_records_are_pinned():
+    assert len(FIELDS) == 39
     assert IDENTITY | UNHASHABLE <= set(FIELDS)
     assert set(samples()) == set(FIELDS)
 
@@ -193,14 +190,12 @@ def test_defaults_fill_the_trailing_fields():
     machine = samples()[MooreMachine]
     hom = identity_hom(machine)
     assert Outcome("t", ()).inputs == ()
-    leaf = Architecture(uav.uav_box())
-    assert leaf.wiring is None and leaf.children == ()
     assert AttackScript().steps == ()
     assert DiffReport(True, None, 3).tests == ()
     assert RewriteStep(0, machine=machine).hom is None
     assert RewriteStep(0, hom=hom).machine is None
     assert RewriteStep(0, None, hom).hom is hom
-    for build in (lambda: Port("a"), lambda: Outcome(), lambda: Architecture(),
+    for build in (lambda: Port("a"), lambda: Outcome(),
                   lambda: Test("t"), lambda: DiffReport(True, None),
                   lambda: OuterIn(0, box=1), lambda: LogEntry(0, "k", "d", "w")):
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 """Boxes, wirings, their category laws, and normal forms."""
 
+import itertools
 import random
 
 import pytest
@@ -8,16 +9,14 @@ from hypothesis import strategies as st
 
 from netgen import (BIT, random_box, random_network, random_raw_network,
                     random_stack, random_wiring, rebuilt)
-from wirebox import wiring
+from wirebox import _kept, wiring
 from wirebox.attacks import CompositeSystem, RewireStep, apply_rewire
 from wirebox.moore import apply_algebra
-from wirebox.wiring import (Architecture, Box, CompositionError, Const,
-                            InnerOut, OuterIn, Port, Table, Wiring,
-                            WiringError, _Routing, check_arch_morphism,
-                            canonical_text, compose, eval_equal, evaluate,
-                            expr_refs, flatten, identity_of, identity_wiring,
-                            input_space, output_space, precompose_slot,
-                            tensor)
+from wirebox.oracle import _eval, eval_equal, route
+from wirebox.wiring import (Box, CompositionError, Const, InnerOut, OuterIn,
+                            Port, Table, Wiring, WiringError, _Routing,
+                            canonical_text, compose, expr_refs, identity_of,
+                            identity_wiring, precompose_slot, tensor)
 
 B = Box("b", (Port("x", BIT), Port("y", BIT)), (Port("o", BIT),))
 C = Box("c", (Port("u", BIT),), (Port("v", BIT), Port("w", BIT)))
@@ -216,30 +215,30 @@ def test_expr_refs_deduplicates_in_order():
     assert expr_refs(t) == [OuterIn(0, "x"), InnerOut(0, "o")]
 
 
-def eval_expr(expr, env):
-    # the uncompiled reference: walk the expression over a Ref environment
-    if isinstance(expr, Const):
-        return expr.symbol
-    if isinstance(expr, (OuterIn, InnerOut)):
-        return env[expr]
-    return expr.function()[tuple(eval_expr(s, env) for s in expr.sources)]
-
-
 def test_eval_expr_table():
     t = Table((OuterIn(0, "x"), OuterIn(0, "y")),
               ((("0", "0"), "0"), (("0", "1"), "1"),
                (("1", "0"), "1"), (("1", "1"), "0")))
-    env = {OuterIn(0, "x"): "1", OuterIn(0, "y"): "1"}
-    assert eval_expr(t, env) == "0"
+    # the reference evaluator reads inner and outer values by (box, port)
+    assert _eval(t, {}, {(0, "x"): "1", (0, "y"): "1"}) == "0"
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
+def points(w: Wiring) -> list[tuple[tuple, tuple]]:
+    """Every (inner output values, outer input values) pair of ``w``."""
+    def values(ports):
+        return list(itertools.product(*(p.alphabet for _, p in ports)))
+    return [(inner_outs, outer_in)
+            for inner_outs in values(w.inner_output_ports())
+            for outer_in in values(w.outer_input_ports())]
+
+
 def test_evaluate_pipe():
     w = pipe()
-    inner_ins, outer_out = evaluate(w, ("1", "0", "1"), ("1", "0"))
+    inner_ins, outer_out = _Routing(w).route(("1", "0", "1") + ("1", "0"))
     # b reads the outer pair, c reads b's readout
     assert inner_ins == ("1", "0", "1")
     assert outer_out == ("0", "1")
@@ -247,7 +246,7 @@ def test_evaluate_pipe():
 
 def test_identity_evaluation_is_transparent():
     w = identity_wiring(B)
-    inner_ins, outer_out = evaluate(w, ("1",), ("0", "1"))
+    inner_ins, outer_out = _Routing(w).route(("1",) + ("0", "1"))
     assert inner_ins == ("0", "1")
     assert outer_out == ("1",)
 
@@ -256,23 +255,9 @@ def test_evaluate_sourceless_table():
     w = identity_wiring(B)
     in_map = dict(w.in_map)
     in_map[(0, "y")] = Table((), (((), "1"),))
-    inner_ins, _ = evaluate(Wiring(w.inner, w.outer, in_map, w.out_map),
-                            ("0",), ("0", "0"))
+    inner_ins, _ = _Routing(Wiring(w.inner, w.outer, in_map, w.out_map)).route(
+        ("0",) + ("0", "0"))
     assert inner_ins == ("0", "1")
-
-
-@pytest.mark.parametrize("inner_outs, outer_in, message", [
-    (("1", "0"), ("1", "0"), "expected 3 inner output values, got 2"),
-    (("1", "0", "1"), ("1",), "expected 2 outer input values, got 1"),
-    (("1", "2", "1"), ("1", "0"),
-     "value '2' is not in the alphabet of inner output 1.v"),
-    (("1", "0", "1"), ("1", "x"),
-     "value 'x' is not in the alphabet of outer input 0.y"),
-])
-def test_evaluate_refuses_values_that_do_not_fit(inner_outs, outer_in, message):
-    with pytest.raises(WiringError) as exc:
-        evaluate(pipe(), inner_outs, outer_in)
-    assert str(exc.value) == message
 
 
 def test_eval_equal_tells_a_rerouted_input_apart():
@@ -284,24 +269,6 @@ def test_eval_equal_tells_a_rerouted_input_apart():
     assert not eval_equal(w, flipped)
     with pytest.raises(WiringError, match="different boundaries"):
         eval_equal(w, identity_wiring(B))
-
-
-def reference_env(w, inner_outs, outer_in):
-    # a Ref environment, inner outputs then outer inputs in document order
-    env = {InnerOut(i, p.name): v
-           for (i, p), v in zip(w.inner_output_ports(), inner_outs)}
-    env.update({OuterIn(j, p.name): v
-                for (j, p), v in zip(w.outer_input_ports(), outer_in)})
-    return env
-
-
-def reference_evaluate(w, inner_outs, outer_in):
-    # evaluate the uncompiled way: eval_expr over a Ref environment
-    env = reference_env(w, inner_outs, outer_in)
-    return (tuple(eval_expr(w.in_map[(i, p.name)], env)
-                  for i, p in w.inner_input_ports()),
-            tuple(eval_expr(w.out_map[(j, p.name)], env)
-                  for j, p in w.outer_output_ports()))
 
 
 def nested(w: Wiring) -> Wiring:
@@ -322,10 +289,10 @@ def test_evaluate_agrees_with_the_uncompiled_reference(seed):
     rng = random.Random(seed)
     f, g, _ = random_stack(rng)
     for w in (f, compose(g, f), nested(f)):
-        for inner_outs in output_space(w.inner):
-            for outer_in in input_space(w.outer):
-                assert evaluate(w, inner_outs, outer_in) == \
-                    reference_evaluate(w, inner_outs, outer_in)
+        routing = _Routing(w)
+        for inner_outs, outer_in in points(w):
+            assert routing.route(inner_outs + outer_in) == \
+                route(w, inner_outs, outer_in)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -343,17 +310,19 @@ def test_normalize_agrees_with_the_uncompiled_reference(seed):
         assert list(norm.in_map) == list(w.in_map)
         assert list(norm.out_map) == list(w.out_map)
         normal = list(norm.in_map.values()) + list(norm.out_map.values())
-        envs = [reference_env(w, inner_outs, outer_in)
-                for inner_outs in output_space(w.inner)
-                for outer_in in input_space(w.outer)]
-        flat = list(envs[0])
+        flat = ([InnerOut(i, p.name) for i, p in w.inner_output_ports()]
+                + [OuterIn(j, p.name) for j, p in w.outer_input_ports()])
         for n in normal:
             if isinstance(n, Table):
                 places = [flat.index(r) for r in n.sources]
                 assert places == sorted(set(places))
-        for env in envs:
-            assert [eval_expr(n, env) for n in normal] == \
-                [eval_expr(e, env) for e in exprs]
+        for inner_outs, outer_in in points(w):
+            inner = {(i, p.name): v for (i, p), v
+                     in zip(w.inner_output_ports(), inner_outs)}
+            outer = {(j, p.name): v for (j, p), v
+                     in zip(w.outer_input_ports(), outer_in)}
+            assert [_eval(n, inner, outer) for n in normal] == \
+                [_eval(e, inner, outer) for e in exprs]
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +414,14 @@ def algebra_results(rng):
     f2, g2, _ = random_stack(rng, "b")
     slot = rng.randrange(len(f.inner))
     endo = random_wiring(rng, (f.inner[slot],), f.inner[slot])
-    arch = Architecture(g.outer[0], g, (
-        Architecture(f.outer[0], f, tuple(Architecture(b) for b in f.inner)),))
     rewired = apply_rewire(CompositeSystem(f, machines), RewireStep(slot, endo))
     return ([identity_wiring(b) for b in f.inner + f.outer + g.outer]
             + [identity_of(f.inner), identity_of(f.outer + f2.outer),
                tensor((f, f2)), tensor((g, g2, f)),
                compose(g, f), compose(g, nested(f)), compose(nested(g), f),
                compose(tensor((g, g2)), tensor((f, f2))),
-               flatten(arch), rewired.wiring]
+               compose(g, tensor((compose(f, identity_of(f.inner)),))),
+               rewired.wiring]
             # ports of one symbol, which a normal form reads as constants
             + [identity_wiring(PIN), identity_of((PIN, f.outer[0])),
                tensor((rebuilt(pinned()), f)),
@@ -496,8 +464,6 @@ def test_precompose_slot_is_the_padded_composite(seed):
     endo = random_wiring(rng, (g.inner[index],), g.inner[index])
     want = padded(g, index, endo)
     fresh = _Routing(want)
-    points = [(inner_outs, outer_in) for inner_outs in output_space(g.inner)
-              for outer_in in input_space(g.outer)]
     # the components endo leaves alone: every box but the slot whose
     # inputs read no slot output that endo remaps; likewise the outer outputs
     remapped = {InnerOut(index, q) for (_, q), e in endo.out_map.items()
@@ -511,7 +477,7 @@ def test_precompose_slot_is_the_padded_composite(seed):
                  for k, b in enumerate(g.inner)]
     outer_untouched = not rerouted(g.out_map.values())
     results = [precompose_slot(g, index, endo)]
-    evaluate(g, *points[0])  # compiles g's routing and keeps it
+    _kept(g, "_routing", _Routing)  # compiles g's routing and keeps it
     results.append(precompose_slot(g, index, endo))
     got = results[-1]
     # a derived routing reuses g's function for every component whose
@@ -533,9 +499,10 @@ def test_precompose_slot_is_the_padded_composite(seed):
         assert rebuilt(got) == got
         # a routing is derived from the base's when the base has one
         assert hasattr(got, "_routing") == (k == 1)
-        for inner_outs, outer_in in points:
-            assert evaluate(got, inner_outs, outer_in) == \
-                fresh.route(inner_outs + outer_in)
+        routing = _kept(got, "_routing", _Routing)
+        for inner_outs, outer_in in points(g):
+            values = inner_outs + outer_in
+            assert routing.route(values) == fresh.route(values)
         # a taken flag is g's for the same entries, so it is exact
         assert got._routing.reads_outer == fresh.reads_outer
 
@@ -706,55 +673,6 @@ def test_canonical_text_is_stable():
     assert canonical_text(pipe()) != canonical_text(identity_wiring(B))
 
 
-# ---------------------------------------------------------------------------
-# architectures
-# ---------------------------------------------------------------------------
-
-def test_architecture_flattens_through_levels():
-    outer = Box("p", B.in_ports, C.out_ports)
-    arch = Architecture(outer, pipe(), (Architecture(B), Architecture(C)))
-    assert flatten(arch) == pipe()
-    assert arch.leaves() == [B, C]
-
-
-def test_architecture_rejects_wrong_children():
-    outer = Box("p", B.in_ports, C.out_ports)
-    with pytest.raises(WiringError):
-        Architecture(outer, pipe(), (Architecture(C), Architecture(B)))
-
-
-@pytest.mark.parametrize("w, children, message", [
-    (None, (Architecture(B),), "atomic architecture cannot have children"),
-    (pipe(), (Architecture(B), Architecture(C)),
-     "architecture wiring must target exactly the root box 'b'"),
-])
-def test_every_architecture_refusal_keeps_its_message(w, children, message):
-    with pytest.raises(WiringError) as exc:
-        Architecture(B, w, children)
-    assert str(exc.value) == message
-
-
-def test_arch_morphism_refuses_mismatched_boundaries():
-    ident, other = identity_wiring(B), identity_wiring(C)
-    with pytest.raises(WiringError,
-                       match="^architectures target different boxes$"):
-        check_arch_morphism(ident, other, ident)
-    with pytest.raises(WiringError,
-                       match="^mediating wiring has the wrong boundary$"):
-        check_arch_morphism(ident, ident, other)
-
-
 def test_wirings_on_different_boundaries_are_not_equal():
     assert identity_wiring(B) != identity_wiring(C)
     assert pipe() != tensor((identity_wiring(B), identity_wiring(C)))
-
-
-def test_arch_morphism_accepts_mediating_rewire():
-    swap = Wiring((B,), (B,),
-                  {(0, "x"): OuterIn(0, "y"), (0, "y"): OuterIn(0, "x")},
-                  {(0, "o"): InnerOut(0, "o")})
-    double = compose(swap, swap)
-    ident = identity_wiring(B)
-    # double swap mediates the identity architecture onto itself
-    assert check_arch_morphism(ident, ident, double)
-    assert not check_arch_morphism(ident, ident, swap)
