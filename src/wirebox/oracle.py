@@ -38,7 +38,7 @@ def _inputs(m: MooreMachine) -> list[tuple[Symbol, ...]]:
 def _same_interface(a: MooreMachine, b: MooreMachine):
     if a.box != b.box:
         raise MachineError(
-            f"machines inhabit different boxes: {a.box.name!r} vs {b.box.name!r}")
+            f"machines inhabit different boxes: {_box_mismatch(a.box, b.box)}")
 
 
 def _missing_row(m: MooreMachine, s: State, inputs,
@@ -106,49 +106,49 @@ def find_distinguishing_word(a: MooreMachine, b: MooreMachine,
 
 
 def bisimilar(a: MooreMachine, b: MooreMachine) -> bool:
-    """Trace equivalence at every depth, by partition refinement.
+    """Trace equivalence at every depth, by partition refinement (Moore).
 
-    States of both machines are pooled, split by readout, then repeatedly
-    split by the blocks their successors land in until stable; the
-    machines are bisimilar when the initial states share a block.
+    Only the states reachable from the initial states are refined, not a
+    composite's whole product.  Split by readout, then by the blocks their
+    successors land in; refinement only splits, so it stops once the
+    initial states part or the block count stops growing.
     """
     _same_interface(a, b)
     inputs = _inputs(a)
-    # pooled states are numbered; row k holds state k's readout, then its
-    # successors' numbers in input order.  An initial state or successor
-    # outside its machine has no number, so the lookup that numbers it fails.
-    index = {(tag, s): k for k, (tag, s) in
-             enumerate((tag, s) for tag, m in enumerate((a, b)) for s in m.states)}
-    rows: list[tuple] = []
-    inits = []
-    try:
-        for tag, (m, who) in enumerate(((a, "first machine"),
-                                        (b, "second machine"))):
-            s = t = m.init
-            inits.append(index[(tag, t)])
-            for s in m.states:
-                row = [m.readout[s]]
-                for x in inputs:
-                    t = m.update[(s, x)]
-                    row.append(index[(tag, t)])
-                rows.append(tuple(row))
-    except KeyError:
-        raise (_missing_row(m, s, inputs, who)
-               or _missing_row(m, t, inputs, who)
-               or MachineError(f"{who}: state {render_state(t)} is not declared")
-               ) from None
-
-    sig0: dict = {}
-    block = [sig0.setdefault(row[0], len(sig0)) for row in rows]
-    while True:
+    # both machines' reached states are numbered breadth first, pooled:
+    # state k has readout reads[k] and successors succ[k] in input order
+    reads, succ = [], []
+    for m, who in ((a, "first machine"), (b, "second machine")):
+        members = m.states
+        if isinstance(members, tuple):  # a composite's product answers `in`
+            members = frozenset(members)
+        update, readout = m.update, m.readout
+        s, base = m.init, len(reads)
+        order, number = [s], {s: base}
+        try:
+            for s in order:  # order grows as the search reaches states
+                if s not in members:
+                    raise KeyError(s)
+                reads.append(readout[s])
+                nexts = [update[(s, x)] for x in inputs]
+                for t in nexts:
+                    if t not in number:
+                        number[t] = base + len(order)
+                        order.append(t)
+                succ.append([number[t] for t in nexts])
+        except KeyError:
+            raise (_missing_row(m, s, inputs, who) or MachineError(
+                f"{who}: state {render_state(s)} is not declared")) from None
+    # the first blocks are the readouts; base numbers the second init
+    block, n = reads, len(set(reads))
+    while block[0] == block[base]:
         sigs: dict[tuple, int] = {}
-        nxt = [sigs.setdefault((block[k],) + tuple(block[t] for t in row[1:]),
-                               len(sigs))
-               for k, row in enumerate(rows)]
-        if nxt == block:
-            break
-        block = nxt
-    return block[inits[0]] == block[inits[1]]
+        block = [sigs.setdefault((block[k], *map(block.__getitem__, ts)),
+                                 len(sigs)) for k, ts in enumerate(succ)]
+        if len(sigs) == n:
+            return True
+        n = len(sigs)
+    return False
 
 
 # ---------------------------------------------------------------------------

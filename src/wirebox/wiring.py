@@ -521,11 +521,6 @@ class _Routing:
         self.slots = tuple(slots)
         self.reads_outer = tuple(reads_outer)
 
-    def route(self, values: tuple[Symbol, ...]):
-        """(inner input values, outer output values) for a flat tuple."""
-        return (tuple([v for f in self.slots for v in f(values)]),
-                self.outer_out(values))
-
 
 def _compile_tuple(exprs: Sequence[SourceExpr],
                    at: Mapping[Ref, int]) -> Callable[[tuple], tuple]:

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgen import (BIT, random_machine, random_network, random_stack,
-                    random_word)
+                    random_wiring, random_word)
 from wirebox.moore import MachineError, MooreMachine, apply_algebra, run
 from wirebox.oracle import (bisimilar, find_distinguishing_word,
                             stagewise_simulate, trace_equivalent)
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring, compose,
-                            identity_wiring, input_space)
+                            identity_wiring, input_space, precompose_slot)
 
 CELL = Box("cell", (Port("a", BIT),), (Port("q", BIT),))
 
@@ -70,6 +70,22 @@ def test_interface_mismatch_is_an_error():
         find_distinguishing_word(delay(), m, 4)
 
 
+@pytest.mark.parametrize("compare", [
+    lambda a, b: find_distinguishing_word(a, b, 4), bisimilar],
+    ids=["find_distinguishing_word", "bisimilar"])
+def test_a_namesake_box_is_refused_where_it_differs(compare):
+    # two boxes named cell: the second's input is ternary
+    wide = Box("cell", (Port("a", BIT + ("2",)),), CELL.out_ports)
+    ternary = MooreMachine(wide, BIT, "0",
+                           {(s, (a,)): s for s in BIT for a in BIT + ("2",)},
+                           {s: (s,) for s in BIT})
+    with pytest.raises(MachineError) as exc:
+        compare(delay(), ternary)
+    assert str(exc.value) == (
+        "machines inhabit different boxes: input port 'a' on box 'cell': "
+        "alphabet ['0', '1'] vs ['0', '1', '2']")
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_bfs_matches_brute_force(seed):
@@ -120,6 +136,70 @@ def test_bisimilarity_equals_deep_trace_equivalence(seed):
     b = random_machine(rng, CELL)
     bound = len(a.states) * len(b.states) + 1
     assert bisimilar(a, b) == trace_equivalent(a, b, bound)
+
+
+def reachable(m: MooreMachine) -> set:
+    """The states of ``m`` some word reaches from its initial state."""
+    seen, todo = {m.init}, [m.init]
+    while todo:
+        s = todo.pop()
+        for x in input_space([m.box]):
+            t = m.update[(s, x)]
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def with_unreachable_states(rng: random.Random, m: MooreMachine) -> MooreMachine:
+    """``m`` with two states no state reaches, their rows drawn at random
+    over all its states, and some of them left out (built unchecked)."""
+    states = tuple(m.states) + ("u0", "u1")
+    update, readout = dict(m.update), dict(m.readout)
+    rows = []
+    for s in ("u0", "u1"):
+        readout[s] = tuple(rng.choice(BIT) for _ in m.box.out_ports)
+        rows.append((readout, s))
+        for x in input_space([m.box]):
+            update[(s, x)] = rng.choice(states)
+            rows.append((update, (s, x)))
+    for table, key in rng.sample(rows, rng.randint(0, 2)):
+        del table[key]
+    return MooreMachine._built(m.box, states, m.init, update, readout)
+
+
+def with_duplicated_states(rng: random.Random, m: MooreMachine) -> MooreMachine:
+    """A bisimilar copy of ``m`` with every state twice, each copy of a
+    state stepping to a random copy of its successor."""
+    states = tuple((s, k) for s in m.states for k in (0, 1))
+    return MooreMachine(
+        m.box, states, (m.init, 0),
+        {((s, k), x): (m.update[(s, x)], rng.randint(0, 1))
+         for s, k in states for x in input_space([m.box])},
+        {(s, k): m.readout[s] for s, k in states})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_bisimilarity_equals_trace_equivalence_to_moores_bound(seed):
+    # the reachable parts decide; a word of len(Ra) + len(Rb) steps
+    # separates any two of their states that some word does
+    rng = random.Random(seed)
+    w, machines = random_network(rng)
+    box = w.inner[0]
+    rewired = precompose_slot(w, 0, random_wiring(rng, (box,), box))
+    a = random_machine(rng, CELL)
+    b = random_machine(rng, CELL)
+    pairs = [(apply_algebra(w, machines), apply_algebra(rewired, machines)),
+             (with_unreachable_states(rng, a), with_unreachable_states(rng, b)),
+             (with_unreachable_states(rng, a), b),
+             (a, with_duplicated_states(rng, a)),
+             (with_duplicated_states(rng, a), b)]
+    for x, y in pairs:
+        depth = len(reachable(x)) + len(reachable(y))
+        assert bisimilar(x, y) == \
+            (find_distinguishing_word(x, y, depth) is None)
+    assert bisimilar(a, pairs[3][1])
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +283,11 @@ def test_bisimilar_names_a_state_outside_the_machine():
     escaping = MooreMachine._built(CELL, BIT, "0", update, d.readout)
     with pytest.raises(MachineError, match="first machine: no readout for state 2"):
         bisimilar(escaping, delay())
+    # every row of state 2 is there, but 2 is not one of the states
+    update.update({("2", (x,)): x for x in BIT})
+    rows = MooreMachine._built(CELL, BIT, "0", update, {**d.readout, "2": ("1",)})
+    with pytest.raises(MachineError, match="^first machine: state 2 is not declared$"):
+        bisimilar(rows, delay())
     d = delay()
     outside = MooreMachine._built(CELL, BIT, "9", d.update, d.readout)
     with pytest.raises(MachineError, match="second machine: no readout for state 9"):
