@@ -26,6 +26,7 @@ import uav
 from categories import chain3, cyc3, walking_iso
 from wirebox import fincat as fc
 from wirebox import fileformat as ff
+from wirebox import systemformat as sf
 from wirebox.attacks import AttackScript, apply_script
 from wirebox.dot import wiring_dot
 from wirebox.oracle import trace_equivalent
@@ -36,6 +37,17 @@ ROOT = os.path.join(HERE, "..", "fixtures")
 
 def _dump(data: dict) -> str:
     return yaml.safe_dump(data, sort_keys=False, width=88)
+
+
+def test_data(t) -> dict:
+    """A battery row: the test's name, its kind's schema name, and the
+    kind's fields."""
+    kind = t.kind
+    out: dict = {"name": t.name,
+                 "kind": next(n for n, c in sf._TEST_KINDS.items()
+                              if type(kind) is c)}
+    out.update((n, getattr(kind, n)) for n in kind._fields)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +95,7 @@ def gen_uav() -> dict[str, str]:
          "components": ["imu-and", "gps-hacked", "proc-xor", "ctrl-xor",
                         "dyn-int"]},
     ]
-    battery = [ff.test_data(t) for t in uav.standard_battery()]
+    battery = [test_data(t) for t in uav.standard_battery()]
     scenario = {
         "schema": "scenario.v1",
         "name": "uav-redundant-imu",

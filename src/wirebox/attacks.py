@@ -11,11 +11,14 @@ inner slot.  Two attack moves exist:
   of one slot's box, rerouting that component's connections while leaving
   every machine untouched.
 
-Scripts are ordered lists of steps, applied left to right with a
-provenance log of fingerprints, so an attacked artifact records how it
-was produced.  A Scenario bundles named systems with the correspondence
-between an attacker's view and the real system, a knowledge base, a test
-battery, and named scripts aimed at those systems.
+Scripts are ordered lists of steps.  ``apply_script`` is their one
+fold: it applies the steps left to right and logs each with the system
+it left, whose fingerprints the log computes only when they are read,
+so an attacked artifact records how it was produced and a caller that
+wants only the system hashes nothing.  A Scenario bundles named systems
+with the correspondence between an attacker's view and the real system,
+a knowledge base, a test battery, and named scripts aimed at those
+systems.
 """
 
 from __future__ import annotations
@@ -204,13 +207,25 @@ def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
 
 
 class LogEntry(Record):
-    """One applied step: what it was and what the system became."""
+    """One applied step: what it was and the system it left.
+
+    The fingerprints of that system are read on demand; its wiring keeps
+    its own, and each machine its canonical text, so a script that reads
+    none renders no text and hashes nothing.
+    """
 
     position: int
     kind: str
     detail: str
-    wiring_fp: str
-    components_fp: str
+    system: CompositeSystem
+
+    @property
+    def wiring_fp(self) -> str:
+        return fingerprint_wiring(self.system.wiring)
+
+    @property
+    def components_fp(self) -> str:
+        return fingerprint_components(self.system.components)
 
 
 class ScriptResult(Record):
@@ -242,15 +257,16 @@ def fingerprint_components(machines: Sequence[MooreMachine]) -> str:
         _kept(m, "_canonical_text", moore.canonical_text) for m in machines))
 
 
-def _script_steps(sys: CompositeSystem, script: AttackScript):
-    """Apply a script's steps to a system left to right, yielding
-    (step, detail, system, witness) after each: the step, what it did,
-    the system it left, and its lifted morphism (None for a plain
-    rewrite or a rewire).
+def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
+    """Fold a script over a system left to right, logging every step with
+    the system it left and keeping its lifted morphism.
 
-    The first step that does not apply raises an AttackError whose
-    message names its position, ``step N: ...``.
+    The first step that does not apply aborts with an AttackError whose
+    message names its position, ``step N: ...``, and whose ``log``
+    attribute holds the entries for the steps already applied.
     """
+    log: list[LogEntry] = []
+    witnesses: list[Optional[MachineHom]] = []
     current = sys
     for pos, step in enumerate(script.steps):
         try:
@@ -263,41 +279,10 @@ def _script_steps(sys: CompositeSystem, script: AttackScript):
                 current, witness = apply_rewire(current, step), None
                 detail = f"rewire component {step.index}"
         except AttackError as e:
-            raise AttackError(f"step {pos}: {e}") from None
-        yield step, detail, current, witness
-
-
-def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
-    """Fold a script over a system, logging every step with the
-    fingerprints of the system it left.
-
-    The first step that does not apply aborts with the AttackError of
-    ``_script_steps``, whose ``log`` attribute holds the entries for the
-    steps already applied.
-    """
-    log: list[LogEntry] = []
-    witnesses: list[Optional[MachineHom]] = []
-    current = sys
-    try:
-        for step, detail, current, witness in _script_steps(sys, script):
-            log.append(LogEntry(len(log), type(step).__name__, detail,
-                                fingerprint_wiring(current.wiring),
-                                fingerprint_components(current.components)))
-            witnesses.append(witness)
-    except AttackError as e:
-        raise AttackError(str(e), tuple(log)) from None
+            raise AttackError(f"step {pos}: {e}", tuple(log)) from None
+        log.append(LogEntry(pos, type(step).__name__, detail, current))
+        witnesses.append(witness)
     return ScriptResult(current, tuple(log), tuple(witnesses))
-
-
-def attacked_system(sys: CompositeSystem,
-                    script: AttackScript) -> CompositeSystem:
-    """The system a script leaves, folded by ``_script_steps`` as
-    ``apply_script`` folds it but with no log, so no fingerprint is
-    computed."""
-    current = sys
-    for _, _, current, _ in _script_steps(sys, script):
-        pass
-    return current
 
 
 def transport_script(script: AttackScript,
@@ -342,19 +327,19 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
 
     Reports trace equivalence to the given depth with a shortest
     distinguishing word (``probes.separating_word``), plus agreement for
-    each test of any battery supplied.  The search's result decides a
-    trace test, and an output image it proves equal, by
-    ``probes.search_verdict``, with no outcome built; every other test
+    each test of any battery supplied.  The search's result, and whether
+    it closed, decide a trace test, and an output image it proves equal,
+    by ``probes.search_verdict``, with no outcome built; every other test
     is run on both composites and compared.  So a trace test the search
     decides gets its verdict even where its quotient would be over the
-    limit.
+    limit, and a search that closed decides them all.
     """
     before = baseline.composite()
     after = attacked.composite()
-    word = probes.separating_word(before, after, depth)
+    word, closed = probes.separating_word(before, after, depth)
     results = []
     for t in battery:
-        agree = probes.search_verdict(t, word, depth)
+        agree = probes.search_verdict(t, word, depth, closed)
         if agree is None:
             agree = probes.compare_outcomes(
                 t, probes.run_test(t, before), probes.run_test(t, after))

@@ -295,12 +295,12 @@ def _cmd_attack(args, out) -> int:
 
 
 def _cmd_diff(args, out) -> int:
-    from .attacks import attack_diff, attacked_system
+    from .attacks import apply_script, attack_diff
 
     scenario = _load(args.scenario, "scenario.v1").scenario
     script = scenario.script(args.script)
     baseline = scenario.system(script.system)
-    attacked = attacked_system(baseline, script.script)
+    attacked = apply_script(baseline, script.script).system
     report = attack_diff(baseline, attacked, args.depth, scenario.battery)
     for name, agree in report.tests:
         print(f"{name}: {'agree' if agree else 'disagree'}", file=out)

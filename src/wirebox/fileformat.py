@@ -323,7 +323,7 @@ SCHEMAS = ("machine.v1", "wiring.v1", "system.v1", "battery.v1", "attack.v1",
 _SYSTEM_NAMES = frozenset((
     "MachineDoc", "WiringDoc", "SystemDoc", "BatteryDoc", "AttackDoc",
     "ScenarioDoc", "load_kb_dir", "box_data", "machine_data", "expr_data",
-    "wiring_data", "test_data", "dump_machine", "collect_boxes",
+    "wiring_data", "dump_machine", "collect_boxes",
     "dump_system"))
 
 

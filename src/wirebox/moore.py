@@ -177,16 +177,6 @@ def _machine_errors(m: MooreMachine) -> list[str]:
     return errors
 
 
-def step(m: MooreMachine, s: State, x: Sequence[Symbol]) -> tuple[State, tuple[Symbol, ...]]:
-    """One transition: returns (next state, output read before stepping);
-    a state or input from outside the machine raises MachineError."""
-    x = tuple(x)
-    try:
-        return m.update[(s, x)], m.readout[s]
-    except KeyError:
-        raise _missing_row(m, s, (x,)) from None
-
-
 def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
     """The error naming the first row of state ``s`` that ``m`` lacks:
     its readout, then its updates in ``inputs`` order.
@@ -203,8 +193,8 @@ def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
 def run(m: MooreMachine, word: Sequence[Sequence[Symbol]]) -> list[tuple[Symbol, ...]]:
     """Outputs along a word: readout of the state before each input.
 
-    Steps as ``step`` does, and a word holding an input outside the
-    input space raises the same error.
+    A word holding an input outside the input space raises the
+    MachineError of ``_missing_row``.
     """
     update, readout = m.update, m.readout
     s = m.init

@@ -21,14 +21,15 @@ two machines: breadth first over the pairs of states a word leads them
 to, inputs in order, each pair kept with the first word that reaches
 it, reading the machines' tables directly.  ``attacks.attack_diff`` runs
 it on two composites, and ``outcome_witness`` on two trace quotients, so
-both name the shortest word, least in declared alphabet order.  It stops
-at a level that adds no pair, and refuses, like a composite, to hold
-more than ``MAX_TRANSITIONS`` pairs times inputs; so does a trace
-quotient with its rows.  ``oracle.find_distinguishing_word`` is its
-reference.  Its result decides every trace test but one deeper than a
-search that found no word, and proves equal the output images of the
-steps shorter words reach (``search_verdict``), so ``attack_diff``
-runs only the tests it leaves open; ``run_test`` and
+both name the shortest word, least in declared alphabet order.  It
+closes at a level that adds no pair, and says so; like a composite, it
+refuses to hold more than ``MAX_TRANSITIONS`` pairs times inputs, and
+so does a trace quotient with its rows.  ``oracle.find_distinguishing_word``
+is its reference.  A search that closed proves every trace test and
+every output image equal; otherwise its result decides every trace test
+but one deeper than a search that found no word, and proves equal the
+output images of the steps shorter words reach (``search_verdict``).  So
+``attack_diff`` runs only the tests it leaves open; ``run_test`` and
 ``compare_outcomes`` stay their reference.
 
 ``yoneda_filter`` is the learner: it compares a black-box target against
@@ -118,17 +119,21 @@ class Test(Record):
             raise ProbeError("output image step must be nonnegative")
 
 
-def search_verdict(test: Test, word, depth: int) -> Optional[bool]:
-    """The verdict on ``test`` that ``word``, what ``separating_word(a,
-    b, depth)`` returned, proves for machines ``a`` and ``b``, or None
-    when it proves none.
+def search_verdict(test: Test, word, depth: int,
+                   closed: bool) -> Optional[bool]:
+    """The verdict on ``test`` that ``(word, closed)``, what
+    ``separating_word(a, b, depth)`` returned, proves for machines ``a``
+    and ``b``, or None when it proves none.
 
     A word of length n reads the outputs of the states 0 to n - 1 steps
-    reach.  Let ``clear`` be the word's length L, or ``depth + 1`` when
-    the search found none.  The search is breadth first, so every word
-    shorter than ``clear`` gives the two machines equal outputs, and when
-    it found a word, the two give different outputs on it (Moore, 1956:
-    every experiment shorter than the shortest distinguishing one
+    reach.  A search that closed met every pair of states the two
+    machines reach together, and every pair gave equal outputs, so every
+    word does: every trace test and every output image agrees.
+    Otherwise let ``clear`` be the word's length L, or ``depth + 1``
+    when the search found none.  The search is breadth first, so every
+    word shorter than ``clear`` gives the two machines equal outputs, and
+    when it found a word, the two give different outputs on it (Moore,
+    1956: every experiment shorter than the shortest distinguishing one
     agrees).  Then:
 
     * ``TraceSet(d)`` with d < ``clear``: every word of length d gives
@@ -146,8 +151,10 @@ def search_verdict(test: Test, word, depth: int) -> Optional[bool]:
     What is left undecided goes through ``run_test`` and
     ``compare_outcomes``, the reference for every verdict.
     """
-    clear = depth + 1 if word is None else len(word)
     kind = test.kind
+    if closed and isinstance(kind, (TraceSet, OutputImage)):
+        return True
+    clear = depth + 1 if word is None else len(word)
     if isinstance(kind, TraceSet):
         if word is None and kind.depth > depth:
             return None
@@ -297,8 +304,10 @@ def outcome_witness(test: Test, a: Outcome, b: Outcome):
     if isinstance(test.kind, TraceSet):
         if a.inputs != b.inputs:
             raise ProbeError("trace outcomes over different inputs have no witness")
-        return _separating_word(*_quotient_machine(a), *_quotient_machine(b),
-                                a.inputs, len(a.value))
+        word, _ = _separating_word(*_quotient_machine(a),
+                                   *_quotient_machine(b), a.inputs,
+                                   len(a.value))
+        return word
     sa, sb = set(a.value), set(b.value)
     only = sorted(sa.symmetric_difference(sb))
     return only[0] if only else (a.value, b.value)
@@ -312,10 +321,12 @@ def _quotient_machine(q: Outcome) -> tuple:
             {(s, x): (s[0] + 1, j) for s, row in rows for x, j in zip(q.inputs, row[1:])})
 
 
-def separating_word(a: MooreMachine, b: MooreMachine, depth: int):
-    """The shortest word of length ``depth`` or less, least among equals in
-    ``input_space`` order, on which two machines on one box give different
-    outputs, or None; see the module docstring for the search."""
+def separating_word(a: MooreMachine, b: MooreMachine, depth: int) -> tuple:
+    """``(word, closed)``: the shortest word of length ``depth`` or less,
+    least among equals in ``input_space`` order, on which two machines on
+    one box give different outputs, or None; and whether the search,
+    finding none, closed: ran out of new pairs of states before
+    ``depth``.  See the module docstring for the search."""
     if a.box != b.box:
         raise ProbeError(f"machines on different boxes: {_box_mismatch(a.box, b.box)}")
     return _separating_word(a.init, a.readout, a.update, b.init, b.readout,
@@ -334,7 +345,7 @@ def _separating_word(init_a, readout_a, update_a, init_b, readout_b, update_b,
             while came[pair]:
                 pair, x = came[pair]
                 word.append(x)
-            return tuple(reversed(word))
+            return tuple(reversed(word)), False
         for x in inputs if k < depth else ():
             t = (update_a[(sa, x)], update_b[(sb, x)])
             if t not in came:
@@ -343,7 +354,9 @@ def _separating_word(init_a, readout_a, update_a, init_b, readout_b, update_b,
         if len(came) > most:
             raise moore._over_the_limit("pair search reaches at least",
                                         len(came), len(inputs), "state pairs")
-    return None
+    # pairs come in level order, so the search closed when it expanded
+    # the last one it met
+    return None, bool(queue) and queue[-1][1] < depth
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +386,6 @@ class KnowledgeBase(Record, eq=False):
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
-
-    def machine(self, name: str) -> MooreMachine:
-        for n, m in self.entries:
-            if n == name:
-                return m
-        raise ProbeError(f"no knowledge base entry {name!r}")
 
 
 class TargetOracle(Protocol):

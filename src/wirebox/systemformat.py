@@ -504,14 +504,6 @@ def wiring_data(name: str, w: Wiring) -> dict:
     }
 
 
-def test_data(t: Test) -> dict:
-    kind = t.kind
-    out: dict = {"name": t.name,
-                 "kind": next(n for n, c in _TEST_KINDS.items() if type(kind) is c)}
-    out.update((n, getattr(kind, n)) for n in kind._fields)
-    return out
-
-
 def _dump(data: dict) -> str:
     """The document for ``data``: exactly ``yaml.safe_dump(data,
     sort_keys=False, width=88)``, written by libyaml's emitter

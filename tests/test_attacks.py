@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from netgen import (BIT, random_machine, random_network, random_stack,
                     random_wiring, relabelling)
-from wirebox import moore, wiring as wi
+from wirebox import attacks, moore, wiring as wi
 from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
                              DiffReport, RewireStep, RewriteStep,
                              apply_rewire, apply_rewrite, apply_script,
-                             _digest, attack_diff, attacked_system,
-                             fingerprint_components,
+                             _digest, attack_diff, fingerprint_components,
                              fingerprint_wiring, transport_script)
 from wirebox.fileformat import load
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
@@ -360,6 +359,8 @@ def test_kept_fingerprints_agree_with_fresh_copies(seed):
     first = apply_script(system, script)
     second = apply_script(system, script)
     assert second.log == first.log
+    assert [(e.wiring_fp, e.components_fp) for e in second.log] == \
+        [(e.wiring_fp, e.components_fp) for e in first.log]
     assert second.system == first.system
     assert second.witnesses == first.witnesses
     current = system
@@ -425,23 +426,32 @@ def test_aborted_script_reports_the_partial_log():
     assert exc.value.log[0].detail == "rewire component 0"
 
 
-def test_attacked_system_is_the_logged_fold_without_its_log():
+def test_a_script_hashes_nothing_until_its_log_is_read(monkeypatch):
+    # the fold logs the system each step leaves, and an entry fingerprints
+    # it when read: diff, which reads only the last system, hashes nothing
+    digested = []
+    monkeypatch.setattr(attacks, "_digest",
+                        lambda text: digested.append(text) or _digest(text))
     path = (pathlib.Path(__file__).resolve().parent.parent
             / "fixtures" / "uav" / "scenario.yaml")
     scenario = load(path).scenario
-    for entry in scenario.scripts:
-        base = scenario.system(entry.system)
-        assert attacked_system(base, entry.script) == \
-            apply_script(base, entry.script).system
+    results = [apply_script(scenario.system(e.system), e.script)
+               for e in scenario.scripts]
     script = AttackScript((RewireStep(0, not_endo()),
                            RewriteStep(9, machine=delay())))
-    with pytest.raises(AttackError) as logged:
+    with pytest.raises(AttackError) as aborted:
         apply_script(pair(), script)
-    with pytest.raises(AttackError) as bare:
-        attacked_system(pair(), script)
-    assert str(bare.value) == str(logged.value) == \
-        "step 1: no component 9; system has 2"
-    assert bare.value.log == ()
+    assert str(aborted.value) == "step 1: no component 9; system has 2"
+    assert digested == []
+    for result in results:
+        assert result.log[-1].system is result.system
+        for entry in result.log:
+            assert entry.wiring_fp == fingerprint_wiring(entry.system.wiring)
+            assert entry.components_fp == \
+                fingerprint_components(entry.system.components)
+    assert digested
+    entry, = aborted.value.log
+    assert entry.system == apply_rewire(pair(), script.steps[0])
 
 
 def test_empty_script_is_the_identity():

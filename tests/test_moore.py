@@ -22,7 +22,7 @@ from wirebox.fileformat import dump_machine
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, canonical_text, compose_homs,
                            hom_violations, identity_hom, lift_hom,
-                           render_state, run, step, validate_machine)
+                           render_state, run, validate_machine)
 from wirebox.oracle import bisimilar, route, stagewise_simulate
 from wirebox.probes import (EXACT, KnowledgeBase, MachineOracle, StateSet,
                             Test, TraceSet, compare_outcomes, run_test,
@@ -44,6 +44,17 @@ def history() -> MooreMachine:
     update = {(s, (a,)): s[1] + a for s in states for a in BIT}
     return MooreMachine(CELL, states, "00", update,
                         {s: (s[1],) for s in states})
+
+
+def step(m: MooreMachine, s, x) -> tuple:
+    """One transition: (next state, output read before stepping); a state
+    or input from outside the machine raises the MachineError ``run``
+    raises."""
+    x = tuple(x)
+    try:
+        return m.update[(s, x)], m.readout[s]
+    except KeyError:
+        raise moore._missing_row(m, s, (x,)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from netgen import (BIT, random_machine, random_network, random_wiring,
                     relabel)
 from wirebox import moore, probes
-from wirebox.attacks import (CompositeSystem, apply_script, attack_diff,
-                             attacked_system)
+from wirebox.attacks import CompositeSystem, apply_script, attack_diff
 from wirebox.fileformat import load, load_kb_dir
 from wirebox.moore import MachineError, MooreMachine, apply_algebra, run
 from wirebox.oracle import bisimilar, find_distinguishing_word
@@ -238,12 +237,27 @@ def test_trace_quotients_agree_with_the_reference(seed, depth, variant):
         assert outcome_witness(t, oa, ob) == find_distinguishing_word(a, b, depth)
 
 
+def pair_levels(a: MooreMachine, b: MooreMachine) -> int:
+    """How many lengths of word it takes to reach every pair of states
+    that words lead the two machines to together."""
+    inputs = input_space([a.box])
+    level, seen, n = {(a.init, b.init)}, set(), 0
+    while level:
+        seen |= level
+        n += 1
+        level = {(a.update[(s, x)], b.update[(t, x)])
+                 for s, t in level for x in inputs} - seen
+    return n
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
 def test_one_search_gives_the_reference_word(seed, variant):
     # at every depth, the pair search on two machines and on their trace
-    # quotients finds the reference's word; with no depth bound it closes
-    # exactly when the machines are bisimilar
+    # quotients finds the reference's word, and it closes exactly when
+    # the machines are bisimilar and the depth passes every pair they
+    # reach; with no depth bound it finds no word exactly when they are
+    # bisimilar
     rng = random.Random(seed)
     pairs = (network_pair(rng, variant),
              (random_machine(rng, REV), random_machine(rng, REV)))
@@ -251,9 +265,11 @@ def test_one_search_gives_the_reference_word(seed, variant):
         for depth in range(9):
             t = Test("t", TraceSet(depth))
             word = find_distinguishing_word(a, b, depth)
-            assert separating_word(a, b, depth) == word
+            found, closed = separating_word(a, b, depth)
+            assert found == word
+            assert closed == (bisimilar(a, b) and pair_levels(a, b) < depth)
             assert outcome_witness(t, run_test(t, a), run_test(t, b)) == word
-        assert (separating_word(a, b, 10 ** 9) is None) == bisimilar(a, b)
+        assert (separating_word(a, b, 10 ** 9)[0] is None) == bisimilar(a, b)
 
 
 #: trace depths and image steps from 0 to 9, on both sides of each search
@@ -290,13 +306,14 @@ def test_a_diff_of_each_fixture_script_gives_the_reference_verdicts():
     decided = set()
     for entry in scenario.scripts:
         baseline = scenario.system(entry.system)
-        attacked = attacked_system(baseline, entry.script)
+        attacked = apply_script(baseline, entry.script).system
         for depth in range(1, 8):
             assert_diff_verdicts_are_the_reference(baseline, attacked, depth,
                                                    scenario.battery)
-            word = separating_word(baseline.composite(),
-                                   attacked.composite(), depth)
-            decided.update(probes.search_verdict(t, word, depth) is not None
+            word, closed = separating_word(baseline.composite(),
+                                           attacked.composite(), depth)
+            decided.update(probes.search_verdict(t, word, depth, closed)
+                           is not None
                            for t in scenario.battery
                            if isinstance(t.kind, (TraceSet, OutputImage)))
     # the search decides some trace and image tests and leaves others open
@@ -312,11 +329,12 @@ def test_a_diff_the_search_decides_builds_no_trace_or_image_outcome(
                             calls.append(name) or f(*args))
     scenario = load(UAV / "scenario.yaml").scenario
     systems = [(scenario.system(e.system),
-                attacked_system(scenario.system(e.system), e.script))
+                apply_script(scenario.system(e.system), e.script).system)
                for e in scenario.scripts]
     for baseline, attacked in systems:
-        word = separating_word(baseline.composite(), attacked.composite(), 6)
-        assert all(probes.search_verdict(t, word, 6) is not None
+        word, closed = separating_word(baseline.composite(),
+                                       attacked.composite(), 6)
+        assert all(probes.search_verdict(t, word, 6, closed) is not None
                    for t in scenario.battery
                    if isinstance(t.kind, (TraceSet, OutputImage)))
         attack_diff(baseline, attacked, 6, scenario.battery)
@@ -482,7 +500,7 @@ def test_the_pair_search_refuses_a_pair_space_over_the_limit(monkeypatch):
     monkeypatch.setattr(moore, "MAX_TRANSITIONS", 2 ** 12)
     systems = counter("1", 64), counter("0", 64)
     ones, zeros = (system.composite() for system in systems)
-    assert separating_word(ones, zeros, 40) is None
+    assert separating_word(ones, zeros, 40) == (None, False)
     limit = (r"pair search reaches at least 20(49|50) state pairs x 2 inputs = "
              r"\d+ transitions, over the limit of 4096")
     tracemalloc.start()
@@ -668,13 +686,6 @@ def test_kb_names_the_port_of_a_box_that_shares_its_name():
         KnowledgeBase(CELL, (("m", m),))
     assert str(e.value) == ("entry 'm' does not fit the knowledge base's box: "
                             "output port 'out' vs 'q' on box 'cell'")
-
-
-def test_kb_lookup():
-    kb = KnowledgeBase(CELL, (("d", delay()),))
-    assert kb.machine("d") == delay()
-    with pytest.raises(ProbeError):
-        kb.machine("x")
 
 
 # ---------------------------------------------------------------------------

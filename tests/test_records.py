@@ -62,7 +62,7 @@ FIELDS = {
     RewriteStep: "index machine hom",
     RewireStep: "index endo",
     AttackScript: "steps",
-    LogEntry: "position kind detail wiring_fp components_fp",
+    LogEntry: "position kind detail system",
     DiffReport: "equivalent witness depth tests",
     ScenarioScript: "name system script",
     Scenario: "name systems real attacker_view correspondence kb battery "
@@ -84,8 +84,9 @@ IDENTITY = {RewriteStep, RewireStep, Scenario, KnowledgeBase, FinCategory,
 # records with a dict or a machine among their fields: equal records
 # compare equal, but hashing one fails
 UNHASHABLE = {Wiring, MooreMachine, CompositeSystem, MachineHom,
-              NatTransformation, RewriteResult, ScriptResult, MachineDoc,
-              WiringDoc, SystemDoc, AttackDoc, ScenarioDoc, FincatDoc}
+              NatTransformation, LogEntry, RewriteResult, ScriptResult,
+              MachineDoc, WiringDoc, SystemDoc, AttackDoc, ScenarioDoc,
+              FincatDoc}
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,7 +198,7 @@ def test_defaults_fill_the_trailing_fields():
     assert RewriteStep(0, None, hom).hom is hom
     for build in (lambda: Port("a"), lambda: Outcome(),
                   lambda: Test("t"), lambda: DiffReport(True, None),
-                  lambda: OuterIn(0, box=1), lambda: LogEntry(0, "k", "d", "w")):
+                  lambda: OuterIn(0, box=1), lambda: LogEntry(0, "k", "d")):
         with pytest.raises(TypeError):
             build()
 
@@ -264,6 +265,7 @@ def test_reprs():
     assert repr(Terminal()) == "Terminal()"
     assert repr(Test("t", TraceSet(2))) == \
         "Test(name='t', kind=TraceSet(depth=2))"
-    assert repr(LogEntry(1, "RewireStep", "rewire component 1", "ab", "cd")) \
+    system = samples()[CompositeSystem]
+    assert repr(LogEntry(1, "RewireStep", "rewire component 1", system)) \
         == ("LogEntry(position=1, kind='RewireStep', "
-            "detail='rewire component 1', wiring_fp='ab', components_fp='cd')")
+            f"detail='rewire component 1', system={system!r})")
