@@ -1,24 +1,21 @@
 """Attacks on wired systems: component rewrites and connection rewires.
 
 A CompositeSystem is a wiring into one box together with a machine per
-inner slot.  Two attack moves exist:
+inner slot.  A step maps a system to a system.  A RewriteStep replaces
+the machine in one slot (``apply_rewrite``): in plain form it swaps
+tables, and in morphism form it carries a machine morphism from the
+current component to the replacement.  A RewireStep precomposes the
+wiring with an endomorphism of one slot's box (``apply_rewire``),
+rerouting that component while leaving every machine untouched.
 
-* RewriteStep replaces the machine in one slot.  In plain form it just
-  swaps tables; in morphism form it carries a machine morphism from the
-  current component, and applying it also returns that morphism lifted to
-  the composites, certifying how the attack transforms whole-system state.
-* RewireStep precomposes the system's wiring with an endomorphism wiring
-  of one slot's box, rerouting that component's connections while leaving
-  every machine untouched.
-
-Scripts are ordered lists of steps.  ``apply_script`` is their one
-fold: it applies the steps left to right and logs each with the system
-it left, whose fingerprints the log computes only when they are read,
-so an attacked artifact records how it was produced and a caller that
-wants only the system hashes nothing.  A Scenario bundles named systems
-with the correspondence between an attacker's view and the real system,
-a knowledge base, a test battery, and named scripts aimed at those
-systems.
+A script, an ordered list of steps, is folded through those two
+functions by ``apply_script`` and by the scenario.v1 loader, so a script
+that loads applies.  Its log keeps each step with the systems before and
+after it, and computes on read its text, fingerprints and a morphism
+rewrite's witness: the morphism lifted to the composites, certifying how
+the attack transforms whole-system state.  A Scenario bundles named
+systems with the correspondence between an attacker's view and the real
+system, a knowledge base, a test battery, and named scripts.
 """
 
 from __future__ import annotations
@@ -59,9 +56,7 @@ class CompositeSystem(Record):
 
         Built on the first call and kept (``_kept``): the system is
         immutable, and the composite's tables keep the rows routed on
-        lookup.  A morphism rewrite builds the composites of the system
-        it rewrites and of the one it returns, as its witness's source
-        and target, so ``attack_diff`` of the two builds neither again.
+        lookup, so a diff and a step's witness build each once.
         """
         return _kept(self, "_composite",
                      lambda sys: apply_algebra(sys.wiring, sys.components))
@@ -116,13 +111,6 @@ class AttackScript(Record):
                 raise AttackError(f"not an attack step: {s!r}")
 
 
-class RewriteResult(Record):
-    """The attacked system, plus the lifted morphism in morphism mode."""
-
-    system: CompositeSystem
-    witness: Optional[MachineHom] = None
-
-
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
@@ -140,10 +128,7 @@ def check_step(sys: CompositeSystem, step) -> None:
 
     A morphism rewrite's target was checked against its source when the
     morphism was built; ``apply_rewrite`` checks that the source is the
-    slot's current component.  Slots and their boxes never change under a
-    step, so each step's slot and box can be checked against the system
-    the script is aimed at; its morphism's source cannot, since the
-    steps before it may have replaced the slot's component.
+    slot's current component.
     """
     index = step.index
     check_index(sys, index)
@@ -159,20 +144,16 @@ def check_step(sys: CompositeSystem, step) -> None:
             f"{wi._box_mismatch(step.machine.box, slot)}")
 
 
-def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
+def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> CompositeSystem:
     """Swap one component machine, preserving the slot's box.
 
     The returned system keeps ``sys``'s wiring object, and with it the
     routing compiled for ``sys``'s composite.  In morphism mode the
-    morphism's source must be the current component.  The replacement
-    and the morphism were checked when built.  The returned witness is
-    the morphism, with identities on the other slots, lifted along the
-    wiring by ``moore.lift_hom``, from ``sys.composite()`` to the
-    returned system's composite, which is built here and kept on that
-    system.  Its state map is
-    computed on lookup, so on a product over the limit the rewrite
-    costs the reachable parts alone, and reading the map whole is
-    refused.
+    morphism's source must be the current component, and its target
+    replaces it.  The replacement and the morphism were checked when
+    built.  No composite is built: the morphism lifted to the two
+    systems' composites is the step's ``LogEntry.witness``, computed
+    when read.
     """
     check_step(sys, step)
     hom = step.hom
@@ -181,25 +162,16 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> RewriteResult:
             f"morphism source is not the current component {step.index}")
     components = list(sys.components)
     components[step.index] = step.machine if hom is None else hom.target
-    result = CompositeSystem(sys.wiring, tuple(components))
-    if hom is None:
-        return RewriteResult(result)
-    homs = [moore.identity_hom(m) for m in sys.components]
-    homs[step.index] = hom
-    return RewriteResult(result, lift_hom(homs, sys.composite(),
-                                          result.composite()))
+    return CompositeSystem(sys.wiring, tuple(components))
 
 
 def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
     """Reroute one slot by precomposing with an endomorphism wiring.
 
     The new wiring is the old one composed with the identity on every
-    slot except ``index``, where the endomorphism sits.
-    ``wiring.precompose_slot`` computes it by substitution into the
-    expressions the endomorphism touches, and takes every other entry,
-    and the compiled routing of the components made of them, from the
-    old wiring; ``compose(g, tensor(pads))`` is its reference.
-    Components are the same objects, untouched.
+    slot except ``index``, where the endomorphism sits, as
+    ``wiring.precompose_slot`` computes it.  Components are the same
+    objects, untouched.
     """
     check_step(sys, step)
     rewired = wi.precompose_slot(sys.wiring, step.index, step.endo)
@@ -207,17 +179,28 @@ def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
 
 
 class LogEntry(Record):
-    """One applied step: what it was and the system it left.
-
-    The fingerprints of that system are read on demand; its wiring keeps
-    its own, and each machine its canonical text, so a script that reads
-    none renders no text and hashes nothing.
-    """
+    """One applied step: its position, the step, and the systems before
+    and after it.  The rest is computed when read, so a script that reads
+    none of it renders no text, hashes nothing and builds no composite;
+    the system's wiring keeps its fingerprint, and each machine its
+    canonical text."""
 
     position: int
-    kind: str
-    detail: str
+    step: RewriteStep | RewireStep
+    before: CompositeSystem
     system: CompositeSystem
+
+    @property
+    def kind(self) -> str:
+        return type(self.step).__name__
+
+    @property
+    def detail(self) -> str:
+        step = self.step
+        if isinstance(step, RewireStep):
+            return f"rewire component {step.index}"
+        mode = "replace" if step.machine is not None else "morphism"
+        return f"rewrite[{mode}] component {step.index}"
 
     @property
     def wiring_fp(self) -> str:
@@ -227,14 +210,31 @@ class LogEntry(Record):
     def components_fp(self) -> str:
         return fingerprint_components(self.system.components)
 
+    @property
+    def witness(self) -> Optional[MachineHom]:
+        """A morphism rewrite's morphism, with identities on the other
+        slots, lifted along the wiring by ``moore.lift_hom`` between the
+        composites before and after it (kept on the systems), or None.
+        Its state map is computed on lookup, so on a product over the
+        limit it costs the reachable parts alone."""
+        step = self.step
+        if isinstance(step, RewireStep) or step.hom is None:
+            return None
+        homs = [moore.identity_hom(m) for m in self.before.components]
+        homs[step.index] = step.hom
+        return lift_hom(homs, self.before.composite(), self.system.composite())
+
 
 class ScriptResult(Record):
-    """The attacked system, a log entry per step, and each step's lifted
-    morphism (None for a plain rewrite or a rewire)."""
+    """The attacked system and a log entry per step."""
 
     system: CompositeSystem
     log: tuple[LogEntry, ...]
-    witnesses: tuple[Optional[MachineHom], ...]
+
+    @property
+    def witnesses(self) -> tuple[Optional[MachineHom], ...]:
+        """Each step's ``LogEntry.witness``."""
+        return tuple(entry.witness for entry in self.log)
 
 
 def _digest(text: str) -> str:
@@ -258,31 +258,25 @@ def fingerprint_components(machines: Sequence[MooreMachine]) -> str:
 
 
 def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
-    """Fold a script over a system left to right, logging every step with
-    the system it left and keeping its lifted morphism.
+    """Fold a script over a system left to right through ``apply_rewrite``
+    and ``apply_rewire``, logging every step with the systems before and
+    after it.
 
     The first step that does not apply aborts with an AttackError whose
     message names its position, ``step N: ...``, and whose ``log``
     attribute holds the entries for the steps already applied.
     """
     log: list[LogEntry] = []
-    witnesses: list[Optional[MachineHom]] = []
     current = sys
     for pos, step in enumerate(script.steps):
+        apply = apply_rewrite if isinstance(step, RewriteStep) else apply_rewire
         try:
-            if isinstance(step, RewriteStep):
-                result = apply_rewrite(current, step)
-                current, witness = result.system, result.witness
-                mode = "replace" if step.machine is not None else "morphism"
-                detail = f"rewrite[{mode}] component {step.index}"
-            else:
-                current, witness = apply_rewire(current, step), None
-                detail = f"rewire component {step.index}"
+            after = apply(current, step)
         except AttackError as e:
             raise AttackError(f"step {pos}: {e}", tuple(log)) from None
-        log.append(LogEntry(pos, type(step).__name__, detail, current))
-        witnesses.append(witness)
-    return ScriptResult(current, tuple(log), tuple(witnesses))
+        log.append(LogEntry(pos, step, current, after))
+        current = after
+    return ScriptResult(current, tuple(log))
 
 
 def transport_script(script: AttackScript,

@@ -325,8 +325,9 @@ def separating_word(a: MooreMachine, b: MooreMachine, depth: int) -> tuple:
     """``(word, closed)``: the shortest word of length ``depth`` or less,
     least among equals in ``input_space`` order, on which two machines on
     one box give different outputs, or None; and whether the search,
-    finding none, closed: ran out of new pairs of states before
-    ``depth``.  See the module docstring for the search."""
+    finding none, closed: no pair of states that words of length
+    ``depth`` or less reach leads to a pair they do not.  See the module
+    docstring for the search."""
     if a.box != b.box:
         raise ProbeError(f"machines on different boxes: {_box_mismatch(a.box, b.box)}")
     return _separating_word(a.init, a.readout, a.update, b.init, b.readout,
@@ -338,6 +339,7 @@ def _separating_word(init_a, readout_a, update_a, init_b, readout_b, update_b,
     most = moore.MAX_TRANSITIONS // len(inputs)
     came = {(init_a, init_b): None}  # pair -> (pair before, input), first word
     queue = [((init_a, init_b), 1)] if depth > 0 else []  # (pair, witness length)
+    more = not queue  # whether a pair leads past the last level
     for pair, k in queue:
         sa, sb = pair
         if readout_a[sa] != readout_b[sb]:
@@ -351,12 +353,15 @@ def _separating_word(init_a, readout_a, update_a, init_b, readout_b, update_b,
             if t not in came:
                 came[t] = (pair, x)
                 queue.append((t, k + 1))
+        if k == depth and not more:
+            # the last level's successors are looked up, not stored; one
+            # a table lacks (past a trace quotient's last layer) is new
+            more = any((update_a.get((sa, x)), update_b.get((sb, x)))
+                       not in came for x in inputs)
         if len(came) > most:
             raise moore._over_the_limit("pair search reaches at least",
                                         len(came), len(inputs), "state pairs")
-    # pairs come in level order, so the search closed when it expanded
-    # the last one it met
-    return None, bool(queue) and queue[-1][1] < depth
+    return None, not more
 
 
 # ---------------------------------------------------------------------------

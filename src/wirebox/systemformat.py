@@ -201,59 +201,55 @@ def _load_battery(v, path: str) -> tuple[Test, ...]:
 
 
 def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
-    """Steps aimed at ``system``, each checked as ``attacks.check_step``
-    will check it when applied: a slot index past the system's slots, or
-    a replacement machine or endomorphism on another box than its slot's,
-    fails at the step's ``rewrite`` or ``rewire`` key.  A morphism
-    rewrite's morphism, from the slot's component as the steps before
-    it leave it to its target, is checked when it is built
+    """Steps aimed at ``system``, folded over it as they are read through
+    the functions that apply them, ``attacks.apply_rewrite`` and
+    ``apply_rewire``: a step that does not apply to the system the steps
+    before it leave fails at its ``rewrite`` or ``rewire`` key, with the
+    text applying it gives.  A morphism rewrite's morphism, from the
+    slot's current component to its target, is checked when it is built
     (``MachineHom``), and its first violation fails at the step's
-    ``state_map`` key.  So the steps are folded as they are read: each
-    rewrite, plain or morphism, makes its machine the slot's current
-    component, and a rewire leaves the components alone.
+    ``state_map`` key.  So a script that loads applies.
 
     An attack.v1 document defines no systems, so there ``system`` is None:
     its steps are checked only when applied, and it cannot carry a
     morphism rewrite.
     """
-    from .attacks import (AttackScript, RewireStep, RewriteStep, check_index,
-                          check_step)
+    from .attacks import (AttackScript, RewireStep, RewriteStep, apply_rewire,
+                          apply_rewrite, check_index)
 
     steps: list = []
-    current = list(system.components) if system is not None else None
+    current = system
     for row, rp in _rows()(v, path):
         if "rewrite" in row:
             _row(row, rp, ("rewrite", "machine", "state_map"))
-            key = "rewrite"
+            key, apply = "rewrite", apply_rewrite
             idx = _field(row, key, rp, _integer)
             target = _field(row, "machine", rp, _ref(machines, "machine"))
             if "state_map" in row:
-                if system is None:
+                if current is None:
                     raise LoadError(f"{rp}.state_map", "attack documents define no "
                                     "systems, so a morphism rewrite cannot be checked "
                                     "here; it belongs in a scenario.v1 script")
                 state_map = _field(row, "state_map", rp, _string_map)
                 with _errors_at(f"{rp}.rewrite"):
-                    check_index(system, idx)
+                    check_index(current, idx)
                 with _errors_at(f"{rp}.state_map"):
-                    hom = MachineHom(current[idx], target, state_map)
+                    hom = MachineHom(current.components[idx], target, state_map)
                 step = RewriteStep(idx, hom=hom)
             else:
                 step = RewriteStep(idx, machine=target)
         elif "rewire" in row:
             _row(row, rp, ("rewire", "wiring"))
-            key = "rewire"
+            key, apply = "rewire", apply_rewire
             idx = _field(row, key, rp, _integer)
             endo = _field(row, "wiring", rp, _ref(wirings, "wiring"))
             with _errors_at(rp):
                 step = RewireStep(idx, endo)
         else:
             raise LoadError(rp, "expected a rewrite or rewire step")
-        if system is not None:
+        if current is not None:
             with _errors_at(f"{rp}.{key}"):
-                check_step(system, step)
-            if key == "rewrite":
-                current[idx] = target
+                current = apply(current, step)
         steps.append(step)
     return AttackScript(tuple(steps))
 

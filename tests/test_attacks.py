@@ -1,5 +1,6 @@
 """Rewrite and rewire steps, script application, transport, and diffing."""
 
+import io
 import pathlib
 import random
 import threading
@@ -17,6 +18,7 @@ from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
                              apply_rewire, apply_rewrite, apply_script,
                              _digest, attack_diff, fingerprint_components,
                              fingerprint_wiring, transport_script)
+from wirebox.cli import dispatch
 from wirebox.fileformat import load
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, compose_homs, hom_violations,
@@ -177,11 +179,13 @@ def test_script_rejects_foreign_steps():
 
 def test_replace_swaps_only_the_named_slot():
     sys = pair()
-    result = apply_rewrite(sys, RewriteStep(1, machine=delay("1")))
-    assert result.witness is None
-    assert result.system.components[0] is sys.components[0]
-    assert result.system.components[1] == delay("1")
-    assert result.system.wiring is sys.wiring
+    step = RewriteStep(1, machine=delay("1"))
+    result = apply_rewrite(sys, step)
+    assert type(result) is CompositeSystem
+    assert apply_script(sys, AttackScript((step,))).witnesses == (None,)
+    assert result.components[0] is sys.components[0]
+    assert result.components[1] == delay("1")
+    assert result.wiring is sys.wiring
 
 
 def test_a_machine_on_a_namesake_box_is_refused_where_it_differs():
@@ -233,8 +237,8 @@ def test_hom_mode_rejects_broken_morphisms():
 
 def test_hom_mode_lifts_the_witness_to_the_composites():
     sys = CompositeSystem(chain(), (history(), delay()))
-    result = apply_rewrite(sys, RewriteStep(0, hom=collapse()))
-    witness = result.witness
+    result = apply_script(sys, AttackScript((RewriteStep(0, hom=collapse()),)))
+    (witness,) = result.witnesses
     assert witness is not None
     assert hom_violations(witness) == []
     # the composites the witness spans are the systems' own, built once
@@ -315,7 +319,7 @@ def test_script_logs_every_step_with_fingerprints():
     assert result.log[1].detail == "rewire component 1"
 
     # fingerprints match a replay of the same steps
-    mid = apply_rewrite(sys, script.steps[0]).system
+    mid = apply_rewrite(sys, script.steps[0])
     assert result.log[0].wiring_fp == fingerprint_wiring(mid.wiring)
     assert result.log[0].components_fp == fingerprint_components(mid.components)
     end = apply_rewire(mid, script.steps[1])
@@ -365,9 +369,8 @@ def test_kept_fingerprints_agree_with_fresh_copies(seed):
     assert second.witnesses == first.witnesses
     current = system
     for step, entry in zip(script.steps, first.log):
-        current = (apply_rewrite(current, step).system
-                   if isinstance(step, RewriteStep)
-                   else apply_rewire(current, step))
+        current = (apply_rewrite if isinstance(step, RewriteStep)
+                   else apply_rewire)(current, step)
         n = current.wiring
         copy = Wiring(n.inner, n.outer, n.in_map, n.out_map)
         machines = [MooreMachine(m.box, m.states, m.init, m.update, m.readout)
@@ -454,6 +457,34 @@ def test_a_script_hashes_nothing_until_its_log_is_read(monkeypatch):
     assert entry.system == apply_rewire(pair(), script.steps[0])
 
 
+def test_a_morphism_rewrite_builds_no_composite_until_its_witness_is_read(
+        monkeypatch):
+    # a step maps a system to a system; the witness spans the composites
+    # before and after it, which reading it builds and keeps, so attack,
+    # which reads none, builds only the knowledge base's system rows
+    built = []
+    monkeypatch.setattr(attacks, "apply_algebra", lambda w, machines:
+                        built.append(w) or apply_algebra(w, machines))
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "fixtures" / "uav" / "scenario.yaml")
+    scenario = load(path).scenario
+    kb_rows = len(built)
+    entry = scenario.script("gps-minimize")
+    baseline = scenario.system(entry.system)
+    result = apply_script(baseline, entry.script)
+    assert len(built) == kb_rows == 2
+    (witness,) = result.witnesses
+    assert len(built) == 4
+    assert witness.source is baseline.composite()
+    assert witness.target is result.system.composite()
+    assert hom_violations(witness) == []
+    assert result.witnesses[0].source is witness.source and len(built) == 4
+    built.clear()
+    code = dispatch(["attack", "--scenario", str(path), "--script",
+                     "gps-minimize"], io.StringIO(), io.StringIO())
+    assert code == 0 and len(built) == 2
+
+
 def test_empty_script_is_the_identity():
     sys = pair()
     result = apply_script(sys, AttackScript())
@@ -512,7 +543,7 @@ def test_diff_runs_the_battery():
     battery = (Test("words-2", TraceSet(2)),
                Test("states", StateSet()))
     attacked = apply_rewrite(single(), RewriteStep(0, machine=delay("1")))
-    report = attack_diff(single(), attacked.system, 4, battery)
+    report = attack_diff(single(), attacked, 4, battery)
     assert dict(report.tests) == {"words-2": False, "states": True}
 
 

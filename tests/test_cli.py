@@ -743,6 +743,8 @@ def test_diff_stops_when_no_new_state_pair_is_left():
 @pytest.mark.parametrize("script,depth,code,line", [
     ("double-swap", "100000000", EX_OK, "far: agree"),
     ("double-swap", "6", EX_OK, "far: agree"),
+    ("double-swap", "4", EX_OK, "far: agree"),
+    ("gps-minimize", "5", EX_OK, "far: agree"),
     ("gps-firmware", "6", 1, "far: disagree"),
     ("double-swap", "3", EX_DATAERR, None),
 ])
@@ -750,8 +752,9 @@ def test_diff_gives_a_deep_trace_test_the_verdict_its_search_proves(
         tmp_path, script, depth, code, line):
     # a depth-300000 trace quotient is over the limit; the pair search
     # decides the test when it finds a word or closes, at a depth past
-    # the test's or, for double-swap, at any depth past its last level,
-    # the fourth; with neither the quotient is still built and refused
+    # the test's or at any depth that reaches its last level of pairs,
+    # the fourth for double-swap and the fifth for gps-minimize; with
+    # neither the quotient is still built and refused
     text = (UAV / "scenario.yaml").read_text(encoding="utf-8")
     image = "- name: image-2\n  kind: output-image\n  step: 2\n"
     assert text.count(image) == 1

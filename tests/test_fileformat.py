@@ -515,6 +515,56 @@ def test_every_fincat_mutation_is_refused_or_passes_the_lemma(path, tmp_path):
     assert loaded
 
 
+#: how many of the scenario's refused mutations go through the commands;
+#: never shrink or re-seed the draw to hide a failure
+REFUSED_SAMPLE, REFUSED_SEED = 30, 9
+
+
+def test_a_scenario_that_validates_runs_and_one_refused_names_its_field(
+        tmp_path):
+    # every loadable one-edit mutation of scenario.yaml validates, and then
+    # every script it names applies; a seeded sample of the refused ones
+    # is refused by validate, attack and diff alike, with exit 65, no
+    # traceback and an error at a field path of the file
+    loaded, refused = [], []
+    for data in mutations(yaml.safe_load(
+            (FIXTURES / "uav" / "scenario.yaml").read_text(encoding="utf-8"))):
+        try:
+            loaded.append((data, fileformat._document(data, "scenario.yaml")))
+        except LoadError:
+            refused.append(data)
+    assert loaded and refused
+    path = tmp_path / "scenario.yaml"
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        return dispatch(list(argv), out, err), out.getvalue(), err.getvalue()
+
+    for data, doc in loaded:
+        path.write_text(yaml.dump(data, Dumper=dumper), encoding="utf-8")
+        code, out, err = run("validate", str(path))
+        assert (code, err) == (EX_OK, ""), out
+        for entry in doc.scenario.scripts:
+            code, out, err = run("attack", "--scenario", str(path),
+                                 "--script", entry.name)
+            assert (code, err) == (EX_OK, ""), (entry.name, err)
+    rng = random.Random(REFUSED_SEED)
+    names = [e.name for e in load(FIXTURES / "uav" / "scenario.yaml")
+             .scenario.scripts]
+    for data in rng.sample(refused, REFUSED_SAMPLE):
+        path.write_text(yaml.dump(data, Dumper=dumper), encoding="utf-8")
+        script = rng.choice(names)
+        for argv in (("validate", str(path)),
+                     ("attack", "--scenario", str(path), "--script", script),
+                     ("diff", "--scenario", str(path), "--script", script)):
+            code, out, err = run(*argv)
+            assert (code, out) == (EX_DATAERR, ""), (argv, err)
+            assert "Traceback" not in err
+            assert err.startswith("error: scenario.yaml") \
+                and err[len("error: scenario.yaml")] in ".[:", err
+
+
 def test_top_level_must_be_a_mapping():
     e = err("- 1\n- 2\n")
     assert "expected a mapping" in e.message

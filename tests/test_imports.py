@@ -28,7 +28,7 @@ import pytest
 
 import wirebox
 from wirebox import fileformat, systemformat
-from wirebox.attacks import RewriteResult, ScriptResult
+from wirebox.attacks import LogEntry, ScriptResult
 from wirebox.probes import LearnResult
 from test_records import FIELDS, IDENTITY
 
@@ -74,10 +74,11 @@ def test_no_library_module_imports_the_reference():
 
 
 # public names no command reaches that a later change is meant to reach:
-# a diff's witness, carrying a script to the real system, and the identity
-# and composition whose laws the acceptance criteria check
-UNREACHED = {"outcome_witness", "transport_script", "identity_of",
-             "compose_homs"}
+# a diff's witness, a script's morphism witnesses, carrying a script to
+# the real system, and the identity and composition whose laws the
+# acceptance criteria check
+UNREACHED = {"outcome_witness", "ScriptResult.witnesses", "transport_script",
+             "identity_of", "compose_homs"}
 
 
 def references(node: ast.AST, docstrings: set[int]) -> Counter:
@@ -368,14 +369,14 @@ def test_records_keep_their_fields_defaults_and_verdicts():
         cls = getattr(fileformat, name)
         assert cls._fields == tuple(names.split()), name
         assert defaults(cls) == {}, name
-    assert RewriteResult._fields == ("system", "witness")
-    assert ScriptResult._fields == ("system", "log", "witnesses")
+    assert ScriptResult._fields == ("system", "log")
+    assert LogEntry._fields == ("position", "step", "before", "system")
     assert LearnResult._fields == ("candidates", "classification", "matrix",
                                    "incomplete")
-    assert defaults(RewriteResult) == {"witness": None}
     assert defaults(LearnResult) == {"incomplete": ()}
     assert defaults(ScriptResult) == {}
-    assert RewriteResult("s").witness is None
+    assert defaults(LogEntry) == {}
+    assert ScriptResult("s", ()).witnesses == ()
     assert LearnResult((), "unknown", ()).incomplete == ()
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from netgen import BIT, random_network, random_stack, random_word, relabelling
 from wirebox import moore
 from wirebox.attacks import (AttackScript, CompositeSystem, RewriteStep,
-                             apply_rewrite, apply_script, attack_diff)
+                             apply_script, attack_diff)
 from wirebox.fileformat import dump_machine
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
                            apply_algebra, canonical_text, compose_homs,
@@ -677,8 +677,8 @@ def test_a_network_of_32_components_composes_runs_and_is_learned():
 
 def test_a_morphism_rewrite_and_its_diff_run_on_the_32_cell_tree():
     # the lifted morphism maps a composite state on lookup, so a morphism
-    # rewrite costs the 67 reachable states of each composite, and the
-    # diff reads the composites the rewrite built
+    # rewrite and its diff cost the 67 reachable states of each
+    # composite, and the witness reads the composites the diff built
     w, machines = tree_of_32(random.Random(32))
     system = CompositeSystem(w, machines)
     script = AttackScript((RewriteStep(7, hom=identity_hom(machines[7])),))
@@ -834,8 +834,8 @@ def hom_results(rng):
     lifted = lift_hom(homs, sources, targets)
     lifted_back = lift_hom(backs, targets, sources)
     k = rng.randrange(len(machines))
-    rewritten = apply_rewrite(CompositeSystem(w, machines),
-                              RewriteStep(k, hom=homs[k])).witness
+    (rewritten,) = apply_script(CompositeSystem(w, machines), AttackScript(
+        (RewriteStep(k, hom=homs[k]),))).witnesses
     return ([identity_hom(m) for m in machines]
             + [identity_hom(lifted.source)]
             + [compose_homs(b, h) for h, b in zip(homs, backs)]

@@ -255,9 +255,9 @@ def pair_levels(a: MooreMachine, b: MooreMachine) -> int:
 def test_one_search_gives_the_reference_word(seed, variant):
     # at every depth, the pair search on two machines and on their trace
     # quotients finds the reference's word, and it closes exactly when
-    # the machines are bisimilar and the depth passes every pair they
-    # reach; with no depth bound it finds no word exactly when they are
-    # bisimilar
+    # the machines are bisimilar and the depth reaches the last level of
+    # pairs they reach; with no depth bound it finds no word exactly when
+    # they are bisimilar
     rng = random.Random(seed)
     pairs = (network_pair(rng, variant),
              (random_machine(rng, REV), random_machine(rng, REV)))
@@ -267,7 +267,7 @@ def test_one_search_gives_the_reference_word(seed, variant):
             word = find_distinguishing_word(a, b, depth)
             found, closed = separating_word(a, b, depth)
             assert found == word
-            assert closed == (bisimilar(a, b) and pair_levels(a, b) < depth)
+            assert closed == (bisimilar(a, b) and pair_levels(a, b) <= depth)
             assert outcome_witness(t, run_test(t, a), run_test(t, b)) == word
         assert (separating_word(a, b, 10 ** 9)[0] is None) == bisimilar(a, b)
 
