@@ -1,21 +1,22 @@
 """Attacks on wired systems: component rewrites and connection rewires.
 
 A CompositeSystem is a wiring into one box together with a machine per
-inner slot.  A step maps a system to a system.  A RewriteStep replaces
-the machine in one slot (``apply_rewrite``): in plain form it swaps
-tables, and in morphism form it carries a machine morphism from the
-current component to the replacement.  A RewireStep precomposes the
-wiring with an endomorphism of one slot's box (``apply_rewire``),
-rerouting that component while leaving every machine untouched.
+inner slot.  A step, plain data, maps a system to a system.  A
+RewriteStep replaces the machine in one slot (``apply_rewrite``); with a
+state map it is a machine morphism from the current component to the
+replacement, checked when applied.  A RewireStep precomposes the wiring
+with an endomorphism of one slot's box (``apply_rewire``), rerouting
+that component while leaving every machine untouched.
 
 A script, an ordered list of steps, is folded through those two
-functions by ``apply_script`` and by the scenario.v1 loader, so a script
-that loads applies.  Its log keeps each step with the systems before and
-after it, and computes on read its text, fingerprints and a morphism
-rewrite's witness: the morphism lifted to the composites, certifying how
-the attack transforms whole-system state.  A Scenario bundles named
-systems with the correspondence between an attacker's view and the real
-system, a knowledge base, a test battery, and named scripts.
+functions by ``apply_script``, which the scenario.v1 loader runs once
+per script, keeping the result.  Its log keeps each step with the
+systems before and after it, and computes on read its text,
+fingerprints and a morphism rewrite's witness: the morphism lifted to
+the composites, certifying how the attack transforms whole-system
+state.  A Scenario bundles named systems with the correspondence
+between an attacker's view and the real system, a knowledge base, a
+test battery, and named scripts.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from . import Record, WireboxError, _kept, moore, probes, wiring as wi
-from .moore import (MachineHom, MooreMachine, _machines_fit, apply_algebra,
-                    lift_hom)
+from .moore import (MachineError, MachineHom, MooreMachine, _machines_fit,
+                    apply_algebra, lift_hom)
 from .wiring import Wiring
 
 
@@ -67,22 +68,13 @@ class CompositeSystem(Record):
 # ---------------------------------------------------------------------------
 
 class RewriteStep(Record, eq=False):
-    """Replace the component at ``index``.
-
-    Exactly one of ``machine`` (plain replacement) or ``hom`` (a machine
-    morphism out of the current component; the replacement is its target)
-    is given.
-    """
+    """Replace the component at ``index`` with ``machine``; with a
+    ``state_map``, along the morphism from the component the slot holds
+    when the step applies, which ``apply_rewrite`` builds and checks."""
 
     index: int
-    machine: Optional[MooreMachine] = None
-    hom: Optional[MachineHom] = None
-
-    def __post_init__(self):
-        if (self.machine is None) == (self.hom is None):
-            raise AttackError(
-                "a rewrite carries either a replacement machine or a "
-                "machine morphism, not both")
+    machine: MooreMachine
+    state_map: Optional[Mapping] = None
 
 
 class RewireStep(Record, eq=False):
@@ -115,30 +107,21 @@ class AttackScript(Record):
 # application
 # ---------------------------------------------------------------------------
 
-def check_index(sys: CompositeSystem, index: int) -> None:
-    """Raise AttackError unless ``index`` names one of the system's slots."""
+def check_step(sys: CompositeSystem, step) -> None:
+    """Raise AttackError unless ``step``'s slot is one of the system's and
+    its endomorphism, or its replacement without a state map, is on that
+    slot's box; a state map's morphism checks the box itself."""
+    index = step.index
     if not 0 <= index < len(sys.components):
         raise AttackError(
             f"no component {index}; system has {len(sys.components)}")
-
-
-def check_step(sys: CompositeSystem, step) -> None:
-    """Raise AttackError unless ``step``'s slot is one of the system's and
-    its replacement machine or endomorphism is on that slot's box.
-
-    A morphism rewrite's target was checked against its source when the
-    morphism was built; ``apply_rewrite`` checks that the source is the
-    slot's current component.
-    """
-    index = step.index
-    check_index(sys, index)
     slot = sys.wiring.inner[index]
     if isinstance(step, RewireStep):
         if step.endo.inner[0] != slot:
             raise AttackError(
                 f"endomorphism does not fit slot {index}: "
                 f"{wi._box_mismatch(step.endo.inner[0], slot)}")
-    elif step.machine is not None and step.machine.box != slot:
+    elif step.state_map is None and step.machine.box != slot:
         raise AttackError(
             f"replacement does not fit slot {index}: "
             f"{wi._box_mismatch(step.machine.box, slot)}")
@@ -148,20 +131,17 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> CompositeSystem:
     """Swap one component machine, preserving the slot's box.
 
     The returned system keeps ``sys``'s wiring object, and with it the
-    routing compiled for ``sys``'s composite.  In morphism mode the
-    morphism's source must be the current component, and its target
-    replaces it.  The replacement and the morphism were checked when
-    built.  No composite is built: the morphism lifted to the two
-    systems' composites is the step's ``LogEntry.witness``, computed
-    when read.
+    routing compiled for ``sys``'s composite.  A state map is built into
+    the morphism from the current component to the replacement, which
+    raises its first violation as a MachineError.  No composite is built:
+    the morphism lifted to the two systems' composites is the step's
+    ``LogEntry.witness``, computed when read.
     """
     check_step(sys, step)
-    hom = step.hom
-    if hom is not None and hom.source != sys.components[step.index]:
-        raise AttackError(
-            f"morphism source is not the current component {step.index}")
+    if step.state_map is not None:
+        MachineHom(sys.components[step.index], step.machine, step.state_map)
     components = list(sys.components)
-    components[step.index] = step.machine if hom is None else hom.target
+    components[step.index] = step.machine
     return CompositeSystem(sys.wiring, tuple(components))
 
 
@@ -199,7 +179,7 @@ class LogEntry(Record):
         step = self.step
         if isinstance(step, RewireStep):
             return f"rewire component {step.index}"
-        mode = "replace" if step.machine is not None else "morphism"
+        mode = "replace" if step.state_map is None else "morphism"
         return f"rewrite[{mode}] component {step.index}"
 
     @property
@@ -212,16 +192,18 @@ class LogEntry(Record):
 
     @property
     def witness(self) -> Optional[MachineHom]:
-        """A morphism rewrite's morphism, with identities on the other
-        slots, lifted along the wiring by ``moore.lift_hom`` between the
-        composites before and after it (kept on the systems), or None.
-        Its state map is computed on lookup, so on a product over the
-        limit it costs the reachable parts alone."""
+        """A morphism rewrite's morphism out of ``before``'s component,
+        checked when applied, with identities on the other slots, lifted
+        along the wiring by ``moore.lift_hom`` between the composites
+        before and after it (kept on the systems), or None.  Its state map
+        is computed on lookup, so on a product over the limit it costs the
+        reachable parts alone."""
         step = self.step
-        if isinstance(step, RewireStep) or step.hom is None:
+        if isinstance(step, RewireStep) or step.state_map is None:
             return None
         homs = [moore.identity_hom(m) for m in self.before.components]
-        homs[step.index] = step.hom
+        homs[step.index] = MachineHom._built(
+            self.before.components[step.index], step.machine, step.state_map)
         return lift_hom(homs, self.before.composite(), self.system.composite())
 
 
@@ -263,8 +245,9 @@ def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
     after it.
 
     The first step that does not apply aborts with an AttackError whose
-    message names its position, ``step N: ...``, and whose ``log``
-    attribute holds the entries for the steps already applied.
+    message names its position, ``step N: ...``, whose ``log`` attribute
+    holds the entries for the steps already applied, and whose cause is
+    the step's own error: an AttackError, or a state map's MachineError.
     """
     log: list[LogEntry] = []
     current = sys
@@ -272,8 +255,8 @@ def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
         apply = apply_rewrite if isinstance(step, RewriteStep) else apply_rewire
         try:
             after = apply(current, step)
-        except AttackError as e:
-            raise AttackError(f"step {pos}: {e}", tuple(log)) from None
+        except (AttackError, MachineError) as e:
+            raise AttackError(f"step {pos}: {e}", tuple(log)) from e
         log.append(LogEntry(pos, step, current, after))
         current = after
     return ScriptResult(current, tuple(log))
@@ -296,7 +279,7 @@ def transport_script(script: AttackScript,
             raise AttackError(f"correspondence does not cover slot {index}")
         for target in correspondence[index]:
             if isinstance(step, RewriteStep):
-                steps.append(RewriteStep(target, step.machine, step.hom))
+                steps.append(RewriteStep(target, step.machine, step.state_map))
             else:
                 steps.append(RewireStep(target, step.endo))
     return AttackScript(tuple(steps))
@@ -346,11 +329,13 @@ def attack_diff(baseline: CompositeSystem, attacked: CompositeSystem,
 # ---------------------------------------------------------------------------
 
 class ScenarioScript(Record):
-    """A named attack script aimed at one of the scenario's systems."""
+    """A named attack script aimed at one of the scenario's systems, and
+    its ``apply_script`` result: the loader applies each script once."""
 
     name: str
     system: str
     script: AttackScript
+    result: ScriptResult
 
 
 class Scenario(Record, eq=False):

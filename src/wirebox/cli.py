@@ -280,12 +280,8 @@ def _cmd_learn(args, out) -> int:
 
 
 def _cmd_attack(args, out) -> int:
-    from .attacks import apply_script
-
-    scenario = _load(args.scenario, "scenario.v1").scenario
-    script = scenario.script(args.script)
-    system = scenario.system(script.system)
-    result = apply_script(system, script.script)
+    script = _load(args.scenario, "scenario.v1").scenario.script(args.script)
+    result = script.result
     log = "".join(f"step {entry.position}: {entry.detail} "
                   f"wiring={entry.wiring_fp} components={entry.components_fp}\n"
                   for entry in result.log)
@@ -295,13 +291,12 @@ def _cmd_attack(args, out) -> int:
 
 
 def _cmd_diff(args, out) -> int:
-    from .attacks import apply_script, attack_diff
+    from .attacks import attack_diff
 
     scenario = _load(args.scenario, "scenario.v1").scenario
     script = scenario.script(args.script)
-    baseline = scenario.system(script.system)
-    attacked = apply_script(baseline, script.script).system
-    report = attack_diff(baseline, attacked, args.depth, scenario.battery)
+    report = attack_diff(scenario.system(script.system), script.result.system,
+                         args.depth, scenario.battery)
     for name, agree in report.tests:
         print(f"{name}: {'agree' if agree else 'disagree'}", file=out)
     if report.equivalent:

@@ -53,6 +53,9 @@ characters.  Numbers keep their text: a scalar that reads as a number
 but prints differently (``01``, ``1.50``, ``1_000``, ``0x1F``, ``+1``,
 ``.5``) loads as its text, so a state ``01`` stays apart from a state
 ``1``, and an integer field written ``06`` is refused at its path.  A
+key written twice in one mapping reads ``not valid YAML at line L,
+column C: repeated key '<key>'`` at its second place; merge keys
+(``<<``) stay allowed, and a key written beside one overrides it.  A
 table expression nested more than 100 tables deep is refused at the
 path of its outermost expression, ``table expression nests more than
 100 tables deep``; a caller whose own stack is nearly full gets
@@ -77,11 +80,23 @@ def _marked_scalars(base: type) -> type:
     """``base`` with the !!int, !!float, !!bool and !!timestamp constructors
     raising a ConstructorError at the scalar's start mark on a malformed
     value, and a number that prints differently from its text (``01``,
-    ``1.50``, ``0x1F``) kept as that text; every other node is
-    constructed as ``base`` does it."""
+    ``1.50``, ``0x1F``) kept as that text, and a key written twice in one
+    mapping refused at its second mark; every other node is constructed
+    as ``base`` does it."""
 
     class Loader(base):
-        pass
+        def construct_mapping(self, node, deep=False):
+            own = node.value  # flatten_mapping drops merge keys from it
+            mapping = base.construct_mapping(self, node, deep)
+            if len(mapping) != len(node.value):  # a repeat, or an override of a merge
+                seen = set()
+                for key_node, _ in own:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"repeated key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            return mapping
 
     def construct_marked(loader, node):
         # 2001-02-30 and !!int abc raise ValueError, !!bool maybe

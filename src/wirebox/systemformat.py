@@ -22,7 +22,7 @@ from . import Record
 from .fileformat import (LoadError, _errors_at, _field, _integer, _list,
                          _mapping, _named, _ref, _row, _rows, _string,
                          _string_map, _symbols, load)
-from .moore import MachineError, MachineHom, MooreMachine, render_state
+from .moore import MachineError, MooreMachine, render_state
 from .probes import (KnowledgeBase, OutputImage, StateSet, Terminal, Test,
                      TraceSet)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
@@ -200,57 +200,36 @@ def _load_battery(v, path: str) -> tuple[Test, ...]:
     return tests
 
 
-def _load_steps(v, machines, wirings, system, path: str) -> AttackScript:
-    """Steps aimed at ``system``, folded over it as they are read through
-    the functions that apply them, ``attacks.apply_rewrite`` and
-    ``apply_rewire``: a step that does not apply to the system the steps
-    before it leave fails at its ``rewrite`` or ``rewire`` key, with the
-    text applying it gives.  A morphism rewrite's morphism, from the
-    slot's current component to its target, is checked when it is built
-    (``MachineHom``), and its first violation fails at the step's
-    ``state_map`` key.  So a script that loads applies.
-
-    An attack.v1 document defines no systems, so there ``system`` is None:
-    its steps are checked only when applied, and it cannot carry a
-    morphism rewrite.
-    """
-    from .attacks import (AttackScript, RewireStep, RewriteStep, apply_rewire,
-                          apply_rewrite, check_index)
+def _load_steps(v, machines, wirings, path: str,
+                morphisms: bool = True) -> AttackScript:
+    """Steps as written, checked only as fields: whether a step applies
+    is for ``attacks.apply_script``, which the scenario.v1 loader runs on
+    each script.  An attack.v1 document (``morphisms`` false) defines no
+    systems, so its steps cannot carry a morphism rewrite's state map."""
+    from .attacks import AttackScript, RewireStep, RewriteStep
 
     steps: list = []
-    current = system
     for row, rp in _rows()(v, path):
         if "rewrite" in row:
             _row(row, rp, ("rewrite", "machine", "state_map"))
-            key, apply = "rewrite", apply_rewrite
-            idx = _field(row, key, rp, _integer)
+            idx = _field(row, "rewrite", rp, _integer)
             target = _field(row, "machine", rp, _ref(machines, "machine"))
+            state_map = None
             if "state_map" in row:
-                if current is None:
+                if not morphisms:
                     raise LoadError(f"{rp}.state_map", "attack documents define no "
                                     "systems, so a morphism rewrite cannot be checked "
                                     "here; it belongs in a scenario.v1 script")
                 state_map = _field(row, "state_map", rp, _string_map)
-                with _errors_at(f"{rp}.rewrite"):
-                    check_index(current, idx)
-                with _errors_at(f"{rp}.state_map"):
-                    hom = MachineHom(current.components[idx], target, state_map)
-                step = RewriteStep(idx, hom=hom)
-            else:
-                step = RewriteStep(idx, machine=target)
+            steps.append(RewriteStep(idx, target, state_map))
         elif "rewire" in row:
             _row(row, rp, ("rewire", "wiring"))
-            key, apply = "rewire", apply_rewire
-            idx = _field(row, key, rp, _integer)
+            idx = _field(row, "rewire", rp, _integer)
             endo = _field(row, "wiring", rp, _ref(wirings, "wiring"))
             with _errors_at(rp):
-                step = RewireStep(idx, endo)
+                steps.append(RewireStep(idx, endo))
         else:
             raise LoadError(rp, "expected a rewrite or rewire step")
-        if current is not None:
-            with _errors_at(f"{rp}.{key}"):
-                current = apply(current, step)
-        steps.append(step)
     return AttackScript(tuple(steps))
 
 
@@ -306,19 +285,23 @@ class ScenarioDoc(Record):
 def _doc_machine(d: dict, src: str) -> MachineDoc:
     _row(d, src, ("schema", "name", "box", "machine"))
     _, box = _field(d, "box", src, _load_box)
-    body = dict(_field(d, "machine", src, _mapping))
-    body.setdefault("name", _field(d, "name", src))
-    body["box"] = box.name
-    name, machine = _load_machine(body, {box.name: box}, f"{src}.machine")
+    body = _field(d, "machine", src, _mapping)
+    name = _field(d, "name", src)
+    # the document names the machine and its box, so the body may not
+    _row(body, f"{src}.machine", ("states", "init", "update", "readout"))
+    _, machine = _load_machine({**body, "name": name, "box": box.name},
+                               {box.name: box}, f"{src}.machine")
     return MachineDoc("machine.v1", name, machine)
 
 
 def _doc_wiring(d: dict, src: str) -> WiringDoc:
     _row(d, src, ("schema", "name", "boxes", "wiring"))
     boxes, _, _, _ = _load_defs({"boxes": d.get("boxes", [])}, src)
-    body = dict(_field(d, "wiring", src, _mapping))
-    body.setdefault("name", _field(d, "name", src))
-    name, wiring = _load_wiring(body, boxes, {}, f"{src}.wiring")
+    body = _field(d, "wiring", src, _mapping)
+    name = _field(d, "name", src)
+    if "name" in body:
+        raise LoadError(f"{src}.wiring", "unknown keys ['name']")
+    _, wiring = _load_wiring({**body, "name": name}, boxes, {}, f"{src}.wiring")
     return WiringDoc("wiring.v1", name, wiring, boxes)
 
 
@@ -340,12 +323,13 @@ def _doc_attack(d: dict, src: str) -> AttackDoc:
     system = _string(d["system"], f"{src}.system") if "system" in d else None
     boxes, machines, wirings, _ = _load_defs(d, src)
     script = _field(d, "steps", src,
-                    lambda v, p: _load_steps(v, machines, wirings, None, p))
+                    lambda v, p: _load_steps(v, machines, wirings, p, False))
     return AttackDoc("attack.v1", name, system, script, boxes, machines, wirings)
 
 
 def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
-    from .attacks import Scenario, ScenarioScript
+    from .attacks import (AttackError, RewireStep, Scenario, ScenarioScript,
+                          apply_script)
 
     _row(d, src, ("schema", "name", "boxes", "machines", "wirings", "systems",
                   "real", "attacker_view", "correspondence", "kb", "battery",
@@ -393,8 +377,17 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
         target = _string(row.get("system", view), f"{rp}.system")
         aimed = _ref(systems, "system")(target, f"{rp}.system")
         steps = _field(row, "steps", rp,
-                       lambda v, p: _load_steps(v, machines, wirings, aimed, p))
-        return sname, ScenarioScript(sname, target, steps)
+                       lambda v, p: _load_steps(v, machines, wirings, p))
+        try:
+            result = apply_script(aimed, steps)
+        except AttackError as e:
+            # the step at fault and its own error, at the field it read
+            k, cause = len(e.log), e.__cause__
+            key = ("state_map" if isinstance(cause, MachineError) else
+                   "rewire" if isinstance(steps.steps[k], RewireStep)
+                   else "rewrite")
+            raise LoadError(f"{rp}.steps[{k}].{key}", str(cause)) from None
+        return sname, ScenarioScript(sname, target, steps, result)
 
     scripts = _field(d, "scripts", src, lambda v, p: _named(v, p, "script", script))
     scenario = Scenario(name, systems, real, view, corr, kb, tests,

@@ -21,8 +21,7 @@ from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
 from wirebox.cli import dispatch
 from wirebox.fileformat import load
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
-                           apply_algebra, compose_homs, hom_violations,
-                           identity_hom, run)
+                           apply_algebra, compose_homs, hom_violations, run)
 from wirebox.oracle import find_distinguishing_word
 from wirebox.probes import ProbeError, StateSet, Test, TraceSet
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Table, Wiring,
@@ -56,6 +55,11 @@ def renamed_delay() -> MooreMachine:
 
 def rename_hom() -> MachineHom:
     return MachineHom(delay(), renamed_delay(), {"0": "lo", "1": "hi"})
+
+
+def hom_step(k: int, h: MachineHom) -> RewriteStep:
+    """The rewrite of slot ``k`` along ``h``, as a file writes it."""
+    return RewriteStep(k, h.target, h.state_map)
 
 
 def chain() -> Wiring:
@@ -95,10 +99,9 @@ def pair() -> CompositeSystem:
 # ---------------------------------------------------------------------------
 
 def test_rewrite_carries_exactly_one_payload():
-    with pytest.raises(AttackError):
+    # the replacement machine; a state map only says how states move
+    with pytest.raises(TypeError):
         RewriteStep(0)
-    with pytest.raises(AttackError):
-        RewriteStep(0, machine=delay(), hom=identity_hom(delay()))
 
 
 def test_rewire_endo_must_wire_one_box_to_itself():
@@ -225,8 +228,9 @@ def test_rewrite_index_must_exist():
 
 
 def test_hom_mode_requires_the_current_component_as_source():
-    with pytest.raises(AttackError, match="source"):
-        apply_rewrite(single(), RewriteStep(0, hom=collapse()))
+    # collapse's map is out of history; slot 0 holds delay
+    with pytest.raises(MachineError, match="^state map misses 0$"):
+        apply_rewrite(single(), hom_step(0, collapse()))
 
 
 def test_hom_mode_rejects_broken_morphisms():
@@ -237,7 +241,7 @@ def test_hom_mode_rejects_broken_morphisms():
 
 def test_hom_mode_lifts_the_witness_to_the_composites():
     sys = CompositeSystem(chain(), (history(), delay()))
-    result = apply_script(sys, AttackScript((RewriteStep(0, hom=collapse()),)))
+    result = apply_script(sys, AttackScript((hom_step(0, collapse()),)))
     (witness,) = result.witnesses
     assert witness is not None
     assert hom_violations(witness) == []
@@ -252,9 +256,9 @@ def test_hom_mode_lifts_the_witness_to_the_composites():
 def test_same_slot_homs_compose():
     sys = CompositeSystem(identity_wiring(CELL), (history(),))
     one_by_one = apply_script(sys, AttackScript(
-        (RewriteStep(0, hom=collapse()), RewriteStep(0, hom=rename_hom()))))
+        (hom_step(0, collapse()), hom_step(0, rename_hom()))))
     fused = compose_homs(rename_hom(), collapse())
-    at_once = apply_script(sys, AttackScript((RewriteStep(0, hom=fused),)))
+    at_once = apply_script(sys, AttackScript((hom_step(0, fused),)))
     assert one_by_one.system == at_once.system
     first, second = one_by_one.witnesses
     assert compose_homs(second, first).state_map == \
@@ -342,8 +346,7 @@ def random_script(rng: random.Random, w: Wiring, machines) -> AttackScript:
             steps.append(RewriteStep(k, machine=components[k]))
         elif roll < 2 / 3:
             copy, name = relabelling(rng, components[k])
-            steps.append(RewriteStep(k, hom=MachineHom(components[k], copy,
-                                                       name)))
+            steps.append(hom_step(k, MachineHom(components[k], copy, name)))
             components[k] = copy
         else:
             steps.append(RewireStep(k, random_wiring(rng, (box,), box)))
@@ -415,7 +418,7 @@ def test_table_source_order_is_pinned():
 
 def test_script_hom_step_is_logged_as_morphism_mode():
     sys = CompositeSystem(identity_wiring(CELL), (history(),))
-    result = apply_script(sys, AttackScript((RewriteStep(0, hom=collapse()),)))
+    result = apply_script(sys, AttackScript((hom_step(0, collapse()),)))
     assert result.log[0].detail == "rewrite[morphism] component 0"
     assert result.witnesses[0] is not None
 

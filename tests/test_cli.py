@@ -12,6 +12,7 @@ import sys
 import pytest
 import yaml
 
+import wirebox.attacks
 import wirebox.fincat
 import wirebox.moore
 from wirebox.cli import (EX_CANTCREAT, EX_DATAERR, EX_OK, EX_USAGE, dispatch,
@@ -20,7 +21,7 @@ from wirebox.attacks import CompositeSystem
 from wirebox.dot import wiring_dot
 from wirebox.fileformat import dump_machine, dump_system, load, loads
 from wirebox.moore import MooreMachine, run
-from wirebox.oracle import find_distinguishing_word
+from wirebox.oracle import bisimilar, find_distinguishing_word
 from wirebox.wiring import Box, InnerOut, OuterIn, Port, Wiring
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -688,6 +689,42 @@ def test_attack_out_writes_the_pinned_bytes(script, tmp_path):
     assert out.splitlines()[-1] == f"wrote {dest}"
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == \
         ATTACK_OUT_SHA256[script]
+
+
+@pytest.mark.parametrize("command, script, want", [
+    ("diff", "combo", 1), ("attack", "gps-minimize", EX_OK)])
+def test_a_command_reads_the_scripts_the_load_applied(monkeypatch, command,
+                                                       script, want):
+    # loading applies the scenario's five scripts, seven steps in all, once;
+    # the command applies none of them again
+    calls = []
+    for name in ("apply_rewrite", "apply_rewire"):
+        def spy(system, step, apply=getattr(wirebox.attacks, name)):
+            calls.append(step)
+            return apply(system, step)
+        monkeypatch.setattr(wirebox.attacks, name, spy)
+    code, _, err = cli(command, "--scenario", UAV / "scenario.yaml",
+                       "--script", script)
+    assert (code, err, len(calls)) == (want, "", 7)
+
+
+def test_attack_and_compose_write_documents_that_reload_alike(scenario,
+                                                              tmp_path):
+    # the composite of each document written is bisimilar to the one the
+    # command dumped
+    for entry in scenario.scripts:
+        dest = tmp_path / f"{entry.name}.yaml"
+        code, _, _ = cli("attack", "--scenario", UAV / "scenario.yaml",
+                         "--script", entry.name, "--out", dest)
+        assert code == EX_OK
+        (reloaded,) = load(dest).systems.values()
+        assert bisimilar(reloaded.composite(), entry.result.system.composite())
+    for name, system in scenario.systems.items():
+        code, out, _ = cli("compose", "--system", UAV / "scenario.yaml",
+                           "--name", name)
+        assert code == EX_OK
+        assert bisimilar(loads(out, "composite.yaml").machine,
+                         system.composite()), name
 
 
 def test_attack_to_an_unwritable_path_exits_73(tmp_path):

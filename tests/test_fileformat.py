@@ -279,6 +279,61 @@ def test_a_mid_document_byte_order_mark_fails_under_either_loader(yaml_loader):
         assert exc.value.message.startswith("not valid YAML at line 3, column 2")
 
 
+def test_a_repeated_key_is_refused_at_its_second_place_under_either_loader(
+        yaml_loader):
+    # the second init would win, and the machine start in state 1
+    text = (FIXTURES / "uav" / "kb" / "profile-blinker.yaml").read_text()
+    assert text.count("\n  init: '0'\n") == 1
+    with pytest.raises(LoadError) as exc:
+        loads(text.replace("\n  init: '0'\n", "\n  init: '0'\n  init: '1'\n"),
+              "f.yaml")
+    line = text[:text.index("  init: '0'")].count("\n") + 2
+    assert str(exc.value) == \
+        f"f.yaml: not valid YAML at line {line}, column 3: repeated key 'init'"
+    assert err("schema: battery.v1\ntests: []\ntests: []\n").message == \
+        "not valid YAML at line 3, column 1: repeated key 'tests'"
+
+
+def test_a_merge_key_loads_and_a_key_beside_it_overrides_under_either_loader(
+        yaml_loader):
+    # the test beside the merge key keeps its own depth; a key repeated
+    # beside a merge key is still refused
+    loaded = doc("""
+        schema: battery.v1
+        tests:
+        - &base {name: a, kind: traces, depth: 3}
+        - {<<: *base, name: b}
+    """)
+    assert [(t.name, t.kind.depth) for t in loaded.tests] == [("a", 3), ("b", 3)]
+    assert err("""
+        schema: battery.v1
+        tests:
+        - &base {name: a, kind: traces, depth: 3}
+        - {<<: *base, name: b, name: c}
+    """).message == "not valid YAML at line 5, column 24: repeated key 'name'"
+
+
+@pytest.mark.parametrize("schema, body, keys", [
+    ("machine.v1", "machine", ["box", "name"]),
+    ("wiring.v1", "wiring", ["name"]),
+])
+def test_a_body_may_not_name_what_its_document_names(schema, body, keys):
+    # the document's own name and box are the ones a body key would hide
+    if schema == "machine.v1":
+        data = yaml.safe_load(
+            (FIXTURES / "uav" / "kb" / "profile-blinker.yaml").read_text())
+        data["machine"].update({"name": "other", "box": "nosuchbox"})
+    else:
+        data = {"schema": "wiring.v1", "name": "w",
+                "boxes": [fileformat.box_data(CELL)],
+                "wiring": {"identity": "cell"}}
+        assert loads(yaml.safe_dump(data), "f.yaml").name == "w"
+        data["wiring"]["name"] = "other"
+    with pytest.raises(LoadError) as exc:
+        loads(yaml.safe_dump(data), "f.yaml")
+    assert str(exc.value) == f"f.yaml.{body}: unknown keys {keys}"
+
+
 @pytest.mark.parametrize("text", ["01", "010", "1.50", "1_000", "0x1F", "+1",
                                   ".5", ".inf", "-0"])
 def test_a_number_keeps_its_text_under_either_loader(yaml_loader, text):

@@ -681,7 +681,8 @@ def test_a_morphism_rewrite_and_its_diff_run_on_the_32_cell_tree():
     # composite, and the witness reads the composites the diff built
     w, machines = tree_of_32(random.Random(32))
     system = CompositeSystem(w, machines)
-    script = AttackScript((RewriteStep(7, hom=identity_hom(machines[7])),))
+    identity = identity_hom(machines[7])
+    script = AttackScript((RewriteStep(7, identity.target, identity.state_map),))
     tracemalloc.start()
     try:
         result = apply_script(system, script)
@@ -835,7 +836,7 @@ def hom_results(rng):
     lifted_back = lift_hom(backs, targets, sources)
     k = rng.randrange(len(machines))
     (rewritten,) = apply_script(CompositeSystem(w, machines), AttackScript(
-        (RewriteStep(k, hom=homs[k]),))).witnesses
+        (RewriteStep(k, homs[k].target, homs[k].state_map),))).witnesses
     return ([identity_hom(m) for m in machines]
             + [identity_hom(lifted.source)]
             + [compose_homs(b, h) for h, b in zip(homs, backs)]
