@@ -9,9 +9,11 @@ behavioral tests an attacker can run against an opaque system to
 filter a knowledge base.  ``attacks`` applies both: scripted component
 rewrites and rewirings with provenance, transported between an
 attacker's view and the deployed system, and scenarios that bundle the
-two with a knowledge base and named scripts.  ``fileformat`` (with
-``systemformat``), ``dot``, and ``cli`` are the shell.  Names are
-imported from their module; ``import wirebox`` loads none of them.
+two with a knowledge base and named scripts; ``fingerprints`` names the
+systems its provenance log records.  ``fileformat`` (with
+``systemformat`` and ``writers``), ``dot``, and ``cli`` are the shell.
+Names are imported from their module; ``import wirebox`` loads none of
+them.
 """
 
 from _thread import allocate_lock as _allocate_lock

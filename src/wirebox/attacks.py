@@ -14,14 +14,17 @@ per script, keeping the result.  Its log keeps each step with the
 systems before and after it, and computes on read its text,
 fingerprints and a morphism rewrite's witness: the morphism lifted to
 the composites, certifying how the attack transforms whole-system
-state.  A Scenario bundles named systems with the correspondence
-between an attacker's view and the real system, a knowledge base, a
-test battery, and named scripts.
+state.  The fingerprints are in ``fingerprints``, which the first read
+of one imports; ``attacks.fingerprint_wiring`` and
+``attacks.fingerprint_components`` resolve there.  A Scenario bundles
+named systems with the correspondence between an attacker's view and
+the real system, a knowledge base built on its first read, a test
+battery, and named scripts.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import Record, WireboxError, _kept, moore, probes, wiring as wi
 from .moore import (MachineError, MachineHom, MooreMachine, _machines_fit,
@@ -184,11 +187,13 @@ class LogEntry(Record):
 
     @property
     def wiring_fp(self) -> str:
-        return fingerprint_wiring(self.system.wiring)
+        from . import fingerprints
+        return fingerprints.fingerprint_wiring(self.system.wiring)
 
     @property
     def components_fp(self) -> str:
-        return fingerprint_components(self.system.components)
+        from . import fingerprints
+        return fingerprints.fingerprint_components(self.system.components)
 
     @property
     def witness(self) -> Optional[MachineHom]:
@@ -217,26 +222,6 @@ class ScriptResult(Record):
     def witnesses(self) -> tuple[Optional[MachineHom], ...]:
         """Each step's ``LogEntry.witness``."""
         return tuple(entry.witness for entry in self.log)
-
-
-def _digest(text: str) -> str:
-    # imported here: loading OpenSSL costs a command that runs no script
-    # about 5 ms
-    import hashlib
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def fingerprint_wiring(w: Wiring) -> str:
-    """The digest of the wiring's canonical text, kept on the wiring."""
-    return _kept(w, "_fingerprint", lambda w: _digest(wi.canonical_text(w)))
-
-
-def fingerprint_components(machines: Sequence[MooreMachine]) -> str:
-    """The digest of the machines' canonical texts, each kept on its
-    machine: a step changes at most one component, so a script renders
-    each machine once."""
-    return _digest("\n--\n".join(
-        _kept(m, "_canonical_text", moore.canonical_text) for m in machines))
 
 
 def apply_script(sys: CompositeSystem, script: AttackScript) -> ScriptResult:
@@ -339,14 +324,20 @@ class ScenarioScript(Record):
 
 
 class Scenario(Record, eq=False):
-    """Systems, their correspondence, and the probing setup around them."""
+    """Systems, their correspondence, and the probing setup around them.
+
+    ``knowledge`` is a function of no arguments that builds the knowledge
+    base; ``kb`` calls it on its first read and keeps the result, so the
+    composites of entries given as systems are built only for a caller
+    that reads it.
+    """
 
     name: str
     systems: Mapping[str, CompositeSystem]
     real: str
     attacker_view: str
     correspondence: Mapping[int, tuple[int, ...]]
-    kb: probes.KnowledgeBase
+    knowledge: Callable[[], probes.KnowledgeBase]
     battery: tuple[probes.Test, ...]
     scripts: tuple[ScenarioScript, ...]
 
@@ -359,6 +350,10 @@ class Scenario(Record, eq=False):
             if key not in self.systems:
                 raise AttackError(f"scenario has no system {key!r}")
 
+    @property
+    def kb(self) -> probes.KnowledgeBase:
+        return _kept(self, "_kb", lambda sc: sc.knowledge())
+
     def system(self, name: str) -> CompositeSystem:
         try:
             return self.systems[name]
@@ -370,3 +365,12 @@ class Scenario(Record, eq=False):
             if s.name == name:
                 return s
         raise AttackError(f"scenario has no script {name!r}")
+
+
+def __getattr__(name: str):
+    # ``attacks.fingerprint_wiring`` and ``attacks.fingerprint_components``
+    # name the functions ``LogEntry`` calls, loaded on first use
+    if name in ("fingerprint_wiring", "fingerprint_components"):
+        from . import fingerprints
+        return getattr(fingerprints, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,8 +21,10 @@ is ``learn --depth`` together with ``--battery``.
 
 Each command imports the library modules it uses when it runs, so one
 call loads only those: ``yoneda-check`` loads ``fincat`` and no machine
-module, ``learn`` loads no attack code, and no command loads ``oracle``,
-the reference semantics the tests check the library against.
+module, ``learn`` loads no attack code, only ``compose`` and ``attack``
+load the writers and only ``attack`` the fingerprints, and no command
+loads ``oracle``, the reference semantics the tests check the library
+against.
 
 Input words are written ``"0|1,1|0"``: steps separated by commas, the
 symbols of one step separated by bars, in port order; a word that does

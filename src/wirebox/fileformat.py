@@ -30,16 +30,20 @@ construction.
 
 This module parses, reads fields, dispatches on the schema and loads
 ``fincat.v1``, importing ``fincat`` when it does.  The six other schemas'
-loaders and document classes, ``load_kb_dir`` and the writers live in
+loaders and document classes, and ``load_kb_dir``, live in
 ``systemformat``, which imports ``wiring``, ``moore`` and ``probes``, and
-``attacks`` only for systems, attack steps and scenarios.  It is loaded
-on the first such document or on the first lookup of one of its names
-here (``fileformat.MachineDoc``, ``fileformat.dump_system``), so a
-command that reads one category loads none of the machine modules.
+``attacks`` only for systems, attack steps and scenarios.  The writers
+(``box_data`` through ``dump_system``) live in ``writers``.  Each module
+is loaded on the first lookup of one of its names here
+(``fileformat.MachineDoc``, ``fileformat.dump_system``), and
+``systemformat`` on the first such document, so a command that reads
+one category loads none of the machine modules, and one that writes no
+document loads no writer.
 
-Text is parsed with pyyaml's libyaml loader (``yaml.CSafeLoader``) when
-pyyaml was built with libyaml, and with the pure-Python
-``yaml.SafeLoader`` otherwise.  Both give equal data on every bundled
+Text is composed into a node graph by pyyaml's libyaml parser
+(``yaml.CSafeLoader``) when pyyaml was built with libyaml, and by the
+pure-Python ``yaml.SafeLoader`` otherwise; ``_build`` makes the data in
+one walk over the nodes.  Both parsers give equal data on every bundled
 fixture; two differences are known.  A tab inside or after a plain
 scalar (``p1: \\tr``) parses under libyaml and is rejected by
 ``SafeLoader``; a byte-order mark in mid-document is skipped by
@@ -56,6 +60,10 @@ but prints differently (``01``, ``1.50``, ``1_000``, ``0x1F``, ``+1``,
 key written twice in one mapping reads ``not valid YAML at line L,
 column C: repeated key '<key>'`` at its second place; merge keys
 (``<<``) stay allowed, and a key written beside one overrides it.  A
+mapping whose keys are read as text (a state map, a category's
+identities, a functor's objects and morphisms) refuses two keys that
+read as one, such as ``10`` and ``'10'``, at the second one's path
+``<path>[10]``: ``keys 10 and '10' both read as '10'``.  A
 table expression nested more than 100 tables deep is refused at the
 path of its outermost expression, ``table expression nests more than
 100 tables deep``; a caller whose own stack is nearly full gets
@@ -65,10 +73,13 @@ path of its outermost expression, ``table expression nests more than
 from __future__ import annotations
 
 import os
+from collections.abc import Hashable
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import yaml
+from yaml.constructor import ConstructorError
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from . import Record, WireboxError
 
@@ -76,50 +87,167 @@ if TYPE_CHECKING:  # only the fincat.v1 loader imports fincat at run time
     from . import fincat as fc
 
 
-def _marked_scalars(base: type) -> type:
-    """``base`` with the !!int, !!float, !!bool and !!timestamp constructors
-    raising a ConstructorError at the scalar's start mark on a malformed
-    value, and a number that prints differently from its text (``01``,
-    ``1.50``, ``0x1F``) kept as that text, and a key written twice in one
-    mapping refused at its second mark; every other node is constructed
-    as ``base`` does it."""
+# the parser: libyaml's when pyyaml was built with it, ~8x faster; it
+# composes the node graph that ``_build`` turns into the document
+_PARSER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-    class Loader(base):
-        def construct_mapping(self, node, deep=False):
-            own = node.value  # flatten_mapping drops merge keys from it
-            mapping = base.construct_mapping(self, node, deep)
-            if len(mapping) != len(node.value):  # a repeat, or an override of a merge
-                seen = set()
-                for key_node, _ in own:
-                    key = self.construct_object(key_node)
-                    if key in seen:
-                        raise yaml.constructor.ConstructorError(
-                            None, None, f"repeated key {key!r}", key_node.start_mark)
-                    seen.add(key)
-            return mapping
-
-    def construct_marked(loader, node):
-        # 2001-02-30 and !!int abc raise ValueError, !!bool maybe
-        # KeyError, !!timestamp abc AttributeError
-        try:
-            value = base.yaml_constructors[node.tag](loader, node)
-        except (ValueError, KeyError, AttributeError):
-            tag = node.tag.rsplit(":", 1)[1]
-            raise yaml.constructor.ConstructorError(
-                None, None, f"cannot read !!{tag} value '{node.value[:40]}'",
-                node.start_mark) from None
-        if (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and str(value) != node.value):
-            return node.value
-        return value
-
-    for tag in ("int", "float", "bool", "timestamp"):
-        Loader.add_constructor(f"tag:yaml.org,2002:{tag}", construct_marked)
-    return Loader
+_TAG = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP, _NULL = (_TAG + t for t in ("str", "seq", "map", "null"))
+_MERGE, _VALUE = _TAG + "merge", _TAG + "value"
+# the scalars that keep their text, or are refused at their mark
+_MARKED = frozenset(_TAG + t for t in ("int", "float", "bool", "timestamp"))
+_SAFE = yaml.constructor.SafeConstructor.yaml_constructors
 
 
-# libyaml's parser when pyyaml was built with it; same documents, ~8x faster
-_YAML_LOADER = _marked_scalars(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+class _Walk:
+    """What ``yaml.load`` asks of a loader: the document of one text,
+    built by ``_build`` from the nodes ``_PARSER`` composes."""
+
+    def __init__(self, text: str):
+        self.parser = _PARSER(text)
+
+    def get_single_data(self):
+        node = self.parser.get_single_node()
+        return None if node is None else _build(node, self.parser)
+
+    def dispose(self):
+        self.parser.dispose()
+
+
+def _build(root, parser):
+    """The data of the node graph under ``root``, in one walk.
+
+    It is what pyyaml's ``SafeConstructor`` builds, in the same order
+    (breadth first: a list or mapping is filled once every node above
+    it is built), under the library's rules.  A malformed !!int,
+    !!float, !!bool or !!timestamp is refused at its start mark, and a
+    number that prints differently from its text (``01``, ``1.50``,
+    ``0x1F``) stays that text (``_marked``).  A key written twice in one
+    mapping is refused at its second mark once the mapping's pairs are
+    built (``_fill``); a merge key (``<<``) brings in the pairs of a
+    mapping or a list of mappings, and a key written beside it overrides
+    them (``_flatten``).  Every other node (``!!binary``, ``!!set``, an
+    unknown tag, a string tag on a list) is built by ``parser``, a
+    ``SafeConstructor`` sharing the walk's table of built nodes, so an
+    alias is one object wherever it appears.
+    """
+    built = {}  # node -> its list, mapping or fallback value
+    todo = []   # (node, empty container) in the order they are met
+    flat = {}   # mapping node -> (merged pairs, own pairs)
+
+    def value(node):
+        tag = node.tag
+        if type(node) is ScalarNode:
+            if tag == _STR:
+                return node.value
+            if tag in _MARKED:
+                return _marked(node, parser)
+            if tag == _NULL:
+                return None
+        elif node in built:
+            return built[node]
+        elif (tag == _SEQ and type(node) is SequenceNode
+              or tag == _MAP and type(node) is MappingNode):
+            data = built[node] = [] if tag == _SEQ else {}
+            todo.append((node, data))
+            return data
+        data = parser.construct_object(node)  # kept in ``built`` by pyyaml
+        adopt()
+        return data
+
+    def adopt():
+        # the generators that fill pyyaml's nodes join the walk's queue, so
+        # every node is filled in pyyaml's order
+        todo.extend((None, fill) for fill in parser.state_generators)
+        parser.state_generators = []
+
+    parser.constructed_objects = built
+    top = value(root)
+    for node, data in todo:  # grows as the walk meets containers
+        if node is None:
+            for _ in data:  # a generator: it fills its node when run out
+                pass
+            adopt()
+        elif type(data) is list:
+            data.extend([value(child) for child in node.value])
+        else:
+            _fill(node, data, value, flat)
+    return top
+
+
+def _fill(node, data: dict, value, flat: dict) -> None:
+    """Fill mapping node ``node``'s dict ``data``, building each key and
+    value with ``value``; refuse an unhashable key at once, and a key
+    written twice once every pair is built."""
+    merged, own = _flatten(node, flat)
+    for key_node, value_node in (merged + own if merged else own):
+        key = value(key_node)
+        if type(key) is not str and not isinstance(key, Hashable):
+            raise ConstructorError("while constructing a mapping", node.start_mark,
+                                   "found unhashable key", key_node.start_mark)
+        data[key] = value(value_node)
+    if len(data) != len(merged) + len(own):  # a repeat, or an override
+        seen = set()
+        for key_node, _ in own:
+            key = value(key_node)
+            if key in seen:
+                raise ConstructorError(None, None, f"repeated key {key!r}",
+                                       key_node.start_mark)
+            seen.add(key)
+
+
+def _flatten(node, flat: dict) -> tuple[list, list]:
+    """A mapping node's pairs as (merged, own), kept in ``flat``: the
+    pairs its merge keys bring in, in ``SafeConstructor.flatten_mapping``'s
+    order (a list's later mapping first, so an earlier one wins), and its
+    own pairs, a ``=`` key read as text.  A mapping merged into itself
+    brings in its own pairs."""
+    if node in flat:
+        return flat[node]
+    pairs = node.value
+    if not any(k.tag == _MERGE or k.tag == _VALUE for k, _ in pairs):
+        flat[node] = [], pairs
+        return flat[node]
+    merged: list = []
+    own = [(k, v) for k, v in pairs if k.tag != _MERGE]
+    flat[node] = [], own
+    for k, v in pairs:
+        if k.tag == _VALUE:
+            k.tag = _STR
+        if k.tag != _MERGE:
+            continue
+        parts = v.value if type(v) is SequenceNode else [v]
+        for sub in parts:
+            if type(sub) is not MappingNode:
+                want = ("a mapping" if type(v) is SequenceNode
+                        else "a mapping or list of mappings")
+                raise ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"expected {want} for merging, but found {sub.id}",
+                    sub.start_mark)
+        for sub in reversed(parts):
+            sub_merged, sub_own = _flatten(sub, flat)
+            merged += sub_merged + sub_own
+    flat[node] = merged, own
+    return flat[node]
+
+
+def _marked(node, parser):
+    """A !!int, !!float, !!bool or !!timestamp scalar, refused at its
+    mark when malformed; a number that prints differently stays text."""
+    # 2001-02-30 and !!int abc raise ValueError, !!bool maybe KeyError,
+    # !!timestamp abc AttributeError
+    try:
+        value = _SAFE[node.tag](parser, node)
+    except (ValueError, KeyError, AttributeError):
+        tag = node.tag.rsplit(":", 1)[1]
+        raise ConstructorError(None, None,
+                               f"cannot read !!{tag} value '{node.value[:40]}'",
+                               node.start_mark) from None
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and str(value) != node.value):
+        return node.value
+    return value
 
 
 class LoadError(WireboxError):
@@ -171,8 +299,22 @@ def _integer(v, path: str) -> int:
     return v
 
 
+def _text_keyed(v, path: str):
+    """The (key text, value) pairs of mapping ``v``.  Two keys that YAML
+    tells apart but that read as one text, such as ``10`` and ``'10'``,
+    are refused at the second one's path, ``path[10]``."""
+    seen: dict = {}
+    for k, x in _mapping(v, path).items():
+        key = _string(k, path)
+        if key in seen:
+            raise LoadError(f"{path}[{key}]",
+                            f"keys {seen[key]!r} and {k!r} both read as {key!r}")
+        seen[key] = k
+        yield key, x
+
+
 def _string_map(v, path: str) -> dict[str, str]:
-    return {_string(k, path): _string(x, path) for k, x in _mapping(v, path).items()}
+    return {k: _string(x, path) for k, x in _text_keyed(v, path)}
 
 
 def _row(v, path: str, keys: Sequence[str]) -> dict:
@@ -254,7 +396,7 @@ def _yaml_problem(e: Exception) -> str:
 def loads(text: str, source: str = "<string>"):
     """Parse and resolve a document from text; see load."""
     try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
+        data = yaml.load(text, Loader=_Walk)
     except Exception as e:
         # besides YAMLError, the pure-Python loader raises RecursionError
         # on deep nesting
@@ -316,12 +458,12 @@ def _doc_fincat(d: dict, src: str) -> FincatDoc:
     def functor(row, rp: str, _) -> tuple[str, fc.SetFunctor]:
         row = _row(row, rp, ("name", "objects", "morphisms"))
         fname = _field(row, "name", rp)
-        on_obj = {_string(k, f"{rp}.objects"): _symbols(v, f"{rp}.objects[{k}]")
-                  for k, v in _field(row, "objects", rp, _mapping).items()}
-        on_mor = {}
-        for mk, mv in _field(row, "morphisms", rp, _mapping).items():
-            mp = f"{rp}.morphisms[{mk}]"
-            on_mor[_string(mk, mp)] = _string_map(mv, mp)
+        on_obj = {k: _symbols(v, f"{rp}.objects[{k}]")
+                  for k, v in _text_keyed(_field(row, "objects", rp, _mapping),
+                                          f"{rp}.objects")}
+        on_mor = {k: _string_map(v, f"{rp}.morphisms[{k}]")
+                  for k, v in _text_keyed(_field(row, "morphisms", rp, _mapping),
+                                          f"{rp}.morphisms")}
         try:
             return fname, fc.SetFunctor(fname, cat, on_obj, on_mor)
         except fc.FinCatError as e:
@@ -334,16 +476,20 @@ def _doc_fincat(d: dict, src: str) -> FincatDoc:
 SCHEMAS = ("machine.v1", "wiring.v1", "system.v1", "battery.v1", "attack.v1",
            "scenario.v1", "fincat.v1")
 
-# systemformat's public names, looked up there on each use
+# the public names of systemformat and writers, looked up there on each use
 _SYSTEM_NAMES = frozenset((
     "MachineDoc", "WiringDoc", "SystemDoc", "BatteryDoc", "AttackDoc",
-    "ScenarioDoc", "load_kb_dir", "box_data", "machine_data", "expr_data",
-    "wiring_data", "dump_machine", "collect_boxes",
-    "dump_system"))
+    "ScenarioDoc", "load_kb_dir"))
+_WRITER_NAMES = frozenset((
+    "box_data", "machine_data", "expr_data", "wiring_data", "dump_machine",
+    "collect_boxes", "dump_system"))
 
 
 def __getattr__(name: str):
     if name in _SYSTEM_NAMES:
         from . import systemformat
         return getattr(systemformat, name)
+    if name in _WRITER_NAMES:
+        from . import writers
+        return getattr(writers, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

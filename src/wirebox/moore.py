@@ -69,7 +69,7 @@ class MooreMachine(Record):
     Tables are never mutated after construction; to change one, build a
     new machine.  Three caches rely on this: the composite a system keeps
     (``CompositeSystem.composite``), the canonical text that
-    ``attacks.fingerprint_components`` keeps on the machine (``_kept``),
+    ``fingerprints.fingerprint_components`` keeps on the machine (``_kept``),
     and the table of test outcomes that ``probes.run_test`` keeps on the
     machine (``_kept``).
     """
@@ -628,15 +628,3 @@ class _LiftedMap(Mapping):
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
-
-
-def canonical_text(m: MooreMachine) -> str:
-    """Deterministic text rendering, for fingerprints."""
-    lines = [f"box {m.box.name}", f"init {render_state(m.init)}"]
-    for s in m.states:
-        lines.append(f"state {render_state(s)} -> {'|'.join(m.readout[s])}")
-    for (s, x) in sorted(m.update, key=lambda k: (render_state(k[0]), k[1])):
-        lines.append(
-            f"step {render_state(s)} {'|'.join(x)} -> "
-            f"{render_state(m.update[(s, x)])}")
-    return "\n".join(lines)

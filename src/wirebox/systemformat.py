@@ -1,5 +1,5 @@
-"""The system schemas: loading and writing machine.v1, wiring.v1,
-system.v1, battery.v1, attack.v1 and scenario.v1 documents.
+"""The system schemas: loading machine.v1, wiring.v1, system.v1,
+battery.v1, attack.v1 and scenario.v1 documents.
 
 ``fileformat`` parses every document and hands these six schemas here;
 the rules are those its docstring states, and every field is read
@@ -7,7 +7,7 @@ through its readers.  Each public name here is also a name of
 ``fileformat``, which imports this module on first use.  Only the
 loaders of systems, attack steps and scenarios import ``attacks``, so a
 machine, wiring or battery document, or ``load_kb_dir``, loads no attack
-code.
+code.  The writers are in ``writers``, which no loader imports.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ import os
 from contextlib import suppress
 from typing import TYPE_CHECKING, Mapping, Optional
 
-import yaml
-
 from . import Record
 from .fileformat import (LoadError, _errors_at, _field, _integer, _list,
                          _mapping, _named, _ref, _row, _rows, _string,
                          _string_map, _symbols, load)
-from .moore import MachineError, MooreMachine, render_state
+from .moore import MachineError, MooreMachine
 from .probes import (KnowledgeBase, OutputImage, StateSet, Terminal, Test,
                      TraceSet)
 from .wiring import (Box, Const, InnerOut, OuterIn, Port, SourceExpr, Table,
@@ -328,8 +326,8 @@ def _doc_attack(d: dict, src: str) -> AttackDoc:
 
 
 def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
-    from .attacks import (AttackError, RewireStep, Scenario, ScenarioScript,
-                          apply_script)
+    from .attacks import (AttackError, CompositeSystem, RewireStep, Scenario,
+                          ScenarioScript, apply_script)
 
     _row(d, src, ("schema", "name", "boxes", "machines", "wirings", "systems",
                   "real", "attacker_view", "correspondence", "kb", "battery",
@@ -356,19 +354,31 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
     if sorted(covered) != list(range(n_real)):
         raise LoadError(f"{src}.correspondence",
                         f"real slots must cover 0..{n_real - 1} exactly once")
-    entries = []
+    rows = []  # (name, machine or system, row path)
     for row, rp in _field(d, "kb", src, _rows()):
         ename = _field(row, "name", rp)
         if set(row) == {"name", "machine"}:
-            entries.append((ename, _field(row, "machine", rp, _ref(machines, "machine"))))
+            entry = _field(row, "machine", rp, _ref(machines, "machine"))
         elif set(row) == {"name", "system"}:
-            with _errors_at(rp):
-                entries.append((ename, _field(row, "system", rp,
-                                              _ref(systems, "system")).composite()))
+            entry = _field(row, "system", rp, _ref(systems, "system"))
         else:
             raise LoadError(rp, "expected name plus machine or system")
+        rows.append((ename, entry, rp))
+    kb_box = systems[view].box
     with _errors_at(f"{src}.kb"):
-        kb = KnowledgeBase(systems[view].box, tuple(entries))
+        # the check reads each entry's box alone, and a system's box is
+        # its composite's, so the entries are checked before any is built
+        KnowledgeBase(kb_box, tuple((n, entry) for n, entry, _ in rows))
+
+    def knowledge() -> KnowledgeBase:
+        entries = []
+        for ename, entry, rp in rows:
+            if isinstance(entry, CompositeSystem):
+                with _errors_at(rp):
+                    entry = entry.composite()
+            entries.append((ename, entry))
+        return KnowledgeBase._built(kb_box, tuple(entries))
+
     tests = _field(d, "battery", src, _load_battery)
 
     def script(row, rp: str, _) -> tuple[str, ScenarioScript]:
@@ -390,7 +400,7 @@ def _doc_scenario(d: dict, src: str) -> ScenarioDoc:
         return sname, ScenarioScript(sname, target, steps, result)
 
     scripts = _field(d, "scripts", src, lambda v, p: _named(v, p, "script", script))
-    scenario = Scenario(name, systems, real, view, corr, kb, tests,
+    scenario = Scenario(name, systems, real, view, corr, knowledge, tests,
                         tuple(scripts.values()))
     return ScenarioDoc("scenario.v1", boxes, machines, wirings, systems, scenario)
 
@@ -425,160 +435,3 @@ def load_kb_dir(path: str) -> KnowledgeBase:
         entries.append((doc.name, doc.machine))
     with _errors_at(path):
         return KnowledgeBase(box, tuple(entries))
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def box_data(box: Box) -> dict:
-    return {
-        "name": box.name,
-        "inputs": [{"port": p.name, "alphabet": list(p.alphabet)}
-                   for p in box.in_ports],
-        "outputs": [{"port": p.name, "alphabet": list(p.alphabet)}
-                    for p in box.out_ports],
-    }
-
-
-def machine_data(name: str, m: MooreMachine) -> dict:
-    """Machine as plain data; tuple states are rendered to strings.
-
-    Two states that render alike, such as the composite states
-    ``("a,b", "c")`` and ``("a", "b,c")``, would load back as one, so
-    such a machine is refused with a LoadError.
-    """
-    rs = render_state
-    states = [rs(s) for s in m.states]
-    if len(set(states)) != len(states):
-        text = next(t for k, t in enumerate(states) if t in states[:k])
-        raise LoadError(name, f"two states render as {text!r}, so the "
-                              f"machine cannot be written and read back")
-    inputs = sorted(m.inputs())
-    return {
-        "name": name,
-        "box": m.box.name,
-        "states": states,
-        "init": rs(m.init),
-        "update": [{"state": rs(s), "input": list(x), "next": rs(m.update[(s, x)])}
-                   for s in m.states for x in inputs],
-        "readout": [{"state": rs(s), "output": list(m.readout[s])}
-                    for s in m.states],
-    }
-
-
-def expr_data(expr: SourceExpr) -> dict:
-    if isinstance(expr, OuterIn):
-        return {"outer": f"{expr.box}.{expr.port}"}
-    if isinstance(expr, InnerOut):
-        return {"inner": f"{expr.box}.{expr.port}"}
-    if isinstance(expr, Const):
-        return {"const": expr.symbol}
-    return {"table": {
-        "sources": [expr_data(s) for s in expr.sources],
-        "rows": [{"key": list(k), "value": v} for k, v in expr.entries],
-    }}
-
-
-def wiring_data(name: str, w: Wiring) -> dict:
-    return {
-        "name": name,
-        "inner": [b.name for b in w.inner],
-        "outer": [b.name for b in w.outer],
-        "inputs": [{"target": f"{i}.{p.name}",
-                    "from": expr_data(w.in_map[(i, p.name)])}
-                   for i, p in w.inner_input_ports()],
-        "outputs": [{"target": f"{j}.{p.name}",
-                     "from": expr_data(w.out_map[(j, p.name)])}
-                    for j, p in w.outer_output_ports()],
-    }
-
-
-def _dump(data: dict) -> str:
-    """The document for ``data``: exactly ``yaml.safe_dump(data,
-    sort_keys=False, width=88)``, written by libyaml's emitter
-    (``yaml.CSafeDumper``) when it writes the same text.
-
-    That is when pyyaml was built with libyaml and ``data`` holds only
-    lists, dicts and printable-ASCII strings (``' '`` to ``'~'``), its
-    keys 1 to 99 characters long.  The two emitters fold long
-    double-quoted scalars, the style of every non-ASCII one, at
-    different places; they also disagree on when an empty key or one of
-    123 to 128 characters is written as a ``?`` key.  Any other data is
-    written by ``yaml.safe_dump``, pyyaml's own emitter.
-    """
-    dumper = getattr(yaml, "CSafeDumper", None)
-    if dumper is None or not _printable_ascii(data):
-        dumper = yaml.SafeDumper
-    return yaml.dump(data, Dumper=dumper, sort_keys=False, width=88)
-
-
-def _printable_ascii(data) -> bool:
-    """Is ``data`` lists and dicts of printable-ASCII strings, with keys of
-    1 to 99 characters?"""
-    texts = []
-    stack = [data]
-    while stack:
-        x = stack.pop()
-        if type(x) is str:
-            texts.append(x)
-        elif type(x) is list:
-            stack += x
-        elif type(x) is dict:
-            if not all(type(k) is str and 0 < len(k) < 100 for k in x):
-                return False
-            texts += x
-            stack += x.values()
-        else:
-            return False
-    text = "".join(texts)
-    return text.isascii() and text.isprintable()
-
-
-def dump_machine(name: str, m: MooreMachine) -> str:
-    data = machine_data(name, m)
-    body = {k: data[k] for k in ("states", "init", "update", "readout")}
-    return _dump({"schema": "machine.v1", "name": name,
-                  "box": box_data(m.box), "machine": body})
-
-
-def collect_boxes(*groups) -> dict[str, Box]:
-    """Distinct boxes by name; conflicting same-name boxes are an error."""
-    out: dict[str, Box] = {}
-    for group in groups:
-        for box in group:
-            if box.name in out and out[box.name] != box:
-                raise LoadError(box.name, "conflicting definitions for one box name")
-            out[box.name] = box
-    return out
-
-
-def dump_system(systems: Mapping[str, CompositeSystem]) -> str:
-    """A system.v1 document covering the given named systems.
-
-    Component machines are named slot by slot; structurally equal
-    machines share one definition.
-    """
-    boxes = collect_boxes(*(group for system in systems.values()
-                            for group in (system.wiring.inner, system.wiring.outer)))
-    machines: list[tuple[str, MooreMachine]] = []
-    wirings: list[tuple[str, Wiring]] = []
-    out_systems = []
-    for sys_name, system in systems.items():
-        comp_names = []
-        for m in system.components:
-            found = next((n for n, other in machines if other == m), None)
-            if found is None:
-                found = f"{m.box.name}-{len(machines)}"
-                machines.append((found, m))
-            comp_names.append(found)
-        wname = f"{sys_name}-wiring"
-        wirings.append((wname, system.wiring))
-        out_systems.append({"name": sys_name, "wiring": wname,
-                            "components": comp_names})
-    return _dump({
-        "schema": "system.v1",
-        "boxes": [box_data(b) for b in boxes.values()],
-        "machines": [machine_data(n, m) for n, m in machines],
-        "wirings": [wiring_data(n, w) for n, w in wirings],
-        "systems": out_systems,
-    })

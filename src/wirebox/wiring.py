@@ -616,30 +616,3 @@ def _normal_form(w: Wiring) -> Wiring:
         object.__setattr__(w, side, {key: _normalize_expr(w, at, expr)
                                      for key, expr in getattr(w, side).items()})
     return w
-
-
-def canonical_text(w: Wiring) -> str:
-    """A deterministic text rendering of a wiring, for fingerprints."""
-    lines = []
-    for side, boxes in (("inner", w.inner), ("outer", w.outer)):
-        for b in boxes:
-            ins = ",".join(f"{p.name}:{'|'.join(p.alphabet)}" for p in b.in_ports)
-            outs = ",".join(f"{p.name}:{'|'.join(p.alphabet)}" for p in b.out_ports)
-            lines.append(f"{side} {b.name} [{ins}] [{outs}]")
-    for label, table in (("in", w.in_map), ("out", w.out_map)):
-        for key in sorted(table):
-            lines.append(f"{label} {key[0]}.{key[1]} <- {_expr_text(table[key])}")
-    return "\n".join(lines)
-
-
-def _expr_text(expr: SourceExpr) -> str:
-    if isinstance(expr, Const):
-        return f"const {expr.symbol}"
-    if isinstance(expr, OuterIn):
-        return f"outer {expr.box}.{expr.port}"
-    if isinstance(expr, InnerOut):
-        return f"inner {expr.box}.{expr.port}"
-    srcs = "; ".join(_expr_text(s) for s in expr.sources)
-    rows = ",".join(f"{'|'.join(k)}->{v}" for k, v in expr.entries)
-    return f"table [{srcs}] {{{rows}}}"
-

@@ -12,6 +12,5 @@ def yaml_loader(request, monkeypatch):
     loader = getattr(yaml, request.param, None)
     if loader is None:
         pytest.skip(f"pyyaml has no {request.param} (built without libyaml)")
-    monkeypatch.setattr(fileformat, "_YAML_LOADER",
-                        fileformat._marked_scalars(loader))
+    monkeypatch.setattr(fileformat, "_PARSER", loader)
     return loader

@@ -708,6 +708,74 @@ def test_a_command_reads_the_scripts_the_load_applied(monkeypatch, command,
     assert (code, err, len(calls)) == (want, "", 7)
 
 
+SCENARIO = UAV / "scenario.yaml"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["validate", SCENARIO], 2),
+    (["diff", "--scenario", SCENARIO, "--script", "gps-firmware"], 2),
+    (["diff", "--scenario", SCENARIO, "--script", "combo"], 2),
+    (["simulate", "--system", SCENARIO, "--name", "real", "--input", "0|1"], 1),
+    (["compose", "--system", SCENARIO, "--name", "real"], 1),
+    (["export-dot", "--file", SCENARIO, "--wiring", "sensor-view"], 0),
+    (["attack", "--scenario", SCENARIO, "--script", "combo"], 0),
+], ids=["validate", "diff-gps-firmware", "diff-combo", "simulate", "compose",
+        "export-dot", "attack"])
+def test_a_command_builds_only_the_composites_it_reads(monkeypatch, argv, want):
+    # a knowledge base's system rows are composed when it is first read,
+    # which validate does, so it builds both; diff builds its baseline
+    # and the attacked system, simulate and compose one system each
+    built = []
+
+    def spy(w, machines, apply=wirebox.moore.apply_algebra):
+        built.append(w)
+        return apply(w, machines)
+
+    for module in (wirebox.moore, wirebox.attacks):
+        monkeypatch.setattr(module, "apply_algebra", spy)
+    code, _, err = cli(*argv)
+    assert (code, err) == (1 if argv[0] == "diff" else EX_OK, "")
+    assert len(built) == want
+
+
+def test_a_knowledge_base_row_over_the_limit_is_refused_where_it_is_read(
+        monkeypatch, tmp_path):
+    # attacker-view-hist reaches 36 composite states, the other systems 24
+    monkeypatch.setattr(wirebox.moore, "MAX_TRANSITIONS", 24 * 4)
+    data = yaml.safe_load(SCENARIO.read_text())
+    data["kb"].append({"name": "profile-hist", "system": "attacker-view-hist"})
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert cli("validate", path) == (
+        EX_DATAERR, "", "error: scenario.yaml.kb[4]: composite reaches at "
+        "least 28 states x 4 inputs = 112 transitions, over the limit of 96\n")
+    # a command that reads no knowledge base never builds the row
+    for argv in (["simulate", "--system", path, "--name", "real", "--input", "0|1"],
+                 ["export-dot", "--file", path, "--wiring", "sensor-view"],
+                 ["attack", "--scenario", path, "--script", "combo"]):
+        code, _, err = cli(*argv)
+        assert (code, err) == (EX_OK, ""), argv
+
+
+@pytest.mark.parametrize("first, second", [("10: '1'", "'10': '0'"),
+                                           ("'10': '0'", "10: '1'")])
+def test_a_state_map_key_whose_text_repeats_is_refused_in_either_order(
+        tmp_path, first, second):
+    # 10 and '10' are two keys to YAML and one state to the state map, so
+    # keeping either would silently drop the other
+    text = SCENARIO.read_text()
+    line = "      '10': '0'\n"
+    assert text.count(line) == 1
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(line, f"      {first}\n      {second}\n"))
+    code, out, err = cli("validate", path)
+    raw = [k.split(":")[0] for k in (first, second)]
+    assert (code, out) == (EX_DATAERR, "")
+    assert err == (f"error: scenario.yaml.scripts[4].steps[0].state_map[10]: "
+                   f"keys {raw[0]} and {raw[1]} both read as '10'\n")
+    assert "Traceback" not in err
+
+
 def test_attack_and_compose_write_documents_that_reload_alike(scenario,
                                                               tmp_path):
     # the composite of each document written is bisimilar to the one the

@@ -1,4 +1,4 @@
-"""``systemformat._dump`` writes exactly what ``yaml.safe_dump`` writes,
+"""``writers._dump`` writes exactly what ``yaml.safe_dump`` writes,
 whichever emitter it picks, and ``fileformat`` reads it back equal.
 
 Generated machines and systems get their boxes, ports, symbols and
@@ -19,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgen import random_network
-from wirebox import systemformat
+from wirebox import writers
 from wirebox.attacks import CompositeSystem
 from wirebox.fileformat import dump_machine, dump_system, loads
 from wirebox.moore import MooreMachine
 from wirebox.wiring import Box, Const, InnerOut, OuterIn, Port, Table, Wiring
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-DUMP = systemformat._dump
+DUMP = writers._dump
 ASCII_NAMES = [
     "a", "w" * 95, " ".join(["part"] * 20), "it's a " * 14 + "x",
     "k: " * 35 + "v", 'say "hi"', "key: value", "a #b", "#c", " lead",
@@ -57,7 +57,7 @@ def written(write, *args):
         return DUMP(data)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(systemformat, "_dump", dump)
+        mp.setattr(writers, "_dump", dump)
         text = write(*args)
     return text, seen[0]
 
@@ -113,7 +113,7 @@ def test_dump_writes_what_safe_dump_writes(seed):
     wiring, machines, names = renamed(rng, pool, *random_network(rng))
     system = CompositeSystem(wiring, machines)
     text, data = written(dump_system, {"s": system})
-    assert systemformat._printable_ascii(data) == all(n.isascii() for n in names)
+    assert writers._printable_ascii(data) == all(n.isascii() for n in names)
     assert text == safe_dump(data) == without_libyaml(data)
     assert loads(text, "s.yaml").systems["s"] == system
     m = rng.choice(machines)
@@ -153,7 +153,7 @@ def test_printable_ascii_data_goes_through_libyaml(monkeypatch):
     {"n": True}, {"n": ("a",)}, {1: "a"}, {"n": "a\nb"},
 ])
 def test_data_libyaml_might_write_differently_goes_through_pyyaml(data):
-    assert not systemformat._printable_ascii(data)
+    assert not writers._printable_ascii(data)
     try:
         want = safe_dump(data)
     except yaml.YAMLError:

@@ -6,6 +6,7 @@ import io
 import pathlib
 import random
 import textwrap
+from unittest import mock
 
 import pytest
 import yaml
@@ -14,17 +15,18 @@ from hypothesis import strategies as st
 
 from netgen import random_network
 from wirebox import fileformat
-from wirebox.attacks import (AttackError, CompositeSystem, apply_script,
-                             fingerprint_components, fingerprint_wiring)
+from wirebox.attacks import AttackError, CompositeSystem, apply_script
 from wirebox.cli import EX_DATAERR, EX_OK, dispatch
 from wirebox.fileformat import (AttackDoc, LoadError, MachineDoc, SystemDoc,
                                 dump_machine, dump_system, load, load_kb_dir,
                                 loads)
 from wirebox.fincat import yoneda_check
+from wirebox.fingerprints import fingerprint_components, fingerprint_wiring
 from wirebox.moore import MooreMachine
 from wirebox.oracle import find_distinguishing_word
 from wirebox.wiring import (Box, InnerOut, OuterIn, Port, Wiring, compose,
                             identity_wiring, tensor)
+from yaml_reference import marked_scalars
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -412,6 +414,109 @@ def parsed(text: str, loader):
 @given(mutated_fixture())
 def test_libyaml_parses_mutated_fixtures_like_the_pure_loader(text):
     assert parsed(text, yaml.CSafeLoader) == parsed(text, yaml.SafeLoader)
+
+
+def outcome(text: str, loader) -> str:
+    """The repr of what ``loader`` builds from ``text``, or the message
+    ``fileformat`` gives its refusal."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except Exception as e:
+        return fileformat._yaml_problem(e)
+
+
+def walked(text: str, parser) -> str:
+    """``outcome`` for the walk over the nodes ``parser`` composes."""
+    with mock.patch.object(fileformat, "_PARSER", parser):
+        return outcome(text, fileformat._Walk)
+
+
+PARSERS = [pytest.param(name, marks=pytest.mark.skipif(
+    not hasattr(yaml, name), reason="pyyaml built without libyaml"))
+    for name in ("SafeLoader", "CSafeLoader")]
+REFERENCE = {name: marked_scalars(getattr(yaml, name))
+             for name in ("SafeLoader", "CSafeLoader") if hasattr(yaml, name)}
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_fixture())
+def test_the_walk_builds_what_the_reference_loader_builds(parser, text):
+    assert walked(text, getattr(yaml, parser)) == outcome(text, REFERENCE[parser])
+
+
+# documents the fixtures never hold, each built alike by the walk and the
+# reference loader: data, or a refusal at the same mark
+HAND_CASES = {
+    "merge-list": ("a: &a {x: 1, y: 2}\nb: &b {x: 3, z: 4}\n"
+                   "c: {<<: [*a, *b], w: 5}\n"),
+    "merge-override": "a: &a {x: 1, y: 2}\nc: {<<: *a, x: 9}\n",
+    "merge-repeat": "a: &a {x: 1}\nc: {<<: *a, y: 2, y: 3}\n",
+    "merge-scalar": "a: &a x\nc: {<<: *a}\n",
+    "merge-list-scalar": "a: &a {x: 1}\nc: {<<: [*a, y]}\n",
+    "reused-alias": "a: &x [1, {k: v}]\nb: *x\nc: *x\n",
+    "recursive-sequence": "&r [*r, 1]\n",
+    "recursive-mapping": "&m {self: *m, k: v}\n",
+    "recursive-key": "&m {*m : v}\n",
+    "unhashable-sequence-key": "{[1, 2]: x}\n",
+    "unhashable-mapping-key": "? {a: b}\n: c\n",
+    "binary": "b: !!binary aGVsbG8=\n",
+    "set": "s: !!set {a, b}\n",
+    "unknown-tag": "x: !foo bar\n",
+    "string-tag-on-a-list": "x: !!str [a]\n",
+    "value-key": "=: a\n",
+    "int": "x: !!int abc\n",
+    "float": "x: !!float abc\n",
+    "bool": "x: !!bool maybe\n",
+    "timestamp": "x: !!timestamp abc\n",
+    "impossible-date": "x: 2001-02-30\n",
+    "number-text": "[01, 1.50, 0x1F, +1, .5, 1, 2.5, true, 2001-02-03]\n",
+    "int-and-true-keys": "{1: a, true: b}\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@pytest.mark.parametrize("case", HAND_CASES)
+def test_the_walk_builds_each_hand_case_as_the_reference_loader(parser, case):
+    text = HAND_CASES[case]
+    assert walked(text, getattr(yaml, parser)) == \
+        outcome(text, REFERENCE[parser])
+
+
+def test_the_walk_merges_shares_aliases_and_refuses_at_the_mark():
+    # an earlier mapping of a merge list wins, a key beside a merge wins
+    # over both, and an alias is one object wherever it appears
+    data = yaml.load(HAND_CASES["merge-list"], Loader=fileformat._Walk)
+    assert data["c"] == {"x": 1, "y": 2, "z": 4, "w": 5}
+    data = yaml.load(HAND_CASES["merge-override"], Loader=fileformat._Walk)
+    assert data["c"] == {"x": 9, "y": 2}
+    data = yaml.load(HAND_CASES["reused-alias"], Loader=fileformat._Walk)
+    assert data["b"] is data["a"] is data["c"]
+    data = yaml.load(HAND_CASES["recursive-sequence"], Loader=fileformat._Walk)
+    assert data[0] is data
+    # a mapping merged elsewhere before the walk fills it keeps the key
+    # written beside its own merge; the reference refuses that key as a
+    # repeat, since pyyaml's merge rewrites the node the reference reads
+    text = "a: {b: &x {<<: {k: 0}, k: 1}}\nc: {<<: *x}\n"
+    assert yaml.load(text, Loader=fileformat._Walk) == yaml.safe_load(text) \
+        == {"a": {"b": {"k": 1}}, "c": {"k": 1}}
+    assert outcome(text, REFERENCE["SafeLoader"]) == \
+        "not valid YAML at line 1, column 24: repeated key 'k'"
+    assert walked(HAND_CASES["merge-repeat"], fileformat._PARSER) == \
+        "not valid YAML at line 2, column 19: repeated key 'y'"
+    assert walked(HAND_CASES["unhashable-sequence-key"], fileformat._PARSER) \
+        == "not valid YAML at line 1, column 2: found unhashable key"
+    assert walked(HAND_CASES["unknown-tag"], fileformat._PARSER) == \
+        ("not valid YAML at line 1, column 4: could not determine a "
+         "constructor for the tag '!foo'")
+    for case, tag, value in (("int", "int", "abc"), ("float", "float", "abc"),
+                             ("bool", "bool", "maybe"),
+                             ("timestamp", "timestamp", "abc"),
+                             ("impossible-date", "timestamp", "2001-02-30")):
+        assert walked(HAND_CASES[case], fileformat._PARSER) == \
+            (f"not valid YAML at line 1, column 4: cannot read !!{tag} "
+             f"value '{value}'")
 
 
 # one value of each type the documents hold
@@ -802,6 +907,24 @@ def test_kb_rows_need_a_machine_or_a_system():
     with pytest.raises(LoadError, match="machine or system") as exc:
         reload(data)
     assert exc.value.path == "scenario.yaml.kb[0]"
+
+
+@pytest.mark.parametrize("identities, objects, path", [
+    ("0: e, '0': e", "'0': [a]", "t.yaml.identities[0]"),
+    ("'0': e", "0: [a], '0': [b]", "t.yaml.functors[0].objects[0]"),
+])
+def test_a_category_key_whose_text_repeats_is_refused(identities, objects,
+                                                      path):
+    e = err(f"""
+        schema: fincat.v1
+        name: one
+        objects: ['0']
+        morphisms: [{{id: e, src: '0', tgt: '0'}}]
+        identities: {{{identities}}}
+        composition: [{{after: e, first: e, result: e}}]
+        functors: [{{name: F, objects: {{{objects}}}, morphisms: {{e: {{a: a}}}}}}]
+    """)
+    assert (e.path, e.message) == (path, "keys 0 and '0' both read as '0'")
 
 
 def test_state_map_must_be_a_machine_morphism():

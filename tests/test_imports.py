@@ -27,7 +27,7 @@ from types import ModuleType
 import pytest
 
 import wirebox
-from wirebox import fileformat, systemformat
+from wirebox import attacks, fileformat, fingerprints, systemformat, writers
 from wirebox.attacks import LogEntry, ScriptResult
 from wirebox.probes import LearnResult
 from test_records import FIELDS, IDENTITY
@@ -268,9 +268,9 @@ COMMANDS = {
     "diff": (["diff", "--scenario", SCENARIO, "--script", "gps-firmware"],
              1, MACHINES | {"attacks"}),
     "attack": (["attack", "--scenario", SCENARIO, "--script", "combo", "--out",
-                "OUT"], 0, MACHINES | {"attacks"}),
+                "OUT"], 0, MACHINES | {"attacks", "writers", "fingerprints"}),
     "compose": (["compose", "--system", SCENARIO, "--name", "real"],
-                0, MACHINES | {"attacks"}),
+                0, MACHINES | {"attacks", "writers"}),
     "simulate": (["simulate", "--system", SCENARIO, "--name", "real",
                   "--input", "0|1,1|1"], 0, MACHINES | {"attacks"}),
     "export-dot": (["export-dot", "--file", SCENARIO, "--wiring",
@@ -338,6 +338,21 @@ def test_writers_work_before_any_document_is_loaded(writer):
             "assert 'wirebox.systemformat' not in sys.modules\n"
             + WRITERS[writer])
     assert fresh(code, str(UAV / "kb")) == "True\n"
+
+
+def test_fileformat_resolves_every_writer_and_attacks_each_fingerprint():
+    # the writers and fingerprints have modules of their own, which only
+    # the commands that write a document or print a log load
+    public = {n for n, v in vars(writers).items()
+              if not n.startswith("_")
+              and getattr(v, "__module__", None) == writers.__name__}
+    assert public == fileformat._WRITER_NAMES
+    for name in public:
+        assert getattr(fileformat, name) is getattr(writers, name)
+    for name in ("fingerprint_wiring", "fingerprint_components"):
+        assert getattr(attacks, name) is getattr(fingerprints, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        attacks.no_such_name
 
 
 def test_fileformat_resolves_every_public_name_of_systemformat():

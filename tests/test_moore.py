@@ -19,10 +19,11 @@ from wirebox import moore
 from wirebox.attacks import (AttackScript, CompositeSystem, RewriteStep,
                              apply_script, attack_diff)
 from wirebox.fileformat import dump_machine
+from wirebox.fingerprints import machine_text
 from wirebox.moore import (MachineError, MachineHom, MooreMachine,
-                           apply_algebra, canonical_text, compose_homs,
-                           hom_violations, identity_hom, lift_hom,
-                           render_state, run, validate_machine)
+                           apply_algebra, compose_homs, hom_violations,
+                           identity_hom, lift_hom, render_state, run,
+                           validate_machine)
 from wirebox.oracle import bisimilar, route, stagewise_simulate
 from wirebox.probes import (EXACT, KnowledgeBase, MachineOracle, StateSet,
                             Test, TraceSet, compare_outcomes, run_test,
@@ -314,7 +315,7 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
         step(m, "s9", inputs[0])
     assert list(m.update) == list(want.update)
     assert list(m.readout.items()) == list(want.readout.items())
-    assert canonical_text(m) == canonical_text(want)
+    assert machine_text(m) == machine_text(want)
     # reading the items of a fresh composite gives the same order
     fresh = apply_algebra(w, machines)
     assert list(fresh.update.items()) == list(want.update.items())
@@ -582,7 +583,7 @@ def test_whole_product_readers_refuse_a_product_over_the_limit():
         "update keys": lambda: list(m.update),
         "readout rows": lambda: dict(m.readout.items()),
         "validate_machine": lambda: validate_machine(m),
-        "canonical_text": lambda: canonical_text(m),
+        "machine_text": lambda: machine_text(m),
         "dump_machine": lambda: dump_machine("row", m),
         "identity_hom": lambda: identity_hom(m),
         "hom_violations": lambda: hom_violations(MachineHom(m, m, {})),
@@ -886,5 +887,5 @@ def test_composites_pass_the_checking_constructor(seed):
 
 
 def test_canonical_text_distinguishes_machines():
-    assert canonical_text(delay()) == canonical_text(delay())
-    assert canonical_text(delay()) != canonical_text(delay("1"))
+    assert machine_text(delay()) == machine_text(delay())
+    assert machine_text(delay()) != machine_text(delay("1"))

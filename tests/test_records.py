@@ -65,8 +65,8 @@ FIELDS = {
     LogEntry: "position step before system",
     DiffReport: "equivalent witness depth tests",
     ScenarioScript: "name system script result",
-    Scenario: "name systems real attacker_view correspondence kb battery "
-              "scripts",
+    Scenario: "name systems real attacker_view correspondence knowledge "
+              "battery scripts",
     LearnResult: "candidates classification matrix incomplete",
     ScriptResult: "system log",
     MachineDoc: "schema name machine",
