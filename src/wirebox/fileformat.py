@@ -28,16 +28,17 @@ Definitions resolve top to bottom: a wiring may name only wirings defined
 before it, which keeps files readable and rules out cycles by
 construction.
 
-This module parses, reads fields, dispatches on the schema and loads
-``fincat.v1``, importing ``fincat`` when it does.  The six other schemas'
-loaders and document classes, and ``load_kb_dir``, live in
-``systemformat``, which imports ``wiring``, ``moore`` and ``probes``, and
-``attacks`` only for systems, attack steps and scenarios.  The writers
-(``box_data`` through ``dump_system``) live in ``writers``.  Each module
-is loaded on the first lookup of one of its names here
+This module parses, reads fields and dispatches on the schema.
+``fincat.v1``'s loader and ``FincatDoc`` live in ``fincat``; the six
+other schemas' loaders and document classes, and ``load_kb_dir``, live
+in ``systemformat``, which imports ``wiring``, ``moore`` and ``probes``,
+and ``attacks`` only for systems, attack steps and scenarios.  The
+writers (``box_data`` through ``dump_system``) live in ``writers``.
+Each module is loaded on the first lookup of one of its names here
 (``fileformat.MachineDoc``, ``fileformat.dump_system``), and
-``systemformat`` on the first such document, so a command that reads
-one category loads none of the machine modules, and one that writes no
+``fincat`` or ``systemformat`` on the first such document, so a command
+that reads one category loads none of the machine modules, one that
+reads machines compiles no category loader, and one that writes no
 document loads no writer.
 
 Text is composed into a node graph by pyyaml's libyaml parser
@@ -75,17 +76,13 @@ from __future__ import annotations
 import os
 from collections.abc import Hashable
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import yaml
 from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
-from . import Record, WireboxError
-
-if TYPE_CHECKING:  # only the fincat.v1 loader imports fincat at run time
-    from . import fincat as fc
-
+from . import WireboxError
 
 # the parser: libyaml's when pyyaml was built with it, ~8x faster; it
 # composes the node graph that ``_build`` turns into the document
@@ -378,12 +375,6 @@ def _named(v, path: str, kind: str, load_item) -> dict:
 # documents
 # ---------------------------------------------------------------------------
 
-class FincatDoc(Record):
-    schema: str
-    category: fc.FinCategory
-    functors: Mapping[str, fc.SetFunctor]
-
-
 def _yaml_problem(e: Exception) -> str:
     """The ``not valid YAML`` message, worded alike under either loader."""
     mark = getattr(e, "problem_mark", None)
@@ -414,7 +405,8 @@ def _document(data, source: str):
         raise LoadError(f"{source}.schema",
                         f"unknown schema {schema!r}; expected one of {list(SCHEMAS)}")
     if schema == "fincat.v1":
-        return _doc_fincat(data, source)
+        from . import fincat
+        return fincat._doc_fincat(data, source)
     from . import systemformat
     return systemformat.LOADERS[schema](data, source)
 
@@ -433,46 +425,6 @@ def load(path: str):
     return loads(text, source=os.path.basename(path))
 
 
-def _doc_fincat(d: dict, src: str) -> FincatDoc:
-    from . import fincat as fc
-
-    _row(d, src, ("schema", "name", "objects", "morphisms", "identities",
-                  "composition", "functors"))
-    name = _field(d, "name", src)
-    objects = _field(d, "objects", src, _symbols)
-    morphisms = tuple(
-        fc.Morphism(_field(row, "id", rp), _field(row, "src", rp), _field(row, "tgt", rp))
-        for row, rp in _field(d, "morphisms", src, _rows(("id", "src", "tgt"))))
-    identities = _field(d, "identities", src, _string_map)
-    composition = {}
-    for row, rp in _field(d, "composition", src, _rows(("after", "first", "result"))):
-        key = (_field(row, "after", rp), _field(row, "first", rp))
-        if key in composition:
-            raise LoadError(rp, f"duplicate composition entry {key}")
-        composition[key] = _field(row, "result", rp)
-    try:
-        cat = fc.FinCategory(name, objects, morphisms, identities, composition)
-    except fc.FinCatError as e:
-        raise LoadError(src, f"category {name!r}: {e}") from None
-
-    def functor(row, rp: str, _) -> tuple[str, fc.SetFunctor]:
-        row = _row(row, rp, ("name", "objects", "morphisms"))
-        fname = _field(row, "name", rp)
-        on_obj = {k: _symbols(v, f"{rp}.objects[{k}]")
-                  for k, v in _text_keyed(_field(row, "objects", rp, _mapping),
-                                          f"{rp}.objects")}
-        on_mor = {k: _string_map(v, f"{rp}.morphisms[{k}]")
-                  for k, v in _text_keyed(_field(row, "morphisms", rp, _mapping),
-                                          f"{rp}.morphisms")}
-        try:
-            return fname, fc.SetFunctor(fname, cat, on_obj, on_mor)
-        except fc.FinCatError as e:
-            raise LoadError(rp, f"functor {fname!r}: {e}") from None
-
-    functors = _named(d.get("functors", []), f"{src}.functors", "functor", functor)
-    return FincatDoc("fincat.v1", cat, functors)
-
-
 SCHEMAS = ("machine.v1", "wiring.v1", "system.v1", "battery.v1", "attack.v1",
            "scenario.v1", "fincat.v1")
 
@@ -486,6 +438,9 @@ _WRITER_NAMES = frozenset((
 
 
 def __getattr__(name: str):
+    if name == "FincatDoc":
+        from . import fincat
+        return fincat.FincatDoc
     if name in _SYSTEM_NAMES:
         from . import systemformat
         return getattr(systemformat, name)

@@ -372,3 +372,54 @@ def yoneda_check(cat: FinCategory, a: Obj, F: SetFunctor) -> YonedaWitness:
         raise YonedaError(f"evaluation at the identity of {a!r} is not surjective")
     return YonedaWitness(a, F.name, pairs)
 
+
+# ---------------------------------------------------------------------------
+# the fincat.v1 document: ``fileformat`` dispatches it here, so only a
+# command that reads a category compiles its loader
+# ---------------------------------------------------------------------------
+
+class FincatDoc(Record):
+    schema: str
+    category: FinCategory
+    functors: Mapping[str, SetFunctor]
+
+
+def _doc_fincat(d: dict, src: str) -> FincatDoc:
+    from .fileformat import (LoadError, _field, _mapping, _named, _row,
+                             _rows, _string_map, _symbols, _text_keyed)
+
+    _row(d, src, ("schema", "name", "objects", "morphisms", "identities",
+                  "composition", "functors"))
+    name = _field(d, "name", src)
+    objects = _field(d, "objects", src, _symbols)
+    morphisms = tuple(
+        Morphism(_field(row, "id", rp), _field(row, "src", rp), _field(row, "tgt", rp))
+        for row, rp in _field(d, "morphisms", src, _rows(("id", "src", "tgt"))))
+    identities = _field(d, "identities", src, _string_map)
+    composition = {}
+    for row, rp in _field(d, "composition", src, _rows(("after", "first", "result"))):
+        key = (_field(row, "after", rp), _field(row, "first", rp))
+        if key in composition:
+            raise LoadError(rp, f"duplicate composition entry {key}")
+        composition[key] = _field(row, "result", rp)
+    try:
+        cat = FinCategory(name, objects, morphisms, identities, composition)
+    except FinCatError as e:
+        raise LoadError(src, f"category {name!r}: {e}") from None
+
+    def functor(row, rp: str, _) -> tuple[str, SetFunctor]:
+        row = _row(row, rp, ("name", "objects", "morphisms"))
+        fname = _field(row, "name", rp)
+        on_obj = {k: _symbols(v, f"{rp}.objects[{k}]")
+                  for k, v in _text_keyed(_field(row, "objects", rp, _mapping),
+                                          f"{rp}.objects")}
+        on_mor = {k: _string_map(v, f"{rp}.morphisms[{k}]")
+                  for k, v in _text_keyed(_field(row, "morphisms", rp, _mapping),
+                                          f"{rp}.morphisms")}
+        try:
+            return fname, SetFunctor(fname, cat, on_obj, on_mor)
+        except FinCatError as e:
+            raise LoadError(rp, f"functor {fname!r}: {e}") from None
+
+    functors = _named(d.get("functors", []), f"{src}.functors", "functor", functor)
+    return FincatDoc("fincat.v1", cat, functors)

@@ -27,6 +27,9 @@ so validating, rendering, dumping, comparing or checking morphisms)
 refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
 refuses a reachable part of more than that many, and stepping and
 running never refuse.
+Building also numbers the reachable part breadth first (``_Numbering``);
+``run``, ``validate_machine`` and ``probes``' walks step those integers,
+not the tables, and another machine is numbered on its first such read.
 ``lift_hom`` lifts machine morphisms along a wiring, given the two
 composites it makes of their sources and of their targets: the lifted
 state map acts componentwise, is read-only and maps a state on lookup,
@@ -67,11 +70,12 @@ class MooreMachine(Record):
     constructor walks its whole product, so it meets ``MAX_TRANSITIONS``.
 
     Tables are never mutated after construction; to change one, build a
-    new machine.  Three caches rely on this: the composite a system keeps
+    new machine.  Four caches rely on this: the composite a system keeps
     (``CompositeSystem.composite``), the canonical text that
     ``fingerprints.fingerprint_components`` keeps on the machine (``_kept``),
-    and the table of test outcomes that ``probes.run_test`` keeps on the
-    machine (``_kept``).
+    the table of test outcomes that ``probes.run_test`` keeps on the
+    machine (``_kept``), and the numbering of its reachable part
+    (``_numbered``).
     """
 
     box: Box
@@ -110,21 +114,11 @@ def validate_machine(m: MooreMachine) -> tuple[str, ...]:
     reachable from the initial state.
 
     Everything else a machine could get wrong is refused when it is
-    built (``_machine_errors``), so a machine is total and the search
-    from ``init`` reads only rows it has.  It reads every state, so a
-    composite's product over the limit refuses it before the search.
+    built (``_machine_errors``).  It reads every state, so a composite's
+    product over the limit refuses it before its numbering is read.
     """
     states = iter(m.states)
-    inputs = m.inputs()
-    seen = {m.init}
-    frontier = [m.init]
-    while frontier:
-        s = frontier.pop()
-        for x in inputs:
-            t = m.update[(s, x)]
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
+    seen = _numbered(m).index
     return tuple(f"state {render_state(s)} is unreachable"
                  for s in states if s not in seen)
 
@@ -196,17 +190,64 @@ def run(m: MooreMachine, word: Sequence[Sequence[Symbol]]) -> list[tuple[Symbol,
     A word holding an input outside the input space raises the
     MachineError of ``_missing_row``.
     """
-    update, readout = m.update, m.readout
-    s = m.init
+    num = _numbered(m)
+    succ, readouts, column = num.succ, num.readouts, num.column
+    n, k = len(column), 0
     outs: list[tuple[Symbol, ...]] = []
     try:
         for x in word:
             x = tuple(x)
-            outs.append(readout[s])
-            s = update[(s, x)]
+            outs.append(readouts[k])
+            k = succ[k * n + column[x]]
     except KeyError:
-        raise _missing_row(m, s, (x,)) from None
+        raise _missing_row(m, num.states[k], (x,)) from None
     return outs
+
+
+class _Numbering:
+    """A reachable part numbered breadth first from ``init``, state 0,
+    successors in ``input_space`` order: state k is ``states[k]``, with
+    ``index[states[k]] == k`` and readout ``readouts[k]``; input j of n,
+    ``column[input] == j``, leads it to state ``succ[k * n + j]``."""
+
+    __slots__ = ("states", "index", "succ", "readouts", "column")
+
+    def __init__(self, states, index, succ, readouts, column):
+        self.states, self.index, self.succ = states, index, succ
+        self.readouts, self.column = readouts, column
+
+
+def _number(init: State, row, inputs: Sequence,
+            most: float = math.inf) -> _Numbering:
+    """The numbering from ``init``, given ``row(s)``, a state's readout
+    and its successors in ``inputs`` order; refused with a MachineError
+    once it has found more than ``most`` states."""
+    states, index, succ, readouts = [init], {init: 0}, [], []
+    for s in states:
+        if len(states) > most:
+            raise _over_the_limit("composite reaches at least", len(states),
+                                  len(inputs))
+        out, nexts = row(s)
+        readouts.append(out)
+        for t in nexts:
+            k = index.setdefault(t, len(states))
+            if k == len(states):
+                states.append(t)
+            succ.append(k)
+    return _Numbering(states, index, succ, readouts,
+                      dict(zip(inputs, range(len(inputs)))))
+
+
+def _numbered(m: MooreMachine) -> _Numbering:
+    """``m``'s numbering: a composite's, built with it, or one built by
+    table lookups on the first call and kept on ``m`` (``_kept``)."""
+    return _kept(m, "_numbering", _number_by_lookup)
+
+
+def _number_by_lookup(m: MooreMachine) -> _Numbering:
+    update, readout, inputs = m.update, m.readout, m.inputs()
+    return _number(m.init, lambda s: (
+        readout[s], [update[(s, x)] for x in inputs]), inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +290,13 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     composite and the compiled routing kept on it (``_kept``), so a
     wiring object is compiled once however many composites it makes;
     they share the routing, which holds no table.  The rows of the
-    states reachable from ``init`` are routed here, by a search from
-    ``init``; any other state's rows are routed on the first lookup of
-    one of them, its readout and updates on a readout lookup, its
-    updates alone on an update lookup.  A routed row is read by dict's
-    own lookup (see ``_Table``).  Within one state, components fed only
-    by inner outputs are routed once, then the others per outer input.
+    states reachable from ``init`` are routed here, by a breadth-first
+    search from ``init`` that numbers them (``_Numbering``); any other
+    state's rows are routed on the first lookup of one of them, its
+    readout and updates on a readout lookup, its updates alone on an
+    update lookup.  A routed row is read by dict's own lookup (see
+    ``_Table``).  Within one state, components fed only by inner outputs
+    are routed once, then the others per outer input.
     Either table lists its keys in product order, and counts them,
     without routing a row; reading its values (``items``, ``values``,
     ``==``, ``repr``) routes the rows read.
@@ -275,19 +317,11 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     router = _Router(routing, machines, states, outer)
     update = _UpdateTable(router)
     readout = _ReadoutTable(router, update)
-    n_inputs = len(router.inputs)
-    most = MAX_TRANSITIONS // n_inputs
-    seen = {init}
-    stack = [init]
-    while stack:
-        if len(seen) > most:
-            raise _over_the_limit("composite reaches at least", len(seen),
-                                  n_inputs)
-        for t in router.fill(stack.pop(), update, readout):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return MooreMachine._built(outer, states, init, update, readout)
+    m = MooreMachine._built(outer, states, init, update, readout)
+    object.__setattr__(m, "_numbering", _number(
+        init, lambda s: router.fill(s, update, readout), router.inputs,
+        MAX_TRANSITIONS // len(router.inputs)))
+    return m
 
 
 def _over_the_limit(has: str, n: int, n_inputs: int,
@@ -385,19 +419,20 @@ class _Router:
         self._varying = [t for t in slots if routing.reads_outer[t[0]]]
 
     def fill(self, s: State, update: dict, readout: dict | None = None
-             ) -> list[State]:
+             ) -> tuple:
         """Route composite state ``s``: store its update rows in
-        ``update``, and its readout in ``readout`` when given, and return
-        its successors, one per outer input in ``inputs`` order.
+        ``update``, and its readout in ``readout`` when given; return its
+        readout and its successors, one per outer input in order.
 
         The components are total and the wiring routes only values of
         their alphabets, so every component row looked up exists.
         """
         inner_outs = tuple([v for r, si in zip(self._readouts, s) for v in r[si]])
+        # out_map reads only inner outputs (Wiring._check_expr enforces
+        # it), so every outer input gives state s the same readout
+        out = self._outer_out(inner_outs)
         if readout is not None:
-            # out_map reads only inner outputs (Wiring._check_expr enforces
-            # it), so every outer input gives state s the same readout
-            dict.__setitem__(readout, s, self._outer_out(inner_outs))
+            dict.__setitem__(readout, s, out)
         nxt = list(s)
         for i, f, table in self._fixed:
             nxt[i] = table[(s[i], f(inner_outs))]
@@ -408,7 +443,7 @@ class _Router:
                 nxt[i] = table[(s[i], f(values))]
             nexts.append(tuple(nxt))
         dict.update(update, zip([(s, x) for x in self.inputs], nexts))
-        return nexts
+        return out, nexts
 
 
 def _read_only(table, *args, **kwargs):

@@ -16,18 +16,20 @@ alone, so ``run_test`` computes it once per machine object and kind and
 keeps it on the machine: a knowledge base asked many queries pays for
 each entry's outcomes once.
 
-``separating_word`` is the one search for an input word that separates
-two machines: breadth first over the pairs of states a word leads them
-to, inputs in order, each pair kept with the first word that reaches
-it, reading the machines' tables directly.  ``attacks.attack_diff`` runs
-it on two composites, and ``outcome_witness`` on two trace quotients, so
-both name the shortest word, least in declared alphabet order.  It
-closes at a level that adds no pair, and says so; like a composite, it
-refuses to hold more than ``MAX_TRANSITIONS`` pairs times inputs, and
-so does a trace quotient with its rows.  ``oracle.find_distinguishing_word``
-is its reference.  A search that closed proves every trace test and
-every output image equal; otherwise its result decides every trace test
-but one deeper than a search that found no word, and proves equal the
+Every walk here steps the integers of a machine's numbering
+(``moore._numbered``).  ``separating_word`` is the one search for an
+input word that separates two machines: breadth first over the pairs of
+states a word leads them to, each pair one integer, inputs in order,
+each pair kept with the first word that reaches it.
+``attacks.attack_diff`` runs it on two composites, and
+``outcome_witness`` on two trace quotients numbered alike, so both name
+the shortest word, least in declared alphabet order.  It closes at a
+level that adds no pair, and says so; like a composite, it refuses to
+hold more than ``MAX_TRANSITIONS`` pairs times inputs, and so does a
+trace quotient with its rows.  ``oracle.find_distinguishing_word`` is
+its reference.  A search that closed proves every trace test and every
+output image equal; otherwise its result decides every trace test but
+one deeper than a search that found no word, and proves equal the
 output images of the steps shorter words reach (``search_verdict``).  So
 ``attack_diff`` runs only the tests it leaves open; ``run_test`` and
 ``compare_outcomes`` stay their reference.
@@ -46,7 +48,7 @@ from collections.abc import Sequence
 from typing import Optional, Protocol, Union
 
 from . import Record, WireboxError, _kept, moore
-from .moore import MooreMachine, State
+from .moore import MooreMachine
 from .wiring import Box, _box_mismatch, input_space
 
 
@@ -199,19 +201,20 @@ def _outcome_value(kind: TestKind, m: MooreMachine) -> tuple:
     """The ``(value, inputs)`` pair of an outcome of the given kind."""
     if isinstance(kind, TraceSet):
         inputs = tuple(input_space([m.box]))
-        return _trace_quotient(m, inputs, kind.depth), inputs
+        return _trace_quotient(m, kind.depth), inputs
     if isinstance(kind, StateSet):
         return m.states, ()
     if isinstance(kind, Terminal):
         return ("*",), ()
     # an OutputImage, the one kind left that Test admits
-    inputs = input_space([m.box])
+    num = moore._numbered(m)
+    succ, n = num.succ, len(num.column)
 
     def advance(layer):
-        return {m.update[(s, x)] for s in layer for x in inputs}
+        return {t for k in layer for t in succ[k * n:k * n + n]}
 
-    layer = _nth({m.init}, advance, kind.step)
-    return tuple(sorted({m.readout[s] for s in layer})), ()
+    layer = _nth({0}, advance, kind.step)
+    return tuple(sorted({num.readouts[k] for k in layer})), ()
 
 
 def _nth(first, advance, n: int):
@@ -237,42 +240,38 @@ def _nth(first, advance, n: int):
     return element
 
 
-def _trace_quotient(m: MooreMachine, inputs: tuple, depth: int) -> tuple:
+def _trace_quotient(m: MooreMachine, depth: int) -> tuple:
     """The layered quotient of the machine's traces of length ``depth``.
 
-    A forward pass collects each layer's states in order of first reach
-    (see ``TraceSet``) with their readout and successors; a backward pass
-    classes every layer by signature (readout, then the successors'
-    classes in the next layer), numbering each class as it first meets
-    it, and the signatures are the layer's rows.  States of one class
-    have the same successor classes, so the numbering is the one a walk
-    over classes would give.  The rows of the value are counted layer by
-    layer, and a value of more than ``MAX_TRANSITIONS`` rows times inputs
-    is refused before it is built.
+    A forward pass collects each layer's state numbers in order of first
+    reach (see ``TraceSet``); a backward pass classes every layer by
+    signature (readout, then the successors' classes in the next layer),
+    numbering each class as it first meets it, and the signatures are the
+    layer's rows.  States of one class have the same successor classes,
+    so the numbering is the one a walk over classes would give.  The rows
+    of the value are counted layer by layer, and a value of more than
+    ``MAX_TRANSITIONS`` rows times inputs is refused before it is built.
     """
-    update, readout = m.update, m.readout
-    rows: dict[State, tuple] = {}  # state -> (readout, successors...)
+    num = moore._numbered(m)
+    succ, readouts, n = num.succ, num.readouts, len(num.column)
     layers = []  # per layer, state -> class id, filled by the backward pass
-    layer = {m.init: None}
-    most, built = moore.MAX_TRANSITIONS // len(inputs), 0
+    layer = {0: None}
+    most, built = moore.MAX_TRANSITIONS // n, 0
     for _ in range(depth):
         built += len(layer)
         if built > most:
             raise moore._over_the_limit("trace quotient would have at least",
-                                        built, len(inputs), "rows")
+                                        built, n, "rows")
         layers.append(layer)
-        for s in layer:
-            if s not in rows:
-                rows[s] = (readout[s],) + tuple(update[(s, x)] for x in inputs)
-        layer = dict.fromkeys([t for s in layer for t in rows[s][1:]])
+        layer = dict.fromkeys([t for k in layer for t in succ[k * n:k * n + n]])
     value = []
-    below: dict[State, int] = {}
+    below: dict[int, int] = {}
     for k in reversed(range(depth)):
         classes: dict[tuple, int] = {}
         last = k == depth - 1
         for s in layers[k]:
-            row = rows[s]
-            sig = row[:1] if last else row[:1] + tuple(below[t] for t in row[1:])
+            sig = (readouts[s],) if last else (
+                readouts[s], *[below[t] for t in succ[s * n:s * n + n]])
             layers[k][s] = classes.setdefault(sig, len(classes))
         value.append(tuple(classes))
         below = layers[k]
@@ -295,7 +294,7 @@ def outcome_witness(test: Test, a: Outcome, b: Outcome):
     """First element where two disagreeing outcomes differ, for reports.
 
     For trace outcomes that is ``separating_word``'s word, found on the two
-    quotients read as machines whose states are ``(layer, class)``.
+    quotients read as machines (``_quotient_numbering``).
     """
     if compare_outcomes(test, a, b):
         return None
@@ -304,21 +303,25 @@ def outcome_witness(test: Test, a: Outcome, b: Outcome):
     if isinstance(test.kind, TraceSet):
         if a.inputs != b.inputs:
             raise ProbeError("trace outcomes over different inputs have no witness")
-        word, _ = _separating_word(*_quotient_machine(a),
-                                   *_quotient_machine(b), a.inputs,
-                                   len(a.value))
+        word, _ = _separating_word(_quotient_numbering(a),
+                                   _quotient_numbering(b), len(a.value))
         return word
     sa, sb = set(a.value), set(b.value)
     only = sorted(sa.symmetric_difference(sb))
     return only[0] if only else (a.value, b.value)
 
 
-def _quotient_machine(q: Outcome) -> tuple:
-    """A trace outcome's ``(init, readout, update)``, states ``(layer, class)``."""
-    rows = [((k, i), row) for k, layer in enumerate(q.value)
-            for i, row in enumerate(layer)]
-    return ((0, 0), {s: row[0] for s, row in rows},
-            {(s, x): (s[0] + 1, j) for s, row in rows for x, j in zip(q.inputs, row[1:])})
+def _quotient_numbering(q: Outcome) -> moore._Numbering:
+    """A trace outcome read as a machine, states ``(layer, class)`` in
+    layer order; the last layer's rows, which the search never steps,
+    lead to themselves."""
+    rows = [row for layer in q.value for row in layer]
+    states = [(k, i) for k, layer in enumerate(q.value) for i in range(len(layer))]
+    index = {s: k for k, s in enumerate(states)}
+    succ = [index[(k + 1, j)] for (k, _), row in zip(states, rows) for j in row[1:]]
+    succ += [k for k in range(len(succ) // len(q.inputs), len(rows)) for _ in q.inputs]
+    return moore._Numbering(states, index, succ, [row[0] for row in rows],
+                            {x: j for j, x in enumerate(q.inputs)})
 
 
 def separating_word(a: MooreMachine, b: MooreMachine, depth: int) -> tuple:
@@ -330,34 +333,40 @@ def separating_word(a: MooreMachine, b: MooreMachine, depth: int) -> tuple:
     docstring for the search."""
     if a.box != b.box:
         raise ProbeError(f"machines on different boxes: {_box_mismatch(a.box, b.box)}")
-    return _separating_word(a.init, a.readout, a.update, b.init, b.readout,
-                            b.update, input_space([a.box]), depth)
+    return _separating_word(moore._numbered(a), moore._numbered(b), depth)
 
 
-def _separating_word(init_a, readout_a, update_a, init_b, readout_b, update_b,
-                     inputs: Sequence, depth: int):
-    most = moore.MAX_TRANSITIONS // len(inputs)
-    came = {(init_a, init_b): None}  # pair -> (pair before, input), first word
-    queue = [((init_a, init_b), 1)] if depth > 0 else []  # (pair, witness length)
+def _separating_word(a: moore._Numbering, b: moore._Numbering, depth: int):
+    inputs, nb = tuple(a.column), len(b.readouts)
+    n, most = len(inputs), moore.MAX_TRANSITIONS // len(inputs)
+    sa, sb, ra, rb = a.succ, b.succ, a.readouts, b.readouts
+    # pair (ka, kb) is ka * nb + kb; came maps it to the pair before
+    # times n plus the input's column, along the first word that reaches it
+    came: dict[int, Optional[int]] = {0: None}
+    queue = [0] if depth > 0 else []
     more = not queue  # whether a pair leads past the last level
-    for pair, k in queue:
-        sa, sb = pair
-        if readout_a[sa] != readout_b[sb]:
+    k, level_end = 1, 1  # queue[:level_end] holds the pairs words of k reach
+    for i, pair in enumerate(queue):
+        if i == level_end:
+            k, level_end = k + 1, len(queue)
+        ka, kb = divmod(pair, nb)
+        if ra[ka] != rb[kb]:
             word = [inputs[0]]
-            while came[pair]:
-                pair, x = came[pair]
-                word.append(x)
+            while came[pair] is not None:
+                pair, j = divmod(came[pair], n)
+                word.append(inputs[j])
             return tuple(reversed(word)), False
-        for x in inputs if k < depth else ():
-            t = (update_a[(sa, x)], update_b[(sb, x)])
-            if t not in came:
-                came[t] = (pair, x)
-                queue.append((t, k + 1))
-        if k == depth and not more:
-            # the last level's successors are looked up, not stored; one
-            # a table lacks (past a trace quotient's last layer) is new
-            more = any((update_a.get((sa, x)), update_b.get((sb, x)))
-                       not in came for x in inputs)
+        ia, ib = ka * n, kb * n
+        if k < depth:
+            for j in range(n):
+                t = sa[ia + j] * nb + sb[ib + j]
+                if t not in came:
+                    came[t] = pair * n + j
+                    queue.append(t)
+        elif not more:
+            # the last level's successors are looked up, not stored
+            more = any(sa[ia + j] * nb + sb[ib + j] not in came
+                       for j in range(n))
         if len(came) > most:
             raise moore._over_the_limit("pair search reaches at least",
                                         len(came), len(inputs), "state pairs")
