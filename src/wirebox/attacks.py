@@ -42,7 +42,9 @@ class AttackError(WireboxError):
 
 class CompositeSystem(Record):
     """A wiring into a single box plus one machine per inner slot; a
-    misfit raises ``apply_algebra``'s MachineError."""
+    misfit raises ``apply_algebra``'s MachineError.  A step's result is
+    built unchecked (``Record._built``): ``check_step`` has checked the
+    slot it changes, and the boundary stays the same."""
 
     wiring: Wiring
     components: tuple[MooreMachine, ...]
@@ -145,7 +147,7 @@ def apply_rewrite(sys: CompositeSystem, step: RewriteStep) -> CompositeSystem:
         MachineHom(sys.components[step.index], step.machine, step.state_map)
     components = list(sys.components)
     components[step.index] = step.machine
-    return CompositeSystem(sys.wiring, tuple(components))
+    return CompositeSystem._built(sys.wiring, tuple(components))
 
 
 def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
@@ -158,7 +160,7 @@ def apply_rewire(sys: CompositeSystem, step: RewireStep) -> CompositeSystem:
     """
     check_step(sys, step)
     rewired = wi.precompose_slot(sys.wiring, step.index, step.endo)
-    return CompositeSystem(rewired, sys.components)
+    return CompositeSystem._built(rewired, sys.components)
 
 
 class LogEntry(Record):

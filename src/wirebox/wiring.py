@@ -17,7 +17,7 @@ substitutes, and a tensor of normal forms is one.  ``precompose_slot``
 reroutes one inner box through an endomorphism of it: its result is
 ``compose(g, tensor(pads))``, with identity pads on the other boxes,
 computed by substitution into only the expressions the endomorphism
-touches, and that general composite is its reference.  Nested
+changes, and that general composite is its reference.  Nested
 decompositions need no type of their own: a composite of composites is
 one wiring, built by ``compose`` and ``tensor``.
 
@@ -32,9 +32,9 @@ dict.  The positions depend on the boundary alone, so they are kept on
 the wiring and a rewire takes its base's.  The composite machines of
 ``moore.apply_algebra`` route through a whole wiring compiled once
 (``_Routing``), one function per component, and kept on the wiring, so
-every composite of one wiring object shares it; a slot rerouted by
-``precompose_slot`` takes its base's functions for every component
-whose entries it takes from the base.  Normalization compiles each
+every composite of one wiring object shares it; a rewire by
+``precompose_slot`` takes its base's and compiles again only the
+components it gives a new entry.  Normalization compiles each
 expression over the values of the references it reads.
 ``oracle.eval_equal`` checks the compiled routing against the source
 expressions, read by the reference's own evaluator.
@@ -391,12 +391,11 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
     pads are the identity on every inner box but ``endo`` at ``index``.
 
     The result is that composite, key order included; ``compose`` stays
-    its reference.  It is computed by substitution into the entries the
-    endomorphism touches: the slot's own inputs, and every entry that
-    reads an output of the slot which ``endo`` remaps.  Every other
-    entry is g's own object.  When g's routing is compiled, the
-    result's takes g's functions for the components whose entries are
-    all g's, and compiles the rest.
+    its reference.  It takes g's entries as the same objects and
+    normalizes the slot's inputs from endo's; only when endo remaps an
+    output of the slot does it look for the entries that read one, and
+    substitute into those.  When g's routing is compiled, the result's
+    is g's with the components given a new entry compiled again.
     """
     if not 0 <= index < len(g.inner):
         raise CompositionError(f"no inner box {index}")
@@ -410,6 +409,7 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
                 for (_, q), expr in endo.out_map.items()
                 if expr != InnerOut(0, q)}
     at = _kept(g, "_positions", _positions)
+    g_in = g.in_map
 
     def via_endo(ref: Ref) -> SourceExpr:
         return remapped.get(ref, ref)
@@ -419,30 +419,35 @@ def precompose_slot(g: Wiring, index: int, endo: Wiring) -> Wiring:
         # what g feeds the slot
         if isinstance(ref, InnerOut):
             return InnerOut(index, ref.port)
-        return _substitute(g.in_map[(index, ref.port)], via_endo)
+        return _substitute(g_in[(index, ref.port)], via_endo)
 
-    def entry(expr: SourceExpr) -> SourceExpr:
-        # a normal form's table reads references only
-        refs = expr.sources if isinstance(expr, Table) else (expr,)
-        if not any(r in remapped for r in refs):
-            return expr
-        return _normalize_expr(g, at, _substitute(expr, via_endo))
-
+    # the slot's inputs in endo's key order, every other box's in port order
+    own = {(index, name): _normalize_expr(g, at, _substitute(expr, via_g))
+           for (_, name), expr in endo.in_map.items()}
+    redo = {index} if any(e is not g_in[k] for k, e in own.items()) else set()
     in_map: dict[PortKey, SourceExpr] = {}
     for k, b in enumerate(g.inner):
         if k == index:
-            for (_, name), expr in endo.in_map.items():
-                in_map[(k, name)] = _normalize_expr(
-                    g, at, _substitute(expr, via_g))
+            in_map.update(own)
         else:
             for p in b.in_ports:
-                in_map[(k, p.name)] = entry(g.in_map[(k, p.name)])
-    out_map = {key: entry(expr) for key, expr in g.out_map.items()}
+                in_map[(k, p.name)] = g_in[(k, p.name)]
+    out_map = dict(g.out_map)
+    # the entries that read an output endo remaps, which are substituted;
+    # a normal form's table reads references only
+    touched = [(side, key) for side in ((in_map, out_map) if remapped else ())
+               for key, e in side.items() if side is out_map or key[0] != index
+               if any(r in remapped for r in (
+                   e.sources if isinstance(e, Table) else (e,)))]
+    for side, key in touched:
+        side[key] = _normalize_expr(g, at, _substitute(side[key], via_endo))
+    redo.update(key[0] for side, key in touched if side is in_map)
     n = Wiring._built(g.inner, g.outer, in_map, out_map)
     # n has g's boundary, so g's positions are n's
     object.__setattr__(n, "_positions", at)
     if hasattr(g, "_routing"):
-        object.__setattr__(n, "_routing", _Routing(n, g))
+        object.__setattr__(n, "_routing", _Routing(
+            n, g._routing, redo, any(side is out_map for side, _ in touched)))
     return n
 
 
@@ -480,44 +485,37 @@ def _positions(w: Wiring) -> dict[Ref, int]:
 
 
 class _Routing:
-    """A wiring compiled to index-based routing.
+    """A wiring in normal form compiled to index-based routing.
 
     Values travel as one flat tuple: the inner output values in document
     order, then the outer input values, so every port reference is a
     position in it.  ``slots`` holds one function of that tuple per inner
     box, giving its input tuple, and ``outer_out`` one giving the outer
     outputs.  ``reads_outer`` flags the inner boxes whose inputs mention
-    an outer input; the others, like ``outer_out``, read only the inner
-    output prefix.
+    an outer input, read off the normal forms; the others, like
+    ``outer_out``, read only the inner output prefix.
     """
 
     __slots__ = ("slots", "outer_out", "reads_outer")
 
-    def __init__(self, w: Wiring, base: Wiring | None = None):
-        """Compile ``w``; or, given ``base``, a wiring on w's boundary
-        whose routing is compiled, take base's function and flag for
-        every component whose entries are all base's own objects, and
-        compile the rest."""
+    def __init__(self, w: Wiring, base: _Routing | None = None,
+                 redo=(), redo_out: bool = False):
+        """Compile ``w``; or, given ``base``, the routing of a wiring
+        whose entries are w's but in the inner boxes ``redo`` and, with
+        ``redo_out``, the outer outputs: take base's functions and flags
+        and compile only those."""
         at = _kept(w, "_positions", _positions)
-
-        def taken(side: str, keys) -> bool:
-            return base is not None and all(
-                getattr(w, side)[k] is getattr(base, side)[k] for k in keys)
-
-        slots, reads_outer = [], []
-        for i, b in enumerate(w.inner):
-            keys = [(i, p.name) for p in b.in_ports]
-            if taken("in_map", keys):
-                slots.append(base._routing.slots[i])
-                reads_outer.append(base._routing.reads_outer[i])
-            else:
-                exprs = [w.in_map[k] for k in keys]
-                slots.append(_compile_tuple(exprs, at))
-                reads_outer.append(any(isinstance(r, OuterIn)
-                                       for e in exprs for r in expr_refs(e)))
-        keys = [(j, p.name) for j, p in w.outer_output_ports()]
-        self.outer_out = (base._routing.outer_out if taken("out_map", keys)
-                          else _compile_tuple([w.out_map[k] for k in keys], at))
+        slots = list(base.slots) if base else [None] * len(w.inner)
+        reads_outer = list(base.reads_outer) if base else [False] * len(w.inner)
+        for i in redo if base else range(len(w.inner)):
+            exprs = [w.in_map[(i, p.name)] for p in w.inner[i].in_ports]
+            slots[i] = _compile_tuple(exprs, at)
+            reads_outer[i] = any(
+                type(e) is OuterIn or type(e) is Table
+                and any(type(r) is OuterIn for r in e.sources) for e in exprs)
+        self.outer_out = (base.outer_out if base and not redo_out else
+                          _compile_tuple([w.out_map[(j, p.name)] for j, p
+                                          in w.outer_output_ports()], at))
         self.slots = tuple(slots)
         self.reads_outer = tuple(reads_outer)
 
@@ -585,12 +583,13 @@ def _normalize_expr(w: Wiring, at: Mapping[Ref, int],
     rows = [(combo, fn(combo)) for combo in itertools.product(*alphabets)]
     keep: list[int] = []
     for i in range(len(refs)):
-        groups: dict[tuple[Symbol, ...], set[Symbol]] = {}
+        # the value depends on refs[i] when two rows that differ only
+        # there differ in value
+        first: dict[tuple[Symbol, ...], Symbol] = {}
         for key, value in rows:
-            rest = key[:i] + key[i + 1:]
-            groups.setdefault(rest, set()).add(value)
-        if any(len(vs) > 1 for vs in groups.values()):
-            keep.append(i)
+            if first.setdefault(key[:i] + key[i + 1:], value) != value:
+                keep.append(i)
+                break
     if not keep:
         return Const(rows[0][1])
     kept_refs = tuple(refs[i] for i in keep)

@@ -391,6 +391,50 @@ def test_kept_fingerprints_agree_with_fresh_copies(seed):
     assert first.system == current
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_a_step_builds_its_system_without_fitting_the_machines_again(seed):
+    # check_step checks the slot a step changes, and the boundary stays
+    # the same, so neither step calls _machines_fit; every system it
+    # builds is the one the checking constructor builds
+    rng = random.Random(seed)
+    w, machines = random_network(rng)
+    system = CompositeSystem(w, machines)
+    script = random_script(rng, w, machines)
+    fitted = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attacks, "_machines_fit", lambda *a: fitted.append(a))
+        result = apply_script(system, script)
+    assert fitted == []
+    for entry in result.log:
+        built = entry.system
+        assert type(built.components) is tuple
+        assert built == CompositeSystem(built.wiring, built.components)
+
+
+def test_a_misfit_step_is_refused_before_any_system_is_built(monkeypatch):
+    def never(*args):
+        raise AssertionError("a step fitted its machines again")
+    system = single()
+    monkeypatch.setattr(attacks, "_machines_fit", never)
+    with pytest.raises(AttackError) as exc:
+        apply_rewrite(system, RewriteStep(0, machine=wide_delay()))
+    assert str(exc.value) == f"replacement does not fit slot 0: {WIDE_DIFFERS}"
+    with pytest.raises(AttackError) as exc:
+        apply_rewire(system, RewireStep(0, identity_wiring(WIDE)))
+    assert str(exc.value) == \
+        f"endomorphism does not fit slot 0: {WIDE_DIFFERS}"
+    # a state map's morphism checks the replacement's box itself
+    with pytest.raises(MachineError) as exc:
+        apply_rewrite(system, RewriteStep(0, wide_delay(), {s: s for s in BIT}))
+    assert str(exc.value) == (
+        "source and target inhabit different boxes: input port 'a' on box "
+        "'cell': alphabet ['0', '1'] vs ['0', '1', '2']")
+    with pytest.raises(AttackError) as exc:
+        apply_rewire(system, RewireStep(1, not_endo()))
+    assert str(exc.value) == "no component 1; system has 1"
+
+
 # fingerprints of the scenario's wirings; a change of the normal form's
 # source order or text shows here first
 SCENARIO_FINGERPRINTS = {

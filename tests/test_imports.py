@@ -6,7 +6,8 @@ wirebox.cli`` and each command load, and the stdlib modules behind
 no submodule and defines only ``WireboxError``, ``Record`` and
 ``__version__``; the writers ``fileformat`` resolves on first use; and
 that every record, results and documents included, is a
-``wirebox.Record`` and none a named tuple.
+``wirebox.Record`` and none a named tuple; and that the README's "Kept
+values" table lists every attribute ``wirebox._kept`` stores.
 
 The unused-import check uses the stdlib ``ast`` module only: a name
 counts as used when it appears as a name node anywhere in the module.
@@ -474,3 +475,29 @@ def test_every_library_error_is_a_wirebox_error():
 def test_unknown_names_are_attribute_errors():
     with pytest.raises(AttributeError, match="no_such_name"):
         wirebox.no_such_name
+
+
+def kept_attributes() -> set[str]:
+    """Every attribute name a library call ``_kept(obj, "<name>", ...)``
+    stores, read off the source by ``ast``."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "_kept":
+                name = node.args[1]
+                assert isinstance(name, ast.Constant), (path.name, node.lineno)
+                names.add(name.value)
+    return names
+
+
+def test_the_readme_lists_every_kept_value():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Kept values\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `")]
+    listed = {cells[1].strip().strip("`") for cells in rows}
+    kept = kept_attributes()
+    assert {"_routing", "_positions", "_numbering"} <= kept
+    assert sorted(kept - listed) == []
+    assert sorted(listed - kept) == []

@@ -522,27 +522,95 @@ def test_a_rewire_normalizes_only_the_slot_and_builds_no_pad(monkeypatch):
     endo = Wiring((box,), (box,),
                   {(0, p.name): Const("1") for p in box.in_ports},
                   {(0, p.name): InnerOut(0, p.name) for p in box.out_ports})
+    _kept(g, "_routing", _Routing)  # compiles g's routing and keeps it
     for name in ("compose", "tensor", "identity_wiring"):
         monkeypatch.setattr(wiring, name, None)
-    normalized, entries = [], []
+    normalized, entries, substituted, compiled = [], [], [], []
     monkeypatch.setattr(wiring, "_normal_form",
                         lambda w, real=wiring._normal_form:
                         normalized.append(w) or real(w))
     monkeypatch.setattr(wiring, "_normalize_expr",
                         lambda w, at, e, real=wiring._normalize_expr:
                         entries.append(e) or real(w, at, e))
+    monkeypatch.setattr(wiring, "_substitute",
+                        lambda e, sub, real=wiring._substitute:
+                        substituted.append(e) or real(e, sub))
+    monkeypatch.setattr(wiring, "_compile_tuple",
+                        lambda exprs, at, real=wiring._compile_tuple:
+                        compiled.append(exprs) or real(exprs, at))
     system = CompositeSystem(g, machines)
     first = apply_rewire(system, RewireStep(index, endo))
     # the base is a normal form already, and only the slot's inputs are
     # normalized, since endo remaps none of its outputs
     assert normalized == []
     assert len(entries) == len(box.in_ports)
+    # nothing but endo's own entries is substituted into, and only the
+    # rerouted slot is compiled
+    assert [id(e) for e in substituted] == [id(e) for e in endo.in_map.values()]
+    assert compiled == [[Const("1")] * len(box.in_ports)]
+    mine, theirs = first.wiring._routing, g._routing
+    assert all(f is h for f, h in zip(mine.slots[:index], theirs.slots))
+    assert mine.outer_out is theirs.outer_out
     second = apply_rewire(system, RewireStep(index, endo))
     assert normalized == []
     assert len(entries) == 2 * len(box.in_ports)
+    assert len(substituted) == 2 * len(box.in_ports)
+    assert len(compiled) == 2
     assert second.wiring == first.wiring
     assert all(second.wiring.in_map[(index, p.name)] == Const("1")
                for p in box.in_ports)
+
+
+def quiet_endo(rng: random.Random, box: Box) -> Wiring:
+    """An endomorphism of ``box`` that remaps no output, as the fixtures'
+    ``gps-swap`` and the benchmark's do: the identity, or inputs drawn
+    like any wiring's, over the box's own inputs and outputs, with their
+    keys in a shuffled order."""
+    if rng.random() < 0.25:
+        return identity_wiring(box)
+    drawn = random_wiring(rng, (box,), box)
+    keys = list(drawn.in_map)
+    rng.shuffle(keys)
+    return Wiring((box,), (box,), {k: drawn.in_map[k] for k in keys},
+                  {(0, p.name): InnerOut(0, p.name) for p in box.out_ports})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9))
+def test_a_rewire_that_remaps_no_output_compiles_only_its_slot(seed):
+    rng = random.Random(seed)
+    drawn, _ = random_network(rng)
+    # a base whose inputs are keyed in a shuffled order, as a document
+    # may write them; the result's order is the padded composite's
+    keys = list(drawn.in_map)
+    rng.shuffle(keys)
+    g = Wiring(drawn.inner, drawn.outer, {k: drawn.in_map[k] for k in keys},
+               drawn.out_map)
+    index = rng.randrange(len(g.inner))
+    endo = quiet_endo(rng, g.inner[index])
+    want = padded(g, index, endo)
+    theirs = _kept(g, "_routing", _Routing)
+    got = precompose_slot(g, index, endo)
+    assert got == want
+    assert list(got.in_map) == list(want.in_map)
+    assert list(got.out_map) == list(want.out_map)
+    assert wiring_text(got) == wiring_text(want)
+    # every other slot and the outer outputs keep g's functions; the
+    # slot keeps its own when its entries come back as g's objects
+    mine = got._routing
+    own = all(got.in_map[(index, p.name)] is g.in_map[(index, p.name)]
+              for p in g.inner[index].in_ports)
+    assert [f is h for f, h in zip(mine.slots, theirs.slots)] == \
+        [k != index or own for k in range(len(g.inner))]
+    assert mine.outer_out is theirs.outer_out
+    assert all(got.in_map[key] is e for key, e in g.in_map.items()
+               if key[0] != index)
+    assert all(got.out_map[key] is e for key, e in g.out_map.items())
+    fresh = _Routing(want)
+    for inner_outs, outer_in in points(g):
+        values = inner_outs + outer_in
+        assert routed(mine, values) == routed(fresh, values)
+    assert mine.reads_outer == fresh.reads_outer
 
 
 @pytest.mark.parametrize("seed", range(6))
