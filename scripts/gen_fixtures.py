@@ -271,11 +271,18 @@ def gen_fincat() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def gen_golden() -> dict[str, str]:
+    # what `compose --name real` prints and `attack --script combo --out`
+    # writes for the bundled scenario
+    attacked = apply_script(uav.build_uav_attacker_view(), uav.combo_script())
     return {
         "golden/identity.dot":
             wiring_dot(identity_wiring(uav.gps_box()), "identity"),
         "golden/sensor-view.dot":
             wiring_dot(uav.sensor_view_wiring(), "sensor-view"),
+        "golden/real-composite.yaml":
+            ff.dump_machine("real", uav.build_uav_real().composite()),
+        "golden/combo-attacked.yaml":
+            ff.dump_system({"attacker-view-attacked": attacked.system}),
     }
 
 

@@ -14,12 +14,15 @@ inputs, and every component steps at once.  A machine is checked when
 ``MooreMachine(...)`` builds it, so every machine is total and a
 composite is built unchecked.  The wiring's routing is compiled once
 per wiring.  Nothing the size of the product is built: ``states`` is
-a read-only sequence over the component state sets, and the rows of
-``update`` and ``readout`` are routed on demand, a state's rows in both
-tables at once: those of the states reachable from ``init`` when the
-composite is built, and any other state's on the first lookup of one of
-its rows, where an update lookup routes its updates alone.  Each table
-is a ``dict`` of the rows routed so far, so a routed row is read by
+a read-only sequence over the component state sets.  Building routes
+the states reachable from ``init`` and keeps their rows once, numbered
+breadth first (``_Numbering``); ``run``, ``validate_machine`` and
+``probes``' walks step those integers, and another machine is numbered
+on its first such read.  The tables ``update`` and ``readout`` start
+empty: a table's first miss copies all its reachable rows from the
+numbering, and any other state's rows are routed on the first lookup
+of one of them, where an update lookup routes its updates alone.  Each
+table is a ``dict`` of the rows it holds, so a held row is read by
 dict's own lookup, and it reads as a read-only mapping over the whole
 product that lists its keys in product order without routing a row.
 A reader that walks the whole product (iterating ``states`` or a table,
@@ -27,9 +30,6 @@ so validating, rendering, dumping, comparing or checking morphisms)
 refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
 refuses a reachable part of more than that many, and stepping and
 running never refuse.
-Building also numbers the reachable part breadth first (``_Numbering``);
-``run``, ``validate_machine`` and ``probes``' walks step those integers,
-not the tables, and another machine is numbered on its first such read.
 ``lift_hom`` lifts machine morphisms along a wiring, given the two
 composites it makes of their sources and of their targets: the lifted
 state map acts componentwise, is read-only and maps a state on lookup,
@@ -60,7 +60,7 @@ class MooreMachine(Record):
     ``states`` is a tuple, or a composite's read-only product sequence;
     ``update`` maps (state, input tuple) to the next state; ``readout``
     maps a state to its output tuple.  Tables are plain dicts, or a
-    composite's dict subclasses routed on demand, which read as
+    composite's dict subclasses filled on demand, which read as
     read-only mappings over the whole product (see ``apply_algebra``
     and ``_Table``).  Construction raises MachineError with the first
     of ``_machine_errors``, so every machine is total; it skips the
@@ -285,21 +285,25 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     routes component readouts through the out_map.
 
     The components were checked when built and the wiring when built, so
-    every routed row exists and the composite is built unchecked
+    once the machines fit the wiring's slots (``_machines_fit``) every
+    routed row exists and the composite is built unchecked
     (``Record._built``).  The wiring is compiled on its first
     composite and the compiled routing kept on it (``_kept``), so a
     wiring object is compiled once however many composites it makes;
-    they share the routing, which holds no table.  The rows of the
-    states reachable from ``init`` are routed here, by a breadth-first
-    search from ``init`` that numbers them (``_Numbering``); any other
+    they share the routing, which holds no table.  Building routes the
+    states reachable from ``init``, by a breadth-first search that
+    numbers them (``_Numbering``) and stores no row elsewhere: the
+    numbering is the composite's one store of its reachable rows.  The
+    tables start empty.  A table's first miss copies every reachable row
+    of that table from the numbering at once; after it, any other
     state's rows are routed on the first lookup of one of them, its
     readout and updates on a readout lookup, its updates alone on an
-    update lookup.  A routed row is read by dict's own lookup (see
+    update lookup.  A held row is read by dict's own lookup (see
     ``_Table``).  Within one state, components fed only by inner outputs
     are routed once, then the others per outer input.
     Either table lists its keys in product order, and counts them,
     without routing a row; reading its values (``items``, ``values``,
-    ``==``, ``repr``) routes the rows read.
+    ``==``, ``repr``) copies or routes the rows read.
 
     Building costs the reachable part alone, whatever the product's size,
     and is refused with a MachineError once the search has found more
@@ -309,18 +313,22 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     when the product has more than ``MAX_TRANSITIONS`` transitions.
     """
     _machines_fit(w, machines)
+    return _build_composite(w, machines)
+
+
+def _build_composite(w: Wiring, machines: Sequence[MooreMachine]
+                     ) -> MooreMachine:
+    """``apply_algebra`` for machines known to fit ``w``'s slots, as a
+    ``CompositeSystem``'s do: it builds without checking the fit."""
     outer = w.outer[0]
-    routing = _kept(w, "_routing", _Routing)
-    states = _Product(tuple(m.states for m in machines),
-                      math.prod(len(p.alphabet) for p in outer.in_ports))
+    router = _Router(_kept(w, "_routing", _Routing), machines, outer)
     init = tuple(m.init for m in machines)
-    router = _Router(routing, machines, states, outer)
+    router.numbering = _number(init, router.fill, router.inputs,
+                               MAX_TRANSITIONS // len(router.inputs))
     update = _UpdateTable(router)
-    readout = _ReadoutTable(router, update)
-    m = MooreMachine._built(outer, states, init, update, readout)
-    object.__setattr__(m, "_numbering", _number(
-        init, lambda s: router.fill(s, update, readout), router.inputs,
-        MAX_TRANSITIONS // len(router.inputs)))
+    m = MooreMachine._built(outer, router.states, init, update,
+                            _ReadoutTable(router, update))
+    object.__setattr__(m, "_numbering", router.numbering)
     return m
 
 
@@ -336,7 +344,8 @@ class _Product(Sequence):
     sets, in product order, stored as those sets alone.
 
     ``len``, ``in`` and indexing (mixed radix, last component fastest)
-    cost a few operations each; ``==`` and ``hash`` agree with the equal
+    cost a few operations each; the first ``in`` builds a frozenset of
+    each component's states.  ``==`` and ``hash`` agree with the equal
     tuple's.  Iteration, and so everything that walks the whole product
     (``hash``, ``repr``, ``==`` against a differing product, a table's
     iteration, validation, rendering, morphism checks), raises
@@ -348,7 +357,6 @@ class _Product(Sequence):
 
     def __init__(self, parts: tuple[Sequence[State], ...], n_inputs: int):
         self._parts = parts
-        self._members = [frozenset(p) for p in parts]
         self._n_inputs = n_inputs
         self._len = math.prod(map(len, parts))
 
@@ -356,8 +364,12 @@ class _Product(Sequence):
         return self._len
 
     def __contains__(self, s) -> bool:
-        return (isinstance(s, tuple) and len(s) == len(self._members)
-                and all(map(operator.contains, self._members, s)))
+        try:
+            members = self._members
+        except AttributeError:  # threads that race build equal sets
+            members = self._members = [frozenset(p) for p in self._parts]
+        return (isinstance(s, tuple) and len(s) == len(members)
+                and all(map(operator.contains, members, s)))
 
     def __iter__(self):
         if self._len * self._n_inputs > MAX_TRANSITIONS:
@@ -392,23 +404,26 @@ class _Product(Sequence):
 
 
 class _Router:
-    """Routes a composite's rows one state at a time, into the tables
-    it is handed.
+    """Routes a composite's rows one state at a time, storing them only
+    in the tables it is handed.
 
-    It holds the compiled wiring and the component tables but no table
-    of the composite, so the tables that hold it form no reference
-    cycle, and a dead composite is freed by refcounting.
+    It holds the compiled wiring, the component tables, the product
+    ``states`` and, once built, the ``numbering`` the tables copy their
+    reachable rows from, but no table of the composite, so the tables
+    that hold it form no reference cycle, and a dead composite is freed
+    by refcounting.
     """
 
-    __slots__ = ("states", "is_state", "inputs", "_readouts", "_outer_out",
-                 "_fixed", "_varying")
+    __slots__ = ("states", "is_state", "inputs", "numbering", "_readouts",
+                 "_outer_out", "_fixed", "_varying")
 
     def __init__(self, routing: _Routing, machines: Sequence[MooreMachine],
-                 states: _Product, outer: Box):
-        self.states = states
-        # is s a composite state, one of the product's tuples?
-        self.is_state = states.__contains__
+                 outer: Box):
         self.inputs = input_space([outer])
+        self.states = _Product(tuple(m.states for m in machines),
+                               len(self.inputs))
+        # is s a composite state, one of the product's tuples?
+        self.is_state = self.states.__contains__
         self._readouts = [m.readout for m in machines]
         self._outer_out = routing.outer_out
         # (slot, its input function, its update table); slots that read
@@ -418,11 +433,12 @@ class _Router:
         self._fixed = [t for t in slots if not routing.reads_outer[t[0]]]
         self._varying = [t for t in slots if routing.reads_outer[t[0]]]
 
-    def fill(self, s: State, update: dict, readout: dict | None = None
-             ) -> tuple:
+    def fill(self, s: State, update: dict | None = None,
+             readout: dict | None = None) -> tuple:
         """Route composite state ``s``: store its update rows in
-        ``update``, and its readout in ``readout`` when given; return its
-        readout and its successors, one per outer input in order.
+        ``update`` and its readout in ``readout``, each when given;
+        return its readout and its successors, one per outer input in
+        order.
 
         The components are total and the wiring routes only values of
         their alphabets, so every component row looked up exists.
@@ -442,7 +458,8 @@ class _Router:
             for i, f, table in self._varying:
                 nxt[i] = table[(s[i], f(values))]
             nexts.append(tuple(nxt))
-        dict.update(update, zip([(s, x) for x in self.inputs], nexts))
+        if update is not None:
+            dict.update(update, zip([(s, x) for x in self.inputs], nexts))
         return out, nexts
 
 
@@ -451,29 +468,43 @@ def _read_only(table, *args, **kwargs):
 
 
 class _Table(dict):
-    """A composite's update or readout table: a dict of the rows routed
-    so far that reads as a read-only mapping over the whole product.
+    """A composite's update or readout table: a dict of the rows held so
+    far that reads as a read-only mapping over the whole product.
 
-    It starts with the rows ``apply_algebra`` routed.  ``__getitem__`` is
-    dict's own, so a routed row costs one dict lookup; a lookup that
-    misses a key of the product (a composite state, and for an update
-    row an outer input) routes that state (``_Router.fill``, which never
-    fails: the components are total) and reads the row again, and any
-    other miss raises KeyError, routing nothing.  The keys
-    are the product's, in product order: iteration and ``len`` take them
-    from the router's ``states`` and route nothing, while ``in``,
-    ``get``, ``keys``, ``items``, ``values``, ``==``, ``!=`` and ``repr``
-    are the ``Mapping`` mixins, which look rows up.  Iteration meets the
-    product's size limit (see ``_Product``).  Every other dict method,
-    writes, ``copy``, ``|`` and ``reversed`` included, raises TypeError;
-    the router stores rows through dict's own methods.  Two threads
-    routing the same state store the same values.
+    It starts empty: the composite's reachable rows are kept once, in
+    its numbering.  ``__getitem__`` is dict's own, so a held row costs
+    one dict lookup.  A lookup that misses a key of the product (a
+    composite state, and for an update row an input of the input space)
+    copies, on the table's first such miss, every reachable row of this
+    table from the numbering in one ``dict.update``; a key still missing
+    after that is an unreachable state's, which it routes
+    (``_Router.fill``, which never fails: the components are total)
+    before reading the row again.  Any other miss raises KeyError,
+    copying and routing nothing.  The keys are the product's, in product
+    order: iteration and ``len`` take them from the router's ``states``
+    and read no row, while ``in``, ``get``, ``keys``, ``items``,
+    ``values``, ``==``, ``!=`` and ``repr`` are the ``Mapping`` mixins,
+    which look rows up.  Iteration meets the product's size limit (see
+    ``_Product``).  Every other dict method, writes, ``copy``, ``|`` and
+    ``reversed`` included, raises TypeError; rows are stored through
+    dict's own methods.  Two threads copying or routing the same rows
+    store equal values.
     """
 
-    __slots__ = ("_router",)
+    __slots__ = ("_router", "_copied")
 
     def __init__(self, router: _Router):
         self._router = router
+        self._copied = False
+
+    def _held(self, key):
+        """The row at ``key``, a key of the product, once the reachable
+        rows are copied; None when it is an unreachable state's not yet
+        routed (no row is None)."""
+        if not self._copied:
+            dict.update(self, self._reachable_rows(self._router.numbering))
+            self._copied = True
+        return dict.get(self, key)
 
     __contains__ = Mapping.__contains__
     get = Mapping.get
@@ -481,7 +512,7 @@ class _Table(dict):
     items = Mapping.items
     values = Mapping.values
     __eq__ = Mapping.__eq__
-    # dict's own != compares the routed rows alone
+    # dict's own != compares the held rows alone
     __ne__ = object.__ne__
     __setitem__ = __delitem__ = setdefault = update = pop = popitem = \
         clear = copy = __or__ = __ror__ = __ior__ = __reversed__ = _read_only
@@ -491,8 +522,9 @@ class _Table(dict):
 
 
 class _UpdateTable(_Table):
-    """Update rows, keyed (state, outer input).  A miss routes that
-    state's update rows alone."""
+    """Update rows, keyed (state, outer input).  A miss never writes the
+    readout table: it copies the reachable update rows, or routes an
+    unreachable state's update rows alone."""
 
     __slots__ = ()
 
@@ -500,10 +532,18 @@ class _UpdateTable(_Table):
         s = key[0] if isinstance(key, tuple) and len(key) == 2 else None
         # an input outside the input space routes nothing: routing would
         # not store its row, and dict's lookup would call __missing__ again
-        if not self._router.is_state(s) or key[1] not in self._router.inputs:
+        if (not self._router.is_state(s)
+                or key[1] not in self._router.numbering.column):
             raise KeyError(key)
-        self._router.fill(s, self)
-        return dict.__getitem__(self, key)
+        row = self._held(key)
+        if row is None:
+            self._router.fill(s, self)
+            row = dict.__getitem__(self, key)
+        return row
+
+    def _reachable_rows(self, num: _Numbering):
+        return zip(itertools.product(num.states, self._router.inputs),
+                   map(num.states.__getitem__, num.succ))
 
     def __iter__(self):
         states, inputs = self._router.states, self._router.inputs
@@ -515,8 +555,8 @@ class _UpdateTable(_Table):
 
 class _ReadoutTable(_Table):
     """Readout rows, keyed by state.  It holds the update table, and not
-    the other way round, so the two form no reference cycle; a miss
-    routes that state's rows into both."""
+    the other way round, so the two form no reference cycle; a miss on
+    an unreachable state routes its rows into both."""
 
     __slots__ = ("_update",)
 
@@ -527,8 +567,15 @@ class _ReadoutTable(_Table):
     def __missing__(self, s):
         if not self._router.is_state(s):
             raise KeyError(s)
-        self._router.fill(s, self._update, self)
-        return dict.__getitem__(self, s)
+        row = self._held(s)
+        if row is None:
+            self._router.fill(s, self._update, self)
+            row = dict.__getitem__(self, s)
+        return row
+
+    @staticmethod
+    def _reachable_rows(num: _Numbering):
+        return zip(num.states, num.readouts)
 
     def __iter__(self):
         return iter(self._router.states)

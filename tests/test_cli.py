@@ -309,6 +309,20 @@ def test_compose_emits_the_composite_machine(scenario):
     assert find_distinguishing_word(doc.machine, view, 5) is None
 
 
+def test_compose_and_attack_out_write_the_golden_bytes(tmp_path):
+    # compose reads every row of the composite, reachable or not, and
+    # attack --out renders a rewired system; scripts/gen_fixtures.py
+    # writes both goldens from the builders in tests/uav.py
+    golden = FIXTURES / "golden"
+    assert cli("compose", "--system", UAV / "scenario.yaml",
+               "--name", "real") == (
+        EX_OK, (golden / "real-composite.yaml").read_text(encoding="utf-8"), "")
+    dest = tmp_path / "attacked.yaml"
+    assert cli("attack", "--scenario", UAV / "scenario.yaml", "--script",
+               "combo", "--out", dest)[::2] == (EX_OK, "")
+    assert dest.read_bytes() == (golden / "combo-attacked.yaml").read_bytes()
+
+
 def test_compose_unknown_name_is_a_data_error():
     code, _, err = cli("compose", "--system", UAV / "scenario.yaml",
                        "--name", "ghost")
@@ -727,12 +741,14 @@ def test_a_command_builds_only_the_composites_it_reads(monkeypatch, argv, want):
     # and the attacked system, simulate and compose one system each
     built = []
 
-    def spy(w, machines, apply=wirebox.moore.apply_algebra):
+    def spy(w, machines, build=wirebox.moore._build_composite):
         built.append(w)
-        return apply(w, machines)
+        return build(w, machines)
 
+    # apply_algebra builds through moore's binding, a system's composite
+    # through attacks'
     for module in (wirebox.moore, wirebox.attacks):
-        monkeypatch.setattr(module, "apply_algebra", spy)
+        monkeypatch.setattr(module, "_build_composite", spy)
     code, _, err = cli(*argv)
     assert (code, err) == (1 if argv[0] == "diff" else EX_OK, "")
     assert len(built) == want

@@ -288,9 +288,19 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     for s in (want.init[:-1], want.init + want.init[:1],
               ("s9",) + want.init[1:], want.init[0], list(want.init), None):
         assert s not in states
-    # built: the rows of the states reachable from init, and no others
-    assert set(dict.keys(m.readout)) == reachable(want)
-    inputs = m.inputs()
+    # built: the rows of the states reachable from init, kept once, in the
+    # numbering; both tables hold none
+    reached, inputs = reachable(want), m.inputs()
+    assert dict.__len__(m.update) == dict.__len__(m.readout) == 0
+    num = moore._numbered(m)
+    assert len(num.states) == len(reached) and set(num.states) == reached
+    # a table's first read of a reachable row copies that table's
+    # reachable rows, and no others
+    s = num.states[-1]
+    assert m.readout[s] == want.readout[s] and dict.__len__(m.update) == 0
+    assert set(dict.keys(m.readout)) == reached
+    assert m.update[(s, inputs[-1])] == want.update[(s, inputs[-1])]
+    assert set(dict.keys(m.update)) == {(r, x) for r in reached for x in inputs}
     for _ in range(8):
         s, x = rng.choice(want.states), rng.choice(inputs)
         assert m.update[(s, x)] == want.update[(s, x)]
@@ -427,22 +437,24 @@ def test_composite_tables_answer_dict_methods_whole_or_refuse_them():
 
 
 def test_an_input_outside_the_input_space_misses_in_both_tables():
-    # s is in the product and not reachable from init: a miss on an input
-    # outside the input space routes nothing and finds no row for the key
+    # s is in the product, reachable from init or not: a miss on an input
+    # outside the input space copies and routes nothing and finds no row
+    # for the key
     m = apply_algebra(*history_row(3))
-    s = next(s for s in m.states if s not in dict.keys(m.readout))
-    for bad in (("2",), ("0", "0"), ()):
-        for table in (m.update, m.readout):
-            assert (s, bad) not in table and table.get((s, bad)) is None
-            with pytest.raises(KeyError):
-                table[(s, bad)]
-    assert (s, ("1",)) not in dict.keys(m.update)
-    assert s not in dict.keys(m.readout)
+    unreachable = next(s for s in m.states if s not in moore._numbered(m).index)
+    for s in (m.init, unreachable):
+        for bad in (("2",), ("0", "0"), ()):
+            for table in (m.update, m.readout):
+                assert (s, bad) not in table and table.get((s, bad)) is None
+                with pytest.raises(KeyError):
+                    table[(s, bad)]
+        assert (s, ("1",)) not in dict.keys(m.update)
+        assert s not in dict.keys(m.readout)
 
 
 def test_an_update_miss_routes_only_a_key_of_the_product(monkeypatch):
     m = apply_algebra(*history_row(3))
-    s = next(s for s in m.states if s not in dict.keys(m.readout))
+    s = next(s for s in m.states if s not in moore._numbered(m).index)
     fills = []
     fill = moore._Router.fill
     monkeypatch.setattr(moore._Router, "fill",
@@ -450,21 +462,62 @@ def test_an_update_miss_routes_only_a_key_of_the_product(monkeypatch):
     for _ in range(3):
         assert m.update.get((s, ("2",))) is None
     assert fills == []
-    # a valid lookup routes the state once, storing both of its rows:
-    # each cell shifts in the newest bit of the cell before it
+    # a valid lookup copies the reachable update rows, then routes s
+    # once, storing its update rows alone: each cell shifts in the newest
+    # bit of the cell before it
     for x in BIT:
         assert m.update[(s, (x,))] == (s[0][1] + x, s[1][1] + s[0][1],
                                        s[2][1] + s[1][1])
     assert fills == [s]
+    assert dict.__len__(m.update) == 2 * (len(moore._numbered(m).states) + 1)
+    assert dict.__len__(m.readout) == 0
 
 
 def test_a_readout_lookup_routes_the_whole_state():
     # ('0',) is not reachable from the hull's init ('1',), so the first
     # lookup of its readout routes it, update rows included
     m = apply_algebra(hull(), (delay("1"),))
-    assert ("0",) not in dict.keys(m.readout)
+    assert ("0",) not in moore._numbered(m).index
     assert m.readout[("0",)] == ("0",)
     assert dict.get(m.update, (("0",), ())) == ("0",)
+    # the readout table copied its reachable row; the update table did not
+    assert dict.get(m.readout, ("1",)) == ("1",)
+    assert dict.get(m.update, (("1",), ())) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 9), st.sampled_from(("readout", "update",
+                                                   "unreachable")))
+def test_any_read_order_gives_the_eager_rows(seed, first):
+    # the tables start empty and fill from the numbering on their first
+    # miss and by routing after it: whichever table is read first, and
+    # whether the first row read is a reachable state's or not, every
+    # row read is the eager reference's, and reading them all leaves
+    # exactly the reference's rows in both dicts
+    rng = random.Random(seed)
+    w, machines = random_network(rng)
+    want = eager_apply_algebra(w, machines)
+    m = apply_algebra(w, machines)
+    index = moore._numbered(m).index
+    reads = {name: [(name, k) for k in getattr(want, name)]
+             for name in ("readout", "update")}
+    for keys in reads.values():
+        rng.shuffle(keys)
+    if first == "unreachable":
+        order = reads["readout"] + reads["update"]
+        rng.shuffle(order)
+        unreachable = [s for s in want.states if s not in index]
+        if unreachable:
+            s = rng.choice(unreachable)
+            x = rng.choice(m.inputs())
+            order.insert(0, rng.choice([("readout", s), ("update", (s, x))]))
+    else:
+        second = "update" if first == "readout" else "readout"
+        order = reads[first] + reads[second]
+    for name, key in order:
+        assert getattr(m, name)[key] == getattr(want, name)[key], (name, key)
+    assert dict.copy(m.update) == want.update
+    assert dict.copy(m.readout) == want.readout
 
 
 def test_a_dead_composite_is_freed_by_refcounting():
@@ -524,6 +577,41 @@ def test_threads_share_a_composite_while_one_lists_its_keys():
             assert not any(th.is_alive() for th in threads)
             assert wrong == []
             assert m == want and list(m.update) == list(want.update)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_racing_on_a_first_read_copy_equal_rows():
+    # the six-cell row reaches 128 of its 4096 states; four threads make
+    # the first reads of a fresh composite at once, so they race on both
+    # tables' copies from the numbering and on routing unreachable states
+    w, machines = history_row(6)
+    want = eager_apply_algebra(w, machines)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(10):
+            m = apply_algebra(w, machines)
+            wrong = []
+
+            def look(seed):
+                rng = random.Random(seed)
+                keys = [("update", k) for k in want.update]
+                keys += [("readout", k) for k in want.readout]
+                rng.shuffle(keys)
+                wrong.extend(k for name, k in keys
+                             if getattr(m, name)[k] != getattr(want, name)[k])
+
+            threads = [threading.Thread(target=look, args=(attempt * 4 + k,))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert wrong == []
+            assert dict.copy(m.update) == want.update
+            assert dict.copy(m.readout) == want.readout
     finally:
         sys.setswitchinterval(interval)
 
@@ -621,7 +709,7 @@ def test_apply_algebra_refuses_a_reachable_part_over_the_limit(monkeypatch):
     monkeypatch.setattr(moore, "MAX_TRANSITIONS", 2 ** 12)
     # the ten-cell row reaches 2**11 states x 2 inputs: exactly the limit
     m = apply_algebra(*history_row(10))
-    assert dict.__len__(m.update) == 2 ** 12
+    assert len(moore._numbered(m).succ) == 2 ** 12
     limit = (r"composite reaches at least \d+ states x 2 inputs = \d+ "
              r"transitions, over the limit of 4096")
     with pytest.raises(MachineError, match=limit):
@@ -770,9 +858,10 @@ def test_the_numbering_is_breadth_first_and_run_walks_it(seed, kind):
 
 
 def test_the_numbering_of_a_large_composite_keeps_little_beyond_its_rows():
-    # the 15-cell row reaches 2**16 states x 2 inputs; on CPython 3.11 its
-    # routed rows and product alone hold 39.3 MB, and the numbering adds
-    # at most a fifth of that (a list per state's successors added 30%)
+    # the 15-cell row reaches 2**16 states x 2 inputs; the numbering is
+    # the one store of its rows, and the composite keeps 20.4 MB on
+    # CPython 3.10 and 3.11 (46.1 MB while the tables held a second,
+    # tuple-keyed copy); the bound allows a fifth more
     w, machines = history_row(15)
     tracemalloc.start()
     try:
@@ -781,7 +870,8 @@ def test_the_numbering_of_a_large_composite_keeps_little_beyond_its_rows():
     finally:
         tracemalloc.stop()
     assert len(moore._numbered(m).states) == 2 ** 16
-    assert kept < 1.2 * 39_300_000
+    assert dict.__len__(m.update) == dict.__len__(m.readout) == 0
+    assert kept < 1.2 * 20_400_000
 
 
 def test_apply_algebra_requires_single_outer():
