@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import Record, WireboxError, _kept, moore, probes, wiring as wi
-from .moore import (MachineError, MachineHom, MooreMachine,
-                    _build_composite, _machines_fit, lift_hom)
+from .moore import (MachineError, MachineHom, MooreMachine, _machines_fit,
+                    apply_algebra, lift_hom)
 from .wiring import Wiring
 
 
@@ -61,13 +61,11 @@ class CompositeSystem(Record):
         """The machine the whole system presents on its outer box.
 
         Built on the first call and kept (``_kept``): the system is
-        immutable, and the composite's tables keep the rows they read,
-        so a diff and a step's witness build each once.  It is built
-        without ``apply_algebra``'s fit check: the system was checked
-        when it was constructed, or its step by ``check_step``.
+        immutable, and the composite's tables keep the rows routed on
+        lookup, so a diff and a step's witness build each once.
         """
-        return _kept(self, "_composite", lambda sys: _build_composite(
-            sys.wiring, sys.components))
+        return _kept(self, "_composite",
+                     lambda sys: apply_algebra(sys.wiring, sys.components))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +375,4 @@ def __getattr__(name: str):
     if name in ("fingerprint_wiring", "fingerprint_components"):
         from . import fingerprints
         return getattr(fingerprints, name)
-    # ``attacks.apply_algebra`` names moore's; a system's composite is
-    # built by ``moore._build_composite``
-    if name == "apply_algebra":
-        return moore.apply_algebra
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

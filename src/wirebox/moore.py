@@ -176,11 +176,14 @@ def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
     its readout, then its updates in ``inputs`` order.
 
     Call it after a lookup of one of those rows missed: a machine is
-    total, so ``s`` or an input is not the machine's.
+    total, so ``s`` is not one of its states or an input is outside its
+    input space.  It reads the numbering and ``states``, not the tables,
+    so a composite's error copies and routes no row.
     """
-    if s not in m.readout:
+    num = _numbered(m)
+    if s not in num.index and s not in m.states:
         return MachineError(f"no readout for state {render_state(s)}")
-    x = next(x for x in inputs if (s, x) not in m.update)
+    x = next(x for x in inputs if x not in num.column)
     return MachineError(f"no update for state {render_state(s)} on input {x}")
 
 
@@ -295,7 +298,8 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     numbers them (``_Numbering``) and stores no row elsewhere: the
     numbering is the composite's one store of its reachable rows.  The
     tables start empty.  A table's first miss copies every reachable row
-    of that table from the numbering at once; after it, any other
+    of that table from the numbering at once, so from then on that
+    table keeps those rows a second time; after it, any other
     state's rows are routed on the first lookup of one of them, its
     readout and updates on a readout lookup, its updates alone on an
     update lookup.  A held row is read by dict's own lookup (see
@@ -313,13 +317,6 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     when the product has more than ``MAX_TRANSITIONS`` transitions.
     """
     _machines_fit(w, machines)
-    return _build_composite(w, machines)
-
-
-def _build_composite(w: Wiring, machines: Sequence[MooreMachine]
-                     ) -> MooreMachine:
-    """``apply_algebra`` for machines known to fit ``w``'s slots, as a
-    ``CompositeSystem``'s do: it builds without checking the fit."""
     outer = w.outer[0]
     router = _Router(_kept(w, "_routing", _Routing), machines, outer)
     init = tuple(m.init for m in machines)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from netgen import (BIT, random_machine, random_network, random_stack,
                     random_wiring, relabelling)
-from wirebox import attacks, fingerprints, moore
+from wirebox import attacks, fingerprints
 from wirebox.attacks import (AttackError, AttackScript, CompositeSystem,
                              DiffReport, RewireStep, RewriteStep,
                              apply_rewire, apply_rewrite, apply_script,
@@ -395,25 +395,21 @@ def test_kept_fingerprints_agree_with_fresh_copies(seed):
 @given(st.integers(0, 10 ** 9))
 def test_a_step_builds_its_system_without_fitting_the_machines_again(seed):
     # check_step checks the slot a step changes, and the boundary stays
-    # the same, so neither step calls _machines_fit, nor does building a
-    # system's composite; every system it builds is the one the checking
-    # constructor builds, and its composite apply_algebra's
+    # the same, so neither step calls _machines_fit; every system it
+    # builds is the one the checking constructor builds
     rng = random.Random(seed)
     w, machines = random_network(rng)
     system = CompositeSystem(w, machines)
     script = random_script(rng, w, machines)
     fitted = []
     with pytest.MonkeyPatch.context() as mp:
-        for module in (attacks, moore):
-            mp.setattr(module, "_machines_fit", lambda *a: fitted.append(a))
+        mp.setattr(attacks, "_machines_fit", lambda *a: fitted.append(a))
         result = apply_script(system, script)
-        composites = [entry.system.composite() for entry in result.log]
     assert fitted == []
-    for entry, composite in zip(result.log, composites):
+    for entry in result.log:
         built = entry.system
         assert type(built.components) is tuple
         assert built == CompositeSystem(built.wiring, built.components)
-        assert composite == apply_algebra(built.wiring, built.components)
 
 
 def test_a_misfit_step_is_refused_before_any_system_is_built(monkeypatch):
@@ -516,9 +512,8 @@ def test_a_morphism_rewrite_builds_no_composite_until_its_witness_is_read(
     # before and after it, which reading it builds and keeps, so attack,
     # which reads none, builds none, nor the knowledge base's system rows
     built = []
-    build = attacks._build_composite
-    monkeypatch.setattr(attacks, "_build_composite", lambda w, machines:
-                        built.append(w) or build(w, machines))
+    monkeypatch.setattr(attacks, "apply_algebra", lambda w, machines:
+                        built.append(w) or apply_algebra(w, machines))
     path = (pathlib.Path(__file__).resolve().parent.parent
             / "fixtures" / "uav" / "scenario.yaml")
     scenario = load(path).scenario

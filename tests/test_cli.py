@@ -741,14 +741,12 @@ def test_a_command_builds_only_the_composites_it_reads(monkeypatch, argv, want):
     # and the attacked system, simulate and compose one system each
     built = []
 
-    def spy(w, machines, build=wirebox.moore._build_composite):
+    def spy(w, machines, apply=wirebox.moore.apply_algebra):
         built.append(w)
-        return build(w, machines)
+        return apply(w, machines)
 
-    # apply_algebra builds through moore's binding, a system's composite
-    # through attacks'
     for module in (wirebox.moore, wirebox.attacks):
-        monkeypatch.setattr(module, "_build_composite", spy)
+        monkeypatch.setattr(module, "apply_algebra", spy)
     code, _, err = cli(*argv)
     assert (code, err) == (1 if argv[0] == "diff" else EX_OK, "")
     assert len(built) == want

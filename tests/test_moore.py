@@ -450,6 +450,13 @@ def test_an_input_outside_the_input_space_misses_in_both_tables():
                     table[(s, bad)]
         assert (s, ("1",)) not in dict.keys(m.update)
         assert s not in dict.keys(m.readout)
+    # run's error, and the row it names, are read off the numbering and
+    # the product, so neither copies a row into the tables
+    with pytest.raises(MachineError, match=r"on input \('2',\)$"):
+        run(m, [("1",), ("2",)])
+    assert str(moore._missing_row(m, "s9", [("1",)])) == (
+        "no readout for state s9")
+    assert dict.__len__(m.update) == dict.__len__(m.readout) == 0
 
 
 def test_an_update_miss_routes_only_a_key_of_the_product(monkeypatch):
