@@ -61,8 +61,9 @@ class CompositeSystem(Record):
         """The machine the whole system presents on its outer box.
 
         Built on the first call and kept (``_kept``): the system is
-        immutable, and the composite's tables keep the rows routed on
-        lookup, so a diff and a step's witness build each once.
+        immutable, and the composite keeps the rows it numbered and its
+        tables the rows they read, so a diff and a step's witness build
+        each once.
         """
         return _kept(self, "_composite",
                      lambda sys: apply_algebra(sys.wiring, sys.components))
