@@ -18,13 +18,11 @@ a read-only sequence over the component state sets.  Building routes
 the states reachable from ``init`` and keeps their rows once, numbered
 breadth first (``_Numbering``); ``run``, ``validate_machine`` and
 ``probes``' walks step those integers, and another machine is numbered
-on its first such read.  The tables ``update`` and ``readout`` start
-empty: a table's first miss copies all its reachable rows from the
-numbering, and any other state's rows are routed on the first lookup
-of one of them, where an update lookup routes its updates alone.  Each
-table is a ``dict`` of the rows it holds, so a held row is read by
-dict's own lookup, and it reads as a read-only mapping over the whole
-product that lists its keys in product order without routing a row.
+on its first such read.  The tables ``update`` and ``readout`` are
+read-only views over the whole product that store no row: a reachable
+state's row is read off the numbering, and any other state's is routed
+on each lookup.  They list their keys in product order without routing
+a row.
 A reader that walks the whole product (iterating ``states`` or a table,
 so validating, rendering, dumping, comparing or checking morphisms)
 refuses a product of more than ``MAX_TRANSITIONS`` transitions; building
@@ -60,13 +58,12 @@ class MooreMachine(Record):
     ``states`` is a tuple, or a composite's read-only product sequence;
     ``update`` maps (state, input tuple) to the next state; ``readout``
     maps a state to its output tuple.  Tables are plain dicts, or a
-    composite's dict subclasses filled on demand, which read as
-    read-only mappings over the whole product (see ``apply_algebra``
-    and ``_Table``).  Construction raises MachineError with the first
-    of ``_machine_errors``, so every machine is total; it skips the
-    reachability pass, which only warns (``validate_machine``).  What
-    ``apply_algebra`` builds is valid by construction and skips the check
-    (``Record._built``).  A copy of a composite made through this
+    composite's read-only views over the whole product, which store no
+    row (see ``apply_algebra`` and ``_Table``).  Construction raises
+    MachineError with the first of ``_machine_errors``, so every
+    machine is total; it skips the reachability pass, which only warns
+    (``validate_machine``).  What ``apply_algebra`` builds is valid by
+    construction and skips the check (``Record._built``).  A copy of a composite made through this
     constructor walks its whole product, so it meets ``MAX_TRANSITIONS``.
 
     Tables are never mutated after construction; to change one, build a
@@ -178,7 +175,7 @@ def _missing_row(m: MooreMachine, s: State, inputs) -> MachineError:
     Call it after a lookup of one of those rows missed: a machine is
     total, so ``s`` is not one of its states or an input is outside its
     input space.  It reads the numbering and ``states``, not the tables,
-    so a composite's error copies and routes no row.
+    so a composite's error routes no row.
     """
     num = _numbered(m)
     if s not in num.index and s not in m.states:
@@ -297,19 +294,15 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     wiring object is compiled once however many composites it makes;
     they share the routing, which holds no table.  Building routes the
     states reachable from ``init``, by a breadth-first search that
-    numbers them (``_Numbering``) and stores no row elsewhere: the
-    numbering is the composite's one store of its reachable rows.  The
-    tables start empty.  A table's first miss copies every reachable row
-    of that table from the numbering at once, so from then on that
-    table keeps those rows a second time; after it, any other
-    state's rows are routed on the first lookup of one of them, its
-    readout and updates on a readout lookup, its updates alone on an
-    update lookup.  A held row is read by dict's own lookup (see
-    ``_Table``).  Within one state, components fed only by inner outputs
-    are routed once, then the others per outer input.
-    Either table lists its keys in product order, and counts them,
-    without routing a row; reading its values (``items``, ``values``,
-    ``==``, ``repr``) copies or routes the rows read.
+    numbers them (``_Numbering``): the numbering is the composite's one
+    store of its reachable rows.  The tables are views that read a
+    reachable state's row off the numbering and route any other state's
+    rows on each of its lookups, storing none (see ``_Table``).  Within
+    one state, components fed only by inner outputs are routed once,
+    then the others per outer input.  Either table lists its keys in
+    product order, and counts them, without routing a row; reading its
+    values (``items``, ``values``, ``==``, ``repr``) routes the
+    unreachable states read.
 
     Building costs the reachable part alone, whatever the product's size,
     and is refused with a MachineError once the search has found more
@@ -322,12 +315,11 @@ def apply_algebra(w: Wiring, machines: Sequence[MooreMachine]) -> MooreMachine:
     outer = w.outer[0]
     router = _Router(_kept(w, "_routing", _Routing), machines, outer)
     init = tuple(m.init for m in machines)
-    router.numbering = _number(init, router.fill, router.inputs,
-                               MAX_TRANSITIONS // len(router.inputs))
-    update = _UpdateTable(router)
-    m = MooreMachine._built(outer, router.states, init, update,
-                            _ReadoutTable(router, update))
-    object.__setattr__(m, "_numbering", router.numbering)
+    num = _number(init, router.fill, router.inputs,
+                  MAX_TRANSITIONS // len(router.inputs))
+    m = MooreMachine._built(outer, router.states, init,
+                            _UpdateTable(router, num), _ReadoutTable(router, num))
+    object.__setattr__(m, "_numbering", num)
     return m
 
 
@@ -403,18 +395,16 @@ class _Product(Sequence):
 
 
 class _Router:
-    """Routes a composite's rows one state at a time, storing them only
-    in the tables it is handed.
+    """Routes a composite's rows one state at a time and stores none.
 
-    It holds the compiled wiring, the component tables, the product
-    ``states`` and, once built, the ``numbering`` the tables copy their
-    reachable rows from, but no table of the composite, so the tables
-    that hold it form no reference cycle, and a dead composite is freed
-    by refcounting.
+    It holds the compiled wiring, the component tables and the product
+    ``states``, but no table of the composite, so the tables that hold
+    it form no reference cycle, and a dead composite is freed by
+    refcounting.
     """
 
-    __slots__ = ("states", "is_state", "inputs", "numbering", "_readouts",
-                 "_outer_out", "_fixed", "_varying")
+    __slots__ = ("states", "is_state", "inputs", "_readouts", "_outer_out",
+                 "_fixed", "_varying")
 
     def __init__(self, routing: _Routing, machines: Sequence[MooreMachine],
                  outer: Box):
@@ -432,12 +422,9 @@ class _Router:
         self._fixed = [t for t in slots if not routing.reads_outer[t[0]]]
         self._varying = [t for t in slots if routing.reads_outer[t[0]]]
 
-    def fill(self, s: State, update: dict | None = None,
-             readout: dict | None = None) -> tuple:
-        """Route composite state ``s``: store its update rows in
-        ``update`` and its readout in ``readout``, each when given;
-        return its readout and its successors, one per outer input in
-        order.
+    def fill(self, s: State) -> tuple:
+        """Route composite state ``s``: its readout and its successors,
+        one per outer input in order.
 
         The components are total and the wiring routes only values of
         their alphabets, so every component row looked up exists.
@@ -446,8 +433,6 @@ class _Router:
         # out_map reads only inner outputs (Wiring._check_expr enforces
         # it), so every outer input gives state s the same readout
         out = self._outer_out(inner_outs)
-        if readout is not None:
-            dict.__setitem__(readout, s, out)
         nxt = list(s)
         for i, f, table in self._fixed:
             nxt[i] = table[(s[i], f(inner_outs))]
@@ -457,92 +442,56 @@ class _Router:
             for i, f, table in self._varying:
                 nxt[i] = table[(s[i], f(values))]
             nexts.append(tuple(nxt))
-        if update is not None:
-            dict.update(update, zip([(s, x) for x in self.inputs], nexts))
         return out, nexts
 
 
-def _read_only(table, *args, **kwargs):
-    raise TypeError(f"{type(table).__name__} is a read-only mapping")
+class _Table(Mapping):
+    """A composite's update or readout table: a read-only view over the
+    whole product that stores no row.
 
-
-class _Table(dict):
-    """A composite's update or readout table: a dict of the rows held so
-    far that reads as a read-only mapping over the whole product.
-
-    It starts empty: the composite's reachable rows are kept once, in
-    its numbering.  ``__getitem__`` is dict's own, so a held row costs
-    one dict lookup.  A lookup that misses a key of the product (a
-    composite state, and for an update row an input of the input space)
-    copies, on the table's first such miss, every reachable row of this
-    table from the numbering in one ``dict.update``; a key still missing
-    after that is an unreachable state's, which it routes
-    (``_Router.fill``, which never fails: the components are total)
-    before reading the row again.  Any other miss raises KeyError,
-    copying and routing nothing.  The keys are the product's, in product
-    order: iteration and ``len`` take them from the router's ``states``
-    and read no row, while ``in``, ``get``, ``keys``, ``items``,
-    ``values``, ``==``, ``!=`` and ``repr`` are the ``Mapping`` mixins,
-    which look rows up.  Iteration meets the product's size limit (see
-    ``_Product``).  Every other dict method, writes, ``copy``, ``|`` and
-    ``reversed`` included, raises TypeError; rows are stored through
-    dict's own methods.  Two threads copying or routing the same rows
-    store equal values.
+    A lookup of a reachable state's row reads it off the numbering; one
+    of any other state of the product routes that state
+    (``_Router.fill``, which never fails: the components are total) and
+    keeps nothing, so it routes again on its next lookup.  Any other key
+    raises KeyError, and an unhashable one TypeError, as a dict's lookup
+    does.  The keys are the product's, in product order: iteration and
+    ``len`` take them from the router's ``states`` and read no row,
+    while ``in``, ``get``, ``keys``, ``items``, ``values``, ``==`` and
+    ``!=`` are the ``Mapping`` mixins, which look rows up.  Iteration
+    meets the product's size limit (see ``_Product``).  A table writes
+    nothing after it is built, so threads may share it.
     """
 
-    __slots__ = ("_router", "_copied")
+    __slots__ = ("_router", "_num")
 
-    def __init__(self, router: _Router):
+    def __init__(self, router: _Router, num: _Numbering):
         self._router = router
-        self._copied = False
-
-    def _held(self, key):
-        """The row at ``key``, a key of the product, once the reachable
-        rows are copied; None when it is an unreachable state's not yet
-        routed (no row is None)."""
-        if not self._copied:
-            dict.update(self, self._reachable_rows(self._router.numbering))
-            self._copied = True
-        return dict.get(self, key)
-
-    __contains__ = Mapping.__contains__
-    get = Mapping.get
-    keys = Mapping.keys
-    items = Mapping.items
-    values = Mapping.values
-    __eq__ = Mapping.__eq__
-    # dict's own != compares the held rows alone
-    __ne__ = object.__ne__
-    __setitem__ = __delitem__ = setdefault = update = pop = popitem = \
-        clear = copy = __or__ = __ror__ = __ior__ = __reversed__ = _read_only
+        self._num = num
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
 
 class _UpdateTable(_Table):
-    """Update rows, keyed (state, outer input).  A miss never writes the
-    readout table: it copies the reachable update rows, or routes an
-    unreachable state's update rows alone."""
+    """Update rows, keyed (state, outer input): the reachable state
+    numbered k leads on input column j to ``states[succ[k * n + j]]``."""
 
     __slots__ = ()
 
-    def __missing__(self, key):
-        s = key[0] if isinstance(key, tuple) and len(key) == 2 else None
-        # an input outside the input space routes nothing: routing would
-        # not store its row, and dict's lookup would call __missing__ again
-        if (not self._router.is_state(s)
-                or key[1] not in self._router.numbering.column):
-            raise KeyError(key)
-        row = self._held(key)
-        if row is None:
-            self._router.fill(s, self)
-            row = dict.__getitem__(self, key)
-        return row
-
-    def _reachable_rows(self, num: _Numbering):
-        return zip(itertools.product(num.states, self._router.inputs),
-                   map(num.states.__getitem__, num.succ))
+    def __getitem__(self, key):
+        num = self._num
+        if isinstance(key, tuple) and len(key) == 2:
+            s, x = key
+            # both lookups hash their part, so an unhashable key raises
+            # TypeError before any row is read, as in a dict
+            k, j = num.index.get(s), num.column.get(x)
+            if j is not None:
+                if k is not None:
+                    return num.states[num.succ[k * len(num.column) + j]]
+                if self._router.is_state(s):
+                    return self._router.fill(s)[1][j]
+        hash(key)
+        raise KeyError(key)
 
     def __iter__(self):
         states, inputs = self._router.states, self._router.inputs
@@ -553,28 +502,18 @@ class _UpdateTable(_Table):
 
 
 class _ReadoutTable(_Table):
-    """Readout rows, keyed by state.  It holds the update table, and not
-    the other way round, so the two form no reference cycle; a miss on
-    an unreachable state routes its rows into both."""
+    """Readout rows, keyed by state: the reachable state numbered k
+    reads ``readouts[k]``."""
 
-    __slots__ = ("_update",)
+    __slots__ = ()
 
-    def __init__(self, router: _Router, update: _UpdateTable):
-        super().__init__(router)
-        self._update = update
-
-    def __missing__(self, s):
-        if not self._router.is_state(s):
-            raise KeyError(s)
-        row = self._held(s)
-        if row is None:
-            self._router.fill(s, self._update, self)
-            row = dict.__getitem__(self, s)
-        return row
-
-    @staticmethod
-    def _reachable_rows(num: _Numbering):
-        return zip(num.states, num.readouts)
+    def __getitem__(self, s):
+        k = self._num.index.get(s)
+        if k is not None:
+            return self._num.readouts[k]
+        if self._router.is_state(s):
+            return self._router.fill(s)[0]
+        raise KeyError(s)
 
     def __iter__(self):
         return iter(self._router.states)

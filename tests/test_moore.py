@@ -1,6 +1,7 @@
 """Machines, their validation, the wiring action, and machine morphisms."""
 
 import collections
+import contextlib
 import gc
 import itertools
 import operator
@@ -10,6 +11,7 @@ import threading
 import tracemalloc
 import weakref
 from collections import ChainMap
+from collections.abc import Mapping, MutableMapping
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,18 @@ def reachable(m: MooreMachine) -> set:
     return seen
 
 
+@contextlib.contextmanager
+def routed():
+    """The composite states ``_Router.fill`` routes inside the block, in
+    order; building a composite routes its reachable states."""
+    fills, fill = [], moore._Router.fill
+    moore._Router.fill = lambda router, s: fills.append(s) or fill(router, s)
+    try:
+        yield fills
+    finally:
+        moore._Router.fill = fill
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 9))
 def test_composite_rows_agree_with_the_eager_reference(seed):
@@ -289,18 +303,14 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
               ("s9",) + want.init[1:], want.init[0], list(want.init), None):
         assert s not in states
     # built: the rows of the states reachable from init, kept once, in the
-    # numbering; both tables hold none
+    # numbering, which both tables read
     reached, inputs = reachable(want), m.inputs()
-    assert dict.__len__(m.update) == dict.__len__(m.readout) == 0
     num = moore._numbered(m)
+    numbered = (list(num.states), list(num.succ), list(num.readouts))
     assert len(num.states) == len(reached) and set(num.states) == reached
-    # a table's first read of a reachable row copies that table's
-    # reachable rows, and no others
     s = num.states[-1]
-    assert m.readout[s] == want.readout[s] and dict.__len__(m.update) == 0
-    assert set(dict.keys(m.readout)) == reached
+    assert m.readout[s] == want.readout[s]
     assert m.update[(s, inputs[-1])] == want.update[(s, inputs[-1])]
-    assert set(dict.keys(m.update)) == {(r, x) for r in reached for x in inputs}
     for _ in range(8):
         s, x = rng.choice(want.states), rng.choice(inputs)
         assert m.update[(s, x)] == want.update[(s, x)]
@@ -314,8 +324,8 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     with pytest.raises(KeyError):
         m.update[(want.init, ("2",) * len(inputs[0]))]
     assert m == want
-    # fully routed by the comparison, the tables miss what they lack as a
-    # plain dict does
+    # after the comparison read every row, the tables still miss what
+    # they lack as a plain dict does
     bad = inputs[0] + ("2",)
     assert ("s9", inputs[0]) not in m.update and m.readout.get("s9") is None
     assert (want.init, bad) not in m.update and m.update.get((want.init, bad)) is None
@@ -328,6 +338,11 @@ def test_composite_rows_agree_with_the_eager_reference(seed):
     assert list(m.update) == list(want.update)
     assert list(m.readout.items()) == list(want.readout.items())
     assert machine_text(m) == machine_text(want)
+    # the tables read as the eager ones after every read, and the reads
+    # left the numbering as it was built
+    assert m.update == want.update and m.readout == want.readout
+    assert moore._numbered(m) is num
+    assert (num.states, num.succ, num.readouts) == numbered
     # reading the items of a fresh composite gives the same order
     fresh = apply_algebra(w, machines)
     assert list(fresh.update.items()) == list(want.update.items())
@@ -340,12 +355,14 @@ def test_composite_tables_list_keys_without_routing_and_read_as_the_eager_ones(s
     w, machines = random_network(random.Random(seed))
     want = eager_apply_algebra(w, machines)
     m = apply_algebra(w, machines)
-    built = (dict.copy(m.update), dict.copy(m.readout))
-    assert (len(m.update), len(m.readout)) == (len(want.update), len(want.readout))
-    assert list(m.update) == list(want.update)
-    assert list(m.readout) == list(want.readout)
-    assert (dict.copy(m.update), dict.copy(m.readout)) == built
-    # reading the values routes the rest, listed in product order
+    with routed() as fills:
+        assert (len(m.update), len(m.readout)) == (len(want.update),
+                                                   len(want.readout))
+        assert list(m.update) == list(want.update)
+        assert list(m.readout) == list(want.readout)
+    assert fills == []
+    # reading the values routes the unreachable states, listed in
+    # product order
     assert repr(m) == repr(want)
     fresh = apply_algebra(w, machines)
     assert fresh.update == want.update and want.update == fresh.update
@@ -363,6 +380,13 @@ def test_a_composite_table_misses_like_a_dict():
         m.update[(("1",), ("0",))]
     with pytest.raises(KeyError):
         m.readout[("2",)]
+    # a key a dict would refuse as unhashable is refused the same way,
+    # whatever its shape
+    for key in ((["1"],), [("1",), ()], (["1"], ()), (("1",), [])):
+        with pytest.raises(TypeError):
+            m.update.get(key)
+    with pytest.raises(TypeError):
+        m.readout.get(["1"])
     with pytest.raises(MachineError, match="no update for state"):
         step(m, ("1",), ("0",))
     with pytest.raises(MachineError, match="no readout for state"):
@@ -372,7 +396,8 @@ def test_a_composite_table_misses_like_a_dict():
 
 # dict's methods, by what a composite table does with them: the ones a
 # read-only Mapping has answer over the whole product; every other one,
-# called as below, raises TypeError; the rest make or describe the object
+# called as below, raises TypeError or AttributeError; the rest make or
+# describe the object
 WHOLE_PRODUCT = {"__getitem__", "__iter__", "__len__", "__contains__", "get",
                  "keys", "items", "values", "__eq__", "__ne__", "__repr__"}
 REFUSED = {
@@ -397,115 +422,116 @@ REFUSED = {
 }
 OBJECT_MACHINERY = {"__new__", "__init__", "__getattribute__", "__sizeof__",
                     "__doc__", "__class_getitem__"}
+# what a composite table's type has beyond object's names, other than
+# the whole-product readers: Mapping's class machinery (``__reversed__``
+# is None there, refusing ``reversed``) and the table's two slots
+TABLE_MACHINERY = {"__abstractmethods__", "__class_getitem__", "__module__",
+                   "__reversed__", "__slots__", "_abc_impl", "_num", "_router"}
 
 
 def test_composite_tables_answer_dict_methods_whole_or_refuse_them():
-    # a method a newer Python adds to dict fails here until it is sorted
+    # a method a newer Python adds to dict or Mapping fails here until it
+    # is sorted
     assert set(vars(dict)) == WHOLE_PRODUCT | REFUSED.keys() | OBJECT_MACHINERY
     w, machines = history_row(3)  # 64 states, 16 reachable from init
     want = eager_apply_algebra(w, machines)
+    m = apply_algebra(w, machines)
     for name in ("update", "readout"):
-        eager = getattr(want, name)
-
-        def fresh():
-            # a new composite for each reader, holding the reachable rows only
-            table = getattr(apply_algebra(w, machines), name)
-            assert dict.__len__(table) < len(eager)
-            return table
-
-        assert type(fresh()).__getitem__ is dict.__getitem__
-        assert [fresh()[k] for k in eager] == list(eager.values())
-        assert list(fresh()) == list(eager) and len(fresh()) == len(eager)
-        assert all(k in fresh() for k in eager)
-        assert [fresh().get(k) for k in eager] == list(eager.values())
-        assert list(fresh().keys()) == list(eager.keys())
-        assert list(fresh().items()) == list(eager.items())
-        assert list(fresh().values()) == list(eager.values())
-        assert fresh() == eager and eager == fresh()
-        assert not (fresh() != eager or eager != fresh())
-        assert fresh() != {} and {} != fresh()
-        assert repr(fresh()) == repr(eager)
+        eager, table = getattr(want, name), getattr(m, name)
+        assert isinstance(table, Mapping)
+        assert not isinstance(table, (MutableMapping, dict))
+        assert set(dir(type(table))) - set(dir(object)) == \
+            (WHOLE_PRODUCT - set(dir(object))) | TABLE_MACHINERY
+        assert [table[k] for k in eager] == list(eager.values())
+        assert list(table) == list(eager) and len(table) == len(eager)
+        assert all(k in table for k in eager)
+        assert [table.get(k) for k in eager] == list(eager.values())
+        assert list(table.keys()) == list(eager.keys())
+        assert list(table.items()) == list(eager.items())
+        assert list(table.values()) == list(eager.values())
+        assert table == eager and eager == table
+        assert not (table != eager or eager != table)
+        assert table != {} and {} != table
+        assert repr(table) == repr(eager)
         # dict's own fast paths copy through keys() and lookups
-        assert dict(fresh()) == eager and {**fresh()} == eager
+        assert dict(table) == eager and {**table} == eager
         key, value = next(iter(eager.items()))
         for method, call in REFUSED.items():
-            table = fresh()
-            routed = dict.copy(table)
-            with pytest.raises(TypeError):
+            with routed() as fills, pytest.raises((TypeError, AttributeError)):
                 call(table, key, value)
-            assert dict.copy(table) == routed, method
+            assert fills == [] and table == eager, method
 
 
 def test_an_input_outside_the_input_space_misses_in_both_tables():
     # s is in the product, reachable from init or not: a miss on an input
-    # outside the input space copies and routes nothing and finds no row
-    # for the key
+    # outside the input space routes nothing and finds no row for the key
     m = apply_algebra(*history_row(3))
     unreachable = next(s for s in m.states if s not in moore._numbered(m).index)
-    for s in (m.init, unreachable):
-        for bad in (("2",), ("0", "0"), ()):
-            for table in (m.update, m.readout):
-                assert (s, bad) not in table and table.get((s, bad)) is None
-                with pytest.raises(KeyError):
-                    table[(s, bad)]
-        assert (s, ("1",)) not in dict.keys(m.update)
-        assert s not in dict.keys(m.readout)
-    # run's error, and the row it names, are read off the numbering and
-    # the product, so neither copies a row into the tables
-    with pytest.raises(MachineError, match=r"on input \('2',\)$"):
-        run(m, [("1",), ("2",)])
-    assert str(moore._missing_row(m, "s9", [("1",)])) == (
-        "no readout for state s9")
-    assert dict.__len__(m.update) == dict.__len__(m.readout) == 0
-
-
-def test_an_update_miss_routes_only_a_key_of_the_product(monkeypatch):
-    m = apply_algebra(*history_row(3))
-    s = next(s for s in m.states if s not in moore._numbered(m).index)
-    fills = []
-    fill = moore._Router.fill
-    monkeypatch.setattr(moore._Router, "fill",
-                        lambda *args: fills.append(args[1]) or fill(*args))
-    for _ in range(3):
-        assert m.update.get((s, ("2",))) is None
+    with routed() as fills:
+        for s in (m.init, unreachable):
+            for bad in (("2",), ("0", "0"), ()):
+                for table in (m.update, m.readout):
+                    assert (s, bad) not in table and table.get((s, bad)) is None
+                    with pytest.raises(KeyError):
+                        table[(s, bad)]
+        # run's error, and the row it names, are read off the numbering
+        # and the product, so neither routes a row
+        with pytest.raises(MachineError, match=r"on input \('2',\)$"):
+            run(m, [("1",), ("2",)])
+        assert str(moore._missing_row(m, "s9", [("1",)])) == (
+            "no readout for state s9")
     assert fills == []
-    # a valid lookup copies the reachable update rows, then routes s
-    # once, storing its update rows alone: each cell shifts in the newest
-    # bit of the cell before it
-    for x in BIT:
-        assert m.update[(s, (x,))] == (s[0][1] + x, s[1][1] + s[0][1],
-                                       s[2][1] + s[1][1])
-    assert fills == [s]
-    assert dict.__len__(m.update) == 2 * (len(moore._numbered(m).states) + 1)
-    assert dict.__len__(m.readout) == 0
+
+
+def test_an_update_miss_routes_only_a_key_of_the_product():
+    m = apply_algebra(*history_row(3))
+    num = moore._numbered(m)
+    s = next(s for s in m.states if s not in num.index)
+    with routed() as fills:
+        for _ in range(3):
+            assert m.update.get((s, ("2",))) is None
+        assert fills == []
+        # each lookup of an unreachable state's update row routes it once
+        # and keeps nothing: each cell shifts in the newest bit of the
+        # cell before it
+        for x in BIT:
+            assert m.update[(s, (x,))] == (s[0][1] + x, s[1][1] + s[0][1],
+                                           s[2][1] + s[1][1])
+        assert fills == [s, s]
+        # a reachable state's rows are read off the numbering
+        for k, r in enumerate(num.states):
+            for j, x in enumerate(m.inputs()):
+                assert m.update[(r, x)] == num.states[num.succ[2 * k + j]]
+        assert fills == [s, s]
 
 
 def test_a_readout_lookup_routes_the_whole_state():
-    # ('0',) is not reachable from the hull's init ('1',), so the first
-    # lookup of its readout routes it, update rows included
+    # ('0',) is not reachable from the hull's init ('1',), so a lookup of
+    # its readout routes it, successors included; the reachable ('1',)
+    # reads its readout off the numbering
     m = apply_algebra(hull(), (delay("1"),))
     assert ("0",) not in moore._numbered(m).index
-    assert m.readout[("0",)] == ("0",)
-    assert dict.get(m.update, (("0",), ())) == ("0",)
-    # the readout table copied its reachable row; the update table did not
-    assert dict.get(m.readout, ("1",)) == ("1",)
-    assert dict.get(m.update, (("1",), ())) is None
+    with routed() as fills:
+        assert m.readout[("0",)] == ("0",)
+        assert fills == [("0",)]
+        assert m.readout[("1",)] == ("1",)
+        assert fills == [("0",)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 9), st.sampled_from(("readout", "update",
                                                    "unreachable")))
 def test_any_read_order_gives_the_eager_rows(seed, first):
-    # the tables start empty and fill from the numbering on their first
-    # miss and by routing after it: whichever table is read first, and
-    # whether the first row read is a reachable state's or not, every
-    # row read is the eager reference's, and reading them all leaves
-    # exactly the reference's rows in both dicts
+    # whichever table is read first, and whether the first row read is a
+    # reachable state's or not, every row read is the eager reference's,
+    # and reading them all leaves the tables equal to the reference's and
+    # the numbering as it was built
     rng = random.Random(seed)
     w, machines = random_network(rng)
     want = eager_apply_algebra(w, machines)
     m = apply_algebra(w, machines)
-    index = moore._numbered(m).index
+    num = moore._numbered(m)
+    numbered = (list(num.states), list(num.succ), list(num.readouts))
     reads = {name: [(name, k) for k in getattr(want, name)]
              for name in ("readout", "update")}
     for keys in reads.values():
@@ -513,7 +539,7 @@ def test_any_read_order_gives_the_eager_rows(seed, first):
     if first == "unreachable":
         order = reads["readout"] + reads["update"]
         rng.shuffle(order)
-        unreachable = [s for s in want.states if s not in index]
+        unreachable = [s for s in want.states if s not in num.index]
         if unreachable:
             s = rng.choice(unreachable)
             x = rng.choice(m.inputs())
@@ -523,8 +549,9 @@ def test_any_read_order_gives_the_eager_rows(seed, first):
         order = reads[first] + reads[second]
     for name, key in order:
         assert getattr(m, name)[key] == getattr(want, name)[key], (name, key)
-    assert dict.copy(m.update) == want.update
-    assert dict.copy(m.readout) == want.readout
+    assert m.update == want.update and m.readout == want.readout
+    assert moore._numbered(m) is num
+    assert (num.states, num.succ, num.readouts) == numbered
 
 
 def test_a_dead_composite_is_freed_by_refcounting():
@@ -588,10 +615,11 @@ def test_threads_share_a_composite_while_one_lists_its_keys():
         sys.setswitchinterval(interval)
 
 
-def test_threads_racing_on_a_first_read_copy_equal_rows():
+def test_threads_reading_a_fresh_composite_get_the_eager_rows():
     # the six-cell row reaches 128 of its 4096 states; four threads make
-    # the first reads of a fresh composite at once, so they race on both
-    # tables' copies from the numbering and on routing unreachable states
+    # the first reads of a fresh composite at once, reachable states and
+    # unreachable ones routed on each lookup, and neither the rows they
+    # read nor the numbering may differ from a lone reader's
     w, machines = history_row(6)
     want = eager_apply_algebra(w, machines)
     interval = sys.getswitchinterval()
@@ -599,6 +627,8 @@ def test_threads_racing_on_a_first_read_copy_equal_rows():
     try:
         for attempt in range(10):
             m = apply_algebra(w, machines)
+            num = moore._numbered(m)
+            numbered = (list(num.states), list(num.succ), list(num.readouts))
             wrong = []
 
             def look(seed):
@@ -617,8 +647,9 @@ def test_threads_racing_on_a_first_read_copy_equal_rows():
                 th.join(timeout=60)
             assert not any(th.is_alive() for th in threads)
             assert wrong == []
-            assert dict.copy(m.update) == want.update
-            assert dict.copy(m.readout) == want.readout
+            assert m.update == want.update and m.readout == want.readout
+            assert moore._numbered(m) is num
+            assert (num.states, num.succ, num.readouts) == numbered
     finally:
         sys.setswitchinterval(interval)
 
@@ -866,19 +897,28 @@ def test_the_numbering_is_breadth_first_and_run_walks_it(seed, kind):
 
 def test_the_numbering_of_a_large_composite_keeps_little_beyond_its_rows():
     # the 15-cell row reaches 2**16 states x 2 inputs; the numbering is
-    # the one store of its rows, and the composite keeps 20.4 MB on
-    # CPython 3.10 and 3.11 (46.1 MB while the tables held a second,
-    # tuple-keyed copy); the bound allows a fifth more
+    # the one store of its rows, and the tables read it, so the composite
+    # keeps 20.4 MB on CPython 3.10 and 3.11 both after it is built and
+    # after every reachable row is read through the tables (35.6 MB when
+    # a first read copied the rows into tuple-keyed tables, 46.1 MB when
+    # building did); the bound allows a fifth more
     w, machines = history_row(15)
     tracemalloc.start()
     try:
         m = apply_algebra(w, machines)
-        kept, _ = tracemalloc.get_traced_memory()
+        built, _ = tracemalloc.get_traced_memory()
+        num = moore._numbered(m)
+        inputs = m.inputs()
+        for s in num.states:
+            m.readout[s]
+            for x in inputs:
+                m.update[(s, x)]
+        read, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(moore._numbered(m).states) == 2 ** 16
-    assert dict.__len__(m.update) == dict.__len__(m.readout) == 0
-    assert kept < 1.2 * 20_400_000
+    assert len(num.states) == 2 ** 16
+    assert built < 1.2 * 20_400_000
+    assert read < 1.2 * 20_400_000
 
 
 def test_apply_algebra_requires_single_outer():
